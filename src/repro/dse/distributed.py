@@ -13,23 +13,16 @@ the service's ``sweep-chunk`` job kind.  Each lease is one HTTP job;
 the daemon runs the chunk through its worker pool against its
 artifact store and answers with records keyed by cache key.
 
-Fault model — the sweep **always completes** (see
-``docs/resilience.md`` for the full lifecycle):
-
-* a daemon that is unreachable at probe time is dropped from the
-  fleet before any lease is issued;
-* inside a lease, transient faults retry under a seeded
-  :class:`~repro.service.resilience.RetryPolicy` (a reset socket, a
-  queue-full 503 honouring ``Retry-After``) before the lease is
-  declared failed — one blip no longer costs a daemon;
-* a daemon that fails a lease outright (its circuit breaker trips,
-  or the retried call still dies) is demoted to **probation**: its
-  chunk is re-queued and stolen by a surviving daemon, while a
-  prober re-checks the daemon's ``/healthz`` on a backoff schedule
-  and **readmits** it to the lease pool when it recovers — a
-  restarted daemon rejoins the running sweep;
-* when every daemon is gone, the leftover chunks are evaluated
-  locally — plain :func:`run_sweep`, the fallback backend.
+Fault model — the sweep **always completes**.  Inside a lease,
+transient faults retry under a seeded
+:class:`~repro.service.resilience.RetryPolicy`.  Each daemon is
+``leasing``, on ``probation`` (a lease failed outright: its chunk is
+re-queued and stolen, its lanes stop, a prober re-probes it and
+readmits it when it answers) or ``lost`` (unreachable at the start
+probe, or still on probation at sweep end); ``_TRANSITIONS`` lists
+the moves and :meth:`_Fleet.move` is the only code that makes them
+(``docs/resilience.md`` has the table).  What no daemon delivers is
+evaluated locally — plain :func:`run_sweep`, the fallback backend.
 
 Completed work is durable as it happens: chunk records are written
 to the coordinator's cache the moment they merge (not at sweep end),
@@ -79,17 +72,13 @@ from repro.dse.runner import (
     FrontendSpec,
     SweepResult,
     SweepStats,
+    _cache_pass,
     _resolve_cache,
     run_sweep,
 )
 from repro.dse.space import DesignPoint
 from repro.obs import trace
-from repro.service.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
-    RetryPolicy,
-    resilience_counter,
-)
+from repro.service.resilience import RetryPolicy, resilience_counter
 
 #: Points per lease by default: big enough to amortise one HTTP round
 #: trip over several mappings, small enough that re-evaluating a lost
@@ -110,10 +99,22 @@ DEFAULT_RETRY = RetryPolicy(attempts=3, base_delay=0.1,
 #: used — probation probes until the sweep ends, not N times).
 PROBE_BACKOFF = RetryPolicy(attempts=2, base_delay=0.25,
                             max_delay=4.0, jitter=0.25)
-#: Consecutive lease-call failures that open a daemon's breaker.
-BREAKER_THRESHOLD = 4
-#: Seconds an open breaker waits before letting a probe call through.
-BREAKER_RESET = 2.0
+
+#: A daemon's health states (see the module docstring).
+LEASING, PROBATION, LOST = "leasing", "probation", "lost"
+
+#: Every legal health transition (``None``: not yet probed) and what
+#: it reports — ``(event, DistributedSweepStats field, resilience
+#: counter)``; entering the lease pool at sweep start is silent.
+_TRANSITIONS: dict[tuple[str | None, str], tuple | None] = {
+    (None, LEASING): None,
+    (None, LOST): ("lost", "lost_daemons", None),
+    (LEASING, PROBATION): ("probation", "probations",
+                           "fpfa_probation_demotions"),
+    (PROBATION, LEASING): ("readmit", "readmissions",
+                           "fpfa_probation_readmissions"),
+    (PROBATION, LOST): ("lost", "lost_daemons", None),
+}
 
 
 class DistributedError(RuntimeError):
@@ -149,22 +150,17 @@ def parse_remotes(specs) -> list[tuple[str, int]]:
     if isinstance(specs, str):
         specs = [specs]
     pairs: list[tuple[str, int]] = []
-
-    def add(pair: tuple[str, int]) -> None:
-        if pair not in pairs:
-            pairs.append(pair)
-
     for spec in specs:
-        if isinstance(spec, tuple):
-            if len(spec) != 2:
-                raise DistributedError(
-                    f"remote pair {spec!r} is not (host, port)")
-            add((str(spec[0]), int(spec[1])))
-            continue
-        for item in str(spec).split(","):
-            if item.strip():
-                add(parse_remote(item))
-    return pairs
+        if not isinstance(spec, tuple):
+            pairs.extend(parse_remote(item)
+                         for item in str(spec).split(",")
+                         if item.strip())
+        elif len(spec) != 2:
+            raise DistributedError(
+                f"remote pair {spec!r} is not (host, port)")
+        else:
+            pairs.append((str(spec[0]), int(spec[1])))
+    return list(dict.fromkeys(pairs))
 
 
 def sweep_identity(source: str, points: Iterable[DesignPoint],
@@ -172,14 +168,8 @@ def sweep_identity(source: str, points: Iterable[DesignPoint],
     """The checkpoint-journal identity this sweep would run under
     (deduplicated key order, exactly as the coordinator computes
     it) — ``fpfa-map explore --resume`` matches journals with it."""
-    seen: list[str] = []
-    taken: set[str] = set()
-    for point in points:
-        key = cache_key(source, point)
-        if key not in taken:
-            taken.add(key)
-            seen.append(key)
-    return sweep_id(source, seen, verify_seed)
+    keys = dict.fromkeys(cache_key(source, point) for point in points)
+    return sweep_id(source, list(keys), verify_seed)
 
 
 @dataclass
@@ -226,54 +216,135 @@ class DistributedSweepStats(SweepStats):
         return f"{base}\n{fleet}"
 
 
+@dataclass
+class _Daemon:
+    """One remote's health record.  Fields change under the fleet
+    lock; ``state`` changes only through :meth:`_Fleet.move`."""
+
+    remote: tuple[str, int]
+    label: str
+    state: str | None = None  #: LEASING / PROBATION / LOST
+    workers: int = 1          #: worker count its last probe reported
+    lanes: int = 0            #: live lease lanes
+    attempts: int = 0         #: failed re-probes since demotion
+    next_probe: float = 0.0   #: monotonic time of the next re-probe
+
+
+@dataclass(eq=False)
 class _Fleet:
     """Shared mutable state of one distributed run.
 
-    ``lock``/``cond`` guard everything below; per-run invariants
-    (source, timeouts, hooks) ride along so lease lanes and the
-    probation prober share one context object.
+    ``lock``/``cond`` guard the mutable fields; the per-run
+    invariants (source, timeouts, hooks) ride along so lease lanes
+    and the probation prober share one context object.
     """
 
-    def __init__(self, stats: DistributedSweepStats):
+    stats: DistributedSweepStats
+    source: str
+    key_points: dict[str, DesignPoint]
+    verify_seed: int | None
+    timeout: float
+    retry: RetryPolicy | None
+    progress: Callable[[dict], None] | None
+    cache: ResultCache | None
+    daemons: list[_Daemon]
+    #: Coordinator trace context (the ``dse.sweep`` span): lease
+    #: lanes, peer fetches and the prober attach it so their spans —
+    #: and, through the wire, every daemon-side span — join the
+    #: sweep's trace.
+    trace_ctx: dict | None = None
+    journal: SweepJournal | None = None
+    merged: dict[str, dict] = field(default_factory=dict)
+    chunk_keys: dict[int, list[str]] = field(default_factory=dict)
+    queue: deque[int] = field(default_factory=deque)
+    completed: set[int] = field(default_factory=set)
+    draining: bool = False
+    closed: bool = False
+
+    def __post_init__(self) -> None:
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
-        self.merged: dict[str, dict] = {}
-        self.stats = stats
-        self.lost: set[tuple[str, int]] = set()
-        #: remote -> {"workers", "attempts", "next"} while demoted.
-        self.probation: dict[tuple[str, int], dict] = {}
-        self.breakers: dict[tuple[str, int], CircuitBreaker] = {}
-        self.chunk_keys: dict[int, list[str]] = {}
-        self.queue: deque[int] = deque()
-        self.completed: set[int] = set()
-        self.lanes: dict[tuple[str, int], int] = {}
-        self.threads: list[threading.Thread] = []
-        self.draining = False
-        self.closed = False
-        # Per-run invariants, filled in by run_distributed_sweep.
-        self.source = ""
-        self.key_points: dict[str, DesignPoint] = {}
-        self.verify_seed: int | None = None
-        self.timeout = DEFAULT_LEASE_TIMEOUT
-        self.retry: RetryPolicy | None = DEFAULT_RETRY
-        self.progress: Callable[[dict], None] | None = None
-        self.cache: ResultCache | None = None
-        self.journal: SweepJournal | None = None
-        #: Coordinator trace context (the ``dse.sweep`` span), set
-        #: once before any lane starts; lease lanes, peer fetches and
-        #: the prober attach it so their spans — and, through the
-        #: wire, every daemon-side span — join the sweep's trace.
-        self.trace_ctx: dict | None = None
 
     def finished_locked(self) -> bool:
         return len(self.completed) >= len(self.chunk_keys)
 
-    def active_lanes_locked(self) -> int:
-        return sum(self.lanes.values())
+    def leasing_over_locked(self) -> bool:
+        return self.closed or self.draining or self.finished_locked()
+
+    def steal(self, label: str, chunk_id: int) -> None:
+        """Re-queue a failed lease's chunk for any surviving lane."""
+        with self.cond:
+            if self.closed or chunk_id in self.completed:
+                return
+            self.queue.append(chunk_id)
+            self.stats.stolen += 1
+            self.cond.notify_all()
+        trace.count("distributed.steals")
+        if trace.enabled():
+            trace.event("distributed.steal", daemon=label,
+                        chunk=chunk_id)
+
+    def take(self, daemon: _Daemon) -> int | None:
+        """The next chunk for a lane of *daemon*, or None once the
+        lane should exit: every chunk done, the sweep draining, or
+        the daemon out of ``leasing``.  A transiently empty queue is
+        NOT the end: a chunk in flight on another daemon may yet fail
+        and be re-queued, and the lane must be around to steal it."""
+        with self.cond:
+            while not (self.leasing_over_locked()
+                       or daemon.state != LEASING):
+                if not self.queue:
+                    self.cond.wait(timeout=0.2)
+                elif (chunk_id := self.queue.popleft()) \
+                        not in self.completed:  # else: a stale re-queue
+                    self.stats.leases += 1
+                    return chunk_id
+            return None
+
+    def move(self, daemon: _Daemon, state: str, error: str = "") -> bool:
+        """Move *daemon* to health *state* — the only code that does
+        — and report the move once: stats ledger, ``fpfa_probation_*``
+        counter, tracer, progress callback (called outside the lock,
+        which this takes).  Answers False, reporting nothing, for a
+        move not legal now: a sibling lane demoting a demoted daemon,
+        a readmission once leasing is over, anything once closed."""
+        with self.cond:
+            transition = (daemon.state, state)
+            late_readmit = transition == (PROBATION, LEASING) and \
+                self.leasing_over_locked()
+            if self.closed or late_readmit \
+                    or transition not in _TRANSITIONS:
+                return False
+            report = _TRANSITIONS[transition]
+            daemon.state = state
+            if state == PROBATION:
+                daemon.attempts = 0
+                daemon.next_probe = time.monotonic() + \
+                    PROBE_BACKOFF.delay(1, key=daemon.label)
+            if report is not None:
+                name = report[1]
+                setattr(self.stats, name,
+                        getattr(self.stats, name) + 1)
+            self.cond.notify_all()
+        if report is None:
+            return True
+        event, name, counter = report
+        details = {"daemon": daemon.label}
+        if state != LEASING:
+            details["error"] = error
+        if counter is not None:
+            resilience_counter(counter).inc()
+        if trace.enabled():
+            trace.count(f"distributed.{name}")
+            trace.event(f"distributed.{event}", **details)
+        if self.progress is not None:
+            self.progress({"event": event, **details})
+        return True
 
 
 def _probe(remote: tuple[str, int], timeout: float) -> int | None:
-    """Worker count of a live daemon, or None when unreachable."""
+    """Worker count of a live daemon, or None when unreachable —
+    both the admission probe and the probation re-probe."""
     from repro.service.client import ServiceClient, ServiceError
     client = ServiceClient(*remote, timeout=min(timeout, 10.0))
     try:
@@ -284,22 +355,29 @@ def _probe(remote: tuple[str, int], timeout: float) -> int | None:
     return max(1, int(workers))
 
 
-def _health_probe(remote: tuple[str, int], timeout: float) -> bool:
-    """One ``/healthz`` round trip — the probation re-probe."""
-    from repro.service.client import ServiceClient, ServiceError
-    client = ServiceClient(*remote, timeout=min(timeout, 5.0))
-    try:
-        return bool(client.health().get("ok", True))
-    except (ServiceError, OSError, ValueError):
-        return False
-
-
 #: Keys per ``store-has`` probe request (stays under the protocol's
 #: ``MAX_STORE_KEYS`` bound).
 PEER_QUERY_BATCH = 1024
 #: Keys per ``store-fetch`` request — records ride along, so fetch
 #: batches stay small enough that one response is a few MB at most.
 PEER_FETCH_BATCH = 256
+
+
+def _concurrently(target: Callable, calls: Sequence[tuple]) -> list:
+    """Run *target* once per argument tuple, each on its own thread;
+    their results, in call order."""
+    results: list = [None] * len(calls)
+
+    def run(index: int, args: tuple) -> None:
+        results[index] = target(*args)
+
+    threads = [threading.Thread(target=run, args=pair, daemon=True)
+               for pair in enumerate(calls)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
 
 
 def _write_back(cache: ResultCache | None,
@@ -315,10 +393,8 @@ def _write_back(cache: ResultCache | None,
             cache.put(key, record)
 
 
-def _peer_prefetch(remotes: Sequence[tuple[str, int]],
-                   pending: Sequence[str], fleet: _Fleet,
-                   want_verified: bool, timeout: float,
-                   progress: Callable[[dict], None] | None) -> None:
+def _peer_prefetch(fleet: _Fleet, remotes: Sequence[tuple[str, int]],
+                   pending: Sequence[str]) -> None:
     """Pull records the fleet's stores already hold, before any
     chunk is leased — a daemon that mapped these points in an earlier
     sweep (or was warmed by another coordinator) serves them as store
@@ -326,7 +402,7 @@ def _peer_prefetch(remotes: Sequence[tuple[str, int]],
 
     Strictly best-effort: a daemon that cannot answer (unreachable,
     or an old build without the store endpoints) contributes nothing
-    but is **not** retired — it can still serve leases.  Fetched
+    but is **not** demoted — it can still serve leases.  Fetched
     records land in ``fleet.merged`` exactly like leased ones (and in
     the coordinator's cache, immediately), so the caller's merge and
     fallback logic need no special casing; the per-peer ledger goes
@@ -334,9 +410,10 @@ def _peer_prefetch(remotes: Sequence[tuple[str, int]],
     """
     from repro.service.client import ServiceClient
 
-    inventories: dict[tuple[str, int], set[str] | None] = {}
+    timeout = fleet.timeout
+    want_verified = fleet.verify_seed is not None
 
-    def inventory(remote: tuple[str, int]) -> None:
+    def inventory(remote: tuple[str, int]) -> set[str] | None:
         client = ServiceClient(*remote, timeout=min(timeout, 30.0))
         found: set[str] = set()
         with trace.attach(fleet.trace_ctx), \
@@ -350,18 +427,11 @@ def _peer_prefetch(remotes: Sequence[tuple[str, int]],
                         pending[start:start + PEER_QUERY_BATCH],
                         verified=want_verified))
             except Exception:  # noqa: BLE001 — best-effort peering
-                inventories[remote] = None
-                return
-        inventories[remote] = found
+                return None
+        return found
 
-    threads = []
-    for remote in remotes:
-        thread = threading.Thread(target=inventory, args=(remote,),
-                                  daemon=True)
-        thread.start()
-        threads.append(thread)
-    for thread in threads:
-        thread.join()
+    inventories = dict(zip(remotes, _concurrently(
+        inventory, [(remote,) for remote in remotes])))
 
     # Assign each held key to the first daemon (fleet order) holding
     # it: deterministic, and each record crosses the wire once.
@@ -413,268 +483,172 @@ def _peer_prefetch(remotes: Sequence[tuple[str, int]],
             trace.count("distributed.peer_records", len(valid))
             trace.event("distributed.peer", daemon=label,
                         records=len(valid))
-        if progress is not None:
-            progress({"event": "peer", "daemon": label,
-                      "records": len(valid)})
-
-    threads = []
-    for remote, label, keys in assignments:
-        thread = threading.Thread(target=fetch,
-                                  args=(remote, label, keys),
-                                  daemon=True)
-        thread.start()
-        threads.append(thread)
-    for thread in threads:
-        thread.join()
-
-
-def _demote(fleet: _Fleet, remote: tuple[str, int],
-            error: BaseException, chunk_id: int | None) -> None:
-    """Move *remote* to probation and re-queue its chunk (work
-    stealing).  Called from a lease lane that just failed; sibling
-    lanes of the same daemon see the probation entry and exit."""
-    label = f"{remote[0]}:{remote[1]}"
-    with fleet.cond:
-        if fleet.closed:
-            return
-        if chunk_id is not None and \
-                chunk_id not in fleet.completed:
-            fleet.queue.append(chunk_id)
-            fleet.stats.stolen += 1
-        already = remote in fleet.probation or remote in fleet.lost
-        if not already:
-            fleet.probation[remote] = {
-                "workers": fleet.lanes.get(remote, 1),
-                "attempts": 0,
-                "next": time.monotonic()
-                + PROBE_BACKOFF.delay(1, key=label),
-            }
-            fleet.stats.probations += 1
-        fleet.cond.notify_all()
-    if not already:
-        resilience_counter("fpfa_probation_demotions").inc()
-        trace.count("distributed.probations")
-        if trace.enabled():
-            trace.event("distributed.probation", daemon=label,
-                        error=str(error))
         if fleet.progress is not None:
-            fleet.progress({"event": "probation", "daemon": label,
-                            "error": str(error)})
-    if chunk_id is not None:
-        trace.count("distributed.steals")
-        if trace.enabled():
-            trace.event("distributed.steal", daemon=label,
-                        chunk=chunk_id)
+            fleet.progress({"event": "peer", "daemon": label,
+                            "records": len(valid)})
+
+    _concurrently(fetch, assignments)
 
 
-def _lease_worker(fleet: _Fleet, remote: tuple[str, int]) -> None:
-    """One lease lane: pull chunks, lease them to *remote*, merge.
+def _lease_lane(fleet: _Fleet, daemon: _Daemon) -> None:
+    """One lease lane: take chunks, lease them to *daemon*, merge.
 
-    Exits when every chunk is complete, the run is draining, or the
-    daemon is demoted (the failed chunk is re-queued first, so a
-    surviving lane — or the local fallback — steals it).  Several
-    lanes may serve one daemon (one per remote worker); the first
-    failure demotes them all via ``fleet.probation``.
-    """
-    with trace.attach(fleet.trace_ctx):
-        _lease_loop(fleet, remote)
+    A daemon has one lane per remote worker.  The first failed lease
+    demotes it and re-queues the chunk for a surviving lane (or the
+    local fallback); the client's stop predicate reads that state, so
+    sibling lanes stop retrying at once instead of spending their
+    remaining attempts on a demoted daemon."""
+    from repro.service.client import ServiceClient
 
-
-def _lease_loop(fleet: _Fleet, remote: tuple[str, int]) -> None:
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(*remote,
+    client = ServiceClient(*daemon.remote,
                            timeout=min(fleet.timeout, 30.0),
                            retry=fleet.retry,
-                           breaker=fleet.breakers.get(remote))
-    label = f"{remote[0]}:{remote[1]}"
+                           stop=lambda: daemon.state != LEASING)
     try:
-        while True:
-            with fleet.cond:
-                chunk_id = None
-                while chunk_id is None:
-                    if fleet.closed or fleet.draining \
-                            or fleet.finished_locked() \
-                            or remote in fleet.probation \
-                            or remote in fleet.lost:
-                        return
-                    if fleet.queue:
-                        candidate = fleet.queue.popleft()
-                        if candidate in fleet.completed:
-                            continue  # stale re-queue of a done chunk
-                        chunk_id = candidate
-                    else:
-                        # A transiently empty queue is NOT the end: a
-                        # chunk in flight on another daemon may yet
-                        # fail and be re-queued, and this lane must
-                        # be around to steal it.
-                        fleet.cond.wait(timeout=0.2)
-                chunk = fleet.chunk_keys[chunk_id]
-                fleet.stats.leases += 1
-            request = {
-                "kind": "sweep-chunk",
-                "source": fleet.source,
-                "points": [fleet.key_points[key].to_dict()
-                           for key in chunk],
-                "verify_seed": fleet.verify_seed,
-            }
-            if fleet.journal is not None:
-                fleet.journal.lease(chunk_id, label, chunk)
-            trace.count("distributed.leases")
-            if trace.enabled():
-                trace.event("distributed.lease", daemon=label,
-                            chunk=chunk_id, points=len(chunk))
-            try:
-                # The lease span covers the full round trip (submit
-                # plus long-poll); its context rides the request so
-                # the daemon's queue/worker spans stitch in as its
-                # children.  Untraced runs add nothing to the wire.
-                with trace.span("distributed.lease", daemon=label,
-                                chunk=chunk_id, points=len(chunk)):
-                    if trace.enabled():
-                        request["trace"] = trace.context()
-                    job = client.submit(request)["job"]
-                    if job["state"] == "done":
-                        payload = job["result"]
-                    else:
-                        payload = client.result(
-                            job["id"], timeout=fleet.timeout)
-                records = payload["records"]
-                # The chunk contract: one record per leased key.
-                missing = [key for key in chunk
-                           if key not in records]
-                if missing:
-                    raise ServiceError(
-                        f"daemon answered {len(records)} record(s),"
-                        f" {len(missing)} leased key(s) missing",
-                        retryable=False)
-            except BaseException as error:  # noqa: BLE001 — a lease
-                # lane must NEVER die without re-queuing its chunk
-                # (the sweep would wait on it forever); any failure
-                # shape — ServiceError, reset socket, torn HTTP
-                # frame, open breaker, even a KeyboardInterrupt
-                # landing in this thread — demotes and re-queues.
-                # Non-Exception escapees (interrupts) then propagate
-                # so the process still dies.
-                _demote(fleet, remote, error, chunk_id)
-                if not isinstance(error, Exception):
-                    raise
-                return
-            # Durability first: records hit the cache and the
-            # journal records the completion BEFORE the chunk is
-            # marked done — otherwise the coordinator could observe
-            # the sweep finished and close the journal while this
-            # lane's `complete` line is still in flight.  A stolen
-            # chunk landing twice re-writes byte-identical records
-            # (puts are idempotent) and adds a redundant journal
-            # line (completions are a set on load): harmless.
-            _write_back(fleet.cache,
-                        {key: records[key] for key in chunk})
-            if fleet.journal is not None:
-                fleet.journal.complete(chunk_id, chunk)
-            fresh: dict[str, dict] = {}
-            with fleet.cond:
-                if fleet.closed:
+        with trace.attach(fleet.trace_ctx):
+            while (chunk_id := fleet.take(daemon)) is not None:
+                try:
+                    payload = _lease(fleet, client, daemon.label,
+                                     chunk_id)
+                except BaseException as error:  # noqa: BLE001 — a
+                    # lane must NEVER die without re-queuing its chunk
+                    # (the sweep would wait on it forever); any failure
+                    # shape — ServiceError, reset socket, torn HTTP
+                    # frame, a stopped retry, even a KeyboardInterrupt
+                    # landing in this thread — demotes and re-queues.
+                    # Interrupts then propagate so the process dies.
+                    fleet.move(daemon, PROBATION, str(error))
+                    fleet.steal(daemon.label, chunk_id)
+                    if not isinstance(error, Exception):
+                        raise
                     return
-                duplicate = chunk_id in fleet.completed
-                if not duplicate:
-                    for key in chunk:
-                        if key not in fleet.merged:
-                            fresh[key] = records[key]
-                        fleet.merged.setdefault(key, records[key])
-                    fleet.completed.add(chunk_id)
-                    fleet.stats.remote_records += len(fresh)
-                    fleet.stats.remote_cached += \
-                        payload.get("stats", {}).get("cached", 0)
-                    done = len(fleet.completed)
-                    total = len(fleet.chunk_keys)
-                    fleet.cond.notify_all()
-            if duplicate:
-                # A slow lane finished a chunk someone already
-                # stole and completed: records are byte-identical
-                # by determinism, so there is nothing to merge and
-                # — deliberately — nothing to count.
-                continue
-            if fleet.progress is not None:
-                fleet.progress({"event": "chunk", "daemon": label,
-                                "done": done, "total": total,
-                                "points": len(chunk)})
+                _complete(fleet, daemon.label, chunk_id, payload)
     finally:
         with fleet.cond:
-            fleet.lanes[remote] = fleet.lanes.get(remote, 1) - 1
+            daemon.lanes -= 1
             fleet.cond.notify_all()
 
 
-def _spawn_lanes(fleet: _Fleet, remote: tuple[str, int],
-                 workers: int) -> None:
+def _lease(fleet: _Fleet, client, label: str, chunk_id: int) -> dict:
+    """Lease one chunk; the daemon's payload, whose records cover
+    every leased key."""
+    from repro.service.client import ServiceError
+
+    chunk = fleet.chunk_keys[chunk_id]
+    request = {
+        "kind": "sweep-chunk",
+        "source": fleet.source,
+        "points": [fleet.key_points[key].to_dict() for key in chunk],
+        "verify_seed": fleet.verify_seed,
+    }
+    if fleet.journal is not None:
+        fleet.journal.lease(chunk_id, label, chunk)
+    trace.count("distributed.leases")
+    if trace.enabled():
+        trace.event("distributed.lease", daemon=label,
+                    chunk=chunk_id, points=len(chunk))
+    # The lease span covers the full round trip (submit plus
+    # long-poll); its context rides the request so the daemon's
+    # queue/worker spans stitch in as its children.  Untraced runs add
+    # nothing to the wire.
+    with trace.span("distributed.lease", daemon=label,
+                    chunk=chunk_id, points=len(chunk)):
+        if trace.enabled():
+            request["trace"] = trace.context()
+        job = client.submit(request)["job"]
+        payload = job["result"] if job["state"] == "done" else \
+            client.result(job["id"], timeout=fleet.timeout)
+    missing = [key for key in chunk if key not in payload["records"]]
+    if missing:
+        raise ServiceError(
+            f"daemon answered {len(payload['records'])} record(s), "
+            f"{len(missing)} leased key(s) missing", retryable=False)
+    return payload
+
+
+def _complete(fleet: _Fleet, label: str, chunk_id: int,
+              payload: dict) -> None:
+    """Merge one leased chunk's records and count it done.
+
+    Durability first: records hit the cache and the journal records
+    the completion BEFORE the chunk is marked done — otherwise the
+    coordinator could observe the sweep finished and close the
+    journal while this `complete` line is still in flight.  A stolen
+    chunk landing twice re-writes byte-identical records (puts are
+    idempotent) and adds a redundant journal line (completions are a
+    set on load): harmless — and, deliberately, it counts nothing.
+    """
+    chunk = fleet.chunk_keys[chunk_id]
+    records = {key: payload["records"][key] for key in chunk}
+    _write_back(fleet.cache, records)
+    if fleet.journal is not None:
+        fleet.journal.complete(chunk_id, chunk)
+    with fleet.cond:
+        if fleet.closed or chunk_id in fleet.completed:
+            return
+        fresh = [key for key in chunk if key not in fleet.merged]
+        fleet.merged.update((key, records[key]) for key in fresh)
+        fleet.completed.add(chunk_id)
+        fleet.stats.remote_records += len(fresh)
+        fleet.stats.remote_cached += \
+            payload.get("stats", {}).get("cached", 0)
+        done, total = len(fleet.completed), len(fleet.chunk_keys)
+        fleet.cond.notify_all()
+    if fleet.progress is not None:
+        fleet.progress({"event": "chunk", "daemon": label,
+                        "done": done, "total": total,
+                        "points": len(chunk)})
+
+
+def _spawn_lanes(fleet: _Fleet, daemon: _Daemon) -> None:
     """Start one lease lane per remote worker (capped).  Caller must
     hold no fleet lock; lane accounting happens inside."""
-    lanes = min(max(1, workers), MAX_LEASES_PER_DAEMON)
+    lanes = min(max(1, daemon.workers), MAX_LEASES_PER_DAEMON)
     with fleet.cond:
         if fleet.closed or fleet.draining:
             return
-        fleet.breakers[remote] = CircuitBreaker(
-            failure_threshold=BREAKER_THRESHOLD,
-            reset_timeout=BREAKER_RESET,
-            label=f"{remote[0]}:{remote[1]}")
-        fleet.lanes[remote] = fleet.lanes.get(remote, 0) + lanes
+        daemon.lanes += lanes
     for __ in range(lanes):
-        thread = threading.Thread(target=_lease_worker,
-                                  args=(fleet, remote), daemon=True)
-        thread.start()
-        fleet.threads.append(thread)
+        threading.Thread(target=_lease_lane, args=(fleet, daemon),
+                         daemon=True).start()
 
 
 def _prober(fleet: _Fleet) -> None:
     """Re-probe probation daemons on their backoff schedule and
-    readmit the ones that answer ``/healthz`` again."""
+    readmit each one that answers, with the worker count it reports.
+    Only a daemon whose old lanes have all wound down is re-probed,
+    so no lane outlives the admission it was started for."""
     with trace.attach(fleet.trace_ctx):
-        _probe_loop(fleet)
-
-
-def _probe_loop(fleet: _Fleet) -> None:
-    while True:
-        with fleet.cond:
-            if fleet.closed or fleet.draining \
-                    or fleet.finished_locked():
-                return
-            now = time.monotonic()
-            due = [remote for remote, info
-                   in fleet.probation.items()
-                   if now >= info["next"]]
-        for remote in due:
-            label = f"{remote[0]}:{remote[1]}"
-            resilience_counter("fpfa_probation_probes").inc()
-            trace.count("distributed.probes")
-            with trace.span("distributed.probe", daemon=label):
-                healthy = _health_probe(remote, fleet.timeout)
+        while True:
             with fleet.cond:
-                info = fleet.probation.get(remote)
-                if info is None or fleet.closed or fleet.draining:
+                while True:
+                    if fleet.leasing_over_locked():
+                        return
+                    now = time.monotonic()
+                    due = [daemon for daemon in fleet.daemons
+                           if daemon.state == PROBATION
+                           and daemon.lanes == 0
+                           and now >= daemon.next_probe]
+                    if due:
+                        break
+                    fleet.cond.wait(timeout=0.1)
+            for daemon in due:
+                resilience_counter("fpfa_probation_probes").inc()
+                trace.count("distributed.probes")
+                with trace.span("distributed.probe",
+                                daemon=daemon.label):
+                    workers = _probe(daemon.remote, fleet.timeout)
+                if workers is None:
+                    with fleet.cond:
+                        daemon.attempts += 1
+                        daemon.next_probe = time.monotonic() + \
+                            PROBE_BACKOFF.delay(
+                                min(daemon.attempts + 1, 16),
+                                key=daemon.label)
                     continue
-                if not healthy:
-                    info["attempts"] += 1
-                    info["next"] = time.monotonic() + \
-                        PROBE_BACKOFF.delay(
-                            min(info["attempts"] + 1, 16),
-                            key=label)
-                    continue
-                workers = fleet.probation.pop(remote)["workers"]
-                fleet.stats.readmissions += 1
-            resilience_counter(
-                "fpfa_probation_readmissions").inc()
-            trace.count("distributed.readmissions")
-            if trace.enabled():
-                trace.event("distributed.readmit", daemon=label)
-            if fleet.progress is not None:
-                fleet.progress({"event": "readmit",
-                                "daemon": label})
-            _spawn_lanes(fleet, remote, workers)
-        with fleet.cond:
-            if fleet.closed or fleet.draining \
-                    or fleet.finished_locked():
-                return
-            fleet.cond.wait(timeout=0.1)
+                daemon.workers = workers
+                if fleet.move(daemon, LEASING):
+                    _spawn_lanes(fleet, daemon)
 
 
 def run_distributed_sweep(
@@ -687,7 +661,6 @@ def run_distributed_sweep(
         frontends: Mapping[FrontendSpec, Frontend] | None = None,
         progress: Callable[[dict], None] | None = None,
         retry: RetryPolicy | None = DEFAULT_RETRY,
-        journal: bool = True,
         ) -> SweepResult:
     """Evaluate *points* against *source* across a daemon fleet.
 
@@ -695,227 +668,142 @@ def run_distributed_sweep(
     records); *remotes* names the fleet, *chunk_size* the lease
     granularity, *timeout* the per-lease deadline after which a chunk
     is re-leased.  *retry* is the in-lease policy for transient
-    faults (None restores single-shot calls); *journal* controls the
-    checkpoint journal written beside *cache* (on by default — it is
-    what makes ``--resume`` able to report progress).  *progress*,
-    when given, receives one dict per completed chunk (``event:
-    "chunk"``), per peer-store fetch (``"peer"``), per demoted
-    daemon (``"probation"``), per readmission (``"readmit"``) and
-    per daemon lost outright (``"lost"``) — the smoke harnesses use
-    it to kill daemons at deterministic moments.
+    faults (None restores single-shot calls).  With a *cache*, a
+    checkpoint journal beside it records the sweep's progress (what
+    ``--resume`` reports).  *progress*, when given, receives one
+    dict per completed chunk (``event: "chunk"``), per peer-store
+    fetch (``"peer"``), per demoted daemon (``"probation"``), per
+    readmission (``"readmit"``), per daemon lost (``"lost"``) and for
+    the local fallback (``"fallback"``) — the smoke harnesses use it
+    to kill daemons at deterministic moments.
     """
     with trace.span("dse.sweep", mode="distributed") as sweep_span:
-        result = _run_fleet_sweep(
-            source, points, remotes=remotes, cache=cache,
-            chunk_size=chunk_size, timeout=timeout,
-            verify_seed=verify_seed, frontends=frontends,
-            progress=progress, retry=retry, journal=journal)
-        sweep_span.note(points=result.stats.total,
-                        cached=result.stats.cached,
-                        evaluated=result.stats.evaluated,
-                        failed=result.stats.failed,
-                        daemons=result.stats.daemons)
-    return result
+        started = time.perf_counter()
+        points = list(points)
+        cache = _resolve_cache(cache)
+        if chunk_size < 1:
+            raise ValueError(
+                f"chunk_size must be >= 1, got {chunk_size}")
+        stats = DistributedSweepStats(total=len(points))
 
+        point_keys, key_points, by_key, pending = _cache_pass(
+            source, points, cache, verify_seed, stats)
+        stats.evaluated = len(pending)
 
-def _run_fleet_sweep(
-        source: str, points: Iterable[DesignPoint], *,
-        remotes: str | Sequence[str],
-        cache=None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        timeout: float = DEFAULT_LEASE_TIMEOUT,
-        verify_seed: int | None = None,
-        frontends: Mapping[FrontendSpec, Frontend] | None = None,
-        progress: Callable[[dict], None] | None = None,
-        retry: RetryPolicy | None = DEFAULT_RETRY,
-        journal: bool = True,
-        ) -> SweepResult:
-    started = time.perf_counter()
-    points = list(points)
-    cache = _resolve_cache(cache)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    stats = DistributedSweepStats(total=len(points))
+        if pending:
+            fleet = _Fleet(
+                stats, source, key_points, verify_seed, timeout, retry,
+                progress, cache,
+                [_Daemon(remote, f"{remote[0]}:{remote[1]}")
+                 for remote in parse_remotes(remotes)],
+                trace_ctx=trace.context())
+            _distribute(fleet, pending, chunk_size, frontends)
+            by_key.update(fleet.merged)
 
-    # Dedup + local-cache pass: exactly run_sweep's front half.
-    by_key: dict[str, dict | None] = {}
-    key_order: list[str] = []
-    point_keys: list[str] = []
-    key_points: dict[str, DesignPoint] = {}
-    for point in points:
-        key = cache_key(source, point)
-        point_keys.append(key)
-        if key not in by_key:
-            by_key[key] = None
-            key_order.append(key)
-            key_points[key] = point
-    stats.unique = len(key_order)
-
-    pending: list[str] = []
-    for key in key_order:
-        record = cache.get(key) if cache is not None else None
-        if record is not None and verify_seed is not None \
-                and record.get("ok") and not record.get("verified"):
-            cache.downgrade_hit()
-            record = None
-        if record is not None:
-            by_key[key] = record
-            stats.cached += 1
-        else:
-            pending.append(key)
-    stats.evaluated = len(pending)
-
-    fleet = _Fleet(stats=stats)
-    fleet.source = source
-    fleet.key_points = key_points
-    fleet.verify_seed = verify_seed
-    fleet.timeout = timeout
-    fleet.retry = retry
-    fleet.progress = progress
-    fleet.cache = cache
-    # Inside the caller's dse.sweep span, so every lane and peer
-    # thread (and, via the wire, every daemon) parents to the sweep.
-    fleet.trace_ctx = trace.context()
-    if pending:
-        journal_path = journal_path_for(cache) if journal else None
-        if journal_path is not None:
-            try:
-                fleet.journal = SweepJournal(
-                    journal_path,
-                    sweep_id(source, key_order, verify_seed))
-                fleet.journal.begin(total=len(key_order),
-                                    pending=pending)
-            except OSError:
-                fleet.journal = None  # journal is best-effort
-
-        # Probe the fleet (concurrently — a down daemon costs one
-        # connect timeout, not one per fleet member in sequence);
-        # unreachable daemons never get a lease.
-        fleet_pairs = parse_remotes(remotes)
-        probe_threads: list[threading.Thread] = []
-        probed: dict[tuple[str, int], int | None] = {}
-
-        def probe_one(remote: tuple[str, int]) -> None:
-            probed[remote] = _probe(remote, timeout)
-
-        for remote in fleet_pairs:
-            thread = threading.Thread(target=probe_one,
-                                      args=(remote,), daemon=True)
-            thread.start()
-            probe_threads.append(thread)
-        for thread in probe_threads:
-            thread.join()
-        alive: list[tuple[tuple[str, int], int]] = []
-        for remote in fleet_pairs:
-            workers = probed[remote]
-            if workers is None:
-                fleet.lost.add(remote)
-                stats.lost_daemons += 1
-                if trace.enabled():
-                    trace.event("distributed.retire",
-                                daemon=f"{remote[0]}:{remote[1]}",
-                                error="unreachable at probe")
-                if progress is not None:
-                    progress({"event": "lost",
-                              "daemon": f"{remote[0]}:{remote[1]}",
-                              "error": "unreachable at probe"})
-            else:
-                alive.append((remote, workers))
-        stats.daemons = len(alive) + stats.lost_daemons
-        stats.workers = max(
-            [1] + [workers for __, workers in alive])
-
-        # Peering pass: before leasing any chunk, pull every pending
-        # record some daemon's *store* already holds — a store read
-        # on the peer instead of a re-map on its workers.
-        if alive:
-            _peer_prefetch([remote for remote, __ in alive],
-                           pending, fleet,
-                           verify_seed is not None, timeout,
-                           progress)
-
-        # Only keys no peer could serve are leased as chunks.
-        to_lease = [key for key in pending
-                    if key not in fleet.merged]
-        chunk_lists = [to_lease[index:index + chunk_size]
-                       for index in range(0, len(to_lease),
-                                          chunk_size)]
-        stats.chunks = len(chunk_lists)
-        fleet.chunk_keys = dict(enumerate(chunk_lists))
-        fleet.queue = deque(fleet.chunk_keys)
-
-        if alive and chunk_lists:
-            for remote, workers in alive:
-                _spawn_lanes(fleet, remote, workers)
-            prober = threading.Thread(target=_prober,
-                                      args=(fleet,), daemon=True)
-            prober.start()
-            # Ride the sweep: done when every chunk completed, or
-            # when no lane is left alive to finish the rest (every
-            # daemon demoted/lost — drain to the local fallback; a
-            # probation daemon only rejoins a *running* sweep, so
-            # readmission needs at least one survivor to keep it
-            # running).
-            with fleet.cond:
-                while True:
-                    if fleet.finished_locked():
-                        break
-                    if fleet.active_lanes_locked() == 0:
-                        fleet.draining = True
-                        break
-                    fleet.cond.wait(timeout=0.2)
-                fleet.cond.notify_all()
-            prober.join(timeout=10.0)
-
-        # Daemons still on probation when the music stops never made
-        # it back: count them lost, exactly like a probe failure.
-        with fleet.cond:
-            for remote in list(fleet.probation):
-                fleet.probation.pop(remote)
-                fleet.lost.add(remote)
-                stats.lost_daemons += 1
-                label = f"{remote[0]}:{remote[1]}"
-                if progress is not None:
-                    progress({"event": "lost", "daemon": label,
-                              "error": "still on probation at "
-                                       "sweep end"})
-
-        # Whatever the fleet did not deliver runs locally — the
-        # sweep completes no matter how many daemons died.
-        with fleet.lock:
-            leftover = [key for key in pending
-                        if key not in fleet.merged]
-        if leftover:
-            local = run_sweep(
-                source, [key_points[key] for key in leftover],
-                cache=cache, verify_seed=verify_seed,
-                frontends=frontends)
-            with fleet.lock:
-                for key, record in zip(leftover, local.records):
-                    fleet.merged[key] = record
-            stats.local_records = len(leftover)
-            stats.workers = max(stats.workers, local.stats.workers)
-            if fleet.journal is not None:
-                fleet.journal.complete(-2, leftover)
-            trace.count("distributed.fallbacks")
-            if trace.enabled():
-                trace.event("distributed.fallback",
-                            points=len(leftover))
-            if progress is not None:
-                progress({"event": "fallback",
-                          "points": len(leftover)})
-
-        with fleet.cond:
-            for key in pending:
-                by_key[key] = fleet.merged[key]
-            fleet.closed = True
-            fleet.cond.notify_all()
-        if fleet.journal is not None:
-            fleet.journal.end()
-            fleet.journal.close()
-
-    records = [by_key[key] for key in point_keys]
-    stats.failed = sum(1 for key in key_order
-                       if not by_key[key]["ok"])
-    stats.elapsed = time.perf_counter() - started
+        records = [by_key[key] for key in point_keys]
+        stats.failed = sum(1 for key in key_points
+                           if not by_key[key]["ok"])
+        stats.elapsed = time.perf_counter() - started
+        sweep_span.note(points=stats.total, cached=stats.cached,
+                        evaluated=stats.evaluated, failed=stats.failed,
+                        daemons=stats.daemons)
     return SweepResult(points=points, records=records, stats=stats)
+
+
+def _distribute(fleet: _Fleet, pending: list[str], chunk_size: int,
+                frontends: Mapping[FrontendSpec, Frontend] | None
+                ) -> None:
+    """Source every *pending* record into ``fleet.merged``: peer
+    stores first, then leased chunks, then the local fallback."""
+    stats = fleet.stats
+    journal_path = journal_path_for(fleet.cache)
+    if journal_path is not None:
+        try:
+            fleet.journal = SweepJournal(journal_path, sweep_id(
+                fleet.source, list(fleet.key_points), fleet.verify_seed))
+            fleet.journal.begin(total=len(fleet.key_points),
+                                pending=pending)
+        except OSError:
+            fleet.journal = None  # journal is best-effort
+
+    # Probe the fleet (concurrently — a down daemon costs one connect
+    # timeout, not one per fleet member in sequence); unreachable
+    # daemons are lost and never get a lease.
+    probed = _concurrently(_probe, [(daemon.remote, fleet.timeout)
+                                    for daemon in fleet.daemons])
+    for daemon, workers in zip(fleet.daemons, probed):
+        if workers is None:
+            fleet.move(daemon, LOST, "unreachable at probe")
+        else:
+            daemon.workers = workers
+            fleet.move(daemon, LEASING)
+    alive = [daemon for daemon in fleet.daemons
+             if daemon.state == LEASING]
+    stats.daemons = len(fleet.daemons)
+    stats.workers = max([1] + [daemon.workers for daemon in alive])
+
+    # Peering pass: before leasing any chunk, pull every pending
+    # record some daemon's *store* already holds — a store read on
+    # the peer instead of a re-map on its workers.
+    if alive:
+        _peer_prefetch(fleet, [daemon.remote for daemon in alive],
+                       pending)
+
+    # Only keys no peer could serve are leased as chunks.
+    to_lease = [key for key in pending if key not in fleet.merged]
+    chunk_lists = [to_lease[index:index + chunk_size]
+                   for index in range(0, len(to_lease), chunk_size)]
+    stats.chunks = len(chunk_lists)
+    fleet.chunk_keys = dict(enumerate(chunk_lists))
+    fleet.queue = deque(fleet.chunk_keys)
+
+    if alive and chunk_lists:
+        for daemon in alive:
+            _spawn_lanes(fleet, daemon)
+        threading.Thread(target=_prober, args=(fleet,),
+                         daemon=True).start()
+        # Ride the sweep until every chunk completed, or no lane is
+        # left to finish the rest: drain to the local fallback (a
+        # probation daemon only rejoins a *running* sweep, so
+        # readmission needs a surviving daemon to keep it running).
+        with fleet.cond:
+            while not fleet.finished_locked():
+                if not any(daemon.lanes for daemon in fleet.daemons):
+                    fleet.draining = True
+                    break
+                fleet.cond.wait(timeout=0.2)
+            fleet.cond.notify_all()
+
+    # Daemons still on probation now never made it back: lost.
+    for daemon in fleet.daemons:
+        if daemon.state == PROBATION:
+            fleet.move(daemon, LOST, "still on probation at sweep end")
+
+    # Whatever the fleet did not deliver runs locally — the sweep
+    # completes no matter how many daemons died.
+    with fleet.lock:
+        leftover = [key for key in pending if key not in fleet.merged]
+    if leftover:
+        local = run_sweep(
+            fleet.source, [fleet.key_points[key] for key in leftover],
+            cache=fleet.cache, verify_seed=fleet.verify_seed,
+            frontends=frontends)
+        with fleet.lock:
+            fleet.merged.update(zip(leftover, local.records))
+        stats.local_records = len(leftover)
+        stats.workers = max(stats.workers, local.stats.workers)
+        if fleet.journal is not None:
+            fleet.journal.complete(-2, leftover)
+        trace.count("distributed.fallbacks")
+        if trace.enabled():
+            trace.event("distributed.fallback", points=len(leftover))
+        if fleet.progress is not None:
+            fleet.progress({"event": "fallback",
+                            "points": len(leftover)})
+
+    with fleet.cond:
+        fleet.closed = True
+        fleet.cond.notify_all()
+    if fleet.journal is not None:
+        fleet.journal.end()
+        fleet.journal.close()

@@ -365,36 +365,8 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
     points = list(points)
     cache = _resolve_cache(cache)
     stats = SweepStats(total=len(points))
-
-    by_key: dict[str, dict | None] = {}
-    key_order: list[str] = []
-    point_keys: list[str] = []
-    key_points: dict[str, DesignPoint] = {}
-    for point in points:
-        key = cache_key(source, point)
-        point_keys.append(key)
-        if key not in by_key:
-            by_key[key] = None
-            key_order.append(key)
-            key_points[key] = point
-    stats.unique = len(key_order)
-
-    pending: list[str] = []
-    for key in key_order:
-        record = cache.get(key) if cache is not None else None
-        if record is not None and verify_seed is not None \
-                and record.get("ok") and not record.get("verified"):
-            # The cached record was computed by a sweep that never
-            # verified; this sweep promises verification, so the hit
-            # does not satisfy it — re-evaluate (and re-cache with
-            # the verified flag).
-            cache.downgrade_hit()
-            record = None
-        if record is not None:
-            by_key[key] = record
-            stats.cached += 1
-        else:
-            pending.append(key)
+    point_keys, key_points, by_key, pending = _cache_pass(
+        source, points, cache, verify_seed, stats)
 
     workers = _resolve_workers(workers, len(pending))
     stats.workers = workers
@@ -473,10 +445,44 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
         stats.evaluated = len(pending)
 
     records = [by_key[key] for key in point_keys]
-    stats.failed = sum(1 for key in key_order
+    stats.failed = sum(1 for key in key_points
                        if not by_key[key]["ok"])
     stats.elapsed = time.perf_counter() - started
     return SweepResult(points=points, records=records, stats=stats)
+
+
+def _cache_pass(source: str, points: list[DesignPoint], cache,
+                verify_seed: int | None, stats: SweepStats
+                ) -> tuple[list[str], dict[str, DesignPoint],
+                           dict[str, dict], list[str]]:
+    """A sweep's front half: deduplicate *points* by cache key and
+    serve what *cache* holds.  Returns ``(point_keys, key_points,
+    by_key, pending)`` — every point's key, the first point per
+    unique key (in request order), the cache hits, and the keys
+    still to evaluate — and counts ``stats.unique``/``cached``."""
+    point_keys = [cache_key(source, point) for point in points]
+    key_points: dict[str, DesignPoint] = {}
+    for key, point in zip(point_keys, points):
+        key_points.setdefault(key, point)
+    stats.unique = len(key_points)
+    by_key: dict[str, dict] = {}
+    pending: list[str] = []
+    for key in key_points:
+        record = cache.get(key) if cache is not None else None
+        if record is not None and verify_seed is not None \
+                and record.get("ok") and not record.get("verified"):
+            # The cached record was computed by a sweep that never
+            # verified; this sweep promises verification, so the hit
+            # does not satisfy it — re-evaluate (and re-cache with
+            # the verified flag).
+            cache.downgrade_hit()
+            record = None
+        if record is not None:
+            by_key[key] = record
+            stats.cached += 1
+        else:
+            pending.append(key)
+    return point_keys, key_points, by_key, pending
 
 
 def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,

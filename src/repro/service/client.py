@@ -16,25 +16,20 @@ Errors are structured: every failed call raises a
 :class:`ServiceError` whose ``retryable`` flag separates transient
 faults (a queue-full 503, a reset socket) from fatal ones (a
 validation 400) — callers branch on the flag instead of parsing
-messages.  Pass a :class:`~repro.service.resilience.RetryPolicy`
-(and optionally a per-remote
-:class:`~repro.service.resilience.CircuitBreaker`) to make every
-endpoint retry transient faults itself; without one the client stays
-single-shot, exactly as before.
+messages.  Pass a :class:`~repro.service.resilience.RetryPolicy` to
+make every endpoint retry transient faults itself (and a *stop*
+predicate to cut those retries short once the caller has given up on
+the daemon); without one the client stays single-shot.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
-from repro.service.resilience import (
-    CircuitBreaker,
-    RetryPolicy,
-    call_with_retries,
-)
+from repro.service.resilience import RetryPolicy, call_with_retries
 
 #: Long-poll slice per status request; bounded so a dead daemon
 #: surfaces as a socket error quickly, not after the whole timeout.
@@ -102,12 +97,12 @@ class ServiceClient:
     def __init__(self, host: str = DEFAULT_HOST,
                  port: int = DEFAULT_PORT, timeout: float = 60.0,
                  retry: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None):
+                 stop: Callable[[], bool] | None = None):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retry = retry
-        self.breaker = breaker
+        self.stop = stop
 
     @property
     def url(self) -> str:
@@ -116,18 +111,13 @@ class ServiceClient:
     # -- plumbing -----------------------------------------------------
 
     def _with_retries(self, fn, *, key: str):
-        """Run *fn* under this client's policy; single-shot when the
-        client was built without one (the legacy contract)."""
-        if self.retry is None:
-            if self.breaker is not None:
-                return call_with_retries(
-                    fn, policy=RetryPolicy(attempts=1),
-                    breaker=self.breaker, key=key,
-                    classify=_classify)
+        """Run *fn* under this client's policy and stop predicate;
+        a plain single call when the client has neither."""
+        if self.retry is None and self.stop is None:
             return fn()
-        return call_with_retries(fn, policy=self.retry,
-                                 breaker=self.breaker, key=key,
-                                 classify=_classify)
+        return call_with_retries(
+            fn, policy=self.retry or RetryPolicy(attempts=1),
+            stop=self.stop, key=key, classify=_classify)
 
     def _request_once(self, method: str, path: str,
                       body: Mapping | None = None,

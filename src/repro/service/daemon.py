@@ -147,6 +147,8 @@ class MappingService:
         #: Chunk keys already leased once — a repeat is a re-lease
         #: (work stealing / a coordinator retry landing here).
         self._seen_chunks: dict[str, None] = {}
+        #: coalesce key -> the store read submissions of it share.
+        self._lookups: dict[str, asyncio.Future] = {}
         #: (source digest, frontend spec) -> asyncio.Task[Frontend]
         self._frontends: dict[tuple[str, FrontendSpec],
                               asyncio.Task] = {}
@@ -225,20 +227,19 @@ class MappingService:
         """
         request = normalise_request(raw)
         key = job_key(request)
+        ckey = coalesce_key(request)
         # The store is sqlite+disk: look up BEFORE queueing, in an
         # executor, so the event loop never blocks on it — and so no
         # await sits between queue.submit and queue.finish below
         # (the dispatcher could pop the job in that window and
-        # double-run it).
+        # double-run it).  A duplicate of an in-flight job coalesces
+        # without one (see _shared_lookup).
         record = None
         want_verified = request.get("verify_seed") is not None
-        if request["kind"] == "map":
-            loop = asyncio.get_running_loop()
-            record = await loop.run_in_executor(
-                None, lambda: self.store.lookup(
-                    key, want_verified=want_verified))
-        job, coalesced = self.queue.submit(request, key,
-                                           coalesce_key(request))
+        if request["kind"] == "map" and not self.queue.inflight(ckey):
+            record = await self._shared_lookup(key, ckey,
+                                               want_verified)
+        job, coalesced = self.queue.submit(request, key, ckey)
         self.stats.submits += 1
         if request["kind"] == "sweep-chunk" and not coalesced:
             self._note_chunk_lease(key)
@@ -256,6 +257,27 @@ class MappingService:
             return job, False
         await self._notify()
         return job, False
+
+    async def _shared_lookup(self, key: str, ckey: str,
+                             want_verified: bool) -> dict | None:
+        """The stored record for *key*, read in an executor.
+
+        Submissions arriving during a read for *ckey* share it, and
+        the first back retires it just before its ``queue.submit``:
+        no job for *ckey* can then run and finish inside a read whose
+        stale miss would queue a second backend run.
+        """
+        lookup = self._lookups.get(ckey)
+        if lookup is None:
+            lookup = asyncio.get_running_loop().run_in_executor(
+                None, lambda: self.store.lookup(
+                    key, want_verified=want_verified))
+            self._lookups[ckey] = lookup
+        # Shielded: a cancelled submitter must not cancel a shared read.
+        record = await asyncio.shield(lookup)
+        if self._lookups.get(ckey) is lookup:
+            del self._lookups[ckey]
+        return record
 
     # -- dispatch -----------------------------------------------------
 

@@ -269,6 +269,10 @@ class JobQueue:
         self._notify("queued", job)
         return job, False
 
+    def inflight(self, coalesce_key: str) -> bool:
+        """Would a submission under *coalesce_key* coalesce now?"""
+        return coalesce_key in self._inflight
+
     # -- dispatch -----------------------------------------------------
 
     def pop(self) -> Job | None:

@@ -1,11 +1,9 @@
-"""Retry, circuit-breaking and fleet-health primitives.
+"""Retry primitives and the coordinator-side resilience counters.
 
-The service layer (PRs 4–7) talks HTTP between a coordinator and a
-daemon fleet, and until this module every call was single-shot: one
-reset socket retired a daemon, one queue-full 503 failed a lease.
-This module is the shared vocabulary the client and the distributed
-coordinator use to tell *transient* faults (retry, with backoff)
-from *persistent* ones (trip the breaker, demote the daemon):
+The client and the distributed coordinator share this vocabulary for
+riding out *transient* faults; what a *persistent* fault does to a
+daemon (probation, readmission, loss) is the coordinator's per-daemon
+state machine in :mod:`repro.dse.distributed`.
 
 :class:`RetryPolicy`
     Exponential backoff with deterministic seeded jitter and a total
@@ -13,23 +11,17 @@ from *persistent* ones (trip the breaker, demote the daemon):
     the mapping flow — a chaos run with a fixed seed replays the
     exact same retry schedule, so failures reproduce.
 
-:class:`CircuitBreaker`
-    Per-remote closed/open/half-open breaker.  Persistent failure
-    opens it (calls fail fast instead of burning timeouts); after
-    ``reset_timeout`` one probe call is let through (half-open) and
-    its outcome closes or re-opens the circuit.
-
 :func:`call_with_retries`
-    The loop that binds them: classify the exception, honour
-    ``Retry-After``, sleep the policy's delay, count every step in
-    the module metrics.
+    The loop: classify the exception, honour ``Retry-After``, sleep
+    the policy's delay, count every step in the module metrics — and
+    stop early once the caller's *stop* predicate says so.
 
 Counters live in a module-level :class:`MetricsRegistry` (rendered by
 :func:`render_metrics` in the same Prometheus text format the daemon
-serves on ``/metrics``) because retries, breaker trips and probation
-happen on the *coordinator* side — there is no daemon registry to
-carry them.  ``tools/chaos_smoke.py`` and the chaos battery assert
-recovery through these counters.
+serves on ``/metrics``) because retries and probation happen on the
+*coordinator* side — there is no daemon registry to carry them.
+``tools/chaos_smoke.py`` and the chaos battery assert recovery
+through these counters.
 """
 
 from __future__ import annotations
@@ -44,8 +36,6 @@ from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "BreakerOpen",
-    "CircuitBreaker",
     "RetryPolicy",
     "call_with_retries",
     "render_metrics",
@@ -71,12 +61,8 @@ _COUNTER_FAMILIES: dict[str, tuple[str, tuple[str, ...]]] = {
         ("Client calls retried after a retryable failure.",
          ("reason",)),
     "fpfa_retry_give_ups":
-        ("Calls abandoned after exhausting attempts or budget.", ()),
-    "fpfa_breaker_transitions":
-        ("Circuit breaker state transitions.", ("to",)),
-    "fpfa_breaker_fast_fails":
-        ("Calls rejected without I/O because the breaker was open.",
-         ()),
+        ("Calls abandoned after exhausting attempts or budget, "
+         "or on the caller's stop.", ()),
     "fpfa_probation_demotions":
         ("Daemons demoted from the lease pool to probation.", ()),
     "fpfa_probation_probes":
@@ -189,102 +175,6 @@ class RetryPolicy:
 
 
 # ---------------------------------------------------------------- #
-# Circuit breaker.                                                  #
-# ---------------------------------------------------------------- #
-
-class BreakerOpen(RuntimeError):
-    """Fast-fail: the breaker is open, no call was attempted."""
-
-
-class CircuitBreaker:
-    """Per-remote closed/open/half-open circuit.
-
-    * **closed** — calls flow; ``failure_threshold`` consecutive
-      failures open the circuit.
-    * **open** — :meth:`allow` answers False (callers fail fast)
-      until ``reset_timeout`` seconds pass on the injected clock.
-    * **half-open** — exactly one probe call is let through; its
-      success closes the circuit, its failure re-opens it (and the
-      reset clock starts over).
-
-    Thread-safe; the clock is injectable so the state machine tests
-    run on a fake clock instead of real sleeps.
-    """
-
-    def __init__(self, *, failure_threshold: int = 3,
-                 reset_timeout: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 label: str = "") -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout < 0:
-            raise ValueError("reset_timeout must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.label = label
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._tick()
-            return self._state
-
-    def _transition(self, to: str) -> None:
-        if self._state == to:
-            return
-        self._state = to
-        resilience_counter("fpfa_breaker_transitions").inc(to=to)
-        if trace.enabled():
-            trace.event("resilience.breaker", label=self.label,
-                        to=to)
-
-    def _tick(self) -> None:
-        if self._state == "open" and \
-                self._clock() - self._opened_at >= self.reset_timeout:
-            self._transition("half-open")
-            self._probing = False
-
-    def allow(self) -> bool:
-        """May a call proceed right now?  In half-open state only
-        the first caller gets True (the probe); the rest fail fast
-        until the probe reports back."""
-        with self._lock:
-            self._tick()
-            if self._state == "closed":
-                return True
-            if self._state == "half-open" and not self._probing:
-                self._probing = True
-                return True
-            resilience_counter("fpfa_breaker_fast_fails").inc()
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._probing = False
-            self._transition("closed")
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._tick()
-            self._probing = False
-            if self._state == "half-open":
-                self._opened_at = self._clock()
-                self._transition("open")
-                return
-            self._failures += 1
-            if self._failures >= self.failure_threshold:
-                self._opened_at = self._clock()
-                self._transition("open")
-
-
-# ---------------------------------------------------------------- #
 # The retry loop.                                                   #
 # ---------------------------------------------------------------- #
 
@@ -302,65 +192,63 @@ def _default_classify(error: BaseException) \
 
 def call_with_retries(fn: Callable[[], object], *,
                       policy: RetryPolicy,
-                      breaker: CircuitBreaker | None = None,
+                      stop: Callable[[], bool] | None = None,
                       key: str = "",
                       classify: Callable[[BaseException],
                                          tuple[bool, float | None]]
                       = _default_classify,
                       sleep: Callable[[float], None] = time.sleep,
                       ) -> object:
-    """Run *fn* under *policy* (and *breaker*, when given).
+    """Run *fn* under *policy*.
 
     Retryable failures sleep the policy's delay and try again until
     attempts or the sleep budget run out; non-retryable failures and
-    the final retryable one re-raise unchanged.  An open breaker
-    raises :class:`BreakerOpen` without calling *fn* at all.
+    the final retryable one re-raise unchanged.  *stop*, when given,
+    is asked before every attempt and before every retry: once it
+    answers True no further call is made — the last failure
+    re-raises, or :class:`ConnectionAbortedError` when *fn* was never
+    called.
     """
     slept = 0.0
     last_error: BaseException | None = None
     for attempt in range(1, policy.attempts + 1):
-        if breaker is not None and not breaker.allow():
-            raise BreakerOpen(
-                f"circuit open for {breaker.label or key or 'remote'}")
+        if stop is not None and stop():
+            break
         try:
-            result = fn()
+            return fn()
         except BaseException as error:
             retryable, retry_after = classify(error)
-            if breaker is not None:
-                breaker.record_failure()
             if not retryable:
                 raise
             last_error = error
-            if attempt >= policy.attempts:
-                break
-            delay = policy.delay(attempt, key=key,
-                                 retry_after=retry_after)
-            if policy.budget is not None and \
-                    slept + delay > policy.budget:
-                break
-            resilience_counter("fpfa_client_retries").inc(
-                reason=type(error).__name__)
-            trace.count("resilience.retries")
+        if attempt >= policy.attempts or (stop is not None and stop()):
+            break
+        delay = policy.delay(attempt, key=key,
+                             retry_after=retry_after)
+        if policy.budget is not None and \
+                slept + delay > policy.budget:
+            break
+        resilience_counter("fpfa_client_retries").inc(
+            reason=type(last_error).__name__)
+        trace.count("resilience.retries")
+        if trace.enabled():
+            trace.event("resilience.retry", key=key,
+                        attempt=attempt, delay=round(delay, 4),
+                        error=str(last_error))
+        if delay > 0:
+            sleep(delay)
             if trace.enabled():
-                trace.event("resilience.retry", key=key,
-                            attempt=attempt, delay=round(delay, 4),
-                            error=str(error))
-            if delay > 0:
-                sleep(delay)
-                if trace.enabled():
-                    # Backoff stalls get their own span so critical-
-                    # path analysis can attribute retry wait time.
-                    trace.record_span("retry.backoff", delay,
-                                      key=key, attempt=attempt)
-            slept += delay
-            continue
-        if breaker is not None:
-            breaker.record_success()
-        return result
+                # Backoff stalls get their own span so critical-
+                # path analysis can attribute retry wait time.
+                trace.record_span("retry.backoff", delay,
+                                  key=key, attempt=attempt)
+        slept += delay
+    if last_error is None:
+        raise ConnectionAbortedError(
+            f"{key or 'call'}: stopped before the first attempt")
     resilience_counter("fpfa_retry_give_ups").inc()
     if trace.enabled():
         trace.event("resilience.give_up", key=key,
                     attempts=policy.attempts,
                     error=str(last_error))
-    assert last_error is not None
     raise last_error

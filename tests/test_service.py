@@ -10,11 +10,13 @@ The acceptance criteria of the service subsystem live here:
   counters + per-job profile meta).
 """
 
+import asyncio
 import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -126,6 +128,60 @@ def test_duplicate_submissions_share_one_backend_run(client):
     assert stats["computed"] == 1
     assert stats["submits"] == n_clients
     assert stats["coalesced"] + stats["store_hits"] == n_clients - 1
+
+
+def test_duplicate_whose_lookup_outlives_the_first_job_never_reruns(
+        tmp_path):
+    """Regression for the coalescing race: a duplicate that arrives
+    while the first job is in flight must not start a store read that
+    outlives that job — the read's stale miss would queue a second
+    backend run.  The store here answers every read after the first
+    only once released, and the release comes after the first job
+    finished."""
+    from repro.service.daemon import MappingService
+    from repro.service.store import ArtifactStore
+
+    class HeldStore(ArtifactStore):
+        def __init__(self, root):
+            super().__init__(root)
+            self.release = threading.Event()
+            self.reads = 0
+
+        def lookup(self, key, *, want_verified=False):
+            record = super().lookup(key, want_verified=want_verified)
+            self.reads += 1
+            if self.reads > 1:
+                self.release.wait(timeout=30)
+            return record
+
+    store = HeldStore(tmp_path / "store")
+    request = {"kind": "map", "source": FIR_SOURCE, "file": "dup.c"}
+
+    async def until_terminal(job):
+        while job.state not in ("done", "failed"):
+            await asyncio.sleep(0.01)
+
+    async def scenario():
+        service = MappingService(store=store, workers=1,
+                                 worker_mode="thread")
+        await service.start("127.0.0.1", 0)
+        try:
+            first, __ = await service.submit(dict(request))
+            duplicate = asyncio.ensure_future(
+                service.submit(dict(request)))
+            await until_terminal(first)
+            store.release.set()
+            job, coalesced = await duplicate
+            await until_terminal(job)
+            return first, job, coalesced, service.stats
+        finally:
+            store.release.set()
+            await service.close()
+
+    first, job, coalesced, stats = asyncio.run(scenario())
+    assert first.state == "done"
+    assert stats.computed == 1
+    assert job is first and coalesced
 
 
 # -- acceptance: warm resubmits skip the frontend -------------------------
