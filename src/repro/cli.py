@@ -516,7 +516,7 @@ def _render_profile(timings: dict[str, float]) -> str:
 def _cmd_map(args: argparse.Namespace) -> int:
     source = _read_source(args.file)
     # With `--json -` stdout carries *only* the JSON payload (for
-    # pipelines and the service smoke harness); the human-readable
+    # pipelines and the fleet tests); the human-readable
     # report moves to stderr.
     echo = functools.partial(print, file=sys.stderr) \
         if args.json_path == "-" else print

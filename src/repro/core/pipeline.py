@@ -354,8 +354,8 @@ def report_payload(report: MappingReport, config: dict, *,
     """The canonical JSON payload for one mapping report.
 
     One shared serialisation for every surface that exports a mapped
-    program — ``fpfa-map map --json``, the service daemon, the smoke
-    harness — so "bit-identical" is a property of the code path, not
+    program — ``fpfa-map map --json``, the service daemon, the fleet
+    tests — so "bit-identical" is a property of the code path, not
     a test assertion about two hand-maintained dict literals.
     *metrics* lets a caller that already extracted the metric dict
     avoid re-measuring; omitted, it is computed here.

@@ -674,7 +674,7 @@ def run_distributed_sweep(
     dict per completed chunk (``event: "chunk"``), per peer-store
     fetch (``"peer"``), per demoted daemon (``"probation"``), per
     readmission (``"readmit"``), per daemon lost (``"lost"``) and for
-    the local fallback (``"fallback"``) — the smoke harnesses use it
+    the local fallback (``"fallback"``) — the fleet tests use it
     to kill daemons at deterministic moments.
     """
     with trace.span("dse.sweep", mode="distributed") as sweep_span:

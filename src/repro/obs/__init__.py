@@ -15,8 +15,8 @@ own:
 * :mod:`repro.obs.metrics` — a Prometheus-style metrics registry
   (counters, gauges, fixed-bucket histograms) with a text-format
   renderer and a strict parser.  The daemon exposes a registry as
-  ``GET /metrics``; the parser is what the tests and the CI smoke
-  job validate the endpoint with.
+  ``GET /metrics``; the parser is what the unit and fleet tests
+  validate the endpoint with.
 * :mod:`repro.obs.dashboard` — ``fpfa-map dashboard``: a stdlib-only
   HTTP + SSE server that polls ``/stats`` and ``/metrics`` across a
   daemon fleet, tails job NDJSON event streams, and serves a live

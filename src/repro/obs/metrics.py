@@ -35,8 +35,8 @@ registration, bound per-observation as keyword arguments.  Each
 label combination is an independent series.
 
 :func:`parse_prometheus` is the counterpart strict parser.  It is
-deliberately shared between the unit tests and the CI smoke job
-(``tools/obs_smoke.py``) so both validate the endpoint with the same
+deliberately shared between the unit tests and the fleet tests
+(``tests/test_fleet.py``) so both validate the endpoint with the same
 rules: every sample belongs to a ``# TYPE``-declared family, label
 syntax is well-formed, histogram buckets are cumulative and the
 ``+Inf`` bucket equals ``_count``.
@@ -283,7 +283,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------- #
-# Parsing — shared by tests and tools/obs_smoke.py.                 #
+# Parsing — shared by the unit and fleet tests.                    #
 # ---------------------------------------------------------------- #
 
 class MetricsParseError(ValueError):
@@ -381,7 +381,7 @@ def parse_prometheus(text: str) -> ParsedMetrics:
     """Parse and validate Prometheus text exposition format.
 
     Strictness beyond plain parsing (these are the endpoint's
-    contract, asserted by tests and the CI smoke job):
+    contract, asserted by the unit and fleet tests):
 
     * every sample belongs to a family declared with ``# TYPE``;
     * counter samples end in ``_total``;

@@ -2,7 +2,7 @@
 
 One class, one method per endpoint, JSON dicts in and out.  The
 client is deliberately synchronous — callers that want concurrency
-(the smoke harness, the benchmarks, a shell loop) get it by using
+(the fleet tests, the benchmarks, a shell loop) get it by using
 one client per thread; a client carries no shared connection state,
 so that is always safe.
 

@@ -930,7 +930,7 @@ async def _send_text(writer: asyncio.StreamWriter, status: int,
 class ServiceThread:
     """A daemon running on a background thread of this process.
 
-    The shape tests, benchmarks and the smoke harness share: start,
+    The shape tests and benchmarks share: start,
     read the bound address, exercise it with the blocking client,
     stop.  ``worker_mode="thread"`` keeps everything in one process
     (no forking under a test runner); the flow's determinism makes

@@ -20,7 +20,7 @@ Counters live in a module-level :class:`MetricsRegistry` (rendered by
 :func:`render_metrics` in the same Prometheus text format the daemon
 serves on ``/metrics``) because retries and probation happen on the
 *coordinator* side — there is no daemon registry to carry them.
-``tools/chaos_smoke.py`` and the chaos battery assert recovery
+``tests/test_fleet.py`` and the chaos battery assert recovery
 through these counters.
 """
 

@@ -4,7 +4,7 @@ and the service's sweep-chunk job kind end to end.
 The in-process :class:`ServiceThread` daemons used here change
 latency, never results — the acceptance-shaped check against *real*
 daemon subprocesses (including a mid-sweep kill) lives in
-``tools/distributed_smoke.py`` (the CI ``distributed`` job).
+``tests/test_fleet.py``.
 """
 
 import json

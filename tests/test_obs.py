@@ -4,14 +4,13 @@ Four rings, inside out:
 
 * the tracer and metrics primitives in isolation;
 * the daemon's ``GET /metrics`` exposition (validated with the same
-  strict parser the CI smoke job uses) and the uptime fields on
+  strict parser the fleet tests use) and the uptime fields on
   ``/stats``;
 * the NDJSON job event stream contract (ordering, terminal replay,
   mid-stream disconnect);
-* the dashboard: collector + SSE front against an in-process daemon,
-  and the acceptance-shaped run — a real sharded sweep over a
-  2-daemon :class:`DaemonProcess` fleet with SSE payloads asserted,
-  no browser involved.
+* the dashboard: collector + SSE front against an in-process daemon
+  (the live sharded sweep over a subprocess fleet, SSE payloads
+  asserted, runs in ``tests/test_fleet.py``).
 
 Throughout, the layer's core invariant is pinned: **observation
 never mutates** — artifacts are bit-identical with tracing on.
@@ -26,7 +25,6 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.dse.distributed import run_distributed_sweep
 from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
@@ -44,10 +42,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer, scoped_tracing
 from repro.service import ServiceClient, ServiceThread
-from tests.conftest import FIR_SOURCE
+from tests.conftest import FIR_SOURCE, read_sse_frames
 
 FIR5 = get_kernel("fir5").source
-SPACE = DesignSpace({"n_pps": [1, 2, 3, 5], "n_buses": [2, 10]})
 
 
 def canon(payload):
@@ -523,33 +520,6 @@ def url(thread):
     return f"{thread.address[0]}:{thread.address[1]}"
 
 
-def _read_sse_frames(host, port, predicate, timeout=30.0):
-    """Open ``/events`` and collect ``data:`` frames until
-    *predicate*(frames) is true or *timeout* elapses; the frames."""
-    connection = http.client.HTTPConnection(host, port,
-                                            timeout=timeout)
-    frames = []
-    try:
-        connection.request("GET", "/events")
-        response = connection.getresponse()
-        assert response.status == 200
-        assert response.getheader("Content-Type") \
-            == "text/event-stream"
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            line = response.readline()
-            if not line:
-                break
-            line = line.strip()
-            if line.startswith(b"data: "):
-                frames.append(json.loads(line[len(b"data: "):]))
-                if predicate(frames):
-                    break
-    finally:
-        connection.close()
-    return frames
-
-
 class TestFlattenMetrics:
     def test_labels_flatten_and_buckets_drop(self):
         registry = MetricsRegistry()
@@ -592,7 +562,7 @@ class TestDashboardSingleDaemon:
                 connection.close()
 
                 # SSE frames carry the fleet picture + job timeline.
-                frames = _read_sse_frames(
+                frames = read_sse_frames(
                     host, port,
                     lambda fs: fs[-1]["daemons"][0].get("ok")
                     and fs[-1]["timeline"])
@@ -641,78 +611,3 @@ class TestDashboardSingleDaemon:
     def test_empty_fleet_is_rejected(self):
         with pytest.raises(ValueError):
             FleetCollector([])
-
-
-class TestDashboardAcceptance:
-    """The issue's acceptance check: live progress for a real sharded
-    sweep over a 2-daemon subprocess fleet, asserted from SSE frames."""
-
-    def test_sse_renders_live_sharded_sweep(self, tmp_path):
-        from repro.service.subproc import DaemonProcess
-
-        points = list(SPACE.grid())
-        local = run_sweep(FIR5, points, workers=1)
-        with DaemonProcess(tmp_path / "store-a") as first, \
-                DaemonProcess(tmp_path / "store-b") as second:
-            fleet = f"{first.url},{second.url}"
-            with FleetCollector(fleet, interval=0.1) as collector:
-                with DashboardServer(collector) as server:
-                    sweep: dict = {}
-
-                    def run():
-                        sweep["result"] = run_distributed_sweep(
-                            FIR5, points, remotes=fleet,
-                            chunk_size=2)
-
-                    runner = threading.Thread(target=run)
-                    runner.start()
-
-                    def sweep_visible(frames):
-                        latest = frames[-1]
-                        if not all(d.get("ok")
-                                   for d in latest["daemons"]):
-                            return False
-                        leases = sum(
-                            d["metrics"].get(
-                                "fpfa_chunk_leases_total", 0)
-                            for d in latest["daemons"])
-                        done_on = {
-                            item["daemon"]
-                            for item in latest["timeline"]
-                            if item["kind"] == "sweep-chunk"
-                            and item["event"] == "done"}
-                        # Keep reading until the timeline shows
-                        # finished chunks on *both* daemons — the job
-                        # tails land asynchronously, a poll or two
-                        # after the leases themselves.
-                        return leases >= 2 \
-                            and done_on == {first.url, second.url}
-
-                    frames = _read_sse_frames(*server.address,
-                                              sweep_visible,
-                                              timeout=120)
-                    runner.join(timeout=120)
-                    assert not runner.is_alive()
-
-        # The dashboard saw the sweep happen, live.
-        assert frames, "no SSE frames at all"
-        final = frames[-1]
-        assert sweep_visible([final])
-        assert [d["url"] for d in final["daemons"]] \
-            == [first.url, second.url]
-        for entry in final["daemons"]:
-            assert entry["stats"]["uptime"] > 0
-            assert "fpfa_service_uptime_seconds" in entry["metrics"]
-        kinds = {item["kind"] for item in final["timeline"]}
-        assert "sweep-chunk" in kinds
-        # Both daemons took leases (the sweep round-robins chunks).
-        leased_by = {item["daemon"]
-                     for item in final["timeline"]
-                     if item["kind"] == "sweep-chunk"}
-        assert leased_by == {first.url, second.url}
-
-        # ... and observation never mutated the sweep itself.
-        result = sweep["result"]
-        assert canon(result.records) == canon(local.records)
-        assert result.stats.daemons == 2
-        assert result.stats.remote_records == len(points)

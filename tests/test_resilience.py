@@ -9,7 +9,7 @@ slow-but-alive daemon, and the checkpoint journal behind
 ``explore --resume``.  Everything is seeded — a failure here is a
 reproducer, not weather.  The full-size end-to-end storm (real
 subprocess daemons, SIGKILL, coordinator kill + ``--resume``) lives
-in ``tools/chaos_smoke.py`` (the CI ``chaos`` job).
+in ``tests/test_fleet.py``.
 """
 
 import asyncio
@@ -21,10 +21,15 @@ import threading
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
-                       / "tools"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:  # `python -m pytest` from elsewhere
+    sys.path.insert(0, str(ROOT))
 
-from chaos import ChaosProxy, ChaosSchedule, FAULT_KINDS  # noqa: E402
+from tools.chaos import (  # noqa: E402
+    ChaosProxy,
+    ChaosSchedule,
+    FAULT_KINDS,
+)
 
 from repro.dse import distributed
 from repro.dse.cache import cache_key

@@ -13,12 +13,7 @@ The acceptance criteria of the service subsystem live here:
 import asyncio
 import concurrent.futures
 import json
-import os
-import subprocess
-import sys
 import threading
-import time
-from pathlib import Path
 
 import pytest
 
@@ -385,39 +380,6 @@ def test_cli_submit_unreachable_daemon_is_a_clean_error(tmp_path):
     source_path.write_text(FIR_SOURCE)
     with pytest.raises(SystemExit, match="cannot reach"):
         main(["submit", str(source_path), "--port", "1"])
-
-
-def test_cli_serve_subprocess_round_trip(tmp_path):
-    """The real thing: `fpfa-map serve` as a subprocess, exercised
-    over the wire, stopped via POST /shutdown."""
-    repo_root = Path(__file__).resolve().parent.parent
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "2", "--worker-mode", "thread",
-         "--store", str(tmp_path / "store")],
-        cwd=repo_root, stdout=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(repo_root / "src")})
-    try:
-        line = process.stdout.readline()
-        assert "listening on http://" in line
-        host, port = line.rsplit("http://", 1)[1].strip().split(":")
-        own = ServiceClient(host, int(port))
-        deadline = time.monotonic() + 10
-        while True:
-            try:
-                own.health()
-                break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.05)
-        payload = own.map_source(FIR_SOURCE, file="fir.c")
-        assert payload["metrics"]["cycles"] > 0
-        own.shutdown()
-        assert process.wait(timeout=30) == 0
-    finally:
-        if process.poll() is None:
-            process.kill()
 
 
 # ---------------------------------------------------------------------------

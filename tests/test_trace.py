@@ -1,7 +1,7 @@
 """Distributed tracing: ids, propagation, recorder, critical path.
 
 Covers the PR 9 tentpole end to end at unit scale (the 2-daemon
-cross-*process* stitch runs in ``tools/trace_smoke.py``):
+cross-*process* stitch runs in ``tests/test_fleet.py``):
 
 * span/trace id generation and per-thread parent linkage;
 * ``attach``/``capture``/``adopt``/``record_span`` — the plumbing a

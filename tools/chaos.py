@@ -27,8 +27,8 @@ reproducer, not an anecdote.  Faults count into
 :attr:`ChaosProxy.counts` so harnesses can assert the schedule
 actually fired.
 
-Used by ``tests/test_resilience.py`` and ``tools/chaos_smoke.py``
-(the CI ``chaos`` job); see ``docs/resilience.md``.
+Used by ``tests/test_resilience.py`` and ``tests/test_fleet.py``;
+see ``docs/resilience.md``.
 """
 
 from __future__ import annotations
