@@ -78,7 +78,7 @@ from repro.dse.runner import (
 )
 from repro.dse.space import DesignPoint
 from repro.obs import trace
-from repro.service.resilience import RetryPolicy, resilience_counter
+from repro.service.resilience import RetryPolicy
 
 #: Points per lease by default: big enough to amortise one HTTP round
 #: trip over several mappings, small enough that re-evaluating a lost
@@ -104,16 +104,14 @@ PROBE_BACKOFF = RetryPolicy(attempts=2, base_delay=0.25,
 LEASING, PROBATION, LOST = "leasing", "probation", "lost"
 
 #: Every legal health transition (``None``: not yet probed) and what
-#: it reports — ``(event, DistributedSweepStats field, resilience
-#: counter)``; entering the lease pool at sweep start is silent.
+#: it reports — ``(event, DistributedSweepStats field)``; entering
+#: the lease pool at sweep start is silent.
 _TRANSITIONS: dict[tuple[str | None, str], tuple | None] = {
     (None, LEASING): None,
-    (None, LOST): ("lost", "lost_daemons", None),
-    (LEASING, PROBATION): ("probation", "probations",
-                           "fpfa_probation_demotions"),
-    (PROBATION, LEASING): ("readmit", "readmissions",
-                           "fpfa_probation_readmissions"),
-    (PROBATION, LOST): ("lost", "lost_daemons", None),
+    (None, LOST): ("lost", "lost_daemons"),
+    (LEASING, PROBATION): ("probation", "probations"),
+    (PROBATION, LEASING): ("readmit", "readmissions"),
+    (PROBATION, LOST): ("lost", "lost_daemons"),
 }
 
 
@@ -188,6 +186,8 @@ class DistributedSweepStats(SweepStats):
     stolen: int = 0          #: chunks re-leased after a lost lease
     probations: int = 0      #: daemons demoted to probation mid-sweep
     readmissions: int = 0    #: probation daemons readmitted after re-probe
+    probes: int = 0          #: re-probes sent to probation daemons
+    retries: int = 0         #: lease calls retried after a transient fault
     remote_records: int = 0  #: records produced by daemon leases
     remote_cached: int = 0   #: ... of which the daemon's store served
     local_records: int = 0   #: records from the local fallback backend
@@ -279,7 +279,6 @@ class _Fleet:
             self.queue.append(chunk_id)
             self.stats.stolen += 1
             self.cond.notify_all()
-        trace.count("distributed.steals")
         if trace.enabled():
             trace.event("distributed.steal", daemon=label,
                         chunk=chunk_id)
@@ -303,9 +302,9 @@ class _Fleet:
 
     def move(self, daemon: _Daemon, state: str, error: str = "") -> bool:
         """Move *daemon* to health *state* — the only code that does
-        — and report the move once: stats ledger, ``fpfa_probation_*``
-        counter, tracer, progress callback (called outside the lock,
-        which this takes).  Answers False, reporting nothing, for a
+        — and report the move once: stats ledger, tracer event,
+        progress callback (called outside the lock, which this
+        takes).  Answers False, reporting nothing, for a
         move not legal now: a sibling lane demoting a demoted daemon,
         a readmission once leasing is over, anything once closed."""
         with self.cond:
@@ -328,14 +327,11 @@ class _Fleet:
             self.cond.notify_all()
         if report is None:
             return True
-        event, name, counter = report
+        event = report[0]
         details = {"daemon": daemon.label}
         if state != LEASING:
             details["error"] = error
-        if counter is not None:
-            resilience_counter(counter).inc()
         if trace.enabled():
-            trace.count(f"distributed.{name}")
             trace.event(f"distributed.{event}", **details)
         if self.progress is not None:
             self.progress({"event": event, **details})
@@ -480,7 +476,6 @@ def _peer_prefetch(fleet: _Fleet, remotes: Sequence[tuple[str, int]],
         if fleet.journal is not None and valid:
             fleet.journal.complete(-1, list(valid))
         if trace.enabled():
-            trace.count("distributed.peer_records", len(valid))
             trace.event("distributed.peer", daemon=label,
                         records=len(valid))
         if fleet.progress is not None:
@@ -543,7 +538,6 @@ def _lease(fleet: _Fleet, client, label: str, chunk_id: int) -> dict:
     }
     if fleet.journal is not None:
         fleet.journal.lease(chunk_id, label, chunk)
-    trace.count("distributed.leases")
     if trace.enabled():
         trace.event("distributed.lease", daemon=label,
                     chunk=chunk_id, points=len(chunk))
@@ -551,13 +545,22 @@ def _lease(fleet: _Fleet, client, label: str, chunk_id: int) -> dict:
     # long-poll); its context rides the request so the daemon's
     # queue/worker spans stitch in as its children.  Untraced runs add
     # nothing to the wire.
-    with trace.span("distributed.lease", daemon=label,
-                    chunk=chunk_id, points=len(chunk)):
-        if trace.enabled():
-            request["trace"] = trace.context()
-        job = client.submit(request)["job"]
-        payload = job["result"] if job["state"] == "done" else \
-            client.result(job["id"], timeout=fleet.timeout)
+    retried = client.retries
+    try:
+        with trace.span("distributed.lease", daemon=label,
+                        chunk=chunk_id, points=len(chunk)):
+            if trace.enabled():
+                request["trace"] = trace.context()
+            job = client.submit(request)["job"]
+            payload = job["result"] if job["state"] == "done" else \
+                client.result(job["id"], timeout=fleet.timeout)
+    finally:
+        # The ledger takes a lease's retries as the lease ends —
+        # before its chunk can complete the sweep; a straggler
+        # ending after the sweep closed reports nothing.
+        with fleet.lock:
+            if not fleet.closed:
+                fleet.stats.retries += client.retries - retried
     missing = [key for key in chunk if key not in payload["records"]]
     if missing:
         raise ServiceError(
@@ -633,8 +636,8 @@ def _prober(fleet: _Fleet) -> None:
                         break
                     fleet.cond.wait(timeout=0.1)
             for daemon in due:
-                resilience_counter("fpfa_probation_probes").inc()
-                trace.count("distributed.probes")
+                with fleet.lock:
+                    fleet.stats.probes += 1
                 with trace.span("distributed.probe",
                                 daemon=daemon.label):
                     workers = _probe(daemon.remote, fleet.timeout)
@@ -794,7 +797,6 @@ def _distribute(fleet: _Fleet, pending: list[str], chunk_size: int,
         stats.workers = max(stats.workers, local.stats.workers)
         if fleet.journal is not None:
             fleet.journal.complete(-2, leftover)
-        trace.count("distributed.fallbacks")
         if trace.enabled():
             trace.event("distributed.fallback", points=len(leftover))
         if fleet.progress is not None:

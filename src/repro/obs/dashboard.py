@@ -38,7 +38,7 @@ from typing import Iterable
 from repro.dse.distributed import parse_remotes
 from repro.obs.metrics import MetricsParseError, parse_prometheus
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.resilience import RetryPolicy, resilience_counter
+from repro.service.resilience import RetryPolicy
 
 #: Fleet events kept in the rolling timeline.
 TIMELINE_LIMIT = 256
@@ -259,8 +259,6 @@ class FleetCollector:
                         return  # /stats still shows the daemon down
                     with self._lock:
                         self._reconnects += 1
-                    resilience_counter(
-                        "fpfa_dashboard_reconnects").inc()
                     time.sleep(TAIL_RECONNECT.delay(
                         attempt, key=f"{label}/{job_id}"))
         finally:

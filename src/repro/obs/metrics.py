@@ -20,10 +20,9 @@ Three metric kinds, mirroring the Prometheus client model:
 
 * **Counter** — monotonic totals, rendered with the ``_total``
   suffix.  Besides ``inc()``, counters support
-  :meth:`Counter.set_total` so scrape-time code can sync them from
-  the monotonic counters the service already keeps
-  (``ServiceStats``, queue stats, cache stats) instead of
-  double-counting.
+  :meth:`Counter.set_total` so scrape-time code can adopt a total
+  another component keeps (the job queue's, the artifact store's)
+  instead of counting it a second time.
 * **Gauge** — point-in-time values (queue depth, store entries,
   frontend reuse ratio), settable to any float.
 * **Histogram** — fixed cumulative buckets chosen at registration,
@@ -143,11 +142,10 @@ class Counter(_Metric):
     def set_total(self, value: float, **labels: str) -> None:
         """Sync from an external monotonic counter at scrape time.
 
-        The service layer already keeps lifetime totals
-        (``ServiceStats``, queue/cache stats); re-counting them here
-        would drift.  ``set_total`` adopts the authoritative value —
-        still monotonic from the scraper's point of view because the
-        source is.
+        The job queue and the artifact store keep their own lifetime
+        totals; re-counting them here would drift.  ``set_total``
+        adopts the authoritative value — still monotonic from the
+        scraper's point of view because the source is.
         """
         key = _label_key(self.labels, labels)
         with self._lock:

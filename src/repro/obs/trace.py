@@ -1,4 +1,4 @@
-"""In-process tracing: nested spans, counters, ring-buffered events.
+"""In-process tracing: nested spans and ring-buffered events.
 
 The tracer is the observation half of the observability layer — the
 metrics registry (:mod:`repro.obs.metrics`) is the exposition half.
@@ -10,7 +10,6 @@ functions below::
     with trace.span("pipeline.schedule"):
         ...
     trace.event("distributed.steal", daemon=label, chunk=index)
-    trace.count("queue.finished")
 
 Design constraints, in priority order:
 
@@ -19,10 +18,9 @@ Design constraints, in priority order:
    pops under the service lock) must not pay for instrumentation
    nobody asked for.  A disabled ``span()`` returns one shared no-op
    context manager — no allocation, no clock read, no lock.
-   ``event()``/``count()`` are a single attribute check.  Call sites
-   that would *build* expensive attributes guard on
-   ``trace.enabled()`` first (enforced by the call-site audit in
-   ``tests/test_trace.py``).
+   ``event()`` is a single attribute check.  Call sites that would
+   *build* expensive attributes guard on ``trace.enabled()`` first
+   (enforced by lint rule FPL003, ``tools/fpfa_lint``).
 2. **Observation never mutates.**  Span bodies return whatever the
    traced code returns; the tracer holds its own copies of
    everything it records.  Mapped artifacts stay bit-identical with
@@ -33,8 +31,8 @@ Design constraints, in priority order:
    ``service/queue.py``.
 
 Aggregation model: per-span-name ``{count, total, min, max}``
-rollups plus named counters, both O(distinct names) memory; recent
-finished spans and point events land in one bounded ring
+rollups in O(distinct names) memory; recent finished spans and point
+events land in one bounded ring
 (``collections.deque(maxlen=...)``) so a long sweep cannot grow the
 tracer without bound.  Nesting depth is tracked per thread so the
 ring shows call structure even when the worker pool interleaves
@@ -55,8 +53,10 @@ recorder in :mod:`repro.obs.export` streams them to an NDJSON log.
 IDs are only generated on the enabled path, so constraint 1 holds.
 
 Enable globally with the ``FPFA_TRACE=1`` environment variable, or
-programmatically with :func:`enable`.  The daemon enables its own
-tracer when serving ``/metrics`` consumers that want span rollups.
+programmatically with :func:`enable`.
+
+The tracer counts nothing: a count belongs to the ledger that owns
+it (the daemon's metrics registry, a sweep's stats).
 """
 
 from __future__ import annotations
@@ -66,14 +66,13 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "Tracer",
     "TRACER",
     "span",
     "event",
-    "count",
     "enabled",
     "enable",
     "disable",
@@ -270,9 +269,9 @@ class _Capture:
 
 
 class Tracer:
-    """Span/event/counter recorder with bounded memory.
+    """Span/event recorder with bounded memory.
 
-    Thread-safe: span rollups, counters and the ring share one lock,
+    Thread-safe: span rollups and the ring share one lock,
     taken only on the *enabled* paths.  Nesting depth and the span
     stack are tracked in ``threading.local`` so concurrent worker
     threads do not corrupt each other's parentage.
@@ -285,7 +284,6 @@ class Tracer:
         self._local = threading.local()
         self._ring: deque[dict[str, Any]] = deque(maxlen=ring)
         self._spans: dict[str, dict[str, float]] = {}
-        self._counters: dict[str, int] = {}
         self._seq = 0
         self._sinks: tuple = ()
 
@@ -354,13 +352,6 @@ class Tracer:
                 entry.setdefault(key, value)
             self._ring.append(entry)
         self._emit((entry,))
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Bump a named monotonic counter."""
-        if not self._enabled:
-            return
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
 
     def _record(self, name: str, duration: float, depth: int,
                 attrs: dict[str, Any], trace_id: str, span_id: str,
@@ -516,19 +507,14 @@ class Tracer:
     # -- reading ----------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """Consistent copy of rollups, counters and recent events."""
+        """Consistent copy of rollups and recent events."""
         with self._lock:
             return {
                 "enabled": self._enabled,
                 "spans": {name: dict(rollup)
                           for name, rollup in self._spans.items()},
-                "counters": dict(self._counters),
                 "events": [dict(entry) for entry in self._ring],
             }
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counters)
 
     def recent(self, limit: int | None = None) -> list[dict[str, Any]]:
         with self._lock:
@@ -543,7 +529,6 @@ class Tracer:
         with self._lock:
             self._ring.clear()
             self._spans.clear()
-            self._counters.clear()
             self._seq = 0
 
 
@@ -557,10 +542,6 @@ def span(name: str, **attrs: Any):
 
 def event(name: str, **attrs: Any) -> None:
     TRACER.event(name, **attrs)
-
-
-def count(name: str, value: int = 1) -> None:
-    TRACER.count(name, value)
 
 
 def enabled() -> bool:
@@ -624,8 +605,3 @@ class scoped_tracing:
     def __exit__(self, *exc_info: object) -> None:
         if not self._was:
             TRACER.disable()
-
-
-def iter_span_names(snapshot_dict: dict[str, Any]) -> Iterator[str]:
-    """Span names present in a snapshot, sorted for stable output."""
-    return iter(sorted(snapshot_dict.get("spans", {})))

@@ -19,7 +19,8 @@ validation 400) — callers branch on the flag instead of parsing
 messages.  Pass a :class:`~repro.service.resilience.RetryPolicy` to
 make every endpoint retry transient faults itself (and a *stop*
 predicate to cut those retries short once the caller has given up on
-the daemon); without one the client stays single-shot.
+the daemon); without one the client stays single-shot.  A client's
+``retries`` tallies the retries it made.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class ServiceClient:
         self.timeout = timeout
         self.retry = retry
         self.stop = stop
+        #: Calls this client retried after a retryable failure.
+        self.retries = 0
 
     @property
     def url(self) -> str:
@@ -117,7 +120,11 @@ class ServiceClient:
             return fn()
         return call_with_retries(
             fn, policy=self.retry or RetryPolicy(attempts=1),
-            stop=self.stop, key=key, classify=_classify)
+            stop=self.stop, key=key, classify=_classify,
+            on_retry=self._count_retry)
+
+    def _count_retry(self, error: BaseException) -> None:
+        self.retries += 1
 
     def _request_once(self, method: str, path: str,
                       body: Mapping | None = None,
@@ -184,7 +191,7 @@ class ServiceClient:
 
     def trace(self) -> dict:
         """The daemon's tracer snapshot from ``GET /trace`` —
-        rollups, counters and the recent-entry ring, each span
+        span rollups and the recent-entry ring, each span
         carrying its trace/span/parent ids, plus the daemon's
         ``pid``.  What :func:`repro.obs.export.harvest_daemons`
         stitches distributed traces from."""

@@ -50,7 +50,6 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
@@ -90,24 +89,6 @@ FRONTEND_MEMO_LIMIT = 128
 CHUNK_MEMO_LIMIT = 4096
 
 
-@dataclass
-class ServiceStats:
-    """Daemon-side counters (the ``service`` section of ``/stats``)."""
-
-    submits: int = 0            #: accepted submissions
-    coalesced: int = 0          #: folded into an in-flight job
-    store_hits: int = 0         #: served from the artifact store
-    computed: int = 0           #: jobs dispatched to the worker pool
-    failed: int = 0             #: jobs that ended in FAILED
-    frontends_compiled: int = 0  #: frontend memo misses (compiles)
-    frontends_reused: int = 0   #: frontend memo hits
-    peer_queries: int = 0       #: store-has/store-fetch requests
-    peer_records: int = 0       #: records served to peer fetches
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
 class MappingService:
     """The daemon: queue + pool + store behind an HTTP front."""
 
@@ -133,7 +114,6 @@ class MappingService:
         self.pool = WorkerPool(workers, worker_mode)
         self.queue = JobQueue(max_depth=max_queue,
                               observer=self._observe_job)
-        self.stats = ServiceStats()
         #: Wall-clock start — presentation only (clients correlate it
         #: with their logs).  ``uptime`` everywhere derives from the
         #: monotonic twin: ``time.time()`` steps under NTP
@@ -240,15 +220,14 @@ class MappingService:
             record = await self._shared_lookup(key, ckey,
                                                want_verified)
         job, coalesced = self.queue.submit(request, key, ckey)
-        self.stats.submits += 1
+        self._m_service["submits"].inc()
         if request["kind"] == "sweep-chunk" and not coalesced:
             self._note_chunk_lease(key)
         if coalesced:
-            self.stats.coalesced += 1
             await self._notify()
             return job, True
         if record is not None:
-            self.stats.store_hits += 1
+            self._m_service["store_hits"].inc()
             payload = record_to_map_payload(
                 record, file=request["file"],
                 want_verified=want_verified)
@@ -311,7 +290,7 @@ class MappingService:
             # as cancelled, not failed.
             raise
         except Exception as error:  # noqa: BLE001 — fault isolation
-            self.stats.failed += 1
+            self._m_service["failed"].inc()
             self.queue.fail(job,
                             f"{type(error).__name__}: {error}")
         finally:
@@ -326,7 +305,7 @@ class MappingService:
         record, info = await self._execute(run_map_job, request,
                                            frontend)
         self._adopt_spans(info)
-        self.stats.computed += 1
+        self._m_service["computed"].inc()
         meta = {"cache": "miss", "frontend_reused": reused,
                 "timings": info.get("timings"),
                 "worker": info.get("worker")}
@@ -339,7 +318,7 @@ class MappingService:
                 want_verified=request["verify_seed"] is not None)
             self.queue.finish(job, payload, **meta)
         else:
-            self.stats.failed += 1
+            self._m_service["failed"].inc()
             self.queue.fail(job, record["error"], **meta)
 
     async def _run_explore(self, job: Job) -> None:
@@ -348,7 +327,7 @@ class MappingService:
         payload, info = await self._execute(
             run_explore_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
-        self.stats.computed += 1
+        self._m_service["computed"].inc()
         # The sweep wrote records through its own cache handle on our
         # store directory; drop the stale incremental entry count.
         self.store.invalidate_count()
@@ -369,7 +348,7 @@ class MappingService:
         payload, info = await self._execute(
             run_chunk_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
-        self.stats.computed += 1
+        self._m_service["computed"].inc()
         self.store.invalidate_count()  # records written by the worker
         await self._trim_store()
         self.queue.finish(job, payload, cache="chunk",
@@ -442,11 +421,11 @@ class MappingService:
             task = asyncio.ensure_future(loop.run_in_executor(
                 None, _compile_spec, request["source"], spec))
             self._frontends[memo_key] = task
-            self.stats.frontends_compiled += 1
+            self._m_frontends.inc(result="compiled")
             while len(self._frontends) > FRONTEND_MEMO_LIMIT:
                 self._frontends.pop(next(iter(self._frontends)))
         else:
-            self.stats.frontends_reused += 1
+            self._m_frontends.inc(result="reused")
         try:
             return await task, reused
         except asyncio.CancelledError:
@@ -491,10 +470,18 @@ class MappingService:
         return time.monotonic() - self.started_mono
 
     def describe(self) -> dict:
+        """The ``/stats`` document; its ``service`` section reads the
+        registry's counters (``coalesced``: the queue's)."""
+        service = {name: counter.value()
+                   for name, counter in self._m_service.items()}
+        service["coalesced"] = self.queue.coalesced
+        for result in ("compiled", "reused"):
+            service[f"frontends_{result}"] = \
+                self._m_frontends.value(result=result)
         return {
             "uptime": round(self.uptime, 3),
             "started_at": self.started_at,
-            "service": self.stats.as_dict(),
+            "service": service,
             "queue": self.queue.stats(),
             "workers": self.pool.describe(),
             "store": {"root": str(self.store.root),
@@ -506,12 +493,11 @@ class MappingService:
     def _build_metrics(self) -> None:
         """Register the daemon's metric families.
 
-        Two feeding models: lifetime totals the service already
-        counts (``ServiceStats``, queue, store) are adopted at scrape
-        time via ``set_total``/``set`` in :meth:`_sync_metrics` — one
-        source of truth, no drift; latency histograms and the lease
-        counters are fed at event time (:meth:`_observe_job`,
-        :meth:`submit`) because the data is gone by scrape time.
+        The daemon's own counts live here and nowhere else: they are
+        bumped at event time, and ``describe()["service"]`` reads
+        them back.  Only the totals the queue and the store keep
+        (``coalesced``, evictions, hits, ...) and the gauges are
+        adopted at scrape time in :meth:`_sync_metrics`.
         """
         registry = self.metrics
         self._m_uptime = registry.gauge(
@@ -529,6 +515,11 @@ class MappingService:
             "fpfa_service_frontends",
             "Frontend memo outcomes by result.",
             labels=("result",))
+        # Every series exists from the first scrape, at 0.
+        for counter in self._m_service.values():
+            counter.inc(0)
+        for result in ("compiled", "reused"):
+            self._m_frontends.inc(0, result=result)
         self._m_frontend_reuse = registry.gauge(
             "fpfa_frontend_reuse_ratio",
             "Fraction of frontend requests served from the memo.")
@@ -606,15 +597,10 @@ class MappingService:
             self._seen_chunks.pop(next(iter(self._seen_chunks)))
 
     def _sync_metrics(self, described: dict) -> None:
-        """Adopt the scrape-time truth from one ``describe()``."""
+        """Adopt the gauges and the queue's and store's own totals
+        from one ``describe()``."""
         self._m_uptime.set(round(described["uptime"], 3))
         service = described["service"]
-        for name, counter in self._m_service.items():
-            counter.set_total(service[name])
-        self._m_frontends.set_total(service["frontends_compiled"],
-                                    result="compiled")
-        self._m_frontends.set_total(service["frontends_reused"],
-                                    result="reused")
         requests = (service["frontends_compiled"]
                     + service["frontends_reused"])
         self._m_frontend_reuse.set(
@@ -625,6 +611,7 @@ class MappingService:
             gauge.set(queue[name])
         for name, counter in self._m_queue_counters.items():
             counter.set_total(queue[name])
+        self._m_service["coalesced"].set_total(queue["coalesced"])
         for state, count in queue["states"].items():
             self._m_queue_states.set(count, state=state)
         store = described["store"]
@@ -638,12 +625,12 @@ class MappingService:
         self._m_workers.set(workers["workers"],
                             mode=workers["mode"])
 
-    def _render_metrics(self) -> str:
+    def _scrape(self) -> str:
         """One scrape: sync gauges/totals from describe(), render.
 
         Runs in an executor (describe() walks the store directory);
-        the event-time metrics (histograms, lease counters) are
-        already up to date.
+        the event-time metrics (the service's counters, histograms,
+        lease counters) are already up to date.
         """
         self._sync_metrics(self.describe())
         return self.metrics.render()
@@ -703,7 +690,7 @@ class MappingService:
         elif method == "GET" and path == "/metrics":
             # Same executor rule: the scrape syncs from describe().
             text = await asyncio.get_running_loop() \
-                .run_in_executor(None, self._render_metrics)
+                .run_in_executor(None, self._scrape)
             await _send_text(
                 writer, 200, text,
                 content_type="text/plain; version=0.0.4; "
@@ -774,7 +761,7 @@ class MappingService:
             query = normalise_store_query(raw)
         except ProtocolError as error:
             raise _HttpError(400, str(error))
-        self.stats.peer_queries += 1
+        self._m_service["peer_queries"].inc()
         want_verified = query["verified"]
         loop = asyncio.get_running_loop()
         if fetch:
@@ -787,7 +774,7 @@ class MappingService:
                         records[key] = record
                 return records
             records = await loop.run_in_executor(None, fetch_records)
-            self.stats.peer_records += len(records)
+            self._m_service["peer_records"].inc(len(records))
             await _send_json(writer, 200, {"records": records})
         else:
             def probe_keys() -> list:

@@ -194,6 +194,8 @@ class JobQueue:
         self._history: collections.deque[str] = collections.deque()
         self._sequence = itertools.count()
         self._counter = itertools.count(1)
+        #: Submissions folded into an in-flight job — the daemon's
+        #: only count of them (its /stats and /metrics read this).
         self.coalesced = 0
         self.evicted = 0
         #: Jobs waiting to run, maintained O(1) on every transition —
@@ -207,13 +209,9 @@ class JobQueue:
         this runs, so an observer reading ``stats()`` sees the
         post-transition picture."""
         if trace.enabled():
-            # Both calls sit behind one guard: the f-string name is
-            # an attribute built at the call site, and the zero-cost
-            # -while-disabled contract says those never run when
-            # tracing is off (audited by tests/test_trace.py).
-            trace.count(f"queue.{event}")
-            # job_kind, not kind: "kind" is the tracer's reserved
-            # span/event discriminator and must not be shadowed.
+            # Guarded: the f-string name is built at the call site
+            # (lint rule FPL003).  job_kind, not kind: "kind" is the
+            # tracer's reserved span/event discriminator.
             trace.event(f"queue.{event}", job=job.id,
                         job_kind=job.kind)
         if self.observer is not None:

@@ -1,4 +1,4 @@
-"""Retry primitives and the coordinator-side resilience counters.
+"""Retry primitives shared by the client and the coordinator.
 
 The client and the distributed coordinator share this vocabulary for
 riding out *transient* faults; what a *persistent* fault does to a
@@ -13,97 +13,28 @@ state machine in :mod:`repro.dse.distributed`.
 
 :func:`call_with_retries`
     The loop: classify the exception, honour ``Retry-After``, sleep
-    the policy's delay, count every step in the module metrics — and
-    stop early once the caller's *stop* predicate says so.
+    the policy's delay, report each retry to the caller's *on_retry*
+    — and stop early once the caller's *stop* predicate says so.
 
-Counters live in a module-level :class:`MetricsRegistry` (rendered by
-:func:`render_metrics` in the same Prometheus text format the daemon
-serves on ``/metrics``) because retries and probation happen on the
-*coordinator* side — there is no daemon registry to carry them.
-``tests/test_fleet.py`` and the chaos battery assert recovery
-through these counters.
+This module counts nothing itself: a
+:class:`~repro.service.client.ServiceClient` tallies its retries, and
+a distributed sweep adds its leases' retries to its stats ledger
+(``DistributedSweepStats.retries``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "RetryPolicy",
     "call_with_retries",
-    "render_metrics",
-    "reset_metrics",
-    "resilience_counter",
 ]
-
-
-# ---------------------------------------------------------------- #
-# Module metrics — coordinator-side counters in exposition format.  #
-# ---------------------------------------------------------------- #
-
-_METRICS_LOCK = threading.Lock()
-_REGISTRY: MetricsRegistry | None = None
-_COUNTERS: dict[str, object] = {}
-
-#: ``name -> (help text, label names)`` for every counter this layer
-#: maintains.  Families are declared up front so a rendered document
-#: always carries the full catalogue (a scrape before the first
-#: retry still shows ``fpfa_client_retries_total`` at 0 series).
-_COUNTER_FAMILIES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "fpfa_client_retries":
-        ("Client calls retried after a retryable failure.",
-         ("reason",)),
-    "fpfa_retry_give_ups":
-        ("Calls abandoned after exhausting attempts or budget, "
-         "or on the caller's stop.", ()),
-    "fpfa_probation_demotions":
-        ("Daemons demoted from the lease pool to probation.", ()),
-    "fpfa_probation_probes":
-        ("Health probes sent to daemons on probation.", ()),
-    "fpfa_probation_readmissions":
-        ("Daemons readmitted to the lease pool after probation.", ()),
-    "fpfa_dashboard_reconnects":
-        ("Dashboard event-stream reconnect attempts.", ()),
-}
-
-
-def _registry() -> MetricsRegistry:
-    global _REGISTRY
-    with _METRICS_LOCK:
-        if _REGISTRY is None:
-            _REGISTRY = MetricsRegistry()
-            _COUNTERS.clear()
-            for name, (help_text, labels) in \
-                    _COUNTER_FAMILIES.items():
-                _COUNTERS[name] = _REGISTRY.counter(
-                    name, help_text, labels)
-        return _REGISTRY
-
-
-def resilience_counter(name: str):
-    """The module-level counter *name* (see ``_COUNTER_FAMILIES``)."""
-    _registry()
-    return _COUNTERS[name]
-
-
-def render_metrics() -> str:
-    """The resilience counters as a Prometheus text document."""
-    return _registry().render()
-
-
-def reset_metrics() -> None:
-    """Drop all counters (tests isolate themselves with this)."""
-    global _REGISTRY
-    with _METRICS_LOCK:
-        _REGISTRY = None
-        _COUNTERS.clear()
 
 
 # ---------------------------------------------------------------- #
@@ -198,16 +129,19 @@ def call_with_retries(fn: Callable[[], object], *,
                                          tuple[bool, float | None]]
                       = _default_classify,
                       sleep: Callable[[float], None] = time.sleep,
+                      on_retry: Callable[[BaseException], None]
+                      | None = None,
                       ) -> object:
     """Run *fn* under *policy*.
 
     Retryable failures sleep the policy's delay and try again until
     attempts or the sleep budget run out; non-retryable failures and
-    the final retryable one re-raise unchanged.  *stop*, when given,
-    is asked before every attempt and before every retry: once it
-    answers True no further call is made — the last failure
-    re-raises, or :class:`ConnectionAbortedError` when *fn* was never
-    called.
+    the final retryable one re-raise unchanged.  *on_retry*, when
+    given, receives the failure each retry is about to retry.
+    *stop*, when given, is asked before every attempt and before
+    every retry: once it answers True no further call is made — the
+    last failure re-raises, or :class:`ConnectionAbortedError` when
+    *fn* was never called.
     """
     slept = 0.0
     last_error: BaseException | None = None
@@ -228,9 +162,8 @@ def call_with_retries(fn: Callable[[], object], *,
         if policy.budget is not None and \
                 slept + delay > policy.budget:
             break
-        resilience_counter("fpfa_client_retries").inc(
-            reason=type(last_error).__name__)
-        trace.count("resilience.retries")
+        if on_retry is not None:
+            on_retry(last_error)
         if trace.enabled():
             trace.event("resilience.retry", key=key,
                         attempt=attempt, delay=round(delay, 4),
@@ -246,7 +179,6 @@ def call_with_retries(fn: Callable[[], object], *,
     if last_error is None:
         raise ConnectionAbortedError(
             f"{key or 'call'}: stopped before the first attempt")
-    resilience_counter("fpfa_retry_give_ups").inc()
     if trace.enabled():
         trace.event("resilience.give_up", key=key,
                     attempts=policy.attempts,

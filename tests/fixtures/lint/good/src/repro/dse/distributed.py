@@ -4,7 +4,6 @@ from repro.obs import trace
 
 
 def lease(chunk, label):
-    trace.count("distributed.leases")
     if trace.enabled():
         trace.event("lease", daemon=label, points=len(chunk))
     try:

@@ -351,6 +351,9 @@ def test_explore_remote_shards_across_a_daemon(capsys):
     payload = json.loads(captured.out)
     assert len(payload["records"]) == 4
     assert payload["stats"]["remote_records"] == 4
+    # A healthy daemon: nothing retried, nobody re-probed.
+    assert (payload["stats"]["retries"],
+            payload["stats"]["probes"]) == (0, 0)
     assert "fleet: 1 remote daemon(s)" in captured.err
     # The distribution ledger reaches the human summary too.
     assert "1 daemon(s)" in captured.err

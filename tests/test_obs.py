@@ -42,6 +42,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer, scoped_tracing
 from repro.service import ServiceClient, ServiceThread
+from repro.service.client import ServiceError
+from repro.service.protocol import job_key, normalise_request
 from tests.conftest import FIR_SOURCE, read_sse_frames
 
 FIR5 = get_kernel("fir5").source
@@ -73,12 +75,8 @@ class TestTracer:
         with first as span:
             span.note(late=1)
         tracer.event("e", x=1)
-        tracer.count("c")
         snap = tracer.snapshot()
-        assert snap["spans"] == {}
-        assert snap["counters"] == {}
-        assert snap["events"] == []
-        assert snap["enabled"] is False
+        assert snap == {"enabled": False, "spans": {}, "events": []}
 
     def test_rollups_and_nesting_depth(self):
         tracer = Tracer(enabled=True)
@@ -113,13 +111,13 @@ class TestTracer:
         # The failed span still rolled up.
         assert tracer.snapshot()["spans"]["boom"]["count"] == 1
 
-    def test_counters_and_reset(self):
+    def test_reset_keeps_the_switch(self):
         tracer = Tracer(enabled=True)
-        tracer.count("hits")
-        tracer.count("hits", 2)
-        assert tracer.counters() == {"hits": 3}
+        with tracer.span("work"):
+            tracer.event("tick")
         tracer.reset()
-        assert tracer.counters() == {}
+        assert tracer.snapshot() == {"enabled": True, "spans": {},
+                                     "events": []}
         assert tracer.enabled  # reset never flips the switch
 
     def test_ring_is_bounded(self):
@@ -296,17 +294,42 @@ class TestPrometheusParserStrictness:
 
 class TestServiceMetricsEndpoint:
     def test_exposition_is_valid_and_consistent_with_stats(
-            self, client):
-        client.map_source(FIR_SOURCE, file="a.c")
-        client.map_source(FIR_SOURCE, file="a.c")  # store hit
-        parsed = parse_prometheus(client.metrics())
-        stats = client.stats()
+            self, tmp_path):
+        request = {"kind": "map", "source": FIR_SOURCE, "file": "a.c",
+                   "pps": 5, "buses": 3}
+        chunk = {"kind": "sweep-chunk", "source": FIR_SOURCE,
+                 "points": [point.to_dict() for point in DesignSpace(
+                     {"n_pps": [1, 2, 3],
+                      "n_buses": [2, 4, 6, 8]}).grid()]}
+        key = job_key(normalise_request(request))
+        with ServiceThread(store=tmp_path / "store",
+                           workers=1) as daemon:
+            client = ServiceClient(*daemon.address)
+            # The chunk holds the one worker, so the map is still
+            # queued when its duplicate arrives and coalesces.
+            busy = client.submit(chunk)["job"]["id"]
+            first = client.submit(request)["job"]["id"]
+            assert client.submit(request)["coalesced"]
+            client.result(busy)
+            client.result(first)
+            hit = client.submit(request)["job"]
+            assert hit["state"] == "done"  # store hit
+            failed = client.submit({"kind": "map",
+                                    "source": FIR_SOURCE, "pps": 0})
+            with pytest.raises(ServiceError):
+                client.result(failed["job"]["id"])
+            assert client.store_has([key, "0" * 64]) == [key]
+            assert list(client.store_fetch([key])) == [key]
+            parsed = parse_prometheus(client.metrics())
+            stats = client.stats()
 
         # Families for every layer the issue names.
         for family, kind in [
                 ("fpfa_service_uptime_seconds", "gauge"),
                 ("fpfa_service_submits_total", "counter"),
                 ("fpfa_service_computed_total", "counter"),
+                ("fpfa_service_coalesced_total", "counter"),
+                ("fpfa_service_frontends_total", "counter"),
                 ("fpfa_queue_depth", "gauge"),
                 ("fpfa_queue_coalesced_total", "counter"),
                 ("fpfa_jobs_total", "counter"),
@@ -320,26 +343,39 @@ class TestServiceMetricsEndpoint:
         ]:
             assert parsed.family(family)["type"] == kind, family
 
-        # Scrape-time sync: totals mirror the authoritative /stats.
-        assert parsed.value("fpfa_service_submits_total") \
-            == stats["service"]["submits"]
-        assert parsed.value("fpfa_service_computed_total") \
-            == stats["service"]["computed"] == 1
-        assert parsed.value("fpfa_service_store_hits_total") \
-            == stats["service"]["store_hits"] == 1
+        # /stats and /metrics are two views of the same counts.
+        service = stats["service"]
+        assert service == {
+            "submits": 5, "coalesced": 1, "store_hits": 1,
+            "computed": 3, "failed": 1, "frontends_compiled": 1,
+            "frontends_reused": 0, "peer_queries": 2,
+            "peer_records": 1}
+        for name, value in service.items():
+            if name.startswith("frontends_"):
+                sample = parsed.value(
+                    "fpfa_service_frontends_total",
+                    result=name.removeprefix("frontends_"))
+            else:
+                sample = parsed.value(f"fpfa_service_{name}_total")
+            assert sample == value, name
+        assert parsed.value("fpfa_queue_coalesced_total") \
+            == stats["queue"]["coalesced"] == service["coalesced"]
         assert parsed.value("fpfa_store_entries") \
             == stats["store"]["entries"]
         assert parsed.value("fpfa_workers",
                             mode=stats["workers"]["mode"]) \
             == stats["workers"]["workers"]
 
-        # Event-time feeding: one computed job ran, both finished.
+        # Event-time feeding: two map jobs ran (one failed), the
+        # store hit finished without running.
         assert parsed.value("fpfa_jobs_total", kind="map",
                             state="done") == 2
+        assert parsed.value("fpfa_jobs_total", kind="map",
+                            state="failed") == 1
         assert parsed.value("fpfa_job_runtime_seconds_count",
-                            kind="map") == 1
-        assert parsed.value("fpfa_job_wait_seconds_count",
                             kind="map") == 2
+        assert parsed.value("fpfa_job_wait_seconds_count",
+                            kind="map") == 3
 
     def test_content_type_is_prometheus_text(self, daemon):
         host, port = daemon.address

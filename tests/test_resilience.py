@@ -46,18 +46,11 @@ from repro.dse.distributed import (
 from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
-from repro.obs.metrics import parse_prometheus
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError, _classify
 from repro.service.protocol import ProtocolError
 from repro.service.queue import QueueFull
-from repro.service.resilience import (
-    RetryPolicy,
-    call_with_retries,
-    render_metrics,
-    reset_metrics,
-    resilience_counter,
-)
+from repro.service.resilience import RetryPolicy, call_with_retries
 
 FIR5 = get_kernel("fir5").source
 
@@ -71,13 +64,6 @@ def canon(records):
 def url(thread_or_proxy):
     address = thread_or_proxy.address
     return f"{address[0]}:{address[1]}"
-
-
-@pytest.fixture(autouse=True)
-def fresh_metrics():
-    reset_metrics()
-    yield
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -146,12 +132,12 @@ class TestCallWithRetries:
 
     def test_transient_failures_retry_to_success(self):
         flaky = _Flaky(2, ConnectionResetError("boom"))
+        retried = []
         result = call_with_retries(flaky, policy=self.POLICY,
-                                   sleep=lambda _: None)
+                                   sleep=lambda _: None,
+                                   on_retry=retried.append)
         assert result == "ok" and flaky.calls == 3
-        counter = resilience_counter("fpfa_client_retries")
-        assert counter.value(
-            reason="ConnectionResetError") == 2
+        assert retried == [flaky.error] * 2
 
     def test_non_retryable_raises_immediately(self):
         flaky = _Flaky(5, ServiceError("bad request", status=400))
@@ -162,12 +148,11 @@ class TestCallWithRetries:
 
     def test_attempts_exhausted_raises_last_error(self):
         flaky = _Flaky(10, OSError("down"))
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as info:
             call_with_retries(flaky, policy=self.POLICY,
                               sleep=lambda _: None)
         assert flaky.calls == 4
-        assert resilience_counter(
-            "fpfa_retry_give_ups").value() == 1
+        assert info.value is flaky.error  # gave up on the last one
 
     def test_sleep_budget_stops_the_loop(self):
         policy = RetryPolicy(attempts=10, base_delay=1.0,
@@ -190,16 +175,16 @@ class TestCallWithRetries:
             stopped.append(True)
             return flaky()
 
-        with pytest.raises(OSError):
+        retried = []
+        with pytest.raises(OSError) as info:
             call_with_retries(fail_and_stop, policy=self.POLICY,
                               stop=lambda: len(stopped) > 0,
-                              sleep=lambda _: None)
+                              sleep=lambda _: None,
+                              on_retry=retried.append)
         # One call, then the predicate cut the retries short.
         assert flaky.calls == 1
-        assert resilience_counter(
-            "fpfa_client_retries").value(reason="OSError") == 0
-        assert resilience_counter(
-            "fpfa_retry_give_ups").value() == 1
+        assert retried == []
+        assert info.value is flaky.error
 
     def test_stop_before_the_first_attempt_never_calls(self):
         flaky = _Flaky(0, None)
@@ -342,8 +327,7 @@ class TestChaosProxy:
             for __ in range(10):
                 assert client.health()["ok"]
         assert proxy.counts.get("reset", 0) >= 1
-        retried = resilience_counter("fpfa_client_retries")
-        assert retried.value(reason="ConnectionResetError") >= 1
+        assert client.retries >= 1
 
     def test_stopped_client_never_dials_a_dead_remote(self):
         stopped = threading.Event()
@@ -386,15 +370,10 @@ def health_events(events):
             if event["event"] in ("probation", "readmit", "lost")]
 
 
-def probation_counts():
-    return {name: resilience_counter(f"fpfa_probation_{name}").value()
-            for name in ("demotions", "readmissions")}
-
-
 class TestDaemonHealth:
     """Each transition — leasing -> probation -> leasing, and into
-    lost — is reported exactly once: in DistributedSweepStats, in the
-    fpfa_probation_* counters and as one progress event."""
+    lost — is reported exactly once: in DistributedSweepStats and as
+    one progress event."""
 
     def test_demote_then_readmit_counts_each_transition_once(
             self, local_result):
@@ -427,8 +406,7 @@ class TestDaemonHealth:
         assert (stats.probations, stats.readmissions,
                 stats.lost_daemons) == (1, 1, 0)
         assert health_events(events) == ["probation", "readmit"]
-        assert probation_counts() == {"demotions": 1,
-                                      "readmissions": 1}
+        assert stats.probes == 1  # A answered its first re-probe
         assert stats.stolen == 1
 
     def test_daemon_unreachable_at_start_is_lost_once(self):
@@ -445,8 +423,7 @@ class TestDaemonHealth:
         lost = [event for event in events if event["event"] == "lost"]
         assert lost == [{"event": "lost", "daemon": "127.0.0.1:1",
                          "error": "unreachable at probe"}]
-        assert probation_counts() == {"demotions": 0,
-                                      "readmissions": 0}
+        assert stats.probes == 0  # lost at the start: never re-probed
 
     def test_demoted_daemon_stops_its_sibling_lane(self, monkeypatch):
         """A 2-lane daemon: lane one's lease fails outright while lane
@@ -483,8 +460,7 @@ class TestDaemonHealth:
                 retry=RetryPolicy(attempts=4, base_delay=0.01,
                                   jitter=0.0))
         assert submissions == [1, 2]
-        assert resilience_counter("fpfa_client_retries").value(
-            reason="ServiceError") == 0
+        assert result.stats.retries == 0
         assert canon(result.records) == canon(
             run_sweep(FIR5, points, workers=1).records)
         stats = result.stats
@@ -493,8 +469,7 @@ class TestDaemonHealth:
         assert stats.local_records == 2
         assert health_events(events) == ["probation", "lost"]
         assert events[-2]["error"] == "still on probation at sweep end"
-        assert probation_counts() == {"demotions": 1,
-                                      "readmissions": 0}
+        assert stats.probes == 0  # the 60 s backoff never came due
 
 
 # -- probation and readmission --------------------------------------------
@@ -505,8 +480,7 @@ class TestProbationReadmission:
         """The tentpole scenario: daemon A dies mid-sweep (demoted
         to probation), comes back on the same port, and is readmitted
         by the prober while slow daemon B keeps the sweep alive —
-        asserted through the stats ledger AND the probation counters
-        in the resilience /metrics document."""
+        asserted through the stats ledger."""
         slow = ChaosSchedule(seed=2, faults={"latency": 1.0},
                              latency=0.35)
         a = ServiceThread(workers=2)
@@ -552,15 +526,7 @@ class TestProbationReadmission:
         # No double counting across sources, ever.
         assert stats.remote_records + stats.peer_records \
             + stats.local_records == stats.evaluated
-        # The acceptance wording: readmission is visible in the
-        # /metrics-format resilience document.
-        parsed = parse_prometheus(render_metrics())
-        assert parsed.value(
-            "fpfa_probation_demotions_total") >= 1
-        assert parsed.value(
-            "fpfa_probation_probes_total") >= 1
-        assert parsed.value(
-            "fpfa_probation_readmissions_total") >= 1
+        assert stats.probes >= stats.readmissions
         assert "probation(s)" in stats.summary()
 
     def test_work_stealing_from_a_slow_but_alive_daemon(

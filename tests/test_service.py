@@ -168,14 +168,15 @@ def test_duplicate_whose_lookup_outlives_the_first_job_never_reruns(
             store.release.set()
             job, coalesced = await duplicate
             await until_terminal(job)
-            return first, job, coalesced, service.stats
+            return first, job, coalesced, \
+                service.describe()["service"]
         finally:
             store.release.set()
             await service.close()
 
     first, job, coalesced, stats = asyncio.run(scenario())
     assert first.state == "done"
-    assert stats.computed == 1
+    assert stats["computed"] == 1
     assert job is first and coalesced
 
 

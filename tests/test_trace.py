@@ -13,8 +13,8 @@ cross-*process* stitch runs in ``tests/test_fleet.py``):
 * the PR 6 invariants under the new machinery: zero-cost disabled
   path, bounded ring, ``scoped_tracing`` restore on raise.
 
-The call-site audit (``trace.event``/``trace.count`` calls that
-build attribute dicts must sit under a ``trace.enabled()`` guard)
+The call-site audit (``trace.event`` calls that build attribute
+dicts must sit under a ``trace.enabled()`` guard)
 moved to fpfa-lint as FPL003 and now covers every linted file.
 """
 

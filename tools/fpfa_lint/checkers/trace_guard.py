@@ -1,11 +1,11 @@
 """FPL003 — trace-guard.
 
 The flight-recorder contract (PR 9) is that tracing disabled costs
-nothing: ``trace.event(...)``/``trace.count(...)`` call sites that
-*build* attribute dicts or format strings must sit under an
-``if trace.enabled():`` guard, because the argument expressions are
-evaluated before the no-op call returns.  Calls whose arguments are
-all constants are free and need no guard.
+nothing: ``trace.event(...)`` call sites that *build* attribute
+dicts or format strings must sit under an ``if trace.enabled():``
+guard, because the argument expressions are evaluated before the
+no-op call returns.  Calls whose arguments are all constants are
+free and need no guard.
 
 This generalises the AST audit that used to live in
 ``tests/test_trace.py`` (two hard-coded files) to every linted
@@ -27,7 +27,7 @@ from tools.fpfa_lint.core import (
 )
 
 #: The trace calls whose arguments may allocate.
-TRACE_CALLS = frozenset({"event", "count"})
+TRACE_CALLS = frozenset({"event"})
 
 
 def _is_enabled_call(node: ast.AST) -> bool:
@@ -65,8 +65,8 @@ class TraceGuardChecker(Checker):
     code = "FPL003"
     name = "trace-guard"
     severity = "error"
-    description = ("attribute-building trace.event()/trace.count() "
-                   "call sites must be guarded by trace.enabled()")
+    description = ("attribute-building trace.event() call sites "
+                   "must be guarded by trace.enabled()")
 
     def check(self, file: LintFile,
               project: Project) -> Iterator[Finding]:
