@@ -1,11 +1,18 @@
-"""Legacy-install shim.
+"""Package metadata for ``repro`` and its ``fpfa-map`` command.
 
-The offline environment lacks the ``wheel`` package, so PEP 660
-editable installs fail; with this shim ``pip install -e .`` falls back
-to ``setup.py develop``, which works without network access.  All
-project metadata lives in pyproject.toml.
+Install for development with ``python setup.py develop``: it works
+offline.  The repo has no pyproject.toml on purpose, because one makes
+pip build in an isolated environment, and that needs network access.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="fpfa-map",
+    version="1.0.0",
+    description="Mapping applications to an FPFA tile",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    entry_points={"console_scripts": ["fpfa-map = repro.cli:main"]},
+)

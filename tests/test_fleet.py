@@ -288,9 +288,11 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
 
     first = KERNELS[0]
     with concurrent.futures.ThreadPoolExecutor(CLIENTS) as pool:
-        list(pool.map(lambda __: submit(first), range(CLIENTS)))
+        warm = list(pool.map(lambda __: submit(first), range(CLIENTS)))
     assert client.stats()["service"]["computed"] == len(KERNELS), \
         "duplicate submissions added backend runs"
+    assert {canon(payload) for payload in warm} \
+        == {canon(offline[first.name][1])}
 
     client.map_source(first.source, file=offline[first.name][0],
                       pps=3)
@@ -301,18 +303,34 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
 # -- distributed ------------------------------------------------------------
 
 def test_distributed_sharding_is_bit_identical(fleet, truth, tmp_path):
-    """Every record is computed remotely, and the remote records warm
-    the coordinator cache in the shared on-disk format."""
+    """Every record is computed remotely, each daemon leases a fair
+    share of the chunks, and the remote records warm both the
+    coordinator cache (the shared on-disk format) and the daemons'
+    stores: a re-shard fetches every record from a peer store and
+    leases nothing."""
+    daemons = fleet()
     cache = tmp_path / "coordinator-cache"
     result = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls(fleet()), cache=cache,
+        SOURCE, SPACE.grid(), remotes=urls(daemons), cache=cache,
         chunk_size=CHUNK_SIZE)
+    stats = result.stats
     assert canon(result.records) == truth
-    assert result.stats.local_records == 0
-    assert result.stats.lost_daemons == 0
+    assert stats.local_records == 0
+    assert stats.lost_daemons == 0
+    assert stats.remote_records == stats.unique
+    leases = [ServiceClient(*daemon.address).stats()["service"]
+              ["computed"] for daemon in daemons]
+    assert sum(leases) == stats.chunks
+    assert min(leases) >= stats.chunks // len(daemons) - 2, leases
     warm = run_sweep(SOURCE, SPACE.grid(), cache=cache)
     assert canon(warm.records) == truth
     assert warm.stats.cached == warm.stats.unique
+    reshard = run_distributed_sweep(
+        SOURCE, SPACE.grid(), remotes=urls(daemons),
+        chunk_size=CHUNK_SIZE)
+    assert canon(reshard.records) == truth
+    assert reshard.stats.peer_records == reshard.stats.unique
+    assert reshard.stats.remote_records == 0
 
 
 def test_distributed_survives_a_daemon_killed_mid_sweep(fleet, truth,
@@ -355,14 +373,15 @@ def test_store_lru_bound_leaves_fsck_nothing_to_heal(truth, tmp_path):
     assert report["files"] == MAX_ENTRIES
 
 
-def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet):
+def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
+                                                            truth):
     daemon, = fleet(1, store_max_entries=MAX_ENTRIES)
     result = run_distributed_sweep(
         SOURCE, SPACE.grid(), remotes=daemon.url,
         chunk_size=CHUNK_SIZE)
     client = ServiceClient(*daemon.address)
     store = client.stats()["store"]
-    assert len(result.records) == SPACE.size
+    assert canon(result.records) == truth
     assert store["entries"] <= MAX_ENTRIES
     assert store["evictions"] >= SPACE.size - MAX_ENTRIES
     assert parse_prometheus(client.metrics()).value(

@@ -23,8 +23,8 @@ from tests.test_property import random_initial_state, random_source
 @given(program_seed=st.integers(0, 10_000),
        state_seed=st.integers(0, 500),
        n_pps=st.integers(1, 6),
-       n_buses=st.integers(2, 12),
-       regs=st.integers(2, 4),
+       n_buses=st.integers(1, 12),
+       regs=st.integers(1, 4),
        window=st.integers(1, 4))
 def test_random_program_random_tile_verifies(program_seed, state_seed,
                                              n_pps, n_buses, regs,

@@ -97,38 +97,6 @@ class TestInsertLevel:
         schedule = schedule_clusters(graph, n_pps=3)
         assert schedule.level_of(0) == 0
 
-    def test_fig4_style_instance(self):
-        """A reconstruction of the Fig. 4 instance: 11 clusters, six
-        ready at the top, two off-critical; scheduling keeps <=5 per
-        level and inserts exactly one level (4 -> 5 levels)."""
-        edges = {
-            # six *critical* ready clusters Clu1..Clu6 (ids 1..6)
-            8: [1, 2, 5],   # Clu8
-            9: [3, 4, 6],   # Clu9
-            10: [8, 9],     # Clu10 terminal
-            # Clu0, Clu7: off-critical, movable within their range
-            0: [],
-            7: [],
-        }
-        graph = make_cluster_graph(edges, 11)
-        schedule = schedule_clusters(graph, n_pps=5)
-        assert schedule.critical_path == 3
-        for level in schedule.levels:
-            assert len(level) <= 5
-        # Six slack-0 clusters want the top row; capacity 5 forces one
-        # down, inserting exactly one level (Fig. 4: 4 -> 5 rows here
-        # 3 -> 4 levels).
-        assert schedule.n_levels == 4
-        assert schedule.inserted_levels == 1
-        # the six critical clusters span the first two levels
-        top_levels = {schedule.level_of(c) for c in range(1, 7)}
-        assert top_levels == {0, 1}
-        # dependences hold
-        predecessors = graph.predecessors()
-        for cid, preds in predecessors.items():
-            for pred in preds:
-                assert schedule.level_of(pred) < schedule.level_of(cid)
-
     def test_capacity_one_serialises(self):
         graph = make_cluster_graph({}, 4)
         schedule = schedule_clusters(graph, n_pps=1)

@@ -8,7 +8,9 @@ from repro.cdfg.statespace import MissingAddressError, StateSpace
 
 
 class TestPrimitives:
-    """The ST / FE / DEL semantics of paper Fig. 2."""
+    """ST, FE and DEL one at a time; the Fig. 2 DEL == ST(ad, 0) law
+    over random sequences is
+    tests/test_paper.py::test_fig2_statespace_primitives."""
 
     def test_st_adds_tuple(self):
         state = StateSpace().store(Address("x"), 42)

@@ -149,7 +149,9 @@ class TestOverwrittenStores:
 
 
 class TestFigureThreeProperty:
-    """Paper Fig. 3: after minimisation every FE hangs off ss_in."""
+    """The Fig. 3 property beyond the FIR: a loop that also *writes*
+    an array still leaves every FE hanging off ss_in.  The FIR of
+    Fig. 3 itself is tests/test_paper.py::test_fig3_fir_cdfg."""
 
     def test_loop_written_fetches_all_reach_ss_in(self):
         from repro.transforms.pipeline import simplify
