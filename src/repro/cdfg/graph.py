@@ -47,6 +47,7 @@ tests drive it across randomized transform sequences.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -216,12 +217,6 @@ class Graph:
     def _touch(self) -> None:
         self._version += 1
 
-    def _index_added(self, node: Node) -> None:
-        self._kind_ids.setdefault(node.kind, set()).add(node.id)
-        for slot, ref in enumerate(node.inputs):
-            self._users.setdefault(ref, set()).add((node.id, slot))
-        self._touch()
-
     def _index_removed(self, node: Node) -> None:
         kind_ids = self._kind_ids.get(node.kind)
         if kind_ids is not None:
@@ -304,21 +299,40 @@ class Graph:
             bodies: tuple["Graph", ...] = (),
             n_outputs: int | None = None) -> Node:
         """Create a node, wire its inputs, and return it."""
+        # The hottest mutation (the unroller splices thousands of
+        # nodes per program), so the ref check and the index update
+        # are inlined; ``_check_ref`` only words the error.
+        nodes = self.nodes
         inputs = list(inputs)
         for ref in inputs:
-            self._check_ref(ref)
+            producer = nodes.get(ref[0])
+            if producer is None or not 0 <= ref[1] < producer.n_outputs:
+                self._check_ref(ref)  # raises the precise error
         if n_outputs is None:
             sig = signature(kind)
             n_outputs = len(sig[1]) if sig else 1
-        node = Node(id=next(self._ids), kind=kind, inputs=inputs,
-                    value=value, name=name, bodies=bodies,
-                    n_outputs=n_outputs)
-        self.nodes[node.id] = node
-        self._index_added(node)
+        node_id = next(self._ids)
+        node = Node(node_id, kind, inputs, value, name, bodies, n_outputs)
+        nodes[node_id] = node
+        kind_ids = self._kind_ids.get(kind)
+        if kind_ids is None:
+            kind_ids = self._kind_ids[kind] = set()
+        kind_ids.add(node_id)
+        users = self._users
+        for slot, ref in enumerate(inputs):
+            ref_users = users.get(ref)
+            if ref_users is None:
+                ref_users = users[ref] = set()
+            ref_users.add((node_id, slot))
+        self._version += 1
         return node
 
     def const(self, value: int) -> Node:
-        """Add (or reuse nothing — always adds) an integer constant."""
+        """Add a new integer constant node.
+
+        Always creates a node, even when an equal constant exists;
+        callers that emit many constants (the unroller) reuse their
+        own, and CSE merges whatever duplicates remain."""
         return self.add(OpKind.CONST, value=value)
 
     def addr(self, address: Address | str, offset: int = 0) -> Node:
@@ -510,22 +524,28 @@ class Graph:
         if cached is not None and cached[0] == self._version:
             return cached[1]
         version = self._version
-        indegree: dict[int, int] = {node_id: 0 for node_id in self.nodes}
-        consumers: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for node in self.nodes.values():
+        nodes = self.nodes
+        indegree: dict[int, int] = {}
+        consumers: dict[int, list[int]] = {}
+        ready: list[int] = []
+        for node_id, node in nodes.items():
+            if not node.inputs:
+                ready.append(node_id)
+                continue
             unique_producers = {ref[0] for ref in node.inputs}
-            indegree[node.id] = len(unique_producers)
+            indegree[node_id] = len(unique_producers)
             for producer_id in unique_producers:
-                consumers[producer_id].append(node.id)
-        import heapq
-        ready = [node_id for node_id, degree in indegree.items()
-                 if degree == 0]
+                waiting = consumers.get(producer_id)
+                if waiting is None:
+                    consumers[producer_id] = [node_id]
+                else:
+                    waiting.append(node_id)
         heapq.heapify(ready)
         order: list[Node] = []
         while ready:
             node_id = heapq.heappop(ready)
-            order.append(self.nodes[node_id])
-            for consumer_id in consumers[node_id]:
+            order.append(nodes[node_id])
+            for consumer_id in consumers.get(node_id, ()):
                 indegree[consumer_id] -= 1
                 if indegree[consumer_id] == 0:
                     heapq.heappush(ready, consumer_id)

@@ -117,6 +117,13 @@ class OpKind(enum.Enum):
     LOOP = "loop"
     BRANCH = "branch"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==``.  ``Enum.__hash__`` hashes the member
+    # name in Python on every call, and the transforms hash kinds in
+    # their inner loops (sets, dict keys, CSE keys).  Nothing can
+    # depend on the old value: string hashes are salted per process.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

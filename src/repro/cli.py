@@ -161,7 +161,7 @@ def _add_map_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="print a per-stage wall-time breakdown "
                              "(parse, transforms, cluster, schedule, "
-                             "allocate)")
+                             "allocate, verify)")
     parser.add_argument("--dot", metavar="PATH",
                         help="write the minimised CDFG as Graphviz DOT")
     parser.add_argument("--json", metavar="PATH", dest="json_path",
@@ -491,7 +491,7 @@ def _dump_json(payload: dict, path: str) -> None:
 
 #: Canonical stage order for the --profile breakdown.
 _PROFILE_STAGES = ("parse", "transforms", "taskgraph", "cluster",
-                   "schedule", "allocate", "multitile")
+                   "schedule", "allocate", "multitile", "verify")
 
 
 def _render_profile(timings: dict[str, float]) -> str:
@@ -547,9 +547,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     metrics = mapping_metrics(report)
     echo(f"locality: {metrics['locality']:.0%}  "
          f"energy proxy: {metrics['energy']}")
-    if args.profile:
-        echo()
-        echo(_render_profile(report.timings))
     if report.multitile is not None:
         from repro.eval.report import multitile_table
         echo()
@@ -585,6 +582,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
         verified = True
         echo(f"\nverified against the interpreter "
              f"(seed {args.verify_seed})")
+    if args.profile:
+        # Last, so that the verify stage is in the breakdown.
+        echo()
+        echo(_render_profile(report.timings))
     if args.json_path:
         config = mapping_config(params, args.library,
                                 balance=args.balance, array=array)

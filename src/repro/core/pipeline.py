@@ -113,7 +113,8 @@ class MappingReport:
     #: single-tile flow the paper describes).
     multitile: MultiTileReport | None = None
     #: Per-stage wall-clock seconds (parse, transforms, taskgraph,
-    #: cluster, schedule, allocate, multitile) — the breakdown
+    #: cluster, schedule, allocate, multitile, and verify once
+    #: :func:`verify_mapping` has checked the report) — the breakdown
     #: ``fpfa-map map --profile`` prints.  Never part of the mapped
     #: artifacts or metrics.
     timings: dict[str, float] = field(default_factory=dict)
@@ -395,35 +396,37 @@ def verify_mapping(report: MappingReport,
     Executes the original CDFG on the reference interpreter and the
     mapped program on the tile simulator, then requires the two final
     statespaces to be observationally equal (and function outputs to
-    match).  Returns the simulated final state on success.
+    match).  Returns the simulated final state on success.  The
+    check is timed as the report's ``verify`` stage.
     """
-    initial_state = initial_state or StateSpace()
-    merged_initial = initial_state
-    if inputs:
-        # Mapped programs read parameters from memory at the scalar
-        # address of the parameter name; the interpreter must start
-        # from the same picture so the final states are comparable.
-        for name, value in inputs.items():
-            merged_initial = merged_initial.store(name, value)
-    interpreter = Interpreter(width=report.params.width)
-    expected = interpreter.run(report.original, merged_initial, inputs)
-    simulated = simulate(report.program, merged_initial)
-    expected_state = expected.state
-    for slot, value in expected.outputs.items():
-        address = f"__out_{slot}"
-        got = simulated.fetch(address)
-        if got != value:
+    with _stage(report.timings, "verify"):
+        initial_state = initial_state or StateSpace()
+        merged_initial = initial_state
+        if inputs:
+            # Mapped programs read parameters from memory at the scalar
+            # address of the parameter name; the interpreter must start
+            # from the same picture so the final states are comparable.
+            for name, value in inputs.items():
+                merged_initial = merged_initial.store(name, value)
+        interpreter = Interpreter(width=report.params.width)
+        expected = interpreter.run(report.original, merged_initial, inputs)
+        simulated = simulate(report.program, merged_initial)
+        expected_state = expected.state
+        for slot, value in expected.outputs.items():
+            address = f"__out_{slot}"
+            got = simulated.fetch(address)
+            if got != value:
+                raise VerificationError(
+                    f"output {slot!r}: simulator produced {got}, "
+                    f"interpreter {value}")
+            # Fold function outputs into the comparison baseline (they
+            # live at pseudo-addresses in the mapped program's memory).
+            expected_state = expected_state.store(address, value)
+        if simulated != expected_state:
+            differences = _diff_states(expected_state, simulated)
             raise VerificationError(
-                f"output {slot!r}: simulator produced {got}, "
-                f"interpreter {value}")
-        # Fold function outputs into the comparison baseline (they
-        # live at pseudo-addresses in the mapped program's memory).
-        expected_state = expected_state.store(address, value)
-    if simulated != expected_state:
-        differences = _diff_states(expected_state, simulated)
-        raise VerificationError(
-            "final statespace mismatch:\n" + "\n".join(differences))
-    return simulated
+                "final statespace mismatch:\n" + "\n".join(differences))
+        return simulated
 
 
 def _diff_states(expected: StateSpace, actual: StateSpace) -> list[str]:

@@ -103,6 +103,25 @@ def cache_key(source: str, point: DesignPoint) -> str:
     return hashlib.sha256(envelope.encode("utf-8")).hexdigest()
 
 
+def _scan_records(root: pathlib.Path) -> list[tuple]:
+    """(key, size, mtime, ok, verified) of every parseable record
+    file under *root*, in name order."""
+    rows = []
+    for path in sorted(root.glob("??/*.json")):
+        try:
+            raw = path.read_bytes()
+            mtime = path.stat().st_mtime
+            record = json.loads(raw.decode("utf-8"))
+        except (OSError, ValueError):
+            continue
+        if not isinstance(record, dict):
+            continue
+        rows.append((path.stem, len(raw), mtime,
+                     int(bool(record.get("ok"))),
+                     int(bool(record.get("verified")))))
+    return rows
+
+
 class _Manifest:
     """The sqlite index over one sharded record directory.
 
@@ -244,33 +263,28 @@ class _Manifest:
     # -- reconstruction -----------------------------------------------
 
     def rebuild(self, root: pathlib.Path) -> int:
-        """Reindex from the record files; returns rows indexed.
+        """Index every record file not yet indexed; returns the number
+        of record files found.
+
+        Insert-only: another process may record a put between the
+        scan and the insert, and its row must survive, so nothing is
+        deleted and an existing row wins.  Rebuilt rows are stamped
+        older than every existing row, in name order.
 
         Unparseable files are skipped (they stay misses; ``fsck``
         removes them) — a rebuild must succeed on any directory a
-        crashed writer could leave behind.  Access order restarts in
-        name order: LRU history is advisory state and not worth a
-        sidecar to preserve.
+        crashed writer could leave behind.  LRU history is advisory
+        state and not worth a sidecar to preserve.
         """
-        rows = []
-        for path in sorted(root.glob("??/*.json")):
-            try:
-                raw = path.read_bytes()
-                mtime = path.stat().st_mtime
-                record = json.loads(raw.decode("utf-8"))
-            except (OSError, ValueError):
-                continue
-            if not isinstance(record, dict):
-                continue
-            rows.append((path.stem, len(raw), mtime,
-                         int(bool(record.get("ok"))),
-                         int(bool(record.get("verified"))),
-                         len(rows) + 1))
+        rows = _scan_records(root)
         with self._lock, self._conn:
-            self._conn.execute("DELETE FROM entries")
+            floor = self._conn.execute(
+                "SELECT COALESCE(MIN(last_access),1) FROM entries"
+            ).fetchone()[0]
+            stamp = floor - len(rows)
             self._conn.executemany(
-                "INSERT OR REPLACE INTO entries VALUES (?,?,?,?,?,?)",
-                rows)
+                "INSERT OR IGNORE INTO entries VALUES (?,?,?,?,?,?)",
+                [row + (stamp + index,) for index, row in enumerate(rows)])
         return len(rows)
 
     def reconcile(self, valid: Mapping[str, tuple[int, float, bool,

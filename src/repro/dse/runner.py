@@ -117,7 +117,9 @@ def evaluate_point(source: str, point: DesignPoint,
                                   array=point.tile_array_params())
             if sink is not None:
                 sink["report"] = report
-                sink["timings"] = dict(report.timings)
+                # The report's own dict: verify_mapping adds its
+                # stage below.
+                sink["timings"] = report.timings
             if verify_seed is not None:
                 verify_mapping(report,
                                random_input_state(report, verify_seed))

@@ -32,14 +32,17 @@ KEYWORDS = frozenset({
     "do", "break", "continue", "const",
 })
 
-# Punctuators ordered longest-first so maximal munch is a simple scan.
-_PUNCTUATORS = (
+_PUNCTUATORS = frozenset({
     "<<=", ">>=",
     "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
-)
+})
+
+#: Maximal munch: try the longest spelling first.
+_PUNCT_LENGTHS = sorted({len(punct) for punct in _PUNCTUATORS},
+                        reverse=True)
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,11 @@ class Lexer:
 
     def _lex_punctuator(self) -> Token:
         location = self._location()
-        for punct in _PUNCTUATORS:
-            if self._source.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, location)
+        for length in _PUNCT_LENGTHS:
+            text = self._source[self._pos:self._pos + length]
+            if text in _PUNCTUATORS:
+                self._advance(len(text))
+                return Token(TokenKind.PUNCT, text, location)
         raise LexError(
             f"unexpected character {self._source[self._pos]!r}",
             location, self._source)

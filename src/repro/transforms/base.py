@@ -13,6 +13,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.cdfg.graph import Graph, Node, ValueRef
+from repro.cdfg.ops import OpKind
 
 
 class Transform(abc.ABC):
@@ -29,9 +30,9 @@ class Transform(abc.ABC):
     def run(self, graph: Graph) -> int:
         """Apply the pass to *graph* and nested bodies; return #rewrites."""
         changes = 0
-        for node in list(graph.nodes.values()):
-            if node.id not in graph.nodes:  # removed meanwhile
-                continue
+        # Only compounds have bodies.  A body is its own graph, so
+        # running a pass on one never changes this level's nodes.
+        for node in graph.find(OpKind.LOOP) + graph.find(OpKind.BRANCH):
             for body in node.bodies:
                 changes += self.run(body)
         changes += self.run_on(graph)

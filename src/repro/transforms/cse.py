@@ -13,12 +13,8 @@ same state version are one value.  ``ST``/``DEL`` never merge.
 from __future__ import annotations
 
 from repro.cdfg.graph import Graph
-from repro.cdfg.ops import COMMUTATIVE_OPS, OpKind, PURE_OPS
+from repro.cdfg.ops import COMMUTATIVE_OPS, PURE_OPS
 from repro.transforms.base import Transform
-
-#: Pure kinds that still must not be merged: INPUT/OUTPUT are slot
-#: markers, compounds have bodies.
-_NON_MERGEABLE = frozenset({OpKind.INPUT, OpKind.OUTPUT})
 
 
 class CommonSubexpressionElimination(Transform):
@@ -27,24 +23,23 @@ class CommonSubexpressionElimination(Transform):
     def run_on(self, graph: Graph) -> int:
         changes = 0
         table: dict[tuple, tuple[int, int]] = {}
+        nodes = graph.nodes
         for node in graph.topo_order():
-            if node.id not in graph.nodes:
+            kind = node.kind
+            # PURE_OPS leaves out the INPUT/OUTPUT slot markers and
+            # the compounds, so neither ever merges.
+            if kind not in PURE_OPS or node.id not in nodes:
                 continue
-            if node.kind not in PURE_OPS or node.kind in _NON_MERGEABLE:
-                continue
-            key = self._key(node)
+            inputs = tuple(node.inputs)
+            if kind in COMMUTATIVE_OPS and len(inputs) == 2 \
+                    and inputs[1] < inputs[0]:
+                inputs = (inputs[1], inputs[0])
+            key = (kind, node.value, inputs)
             existing = table.get(key)
             if existing is None:
-                table[key] = node.out()
+                table[key] = (node.id, 0)
                 continue
-            graph.replace_uses(node.out(), existing)
+            graph.replace_uses((node.id, 0), existing)
             graph.remove(node.id)
             changes += 1
         return changes
-
-    @staticmethod
-    def _key(node) -> tuple:
-        inputs = tuple(node.inputs)
-        if node.kind in COMMUTATIVE_OPS and len(inputs) == 2:
-            inputs = tuple(sorted(inputs))
-        return (node.kind, node.value, inputs)

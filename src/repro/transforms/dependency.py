@@ -81,9 +81,19 @@ class DependencyAnalysis(Transform):
     """Relax the statespace thread via address disambiguation."""
 
     def run_on(self, graph: Graph) -> int:
+        #: address ref -> its resolution.  This pass rewires only
+        #: state and value inputs, never an address port, and node ids
+        #: are never reused, so a resolution holds for the whole run.
+        self._resolved: dict[ValueRef, ResolvedAddress] = {}
         changes = self._hoist_and_forward(graph)
         changes += self._kill_overwritten(graph)
         return changes
+
+    def _resolve(self, graph: Graph, ref: ValueRef) -> ResolvedAddress:
+        resolved = self._resolved.get(ref)
+        if resolved is None:
+            resolved = self._resolved[ref] = resolve_address(graph, ref)
+        return resolved
 
     # -- fetch hoisting / forwarding -----------------------------------
 
@@ -96,14 +106,13 @@ class DependencyAnalysis(Transform):
         return changes
 
     def _process_fetch(self, graph: Graph, fetch: Node) -> int:
-        address = resolve_address(graph, fetch.inputs[1])
+        address = self._resolve(graph, fetch.inputs[1])
         state_ref = fetch.inputs[0]
-        hoisted = 0
         while True:
             producer = graph.producer(state_ref)
             if producer.kind not in _WRITERS:
                 break
-            writer_address = resolve_address(graph, producer.inputs[1])
+            writer_address = self._resolve(graph, producer.inputs[1])
             if definitely_same(address, writer_address):
                 if producer.kind is OpKind.ST:
                     # Forward the stored value.
@@ -116,7 +125,6 @@ class DependencyAnalysis(Transform):
             if may_alias(address, writer_address):
                 break
             state_ref = producer.inputs[0]
-            hoisted += 1
         if state_ref != fetch.inputs[0]:
             graph.set_input(fetch, 0, state_ref)
             return 1
@@ -137,9 +145,9 @@ class DependencyAnalysis(Transform):
             consumer = graph.node(consumer_id)
             if consumer.kind not in _WRITERS or slot != 0:
                 continue
-            if not definitely_same(resolve_address(graph, node.inputs[1]),
-                                   resolve_address(graph,
-                                                   consumer.inputs[1])):
+            if not definitely_same(self._resolve(graph, node.inputs[1]),
+                                   self._resolve(graph,
+                                                 consumer.inputs[1])):
                 continue
             # The write is observed by nobody and then overwritten.
             graph.set_input(consumer, 0, node.inputs[0])

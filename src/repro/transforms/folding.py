@@ -87,6 +87,18 @@ class ConstantFolding(Transform):
         return 1
 
 
+#: Every kind :meth:`AlgebraicSimplification._rule` has a rule for;
+#: the rest (fetches, stores, constants: most of an unrolled graph)
+#: are skipped before any operand is looked at.
+_RULE_KINDS = frozenset({
+    OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.MOD,
+    OpKind.AND, OpKind.OR, OpKind.XOR, OpKind.SHL, OpKind.SHR,
+    OpKind.EQ, OpKind.LE, OpKind.GE, OpKind.NE, OpKind.LT, OpKind.GT,
+    OpKind.LAND, OpKind.LOR, OpKind.MIN, OpKind.MAX,
+    OpKind.MUX, OpKind.NEG, OpKind.NOT, OpKind.ABS,
+})
+
+
 class AlgebraicSimplification(Transform):
     """Identity, absorption and same-operand rules.
 
@@ -129,6 +141,8 @@ class AlgebraicSimplification(Transform):
 
     def _rule(self, graph: Graph, node: Node):
         kind = node.kind
+        if kind not in _RULE_KINDS:
+            return None
         inputs = node.inputs
         if len(inputs) == 2:
             lhs, rhs = inputs

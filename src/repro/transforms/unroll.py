@@ -15,6 +15,13 @@ constants is emitted as a constant (and constant address arithmetic
 as a constant address), so induction variables stay statically
 evaluable from one iteration to the next without global re-folding.
 
+Splicing also reuses constants: every CONST or ADDR it would emit —
+a body constant copied into an iteration, or a folded value — is
+looked up first among those already emitted at the same graph level
+in this run, keyed on ``(kind, type(value), value)``.  CSE would merge
+the duplicates anyway, keeping the first, so the minimised graph is
+the same; the frontend just creates less than half as many nodes.
+
 If the condition stops being statically evaluable after *k* successful
 iterations, the *k* iterations stay spliced and the loop node remains
 with updated initial values — that is correct *loop peeling*
@@ -48,6 +55,9 @@ class UnrollLoops(Transform):
         self.width = width
 
     def run_on(self, graph: Graph) -> int:
+        #: (kind, type(value), value) -> the CONST/ADDR output this run
+        #: already emitted into *graph*; nothing here removes them.
+        self._emitted: dict[tuple, ValueRef] = {}
         changes = 0
         for node in graph.sorted_nodes():
             if node.id not in graph.nodes or node.kind is not OpKind.LOOP:
@@ -60,10 +70,11 @@ class UnrollLoops(Transform):
     def _unroll(self, graph: Graph, loop: Node) -> int:
         names = loop.value
         body = loop.bodies[0]
+        outputs = Graph.body_outputs(body)
         refs: dict[str, ValueRef] = dict(zip(names, loop.inputs))
         spliced = 0
         while spliced < self.max_iterations:
-            condition = self._eval_condition(graph, body, refs)
+            condition = self._eval_condition(graph, body, outputs, refs)
             if condition is None:
                 break
             if condition == 0:
@@ -71,7 +82,7 @@ class UnrollLoops(Transform):
                     graph.replace_uses(loop.out(index), refs[name])
                 graph.remove(loop.id)
                 return spliced + 1
-            refs = self._splice_iteration(graph, body, refs)
+            refs = self._splice_iteration(graph, body, outputs, refs)
             spliced += 1
         if spliced:
             # Peeled a prefix; the residual loop restarts from the
@@ -82,9 +93,9 @@ class UnrollLoops(Transform):
     # -- static condition evaluation -------------------------------------
 
     def _eval_condition(self, graph: Graph, body: Graph,
-                        refs: dict[str, ValueRef]) -> int | None:
+                        outputs: dict, refs: dict[str, ValueRef]
+                        ) -> int | None:
         """Evaluate the body's condition output; None if not static."""
-        outputs = Graph.body_outputs(body)
         cond_node = outputs.get(COND_SLOT)
         if cond_node is None:
             return None
@@ -145,30 +156,33 @@ class UnrollLoops(Transform):
 
     # -- splicing -----------------------------------------------------------
 
-    def _splice_iteration(self, graph: Graph, body: Graph,
+    def _splice_iteration(self, graph: Graph, body: Graph, outputs: dict,
                           refs: dict[str, ValueRef]) -> dict[str, ValueRef]:
         """Copy one body iteration into *graph*; return next refs."""
         mapping: dict[ValueRef, ValueRef] = {}
-        for slot, input_node in Graph.body_inputs(body).items():
-            mapping[input_node.out()] = refs[slot]
         for node in body.topo_order():
-            if node.kind in (OpKind.INPUT, OpKind.OUTPUT):
+            kind = node.kind
+            if kind is OpKind.INPUT:
+                mapping[(node.id, 0)] = refs[node.value]
+                continue
+            if kind is OpKind.OUTPUT:
+                continue
+            if kind is OpKind.CONST or kind is OpKind.ADDR:
+                mapping[(node.id, 0)] = self._constant(
+                    graph, kind, node.value, node.name)
                 continue
             inputs = [mapping[ref] for ref in node.inputs]
-            copied_ref = self._emit_folded(graph, node, inputs,
-                                           self.width)
-            if copied_ref is not None:
-                mapping[node.out()] = copied_ref
-            else:
-                copied = graph.add(
-                    kind=node.kind, inputs=inputs, value=node.value,
-                    name=node.name,
-                    bodies=tuple(b.clone() for b in node.bodies),
-                    n_outputs=node.n_outputs)
-                for index in range(node.n_outputs):
-                    mapping[node.out(index)] = copied.out(index)
+            folded = self._emit_folded(graph, node, inputs)
+            if folded is not None:
+                mapping[(node.id, 0)] = folded
+                continue
+            copied = graph.add(
+                kind, inputs, node.value, node.name,
+                tuple(b.clone() for b in node.bodies),
+                node.n_outputs)
+            for index in range(node.n_outputs):
+                mapping[(node.id, index)] = (copied.id, index)
         next_refs: dict[str, ValueRef] = {}
-        outputs = Graph.body_outputs(body)
         for name in refs:
             output_node = outputs.get(name)
             if output_node is None:
@@ -177,16 +191,27 @@ class UnrollLoops(Transform):
                 next_refs[name] = mapping[output_node.inputs[0]]
         return next_refs
 
-    @staticmethod
-    def _emit_folded(graph: Graph, node: Node, inputs: list[ValueRef],
-                     width: int | None) -> ValueRef | None:
+    def _constant(self, graph: Graph, kind: OpKind, value,
+                  name: str | None = None) -> ValueRef:
+        """The CONST/ADDR output holding *value*, emitted at most once
+        per run (the type is part of the key: ``True == 1``)."""
+        key = (kind, type(value), value)
+        ref = self._emitted.get(key)
+        if ref is None:
+            ref = graph.add(kind, value=value, name=name).out()
+            self._emitted[key] = ref
+        return ref
+
+    def _emit_folded(self, graph: Graph, node: Node,
+                     inputs: list[ValueRef]) -> ValueRef | None:
         """Fold-on-copy: emit a CONST/ADDR instead of copying when all
         operands are already constant in the parent graph."""
         if node.kind is OpKind.ADDR_ADD:
             base = graph.producer(inputs[0])
             offset = graph.producer(inputs[1])
             if base.kind is OpKind.ADDR and offset.kind is OpKind.CONST:
-                return graph.addr(base.value.shifted(offset.value)).out()
+                return self._constant(graph, OpKind.ADDR,
+                                      base.value.shifted(offset.value))
             return None
         if not can_eval(node.kind) or not inputs:
             return None
@@ -196,5 +221,6 @@ class UnrollLoops(Transform):
             if producer.kind is not OpKind.CONST:
                 return None
             operands.append(producer.value)
-        return graph.const(eval_op(node.kind, *operands,
-                                   width=width)).out()
+        return self._constant(graph, OpKind.CONST,
+                              eval_op(node.kind, *operands,
+                                      width=self.width))

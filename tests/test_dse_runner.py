@@ -121,6 +121,17 @@ class TestFrontendReuse:
         assert result.ok_records()
 
 
+def test_sink_timings_include_the_verify_stage():
+    """A job's profile covers the whole per-point cost, verification
+    included, and the timings stay out of the record."""
+    sink: dict = {}
+    record = evaluate_point(FIR5, DesignPoint.make(), verify_seed=1,
+                            sink=sink)
+    assert record["verified"] is True
+    assert sink["timings"]["verify"] > 0.0
+    assert "timings" not in record
+
+
 class TestCacheAcceptance:
     """The ISSUE's hard acceptance criteria, asserted end to end."""
 

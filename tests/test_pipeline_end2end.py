@@ -168,11 +168,22 @@ class TestFrontendBackendSplit:
         assert sorted(frontend.minimised.nodes) == node_ids
 
     def test_report_carries_stage_timings(self):
-        report = map_source(get_kernel("fir5").source)
+        kernel = get_kernel("fir5")
+        report = map_source(kernel.source)
         for stage in ("parse", "transforms", "taskgraph", "cluster",
                       "schedule", "allocate"):
             assert report.timings.get(stage, -1.0) >= 0.0
         assert "multitile" not in report.timings
+        assert "verify" not in report.timings
+        verify_mapping(report, kernel.initial_state())
+        assert report.timings.get("verify", -1.0) > 0.0
+
+    def test_failed_verification_is_timed_too(self):
+        report = map_source("void main() { x = 1; }")
+        report.original = map_source("void main() { x = 2; }").original
+        with pytest.raises(VerificationError):
+            verify_mapping(report)
+        assert report.timings.get("verify", -1.0) > 0.0
 
     def test_multitile_stage_timed_when_enabled(self):
         from repro.arch.tilearray import TileArrayParams

@@ -122,6 +122,52 @@ def test_legacy_flat_directory_opens_in_place(tmp_path):
     assert manifest_rows(tmp_path).keys() == payloads.keys()
 
 
+def test_lazy_rebuild_keeps_a_row_recorded_after_its_scan(tmp_path,
+                                                         monkeypatch):
+    """Two instances open one old flat directory.  The first one's
+    lazy rebuild scans the files and then stalls; meanwhile the
+    second indexes the directory and records a fresh put.  When the
+    stalled rebuild writes, the fresh put's row must survive — it
+    used to be wiped by the rebuild's ``DELETE FROM entries``."""
+    import threading
+
+    from repro.dse import cache as cache_module
+
+    for n in range(3):
+        path = tmp_path / key_for(n)[:2] / f"{key_for(n)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record_for(n)))
+    real_scan = cache_module._scan_records
+    scanned, resume = threading.Event(), threading.Event()
+
+    def stalled_first_scan(root):
+        rows = real_scan(root)
+        if not scanned.is_set():
+            scanned.set()
+            assert resume.wait(timeout=30)
+        return rows
+
+    monkeypatch.setattr(cache_module, "_scan_records", stalled_first_scan)
+    first = ResultCache(tmp_path)
+    opener = threading.Thread(target=len, args=(first,))
+    opener.start()
+    assert scanned.wait(timeout=30)
+    second = ResultCache(tmp_path)
+    assert second.put(key_for(3), record_for(3))
+    resume.set()
+    opener.join(timeout=30)
+    assert not opener.is_alive()
+
+    keys = {key_for(n) for n in range(4)}
+    assert manifest_rows(tmp_path).keys() == keys
+    assert len(ResultCache(tmp_path)) == 4
+    # The rebuilt rows are older than the put that raced them, so the
+    # fresh record is the last the LRU bound would evict.
+    stamps = {key: stamp for key, (__, stamp)
+              in manifest_rows(tmp_path).items()}
+    assert max(stamps, key=stamps.get) == key_for(3)
+
+
 def test_keys_and_stats_come_from_the_manifest(tmp_path):
     cache = ResultCache(tmp_path)
     for n in range(4):

@@ -5,6 +5,8 @@ from repro.cdfg.graph import Graph
 from repro.cdfg.interp import run_graph
 from repro.cdfg.ops import OpKind
 from repro.cdfg.statespace import StateSpace
+from repro.eval.kernels import fir_source
+from repro.transforms.cse import CommonSubexpressionElimination
 from repro.transforms.unroll import UnrollLoops
 
 from tests.conftest import assert_behaviour_preserved
@@ -107,6 +109,27 @@ class TestNonStaticLoops:
 
 
 class TestUnrollingQuality:
+    def test_unrolling_emits_each_constant_once(self):
+        """Splicing reuses the CONST/ADDR nodes it already emitted
+        instead of minting duplicates for CSE to delete: after
+        unrolling a 64-tap FIR no two constants the unroller emitted
+        hold the same value, so the following CSE merges none of
+        them.  (The builder's own constants are not the unroller's to
+        share; CSE still merges those.)"""
+        graph = build_main_cdfg(fir_source(64))
+        first_emitted = max(graph.nodes) + 1
+        UnrollLoops().run(graph)
+        emitted = {kind: [node for node in graph.find(kind)
+                          if node.id >= first_emitted]
+                   for kind in (OpKind.CONST, OpKind.ADDR)}
+        for kind, nodes in emitted.items():
+            values = [(type(node.value), node.value) for node in nodes]
+            assert len(values) == len(set(values)), kind
+        CommonSubexpressionElimination().run(graph)
+        for kind, nodes in emitted.items():
+            merged = [node for node in nodes if node.id not in graph.nodes]
+            assert not merged, kind
+
     def test_fold_on_copy_keeps_induction_constant(self):
         graph = build("i = 0; while (i < 4) { s = s + a[i]; i = i + 1; }")
         UnrollLoops().run(graph)
