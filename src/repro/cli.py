@@ -1,6 +1,6 @@
 """Command-line driver: map C onto an FPFA tile, or explore tiles.
 
-Eight subcommands::
+Seven subcommands::
 
     fpfa-map map program.c [--listing] [--schedule] [--cdfg]
              [--profile] [--dot out.dot] [--pps N] [--buses N]
@@ -32,9 +32,6 @@ Eight subcommands::
     fpfa-map jobs   [--host H] [--port P] [--job ID] [--follow]
              [--state STATE] [--json PATH]
 
-    fpfa-map dashboard --remote URL[,URL...] [--host H] [--port P]
-             [--interval S]
-
     fpfa-map trace  record <explore flags> [--trace-log PATH]
              | export --log PATH [--out PATH] [--remote URL[,..]]
              | report --log PATH
@@ -42,8 +39,7 @@ Eight subcommands::
 
 (See ``docs/cli.md`` for the full flag reference,
 ``docs/service.md`` for the daemon protocol and
-``docs/observability.md`` for the dashboard and distributed
-tracing.)
+``docs/observability.md`` for metrics and distributed tracing.)
 
 ``map`` preserves the original single-point behaviour (and plain
 ``fpfa-map program.c`` still works — a missing subcommand defaults to
@@ -89,7 +85,7 @@ from repro.core.pipeline import (
 from repro.eval.metrics import mapping_metrics
 
 SUBCOMMANDS = ("map", "explore", "serve", "submit", "jobs",
-               "dashboard", "cache", "trace", "lint")
+               "cache", "trace")
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +236,6 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", dest="json_path",
                         help="dump the raw job view(s) as JSON "
                              "('-' for stdout)")
-
-
-def _add_dashboard_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--remote", action="append", required=True,
-                        metavar="URL[,URL...]",
-                        help="running `fpfa-map serve` daemons to "
-                             "watch (repeatable or comma-separated) "
-                             "— the same flag `explore --remote` "
-                             "takes")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="dashboard bind address (default "
-                             "127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8600,
-                        help="dashboard bind port (default 8600, "
-                             "0 picks a free one)")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        metavar="S",
-                        help="fleet poll period in seconds "
-                             "(default 1.0)")
 
 
 def _add_explore_arguments(parser: argparse.ArgumentParser) -> None:
@@ -445,22 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one mapping job to a running daemon"))
     _add_jobs_arguments(subparsers.add_parser(
         "jobs", help="inspect a running daemon's jobs"))
-    _add_dashboard_arguments(subparsers.add_parser(
-        "dashboard", help="serve the live fleet dashboard "
-                          "(repro.obs)"))
     _add_cache_arguments(subparsers.add_parser(
         "cache", help="inspect or maintain a result-cache / "
                       "artifact-store directory"))
     _add_trace_arguments(subparsers.add_parser(
         "trace", help="record, export and analyse distributed "
                       "traces (repro.obs)"))
-    lint = subparsers.add_parser(
-        "lint", help="run fpfa-lint, the repo-invariant static "
-                     "analysis suite (tools/fpfa_lint)")
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                      help="arguments passed through to "
-                           "`python -m tools.fpfa_lint` "
-                           "(try: --list-checkers)")
     return parser
 
 
@@ -844,8 +811,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # stats.as_dict() is the full provenance ledger: for a
         # --remote run it is a DistributedSweepStats, so the
         # shard/steal/fallback counters (daemons, leases, stolen,
-        # local_records, ...) land in the payload for scripts and
-        # dashboards.
+        # local_records, ...) land in the payload for scripts.
         _dump_json({
             "workload": workload,
             "strategy": args.strategy,
@@ -1016,18 +982,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dashboard(args: argparse.Namespace) -> int:
-    from repro.dse.distributed import DistributedError
-    from repro.obs.dashboard import serve_dashboard
-
-    try:
-        serve_dashboard(args.remote, host=args.host, port=args.port,
-                        interval=args.interval)
-    except DistributedError as error:
-        raise SystemExit(str(error))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # fpfa-map trace  (the distributed-tracing surface)
 # ---------------------------------------------------------------------------
@@ -1128,23 +1082,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if report["total"] > 0 else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Passthrough to ``python -m tools.fpfa_lint`` that works from
-    any cwd — the linter lives outside the installed package, so it
-    needs a repository checkout."""
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    if not os.path.isdir(os.path.join(root, "tools", "fpfa_lint")):
-        print(f"fpfa-map lint: no tools/fpfa_lint under {root} — "
-              f"linting needs a repository checkout",
-              file=sys.stderr)
-        return 2
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from tools.fpfa_lint.__main__ import main as lint_main
-    return lint_main(args.lint_args)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -1160,18 +1097,11 @@ def main(argv: list[str] | None = None) -> int:
                  or (len(argv) == 1 and os.path.isfile(argv[0]))) \
             and argv[0] not in ("-h", "--help"):
         argv.insert(0, "map")
-    if argv and argv[0] == "lint":
-        # Routed before argparse: REMAINDER cannot start with an
-        # option string on newer Pythons, and fpfa-lint owns its
-        # own --help anyway.
-        return _cmd_lint(argparse.Namespace(command="lint",
-                                            lint_args=argv[1:]))
     args = _build_parser().parse_args(argv)
     commands = {"map": _cmd_map, "explore": _cmd_explore,
                 "serve": _cmd_serve, "submit": _cmd_submit,
-                "jobs": _cmd_jobs, "dashboard": _cmd_dashboard,
-                "cache": _cmd_cache, "trace": _cmd_trace,
-                "lint": _cmd_lint}
+                "jobs": _cmd_jobs, "cache": _cmd_cache,
+                "trace": _cmd_trace}
     return commands[args.command](args)
 
 

@@ -326,8 +326,6 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0          #: records removed by the bounds
         self.put_errors = 0         #: writes degraded to no-ops
         self.manifest_errors = 0    #: manifest ops that failed
@@ -423,7 +421,7 @@ class ResultCache:
     # -- access -------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
-        """The memoised record for *key*, or None (counts hit/miss).
+        """The memoised record for *key*, or None.
 
         Reads the record *file* — the truth — so a record a foreign
         flat writer added behind the manifest's back is still served
@@ -442,17 +440,13 @@ class ResultCache:
             # Heal a row whose file vanished (a foreign eviction or
             # manual deletion); harmless when no row exists.
             self._manifest_op(lambda m: m.remove(key), None)
-            self.misses += 1
             return None
         except (OSError, ValueError):
             self._discard(path, key)
-            self.misses += 1
             return None
         if not isinstance(record, dict):
             self._discard(path, key)
-            self.misses += 1
             return None
-        self.hits += 1
 
         def note_access(manifest: _Manifest) -> None:
             if not manifest.touch(key):
@@ -464,8 +458,8 @@ class ResultCache:
         return record
 
     def probe(self, key: str, *, want_verified: bool = False) -> bool:
-        """Whether *key* holds a servable record — without counting a
-        hit/miss and (with a live manifest) without touching the file.
+        """Whether *key* holds a servable record — with a live
+        manifest, without touching the file.
 
         Unlike a bare ``path.exists()``, a poisoned entry (garbage
         bytes under a valid key path) is **not** reported present:
@@ -565,15 +559,6 @@ class ResultCache:
                                bool(record.get("verified"))), None)
         self._enforce_bounds(protect=key)
         return True
-
-    def downgrade_hit(self) -> None:
-        """Reclassify the most recent hit as a miss — used when the
-        caller rejects a returned record (e.g. it lacks verification
-        this sweep promises), so hit_rate reflects records actually
-        served."""
-        if self.hits > 0:
-            self.hits -= 1
-            self.misses += 1
 
     # -- bounds + eviction --------------------------------------------
 
@@ -743,10 +728,7 @@ class ResultCache:
 
         Also removes the emptied two-hex shard directories (an
         operator pointing ``du``/``ls`` at a cleared store should see
-        an empty store) and resets the hit/miss counters — a cleared
-        store's ``stats()`` starts from zero, so a ``/stats`` reader
-        sees hit_rate describing the store that exists now, not the
-        one that was thrown away.
+        an empty store).
         """
         removed = 0
         for path in sorted(self.root.glob("??/*.json")):
@@ -766,20 +748,14 @@ class ResultCache:
                 pass
         self._manifest_op(lambda m: m.clear(), None)
         self._entries = 0
-        self.hits = 0
-        self.misses = 0
         return removed
 
     def stats(self) -> dict:
-        total = self.hits + self.misses
         totals = self._manifest_op(lambda m: m.totals())
         stored_bytes = None if totals is _UNAVAILABLE else totals[1]
         return {
             "entries": len(self),
             "bytes": stored_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hits / total, 3) if total else 0.0,
             "evictions": self.evictions,
             "put_errors": self.put_errors,
             "max_entries": self.max_entries,

@@ -205,7 +205,7 @@ class SweepStats:
         Subclasses (:class:`repro.dse.distributed
         .DistributedSweepStats`) inherit this, so a remote run's
         shard/steal/fallback counters flow into the same payload
-        field — scripts and dashboards read one shape either way.
+        field — scripts read one shape either way.
         """
         return dict(vars(self))
 
@@ -477,7 +477,6 @@ def _cache_pass(source: str, points: list[DesignPoint], cache,
             # verified; this sweep promises verification, so the hit
             # does not satisfy it — re-evaluate (and re-cache with
             # the verified flag).
-            cache.downgrade_hit()
             record = None
         if record is not None:
             by_key[key] = record

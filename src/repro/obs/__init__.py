@@ -1,8 +1,8 @@
-"""Fleet observability: tracing spans, metrics, and the dashboard.
+"""Fleet observability: tracing spans, metrics and trace analysis.
 
 The PR 1–5 arc turned the paper's single-shot mapping flow into a
 daemon fleet running sharded sweeps; :mod:`repro.obs` is the layer
-that makes that fleet watchable.  Three parts, each consumable on its
+that makes that fleet watchable.  Four parts, each consumable on its
 own:
 
 * :mod:`repro.obs.trace` — a lightweight in-process span/event
@@ -17,10 +17,6 @@ own:
   renderer and a strict parser.  The daemon exposes a registry as
   ``GET /metrics``; the parser is what the unit and fleet tests
   validate the endpoint with.
-* :mod:`repro.obs.dashboard` — ``fpfa-map dashboard``: a stdlib-only
-  HTTP + SSE server that polls ``/stats`` and ``/metrics`` across a
-  daemon fleet, tails job NDJSON event streams, and serves a live
-  single-page ops view.
 * :mod:`repro.obs.export` — the sweep flight recorder: spans carry
   W3C-style trace/span/parent ids, stream to an NDJSON log beside
   the cache, stitch across processes (``fpfa-map trace record``)
@@ -36,8 +32,7 @@ allowed to change a mapped artifact, a record, or a payload — with
 tracing enabled or disabled, every surface stays bit-identical
 (enforced by the equivalence tests in ``tests/test_obs.py``).
 
-See ``docs/observability.md`` for span names, metric families and a
-dashboard walkthrough.
+See ``docs/observability.md`` for span names and metric families.
 """
 
 from repro.obs.critical import critical_path, render_critical

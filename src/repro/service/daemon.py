@@ -496,7 +496,7 @@ class MappingService:
         The daemon's own counts live here and nowhere else: they are
         bumped at event time, and ``describe()["service"]`` reads
         them back.  Only the totals the queue and the store keep
-        (``coalesced``, evictions, hits, ...) and the gauges are
+        (``coalesced``, evictions, ...) and the gauges are
         adopted at scrape time in :meth:`_sync_metrics`.
         """
         registry = self.metrics
@@ -550,16 +550,12 @@ class MappingService:
             labels=("kind",))
         self._m_store_entries = registry.gauge(
             "fpfa_store_entries", "Records in the artifact store.")
-        self._m_store_hit_rate = registry.gauge(
-            "fpfa_store_hit_rate",
-            "Fraction of store lookups that hit.")
         self._m_store_counters = {
             name: registry.counter(
                 f"fpfa_store_{name}",
                 f"Lifetime artifact store "
                 f"{name.replace('_', ' ')}.")
-            for name in ("hits", "misses", "evictions",
-                         "put_errors")}
+            for name in ("evictions", "put_errors")}
         self._m_store_bytes = registry.gauge(
             "fpfa_store_bytes",
             "Bytes of records in the artifact store (from the "
@@ -616,7 +612,6 @@ class MappingService:
             self._m_queue_states.set(count, state=state)
         store = described["store"]
         self._m_store_entries.set(store["entries"])
-        self._m_store_hit_rate.set(store["hit_rate"])
         if store.get("bytes") is not None:
             self._m_store_bytes.set(store["bytes"])
         for name, counter in self._m_store_counters.items():

@@ -96,8 +96,8 @@ class Job:
         trace_id = self.trace_id
         if trace_id is not None:
             # Every streamed event names its trace, so a follower
-            # (``fpfa-map jobs --follow``, the dashboard timeline)
-            # links straight to the exported trace.
+            # (``fpfa-map jobs --follow``) links straight to the
+            # exported trace.
             entry.setdefault("trace", trace_id)
         self.events.append(entry)
         return entry

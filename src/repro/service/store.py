@@ -2,7 +2,7 @@
 
 :class:`ArtifactStore` **is** a :class:`repro.dse.cache.ResultCache`:
 same sharded directory layout, same atomic-rename writes, same
-corrupt-entry recovery, same hit/miss/downgrade accounting, and —
+corrupt-entry recovery, and —
 because map jobs are keyed by :func:`repro.dse.cache.cache_key` —
 the same keys.  Point an exploration sweep's ``--cache`` at a
 daemon's store directory (or the daemon at an old sweep cache) and
@@ -13,7 +13,7 @@ What the service adds on top is *policy*, not format:
 
 * :meth:`lookup` applies the runner's verification rule (an
   unverified record never satisfies a verifying request — it is
-  downgraded and recomputed) and tags provenance;
+  recomputed) and tags provenance;
 * :meth:`admit` enforces the ok-only rule (failures are never
   memoised — a transient worker failure must not poison the key).
 
@@ -35,18 +35,15 @@ class ArtifactStore(ResultCache):
                want_verified: bool = False) -> dict | None:
         """The stored record for *key*, honouring verification.
 
-        Returns ``None`` (and reclassifies the hit as a miss) when
-        the caller requires verification but the stored record was
-        produced by a run that never verified — mirroring
+        Returns ``None`` when the caller requires verification but
+        the stored record was produced by a run that never verified
+        — mirroring
         ``run_sweep``'s cache rule, so daemon and sweep agree on what
         a usable record is.
         """
         record = self.get(key)
-        if record is None:
-            return None
-        if want_verified and record.get("ok") \
+        if want_verified and record is not None and record.get("ok") \
                 and not record.get("verified"):
-            self.downgrade_hit()
             return None
         return record
 

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import http.client
-import json
 import random
-import time
 
 import pytest
 
@@ -69,31 +66,3 @@ def assert_behaviour_preserved(source: str, transform, states,
             f"actual   {actual.state!r}")
         assert actual.outputs == expected.outputs
     return transformed
-
-
-def read_sse_frames(host, port, predicate, timeout=30.0):
-    """Open a dashboard's ``/events`` and collect ``data:`` frames
-    until *predicate*(frames) is true or *timeout* elapses; the
-    frames."""
-    connection = http.client.HTTPConnection(host, port,
-                                            timeout=timeout)
-    frames = []
-    try:
-        connection.request("GET", "/events")
-        response = connection.getresponse()
-        assert response.status == 200
-        assert response.getheader("Content-Type") \
-            == "text/event-stream"
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            line = response.readline()
-            if not line:
-                break
-            line = line.strip()
-            if line.startswith(b"data: "):
-                frames.append(json.loads(line[len(b"data: "):]))
-                if predicate(frames):
-                    break
-    finally:
-        connection.close()
-    return frames

@@ -477,16 +477,9 @@ def test_explore_cache_bounds_require_cache():
               "--cache-max-entries", "2"])
 
 
-def test_lint_subcommand_passthrough(capsys):
-    from repro.cli import main as cli_main
-
-    assert cli_main(["lint", "--list-checkers"]) == 0
+def test_help_lists_exactly_the_subcommands(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    assert "FPL001" in out and "FPL007" in out
-
-
-def test_lint_subcommand_self_check(capsys):
-    from repro.cli import main as cli_main
-
-    assert cli_main(["lint"]) == 0
-    assert "clean" in capsys.readouterr().out
+    assert "{map,explore,serve,submit,jobs,cache,trace}" in out

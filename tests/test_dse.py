@@ -147,8 +147,8 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"ok": True, "metrics": {"cycles": 7}})
         assert cache.get(key) == {"ok": True, "metrics": {"cycles": 7}}
-        assert cache.hits == 1 and cache.misses == 1
         assert key in cache and len(cache) == 1
+        assert cache.stats()["entries"] == 1
 
     def test_key_is_stable_across_instances(self, tmp_path):
         point = DesignPoint.make({"n_pps": 2}, "mac")
@@ -171,7 +171,7 @@ class TestResultCache:
         assert cache.clear() == 3
         assert len(cache) == 0
 
-    def test_stats_hit_rate(self, tmp_path):
+    def test_stats_fields(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key("src", DesignPoint.make())
         cache.get(key)
@@ -179,8 +179,11 @@ class TestResultCache:
         cache.get(key)
         stats = cache.stats()
         assert stats["entries"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
+        # Hits are counted by whoever serves them (a sweep's
+        # stats.cached, the daemon's service.store_hits): several
+        # instances open one directory, so a per-instance tally
+        # would under-count.
+        assert not {"hits", "misses", "hit_rate"} & set(stats)
         # The tiered-store fields ride along, zeroed/idle here.
         assert stats["bytes"] == cache.path_for(key).stat().st_size
         assert stats["evictions"] == 0 and stats["put_errors"] == 0

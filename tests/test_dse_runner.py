@@ -209,7 +209,7 @@ class TestCacheAcceptance:
                             verify_seed=0)
         assert checked.stats.evaluated == 2  # hits not trusted
         assert all(r["verified"] for r in checked.records)
-        assert cache.hits == 0  # discarded hits count as misses
+        assert checked.stats.cached == 0  # ... nor counted as hits
         again = run_sweep(FIR5, points, workers=1, cache=cache,
                           verify_seed=5)
         assert again.stats.cached == 2  # verified once is enough

@@ -41,7 +41,6 @@ from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import KERNELS, get_kernel
 from repro.obs.critical import critical_path, render_critical
-from repro.obs.dashboard import DashboardServer, FleetCollector
 from repro.obs.export import (
     TRACE_LOG_NAME,
     harvest_daemons,
@@ -53,7 +52,6 @@ from repro.obs.metrics import parse_prometheus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.resilience import RetryPolicy
 from repro.service.subproc import DaemonProcess
-from tests.conftest import read_sse_frames
 
 KERNEL = "fir5"
 SOURCE = get_kernel(KERNEL).source
@@ -84,13 +82,13 @@ REQUIRED_FAMILIES = {
     "fpfa_service_submits_total": "counter",
     "fpfa_service_computed_total": "counter",
     "fpfa_service_failed_total": "counter",
+    "fpfa_service_store_hits_total": "counter",
     "fpfa_queue_depth": "gauge",
     "fpfa_queue_coalesced_total": "counter",
     "fpfa_jobs_total": "counter",
     "fpfa_job_wait_seconds": "histogram",
     "fpfa_job_runtime_seconds": "histogram",
     "fpfa_store_entries": "gauge",
-    "fpfa_store_hits_total": "counter",
     "fpfa_workers": "gauge",
     "fpfa_chunk_leases_total": "counter",
     "fpfa_chunk_releases_total": "counter",
@@ -411,12 +409,10 @@ def test_store_peer_fetch_serves_warm_records(fleet, truth):
 
 # -- observability ----------------------------------------------------------
 
-def test_obs_metrics_stats_and_dashboard_follow_the_fleet(fleet,
-                                                         truth):
-    """``/metrics`` parses strictly and agrees with ``/stats``; the
-    dashboard serves its index and ``/api/fleet`` against the live
-    fleet, and its SSE frames show a sharded sweep happen on both
-    daemons without changing the sweep's records."""
+def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
+    """``/metrics`` parses strictly and agrees with ``/stats``, and a
+    sharded sweep leases chunks to both daemons without changing the
+    sweep's records."""
     daemons = fleet(workers=SERVICE_WORKERS, worker_mode="process")
     client = ServiceClient(*daemons[0].address)
     for kernel in KERNELS[:3]:
@@ -437,70 +433,27 @@ def test_obs_metrics_stats_and_dashboard_follow_the_fleet(fleet,
     for family, kind in REQUIRED_FAMILIES.items():
         assert parsed.family(family)["type"] == kind, family
     stats = client.stats()
-    assert parsed.value("fpfa_service_submits_total") \
-        == stats["service"]["submits"]
-    assert parsed.value("fpfa_service_computed_total") \
-        == stats["service"]["computed"]
+    assert stats["service"]["store_hits"] == 1
+    for name in ("submits", "computed", "failed", "store_hits"):
+        assert parsed.value(f"fpfa_service_{name}_total") \
+            == stats["service"][name], name
     assert parsed.value("fpfa_store_entries") \
         == stats["store"]["entries"]
     assert stats["uptime"] >= 0
     assert "started_at" in stats
 
-    remotes = ",".join(urls(daemons))
-    with FleetCollector(remotes, interval=0.1) as collector:
-        collector.wait(0, timeout=30)
-        with DashboardServer(collector) as server:
-            status, content_type, body = http_get(server.address, "/")
-            assert status == 200 and b"fleet dashboard" in body
-            assert content_type.startswith("text/html")
-            status, __, body = http_get(server.address, "/api/fleet")
-            assert status == 200
-            snapshot = json.loads(body)
-            assert snapshot["seq"] >= 1
-            assert [d["ok"] for d in snapshot["daemons"]] \
-                == [True] * DAEMONS
-
-            sweep = {}
-            runner = threading.Thread(target=lambda: sweep.update(
-                result=run_distributed_sweep(
-                    SOURCE, SPACE.grid(), remotes=remotes,
-                    chunk_size=CHUNK_SIZE)))
-            runner.start()
-
-            def sweep_visible(frames):
-                latest = frames[-1]
-                if not all(d.get("ok") for d in latest["daemons"]):
-                    return False
-                leases = sum(d["metrics"].get(
-                    "fpfa_chunk_leases_total", 0)
-                    for d in latest["daemons"])
-                done_on = {item["daemon"] for item in latest["timeline"]
-                           if item["kind"] == "sweep-chunk"
-                           and item["event"] == "done"}
-                # Job tails land a poll or two after the leases, so
-                # read on until both daemons show finished chunks.
-                return leases >= 2 and done_on == set(urls(daemons))
-
-            frames = read_sse_frames(*server.address, sweep_visible,
-                                     timeout=120)
-            runner.join(timeout=120)
-            assert not runner.is_alive()
-
-    assert frames, "no SSE frames at all"
-    assert frames[0]["seq"] >= snapshot["seq"]
-    final = frames[-1]
-    assert sweep_visible([final])
-    assert [d["url"] for d in final["daemons"]] == urls(daemons)
-    for entry in final["daemons"]:
-        assert entry["stats"]["uptime"] > 0
-        assert "fpfa_service_uptime_seconds" in entry["metrics"]
-    leased_by = {item["daemon"] for item in final["timeline"]
-                 if item["kind"] == "sweep-chunk"}
-    assert leased_by == set(urls(daemons))
-    result = sweep["result"]
+    result = run_distributed_sweep(SOURCE, SPACE.grid(),
+                                   remotes=",".join(urls(daemons)),
+                                   chunk_size=CHUNK_SIZE)
     assert canon(result.records) == truth
     assert result.stats.daemons == DAEMONS
     assert result.stats.remote_records == SPACE.size
+    for daemon in daemons:
+        status, __, body = http_get(daemon.address, "/metrics")
+        assert status == 200
+        leases = parse_prometheus(body.decode("utf-8")).value(
+            "fpfa_chunk_leases_total")
+        assert leases > 0, daemon.url
 
 
 # -- tracing ----------------------------------------------------------------

@@ -1,16 +1,13 @@
 """Tests for the observability layer (repro.obs) end to end.
 
-Four rings, inside out:
+Three rings, inside out:
 
 * the tracer and metrics primitives in isolation;
 * the daemon's ``GET /metrics`` exposition (validated with the same
   strict parser the fleet tests use) and the uptime fields on
   ``/stats``;
 * the NDJSON job event stream contract (ordering, terminal replay,
-  mid-stream disconnect);
-* the dashboard: collector + SSE front against an in-process daemon
-  (the live sharded sweep over a subprocess fleet, SSE payloads
-  asserted, runs in ``tests/test_fleet.py``).
+  mid-stream disconnect).
 
 Throughout, the layer's core invariant is pinned: **observation
 never mutates** — artifacts are bit-identical with tracing on.
@@ -29,11 +26,6 @@ from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
 from repro.obs import trace
-from repro.obs.dashboard import (
-    DashboardServer,
-    FleetCollector,
-    _flatten_metrics,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsParseError,
@@ -44,13 +36,17 @@ from repro.obs.trace import Tracer, scoped_tracing
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError
 from repro.service.protocol import job_key, normalise_request
-from tests.conftest import FIR_SOURCE, read_sse_frames
+from tests.conftest import FIR_SOURCE
 
 FIR5 = get_kernel("fir5").source
 
 
 def canon(payload):
     return json.dumps(payload, sort_keys=True)
+
+
+def url(thread):
+    return f"{thread.address[0]}:{thread.address[1]}"
 
 
 @pytest.fixture
@@ -336,7 +332,8 @@ class TestServiceMetricsEndpoint:
                 ("fpfa_job_wait_seconds", "histogram"),
                 ("fpfa_job_runtime_seconds", "histogram"),
                 ("fpfa_store_entries", "gauge"),
-                ("fpfa_store_hits_total", "counter"),
+                ("fpfa_service_store_hits_total", "counter"),
+                ("fpfa_store_evictions_total", "counter"),
                 ("fpfa_workers", "gauge"),
                 ("fpfa_chunk_leases_total", "counter"),
                 ("fpfa_chunk_releases_total", "counter"),
@@ -548,102 +545,3 @@ class TestExploreJsonStats:
         assert stats["remote_records"] == 3
         assert stats["stolen"] == 0
         assert stats["lost_daemons"] == 0
-
-
-# -- dashboard ------------------------------------------------------------
-
-def url(thread):
-    return f"{thread.address[0]}:{thread.address[1]}"
-
-
-class TestFlattenMetrics:
-    def test_labels_flatten_and_buckets_drop(self):
-        registry = MetricsRegistry()
-        registry.counter("fpfa_jobs", "Jobs.",
-                         labels=("kind", "state")) \
-            .inc(3, kind="map", state="done")
-        registry.histogram("fpfa_wait", "Wait.",
-                           buckets=(1.0,)).observe(0.5)
-        flat = _flatten_metrics(registry.render())
-        assert flat["fpfa_jobs_total{kind=map,state=done}"] == 3
-        assert flat["fpfa_wait_sum"] == 0.5
-        assert flat["fpfa_wait_count"] == 1
-        assert not any("bucket" in key for key in flat)
-
-    def test_garbage_yields_empty_dict(self):
-        assert _flatten_metrics("not prometheus at all") == {}
-
-
-class TestDashboardSingleDaemon:
-    def test_index_api_and_sse_against_one_daemon(self, daemon,
-                                                  client):
-        client.map_source(FIR_SOURCE, file="a.c")
-        with FleetCollector(url(daemon), interval=0.1) as collector:
-            with DashboardServer(collector) as server:
-                host, port = server.address
-
-                # The page itself.
-                connection = http.client.HTTPConnection(
-                    host, port, timeout=10)
-                connection.request("GET", "/")
-                response = connection.getresponse()
-                body = response.read()
-                assert response.status == 200
-                assert b"fleet dashboard" in body
-                assert b"EventSource" in body
-                connection.request("GET", "/nope")
-                response = connection.getresponse()
-                response.read()
-                assert response.status == 404
-                connection.close()
-
-                # SSE frames carry the fleet picture + job timeline.
-                frames = read_sse_frames(
-                    host, port,
-                    lambda fs: fs[-1]["daemons"][0].get("ok")
-                    and fs[-1]["timeline"])
-                last = frames[-1]
-                assert last["seq"] >= 1
-                entry = last["daemons"][0]
-                assert entry["url"] == url(daemon)
-                assert entry["ok"] is True
-                assert entry["stats"]["service"]["computed"] == 1
-                assert entry["metrics"][
-                    "fpfa_service_computed_total"] == 1
-                # The finished map job was tailed via replay.
-                timeline_events = [item["event"]
-                                   for item in last["timeline"]]
-                assert "queued" in timeline_events
-                assert "done" in timeline_events
-
-    def test_api_fleet_snapshot_and_seq_advances(self, daemon):
-        with FleetCollector(url(daemon), interval=0.05) as collector:
-            first = collector.wait(0, timeout=10)
-            assert first["seq"] >= 1
-            second = collector.wait(first["seq"], timeout=10)
-            assert second["seq"] > first["seq"]
-            with DashboardServer(collector) as server:
-                connection = http.client.HTTPConnection(
-                    *server.address, timeout=10)
-                try:
-                    connection.request("GET", "/api/fleet")
-                    response = connection.getresponse()
-                    payload = json.loads(response.read())
-                finally:
-                    connection.close()
-                assert response.status == 200
-                assert payload["daemons"][0]["ok"] is True
-
-    def test_down_daemon_renders_as_error_entry(self):
-        # Nobody listens on this port (bound-then-closed pattern
-        # would race; 1 is never listening on localhost).
-        with FleetCollector("127.0.0.1:1",
-                            interval=0.05, timeout=0.5) as collector:
-            snapshot = collector.wait(0, timeout=10)
-        entry = snapshot["daemons"][0]
-        assert entry["ok"] is False
-        assert entry["error"]
-
-    def test_empty_fleet_is_rejected(self):
-        with pytest.raises(ValueError):
-            FleetCollector([])

@@ -224,10 +224,13 @@ def test_verifying_client_never_trusts_an_unverified_record(client):
     assert payload["verified"] is True
     stats = client.stats()["service"]
     assert stats["computed"] == 2  # the unverified record re-ran
+    assert stats["store_hits"] == 0  # ... and was not counted a hit
     # And now the verified record serves both kinds of request.
     client.map_source(FIR_SOURCE, file="a.c", verify_seed=5)
     client.map_source(FIR_SOURCE, file="a.c")
-    assert client.stats()["service"]["computed"] == 2
+    stats = client.stats()["service"]
+    assert stats["computed"] == 2
+    assert stats["store_hits"] == 2
 
 
 # -- explore jobs ---------------------------------------------------------
@@ -255,6 +258,23 @@ def test_explore_sweep_reuses_map_job_artifacts(client):
     # One of the two sweep points is the map job's record.
     assert result["stats"]["cached"] == 1
     assert result["stats"]["evaluated"] == 1
+
+
+def test_repeated_explore_job_counts_its_hits_in_the_sweep(client):
+    """An explore job opens its own view of the store, so its hits
+    are counted where they happen — the sweep's ``stats.cached`` —
+    and ``/stats["store"]`` reports no hit figure it never sees."""
+    request = {"kind": "explore", "source": FIR_SOURCE,
+               "dimensions": {"n_pps": [1, 2, 3], "n_buses": [4, 10]},
+               "objectives": ["cycles"]}
+    results = [client.result(client.submit(request)["job"]["id"])
+               for __ in range(2)]
+    assert [r["stats"]["cached"] for r in results] == [0, 6]
+    assert results[1]["records"] == results[0]["records"]
+    stats = client.stats()
+    assert stats["store"]["entries"] == 6
+    assert not {"hits", "misses", "hit_rate"} & set(stats["store"])
+    assert stats["service"]["store_hits"] == 0
 
 
 # -- status, events, failures ---------------------------------------------

@@ -44,8 +44,8 @@ def test_corrupt_entry_is_deleted_and_misses(tmp_path, garbage):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(garbage)
     assert cache.get(KEY) is None
-    assert cache.misses == 1
     assert not path.exists(), "poisoned entry must be removed"
+    assert KEY not in cache
     # The key is immediately writable again.
     cache.put(KEY, _record(7))
     assert cache.get(KEY)["n"] == 7
@@ -54,7 +54,7 @@ def test_corrupt_entry_is_deleted_and_misses(tmp_path, garbage):
 def test_missing_entry_is_a_plain_miss(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get(KEY) is None
-    assert cache.misses == 1
+    assert len(cache) == 0 and list(tmp_path.glob("??")) == []
 
 
 def test_corrupt_entry_does_not_abort_a_sweep(tmp_path):
@@ -69,6 +69,7 @@ def test_corrupt_entry_does_not_abort_a_sweep(tmp_path):
     result = run_sweep(FIR_SOURCE, [point], workers=1, cache=cache)
     assert result.records[0]["ok"]
     assert result.stats.evaluated == 1
+    assert result.stats.cached == 0
     # The fresh record replaced the garbage.
     assert json.loads(path.read_text())["ok"] is True
 
@@ -91,19 +92,6 @@ def test_admit_rejects_failure_records(tmp_path):
     assert len(store) == 1
 
 
-def test_probe_never_counts_hits_or_misses(tmp_path):
-    """The peering probe (``/store/has``) must not pollute a daemon's
-    hit-rate: probing is inventory, not service."""
-    store = ArtifactStore(tmp_path)
-    store.put(KEY, _record(1))
-    assert store.probe(KEY) is True
-    assert store.probe("ff" * 32) is False
-    assert store.hits == 0 and store.misses == 0
-    # lookup still counts.
-    assert store.lookup(KEY) is not None
-    assert store.hits == 1
-
-
 def test_admit_reports_failed_writes(tmp_path, monkeypatch):
     """A full disk turns admit into ``False`` (the daemon keeps
     serving from memory), never an exception."""
@@ -121,10 +109,8 @@ def test_lookup_honours_verification(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put(KEY, _record(1))
     assert store.lookup(KEY) is not None
-    # Unverified record cannot satisfy a verifying caller; the hit is
-    # reclassified.
+    # Unverified record cannot satisfy a verifying caller.
     assert store.lookup(KEY, want_verified=True) is None
-    assert store.hits == 1 and store.misses == 1
     store.put(KEY, _record(1, verified=True))
     assert store.lookup(KEY, want_verified=True) is not None
 
@@ -227,13 +213,14 @@ def test_store_fetch_returns_records_verbatim(peer_daemon):
 
 
 def test_store_has_does_not_move_the_hit_rate(peer_daemon):
+    """Peer probes are inventory, not service: they move neither
+    term of the daemon's store hit rate (``store_hits / submits``)."""
     client, thread = peer_daemon
-    before = client.stats()["store"]
     client.store_has([KEY, "00" * 32])
-    after = client.stats()["store"]
-    assert after["hits"] == before["hits"]
-    assert after["misses"] == before["misses"]
-    assert client.stats()["service"]["peer_queries"] >= 1
+    client.store_fetch([KEY])
+    service = client.stats()["service"]
+    assert service["store_hits"] == 0 and service["submits"] == 0
+    assert service["peer_queries"] >= 2
 
 
 @pytest.mark.parametrize("body", [
@@ -253,15 +240,13 @@ def test_store_endpoints_reject_malformed_keys(peer_daemon, body):
 
 def test_stats_after_server_side_clear(peer_daemon):
     """``cache clear`` against a live daemon's directory: the /stats
-    view drops to zero entries and the hit/miss ledger resets."""
+    view drops to zero entries and bytes."""
     client, thread = peer_daemon
-    client.store_fetch([KEY])              # one counted hit
-    assert client.stats()["store"]["hits"] == 1
+    assert client.stats()["store"]["entries"] == 2
     thread.service.store.clear()
     stats = client.stats()["store"]
     assert stats["entries"] == 0
-    assert stats["hits"] == 0 and stats["misses"] == 0
-    assert stats["hit_rate"] == 0.0
+    assert stats["bytes"] == 0
     # The daemon keeps serving: a new record is admitted cleanly.
     assert thread.service.store.admit(KEY, _record(3)) is True
     assert client.store_has([KEY]) == [KEY]

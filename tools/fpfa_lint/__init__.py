@@ -16,7 +16,6 @@ Usage::
     python -m tools.fpfa_lint                  # lint src/ + tools/
     python -m tools.fpfa_lint --format json    # machine-readable
     python -m tools.fpfa_lint --list-checkers  # the catalog
-    fpfa-map lint                              # CLI passthrough
 
 See ``docs/lint.md`` for the checker catalog and the
 suppression/baseline workflow.

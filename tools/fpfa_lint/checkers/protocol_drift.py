@@ -2,7 +2,7 @@
 
 The daemon wire protocol is duck-typed JSON: the client builds a
 request dict, ``protocol.normalise_*`` validates it, the daemon and
-workers read fields back out, and the dashboard reads job views.  A
+workers read fields back out, and clients read job views.  A
 typo'd field name (``request["verify-seed"]``) fails silently as a
 missing key at runtime — on the *other* end of the wire.
 
@@ -42,7 +42,6 @@ SCOPED = frozenset({
     "src/repro/service/workers.py",
     "src/repro/service/queue.py",
     "src/repro/dse/distributed.py",
-    "src/repro/obs/dashboard.py",
 })
 
 #: Receiver names treated as protocol requests / job views.
