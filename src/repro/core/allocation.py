@@ -40,11 +40,16 @@ memory/register-bank ports.  Exactly as in Fig. 5:
 
 Backtracking is journal-based: every mutation a level attempt makes
 (a claimed register, a booked bus, a drafted move, a residency-table
-entry) pushes one undo record onto :class:`_Journal`, and a failed
-attempt rolls those records back in reverse.  A retry therefore costs
-O(changes the attempt made) — not O(whole allocator state) — and the
-per-level retry loop copies nothing: no register-file deep copy, no
-``mem_words`` set copies, no cycle-draft clones.
+entry) pushes one typed undo record onto :class:`_Journal` — a plain
+tuple whose first item says which inverse to apply (pop a list, drop
+a set element, restore or delete a dict entry, restore a register
+slot) — and a failed attempt rolls those records back in reverse.
+The four statistics counters an attempt can bump are saved as one
+tuple before it starts and put back on failure.  A retry therefore
+costs O(changes the attempt made) — not O(whole allocator state) —
+and the per-level retry loop copies nothing: no register-file deep
+copy, no ``mem_words`` set copies, no cycle-draft clones, and it
+builds no closures.
 
 Options ``enable_bypass`` / ``enable_reuse`` / ``stage_window`` exist
 for the locality ablation (EXT-C): disabling them yields the
@@ -67,7 +72,6 @@ Invariants
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -95,38 +99,52 @@ class _LevelRetry(Exception):
     """Internal: the pending level needs a stall cycle inserted."""
 
 
+#: Undo record tags: the first item of every journal entry.
+_POP = 0      # (_POP, items): undo ``items.append``
+_DISCARD = 1  # (_DISCARD, values, element): undo ``values.add``
+_RESTORE = 2  # (_RESTORE, table, key, old): undo overwriting an entry
+_DELETE = 3   # (_DELETE, table, key): undo adding an entry
+_SLOT = 4     # (_SLOT, slot, value, write_cycle, busy_until)
+
+
 class _Journal:
     """Undo log for one level attempt.
 
-    Each entry is a zero-argument callable reverting one mutation.
-    ``rollback(mark)`` pops and runs entries newest-first until the
-    journal is back at *mark*, restoring exactly the state the attempt
-    started from in O(changes) — the replacement for the old
-    whole-state ``_snapshot``/``_restore`` deep copies.
+    ``entries`` holds typed undo records (see the tags above), pushed
+    by the allocator's ``_j_*`` helpers.  ``rollback(mark)`` pops and
+    applies them newest-first until the journal is back at *mark*,
+    restoring exactly the state the attempt started from in
+    O(changes).
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("entries",)
 
     def __init__(self):
-        self._entries: list = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self.entries: list[tuple] = []
 
     def mark(self) -> int:
-        return len(self._entries)
-
-    def record(self, undo) -> None:
-        self._entries.append(undo)
+        return len(self.entries)
 
     def rollback(self, mark: int) -> None:
-        entries = self._entries
+        entries = self.entries
         while len(entries) > mark:
-            entries.pop()()
+            entry = entries.pop()
+            tag = entry[0]
+            if tag == _POP:
+                entry[1].pop()
+            elif tag == _DISCARD:
+                entry[1].discard(entry[2])
+            elif tag == _RESTORE:
+                entry[1][entry[2]] = entry[3]
+            elif tag == _DELETE:
+                del entry[1][entry[2]]
+            else:
+                _, slot, slot.value, slot.write_cycle, \
+                    slot.busy_until = entry
 
     def commit(self) -> None:
         """Drop all entries (the attempt succeeded; nothing to undo)."""
-        self._entries.clear()
+        self.entries.clear()
 
 
 #: Identity of a value for residency tracking.
@@ -156,8 +174,10 @@ class _CycleDraft:
 
     alu_configs: dict[int, AluConfig] = field(default_factory=dict)
     moves: list[Move] = field(default_factory=list)
+    #: Values on the crossbar: ("alu", pp) for a broadcast result, a
+    #: source token (see ``Allocator._in_memory``) for a move.
     bus: set = field(default_factory=set)
-    mem_reads: dict = field(default_factory=dict)   # (pp,mem) -> {addr}
+    mem_reads: dict = field(default_factory=dict)   # (pp,mem) -> {token}
     mem_writes: dict = field(default_factory=dict)  # (pp,mem) -> {addr}
     bank_writes: dict = field(default_factory=dict)  # (pp,bank) -> int
     is_stall: bool = False
@@ -206,7 +226,9 @@ class Allocator:
             (pp, mem): set()
             for pp in range(self.params.n_pps)
             for mem in range(self.params.memories_per_pp)}
-        self.value_in_memory: dict[ValueKey, tuple[MemLoc, int]] = {}
+        #: value -> (location, first readable cycle, source token)
+        self.value_in_memory: dict[ValueKey, tuple[MemLoc, int, int]] = {}
+        self._source_tokens: dict[MemLoc, int] = {}
         self.cluster_exec_cycle: dict[int, int] = {}
         self.data_layout: dict[Address, MemLoc] = {}
         self.output_layout: dict[Address, MemLoc] = {}
@@ -262,7 +284,8 @@ class Allocator:
                         loc = MemLoc(pp, candidate, address)
                         self.data_layout[address] = loc
                         words.add(address)
-                        self.value_in_memory[("mem", address)] = (loc, 0)
+                        self.value_in_memory[("mem", address)] = \
+                            self._in_memory(loc, 0)
                         toggle[pp] = (candidate + 1) % n_mems
                         placed = True
                         break
@@ -271,6 +294,14 @@ class Allocator:
             if not placed:
                 raise AllocationError(
                     f"tile memories cannot hold input word {address}")
+
+    def _in_memory(self, loc: MemLoc, available: int) -> tuple:
+        """A ``value_in_memory`` entry for a value readable at *loc*
+        from cycle *available* on.  Its source token is an integer
+        naming *loc*, so the per-cycle bus and read-port sets hash an
+        int, not a ``MemLoc``, on every staging attempt."""
+        tokens = self._source_tokens
+        return loc, available, tokens.setdefault(loc, len(tokens))
 
     def _pp_preference(self, preferred: int | None) -> list[int]:
         pps = list(range(self.params.n_pps))
@@ -293,37 +324,30 @@ class Allocator:
     def _j_append_cycle(self) -> _CycleDraft:
         draft = _CycleDraft()
         self.cycles.append(draft)
-        self._journal.record(self.cycles.pop)
+        self._journal.entries.append((_POP, self.cycles))
         return draft
 
     def _j_list_append(self, items: list, value) -> None:
         items.append(value)
-        self._journal.record(items.pop)
+        self._journal.entries.append((_POP, items))
 
     def _j_set_add(self, values: set, element) -> None:
         if element not in values:
             values.add(element)
-            self._journal.record(
-                lambda: values.discard(element))
+            self._journal.entries.append((_DISCARD, values, element))
 
     def _j_dict_set(self, table: dict, key, value) -> None:
         if key in table:
-            old = table[key]
-            self._journal.record(
-                lambda: table.__setitem__(key, old))
+            self._journal.entries.append(
+                (_RESTORE, table, key, table[key]))
         else:
-            self._journal.record(
-                lambda: table.pop(key, None))
+            self._journal.entries.append((_DELETE, table, key))
         table[key] = value
 
     def _j_slot_write(self, slot: _Slot, value: ValueKey | None,
                       write_cycle: int, busy_until: int) -> None:
-        old = (slot.value, slot.write_cycle, slot.busy_until)
-
-        def undo():
-            slot.value, slot.write_cycle, slot.busy_until = old
-
-        self._journal.record(undo)
+        self._journal.entries.append(
+            (_SLOT, slot, slot.value, slot.write_cycle, slot.busy_until))
         slot.value = value
         slot.write_cycle = write_cycle
         slot.busy_until = busy_until
@@ -341,7 +365,9 @@ class Allocator:
         stalls = 0
         while True:
             mark = self._journal.mark()
-            stats_before = copy.copy(self.stats)
+            stats = self.stats
+            counters = (stats.reuse_hits, stats.bypasses,
+                        stats.staged_moves, stats.stores)
             try:
                 # Fig. 5 stages 4..1 cycles ahead; when inserted load
                 # cycles pile up, the window widens with them so the
@@ -353,13 +379,14 @@ class Allocator:
                 return
             except _LevelRetry:
                 self._journal.rollback(mark)
-                self.stats = stats_before
+                (stats.reuse_hits, stats.bypasses, stats.staged_moves,
+                 stats.stores) = counters
                 # The inserted stall outlives this attempt's rollback
                 # scope — the next attempt plans over it — so it is
                 # appended outside the journal.
                 stall = _CycleDraft(is_stall=True)
                 self.cycles.append(stall)
-                self.stats.stall_cycles += 1
+                stats.stall_cycles += 1
                 stalls += 1
                 if stalls > self.max_stalls_per_level:
                     raise AllocationError(
@@ -454,27 +481,28 @@ class Allocator:
     def _stage_via_move(self, key: ValueKey, pp: int, bank: int,
                         exec_cycle: int, window: int) -> RegLoc:
         """Fig. 5: try 4, 3, 2, then 1 cycles ahead of the consumer."""
-        source, available = self._source_of(key)
+        source, available, token = self._source_of(key)
         window_start = max(available, exec_cycle - window)
         for cycle in range(window_start, exec_cycle):
-            loc = self._try_move_at(cycle, source, key, pp, bank,
+            loc = self._try_move_at(cycle, source, token, key, pp, bank,
                                     exec_cycle)
             if loc is not None:
                 self.stats.staged_moves += 1
                 return loc
         raise _LevelRetry()
 
-    def _try_move_at(self, cycle: int, source, key: ValueKey, pp: int,
-                     bank: int, exec_cycle: int) -> RegLoc | None:
+    def _try_move_at(self, cycle: int, source, token, key: ValueKey,
+                     pp: int, bank: int, exec_cycle: int
+                     ) -> RegLoc | None:
         draft = self.cycles[cycle]
-        bus_token = ("move", source)
-        if bus_token not in draft.bus and \
+        if token not in draft.bus and \
                 len(draft.bus) >= self.params.n_buses:
             return None
+        reads = None
         if isinstance(source, MemLoc):
             reads = draft.mem_reads.setdefault((source.pp, source.mem),
                                                set())
-            if source.addr not in reads and \
+            if token not in reads and \
                     len(reads) >= self.params.mem_read_ports:
                 return None
         used = draft.bank_writes.get((pp, bank), 0)
@@ -485,10 +513,9 @@ class Allocator:
             return None
         loc = RegLoc(pp, bank, slot_index)
         self._j_list_append(draft.moves, Move(source=source, dest=loc))
-        self._j_set_add(draft.bus, bus_token)
-        if isinstance(source, MemLoc):
-            self._j_set_add(draft.mem_reads[(source.pp, source.mem)],
-                            source.addr)
+        self._j_set_add(draft.bus, token)
+        if reads is not None:
+            self._j_set_add(reads, token)
         self._j_dict_set(draft.bank_writes, (pp, bank), used + 1)
         return loc
 
@@ -510,9 +537,10 @@ class Allocator:
                            use_cycle)
         return best_index
 
-    def _source_of(self, key: ValueKey):
+    def _source_of(self, key: ValueKey) -> tuple:
+        """(source, first readable cycle, source token) of a value."""
         if key[0] == "const":
-            return ImmSource(key[1]), 0
+            return ImmSource(key[1]), 0, key
         entry = self.value_in_memory.get(key)
         if entry is None:
             raise AllocationError(f"value {key} is nowhere in memory")
@@ -564,7 +592,7 @@ class Allocator:
                     self._j_set_add(words, word)
                     self._j_dict_set(self.value_in_memory,
                                      ("cluster", cluster.id),
-                                     (loc, exec_cycle + 1))
+                                     self._in_memory(loc, exec_cycle + 1))
                     if outputs:
                         self._j_dict_set(self.output_layout,
                                          outputs[0], loc)
@@ -583,15 +611,13 @@ class Allocator:
                 primary = self.cluster_outputs[cluster_id][0]
                 if store.address == primary:
                     continue  # written by the execute-cycle store
-                source, available = self._source_of(
-                    ("cluster", cluster_id))
+                entry = self._source_of(("cluster", cluster_id))
             else:
-                source, available = self._source_of(
-                    _value_key(store.source, owner))
-            self._emit_copy_move(store.address, source, available)
+                entry = self._source_of(_value_key(store.source, owner))
+            self._emit_copy_move(store.address, *entry)
 
     def _emit_copy_move(self, address: Address, source,
-                        available: int) -> None:
+                        available: int, token) -> None:
         forbidden = self.data_layout.get(address)
         for attempt, cycle_index in enumerate(
                 itertools.count(available)):
@@ -601,22 +627,21 @@ class Allocator:
             if cycle_index >= len(self.cycles):
                 self.cycles.append(_CycleDraft(is_stall=False))
             draft = self.cycles[cycle_index]
-            bus_token = ("move", source)
-            if bus_token not in draft.bus and \
+            if token not in draft.bus and \
                     len(draft.bus) >= self.params.n_buses:
                 continue
             if isinstance(source, MemLoc):
                 reads = draft.mem_reads.setdefault(
                     (source.pp, source.mem), set())
-                if source.addr not in reads and \
+                if token not in reads and \
                         len(reads) >= self.params.mem_read_ports:
                     continue
             if self._try_copy_dest(draft, address, source, forbidden,
-                                   bus_token):
+                                   token):
                 return
 
     def _try_copy_dest(self, draft: _CycleDraft, address: Address,
-                       source, forbidden, bus_token) -> bool:
+                       source, forbidden, token) -> bool:
         candidate_words: list[tuple[Address, bool]] = [(address, True)]
         candidate_words.append((self._shadow(address), False))
         for word, respect_forbidden in candidate_words:
@@ -640,10 +665,10 @@ class Allocator:
                         continue
                     loc = MemLoc(pp, mem, word)
                     draft.moves.append(Move(source=source, dest=loc))
-                    draft.bus.add(bus_token)
+                    draft.bus.add(token)
                     if isinstance(source, MemLoc):
                         draft.mem_reads[(source.pp, source.mem)].add(
-                            source.addr)
+                            token)
                     writes.add(word)
                     words.add(word)
                     self.output_layout[address] = loc

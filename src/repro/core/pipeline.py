@@ -19,6 +19,16 @@ The flow is factored into two stages so sweeps can reuse work:
   tile array).  A 100-point sweep over tile parameters compiles each
   kernel once and runs 100 backends.
 
+Of the backend, only allocation (and the multi-tile stage) needs the
+whole tile.  The task graph depends on the frontend alone, the
+clustering on the template library, the schedule on the clustering
+and the level capacity ``min(n_pps, n_buses)``, and the reference run
+:func:`verify_seeded` checks against on the program and its inputs.
+Each :class:`Frontend` memoises these, so the points of a sweep that
+share a frontend compute each of them once.  The memo lives and dies
+with its frontend object: it is never pickled, so it never rides to a
+pool worker or a daemon job.
+
 ``map_graph``/``map_source`` compose the two and are byte-for-byte
 the original single-call flow.  Every report also carries a per-stage
 wall-time breakdown (``report.timings``) that ``fpfa-map map
@@ -50,6 +60,7 @@ Invariants
 from __future__ import annotations
 
 import random
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -188,6 +199,40 @@ class Frontend:
     #: Frontend stage seconds (parse, transforms); copied into every
     #: report built from this frontend.
     timings: dict[str, float] = field(default_factory=dict)
+    #: Backend artifacts that depend on this frontend and a few
+    #: backend inputs only (see :func:`_memoised`): never compared,
+    #: printed or pickled.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+
+
+#: Verification references one frontend keeps.  A daemon keeps its
+#: frontends across jobs, and each job may verify under a new seed.
+REFERENCES_KEPT = 4
+#: Makes storing a reference and evicting the oldest one atomic.
+_REFERENCES_LOCK = threading.Lock()
+
+
+def _memoised(memo: dict, key, compute):
+    """``memo[key]``, computed by *compute* and stored on a miss.
+
+    Racing misses (thread-mode daemon jobs sharing one frontend) each
+    compute a whole value and the first store wins, so no reader sees
+    a partial result and every caller gets the same object.
+    """
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, compute())
 
 
 def prepare_graph(graph: Graph, *, simplify: bool = True,
@@ -255,16 +300,31 @@ def map_frontend(frontend: Frontend,
             f"frontend was compiled for width={frontend.width}, "
             f"tile has width={params.width}; recompile the frontend")
     timings = dict(frontend.timings)
+    memo = frontend._memo
+    # The allocator and the multi-tile stage only read the task graph,
+    # clustering and schedule, so every backend run on this frontend
+    # can share them.
     with _stage(timings, "taskgraph"):
-        taskgraph = TaskGraph.from_cdfg(frontend.minimised)
+        taskgraph = _memoised(
+            memo, ("taskgraph",),
+            lambda: TaskGraph.from_cdfg(frontend.minimised))
     with _stage(timings, "cluster"):
-        clustered = cluster_tasks(taskgraph, library)
+        clustered = _memoised(
+            memo, ("cluster", library),
+            lambda: cluster_tasks(taskgraph, library))
     # Every cluster result is broadcast on one crossbar bus in its
     # execute cycle, so a level can hold at most min(PPs, buses)
     # clusters — with fewer buses than ALUs the scheduler serialises.
     capacity = min(params.n_pps, params.n_buses)
+    # A level never holds more clusters than there are, so every
+    # capacity from n_clusters up yields the same schedule: keyed on
+    # the clamped capacity, the memo holds at most n_clusters + 1
+    # schedules per library whatever tiles a daemon is sent.
     with _stage(timings, "schedule"):
-        schedule = schedule_clusters(clustered, n_pps=capacity)
+        schedule = _memoised(
+            memo, ("schedule", library,
+                   min(capacity, clustered.n_clusters)),
+            lambda: schedule_clusters(clustered, n_pps=capacity))
     with _stage(timings, "allocate"):
         program, alloc_stats = allocate(clustered, schedule, params,
                                         **alloc_options)
@@ -408,22 +468,72 @@ def verify_mapping(report: MappingReport,
             # from the same picture so the final states are comparable.
             for name, value in inputs.items():
                 merged_initial = merged_initial.store(name, value)
-        interpreter = Interpreter(width=report.params.width)
-        expected = interpreter.run(report.original, merged_initial, inputs)
-        simulated = simulate(report.program, merged_initial)
-        expected_state = expected.state
+        reference = _Reference.run(report.original, report.params.width,
+                                   merged_initial, inputs)
+        return reference.check(report.program)
+
+
+def verify_seeded(frontend: Frontend, report: MappingReport,
+                  seed: int) -> StateSpace:
+    """``verify_mapping(report, random_input_state(report, seed))``
+    for a *report* that :func:`map_frontend` built from *frontend*.
+
+    The inputs and the interpreter run depend only on the frontend
+    and *seed*, so they are computed once per (frontend, seed) and
+    kept on the frontend; the mapped program is simulated and
+    compared on every call.
+    """
+    if report.original is not frontend.original:
+        raise ValueError("report was not mapped from this frontend")
+    with _stage(report.timings, "verify"):
+        memo = frontend._memo
+        key = ("reference", seed)
+        reference = memo.get(key)
+        if reference is None:
+            reference = _Reference.run(
+                frontend.original, report.params.width,
+                random_input_state(report, seed), None)
+            with _REFERENCES_LOCK:
+                reference = memo.setdefault(key, reference)
+                references = [entry for entry in list(memo)
+                              if entry[0] == "reference"]
+                for stale in references[:-REFERENCES_KEPT]:
+                    del memo[stale]
+        return reference.check(report.program)
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """What the interpreter computes for one initial state: the
+    outputs, and the final state with each output folded in at its
+    ``__out_<slot>`` pseudo-address (where a mapped program leaves
+    it)."""
+
+    initial: StateSpace
+    outputs: dict
+    final: StateSpace
+
+    @classmethod
+    def run(cls, original: Graph, width: int | None,
+            initial: StateSpace, inputs: dict | None) -> "_Reference":
+        expected = Interpreter(width=width).run(original, initial, inputs)
+        final = expected.state
         for slot, value in expected.outputs.items():
-            address = f"__out_{slot}"
-            got = simulated.fetch(address)
+            final = final.store(f"__out_{slot}", value)
+        return cls(initial, dict(expected.outputs), final)
+
+    def check(self, program: TileProgram) -> StateSpace:
+        """Simulate *program* from the initial state and require the
+        interpreter's result; returns the simulated final state."""
+        simulated = simulate(program, self.initial)
+        for slot, value in self.outputs.items():
+            got = simulated.fetch(f"__out_{slot}")
             if got != value:
                 raise VerificationError(
                     f"output {slot!r}: simulator produced {got}, "
                     f"interpreter {value}")
-            # Fold function outputs into the comparison baseline (they
-            # live at pseudo-addresses in the mapped program's memory).
-            expected_state = expected_state.store(address, value)
-        if simulated != expected_state:
-            differences = _diff_states(expected_state, simulated)
+        if simulated != self.final:
+            differences = _diff_states(self.final, simulated)
             raise VerificationError(
                 "final statespace mismatch:\n" + "\n".join(differences))
         return simulated

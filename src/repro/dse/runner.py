@@ -13,7 +13,12 @@ tile/array axis) — see :mod:`repro.core.pipeline`.  ``run_sweep``
 compiles each *unique* frontend exactly once in the parent process
 and ships the compact compiled artifact to the workers through the
 pool initializer, so a 100-point sweep over tile parameters parses
-and simplifies the kernel once instead of 100 times.
+and simplifies the kernel once instead of 100 times.  The points that
+share a frontend object also share what the backend computes from it
+alone: the task graph, one clustering per template library, one
+schedule per (library, level capacity) and, with ``verify_seed``, the
+verification inputs and the interpreter's reference run.  Each point
+still allocates, simulates and compares its own program.
 
 Per-point failures (an infeasible :class:`TileParams` combination, a
 scheduling overflow, a verification mismatch) are captured inside the
@@ -51,8 +56,7 @@ from repro.core.pipeline import (
     Frontend,
     compile_frontend,
     map_frontend,
-    random_input_state,
-    verify_mapping,
+    verify_seeded,
 )
 from repro.dse.cache import ResultCache, cache_key
 from repro.dse.space import DesignPoint
@@ -117,12 +121,11 @@ def evaluate_point(source: str, point: DesignPoint,
                                   array=point.tile_array_params())
             if sink is not None:
                 sink["report"] = report
-                # The report's own dict: verify_mapping adds its
+                # The report's own dict: verify_seeded adds its
                 # stage below.
                 sink["timings"] = report.timings
             if verify_seed is not None:
-                verify_mapping(report,
-                               random_input_state(report, verify_seed))
+                verify_seeded(frontend, report, verify_seed)
                 record["verified"] = True
             record["ok"] = True
             record["metrics"] = mapping_metrics(report)

@@ -1,5 +1,7 @@
 """Unit tests for phase 3: the Fig. 5 heuristic resource allocator."""
 
+import copy
+
 import pytest
 
 from repro.arch.params import TileParams
@@ -7,8 +9,10 @@ from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
 from repro.cdfg.ops import Address
 from repro.cdfg.statespace import StateSpace
+from repro.core.allocation import Allocator, _LevelRetry
 from repro.core.pipeline import map_source, verify_mapping
 from repro.baselines.naive_alloc import map_source_naive
+from repro.eval.kernels import KERNELS
 
 from tests.conftest import FIR_SOURCE
 
@@ -163,6 +167,49 @@ class TestJournalBacktracking:
                             stage_window=1)
         assert report.alloc_stats.stall_cycles >= 1
         verify_mapping(report, fir_state())
+
+    def test_rollback_restores_the_exact_prior_state(self, monkeypatch):
+        """Every failed attempt's undo records put the planning state
+        back as the attempt found it: cycle drafts, register slots,
+        memory words and the residency tables.  A retry usually
+        re-adds what a skipped undo left behind, so the programs alone
+        cannot show a broken branch; this compares the state itself.
+        (Only the empty read/write-port sets a probe may leave in a
+        draft are ignored: they change nothing.)"""
+        plan = Allocator._plan_level
+        rollbacks = []
+
+        def state(allocator):
+            drafts = [(draft.alu_configs, draft.moves, draft.bus,
+                       {key: ports for key, ports in
+                        draft.mem_reads.items() if ports},
+                       {key: ports for key, ports in
+                        draft.mem_writes.items() if ports},
+                       draft.bank_writes, draft.is_stall)
+                      for draft in allocator.cycles]
+            return copy.deepcopy((
+                drafts, allocator.banks, allocator.mem_words,
+                allocator.value_in_memory, allocator.cluster_exec_cycle,
+                allocator.output_layout))
+
+        def checked(self, level, window=None):
+            mark = self._journal.mark()
+            before = state(self)
+            try:
+                return plan(self, level, window)
+            except _LevelRetry:
+                self._journal.rollback(mark)
+                assert state(self) == before
+                rollbacks.append(level)
+                raise
+
+        monkeypatch.setattr(Allocator, "_plan_level", checked)
+        for kernel in KERNELS[::3]:
+            for params in (TileParams(**self.PRESSURE),
+                           TileParams(n_buses=2, regs_per_bank=2,
+                                      bank_write_ports=2)):
+                map_source(kernel.source, params)
+        assert len(rollbacks) > 50
 
 
 class TestInPlaceUpdates:

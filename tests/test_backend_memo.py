@@ -1,0 +1,191 @@
+"""The per-frontend backend memo: what the points of a sweep share.
+
+A :class:`Frontend` keeps its task graph, one clustering per template
+library, one schedule per (library, level capacity) and the
+verification reference per seed.  These tests pin the memo's
+hygiene: it never travels with a pickled frontend, it stays bounded
+under many verify seeds, it never hides a wrong program at one point,
+and racing fills from threads store only whole results.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.arch.params import TileParams
+from repro.arch.templates import TemplateLibrary
+from repro.core import pipeline
+from repro.core.pipeline import (
+    REFERENCES_KEPT,
+    compile_frontend,
+    map_frontend,
+    random_input_state,
+    verify_mapping,
+    verify_seeded,
+)
+from repro.dse import runner
+from repro.dse.runner import evaluate_point, frontend_spec, run_sweep
+from repro.dse.space import DesignSpace
+from repro.eval.kernels import get_kernel
+
+FIR16 = get_kernel("fir16").source
+
+#: Eight points that all share one frontend (width and balance fixed).
+POINTS = DesignSpace({"n_pps": [1, 2, 4, 8],
+                      "library": ["two-level", "mac"]}).grid()
+
+
+def shared_frontend():
+    return compile_frontend(FIR16, width=POINTS[0].tile_params().width)
+
+
+def test_a_sweep_leaves_the_frontend_pickle_unchanged():
+    frontend = shared_frontend()
+    before = pickle.dumps(frontend)
+    result = run_sweep(FIR16, POINTS, workers=1, verify_seed=1,
+                       frontends={frontend_spec(POINTS[0]): frontend})
+    assert all(record["verified"] for record in result.records)
+    assert frontend._memo, "the sweep did not use the shared frontend"
+    assert pickle.dumps(frontend) == before
+    assert pickle.loads(before)._memo == {}
+
+
+def test_the_memo_shares_one_artifact_per_key():
+    frontend = shared_frontend()
+    reports = [map_frontend(frontend, point.tile_params(),
+                            point.template_library())
+               for point in POINTS]
+    assert len({id(report.taskgraph) for report in reports}) == 1
+    assert len({id(report.clustered) for report in reports}) == 2
+    # capacity min(n_pps, n_buses=10) is 1, 2, 4 or 8 per library
+    assert len({id(report.schedule) for report in reports}) == 8
+    for report in reports:
+        verify_seeded(frontend, report, 3)
+    assert [key for key in frontend._memo
+            if key[0] == "reference"] == [("reference", 3)]
+
+
+def test_capacities_past_the_cluster_count_share_one_schedule():
+    """A daemon may be sent any ``pps``; past the cluster count the
+    schedule cannot change, so the memo keeps one for all of them."""
+    source = get_kernel("fir5").source
+    frontend = compile_frontend(source)
+    tiles = [TileParams(n_pps=pps, n_buses=buses)
+             for pps, buses in ((12, 12), (16, 20), (40, 30))]
+    reports = [map_frontend(frontend, params) for params in tiles]
+    assert reports[0].n_clusters < 12
+    assert len({id(report.schedule) for report in reports}) == 1
+    assert [key[0] for key in frontend._memo].count("schedule") == 1
+    for report, params in zip(reports, tiles):
+        fresh = map_frontend(compile_frontend(source), params)
+        assert report.schedule.table() == fresh.schedule.table()
+        assert report.program.listing() == fresh.program.listing()
+
+
+def test_the_reference_memo_stays_bounded_under_many_seeds():
+    frontend = shared_frontend()
+    point = POINTS[1]
+    for seed in range(50):
+        record = evaluate_point(FIR16, point, seed, frontend=frontend)
+        assert record["ok"] and record["verified"], record
+    references = [key for key in frontend._memo if key[0] == "reference"]
+    assert references == [("reference", seed)
+                          for seed in range(50 - REFERENCES_KEPT, 50)]
+    # the task graph, one clustering and one schedule besides
+    assert len(frontend._memo) == REFERENCES_KEPT + 3
+
+
+def test_seeded_verification_equals_verify_mapping():
+    frontend = shared_frontend()
+    report = map_frontend(frontend, TileParams(n_pps=2))
+    for seed in (0, 7, 7):
+        assert verify_seeded(frontend, report, seed) == verify_mapping(
+            report, random_input_state(report, seed))
+
+
+def test_seeded_verification_rejects_a_foreign_report():
+    report = map_frontend(shared_frontend(), TileParams())
+    with pytest.raises(ValueError, match="not mapped from this frontend"):
+        verify_seeded(shared_frontend(), report, 1)
+
+
+def test_a_planted_wrong_program_fails_exactly_its_record(monkeypatch):
+    """One point's program swaps where two outputs end up; the sweep
+    shares the reference run, yet that point alone fails."""
+    planted = POINTS[5]
+    map_point = runner.map_frontend
+
+    def corrupting(frontend, params, library, **options):
+        report = map_point(frontend, params, library, **options)
+        if (params, library) == (planted.tile_params(),
+                                 planted.template_library()):
+            layout = report.program.output_layout
+            first, second = sorted(layout)[:2]
+            layout[first], layout[second] = layout[second], layout[first]
+        return report
+
+    monkeypatch.setattr(runner, "map_frontend", corrupting)
+    records = run_sweep(FIR16, POINTS, workers=1, verify_seed=1).records
+    failed = [index for index, record in enumerate(records)
+              if not record["ok"]]
+    assert failed == [5]
+    assert records[5]["error"].startswith("VerificationError: ")
+    assert all(record["verified"] for index, record in enumerate(records)
+               if index != 5)
+
+
+def test_racing_fills_store_only_whole_results(monkeypatch):
+    """Threads mapping one fresh frontend at once (the thread-mode
+    daemon's shape) each compute a missing artifact in full and the
+    first store wins: no thread sees a placeholder, all share one
+    object per key, and the references stay within their bound while
+    every thread verifies under its own seeds."""
+    frontend = shared_frontend()
+    library = TemplateLibrary.two_level()
+    key = ("cluster", library)
+    cluster_tasks = pipeline.cluster_tasks
+    seen_partial = []
+
+    def slow(taskgraph, lib):
+        seen_partial.append(key in frontend._memo)
+        time.sleep(0.05)
+        return cluster_tasks(taskgraph, lib)
+
+    monkeypatch.setattr(pipeline, "cluster_tasks", slow)
+    n_threads = 6
+    barrier = threading.Barrier(n_threads)
+    reports = [None] * n_threads
+
+    def job(index):
+        barrier.wait()
+        report = map_frontend(frontend, TileParams(n_pps=2), library)
+        for seed in range(index, index + 8):
+            verify_seeded(frontend, report, seed)
+        reports[index] = report
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=job, args=(index,))
+                   for index in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen_partial and not any(seen_partial)
+    assert all(report.clustered is frontend._memo[key]
+               for report in reports)
+    assert len({id(report.schedule) for report in reports}) == 1
+    assert len([entry for entry in frontend._memo
+                if entry[0] == "reference"]) == REFERENCES_KEPT
+    serial = map_frontend(shared_frontend(), TileParams(n_pps=2), library)
+    assert all(report.program.listing() == serial.program.listing()
+               for report in reports)
