@@ -15,8 +15,7 @@ Seven subcommands::
              [--balance off|on|both] [--strategy exhaustive|random|hill]
              [--samples N] [--workers N] [--cache DIR]
              [--cache-max-entries N] [--cache-max-bytes N]
-             [--remote URL[,URL...]] [--chunk-size N]
-             [--remote-timeout S] [--resume]
+             [--remote URL] [--chunk-size N]
              [--objectives LIST] [--verify-seed SEED] [--json out.json]
 
     fpfa-map serve  [--host H] [--port P] [--workers N]
@@ -33,7 +32,7 @@ Seven subcommands::
              [--state STATE] [--json PATH]
 
     fpfa-map trace  record <explore flags> [--trace-log PATH]
-             | export --log PATH [--out PATH] [--remote URL[,..]]
+             | export --log PATH [--out PATH] [--remote URL]
              | report --log PATH
              | critical-path --log PATH [--trace ID] [--json]
 
@@ -293,26 +292,16 @@ def _add_explore_arguments(parser: argparse.ArgumentParser) -> None:
                         help="with --cache: bound the cache to N "
                              "bytes of records (LRU eviction)")
     parser.add_argument("--remote", action="append", default=[],
-                        metavar="URL[,URL...]",
-                        help="shard the sweep across running "
-                             "`fpfa-map serve` daemons (repeatable "
-                             "or comma-separated; chunks from dead "
-                             "daemons are re-leased, local "
-                             "evaluation is the fallback — records "
-                             "stay bit-identical to a local sweep)")
+                        metavar="URL",
+                        help="run the sweep on one running "
+                             "`fpfa-map serve` daemon (chunks whose "
+                             "lease fails are evaluated locally — "
+                             "records stay bit-identical to a local "
+                             "sweep)")
     parser.add_argument("--chunk-size", type=int, default=8,
                         metavar="N",
                         help="points per remote lease with --remote "
                              "(default 8)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from its "
-                             "checkpoint journal (needs --cache; "
-                             "recomputes only records missing from "
-                             "the cache)")
-    parser.add_argument("--remote-timeout", type=float, default=120.0,
-                        metavar="S",
-                        help="seconds per lease before a chunk is "
-                             "re-leased elsewhere (default 120)")
     parser.add_argument("--objectives", default="cycles,energy,resource",
                         metavar="LIST",
                         help="minimised objectives; metric names, "
@@ -337,8 +326,8 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     record = sub.add_parser(
         "record",
         help="run `explore` with the flight recorder on: every span "
-             "streams to an NDJSON log, and remote daemons' rings "
-             "are harvested into it when the sweep ends")
+             "streams to an NDJSON log, and the remote daemon's "
+             "ring is harvested into it when the sweep ends")
     _add_explore_arguments(record)
     record.add_argument("--trace-log", metavar="PATH", default=None,
                         help="where to write the NDJSON trace log "
@@ -354,8 +343,8 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
                         help="output path for the trace_event JSON "
                              "(default '-': stdout)")
     export.add_argument("--remote", action="append", default=[],
-                        metavar="URL[,URL...]",
-                        help="harvest these daemons' /trace rings "
+                        metavar="URL",
+                        help="harvest this daemon's /trace ring "
                              "into the log first (entries of traces "
                              "already in the log)")
     report = sub.add_parser(
@@ -371,7 +360,7 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         "critical-path",
         help="attribute a recorded sweep's wall time across phases "
              "(queue wait, frontend compile, point evaluation, "
-             "transfers, retries, probation stalls)")
+             "lease round-trips)")
     critical.add_argument("--log", required=True, metavar="PATH",
                           help="the NDJSON trace log to analyse")
     critical.add_argument("--trace", default=None, metavar="ID",
@@ -668,53 +657,6 @@ def _check_objectives(objectives: list[str], space) -> None:
                 f"maximise)")
 
 
-def _explore_resume_preview(args: argparse.Namespace, source: str,
-                            space, echo) -> None:
-    """Validate and narrate ``explore --resume``.
-
-    Resumption itself is free — completed records are already in the
-    cache (written incrementally), so the normal cache pass skips
-    them and only the missing points are recomputed.  This preview
-    reads the checkpoint journal the interrupted coordinator left
-    beside the cache to (a) refuse resuming a *different* sweep over
-    the same cache and (b) report the recovered/remaining split.
-    """
-    import pathlib
-
-    from repro.dse.checkpoint import JOURNAL_NAME, load_journal
-    from repro.dse.distributed import sweep_identity
-
-    if not args.cache:
-        raise SystemExit("--resume needs --cache DIR (the cache the "
-                         "interrupted sweep was writing)")
-    if args.strategy == "hill":
-        raise SystemExit(
-            "--resume applies to chunked sweeps; --strategy hill "
-            "explores incrementally and keeps no journal")
-    journal_path = pathlib.Path(args.cache).expanduser() \
-        / JOURNAL_NAME
-    state = load_journal(journal_path)
-    if state is None:
-        echo(f"resume: no checkpoint journal at {journal_path} — "
-             "running fresh (cache hits still count)")
-        return
-    points = space.grid() if args.strategy == "exhaustive" \
-        else space.sample(args.samples, seed=args.seed)
-    identity = sweep_identity(source, points, args.verify_seed)
-    if state.sweep != identity:
-        raise SystemExit(
-            f"--resume: the journal at {journal_path} belongs to a "
-            f"different sweep (journal {state.sweep}, this request "
-            f"{identity}); point --cache at the interrupted sweep's "
-            "cache or drop --resume")
-    recovered = len(state.completed)
-    echo(f"resume: journal matches (sweep {identity}); "
-         f"{recovered} of {len(state.pending)} interrupted point(s) "
-         f"already completed, {len(state.remaining)} to recompute"
-         + (" (previous run finished cleanly)"
-            if state.ended else ""))
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.dse import frontier_table, pareto_front
     from repro.dse.runner import SweepResult
@@ -745,33 +687,22 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # default (hill-climb stays in-process, sweeps use all CPUs).
         run_kwargs["workers"] = args.workers
     if args.remote:
-        from repro.dse.distributed import (
-            DistributedError,
-            parse_remotes,
-        )
         if args.strategy == "hill":
             # Hill-climbing evaluates single points and tiny
             # neighbour batches incrementally; leasing those over
-            # HTTP (with a fleet probe per batch) is strictly slower
+            # HTTP (with a daemon probe per batch) is strictly slower
             # than local evaluation — refuse rather than degrade.
             raise SystemExit(
                 "--remote cannot shard --strategy hill (it explores "
                 "in tiny sequential batches); use exhaustive or "
                 "random, or drop --remote")
-        try:
-            fleet = parse_remotes(args.remote)
-        except DistributedError as error:
-            raise SystemExit(str(error))
+        remote = _remote_address(args.remote)
         if args.chunk_size < 1:
             raise SystemExit(
                 f"--chunk-size must be >= 1, got {args.chunk_size}")
-        run_kwargs.update(remotes=fleet,
-                          remote_chunk_size=args.chunk_size,
-                          remote_timeout=args.remote_timeout)
-        echo(f"fleet: {len(fleet)} remote daemon(s): "
-             + ", ".join(f"{host}:{port}" for host, port in fleet))
-    if args.resume:
-        _explore_resume_preview(args, source, space, echo)
+        run_kwargs.update(remotes=remote,
+                          remote_chunk_size=args.chunk_size)
+        echo(f"remote daemon: {remote}")
     if args.strategy == "random":
         extra = dict(n_samples=args.samples, seed=args.seed)
     elif args.strategy == "hill":
@@ -809,8 +740,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     exit_code = 0 if result.best is not None else 1
     if args.json_path:
         # stats.as_dict() is the full provenance ledger: for a
-        # --remote run it is a DistributedSweepStats, so the
-        # shard/steal/fallback counters (daemons, leases, stolen,
+        # --remote run it is a DistributedSweepStats, so the lease
+        # and fallback counters (chunks, leases, stolen,
         # local_records, ...) land in the payload for scripts.
         _dump_json({
             "workload": workload,
@@ -986,20 +917,25 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # fpfa-map trace  (the distributed-tracing surface)
 # ---------------------------------------------------------------------------
 
-def _trace_fleet(specs: list) -> list[str]:
-    """``--remote`` values as ``host:port`` harvest targets."""
-    from repro.dse.distributed import DistributedError, parse_remotes
+def _remote_address(specs: list[str]) -> str:
+    """The one ``--remote`` daemon as ``host:port``; a repeated flag
+    or a comma list is refused."""
+    from repro.dse.distributed import DistributedError, parse_remote
+    if len(specs) > 1:
+        raise SystemExit(
+            f"--remote takes one daemon address, got {len(specs)}: "
+            "a sweep runs on one daemon")
     try:
-        return [f"{host}:{port}"
-                for host, port in parse_remotes(specs)]
+        host, port = parse_remote(specs[0])
     except DistributedError as error:
         raise SystemExit(str(error))
+    return f"{host}:{port}"
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     """`explore` under the flight recorder: spans stream to an
     NDJSON log while the sweep runs, and when it finishes the
-    remote daemons' ``/trace`` rings are harvested into the same
+    remote daemon's ``/trace`` ring is harvested into the same
     log — one file holding the whole stitched tree.  Daemons record
     their side because the coordinator's trace context rides every
     lease (`request["trace"]`), not because of anything this
@@ -1021,11 +957,11 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         harvested = 0
         if args.remote:
             harvested = harvest_daemons(
-                _trace_fleet(args.remote), recorder,
+                [_remote_address(args.remote)], recorder,
                 trace_ids=recorder.seen_traces)
     echo(f"trace: {recorder.written} entries "
-         f"({harvested} harvested from "
-         f"{len(args.remote)} remote(s)) -> {log_path}")
+         f"({harvested} harvested from the remote daemon) "
+         f"-> {log_path}")
     return code
 
 
@@ -1041,7 +977,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.remote:
             known = {entry.get("trace") for entry in entries
                      if isinstance(entry.get("trace"), str)}
-            if harvest_daemons(_trace_fleet(args.remote), args.log,
+            if harvest_daemons([_remote_address(args.remote)],
+                               args.log,
                                trace_ids=known or None):
                 entries = load_trace(args.log)
         if not entries:

@@ -21,8 +21,8 @@ point* and explores sets of them as a batch workload:
   best-point selection over cycles / energy / resource proxies;
 * :mod:`repro.dse.search` — exhaustive, random and greedy hill-climb
   strategies sharing the same runner and cache;
-* :mod:`repro.dse.distributed` — sweep sharding across a fleet of
-  ``fpfa-map serve`` daemons with work stealing and a local fallback
+* :mod:`repro.dse.distributed` — a sweep's pending points leased in
+  chunks to one ``fpfa-map serve`` daemon, with a local fallback
   (records bit-identical to a local sweep).
 
 Quickstart::
@@ -41,7 +41,7 @@ Quickstart::
 from repro.dse.cache import ResultCache
 from repro.dse.distributed import (
     DistributedSweepStats,
-    parse_remotes,
+    parse_remote,
     run_distributed_sweep,
 )
 from repro.dse.pareto import (
@@ -81,7 +81,7 @@ __all__ = [
     "hill_climb",
     "objective_value",
     "pareto_front",
-    "parse_remotes",
+    "parse_remote",
     "random_search",
     "run_distributed_sweep",
     "run_sweep",

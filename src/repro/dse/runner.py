@@ -207,8 +207,8 @@ class SweepStats:
 
         Subclasses (:class:`repro.dse.distributed
         .DistributedSweepStats`) inherit this, so a remote run's
-        shard/steal/fallback counters flow into the same payload
-        field — scripts read one shape either way.
+        lease/fallback counters flow into the same payload field —
+        scripts read one shape either way.
         """
         return dict(vars(self))
 
@@ -293,9 +293,8 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
               chunksize: int | None = None,
               verify_seed: int | None = None,
               frontends: Mapping[FrontendSpec, Frontend] | None = None,
-              remotes: Sequence[str] | None = None,
+              remotes: str | Sequence[str] | None = None,
               remote_chunk_size: int | None = None,
-              remote_timeout: float | None = None,
               ) -> SweepResult:
     """Evaluate every design point of *points* against *source*.
 
@@ -328,14 +327,13 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         already paid for).  Determinism makes this purely a speed
         knob.
     remotes:
-        Daemon URLs (``fpfa-map serve`` addresses) to shard the sweep
-        across; delegates to
-        :func:`repro.dse.distributed.run_distributed_sweep`.
-        ``remote_chunk_size`` / ``remote_timeout`` tune the leases.
-        Records are bit-identical to a local sweep (the flow is
-        deterministic and every remote runs the same
-        :func:`evaluate_point`); a dead or lagging daemon's chunks
-        are re-leased, local evaluation is the last-resort backend.
+        One ``fpfa-map serve`` daemon address to run the sweep on;
+        delegates to
+        :func:`repro.dse.distributed.run_distributed_sweep`, with
+        ``remote_chunk_size`` points per lease.  Records are
+        bit-identical to a local sweep (the flow is deterministic and
+        the daemon runs the same :func:`evaluate_point`); whatever
+        the daemon does not deliver is evaluated locally.
     """
     cache = _resolve_cache(cache, cache_max_entries, cache_max_bytes)
     if remotes:
@@ -343,8 +341,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         extra = {}
         if remote_chunk_size is not None:
             extra["chunk_size"] = remote_chunk_size
-        if remote_timeout is not None:
-            extra["timeout"] = remote_timeout
         return run_distributed_sweep(
             source, points, remotes=remotes, cache=cache,
             verify_seed=verify_seed, frontends=frontends, **extra)
@@ -426,8 +422,8 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                                                chunksize=chunksize)
                 # Write-back happens per result, not at sweep end:
                 # a coordinator killed mid-sweep keeps everything it
-                # finished, which is what makes `--resume` recompute
-                # only the missing records.  Only successful records
+                # finished, so re-running it recomputes only the
+                # missing records.  Only successful records
                 # are memoised: a failure may be transient (resource
                 # exhaustion in a worker), and caching it would
                 # poison the (source, point) key for every later

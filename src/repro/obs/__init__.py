@@ -1,9 +1,8 @@
-"""Fleet observability: tracing spans, metrics and trace analysis.
+"""Observability: tracing spans, metrics and trace analysis.
 
-The PR 1–5 arc turned the paper's single-shot mapping flow into a
-daemon fleet running sharded sweeps; :mod:`repro.obs` is the layer
-that makes that fleet watchable.  Four parts, each consumable on its
-own:
+The paper's single-shot mapping flow runs behind a daemon that also
+takes distributed sweeps; :mod:`repro.obs` is the layer that makes
+both watchable.  Four parts, each consumable on its own:
 
 * :mod:`repro.obs.trace` — a lightweight in-process span/event
   recorder.  Hot layers (the pipeline stages, the job queue, the
@@ -23,8 +22,7 @@ own:
   and export as Chrome ``trace_event``/Perfetto JSON.
 * :mod:`repro.obs.critical` — critical-path analysis over a
   recorded trace: attributes a sweep's wall time across queue wait,
-  frontend compile, point evaluation, transfers/peering,
-  retries/backoff and steal/probation stalls
+  frontend compile, point evaluation and lease round-trips
   (``fpfa-map trace critical-path``).
 
 Invariant: **observation never mutates**.  Nothing in this package is

@@ -2,11 +2,10 @@
 
 Input is a stitched trace — the entry list a flight recorder wrote
 (:func:`repro.obs.export.load_trace`), spanning the coordinator,
-the daemons it leased chunks to, and their workers.  Output is an
+the daemon it leased chunks to, and its workers.  Output is an
 attribution of the sweep's wall-clock window across named phases:
 
     queue wait, frontend compile, point evaluation,
-    transfers/peering, retries/backoff, steal/probation stalls,
     plus the residual buckets (worker overhead, lease round-trip,
     coordinator overhead) that keep the attribution exhaustive.
 
@@ -51,12 +50,6 @@ PHASES: list[tuple[str, Callable[[str], bool]]] = [
     ("frontend compile",
      lambda n: n in ("pipeline.parse", "pipeline.transforms")),
     ("point evaluation", lambda n: n == "dse.point"),
-    ("transfers/peering",
-     lambda n: n.startswith("distributed.peer")
-     or n.startswith("store.")),
-    ("retries/backoff", lambda n: n == "retry.backoff"),
-    ("steal/probation stalls",
-     lambda n: n in ("distributed.probe", "distributed.probation")),
     ("queue wait", lambda n: n == "queue.wait"),
     ("worker overhead",
      lambda n: n.startswith("worker.") or n == "dse.chunk"

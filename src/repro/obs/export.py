@@ -5,9 +5,8 @@ good for a live ``/trace`` peek, useless for "why did yesterday's
 sweep take 48 s".  The :class:`FlightRecorder` closes that gap: it
 registers as a tracer sink and streams every finished span/event as
 one JSON line to a log that lives **beside the cache** (the same
-placement convention as the sweep journal in
-:mod:`repro.dse.checkpoint`), so the trace of a sweep travels with
-its artifacts.
+placement convention as the store's manifest), so the trace of a
+sweep travels with its artifacts.
 
 The log is the interchange format; everything else derives from it:
 
@@ -60,8 +59,7 @@ __all__ = [
     "rollup",
 ]
 
-#: File name of the flight-recorder log, beside the cache/store root
-#: (mirrors ``dse/checkpoint.py``'s ``sweep-journal.ndjson``).
+#: File name of the flight-recorder log, beside the cache/store root.
 TRACE_LOG_NAME = "trace-log.ndjson"
 
 

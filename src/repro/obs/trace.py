@@ -9,7 +9,7 @@ functions below::
 
     with trace.span("pipeline.schedule"):
         ...
-    trace.event("distributed.steal", daemon=label, chunk=index)
+    trace.event("distributed.fallback", points=len(leftover))
 
 Design constraints, in priority order:
 

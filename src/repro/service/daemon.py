@@ -24,8 +24,6 @@ Endpoints (see ``docs/service.md`` for the full reference)::
     GET  /jobs/<id>          one job (?wait=SECONDS long-polls)
     GET  /jobs/<id>/events   NDJSON progress stream until terminal
     GET  /trace              tracer snapshot (spans carry trace ids)
-    POST /store/has          which of these store keys are held here
-    POST /store/fetch        the stored records for these keys
     POST /shutdown           graceful stop
 
 Invariants
@@ -66,7 +64,6 @@ from repro.service.protocol import (
     coalesce_key,
     job_key,
     normalise_request,
-    normalise_store_query,
     record_to_map_payload,
     request_point,
 )
@@ -82,11 +79,6 @@ from repro.service.workers import (
 
 #: Compiled frontends kept warm before the oldest is evicted.
 FRONTEND_MEMO_LIMIT = 128
-
-#: Chunk keys remembered for the re-lease counter before the oldest
-#: is forgotten (a forgotten key under-counts one re-lease; the set
-#: must not grow with every chunk a long-lived daemon ever served).
-CHUNK_MEMO_LIMIT = 4096
 
 
 class MappingService:
@@ -124,9 +116,6 @@ class MappingService:
         self.address: tuple[str, int] | None = None
         self.metrics = MetricsRegistry()
         self._build_metrics()
-        #: Chunk keys already leased once — a repeat is a re-lease
-        #: (work stealing / a coordinator retry landing here).
-        self._seen_chunks: dict[str, None] = {}
         #: coalesce key -> the store read submissions of it share.
         self._lookups: dict[str, asyncio.Future] = {}
         #: (source digest, frontend spec) -> asyncio.Task[Frontend]
@@ -222,7 +211,7 @@ class MappingService:
         job, coalesced = self.queue.submit(request, key, ckey)
         self._m_service["submits"].inc()
         if request["kind"] == "sweep-chunk" and not coalesced:
-            self._note_chunk_lease(key)
+            self._m_chunk_leases.inc()
         if coalesced:
             await self._notify()
             return job, True
@@ -341,7 +330,7 @@ class MappingService:
         against the artifact store and return records by cache key.
         The chunk runs as one worker-pool task (chunks of one sweep
         spread across the pool), and its fresh records land in the
-        store, so a re-leased or repeated chunk is pure store reads.
+        store, so a repeated chunk is pure store reads.
         """
         request = job.request
         frontends = self._compiled_frontends(request["source"])
@@ -509,8 +498,7 @@ class MappingService:
                 f"Lifetime {name.replace('_', ' ')} "
                 f"(the /stats service section).")
             for name in ("submits", "coalesced", "store_hits",
-                         "computed", "failed", "peer_queries",
-                         "peer_records")}
+                         "computed", "failed")}
         self._m_frontends = registry.counter(
             "fpfa_service_frontends",
             "Frontend memo outcomes by result.",
@@ -566,10 +554,6 @@ class MappingService:
         self._m_chunk_leases = registry.counter(
             "fpfa_chunk_leases",
             "Distributed sweep-chunk leases accepted.")
-        self._m_chunk_releases = registry.counter(
-            "fpfa_chunk_releases",
-            "Sweep-chunk keys leased more than once (a re-lease "
-            "after work stealing or a coordinator retry).")
 
     def _observe_job(self, event: str, job: Job) -> None:
         """Queue observer: feed the latency histograms the moment a
@@ -582,15 +566,6 @@ class MappingService:
         runtime = job.runtime
         if runtime is not None:
             self._m_job_runtime.observe(runtime, kind=job.kind)
-
-    def _note_chunk_lease(self, key: str) -> None:
-        self._m_chunk_leases.inc()
-        if key in self._seen_chunks:
-            self._m_chunk_releases.inc()
-            return
-        self._seen_chunks[key] = None
-        while len(self._seen_chunks) > CHUNK_MEMO_LIMIT:
-            self._seen_chunks.pop(next(iter(self._seen_chunks)))
 
     def _sync_metrics(self, described: dict) -> None:
         """Adopt the gauges and the queue's and store's own totals
@@ -708,10 +683,6 @@ class MappingService:
             snap = trace.snapshot()
             snap["pid"] = os.getpid()
             await _send_json(writer, 200, snap)
-        elif method == "POST" and path == "/store/has":
-            await self._handle_store(body, writer, fetch=False)
-        elif method == "POST" and path == "/store/fetch":
-            await self._handle_store(body, writer, fetch=True)
         elif method == "POST" and path == "/shutdown":
             await _send_json(writer, 200, {"ok": True})
             self.request_shutdown()
@@ -730,54 +701,14 @@ class MappingService:
             raise _HttpError(400, str(error))
         except QueueFull as error:
             # Overload is transient by construction (jobs drain);
-            # tell retrying clients when it is worth coming back so
-            # they pace themselves instead of hammering the queue.
+            # tell clients when it is worth coming back so they pace
+            # themselves instead of hammering the queue.
             raise _HttpError(
                 503, str(error),
                 headers={"Retry-After":
                          f"{RETRY_AFTER_QUEUE_FULL:g}"})
         await _send_json(writer, 200,
                          {"job": job.view(), "coalesced": coalesced})
-
-    async def _handle_store(self, body: bytes,
-                            writer: asyncio.StreamWriter, *,
-                            fetch: bool) -> None:
-        """The peering side channel: ``store-has`` answers presence
-        from the manifest without touching hit/miss accounting (a
-        peer probing is not a lookup this daemon failed to serve);
-        ``store-fetch`` serves the records through the normal
-        :meth:`~repro.service.store.ArtifactStore.lookup` policy —
-        fetched records are real served traffic and count."""
-        try:
-            raw = json.loads(body.decode("utf-8") or "null")
-        except ValueError:
-            raise _HttpError(400, "request body is not valid JSON")
-        try:
-            query = normalise_store_query(raw)
-        except ProtocolError as error:
-            raise _HttpError(400, str(error))
-        self._m_service["peer_queries"].inc()
-        want_verified = query["verified"]
-        loop = asyncio.get_running_loop()
-        if fetch:
-            def fetch_records() -> dict:
-                records = {}
-                for key in query["keys"]:
-                    record = self.store.lookup(
-                        key, want_verified=want_verified)
-                    if record is not None:
-                        records[key] = record
-                return records
-            records = await loop.run_in_executor(None, fetch_records)
-            self._m_service["peer_records"].inc(len(records))
-            await _send_json(writer, 200, {"records": records})
-        else:
-            def probe_keys() -> list:
-                return [key for key in query["keys"]
-                        if self.store.probe(
-                            key, want_verified=want_verified)]
-            present = await loop.run_in_executor(None, probe_keys)
-            await _send_json(writer, 200, {"present": present})
 
     async def _handle_job_get(self, path: str, query: dict,
                               writer: asyncio.StreamWriter) -> None:

@@ -74,23 +74,13 @@ TERMINAL_STATES = (DONE, FAILED)
 EXPLORE_STRATEGIES = ("exhaustive", "random", "hill")
 
 #: Bound on points per ``sweep-chunk`` job: a chunk is a lease unit,
-#: not a whole sweep — the distributed coordinator re-leases a chunk
-#: wholesale when its daemon dies, so chunks must stay cheap to
-#: repeat.
+#: not a whole sweep — the distributed coordinator re-runs a chunk
+#: locally when its lease fails, so chunks must stay cheap to repeat.
 MAX_CHUNK_POINTS = 256
 
-#: Bound on keys per ``store-has``/``store-fetch`` query: a peering
-#: probe is a side channel next to real mapping work and must not let
-#: one request pin the daemon in a store walk.
-MAX_STORE_KEYS = 4096
-
 #: ``Retry-After`` hint (seconds) on a queue-full 503: the queue
-#: drains at mapping speed, so "shortly" is the honest answer — the
-#: client's backoff curve takes over from there.
+#: drains at mapping speed, so "shortly" is the honest answer.
 RETRY_AFTER_QUEUE_FULL = 0.5
-
-#: A store key is a SHA-256 hex digest and nothing else.
-_STORE_KEY_CHARS = frozenset("0123456789abcdef")
 
 
 class ProtocolError(ValueError):
@@ -285,39 +275,6 @@ def normalise_sweep_chunk_request(raw: Mapping) -> dict:
         "priority": _optional_int(raw, "priority", 0),
         "trace": _optional_trace(raw),
     }
-
-
-def normalise_store_query(raw) -> dict:
-    """Validate one ``store-has``/``store-fetch`` body.
-
-    Keys are required to be exactly 64 lowercase hex characters —
-    the only thing :func:`repro.dse.cache.cache_key` ever mints.
-    Anything else is rejected before it reaches the store: the store
-    addresses records by ``root/key[:2]/key.json``, and this check is
-    what guarantees a wire-supplied key can never escape the store
-    root (no separators, no dots, no traversal).
-    """
-    if not isinstance(raw, Mapping):
-        raise ProtocolError("store query body must be a JSON object")
-    keys = raw.get("keys")
-    if not isinstance(keys, list) or not keys:
-        raise ProtocolError("store queries need 'keys': "
-                            "[hex-digest, ...]")
-    if len(keys) > MAX_STORE_KEYS:
-        raise ProtocolError(
-            f"store query carries {len(keys)} keys; the bound is "
-            f"{MAX_STORE_KEYS} — split the query")
-    for key in keys:
-        if not isinstance(key, str) or len(key) != 64 or \
-                not set(key) <= _STORE_KEY_CHARS:
-            raise ProtocolError(
-                f"store keys must be 64-char lowercase hex digests, "
-                f"got {key!r}")
-    verified = raw.get("verified", False)
-    if not isinstance(verified, bool):
-        raise ProtocolError(f"'verified' must be a boolean, "
-                            f"got {verified!r}")
-    return {"keys": list(keys), "verified": verified}
 
 
 def normalise_request(raw) -> dict:

@@ -4,13 +4,10 @@
 (``python -m repro.cli serve``), waits for it to report its bound
 address, and health-checks it.  Unlike the in-process
 :class:`~repro.service.daemon.ServiceThread`, each instance owns a
-whole interpreter — which is what the distributed harnesses need:
-
-* killing the process is a *real* daemon death (SIGKILL, sockets
-  torn down mid-request), the failure mode
-  :mod:`repro.dse.distributed` must survive;
-* a fleet of subprocesses runs on separate GILs, so multi-daemon
-  scaling benchmarks (EXT-J) measure actual parallelism.
+whole interpreter — which is what the fleet tests need: killing the
+process is a *real* daemon death (SIGKILL, sockets torn down
+mid-request), the failure :mod:`repro.dse.distributed` must survive
+by evaluating the rest of its sweep locally.
 
 The flow is deterministic, so results never depend on which harness
 hosts the daemon — only latency does.
@@ -92,34 +89,10 @@ class DaemonProcess:
                 time.sleep(0.05)
 
     def kill(self) -> None:
-        """SIGKILL — the death the work-stealing path must survive."""
+        """SIGKILL — the death the local fallback must survive."""
         if self.process is not None and self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
-
-    def restart(self) -> "DaemonProcess":
-        """Bring the daemon back **on the address it died on** (the
-        probation/readmission scenario: a supervisor restarts a
-        crashed daemon and the coordinator's re-probe finds it at
-        the same ``host:port``).  The first start must have happened
-        — that is where the port was learned.  The store survives
-        the process, so the reborn daemon still holds every record
-        its predecessor computed."""
-        if self.address is None:
-            raise RuntimeError("restart() needs a prior start()")
-        self.kill()
-        self.port = self.address[1]
-        deadline = time.monotonic() + STARTUP_TIMEOUT
-        while True:
-            # The dying process may hold the port through TIME_WAIT
-            # teardown for a moment; retry the bind a few times
-            # rather than racing it once.
-            try:
-                return self.start()
-            except RuntimeError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.2)
 
     def stop(self, timeout: float = 15.0) -> None:
         """Graceful stop (POST /shutdown), escalating to kill."""

@@ -351,12 +351,12 @@ def test_explore_remote_shards_across_a_daemon(capsys):
     payload = json.loads(captured.out)
     assert len(payload["records"]) == 4
     assert payload["stats"]["remote_records"] == 4
-    # A healthy daemon: nothing retried, nobody re-probed.
-    assert (payload["stats"]["retries"],
-            payload["stats"]["probes"]) == (0, 0)
-    assert "fleet: 1 remote daemon(s)" in captured.err
-    # The distribution ledger reaches the human summary too.
-    assert "1 daemon(s)" in captured.err
+    # A healthy daemon: no lease failed, nothing ran locally.
+    assert (payload["stats"]["stolen"],
+            payload["stats"]["local_records"]) == (0, 0)
+    assert f"remote daemon: {host}:{port}" in captured.err
+    # The remote ledger reaches the human summary too.
+    assert "remote: 2 chunk(s) over 2 lease(s)" in captured.err
 
 
 def test_explore_remote_unreachable_falls_back_locally(capsys):
@@ -366,7 +366,7 @@ def test_explore_remote_unreachable_falls_back_locally(capsys):
     payload = json.loads(captured.out)
     assert len(payload["records"]) == 2
     assert payload["stats"]["local_records"] == 2
-    assert payload["stats"]["lost_daemons"] == 1
+    assert payload["stats"]["leases"] == 0
 
 
 def test_explore_remote_rejects_junk_fleet():
@@ -376,6 +376,17 @@ def test_explore_remote_rejects_junk_fleet():
     with pytest.raises(SystemExit, match="chunk-size"):
         main(["explore", "--kernel", "fir5", "--pps", "1,2",
               "--remote", "127.0.0.1:1", "--chunk-size", "0"])
+
+
+def test_explore_remote_takes_one_daemon_address():
+    # A sweep runs on one daemon: a comma list and a repeated flag
+    # are both refused before any work starts.
+    with pytest.raises(SystemExit, match="one daemon"):
+        main(["explore", "--kernel", "fir5", "--pps", "1,2",
+              "--remote", "127.0.0.1:1,127.0.0.1:2"])
+    with pytest.raises(SystemExit, match="--remote takes one daemon"):
+        main(["explore", "--kernel", "fir5", "--pps", "1,2",
+              "--remote", "127.0.0.1:1", "--remote", "127.0.0.1:2"])
 
 
 def test_explore_remote_rejects_hill_strategy():

@@ -8,6 +8,7 @@ daemon subprocesses (including a mid-sweep kill) lives in
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,6 @@ from repro.dse.distributed import (
     DistributedError,
     DistributedSweepStats,
     parse_remote,
-    parse_remotes,
     run_distributed_sweep,
 )
 from repro.dse.runner import evaluate_chunk, run_sweep
@@ -44,7 +44,7 @@ def url(thread):
     return f"{thread.address[0]}:{thread.address[1]}"
 
 
-# -- fleet spec parsing ---------------------------------------------------
+# -- remote address parsing -----------------------------------------------
 
 class TestParseRemotes:
     def test_forms(self):
@@ -55,22 +55,19 @@ class TestParseRemotes:
         assert parse_remote(" http://10.0.0.2:9000 ") \
             == ("10.0.0.2", 9000)
 
-    def test_lists_split_and_dedupe(self):
-        fleet = parse_remotes(["a:1,b:2", "b:2", " ", "c:3"])
-        assert fleet == [("a", 1), ("b", 2), ("c", 3)]
-        assert parse_remotes("a:1,b:2") == [("a", 1), ("b", 2)]
-
-    def test_parsed_pairs_pass_through(self):
-        fleet = parse_remotes([("a", 1), "b:2", ("a", 1)])
-        assert fleet == [("a", 1), ("b", 2)]
-        with pytest.raises(DistributedError):
-            parse_remotes([("a", 1, "extra")])
-
     @pytest.mark.parametrize("spec", ["", "https://host:1",
                                       "host:notaport", "http://"])
     def test_junk_is_rejected(self, spec):
         with pytest.raises(DistributedError):
             parse_remote(spec)
+
+    def test_a_sweep_takes_one_daemon(self):
+        with pytest.raises(DistributedError, match="one daemon"):
+            parse_remote("a:1,b:2")
+        for remotes in (["a:1", "b:2"], []):
+            with pytest.raises(DistributedError, match="one daemon"):
+                run_distributed_sweep(FIR5, SPACE.grid()[:1],
+                                      remotes=remotes)
 
 
 # -- evaluate_chunk (the daemon-side entry) -------------------------------
@@ -98,19 +95,19 @@ class TestEvaluateChunk:
 
 class TestDistributedSweep:
     def test_bit_identical_to_local_run_sweep(self, local_result):
-        with ServiceThread(workers=2) as a, \
-                ServiceThread(workers=2) as b:
+        with ServiceThread(workers=2) as daemon:
             result = run_distributed_sweep(
-                FIR5, SPACE.grid(), remotes=[url(a), url(b)],
+                FIR5, SPACE.grid(), remotes=[url(daemon)],
                 chunk_size=3)
         assert canon(result.records) == canon(local_result.records)
         stats = result.stats
         assert isinstance(stats, DistributedSweepStats)
-        assert stats.daemons == 2 and stats.lost_daemons == 0
+        assert stats.workers == 2
         assert stats.remote_records == stats.unique
-        assert stats.local_records == 0
-        assert stats.chunks == -(-len(SPACE.grid()) // 3)
-        assert "fleet: 2 daemon(s)" in stats.summary()
+        assert stats.local_records == 0 and stats.stolen == 0
+        assert stats.chunks == stats.leases \
+            == -(-len(SPACE.grid()) // 3)
+        assert "remote: 4 chunk(s) over 4 lease(s)" in stats.summary()
 
     def test_duplicates_and_order_preserved(self, local_result):
         points = SPACE.grid()[:4]
@@ -166,38 +163,61 @@ class TestDistributedSweep:
     def test_all_daemons_unreachable_falls_back_locally(
             self, local_result):
         result = run_distributed_sweep(
-            FIR5, SPACE.grid(),
-            remotes=["127.0.0.1:1", "127.0.0.1:2"],
-            chunk_size=4, timeout=5)
+            FIR5, SPACE.grid(), remotes="127.0.0.1:1", chunk_size=4)
         assert canon(result.records) == canon(local_result.records)
         stats = result.stats
-        assert stats.lost_daemons == 2 and stats.leases == 0
+        assert stats.leases == 0 and stats.stolen == 0
         assert stats.local_records == stats.unique
 
     def test_daemon_killed_mid_sweep_completes_identically(
             self, local_result):
-        a = ServiceThread(workers=2)
-        b = ServiceThread(workers=2)
-        a.start()
-        b.start()
+        daemon = ServiceThread(workers=2)
+        daemon.start()
         killed = threading.Event()
+        events = []
 
         def progress(event):
-            # Kill daemon A the moment the first chunk lands; its
-            # in-flight leases fail and their chunks are stolen.
+            # Stop the daemon the moment the first chunk lands; the
+            # next lease fails and the rest of the sweep runs locally.
+            events.append(event["event"])
             if event["event"] == "chunk" and not killed.is_set():
                 killed.set()
-                a.stop(timeout=10)
+                daemon.stop(timeout=10)
 
         try:
             result = run_distributed_sweep(
-                FIR5, SPACE.grid(), remotes=[url(a), url(b)],
-                chunk_size=2, timeout=15, progress=progress)
+                FIR5, SPACE.grid(), remotes=url(daemon),
+                chunk_size=2, progress=progress)
         finally:
-            a.stop()
-            b.stop()
+            daemon.stop()
         assert killed.is_set()
         assert canon(result.records) == canon(local_result.records)
+        stats = result.stats
+        assert stats.stolen >= 1
+        assert stats.remote_records + stats.local_records \
+            == stats.unique
+        assert events[-1] == "fallback"
+
+    def test_lanes_share_one_queue_without_losing_a_chunk(
+            self, local_result):
+        """Eight lanes (more than the cores) race on the shared chunk
+        queue with a tiny switch interval: every chunk is leased and
+        merged exactly once."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServiceThread(workers=8) as daemon:
+                result = run_distributed_sweep(
+                    FIR5, SPACE.grid(), remotes=url(daemon),
+                    chunk_size=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert canon(result.records) == canon(local_result.records)
+        stats = result.stats
+        assert stats.workers == 8
+        assert stats.chunks == stats.leases == stats.unique
+        assert stats.remote_records == stats.unique
+        assert stats.local_records == 0
 
     def test_failure_records_travel_the_wire(self):
         # n_pps=0 fails at evaluation; the failure record must come
@@ -215,16 +235,41 @@ class TestDistributedSweep:
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):
             run_distributed_sweep(FIR5, SPACE.grid()[:1],
-                                  remotes=["h:1"], chunk_size=0)
+                                  remotes="h:1", chunk_size=0)
         assert DEFAULT_CHUNK_SIZE >= 1
 
     def test_run_sweep_remotes_delegates(self, local_result):
         with ServiceThread(workers=2) as daemon:
             result = run_sweep(FIR5, SPACE.grid(),
-                               remotes=[url(daemon)],
+                               remotes=url(daemon),
                                remote_chunk_size=4)
         assert isinstance(result.stats, DistributedSweepStats)
         assert canon(result.records) == canon(local_result.records)
+        assert result.stats.chunks == 3
+
+
+class TestResumableSweeps:
+    def test_interrupted_progress_survives_in_the_cache(
+            self, tmp_path, local_result):
+        """What makes a re-run a resume: records a distributed sweep
+        merged are in the cache even though the run never wrote a
+        final batch — a second sweep over the same cache recomputes
+        only what is missing."""
+        with ServiceThread(workers=2) as daemon:
+            first = run_distributed_sweep(
+                FIR5, SPACE.grid()[:5], remotes=url(daemon),
+                cache=tmp_path, chunk_size=2)
+        assert first.stats.remote_records == 5
+        # "Resume" with a wider request: the 5 finished points are
+        # pure cache hits; only the 7 new ones are leased.
+        with ServiceThread(workers=2) as daemon:
+            resumed = run_distributed_sweep(
+                FIR5, SPACE.grid(), remotes=url(daemon),
+                cache=tmp_path, chunk_size=2)
+        assert canon(resumed.records) == canon(local_result.records)
+        assert resumed.stats.cached == 5
+        assert resumed.stats.evaluated == resumed.stats.unique - 5
+        assert resumed.stats.remote_records == resumed.stats.unique - 5
 
 
 # -- the daemon's sweep-chunk endpoint ------------------------------------
@@ -296,103 +341,82 @@ class TestSweepChunkJobs:
         assert not coalesced and other is not job
 
 
-# -- cache peering --------------------------------------------------------
+# -- the daemon's store -------------------------------------------------
 
 class TestPeering:
+    """``peer_records``: records the daemon's store served without
+    computing them."""
+
     def test_prewarmed_peer_short_circuits_compute(
             self, tmp_path, local_result):
-        """The peering acceptance: daemon A's store already holds a
-        subset of the sweep; the coordinator fetches those records
-        from A instead of leasing them, so the daemons' computed
-        counters cover only the remainder — and the merged result is
-        still bit-identical to a local run."""
+        """The daemon's store already holds a subset of the sweep:
+        the chunks covering it are store reads there, counted in
+        ``peer_records`` — and the merged result is still
+        bit-identical to a local run."""
         warm_points = SPACE.grid()[:5]
-        warm_keys = {cache_key(FIR5, point) for point in warm_points}
-        store_a = tmp_path / "store-a"
-        run_sweep(FIR5, warm_points, workers=1, cache=store_a)
+        store = tmp_path / "store"
+        run_sweep(FIR5, warm_points, workers=1, cache=store)
 
         events = []
-        with ServiceThread(workers=2, store=store_a) as a, \
-                ServiceThread(workers=2,
-                              store=tmp_path / "store-b") as b:
+        with ServiceThread(workers=2, store=store) as daemon:
             result = run_distributed_sweep(
-                FIR5, SPACE.grid(), remotes=[url(a), url(b)],
+                FIR5, SPACE.grid(), remotes=url(daemon),
                 chunk_size=3, progress=events.append)
-            computed = sum(
-                ServiceClient(*thread.address)
-                .stats()["service"]["computed"]
-                for thread in (a, b))
+            entries = ServiceClient(*daemon.address) \
+                .stats()["store"]["entries"]
         assert canon(result.records) == canon(local_result.records)
-
         stats = result.stats
-        assert stats.peer_records == len(warm_keys) == 5
-        # Only the 7 cold points were chunked; the daemons' computed
-        # counters (jobs dispatched to workers) cover exactly those
-        # chunks — nothing was leased for the warm subset.
-        assert stats.chunks == -(-(stats.unique - 5) // 3) == 3
-        assert computed == stats.chunks
-        # Per-peer ledger: A served the warm subset, B served none.
-        ledger_a = stats.peers[url(a)]
-        ledger_b = stats.peers[url(b)]
-        assert ledger_a["hits"] == 5
-        assert ledger_b["hits"] == 0
-        assert ledger_a["hits"] + ledger_a["misses"] == stats.unique
-        peer_events = [event for event in events
-                       if event.get("event") == "peer"]
-        assert sum(event["records"]
-                   for event in peer_events) == 5
-        assert stats.summary().count("peer-fetched") == 1
+        assert stats.peer_records == len(warm_points) == 5
+        assert stats.remote_records == stats.unique
+        assert stats.chunks == stats.leases == 4
+        assert entries == stats.unique  # 7 computed, 5 served
+        chunk_events = [event for event in events
+                        if event["event"] == "chunk"]
+        assert sorted(event["done"] for event in chunk_events) \
+            == [1, 2, 3, 4]
+        assert "(5 store-hit)" in stats.summary()
 
     def test_peer_records_reach_the_local_cache(self, tmp_path):
-        """Peer-fetched records take the same write-back path as
-        leased ones: they land in the coordinator's local cache
+        """Store-served records take the same write-back path as
+        computed ones: they land in the coordinator's local cache
         bit-identically."""
         points = SPACE.grid()[:4]
-        store_a = tmp_path / "store-a"
-        warmed = run_sweep(FIR5, points, workers=1, cache=store_a)
+        store = tmp_path / "store"
+        warmed = run_sweep(FIR5, points, workers=1, cache=store)
         local = tmp_path / "local"
-        with ServiceThread(workers=2, store=store_a) as daemon:
+        with ServiceThread(workers=2, store=store) as daemon:
             result = run_distributed_sweep(
                 FIR5, points, remotes=url(daemon), cache=local)
         assert canon(result.records) == canon(warmed.records)
         assert result.stats.peer_records == 4
-        assert result.stats.leases == 0
-        # Every fetched record landed in the local cache, equal to
-        # the peer's copy — a warm re-run reads, never computes.
+        assert result.stats.leases == 1
+        # Every served record landed in the local cache, equal to
+        # the daemon's copy — a warm re-run reads, never computes.
         local_cache = ResultCache(local)
-        peer_cache = ResultCache(store_a)
+        store_cache = ResultCache(store)
         for point in points:
             key = cache_key(FIR5, point)
-            assert local_cache.get(key) == peer_cache.get(key)
+            assert local_cache.get(key) == store_cache.get(key)
         rerun = run_sweep(FIR5, points, cache=local)
         assert rerun.stats.cached == 4 and rerun.stats.evaluated == 0
 
-    def test_unreachable_peer_never_blocks_the_sweep(
-            self, tmp_path, local_result):
-        """A dead address in the fleet costs the peering pass
-        nothing but a ledger entry — the live daemon carries the
-        sweep and results stay identical."""
-        with ServiceThread(workers=2,
-                           store=tmp_path / "store") as daemon:
-            result = run_distributed_sweep(
-                FIR5, SPACE.grid(),
-                remotes=[url(daemon), "127.0.0.1:1"],
-                chunk_size=4)
-        assert canon(result.records) == canon(local_result.records)
-        assert result.stats.peer_records == 0
-        assert result.stats.daemons == 2
-        assert result.stats.lost_daemons == 1
-
     def test_verifying_sweep_ignores_unverified_peer_records(
             self, tmp_path):
-        """Peering honours the verification rule end to end: a peer
-        full of unverified records contributes nothing to a
-        verifying sweep."""
+        """The verification rule on the chunk path: a daemon store
+        full of unverified records serves none of them to a
+        verifying sweep — each point is re-mapped, verified, and
+        replaces the stale entry in the daemon's store."""
         points = SPACE.grid()[:3]
-        store_a = tmp_path / "store-a"
-        run_sweep(FIR5, points, workers=1, cache=store_a)  # unverified
-        with ServiceThread(workers=2, store=store_a) as daemon:
+        store = tmp_path / "store"
+        run_sweep(FIR5, points, workers=1, cache=store)  # unverified
+        with ServiceThread(workers=2, store=store) as daemon:
             result = run_distributed_sweep(
                 FIR5, points, remotes=url(daemon), verify_seed=3)
         assert result.stats.peer_records == 0
+        assert result.stats.remote_records == 3
         assert all(record["verified"] for record in result.records)
+        expected = run_sweep(FIR5, points, workers=1, verify_seed=3)
+        assert canon(result.records) == canon(expected.records)
+        stored = ResultCache(store)
+        assert all(stored.get(cache_key(FIR5, point))["verified"]
+                   for point in points)

@@ -2,11 +2,11 @@
 
 The paper's flow is deterministic, so a mapping computed on a remote
 ``fpfa-map serve`` daemon must be bit-identical to one computed
-in-process — through concurrent clients, sharding, daemon death,
-store bounds, peering, tracing and injected faults.  Every test here
-drives subprocess daemons from the one ``fleet`` fixture and compares
-against one local ``run_sweep`` ground truth over one grid.  Killing
-a subprocess is a *real* death (SIGKILL, sockets torn down
+in-process — through concurrent clients, distributed sweeps, daemon
+death, a killed coordinator, store bounds and tracing.  Every test
+here drives subprocess daemons from the one ``fleet`` fixture and
+compares against one local ``run_sweep`` ground truth over one grid.
+Killing a subprocess is a *real* death (SIGKILL, sockets torn down
 mid-request), which the in-process ``ServiceThread`` tests beside
 each layer cannot stage.
 
@@ -27,15 +27,8 @@ import time
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:  # `python -m pytest` from elsewhere
-    sys.path.insert(0, str(ROOT))
-
-from tools.chaos import ChaosProxy, ChaosSchedule  # noqa: E402
-
 from repro.cli import main as cli_main
 from repro.dse.cache import ResultCache
-from repro.dse.checkpoint import JOURNAL_NAME, load_journal
 from repro.dse.distributed import run_distributed_sweep
 from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
@@ -50,28 +43,26 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import parse_prometheus
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.resilience import RetryPolicy
 from repro.service.subproc import DaemonProcess
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 KERNEL = "fir5"
 SOURCE = get_kernel(KERNEL).source
 
 #: The one swept grid: 24 points, enough chunks that a mid-sweep
-#: kill always strands leases and the storm sees plenty of
-#: connections.
+#: kill always strands leases.
 AXES = {"n_pps": [1, 2, 3, 4, 6, 8], "n_buses": [2, 4, 6, 10]}
 SPACE = DesignSpace(AXES)
 
-DAEMONS = 2
 #: Worker pool per fleet daemon; the service and metrics checks run
 #: a wider pool of worker processes, the mode ``serve`` defaults to.
 WORKERS = 2
 SERVICE_WORKERS = 4
 #: Concurrent submitting clients in the service check.
 CLIENTS = 8
-#: Points per lease; the chaos sweeps lease smaller chunks.
+#: Points per lease.
 CHUNK_SIZE = 3
-CHAOS_CHUNK_SIZE = 2
 #: The LRU entry bound of the store checks.
 MAX_ENTRIES = 4
 
@@ -91,20 +82,7 @@ REQUIRED_FAMILIES = {
     "fpfa_store_entries": "gauge",
     "fpfa_workers": "gauge",
     "fpfa_chunk_leases_total": "counter",
-    "fpfa_chunk_releases_total": "counter",
 }
-
-#: The storm the fault-storm fleet lives behind.  ``grace`` exempts
-#: the coordinator's probe and peering connections so the fleet is
-#: admitted before the weather starts.
-STORM = dict(faults={"latency": 0.20, "reset": 0.10,
-                     "inject-503": 0.08, "truncate": 0.05},
-             latency=0.05, truncate_after=120, grace=4)
-
-#: The storm-riding coordinator policy: more attempts than the
-#: default, tight delays.
-STORM_RETRY = RetryPolicy(attempts=5, base_delay=0.05,
-                          max_delay=0.5, jitter=0.25, seed=7)
 
 #: Extend, never replace: the interpreter may need inherited vars
 #: (LD_LIBRARY_PATH for shared builds, VIRTUAL_ENV, ...).
@@ -119,63 +97,32 @@ def canon(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def hostport(address) -> str:
-    return "%s:%d" % tuple(address)
-
-
-def urls(daemons) -> list[str]:
-    return [daemon.url for daemon in daemons]
-
-
 class Fleet:
     """Starts :class:`DaemonProcess` daemons, each on a fresh store
-    under one directory, plus any chaos proxies in front of them, and
-    tears all of it down."""
+    under one directory, and tears them down."""
 
     def __init__(self, root: pathlib.Path):
         self.root = root
         self.daemons: list[DaemonProcess] = []
         self.killed: set[int] = set()
-        self.proxies: list[ChaosProxy] = []
 
-    def store(self, index: int) -> pathlib.Path:
-        """The store directory of the *index*-th daemon started."""
-        return self.root / f"store-{index}"
-
-    def __call__(self, n: int = DAEMONS, *, workers: int = WORKERS,
-                 **options) -> list[DaemonProcess]:
-        started = [DaemonProcess(
-            self.store(len(self.daemons) + index),
-            workers=workers, **options) for index in range(n)]
-        self.daemons += started
-        with concurrent.futures.ThreadPoolExecutor(n) as pool:
-            list(pool.map(DaemonProcess.start, started))
-        return started
+    def __call__(self, *, workers: int = WORKERS,
+                 **options) -> DaemonProcess:
+        daemon = DaemonProcess(self.root / f"store-{len(self.daemons)}",
+                               workers=workers, **options)
+        self.daemons.append(daemon)
+        return daemon.start()
 
     def kill(self, daemon: DaemonProcess) -> None:
         """SIGKILL *daemon* on purpose; teardown will not expect a
-        clean exit from it unless it is restarted."""
+        clean exit from it."""
         self.killed.add(id(daemon))
         daemon.kill()
 
-    def proxy(self, daemon: DaemonProcess, **schedule) -> ChaosProxy:
-        proxy = ChaosProxy(*daemon.address,
-                           ChaosSchedule(**schedule)).start()
-        self.proxies.append(proxy)
-        return proxy
-
     def teardown(self) -> list[str]:
-        """Stop the proxies, ``POST /shutdown`` every live daemon and
-        return what went wrong: a daemon that died untold, refused
-        ``/shutdown`` or exited non-zero after it."""
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            # A proxy stops on its accept timeout: let them all wind
-            # down while the daemons shut down.
-            for proxy in self.proxies:
-                pool.submit(proxy.stop)
-            return self._shut_down_daemons()
-
-    def _shut_down_daemons(self) -> list[str]:
+        """``POST /shutdown`` every live daemon and return what went
+        wrong: a daemon that died untold, refused ``/shutdown`` or
+        exited non-zero after it."""
         problems, stopping = [], []
         for daemon in self.daemons:
             process = daemon.process
@@ -222,17 +169,15 @@ def truth() -> str:
     return canon(result.records)
 
 
-def kill_on_first_chunk(fleet, victim, then=None):
+def kill_on_first_chunk(fleet, victim):
     """A progress hook that SIGKILLs *victim* the moment the first
-    chunk completes, then calls *then*; ``hook.fired`` records it."""
+    chunk completes; ``hook.fired`` records it."""
     fired = threading.Event()
 
     def hook(event):
         if event["event"] == "chunk" and not fired.is_set():
             fired.set()
             fleet.kill(victim)
-            if then is not None:
-                then()
 
     hook.fired = fired
     return hook
@@ -259,7 +204,7 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
     resubmit reuses the compiled frontend."""
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         # The daemon boots while the offline payloads are computed.
-        booting = pool.submit(fleet, 1, workers=SERVICE_WORKERS,
+        booting = pool.submit(fleet, workers=SERVICE_WORKERS,
                               worker_mode="process")
         offline = {}
         for kernel in KERNELS:
@@ -270,7 +215,7 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
                              str(json_path)]) == 0, kernel.name
             offline[kernel.name] = (str(source_path),
                                     json.loads(json_path.read_text()))
-        daemon, = booting.result()
+        daemon = booting.result()
     client = ServiceClient(*daemon.address)
 
     def submit(kernel):
@@ -301,59 +246,120 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
 # -- distributed ------------------------------------------------------------
 
 def test_distributed_sharding_is_bit_identical(fleet, truth, tmp_path):
-    """Every record is computed remotely, each daemon leases a fair
-    share of the chunks, and the remote records warm both the
-    coordinator cache (the shared on-disk format) and the daemons'
-    stores: a re-shard fetches every record from a peer store and
-    leases nothing."""
-    daemons = fleet()
+    """Every record is computed remotely, one chunk job per lease, and
+    the remote records warm both the coordinator cache (the shared
+    on-disk format) and the daemon's store: a warm re-run computes
+    nothing — the daemon's store serves every record."""
+    daemon = fleet()
     cache = tmp_path / "coordinator-cache"
     result = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls(daemons), cache=cache,
+        SOURCE, SPACE.grid(), remotes=daemon.url, cache=cache,
         chunk_size=CHUNK_SIZE)
     stats = result.stats
     assert canon(result.records) == truth
-    assert stats.local_records == 0
-    assert stats.lost_daemons == 0
+    assert stats.local_records == 0 and stats.stolen == 0
     assert stats.remote_records == stats.unique
-    leases = [ServiceClient(*daemon.address).stats()["service"]
-              ["computed"] for daemon in daemons]
-    assert sum(leases) == stats.chunks
-    assert min(leases) >= stats.chunks // len(daemons) - 2, leases
+    assert stats.peer_records == 0
+    client = ServiceClient(*daemon.address)
+    assert client.stats()["service"]["computed"] \
+        == stats.leases == stats.chunks
     warm = run_sweep(SOURCE, SPACE.grid(), cache=cache)
     assert canon(warm.records) == truth
     assert warm.stats.cached == warm.stats.unique
-    reshard = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls(daemons),
+    entries = client.stats()["store"]["entries"]
+    rerun = run_distributed_sweep(
+        SOURCE, SPACE.grid(), remotes=daemon.url,
         chunk_size=CHUNK_SIZE)
-    assert canon(reshard.records) == truth
-    assert reshard.stats.peer_records == reshard.stats.unique
-    assert reshard.stats.remote_records == 0
+    assert canon(rerun.records) == truth
+    assert rerun.stats.peer_records == rerun.stats.unique
+    assert client.stats()["store"]["entries"] == entries
 
 
 def test_distributed_survives_a_daemon_killed_mid_sweep(fleet, truth,
                                                         tmp_path):
-    daemons = fleet()
-    hook = kill_on_first_chunk(fleet, daemons[0])
+    """The daemon dies after the first chunk: the next lease fails
+    and the rest of the sweep runs locally."""
+    daemon = fleet()
+    hook = kill_on_first_chunk(fleet, daemon)
     result = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls(daemons),
-        cache=tmp_path / "cache", chunk_size=CHUNK_SIZE, timeout=30,
+        SOURCE, SPACE.grid(), remotes=daemon.url,
+        cache=tmp_path / "cache", chunk_size=CHUNK_SIZE,
         progress=hook)
+    stats = result.stats
     assert hook.fired.is_set(), "no chunk completed before the kill"
     assert canon(result.records) == truth
-    assert len(result.records) == result.stats.total
+    assert stats.stolen >= 1
+    assert stats.remote_records >= CHUNK_SIZE
+    assert stats.remote_records + stats.local_records == stats.unique
 
 
 def test_distributed_total_fleet_loss_falls_back_locally(fleet, truth,
                                                          tmp_path):
-    daemons = fleet()
-    for daemon in daemons:
-        fleet.kill(daemon)
+    daemon = fleet()
+    fleet.kill(daemon)
     result = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls(daemons),
-        cache=tmp_path / "cache", chunk_size=6, timeout=10)
+        SOURCE, SPACE.grid(), remotes=daemon.url,
+        cache=tmp_path / "cache", chunk_size=6)
     assert canon(result.records) == truth
     assert result.stats.local_records == result.stats.unique
+    assert result.stats.leases == 0
+
+
+def explore_command(cache, remote: str, *extra: str) -> list[str]:
+    return [sys.executable, "-m", "repro.cli", "explore",
+            "--kernel", KERNEL,
+            "--pps", ",".join(map(str, AXES["n_pps"])),
+            "--buses", ",".join(map(str, AXES["n_buses"])),
+            "--strategy", "exhaustive", "--cache", str(cache),
+            "--remote", remote, "--chunk-size", "1", *extra]
+
+
+def cached_records(cache: pathlib.Path) -> int:
+    return len(list(cache.glob("??/*.json")))
+
+
+def test_killed_coordinator_rerun_recomputes_only_missing_points(
+        fleet, truth, tmp_path):
+    """An ``explore --remote --cache`` coordinator SIGKILLed mid-sweep
+    leaves the records it merged in its cache; re-running the same
+    command recomputes only the missing points."""
+    # One worker and one point per lease: the sweep advances one
+    # record at a time.  Once two are cached the daemon is frozen
+    # (SIGSTOP), so the coordinator is stuck mid-sweep when killed.
+    daemon = fleet(workers=1)
+    cache = tmp_path / "cache"
+    coordinator = subprocess.Popen(
+        explore_command(cache, daemon.url),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=SUBPROCESS_ENV)
+    try:
+        deadline = time.monotonic() + 60
+        while coordinator.poll() is None \
+                and time.monotonic() < deadline \
+                and cached_records(cache) < 2:
+            time.sleep(0.005)
+        daemon.process.send_signal(signal.SIGSTOP)
+        assert coordinator.poll() is None, \
+            "coordinator finished before the kill window"
+        coordinator.send_signal(signal.SIGKILL)
+    finally:
+        coordinator.kill()
+        coordinator.wait(timeout=30)
+        daemon.process.send_signal(signal.SIGCONT)
+
+    recovered = cached_records(cache)
+    assert 0 < recovered < SPACE.size, recovered
+    json_path = tmp_path / "rerun.json"
+    rerun = subprocess.run(
+        explore_command(cache, daemon.url, "--json", str(json_path)),
+        capture_output=True, text=True, timeout=300,
+        env=SUBPROCESS_ENV)
+    assert rerun.returncode == 0, rerun.stderr[-400:]
+    payload = json.loads(json_path.read_text())
+    stats = payload["stats"]
+    assert canon(payload["records"]) == truth
+    assert stats["cached"] == recovered
+    assert stats["remote_records"] == stats["unique"] - recovered
 
 
 # -- store ------------------------------------------------------------------
@@ -373,7 +379,7 @@ def test_store_lru_bound_leaves_fsck_nothing_to_heal(truth, tmp_path):
 
 def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
                                                             truth):
-    daemon, = fleet(1, store_max_entries=MAX_ENTRIES)
+    daemon = fleet(store_max_entries=MAX_ENTRIES)
     result = run_distributed_sweep(
         SOURCE, SPACE.grid(), remotes=daemon.url,
         chunk_size=CHUNK_SIZE)
@@ -386,35 +392,14 @@ def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
         "fpfa_store_evictions_total") == store["evictions"]
 
 
-def test_store_peer_fetch_serves_warm_records(fleet, truth):
-    """Records written offline into one daemon's store before it
-    starts are fetched from it (``/store/fetch``), not recomputed:
-    the fleet computes chunk jobs for the cold remainder only."""
-    warm_points = SPACE.grid()[:5]
-    run_sweep(SOURCE, warm_points, cache=fleet.store(0))
-    warm, cold = fleet()
-    result = run_distributed_sweep(
-        SOURCE, SPACE.grid(), remotes=urls([warm, cold]),
-        chunk_size=CHUNK_SIZE)
-    assert canon(result.records) == truth
-    assert result.stats.peer_records == len(warm_points)
-    assert result.stats.peers.get(warm.url, {}).get("hits", 0) \
-        == len(warm_points)
-    computed = sum(ServiceClient(*daemon.address)
-                   .stats()["service"]["computed"]
-                   for daemon in (warm, cold))
-    cold_points = SPACE.size - len(warm_points)
-    assert computed == -(-cold_points // CHUNK_SIZE)
-
-
 # -- observability ----------------------------------------------------------
 
 def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
     """``/metrics`` parses strictly and agrees with ``/stats``, and a
-    sharded sweep leases chunks to both daemons without changing the
-    sweep's records."""
-    daemons = fleet(workers=SERVICE_WORKERS, worker_mode="process")
-    client = ServiceClient(*daemons[0].address)
+    distributed sweep leases chunks to the daemon without changing
+    the sweep's records."""
+    daemon = fleet(workers=SERVICE_WORKERS, worker_mode="process")
+    client = ServiceClient(*daemon.address)
     for kernel in KERNELS[:3]:
         client.map_source(kernel.source, file=kernel.name, timeout=120)
     # One duplicate (a store hit) and one failure, so the hit and
@@ -425,8 +410,7 @@ def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
         client.map_source(KERNELS[0].source, file=KERNELS[0].name,
                           pps=0)
 
-    status, content_type, body = http_get(daemons[0].address,
-                                          "/metrics")
+    status, content_type, body = http_get(daemon.address, "/metrics")
     assert status == 200
     assert content_type == "text/plain; version=0.0.4; charset=utf-8"
     parsed = parse_prometheus(body.decode("utf-8"))
@@ -443,17 +427,13 @@ def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
     assert "started_at" in stats
 
     result = run_distributed_sweep(SOURCE, SPACE.grid(),
-                                   remotes=",".join(urls(daemons)),
+                                   remotes=daemon.url,
                                    chunk_size=CHUNK_SIZE)
     assert canon(result.records) == truth
-    assert result.stats.daemons == DAEMONS
     assert result.stats.remote_records == SPACE.size
-    for daemon in daemons:
-        status, __, body = http_get(daemon.address, "/metrics")
-        assert status == 200
-        leases = parse_prometheus(body.decode("utf-8")).value(
-            "fpfa_chunk_leases_total")
-        assert leases > 0, daemon.url
+    leases = parse_prometheus(client.metrics()).value(
+        "fpfa_chunk_leases_total")
+    assert leases == result.stats.leases > 0
 
 
 # -- tracing ----------------------------------------------------------------
@@ -461,19 +441,19 @@ def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
 def test_trace_stitches_one_sweep_across_processes(fleet, truth,
                                                    tmp_path,
                                                    monkeypatch):
-    """A sharded sweep recorded in the coordinator and harvested from
-    the daemons is one trace: parent-linked across the process
+    """A distributed sweep recorded in the coordinator and harvested
+    from the daemon is one trace: parent-linked across the process
     boundary, exportable to Perfetto, attributed on the critical
     path — and its records are those of an untraced run."""
     # Daemons inherit the environment: tracing on before they spawn.
     monkeypatch.setenv("FPFA_TRACE", "1")
-    daemons = fleet()
+    daemon = fleet()
     log = tmp_path / TRACE_LOG_NAME
     with recording(log) as recorder:
         result = run_distributed_sweep(
-            SOURCE, SPACE.grid(), remotes=urls(daemons),
+            SOURCE, SPACE.grid(), remotes=daemon.url,
             cache=tmp_path / "cache", chunk_size=CHUNK_SIZE)
-        harvest_daemons(urls(daemons), recorder,
+        harvest_daemons([daemon.url], recorder,
                         trace_ids=recorder.seen_traces)
     assert canon(result.records) == truth, \
         "observation mutated the artifacts"
@@ -510,129 +490,3 @@ def test_trace_stitches_one_sweep_across_processes(fleet, truth,
     report = critical_path(entries)
     assert report["total"] > 0
     assert report["attributed"] >= 0.95, render_critical(report)
-
-
-# -- chaos ------------------------------------------------------------------
-
-def test_chaos_fault_storm_is_bit_identical(fleet, truth, tmp_path):
-    """Latency, resets, truncated responses and fake 503s on every
-    connection: the retrying coordinator still completes the sweep,
-    and the counts prove the faults fired and were absorbed."""
-    proxies = [fleet.proxy(daemon, seed=100 + index, **STORM)
-               for index, daemon in enumerate(fleet())]
-    result = run_distributed_sweep(
-        SOURCE, SPACE.grid(),
-        remotes=[hostport(proxy.address) for proxy in proxies],
-        cache=tmp_path / "cache", chunk_size=CHAOS_CHUNK_SIZE,
-        timeout=60, retry=STORM_RETRY)
-    injected = {kind: sum(proxy.counts.get(kind, 0)
-                          for proxy in proxies)
-                for kind in ("latency", "reset", "inject-503",
-                             "truncate")}
-    assert canon(result.records) == truth
-    assert len(result.records) == result.stats.total
-    assert any(injected.values()), "the storm tested nothing"
-    if injected["reset"] + injected["inject-503"] \
-            + injected["truncate"]:
-        assert result.stats.retries > 0, \
-            "faults fired but nothing retried"
-
-
-def test_chaos_killed_daemon_is_readmitted_after_restart(fleet, truth,
-                                                         tmp_path):
-    """A daemon SIGKILLed mid-sweep and restarted on its port is
-    demoted to probation, re-probed and readmitted."""
-    victim, slow = fleet()
-    # The survivor answers through a latency proxy so the sweep
-    # outlives the victim's death-and-rebirth window.
-    proxy = fleet.proxy(slow, seed=9, faults={"latency": 1.0},
-                        latency=0.3)
-    restart = threading.Timer(0.6, victim.restart)
-    hook = kill_on_first_chunk(fleet, victim, then=restart.start)
-    try:
-        result = run_distributed_sweep(
-            SOURCE, SPACE.grid(),
-            remotes=[victim.url, hostport(proxy.address)],
-            cache=tmp_path / "cache", chunk_size=1, timeout=30,
-            progress=hook)
-    finally:
-        restart.cancel()
-        if restart.ident is not None:
-            restart.join()
-    stats = result.stats
-    assert hook.fired.is_set(), "no chunk completed before the kill"
-    assert canon(result.records) == truth
-    assert stats.probations >= 1
-    assert stats.readmissions >= 1
-    assert stats.probes >= stats.readmissions
-    assert stats.remote_records + stats.peer_records \
-        + stats.local_records == stats.evaluated
-
-
-def explore_command(cache, remote: str, *extra: str) -> list[str]:
-    return [sys.executable, "-m", "repro.cli", "explore",
-            "--kernel", KERNEL,
-            "--pps", ",".join(map(str, AXES["n_pps"])),
-            "--buses", ",".join(map(str, AXES["n_buses"])),
-            "--strategy", "exhaustive", "--cache", str(cache),
-            "--remote", remote, "--chunk-size", str(CHAOS_CHUNK_SIZE),
-            *extra]
-
-
-def completed_chunks(journal: pathlib.Path) -> int:
-    try:
-        return sum('"complete"' in line
-                   for line in journal.read_text().splitlines())
-    except OSError:
-        return 0
-
-
-def test_chaos_killed_coordinator_resumes_from_its_journal(fleet,
-                                                           truth,
-                                                           tmp_path):
-    """An ``explore --remote`` coordinator SIGKILLed mid-sweep is
-    re-run with ``--resume``: it recognises its journal and
-    recomputes only the missing records."""
-    daemon, = fleet(1)
-    # A latency proxy slows the sweep enough to kill it with
-    # completed chunks in the journal.
-    proxy = fleet.proxy(daemon, seed=21, faults={"latency": 1.0},
-                        latency=0.25)
-    cache = tmp_path / "cache"
-    journal = cache / JOURNAL_NAME
-    coordinator = subprocess.Popen(
-        explore_command(cache, hostport(proxy.address)),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        env=SUBPROCESS_ENV)
-    try:
-        deadline = time.monotonic() + 60
-        while coordinator.poll() is None \
-                and time.monotonic() < deadline \
-                and completed_chunks(journal) < 2:
-            time.sleep(0.05)
-        assert coordinator.poll() is None, \
-            "coordinator finished before the kill window"
-        coordinator.send_signal(signal.SIGKILL)
-    finally:
-        coordinator.kill()
-        coordinator.wait(timeout=30)
-
-    state = load_journal(journal)
-    assert state is not None, "no loadable journal after the kill"
-    assert not state.ended, "journal claims a clean end after SIGKILL"
-    recovered = len(state.completed & set(state.pending))
-    assert recovered > 0, "nothing completed before the kill"
-
-    json_path = tmp_path / "resume.json"
-    resumed = subprocess.run(
-        explore_command(cache, daemon.url, "--json", str(json_path),
-                        "--resume"),
-        capture_output=True, text=True, timeout=300,
-        env=SUBPROCESS_ENV)
-    assert resumed.returncode == 0, resumed.stderr[-400:]
-    assert "resume: journal matches" in resumed.stdout + resumed.stderr
-    payload = json.loads(json_path.read_text())
-    stats = payload["stats"]
-    assert canon(payload["records"]) == truth
-    assert stats["cached"] >= recovered
-    assert stats["evaluated"] == stats["unique"] - stats["cached"]

@@ -317,6 +317,60 @@ def test_protocol_errors_are_http_400(client):
     assert excinfo.value.status == 400
 
 
+def test_validation_400_from_a_real_daemon_is_fatal():
+    with ServiceThread(workers=1) as daemon:
+        client = ServiceClient(*daemon.address)
+        with pytest.raises(ServiceError) as info:
+            client.submit({"kind": "bogus"})
+    assert info.value.status == 400
+    assert "bogus" in str(info.value)
+
+
+def test_queue_full_503_carries_retry_after(monkeypatch):
+    """Overload is plain HTTP: with the one worker held and the one
+    queue slot taken, the next submit is a 503 whose ``Retry-After``
+    header says when to come back."""
+    import http.client
+
+    from repro.service import daemon as daemon_module
+
+    running, release = threading.Event(), threading.Event()
+    run_map_job = daemon_module.run_map_job
+
+    def held_map_job(*args):
+        running.set()
+        release.wait(timeout=60)
+        return run_map_job(*args)
+
+    monkeypatch.setattr(daemon_module, "run_map_job", held_map_job)
+
+    def request(pps):
+        return {"kind": "map", "source": FIR_SOURCE, "pps": pps}
+
+    with ServiceThread(workers=1, max_queue=1) as daemon:
+        try:
+            client = ServiceClient(*daemon.address)
+            client.submit(request(1))  # runs, held on the worker
+            assert running.wait(timeout=30), "the worker never started"
+            client.submit(request(2))  # takes the one queue slot
+            connection = http.client.HTTPConnection(*daemon.address,
+                                                    timeout=30)
+            try:
+                connection.request(
+                    "POST", "/jobs",
+                    body=json.dumps(request(3)).encode("utf-8"),
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                body = json.loads(response.read().decode("utf-8"))
+            finally:
+                connection.close()
+        finally:
+            release.set()
+    assert response.status == 503
+    assert response.getheader("Retry-After") == "0.5"
+    assert "queue depth 1 reached" in body["error"]
+
+
 def test_unknown_job_is_http_404(client):
     with pytest.raises(ServiceError) as excinfo:
         client.job("job-999999")

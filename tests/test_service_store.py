@@ -15,7 +15,7 @@ import pytest
 from repro.dse.cache import ResultCache, cache_key
 from repro.dse.runner import evaluate_point, run_sweep
 from repro.dse.space import DesignPoint
-from repro.service import ServiceClient, ServiceError, ServiceThread
+from repro.service import ServiceClient, ServiceThread
 from repro.service.store import ArtifactStore
 
 from tests.conftest import FIR_SOURCE
@@ -176,13 +176,13 @@ def test_concurrent_put_get_never_tears(tmp_path):
     assert final is not None and final["pad"] == "x" * 4096
 
 
-# -- peer endpoints (/store/has, /store/fetch) ----------------------------
+# -- a live daemon's store -----------------------------------------------
 
 OTHER = "ef" + "01" * 31
 
 
 @pytest.fixture()
-def peer_daemon(tmp_path):
+def warm_daemon(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     store.put(KEY, _record(1))
     store.put(OTHER, _record(2, verified=True))
@@ -191,57 +191,10 @@ def peer_daemon(tmp_path):
         yield ServiceClient(*thread.address), thread
 
 
-def test_store_has_reports_inventory(peer_daemon):
-    client, __ = peer_daemon
-    missing = "00" * 32
-    present = client.store_has([KEY, OTHER, missing])
-    assert sorted(present) == sorted([KEY, OTHER])
-    # The verified filter hides unverified records.
-    assert client.store_has([KEY, OTHER], verified=True) == [OTHER]
-
-
-def test_store_fetch_returns_records_verbatim(peer_daemon):
-    client, thread = peer_daemon
-    records = client.store_fetch([KEY, OTHER, "00" * 32])
-    assert records[KEY] == _record(1)
-    assert records[OTHER] == _record(2, verified=True)
-    assert "00" * 32 not in records
-    assert client.store_fetch([KEY], verified=True) == {}
-    stats = client.stats()
-    assert stats["service"]["peer_queries"] >= 2
-    assert stats["service"]["peer_records"] == 2
-
-
-def test_store_has_does_not_move_the_hit_rate(peer_daemon):
-    """Peer probes are inventory, not service: they move neither
-    term of the daemon's store hit rate (``store_hits / submits``)."""
-    client, thread = peer_daemon
-    client.store_has([KEY, "00" * 32])
-    client.store_fetch([KEY])
-    service = client.stats()["service"]
-    assert service["store_hits"] == 0 and service["submits"] == 0
-    assert service["peer_queries"] >= 2
-
-
-@pytest.mark.parametrize("body", [
-    {"keys": "not-a-list"},
-    {"keys": ["../../etc/passwd"]},
-    {"keys": ["AB" + "cd" * 31]},          # uppercase hex rejected
-    {"keys": ["ab" * 31]},                  # wrong length
-    {"keys": ["zz" + "cd" * 31]},           # non-hex
-])
-def test_store_endpoints_reject_malformed_keys(peer_daemon, body):
-    client, __ = peer_daemon
-    for path in ("/store/has", "/store/fetch"):
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", path, body=body)
-        assert excinfo.value.status == 400
-
-
-def test_stats_after_server_side_clear(peer_daemon):
+def test_stats_after_server_side_clear(warm_daemon):
     """``cache clear`` against a live daemon's directory: the /stats
     view drops to zero entries and bytes."""
-    client, thread = peer_daemon
+    client, thread = warm_daemon
     assert client.stats()["store"]["entries"] == 2
     thread.service.store.clear()
     stats = client.stats()["store"]
@@ -249,4 +202,5 @@ def test_stats_after_server_side_clear(peer_daemon):
     assert stats["bytes"] == 0
     # The daemon keeps serving: a new record is admitted cleanly.
     assert thread.service.store.admit(KEY, _record(3)) is True
-    assert client.store_has([KEY]) == [KEY]
+    assert client.stats()["store"]["entries"] == 1
+    assert KEY in thread.service.store

@@ -352,7 +352,7 @@ class TestChromeExport:
             {"kind": "span", "name": "worker.chunk", "at": 99.5,
              "duration": 0.5, "trace": "t" * 32, "span": "b" * 16,
              "parent": "a" * 16, "pid": 2, "daemon": "h:1"},
-            {"kind": "event", "name": "distributed.steal",
+            {"kind": "event", "name": "distributed.fallback",
              "at": 99.0, "trace": "t" * 32, "pid": 1},
         ]
 
@@ -382,7 +382,7 @@ class TestChromeExport:
         table = rollup(self._entries())
         assert table["dse.sweep"] == {"count": 1, "total": 2.0,
                                       "min": 2.0, "max": 2.0}
-        assert "distributed.steal" not in table  # events excluded
+        assert "distributed.fallback" not in table  # events excluded
 
 
 class TestCriticalPath:

@@ -15,9 +15,9 @@ Times representative workloads of the mapping engine end to end:
 * ``service``      — warm submit→result rounds of the kernel suite
   through a live ``repro.service`` daemon (HTTP + queue + store
   overhead; the backend is served from the artifact store);
-* ``distributed``  — a sweep sharded across two daemon subprocesses
-  with warm stores through ``repro.dse.distributed`` (lease HTTP
-  rounds + chunk merging; the distribution layer's own overhead);
+* ``distributed``  — a sweep leased to one daemon subprocess with a
+  warm store through ``repro.dse.distributed`` (lease HTTP rounds +
+  chunk merging; the distribution layer's own overhead);
 * ``store``        — artifact-store put/get/stats throughput over a
   populated store (10^4 entries full, 10^3 quick), with a one-shot
   contrast of the manifest-indexed entry count against the full
@@ -222,11 +222,11 @@ def _workload_service(quick: bool):
 
 
 def _workload_distributed(quick: bool):
-    """A sweep sharded across two real daemon subprocesses with warm
-    artifact stores and no coordinator cache: every chunk crosses
-    the wire, so the measured cost is the distribution layer itself
-    (leasing HTTP rounds, chunk merging, store reads) — the overhead
-    a fleet pays on top of the backend work it parallelises."""
+    """A sweep leased to one real daemon subprocess (2 workers) with a
+    warm artifact store and no coordinator cache: every chunk crosses
+    the wire and is a store hit on the daemon, so the measured cost
+    is the distribution layer itself (lease HTTP rounds, chunk
+    merging, store reads)."""
     import atexit
     import tempfile
 
@@ -244,25 +244,23 @@ def _workload_distributed(quick: bool):
     points = space.grid()
     workdir = tempfile.TemporaryDirectory(prefix="fpfa-bench-dist-")
     atexit.register(workdir.cleanup)
-    fleet = [DaemonProcess(f"{workdir.name}/store-{index}",
-                           workers=2).start() for index in range(2)]
-    atexit.register(lambda: [daemon.kill() for daemon in fleet])
-    urls = [daemon.url for daemon in fleet]
+    daemon = DaemonProcess(f"{workdir.name}/store", workers=2).start()
+    atexit.register(daemon.kill)
+    # Prime the daemon's store: the timed runs measure the warm path.
+    run_distributed_sweep(source, points, remotes=daemon.url,
+                          chunk_size=4)
 
     def run():
         # No local cache: every record crosses the wire each run.
-        # The warm-up populates the daemon stores, so timed runs
-        # measure the warm fleet path — the peering inventory plus
-        # bulk store fetches, with chunk leases for any remainder.
-        result = run_distributed_sweep(source, points, remotes=urls,
-                                       chunk_size=4)
-        served = result.stats.remote_records \
-            + getattr(result.stats, "peer_records", 0)
+        result = run_distributed_sweep(source, points,
+                                       remotes=daemon.url, chunk_size=4)
+        served = result.stats.peer_records
         if served != result.stats.unique:
-            raise RuntimeError("fleet did not serve the whole sweep")
+            raise RuntimeError("the daemon's store did not serve the "
+                               "whole sweep")
         return served
 
-    return run, {"points": len(points), "daemons": len(fleet)}
+    return run, {"points": len(points), "daemons": 1}
 
 
 def _workload_store(quick: bool):

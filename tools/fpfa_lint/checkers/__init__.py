@@ -13,7 +13,7 @@ FPL003 trace-guard      attribute-building trace calls sit behind
                         ``trace.enabled()``
 FPL004 exception-hygiene no bare except, async broad handlers
                         re-raise CancelledError, no silent
-                        swallows in retry/lease/journal paths
+                        swallows in the lease path
 FPL005 protocol-drift   wire field names exist in the protocol
                         validators
 FPL006 no-print         stdout purity outside cli.py / tools/

@@ -8,7 +8,7 @@ local runs byte for byte).  Three rule families guard it:
   clock, which steps under NTP — durations and ordering must come
   from ``time.monotonic()`` / ``time.perf_counter()`` (the PR 5 bug
   class).  Deliberate wall *timestamps* (presentation fields,
-  journal ``at`` stamps) are annotated with the allowlist marker
+  trace ``at`` stamps) are annotated with the allowlist marker
   ``# fpfa-lint: wall-clock``.
 * **Randomness**: the module-level ``random.*`` functions draw from
   a process-global unseeded generator; all randomness must flow

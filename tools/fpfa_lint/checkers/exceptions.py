@@ -15,11 +15,10 @@ actually hit:
   ``except Exception`` does not *catch* it — the clause documents
   the cancellation path and keeps it correct if the handler is
   ever widened.
-* **Silent swallows** in the retry/lease/journal paths
-  (``resilience.py``, ``distributed.py``, ``checkpoint.py``): an
+* **Silent swallows** in the lease path (``distributed.py``): an
   ``except ...: pass`` with no comment hides the one place a lost
-  chunk or dropped journal line would have been visible.  A
-  trailing comment saying *why* makes it pass.
+  chunk would have been visible.  A trailing comment saying *why*
+  makes it pass.
 """
 
 from __future__ import annotations
@@ -41,12 +40,10 @@ from tools.fpfa_lint.core import (
 #: Handlers broad enough to need a CancelledError clause in async.
 BROAD = frozenset({"Exception", "BaseException"})
 
-#: The retry/lease/journal paths where a silent ``pass`` swallow is
-#: a data-loss hazard.
+#: The lease path, where a silent ``pass`` swallow is a data-loss
+#: hazard.
 SWALLOW_SCOPED = (
-    "src/repro/service/resilience.py",
     "src/repro/dse/distributed.py",
-    "src/repro/dse/checkpoint.py",
 )
 
 
@@ -66,8 +63,7 @@ class ExceptionHygieneChecker(Checker):
     severity = "error"
     description = ("bare except, swallowed BaseException, async "
                    "broad handlers without a CancelledError "
-                   "re-raise, silent pass in retry/lease/journal "
-                   "paths")
+                   "re-raise, silent pass in the lease path")
 
     def check(self, file: LintFile,
               project: Project) -> Iterator[Finding]:
@@ -105,7 +101,7 @@ class ExceptionHygieneChecker(Checker):
             yield self.finding(
                 file, handler,
                 f"silent `except {caught}: pass` in a "
-                f"retry/lease/journal path — handle it, or leave "
+                f"lease path — handle it, or leave "
                 f"a comment saying why dropping is safe")
 
     def _check_async(self, file: LintFile,
