@@ -18,9 +18,6 @@ computes for the original program.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-
 from repro.arch.control import (
     AluConfig,
     Cycle,
@@ -50,13 +47,8 @@ def op_arity(kind: OpKind) -> int:
 
 _wrap = wrap_value
 
-
-@dataclass
-class SimulationTrace:
-    """Optional per-cycle observations collected during a run."""
-
-    alu_results: list[dict[int, int]] = field(default_factory=list)
-    bus_usage: list[int] = field(default_factory=list)
+#: What a register or memory word that was never written reads as.
+_UNWRITTEN = object()
 
 
 class TileSimulator:
@@ -70,7 +62,6 @@ class TileSimulator:
         self.check_limits = check_limits
         self.registers: dict[RegLoc, int] = {}
         self.memories: dict[tuple[int, int], dict[Address, int]] = {}
-        self.trace = SimulationTrace()
         self._load_memories(initial_state or StateSpace())
 
     # -- setup ---------------------------------------------------------
@@ -122,12 +113,10 @@ class TileSimulator:
     def _run_cycle(self, index: int, cycle: Cycle) -> None:
         # 1. Start-of-cycle reads.
         alu_results: dict[int, int] = {}
-        seen_pps: set[int] = set()
         for config in cycle.alu_configs:
-            if config.pp in seen_pps:
+            if config.pp in alu_results:
                 raise SimulationError(
                     f"cycle {index}: PP{config.pp} configured twice")
-            seen_pps.add(config.pp)
             alu_results[config.pp] = self._execute_alu(index, config)
         move_values: list[int] = [self._read_source(index, move.source)
                                   for move in cycle.moves]
@@ -141,22 +130,22 @@ class TileSimulator:
         for move, value in zip(cycle.moves, move_values):
             writes.append((move.dest, value))
         self._commit(index, writes)
-        self.trace.alu_results.append(alu_results)
-        self.trace.bus_usage.append(len(cycle.bus_sources()))
 
     def _execute_alu(self, index: int, config: AluConfig) -> int:
         values = []
+        registers = self.registers
         for loc in config.operands:
             self._check_regloc(loc)
             if loc.pp != config.pp:
                 raise SimulationError(
                     f"cycle {index}: PP{config.pp} reads foreign "
                     f"register {loc}")
-            if loc not in self.registers:
+            value = registers.get(loc, _UNWRITTEN)
+            if value is _UNWRITTEN:
                 raise SimulationError(
                     f"cycle {index}: PP{config.pp} reads register {loc} "
                     f"before any write")
-            values.append(self.registers[loc])
+            values.append(value)
         result = self._eval_tree(index, config, values)
         return _wrap(result, self.params.width)
 
@@ -211,62 +200,88 @@ class TileSimulator:
             return _wrap(source.value, self.params.width)
         if isinstance(source, RegLoc):
             self._check_regloc(source)
-            if source not in self.registers:
+            value = self.registers.get(source, _UNWRITTEN)
+            if value is _UNWRITTEN:
                 raise SimulationError(
                     f"cycle {index}: move reads register {source} "
                     f"before any write")
-            return self.registers[source]
+            return value
         if isinstance(source, MemLoc):
             self._check_memloc(source)
-            words = self.memories[(source.pp, source.mem)]
-            if source.addr not in words:
+            value = self.memories[(source.pp, source.mem)].get(
+                source.addr, _UNWRITTEN)
+            if value is _UNWRITTEN:
                 raise SimulationError(
                     f"cycle {index}: move reads uninitialised word "
                     f"{source}")
-            return words[source.addr]
+            return value
         raise SimulationError(f"cycle {index}: bad source {source!r}")
 
     def _check_resources(self, index: int, cycle: Cycle) -> None:
+        """Enforce this cycle's bus, port and write-once limits.
+
+        Counts go into plain dicts keyed by tuples of ints (and the
+        word's address), never into sets of the location records,
+        whose generated hashes cost more than the checks themselves.
+        """
         params = self.params
-        buses = cycle.bus_sources()
-        if len(buses) > params.n_buses:
-            raise SimulationError(
-                f"cycle {index}: {len(buses)} crossbar values exceed "
-                f"{params.n_buses} buses")
-        mem_reads: Counter = Counter()
-        for move in cycle.moves:
-            if isinstance(move.source, MemLoc):
-                mem_reads[(move.source.pp, move.source.mem,
-                           move.source.addr)] = 1
-        per_mem_reads: Counter = Counter()
-        for (pp, mem, __), __count in mem_reads.items():
-            per_mem_reads[(pp, mem)] += 1
-        for (pp, mem), count in per_mem_reads.items():
-            if count > params.mem_read_ports:
+        moves = cycle.moves
+        # One bus per distinct move source plus one per ALU whose
+        # result leaves it (PPs are distinct, see _run_cycle).  A
+        # source shared by two moves rides one bus, so the distinct
+        # count is only needed when the plain count is over the limit.
+        buses = len(moves) + sum(1 for config in cycle.alu_configs
+                                 if config.dests)
+        if buses > params.n_buses:
+            buses = len(cycle.bus_sources())
+            if buses > params.n_buses:
                 raise SimulationError(
-                    f"cycle {index}: PP{pp}.MEM{mem + 1} serves {count} "
-                    f"reads, has {params.mem_read_ports} port(s)")
-        mem_writes: Counter = Counter()
-        bank_writes: Counter = Counter()
-        reg_dest_seen: set[RegLoc] = set()
-        mem_dest_seen: set[MemLoc] = set()
+                    f"cycle {index}: {buses} crossbar values exceed "
+                    f"{params.n_buses} buses")
+        # Memory reads: one port per distinct word read.
+        read_words: dict[tuple[int, int], list[Address]] = {}
+        for move in moves:
+            source = move.source
+            if isinstance(source, MemLoc):
+                words = read_words.get((source.pp, source.mem))
+                if words is None:
+                    read_words[(source.pp, source.mem)] = [source.addr]
+                else:
+                    words.append(source.addr)
+        for (pp, mem), words in read_words.items():
+            if len(words) > params.mem_read_ports:
+                count = len(set(words))
+                if count > params.mem_read_ports:
+                    raise SimulationError(
+                        f"cycle {index}: PP{pp}.MEM{mem + 1} serves "
+                        f"{count} reads, has {params.mem_read_ports} "
+                        f"port(s)")
+        # Writes: every destination at most once, then the ports.
+        bank_writes: dict[tuple[int, int], int] = {}
+        mem_writes: dict[tuple[int, int], int] = {}
+        regs_written: set[tuple[int, int, int]] = set()
+        words_written: set[tuple[int, int, Address]] = set()
         dests = [dest for config in cycle.alu_configs
                  for dest in config.dests]
-        dests.extend(move.dest for move in cycle.moves)
+        dests.extend(move.dest for move in moves)
         for dest in dests:
             if isinstance(dest, RegLoc):
-                if dest in reg_dest_seen:
+                key = (dest.pp, dest.bank, dest.slot)
+                if key in regs_written:
                     raise SimulationError(
                         f"cycle {index}: register {dest} written twice")
-                reg_dest_seen.add(dest)
-                bank_writes[(dest.pp, dest.bank)] += 1
+                regs_written.add(key)
+                bank = (dest.pp, dest.bank)
+                bank_writes[bank] = bank_writes.get(bank, 0) + 1
             else:
-                if dest in mem_dest_seen:
+                word = (dest.pp, dest.mem, dest.addr)
+                if word in words_written:
                     raise SimulationError(
                         f"cycle {index}: memory word {dest} written "
                         f"twice")
-                mem_dest_seen.add(dest)
-                mem_writes[(dest.pp, dest.mem)] += 1
+                words_written.add(word)
+                memory = (dest.pp, dest.mem)
+                mem_writes[memory] = mem_writes.get(memory, 0) + 1
         for (pp, bank), count in bank_writes.items():
             if count > params.bank_write_ports:
                 raise SimulationError(
@@ -297,7 +312,7 @@ class TileSimulator:
                     f"cycle {index}: bad destination {dest!r}")
 
     def _collect_outputs(self) -> StateSpace:
-        state = StateSpace()
+        outputs = []
         for address, loc in self.program.output_layout.items():
             # loc.addr is the physical word (it may be a shadow word
             # when the logical address also holds live input data);
@@ -306,8 +321,8 @@ class TileSimulator:
             if loc.addr not in words:
                 raise SimulationError(
                     f"program ended without writing output {loc}")
-            state = state.store(address, words[loc.addr])
-        return state
+            outputs.append((address, words[loc.addr]))
+        return StateSpace().store_all(outputs)
 
 
 def simulate(program: TileProgram,
@@ -317,7 +332,4 @@ def simulate(program: TileProgram,
     simulator = TileSimulator(program, initial_state,
                               check_limits=check_limits)
     outputs = simulator.run()
-    merged = initial_state or StateSpace()
-    for address, value in outputs.items():
-        merged = merged.store(address, value)
-    return merged
+    return (initial_state or StateSpace()).store_all(outputs.items())

@@ -35,7 +35,8 @@ id set, and bumps :attr:`version`.  ``uses()`` / ``users_of()`` /
 graph rescans, and ``topo_order()`` / ``sorted_nodes()`` memoise their
 result against the current version, so the common
 analyse-mutate-reanalyse loops of the transform passes stop being
-quadratic in graph size.
+quadratic in graph size.  The interpreter memoises its evaluation
+plan the same way (``_plan_cache``).
 
 Mutating ``node.inputs`` directly bypasses the index; rewiring must go
 through :meth:`Graph.set_input` / :meth:`Graph.set_inputs` (or
@@ -206,6 +207,8 @@ class Graph:
         self._version = 0
         self._topo_cache: tuple[int, list[Node]] | None = None
         self._sorted_cache: tuple[int, list[Node]] | None = None
+        #: The interpreter's evaluation plan (:mod:`repro.cdfg.interp`).
+        self._plan_cache: tuple[int, Any] | None = None
 
     # -- index maintenance -------------------------------------------
 
@@ -246,6 +249,7 @@ class Graph:
                 self._users.setdefault(ref, set()).add((node.id, slot))
         self._topo_cache = None
         self._sorted_cache = None
+        self._plan_cache = None
         self._touch()
 
     def check_index(self, recursive: bool = True) -> None:
@@ -288,8 +292,6 @@ class Graph:
         self.nodes = state["nodes"]
         self._ids = itertools.count(state["next_id"])
         self._version = 0
-        self._topo_cache = None
-        self._sorted_cache = None
         self._rebuild_index()
 
     # -- construction -------------------------------------------------

@@ -13,15 +13,29 @@ non-terminating loops in generated tests.
 An optional *width* wraps every scalar result to a two's-complement
 width (the FPFA data-path is 16-bit wide); by default arithmetic is
 unbounded, which is what the algebraic transformations assume.
+
+Evaluation plans
+----------------
+A graph is not walked node by node.  The first run of a graph lowers
+it to a :class:`_Plan`: every node output gets a dense integer slot,
+constants sit pre-wrapped in a per-width template of the slot list,
+and each remaining node becomes one step — a closure its kind's
+handler built, reading and writing slots — in topological order.
+Running the graph copies the template and calls the steps.  A loop or
+branch body is a graph of its own with its own plan, so a body is
+planned once and reused on every iteration.  The plan is memoised on
+the graph against :attr:`Graph.version`, beside its topological
+order; a mutation rebuilds it on the next run, and pickling ships
+only the node table, so the plan never travels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.cdfg.graph import COND_SLOT, Graph, Node
-from repro.cdfg.ops import Address, OpKind, eval_op, wrap_value
+from repro.cdfg.ops import Address, OpKind, scalar_function, wrap_value
 from repro.cdfg.statespace import StateSpace
 
 
@@ -43,6 +57,10 @@ class RunResult:
 
 _wrap = wrap_value
 
+#: What an SS_IN inside a compound body reads.  Statespaces are
+#: immutable, so every body evaluation can share one.
+_EMPTY = StateSpace()
+
 
 class Interpreter:
     """Executes CDFGs produced by :mod:`repro.cdfg.builder`."""
@@ -61,96 +79,239 @@ class Interpreter:
         env: dict[Any, Any] = {}
         if inputs:
             env.update(inputs)
-        values = self._eval_graph(graph, env,
-                                  initial_state or StateSpace())
+        plan = _plan(graph)
+        values = self._execute(plan, env, initial_state or StateSpace())
         result = RunResult(state=initial_state or StateSpace())
-        for node in graph.sorted_nodes():
-            if node.kind is OpKind.SS_OUT:
-                result.state = values[node.inputs[0]]
-            elif node.kind is OpKind.OUTPUT:
-                result.outputs[node.value] = values[node.inputs[0]]
+        if plan.final_states:
+            result.state = values[plan.final_states[-1]]
+        for name, slot in plan.outputs:
+            result.outputs[name] = values[slot]
         return result
 
     # -- internals -------------------------------------------------------
 
-    def _eval_graph(self, graph: Graph, input_env: Mapping[Any, Any],
-                    initial_state: StateSpace) -> dict:
-        """Evaluate every node; return the map ref -> value."""
-        values: dict[tuple[int, int], Any] = {}
-        for node in graph.topo_order():
-            self._eval_node(graph, node, values, input_env, initial_state)
+    def _execute(self, plan: "_Plan", env: Mapping[Any, Any],
+                 state: StateSpace) -> list:
+        """Run every step of *plan*; return the filled slot list."""
+        values = plan.slots(self.width)
+        for step in plan.steps:
+            step(values, self, env, state)
         return values
-
-    def _eval_node(self, graph: Graph, node: Node, values: dict,
-                   input_env: Mapping[Any, Any],
-                   initial_state: StateSpace) -> None:
-        kind = node.kind
-        operands = [values[ref] for ref in node.inputs]
-        if kind is OpKind.CONST:
-            values[node.out()] = _wrap(node.value, self.width)
-        elif kind is OpKind.ADDR:
-            values[node.out()] = node.value
-        elif kind is OpKind.SS_IN:
-            values[node.out()] = initial_state
-        elif kind in (OpKind.SS_OUT, OpKind.OUTPUT):
-            pass  # roots; collected by run()
-        elif kind is OpKind.INPUT:
-            if node.value not in input_env:
-                raise InterpreterError(
-                    f"no value supplied for input {node.value!r}")
-            values[node.out()] = input_env[node.value]
-        elif kind is OpKind.ST:
-            state, address, data = operands
-            self._expect_state(state, node)
-            values[node.out()] = state.store(self._as_address(address,
-                                                              node), data)
-        elif kind is OpKind.FE:
-            state, address = operands
-            self._expect_state(state, node)
-            values[node.out()] = state.fetch(
-                self._as_address(address, node), strict=self.strict_fetch)
-        elif kind is OpKind.DEL:
-            state, address = operands
-            self._expect_state(state, node)
-            values[node.out()] = state.delete(self._as_address(address,
-                                                               node))
-        elif kind is OpKind.ADDR_ADD:
-            address, offset = operands
-            values[node.out()] = self._as_address(address,
-                                                  node).shifted(offset)
-        elif kind is OpKind.LOOP:
-            self._eval_loop(node, operands, values)
-        elif kind is OpKind.BRANCH:
-            self._eval_branch(node, operands, values)
-        elif kind is OpKind.MUX:
-            cond, if_true, if_false = operands
-            values[node.out()] = if_true if cond != 0 else if_false
-        else:
-            try:
-                result = eval_op(kind, *operands)
-            except ValueError as error:
-                raise InterpreterError(str(error)) from None
-            except TypeError:
-                raise InterpreterError(
-                    f"bad operand types for {kind} at node {node.id}: "
-                    f"{operands!r}") from None
-            values[node.out()] = _wrap(result, self.width)
 
     def _eval_body(self, body: Graph, env: Mapping[Any, Any]) -> dict:
         """Run a compound body; return its OUTPUT slot -> value map."""
-        values = self._eval_graph(body, env, StateSpace())
-        outputs: dict[Any, Any] = {}
-        for node in body.sorted_nodes():
-            if node.kind is OpKind.OUTPUT:
-                outputs[node.value] = values[node.inputs[0]]
-        return outputs
+        plan = _plan(body)
+        values = self._execute(plan, env, _EMPTY)
+        return {name: values[slot] for name, slot in plan.outputs}
 
-    def _eval_loop(self, node: Node, operands: list, values: dict) -> None:
-        names = node.value
-        body = node.bodies[0]
-        carried = dict(zip(names, operands))
-        for _ in range(self.max_iterations):
-            outputs = self._eval_body(body, carried)
+
+# ---------------------------------------------------------------------------
+# Plans
+# ---------------------------------------------------------------------------
+
+#: One step of a plan: ``step(values, interpreter, env, state)``.
+Step = Callable[[list, Interpreter, Mapping, StateSpace], None]
+
+
+class _Plan:
+    """One graph lowered to slot-indexed steps (see the module
+    docstring).  Built by :func:`_plan`; never pickled."""
+
+    __slots__ = ("size", "constants", "steps", "outputs",
+                 "final_states", "_templates")
+
+    def __init__(self, graph: Graph):
+        slot_of: dict[tuple[int, int], int] = {}
+        constants: list[tuple[int, OpKind, Any]] = []
+        steps: list[Step] = []
+        for node in graph.topo_order():
+            out = len(slot_of)
+            for index in range(node.n_outputs):
+                slot_of[(node.id, index)] = out + index
+            kind = node.kind
+            if kind is OpKind.CONST or kind is OpKind.ADDR:
+                constants.append((out, kind, node.value))
+            elif kind is not OpKind.OUTPUT and kind is not OpKind.SS_OUT:
+                handler = _HANDLERS.get(kind, _scalar)
+                steps.append(handler(
+                    node, out, tuple(slot_of[ref] for ref in node.inputs)))
+        roots = graph.sorted_nodes()
+        self.size = len(slot_of)
+        self.constants = constants
+        self.steps = steps
+        #: (OUTPUT slot name, value slot), in node-id order.
+        self.outputs = [(node.value, slot_of[node.inputs[0]])
+                        for node in roots if node.kind is OpKind.OUTPUT]
+        #: Value slots of the SS_OUT nodes, in node-id order.
+        self.final_states = [slot_of[node.inputs[0]] for node in roots
+                             if node.kind is OpKind.SS_OUT]
+        self._templates: dict[int | None, list] = {}
+
+    def slots(self, width: int | None) -> list:
+        """A fresh slot list holding the constants, wrapped to
+        *width*."""
+        template = self._templates.get(width)
+        if template is None:
+            template = [None] * self.size
+            for slot, kind, value in self.constants:
+                template[slot] = _wrap(value, width) \
+                    if kind is OpKind.CONST else value
+            self._templates[width] = template
+        return template[:]
+
+
+def _plan(graph: Graph) -> _Plan:
+    """*graph*'s plan, built on first use and after each mutation."""
+    cached = graph._plan_cache
+    if cached is not None and cached[0] == graph.version:
+        return cached[1]
+    plan = _Plan(graph)
+    graph._plan_cache = (graph.version, plan)
+    return plan
+
+
+# ---------------------------------------------------------------------------
+# Per-kind handlers: each builds the step of one node
+# ---------------------------------------------------------------------------
+
+def _not_state(node: Node, value) -> InterpreterError:
+    return InterpreterError(
+        f"node {node.id} ({node.kind}) expected a statespace, "
+        f"got {type(value).__name__}")
+
+
+def _not_address(node: Node, value) -> InterpreterError:
+    return InterpreterError(
+        f"node {node.id} ({node.kind}) expected an address, "
+        f"got {type(value).__name__}")
+
+
+def _input(node: Node, out: int, ins: tuple) -> Step:
+    name = node.value
+
+    def step(values, interp, env, state):
+        if name not in env:
+            raise InterpreterError(
+                f"no value supplied for input {name!r}")
+        values[out] = env[name]
+    return step
+
+
+def _ss_in(node: Node, out: int, ins: tuple) -> Step:
+    def step(values, interp, env, state):
+        values[out] = state
+    return step
+
+
+def _store(node: Node, out: int, ins: tuple) -> Step:
+    state_in, address_in, data_in = ins
+
+    def step(values, interp, env, state):
+        space = values[state_in]
+        if not isinstance(space, StateSpace):
+            raise _not_state(node, space)
+        address = values[address_in]
+        if not isinstance(address, Address):
+            raise _not_address(node, address)
+        values[out] = space.store(address, values[data_in])
+    return step
+
+
+def _fetch(node: Node, out: int, ins: tuple) -> Step:
+    state_in, address_in = ins
+
+    def step(values, interp, env, state):
+        space = values[state_in]
+        if not isinstance(space, StateSpace):
+            raise _not_state(node, space)
+        address = values[address_in]
+        if not isinstance(address, Address):
+            raise _not_address(node, address)
+        values[out] = space.fetch(address, strict=interp.strict_fetch)
+    return step
+
+
+def _delete(node: Node, out: int, ins: tuple) -> Step:
+    state_in, address_in = ins
+
+    def step(values, interp, env, state):
+        space = values[state_in]
+        if not isinstance(space, StateSpace):
+            raise _not_state(node, space)
+        address = values[address_in]
+        if not isinstance(address, Address):
+            raise _not_address(node, address)
+        values[out] = space.delete(address)
+    return step
+
+
+def _address_add(node: Node, out: int, ins: tuple) -> Step:
+    address_in, offset_in = ins
+
+    def step(values, interp, env, state):
+        address = values[address_in]
+        if not isinstance(address, Address):
+            raise _not_address(node, address)
+        values[out] = address.shifted(values[offset_in])
+    return step
+
+
+def _mux(node: Node, out: int, ins: tuple) -> Step:
+    cond_in, true_in, false_in = ins
+
+    def step(values, interp, env, state):
+        values[out] = values[true_in] if values[cond_in] != 0 \
+            else values[false_in]
+    return step
+
+
+def _scalar_failed(node: Node, error: Exception,
+                   operands: list) -> InterpreterError:
+    if scalar_function(node.kind) is None:
+        return InterpreterError(
+            f"operation {node.kind} has no scalar evaluator")
+    if isinstance(error, ValueError):
+        return InterpreterError(str(error))
+    return InterpreterError(
+        f"bad operand types for {node.kind} at node {node.id}: "
+        f"{operands!r}")
+
+
+def _scalar(node: Node, out: int, ins: tuple) -> Step:
+    """Every kind :func:`repro.cdfg.ops.eval_op` evaluates."""
+    function = scalar_function(node.kind)
+    if len(ins) == 2:
+        left_in, right_in = ins
+
+        def step(values, interp, env, state):
+            try:
+                result = function(values[left_in], values[right_in])
+            except (TypeError, ValueError) as error:
+                raise _scalar_failed(node, error, [
+                    values[left_in], values[right_in]]) from None
+            width = interp.width
+            values[out] = result if width is None \
+                else _wrap(result, width)
+        return step
+
+    def step(values, interp, env, state):
+        operands = [values[slot] for slot in ins]
+        try:
+            result = function(*operands)
+        except (TypeError, ValueError) as error:
+            raise _scalar_failed(node, error, operands) from None
+        values[out] = _wrap(result, interp.width)
+    return step
+
+
+def _loop(node: Node, out: int, ins: tuple) -> Step:
+    names = node.value
+    body = node.bodies[0]
+
+    def step(values, interp, env, state):
+        carried = {name: values[slot] for name, slot in zip(names, ins)}
+        for _ in range(interp.max_iterations):
+            outputs = interp._eval_body(body, carried)
             if COND_SLOT not in outputs:
                 raise InterpreterError(
                     f"LOOP node {node.id} body has no condition output")
@@ -160,38 +321,44 @@ class Interpreter:
         else:
             raise InterpreterError(
                 f"LOOP node {node.id} exceeded "
-                f"{self.max_iterations} iterations")
+                f"{interp.max_iterations} iterations")
         for index, name in enumerate(names):
-            values[node.out(index)] = carried[name]
+            values[out + index] = carried[name]
+    return step
 
-    def _eval_branch(self, node: Node, operands: list,
-                     values: dict) -> None:
-        live_ins, live_outs = node.value
-        cond = operands[0]
-        env = dict(zip(live_ins, operands[1:]))
-        body = node.bodies[0] if cond != 0 else node.bodies[1]
-        outputs = self._eval_body(body, env)
+
+def _branch(node: Node, out: int, ins: tuple) -> Step:
+    live_ins, live_outs = node.value
+    cond_in, *operand_ins = ins
+    then_body, else_body = node.bodies
+
+    def step(values, interp, env, state):
+        arm = then_body if values[cond_in] != 0 else else_body
+        outputs = interp._eval_body(arm, {
+            name: values[slot]
+            for name, slot in zip(live_ins, operand_ins)})
         for index, name in enumerate(live_outs):
             if name not in outputs:
                 raise InterpreterError(
                     f"BRANCH node {node.id} arm is missing output "
                     f"{name!r}")
-            values[node.out(index)] = outputs[name]
+            values[out + index] = outputs[name]
+    return step
 
-    @staticmethod
-    def _expect_state(value, node: Node) -> None:
-        if not isinstance(value, StateSpace):
-            raise InterpreterError(
-                f"node {node.id} ({node.kind}) expected a statespace, "
-                f"got {type(value).__name__}")
 
-    @staticmethod
-    def _as_address(value, node: Node) -> Address:
-        if isinstance(value, Address):
-            return value
-        raise InterpreterError(
-            f"node {node.id} ({node.kind}) expected an address, "
-            f"got {type(value).__name__}")
+#: Step builders by kind; every other kind (CONST, ADDR, OUTPUT and
+#: SS_OUT aside) is a scalar operation.
+_HANDLERS: dict[OpKind, Callable[[Node, int, tuple], Step]] = {
+    OpKind.INPUT: _input,
+    OpKind.SS_IN: _ss_in,
+    OpKind.ST: _store,
+    OpKind.FE: _fetch,
+    OpKind.DEL: _delete,
+    OpKind.ADDR_ADD: _address_add,
+    OpKind.MUX: _mux,
+    OpKind.LOOP: _loop,
+    OpKind.BRANCH: _branch,
+}
 
 
 def run_graph(graph: Graph, initial_state: StateSpace | None = None,

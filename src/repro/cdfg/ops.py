@@ -22,6 +22,7 @@ if-conversion) can never trap:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,16 +218,16 @@ def _shr(lhs: int, rhs: int) -> int:
 
 
 _EVAL: dict[OpKind, Callable[..., int]] = {
-    OpKind.ADD: lambda a, b: a + b,
-    OpKind.SUB: lambda a, b: a - b,
-    OpKind.MUL: lambda a, b: a * b,
+    OpKind.ADD: operator.add,
+    OpKind.SUB: operator.sub,
+    OpKind.MUL: operator.mul,
     OpKind.DIV: c_div,
     OpKind.MOD: c_mod,
-    OpKind.NEG: lambda a: -a,
-    OpKind.AND: lambda a, b: a & b,
-    OpKind.OR: lambda a, b: a | b,
-    OpKind.XOR: lambda a, b: a ^ b,
-    OpKind.NOT: lambda a: ~a,
+    OpKind.NEG: operator.neg,
+    OpKind.AND: operator.and_,
+    OpKind.OR: operator.or_,
+    OpKind.XOR: operator.xor,
+    OpKind.NOT: operator.invert,
     OpKind.SHL: _shl,
     OpKind.SHR: _shr,
     OpKind.LT: lambda a, b: int(a < b),
@@ -248,6 +249,13 @@ _EVAL: dict[OpKind, Callable[..., int]] = {
 def can_eval(kind: OpKind) -> bool:
     """True if :func:`eval_op` knows how to compute *kind*."""
     return kind in _EVAL
+
+
+def scalar_function(kind: OpKind) -> Callable[..., int] | None:
+    """The unwrapped function :func:`eval_op` applies for *kind*
+    (None when it has none), for callers that resolve it once and
+    apply it many times."""
+    return _EVAL.get(kind)
 
 
 def wrap_value(value: int, width: int | None) -> int:

@@ -21,7 +21,7 @@ evaluation (both arms of a statespace MUX) trivially safe.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.cdfg.ops import Address
 
@@ -102,13 +102,21 @@ class StateSpace:
 
     # -- conveniences -------------------------------------------------
 
+    def store_all(self, tuples: Iterable[tuple[Address | str, Any]]
+                  ) -> "StateSpace":
+        """``ST`` of each (ad, da) of *tuples* in turn, built with one
+        copy of the tuple set instead of one copy per store."""
+        fresh = StateSpace()
+        fresh._tuples = stored = dict(self._tuples)
+        as_address = self._as_address
+        for address, data in tuples:
+            stored[as_address(address)] = data
+        return fresh
+
     def store_array(self, name: str, values) -> "StateSpace":
         """Store ``values[i]`` at ``Address(name, i)`` for each i."""
-        fresh = StateSpace()
-        fresh._tuples = dict(self._tuples)
-        for offset, value in enumerate(values):
-            fresh._tuples[Address(name, offset)] = value
-        return fresh
+        return self.store_all((Address(name, offset), value)
+                              for offset, value in enumerate(values))
 
     def fetch_array(self, name: str, length: int) -> list:
         """Read ``length`` consecutive words of array *name*."""

@@ -129,6 +129,11 @@ class MappingReport:
     #: ``fpfa-map map --profile`` prints.  Never part of the mapped
     #: artifacts or metrics.
     timings: dict[str, float] = field(default_factory=dict)
+    #: ``(program, model, EnergyReport)`` of the last energy
+    #: measurement, so one report's metric dicts measure it once (see
+    #: :mod:`repro.eval.metrics`).
+    _energy: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     # -- headline metrics -------------------------------------------------
 
@@ -442,10 +447,9 @@ def random_input_state(report: MappingReport,
     program reads — the canonical seed → verification-input mapping
     shared by the CLI and the DSE runner."""
     rng = random.Random(seed)
-    state = StateSpace()
-    for address in report.taskgraph.input_addresses():
-        state = state.store(address, rng.randint(-99, 99))
-    return state
+    return StateSpace().store_all(
+        (address, rng.randint(-99, 99))
+        for address in report.taskgraph.input_addresses())
 
 
 def verify_mapping(report: MappingReport,
@@ -466,8 +470,7 @@ def verify_mapping(report: MappingReport,
             # Mapped programs read parameters from memory at the scalar
             # address of the parameter name; the interpreter must start
             # from the same picture so the final states are comparable.
-            for name, value in inputs.items():
-                merged_initial = merged_initial.store(name, value)
+            merged_initial = merged_initial.store_all(inputs.items())
         reference = _Reference.run(report.original, report.params.width,
                                    merged_initial, inputs)
         return reference.check(report.program)
@@ -517,9 +520,9 @@ class _Reference:
     def run(cls, original: Graph, width: int | None,
             initial: StateSpace, inputs: dict | None) -> "_Reference":
         expected = Interpreter(width=width).run(original, initial, inputs)
-        final = expected.state
-        for slot, value in expected.outputs.items():
-            final = final.store(f"__out_{slot}", value)
+        final = expected.state.store_all(
+            (f"__out_{slot}", value)
+            for slot, value in expected.outputs.items())
         return cls(initial, dict(expected.outputs), final)
 
     def check(self, program: TileProgram) -> StateSpace:

@@ -8,7 +8,7 @@ and the benchmarks stay trivial.
 
 from __future__ import annotations
 
-from repro.arch.energy import EnergyModel, measure_energy
+from repro.arch.energy import EnergyModel, EnergyReport, measure_energy
 from repro.core.pipeline import MappingReport
 
 #: Keys of the dict :func:`mapping_metrics` returns — the stable
@@ -30,10 +30,24 @@ MULTITILE_METRIC_FIELDS = (
 )
 
 
+def _energy(report: MappingReport,
+            energy_model: EnergyModel | None) -> EnergyReport:
+    """``measure_energy`` of *report*'s program, kept on the report:
+    an array point asks for it twice, once per metric dict."""
+    model = energy_model or EnergyModel()
+    cached = report._energy
+    if cached is not None and cached[0] is report.program \
+            and cached[1] == model:
+        return cached[2]
+    energy = measure_energy(report.program, model)
+    report._energy = (report.program, model, energy)
+    return energy
+
+
 def mapping_metrics(report: MappingReport,
                     energy_model: EnergyModel | None = None) -> dict:
     """All headline metrics of one mapped program."""
-    energy = measure_energy(report.program, energy_model)
+    energy = _energy(report, energy_model)
     stats = report.alloc_stats
     operand_events = max(stats.operand_events(), 1)
     return {
@@ -70,7 +84,7 @@ def multitile_metrics(report: MappingReport,
     if multitile is None:
         raise ValueError("report has no multi-tile stage; map with "
                          "array=TileArrayParams(...) first")
-    energy = measure_energy(report.program, energy_model)
+    energy = _energy(report, energy_model)
     utils = multitile.tile_utilisations()
     return {
         "tiles": multitile.n_tiles,

@@ -24,6 +24,11 @@ Frontend reuse happens *above* the pool: the daemon memoises
 compiled frontends per (source, spec) and ships them with each job,
 so a warm resubmit skips frontend compilation no matter which worker
 picks it up.
+
+Explore and chunk jobs read and write the daemon's store through one
+:class:`~repro.dse.cache.ResultCache` handle per worker process (see
+:func:`store_cache`), so a job does not pay for opening the store's
+sqlite manifest again.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import os
+import threading
 from typing import Mapping
 
 from repro.core.pipeline import Frontend
+from repro.dse.cache import ResultCache
 from repro.dse.runner import FrontendSpec, evaluate_point
 from repro.obs import trace
 from repro.service.protocol import request_point
@@ -59,6 +66,38 @@ def _stash_spans(info: dict, spans) -> None:
     if spans.entries:
         info["trace_spans"] = [dict(entry, pid=os.getpid())
                                for entry in spans.entries]
+
+
+#: Store handles by (pid, store root); see :func:`store_cache`.
+_STORE_CACHES: dict[tuple[int, str], ResultCache] = {}
+#: Handles one process keeps, most recently used last.
+STORE_CACHES_KEPT = 4
+_STORE_CACHES_LOCK = threading.Lock()
+
+
+def store_cache(store_root: str | None) -> ResultCache | None:
+    """This process's result-cache handle on *store_root*.
+
+    Keyed by pid as well as root: a worker forked from a process that
+    already holds a handle opens its own, and never uses its parent's
+    sqlite connection.  Nor does it drop the parent's handles, whose
+    collection would close that connection from the wrong process.
+    Thread-mode workers share one handle; the manifest serialises its
+    own access.
+    """
+    if store_root is None:
+        return None
+    pid = os.getpid()
+    key = (pid, store_root)
+    with _STORE_CACHES_LOCK:
+        cache = _STORE_CACHES.pop(key, None)
+        if cache is None:
+            cache = ResultCache(store_root)
+        _STORE_CACHES[key] = cache
+        own = [entry for entry in _STORE_CACHES if entry[0] == pid]
+        for stale in own[:-STORE_CACHES_KEPT]:
+            del _STORE_CACHES[stale]
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +145,7 @@ def run_explore_job(request: Mapping, store_root: str | None = None,
     space = DesignSpace(request["dimensions"])
     objectives = request["objectives"]
     strategy = request["strategy"]
-    run_kwargs = dict(workers=1, cache=store_root,
+    run_kwargs = dict(workers=1, cache=store_cache(store_root),
                       verify_seed=request.get("verify_seed"),
                       frontends=frontends)
     if strategy == "random":
@@ -163,7 +202,7 @@ def run_chunk_job(request: Mapping, store_root: str | None = None,
             records, stats = evaluate_chunk(
                 request["source"], points,
                 verify_seed=request.get("verify_seed"),
-                cache=store_root, frontends=frontends)
+                cache=store_cache(store_root), frontends=frontends)
     payload = {
         "kind": "sweep-chunk",
         "points": len(points),

@@ -341,6 +341,93 @@ class TestSweepChunkJobs:
         assert not coalesced and other is not job
 
 
+class TestWorkerStoreHandle:
+    """Chunk and explore jobs reuse one store handle per worker
+    process instead of opening the store's manifest per job."""
+
+    @staticmethod
+    def _count_manifest_opens(monkeypatch) -> list:
+        from repro.dse import cache as cache_module
+        opens = []
+        original = cache_module._Manifest
+
+        class Counting(original):
+            def __init__(self, root):
+                opens.append(root)
+                super().__init__(root)
+
+        monkeypatch.setattr(cache_module, "_Manifest", Counting)
+        return opens
+
+    @staticmethod
+    def _chunk(points) -> dict:
+        from repro.service.protocol import normalise_request
+        return normalise_request({
+            "kind": "sweep-chunk", "source": FIR5,
+            "points": [point.to_dict() for point in points]})
+
+    def test_two_chunk_jobs_open_the_manifest_once(self, tmp_path,
+                                                   monkeypatch):
+        from repro.service.workers import run_chunk_job
+        opens = self._count_manifest_opens(monkeypatch)
+        store = str(tmp_path / "store")
+        first, __ = run_chunk_job(self._chunk(SPACE.grid()[:2]), store)
+        second, __ = run_chunk_job(self._chunk(SPACE.grid()[2:4]), store)
+        assert first["stats"]["evaluated"] == 2
+        assert second["stats"]["evaluated"] == 2
+        assert len(opens) == 1
+        assert len(ResultCache(store)) == 4
+
+    def test_a_forked_worker_opens_its_own_handle(self, tmp_path,
+                                                  monkeypatch):
+        from repro.service import workers
+        store = str(tmp_path / "store")
+        parent = workers.store_cache(store)
+        assert workers.store_cache(store) is parent
+        monkeypatch.setattr(workers.os, "getpid", lambda: -1)
+        child = workers.store_cache(store)
+        assert child is not parent
+        assert workers.store_cache(store) is child
+
+    def test_thread_workers_share_one_handle_per_store(self, tmp_path):
+        """Threads racing for handles on a few stores get one handle
+        per store, and every record each thread writes through it is
+        indexed."""
+        from repro.service import workers
+        roots = [str(tmp_path / f"store{index}") for index in range(3)]
+        handles: list = []
+        errors: list = []
+
+        def hammer(thread: int) -> None:
+            try:
+                for round_ in range(30):
+                    root = roots[(thread + round_) % len(roots)]
+                    handle = workers.store_cache(root)
+                    handles.append((root, handle))
+                    handle.put(f"{thread:02d}{round_:02d}" + "0" * 60,
+                               {"ok": True, "thread": thread})
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for root in roots:
+            assert len({id(handle) for where, handle in handles
+                        if where == root}) == 1
+            assert len(ResultCache(root)) == 8 * 30 // len(roots)
+
+
 # -- the daemon's store -------------------------------------------------
 
 class TestPeering:

@@ -230,6 +230,27 @@ def test_tiles_one_keeps_mapping_metrics_identical():
         pytest.approx(mapping_metrics(plain)["energy"], abs=0.1)
 
 
+def test_an_array_point_measures_its_energy_once(monkeypatch):
+    from repro.arch.energy import EnergyModel
+    from repro.eval import metrics as metrics_module
+    calls = []
+    measure = metrics_module.measure_energy
+    monkeypatch.setattr(metrics_module, "measure_energy",
+                        lambda *args: calls.append(args) or measure(*args))
+    report = map_source(FIR.source, TileParams(n_pps=2, n_buses=4),
+                        array=TileArrayParams(n_tiles=2))
+    energy = mapping_metrics(report)["energy"]
+    array_energy = multitile_metrics(report)["array_energy"]
+    assert len(calls) == 1
+    assert array_energy == round(
+        measure(report.program).total
+        + report.multitile.transfer_energy, 1)
+    # Another model is another measurement, not the cached one.
+    costly = EnergyModel(bus_transfer=30.0)
+    assert mapping_metrics(report, costly)["energy"] > energy
+    assert len(calls) == 2
+
+
 def test_multitile_stage_is_off_by_default():
     report = map_source(FIR.source)
     assert report.multitile is None
