@@ -29,15 +29,14 @@ allocator and the simulator):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from repro.arch.params import TileParams
 from repro.arch.templates import ClusterShape
 from repro.cdfg.ops import Address, OpKind
 
 
-@dataclass(frozen=True, order=True)
-class RegLoc:
+class RegLoc(NamedTuple):
     """One register: PP index, bank index (0=Ra..3=Rd), slot index."""
 
     pp: int
@@ -49,8 +48,7 @@ class RegLoc:
         return f"PP{self.pp}.R{bank_name}[{self.slot}]"
 
 
-@dataclass(frozen=True, order=True)
-class MemLoc:
+class MemLoc(NamedTuple):
     """One memory word: PP index, memory index (0/1), address."""
 
     pp: int
@@ -61,8 +59,7 @@ class MemLoc:
         return f"PP{self.pp}.MEM{self.mem + 1}[{self.addr}]"
 
 
-@dataclass(frozen=True)
-class ImmSource:
+class ImmSource(NamedTuple):
     """A constant delivered by the (shared) control unit."""
 
     value: int
@@ -75,8 +72,7 @@ Source = Union[MemLoc, RegLoc, ImmSource]
 Dest = Union[MemLoc, RegLoc]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A crossbar transfer executed in some cycle."""
 
     source: Source
@@ -127,15 +123,12 @@ class Cycle:
         """ALU operations issued this cycle (counting tree nodes)."""
         return sum(len(config.ops) for config in self.alu_configs)
 
-    def bus_sources(self) -> set:
-        """Distinct values on the crossbar this cycle (bus usage)."""
-        sources: set = set()
-        for move in self.moves:
-            sources.add(("move", move.source))
-        for config in self.alu_configs:
-            if config.dests:
-                sources.add(("alu", config.pp))
-        return sources
+    @property
+    def n_bus_values(self) -> int:
+        """Distinct values on the crossbar this cycle (bus usage): one
+        per distinct move source, one per ALU whose result leaves."""
+        return len({move.source for move in self.moves}) + len(
+            {config.pp for config in self.alu_configs if config.dests})
 
 
 @dataclass

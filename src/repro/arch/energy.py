@@ -80,7 +80,7 @@ def measure_energy(program: TileProgram,
     model = model or EnergyModel()
     report = EnergyReport(cycles=program.n_cycles)
     for cycle in program.cycles:
-        report.bus_transfers += len(cycle.bus_sources())
+        report.bus_transfers += cycle.n_bus_values
         for config in cycle.alu_configs:
             report.alu_ops += len(config.ops)
             report.reg_reads += len(config.operands)

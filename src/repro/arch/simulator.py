@@ -233,7 +233,7 @@ class TileSimulator:
         buses = len(moves) + sum(1 for config in cycle.alu_configs
                                  if config.dests)
         if buses > params.n_buses:
-            buses = len(cycle.bus_sources())
+            buses = cycle.n_bus_values
             if buses > params.n_buses:
                 raise SimulationError(
                     f"cycle {index}: {buses} crossbar values exceed "

@@ -15,80 +15,49 @@
              load inputs
     }
 
-The allocator walks the schedule level by level and builds the
-per-cycle tile program under every resource limit the paper names
-(§VI-C): register bank sizes, memory sizes, crossbar buses and
-memory/register-bank ports.  Exactly as in Fig. 5:
+Each level becomes one execute cycle.  Every live result is stored in
+it, in the first consumer's PP (*locality of reference*), never over
+live input.  Leaf *i* of a cluster is read from register bank *i* of
+its PP: the allocator tries *reuse*, then *direct write-back* (the
+producing ALU latches its result into the register, Fig. 1), then a
+*staging move* from memory (or an immediate) 4, 3, 2, 1 cycles ahead.
+If an operand cannot be staged, the level is rolled back, a stall
+(load) cycle is inserted before it and the level is replanned.  The
+program respects every limit of :class:`~repro.arch.params.TileParams`
+(the simulator checks them all), and candidates are tried in a fixed
+order, so a schedule and params always yield the same program.
 
-* each level becomes one execute cycle; its clusters' ALUs are
-  configured on their scheduled PPs;
-* every live cluster result is stored to a memory in its execute
-  cycle — the memory is chosen in the first consumer's PP (*locality
-  of reference*), never a word that still holds live input data;
-* every leaf operand must sit in the *proper* register bank (leaf i
-  feeds ALU input i, so bank Ra..Rd) before the cycle starts.  The
-  allocator tries, in order: (1) *reuse* — the value already resides
-  in the right bank; (2) *direct write-back* — the producing ALU
-  latches its result straight into the consumer's input register via
-  the crossbar (Fig. 1: "the crossbar enables an ALU to write back
-  their result to any register or memory within a tile"); (3) a
-  *staging move* from memory (or an immediate from the control unit)
-  placed 4, then 3, 2, 1 cycles ahead of the consumer;
-* when an operand cannot be staged, the level is rolled back, a stall
-  (load) cycle is inserted before it, and the level is replanned —
-  "insert one or more clock cycles before the current one".
-
-Backtracking is journal-based: every mutation a level attempt makes
-(a claimed register, a booked bus, a drafted move, a residency-table
-entry) pushes one typed undo record onto :class:`_Journal` — a plain
-tuple whose first item says which inverse to apply (pop a list, drop
-a set element, restore or delete a dict entry, restore a register
-slot) — and a failed attempt rolls those records back in reverse.
-The four statistics counters an attempt can bump are saved as one
-tuple before it starts and put back on failure.  A retry therefore
-costs O(changes the attempt made) — not O(whole allocator state) —
-and the per-level retry loop copies nothing: no register-file deep
-copy, no ``mem_words`` set copies, no cycle-draft clones, and it
-builds no closures.
-
-Options ``enable_bypass`` / ``enable_reuse`` / ``stage_window`` exist
-for the locality ablation (EXT-C): disabling them yields the
-memory-only staging baseline.
-
-Invariants
-----------
-* The emitted program respects *every* per-cycle resource limit of
-  :class:`repro.arch.params.TileParams` — bank/memory sizes, bus
-  count, read/write ports; the fully-checked simulator would raise
-  on any violation, and the property tests drive it across random
-  tiles.
-* A value is never read in the cycle it is written (end-of-cycle
-  commit), and a staged operand is staged at most
-  ``stage_window`` cycles ahead.
-* Allocation is deterministic: candidate locations are tried in a
-  fixed order, so the same schedule and params always yield the
-  same program, stall count and move count.
+Each resource is one integer-indexed table (:mod:`repro.core.tables`).
+The refusal of an operand's last candidate cycle, or of a store's last
+memory, rides :class:`_LevelRetry`; ``Allocator.refusals`` counts each
+level's failed attempts by it.  Every booking of an attempt (a table
+entry, a register slot, a drafted move or write-back) pushes one
+"remove this from that table" record onto the journal, which a failed
+attempt undoes newest-first; its execute cycle is popped whole and its
+statistics counters put back.  Configs, placements and residency are
+written only once an attempt succeeds, so a retry costs O(changes the
+attempt made).  ``enable_bypass``, ``enable_reuse`` and
+``stage_window`` serve the locality ablation (EXT-C).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
-from repro.arch.control import (
-    AluConfig,
-    Cycle,
-    ImmSource,
-    MemLoc,
-    Move,
-    RegLoc,
-    TileProgram,
-)
+from repro.arch.control import (AluConfig, Cycle, ImmSource, MemLoc,
+                                Move, RegLoc, TileProgram)
 from repro.arch.params import TileParams
 from repro.cdfg.ops import Address
-from repro.core.clustering import Cluster, ClusterGraph
+from repro.core.clustering import ClusterGraph
 from repro.core.scheduling import Schedule, ScheduledCluster
-from repro.core.taskgraph import Operand, OperandKind
+from repro.core.tables import (BANK_PORT, BUS, LATENCY, MEMORY_WORDS,
+                               READ_PORT, REGISTER, WRITE_PORT,
+                               CountTable, Journal, RegisterTable,
+                               SetTable)
+from repro.core.taskgraph import OperandKind
 
 
 class AllocationError(Exception):
@@ -96,91 +65,8 @@ class AllocationError(Exception):
 
 
 class _LevelRetry(Exception):
-    """Internal: the pending level needs a stall cycle inserted."""
-
-
-#: Undo record tags: the first item of every journal entry.
-_POP = 0      # (_POP, items): undo ``items.append``
-_DISCARD = 1  # (_DISCARD, values, element): undo ``values.add``
-_RESTORE = 2  # (_RESTORE, table, key, old): undo overwriting an entry
-_DELETE = 3   # (_DELETE, table, key): undo adding an entry
-_SLOT = 4     # (_SLOT, slot, value, write_cycle, busy_until)
-
-
-class _Journal:
-    """Undo log for one level attempt.
-
-    ``entries`` holds typed undo records (see the tags above), pushed
-    by the allocator's ``_j_*`` helpers.  ``rollback(mark)`` pops and
-    applies them newest-first until the journal is back at *mark*,
-    restoring exactly the state the attempt started from in
-    O(changes).
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[tuple] = []
-
-    def mark(self) -> int:
-        return len(self.entries)
-
-    def rollback(self, mark: int) -> None:
-        entries = self.entries
-        while len(entries) > mark:
-            entry = entries.pop()
-            tag = entry[0]
-            if tag == _POP:
-                entry[1].pop()
-            elif tag == _DISCARD:
-                entry[1].discard(entry[2])
-            elif tag == _RESTORE:
-                entry[1][entry[2]] = entry[3]
-            elif tag == _DELETE:
-                del entry[1][entry[2]]
-            else:
-                _, slot, slot.value, slot.write_cycle, \
-                    slot.busy_until = entry
-
-    def commit(self) -> None:
-        """Drop all entries (the attempt succeeded; nothing to undo)."""
-        self.entries.clear()
-
-
-#: Identity of a value for residency tracking.
-ValueKey = tuple
-
-
-def _value_key(operand: Operand, owner: dict[int, int]) -> ValueKey:
-    if operand.kind is OperandKind.CONST:
-        return ("const", operand.value)
-    if operand.kind is OperandKind.MEM:
-        return ("mem", operand.value)
-    return ("cluster", owner[operand.task_id])
-
-
-@dataclass
-class _Slot:
-    """One physical register of one input bank."""
-
-    value: ValueKey | None = None
-    write_cycle: int = -1
-    busy_until: int = -1
-
-
-@dataclass
-class _CycleDraft:
-    """Mutable bookkeeping for one cycle being planned."""
-
-    alu_configs: dict[int, AluConfig] = field(default_factory=dict)
-    moves: list[Move] = field(default_factory=list)
-    #: Values on the crossbar: ("alu", pp) for a broadcast result, a
-    #: source token (see ``Allocator._in_memory``) for a move.
-    bus: set = field(default_factory=set)
-    mem_reads: dict = field(default_factory=dict)   # (pp,mem) -> {token}
-    mem_writes: dict = field(default_factory=dict)  # (pp,mem) -> {addr}
-    bank_writes: dict = field(default_factory=dict)  # (pp,bank) -> int
-    is_stall: bool = False
+    """Internal: the pending level needs a stall cycle inserted;
+    ``args[0]`` names the refusal that ended the attempt."""
 
 
 @dataclass
@@ -198,6 +84,109 @@ class AllocationStats:
         return self.reuse_hits + self.bypasses + self.staged_moves
 
 
+def _shadow(address: Address) -> Address:
+    """A distinct word for an output whose address also holds live
+    input data (``output_layout`` redirects readers to it)."""
+    return Address(f"$out${address.name}", address.offset)
+
+
+class _Values:
+    """The numbering the allocator derives from a clustering alone,
+    built once per (immutable) :class:`ClusterGraph`.
+
+    Cluster *c*'s result is value *c*; each constant ``("const", v)``
+    and input word ``("mem", address)`` takes the next number, and
+    every word a program may hold gets a word number.  The tables hold
+    these ints, so no check hashes a key."""
+
+    def __init__(self, clustered: ClusterGraph):
+        owner = clustered.owner
+        self.n_clusters = n_clusters = \
+            max(clustered.clusters, default=-1) + 1
+        keys: list[tuple] = []  # value id - n_clusters -> key
+        ids: dict[tuple, int] = {}
+        self.words: dict[Address, int] = {}
+        self.n_words = 0
+
+        def value(operand) -> int:
+            if operand.kind is OperandKind.TASK:
+                return owner[operand.task_id]
+            key = ("const" if operand.kind is OperandKind.CONST
+                   else "mem", operand.value)
+            vid = ids.get(key)
+            if vid is None:
+                vid = ids[key] = n_clusters + len(keys)
+                keys.append(key)
+            return vid
+
+        #: cluster id -> value ids of its leaves, in bank order
+        self.operands = {cid: [value(operand)
+                               for operand in cluster.operands]
+                         for cid, cluster in clustered.clusters.items()}
+        outputs: dict[int, list[Address]] = {}
+        for store in clustered.stores:
+            if store.source.kind is OperandKind.TASK:
+                outputs.setdefault(owner[store.source.task_id],
+                                   []).append(store.address)
+        #: (address, value id) of every output that is not a cluster's
+        #: execute-cycle store: a copy move after the compute cycles
+        self.copies = [
+            (store.address, value(store.source))
+            for store in clustered.stores
+            if store.source.kind is not OperandKind.TASK
+            or outputs[owner[store.source.task_id]][0] != store.address]
+        #: (value id, word, address) of each input word, address order
+        self.inputs = sorted(
+            ((vid, self._word(key[1]), key[1])
+             for vid, key in enumerate(keys, n_clusters)
+             if key[0] == "mem"),
+            key=lambda entry: (entry[2].name, entry[2].offset))
+        n_inputs = self.n_words  # input words are numbered first
+        #: cluster id -> (word, address, shadow word or -1, output
+        #: address or None) of every cluster whose result is stored
+        self.results: dict[int, tuple] = {}
+        successors = clustered.successors()
+        for cid in clustered.clusters:
+            if cid in outputs:
+                address = outputs[cid][0]
+                word = self._word(address)
+                shadow = self._word(_shadow(address)) \
+                    if word < n_inputs else -1
+                self.results[cid] = (word, address, shadow, address)
+            elif successors[cid]:  # a temporary: its name is unique
+                self.results[cid] = (self.n_words, Address(f"$t{cid}"),
+                                     -1, None)
+                self.n_words += 1
+        for address, _ in self.copies:
+            self._word(address), self._word(_shadow(address))
+        #: residency before layout: constants are always readable
+        self.residency = [None] * n_clusters + [
+            (ImmSource(key[1]), 0, vid, -1) if key[0] == "const"
+            else None for vid, key in enumerate(keys, n_clusters)]
+
+    def _word(self, address: Address) -> int:
+        word = self.words.setdefault(address, self.n_words)
+        if word == self.n_words:
+            self.n_words += 1
+        return word
+
+
+@functools.lru_cache(maxsize=64)
+def _register_locs(n_pps: int, n_banks: int,
+                   size: int) -> tuple[RegLoc, ...]:
+    """Every register of a tile, at its register-table index."""
+    return tuple(RegLoc(pp, bank, slot) for pp in range(n_pps)
+                 for bank in range(n_banks) for slot in range(size))
+
+
+@functools.lru_cache(maxsize=256)
+def _memory_units(n_pps: int, n_mems: int,
+                  preferred: int) -> tuple[int, ...]:
+    """Memory units, PP *preferred*'s first, then by PP."""
+    pps = [preferred] + [pp for pp in range(n_pps) if pp != preferred]
+    return tuple(pp * n_mems + mem for pp in pps for mem in range(n_mems))
+
+
 class Allocator:
     """Allocates one schedule onto one tile."""
 
@@ -208,149 +197,106 @@ class Allocator:
                  max_stalls_per_level: int = 64):
         self.clustered = clustered
         self.schedule = schedule
-        self.params = params or TileParams()
+        self.params = params = params or TileParams()
         self.enable_bypass = enable_bypass
         self.enable_reuse = enable_reuse
-        self.stage_window = stage_window or self.params.max_stage_ahead
+        self.stage_window = stage_window or params.max_stage_ahead
         self.max_stalls_per_level = max_stalls_per_level
         self.stats = AllocationStats()
+        #: Per scheduled level: failed attempts by refusing resource.
+        self.refusals: list[dict[str, int]] = []
+        if clustered._values is None:
+            clustered._values = _Values(clustered)
+        self._values = values = clustered._values
 
-        # -- mutable planning state (journal-rolled-back on retries) --
-        self._journal = _Journal()
-        self.cycles: list[_CycleDraft] = []
-        self.banks: dict[tuple[int, int], list[_Slot]] = {
-            (pp, bank): [_Slot() for _ in range(self.params.regs_per_bank)]
-            for pp in range(self.params.n_pps)
-            for bank in range(self.params.banks_per_pp)}
-        self.mem_words: dict[tuple[int, int], set[Address]] = {
-            (pp, mem): set()
-            for pp in range(self.params.n_pps)
-            for mem in range(self.params.memories_per_pp)}
-        #: value -> (location, first readable cycle, source token)
-        self.value_in_memory: dict[ValueKey, tuple[MemLoc, int, int]] = {}
-        self._source_tokens: dict[MemLoc, int] = {}
-        self.cluster_exec_cycle: dict[int, int] = {}
+        self._journal = journal = Journal()
+        self._n_mems = n_mems = params.memories_per_pp
+        self._n_banks = n_banks = params.banks_per_pp
+        mem_units = params.n_pps * n_mems
+        self.cycles: list[Cycle] = []  # resources in the tables
+        self.bus = SetTable(BUS, params.n_buses, 1, journal)
+        self.read_ports = SetTable(READ_PORT, params.mem_read_ports,
+                                   mem_units, journal)
+        self.write_ports = SetTable(WRITE_PORT, params.mem_write_ports,
+                                    mem_units, journal, shared=False)
+        self.bank_ports = CountTable(BANK_PORT, params.bank_write_ports,
+                                     params.n_pps * n_banks, journal)
+        self._grown = 0  # cycles the per-cycle tables have rows for
+        self.registers = RegisterTable(params.n_pps * n_banks,
+                                       params.regs_per_bank, journal)
+        self._reglocs = _register_locs(params.n_pps, n_banks,
+                                       params.regs_per_bank)
+        self.memory_words = SetTable(MEMORY_WORDS, params.memory_words,
+                                     mem_units, journal)
+        self.memory_words.grow(1)
+        #: value id -> (source, first readable cycle, bus token, memory
+        #: unit or -1), or None while the value is nowhere.
+        self.residency = list(values.residency)
+        #: cluster id -> (execute cycle, its AluConfig), or None.
+        self.placement: list = [None] * values.n_clusters
         self.data_layout: dict[Address, MemLoc] = {}
         self.output_layout: dict[Address, MemLoc] = {}
-
-        self._prepare()
-
-    # -- setup ------------------------------------------------------------
-
-    def _prepare(self) -> None:
-        """Compute per-cluster output addresses, consumers, layout."""
-        owner = self.clustered.owner
-        self.cluster_outputs: dict[int, list[Address]] = {}
-        for store in self.clustered.stores:
-            if store.source.kind is OperandKind.TASK:
-                cluster_id = owner[store.source.task_id]
-                self.cluster_outputs.setdefault(cluster_id, []).append(
-                    store.address)
-        successors = self.clustered.successors()
-        self.first_consumer_pp: dict[int, int | None] = {}
-        for cluster_id in self.clustered.clusters:
-            consumers = sorted(
-                successors[cluster_id],
-                key=lambda cid: (self.schedule.level_of(cid),
-                                 self.schedule.pp_of(cid)))
-            self.first_consumer_pp[cluster_id] = (
-                self.schedule.pp_of(consumers[0]) if consumers else None)
         self._layout_inputs()
+        journal.commit()
 
     def _layout_inputs(self) -> None:
-        """Place every initial-memory word near its first consumer."""
-        wanted: dict[Address, int] = {}
+        """Find each value's first consumer (levels list their clusters
+        in PP order), and place every input word near its own."""
+        values = self._values
+        #: cluster id -> PP of its first consumer; for input value ids
+        #: too, until the layout below reads them
+        self._first_pp: dict[int, int] = {}
         for level in self.schedule.levels:
             for item in level:
-                for operand in item.cluster.operands:
-                    if operand.kind is OperandKind.MEM and \
-                            operand.value not in wanted:
-                        wanted[operand.value] = item.pp
-        for store in self.clustered.stores:
-            if store.source.kind is OperandKind.MEM and \
-                    store.source.value not in wanted:
-                wanted[store.source.value] = 0
+                for vid in values.operands[item.cluster.id]:
+                    self._first_pp.setdefault(vid, item.pp)
+        #: word -> memory unit of the input word placed there, else -1
+        self._input_units = [-1] * values.n_words
         toggle: dict[int, int] = {}
-        n_mems = self.params.memories_per_pp
-        for address in sorted(wanted):
-            preferred_pp = wanted[address]
-            placed = False
-            for pp in self._pp_preference(preferred_pp):
+        n_mems = self._n_mems
+        for vid, word, address in values.inputs:
+            for first in self._units(self._first_pp.get(vid, 0))[::n_mems]:
+                pp = first // n_mems
                 start = toggle.get(pp, 0)
                 for offset in range(n_mems):
-                    candidate = (start + offset) % n_mems
-                    words = self.mem_words[(pp, candidate)]
-                    if len(words) < self.params.memory_words:
-                        loc = MemLoc(pp, candidate, address)
-                        self.data_layout[address] = loc
-                        words.add(address)
-                        self.value_in_memory[("mem", address)] = \
-                            self._in_memory(loc, 0)
-                        toggle[pp] = (candidate + 1) % n_mems
-                        placed = True
+                    mem = (start + offset) % n_mems
+                    unit = pp * n_mems + mem
+                    if self.memory_words.can_add(unit, word) is None:
                         break
-                if placed:
-                    break
-            if not placed:
+                else:
+                    continue
+                loc = self.data_layout[address] = MemLoc(pp, mem, address)
+                self.memory_words.add(unit, word)
+                self._input_units[word] = unit
+                self.residency[vid] = (loc, 0, self._token(unit, word),
+                                       unit)
+                toggle[pp] = (mem + 1) % n_mems
+                break
+            else:
                 raise AllocationError(
                     f"tile memories cannot hold input word {address}")
 
-    def _in_memory(self, loc: MemLoc, available: int) -> tuple:
-        """A ``value_in_memory`` entry for a value readable at *loc*
-        from cycle *available* on.  Its source token is an integer
-        naming *loc*, so the per-cycle bus and read-port sets hash an
-        int, not a ``MemLoc``, on every staging attempt."""
-        tokens = self._source_tokens
-        return loc, available, tokens.setdefault(loc, len(tokens))
+    def _token(self, unit: int, word: int) -> int:
+        """A memory word's bus token: distinct from a constant's (its
+        value id) and an ALU result's (``-1 - pp``)."""
+        return len(self.residency) + unit * self._values.n_words + word
 
-    def _pp_preference(self, preferred: int | None) -> list[int]:
-        pps = list(range(self.params.n_pps))
-        if preferred is None:
-            return pps
-        return [preferred] + [pp for pp in pps if pp != preferred]
+    def _units(self, preferred: int) -> tuple[int, ...]:
+        return _memory_units(self.params.n_pps, self._n_mems, preferred)
 
-    # -- the undo journal ----------------------------------------------------
-    #
-    # A failed level attempt only ever mutates: the appended execute
-    # cycle, the `window` cycles before it (staging moves and direct
-    # write-backs are both window-bounded), a handful of register
-    # slots, and a few residency-dict entries.  Each such mutation
-    # goes through one of the helpers below, which records its exact
-    # inverse in the journal; `_LevelRetry` rolls the journal back.
-    # A retry is therefore O(changes the attempt made) — whole-program
-    # allocation stays linear in the number of clusters (the paper's
-    # §VI-C complexity claim) with no per-retry deep copies at all.
-
-    def _j_append_cycle(self) -> _CycleDraft:
-        draft = _CycleDraft()
-        self.cycles.append(draft)
-        self._journal.entries.append((_POP, self.cycles))
-        return draft
-
-    def _j_list_append(self, items: list, value) -> None:
-        items.append(value)
-        self._journal.entries.append((_POP, items))
-
-    def _j_set_add(self, values: set, element) -> None:
-        if element not in values:
-            values.add(element)
-            self._journal.entries.append((_DISCARD, values, element))
-
-    def _j_dict_set(self, table: dict, key, value) -> None:
-        if key in table:
-            self._journal.entries.append(
-                (_RESTORE, table, key, table[key]))
+    def _new_cycle(self, is_stall: bool = False,
+                   journaled: bool = False) -> Cycle:
+        draft = Cycle(is_stall=is_stall)
+        if journaled:
+            self._journal.append(self.cycles, draft)
         else:
-            self._journal.entries.append((_DELETE, table, key))
-        table[key] = value
-
-    def _j_slot_write(self, slot: _Slot, value: ValueKey | None,
-                      write_cycle: int, busy_until: int) -> None:
-        self._journal.entries.append(
-            (_SLOT, slot, slot.value, slot.write_cycle, slot.busy_until))
-        slot.value = value
-        slot.write_cycle = write_cycle
-        slot.busy_until = busy_until
+            self.cycles.append(draft)
+        if len(self.cycles) > self._grown:
+            self._grown = 2 * len(self.cycles) + 8
+            for table in (self.bus, self.read_ports, self.write_ports,
+                          self.bank_ports):
+                table.grow(self._grown)
+        return draft
 
     # -- main ------------------------------------------------------------------
 
@@ -359,33 +305,29 @@ class Allocator:
         for level in self.schedule.levels:
             self._allocate_level(level)
         self._emit_copy_stores()
+        self._journal.commit()
         return self._to_program()
 
     def _allocate_level(self, level: list[ScheduledCluster]) -> None:
+        refusals: dict[str, int] = {}
+        self.refusals.append(refusals)
+        stats = self.stats
         stalls = 0
         while True:
             mark = self._journal.mark()
-            stats = self.stats
             counters = (stats.reuse_hits, stats.bypasses,
                         stats.staged_moves, stats.stores)
-            try:
-                # Fig. 5 stages 4..1 cycles ahead; when inserted load
-                # cycles pile up, the window widens with them so the
-                # fresh bus/port capacity is actually reachable (else
-                # a level needing more moves than window x buses could
-                # never complete).
+            try:  # the window widens with the inserted load cycles
                 self._plan_level(level, self.stage_window + stalls)
                 self._journal.commit()
                 return
-            except _LevelRetry:
+            except _LevelRetry as retry:
                 self._journal.rollback(mark)
                 (stats.reuse_hits, stats.bypasses, stats.staged_moves,
                  stats.stores) = counters
-                # The inserted stall outlives this attempt's rollback
-                # scope — the next attempt plans over it — so it is
-                # appended outside the journal.
-                stall = _CycleDraft(is_stall=True)
-                self.cycles.append(stall)
+                resource = retry.args[0]
+                refusals[resource] = refusals.get(resource, 0) + 1
+                self._new_cycle(is_stall=True)  # outlives the rollback
                 stats.stall_cycles += 1
                 stalls += 1
                 if stalls > self.max_stalls_per_level:
@@ -398,293 +340,187 @@ class Allocator:
                     window: int | None = None) -> None:
         window = window or self.stage_window
         exec_cycle = len(self.cycles)
-        draft = self._j_append_cycle()
+        draft = self._new_cycle(journaled=True)
+        operands = self._values.operands
+        stage = self._stage_operand
+        planned = []
         for item in level:
+            operand_locs = []
+            for leaf, vid in enumerate(operands[item.cluster.id]):
+                operand_locs.append(
+                    stage(vid, item.pp, leaf, exec_cycle, window))
+            planned.append((operand_locs, self._plan_store(
+                item.cluster.id, item.pp, exec_cycle)))
+        # The attempt has succeeded.  No check reads the execute cycle's
+        # bus or this level's placements, residency and outputs, so
+        # they are booked only now.
+        for item, (operand_locs, stored) in zip(level, planned):
             cluster = item.cluster
-            operand_locs = [
-                self._stage_operand(operand, item.pp, leaf, exec_cycle,
-                                    window)
-                for leaf, operand in enumerate(cluster.operands)]
-            dests = self._plan_store(cluster, item.pp, exec_cycle)
-            config = AluConfig(pp=item.pp, shape=cluster.shape,
-                               ops=cluster.ops, operands=operand_locs,
-                               dests=dests, label=f"Clu{cluster.id}")
-            self._j_dict_set(draft.alu_configs, item.pp, config)
-            if dests:
-                self._j_set_add(draft.bus, ("alu", item.pp))
-            self._j_dict_set(self.cluster_exec_cycle, cluster.id,
-                             exec_cycle)
+            config = AluConfig(
+                pp=item.pp, shape=cluster.shape, ops=cluster.ops,
+                operands=operand_locs, dests=[stored[0]] if stored else [],
+                label=f"Clu{cluster.id}")
+            draft.alu_configs.append(config)
+            self.placement[cluster.id] = (exec_cycle, config)
+            if stored:
+                self.bus.add(exec_cycle, -1 - item.pp)
+                self.residency[cluster.id] = stored
+                output = self._values.results[cluster.id][3]
+                if output is not None:
+                    self.output_layout[output] = stored[0]
 
     # -- operand staging -------------------------------------------------------
 
-    def _stage_operand(self, operand: Operand, pp: int, bank: int,
-                       exec_cycle: int, window: int | None = None
-                       ) -> RegLoc:
-        window = window or self.stage_window
-        if bank >= self.params.banks_per_pp:
+    def _stage_operand(self, vid: int, pp: int, bank: int,
+                       exec_cycle: int, window: int) -> RegLoc:
+        """Reuse, write back, or move the value (Fig. 5: 4, 3, 2, then
+        1 cycles ahead of the consumer)."""
+        if bank >= self._n_banks:
             raise AllocationError(
                 f"cluster needs leaf {bank}, tile has only "
-                f"{self.params.banks_per_pp} input banks")
-        key = _value_key(operand, self.clustered.owner)
-        slots = self.banks[(pp, bank)]
-
+                f"{self._n_banks} input banks")
+        unit = pp * self._n_banks + bank
+        registers = self.registers
         if self.enable_reuse:
-            for index, slot in enumerate(slots):
-                if slot.value == key and slot.write_cycle <= exec_cycle - 1:
-                    self._j_slot_write(
-                        slot, slot.value, slot.write_cycle,
-                        max(slot.busy_until, exec_cycle))
-                    self.stats.reuse_hits += 1
-                    return RegLoc(pp, bank, index)
-
-        if self.enable_bypass and key[0] == "cluster":
-            bypass = self._try_bypass(key[1], pp, bank, exec_cycle,
-                                      window)
-            if bypass is not None:
+            slot = registers.holding(unit, vid, exec_cycle)
+            if slot >= 0:
+                index = unit * registers.size + slot
+                registers.add(index, vid, registers.written[index],
+                              max(registers.busy[index], exec_cycle))
+                self.stats.reuse_hits += 1
+                return self._reglocs[index]
+        bus = self.bus
+        reads = self.read_ports
+        ports = self.bank_ports
+        refusal = None
+        placed = self.placement[vid] if self.enable_bypass and \
+            vid < self._values.n_clusters else None
+        if placed is not None and \
+                exec_cycle - window <= placed[0] < exec_cycle:
+            # Direct write-back, window-bounded like staging: a result
+            # needed later comes back from memory.
+            producer_cycle, config = placed
+            port = producer_cycle * ports.width + unit
+            slot = registers.free(unit, producer_cycle)
+            refusal = ports.can_add(port) or (REGISTER if slot < 0 else None)
+            if refusal is None:
+                index = unit * registers.size + slot
+                registers.add(index, vid, producer_cycle, exec_cycle)
+                loc = self._reglocs[index]
+                self._journal.append(config.dests, loc)
+                bus.add(producer_cycle, -1 - config.pp)
+                ports.add(port)
                 self.stats.bypasses += 1
-                return bypass
-
-        return self._stage_via_move(key, pp, bank, exec_cycle, window)
-
-    def _try_bypass(self, producer_id: int, pp: int, bank: int,
-                    exec_cycle: int, window: int) -> RegLoc | None:
-        """Latch the producer's result straight into the input bank.
-
-        Like memory staging, write-back is window-bounded: a result
-        needed further ahead than the staging window comes back from
-        memory instead of squatting in a register (and level retries
-        stay O(window))."""
-        producer_cycle = self.cluster_exec_cycle.get(producer_id)
-        if producer_cycle is None or producer_cycle >= exec_cycle:
-            return None
-        if producer_cycle < exec_cycle - window:
-            return None
-        draft = self.cycles[producer_cycle]
-        producer_pp = self.schedule.pp_of(producer_id)
-        config = draft.alu_configs.get(producer_pp)
-        if config is None or config.label != f"Clu{producer_id}":
-            return None
-        used = draft.bank_writes.get((pp, bank), 0)
-        if used >= self.params.bank_write_ports:
-            return None
-        slot_index = self._claim_slot(pp, bank, producer_cycle,
-                                      exec_cycle,
-                                      ("cluster", producer_id))
-        if slot_index is None:
-            return None
-        loc = RegLoc(pp, bank, slot_index)
-        self._j_list_append(config.dests, loc)
-        self._j_set_add(draft.bus, ("alu", producer_pp))
-        self._j_dict_set(draft.bank_writes, (pp, bank), used + 1)
-        return loc
-
-    def _stage_via_move(self, key: ValueKey, pp: int, bank: int,
-                        exec_cycle: int, window: int) -> RegLoc:
-        """Fig. 5: try 4, 3, 2, then 1 cycles ahead of the consumer."""
-        source, available, token = self._source_of(key)
-        window_start = max(available, exec_cycle - window)
-        for cycle in range(window_start, exec_cycle):
-            loc = self._try_move_at(cycle, source, token, key, pp, bank,
-                                    exec_cycle)
-            if loc is not None:
-                self.stats.staged_moves += 1
                 return loc
-        raise _LevelRetry()
+        refused = [refusal] if refusal else []
+        source, available, token, mem_unit = self.residency[vid]
+        for cycle in range(max(available, exec_cycle - window),
+                           exec_cycle):
+            refusal = bus.can_add(cycle, token) or (
+                mem_unit >= 0 and reads.can_add(
+                    read := cycle * reads.width + mem_unit, token)) \
+                or ports.can_add(port := cycle * ports.width + unit) \
+                or ((slot := registers.free(unit, cycle)) < 0 and REGISTER)
+            if refusal:
+                refused.append(refusal)
+                continue
+            index = unit * registers.size + slot
+            registers.add(index, vid, cycle, exec_cycle)
+            loc = self._reglocs[index]
+            self._journal.append(self.cycles[cycle].moves,
+                                 Move(source, loc))
+            bus.add(cycle, token)
+            if mem_unit >= 0:
+                reads.add(read, token)
+            ports.add(port)
+            self.stats.staged_moves += 1
+            return loc
+        # The resource that turned most candidates away (the later one
+        # on a tie) ended the attempt.
+        raise _LevelRetry(max(reversed(refused), key=refused.count)
+                          if refused else LATENCY)
 
-    def _try_move_at(self, cycle: int, source, token, key: ValueKey,
-                     pp: int, bank: int, exec_cycle: int
-                     ) -> RegLoc | None:
-        draft = self.cycles[cycle]
-        if token not in draft.bus and \
-                len(draft.bus) >= self.params.n_buses:
+    def _plan_store(self, cluster_id: int, pp: int,
+                    exec_cycle: int) -> tuple | None:
+        """Book a word for the result in its execute cycle; returns its
+        residency entry.  A shadow word may share the input's memory
+        (needed on tiles with a single memory)."""
+        result = self._values.results.get(cluster_id)
+        if result is None:
             return None
-        reads = None
-        if isinstance(source, MemLoc):
-            reads = draft.mem_reads.setdefault((source.pp, source.mem),
-                                               set())
-            if token not in reads and \
-                    len(reads) >= self.params.mem_read_ports:
-                return None
-        used = draft.bank_writes.get((pp, bank), 0)
-        if used >= self.params.bank_write_ports:
-            return None
-        slot_index = self._claim_slot(pp, bank, cycle, exec_cycle, key)
-        if slot_index is None:
-            return None
-        loc = RegLoc(pp, bank, slot_index)
-        self._j_list_append(draft.moves, Move(source=source, dest=loc))
-        self._j_set_add(draft.bus, token)
-        if reads is not None:
-            self._j_set_add(reads, token)
-        self._j_dict_set(draft.bank_writes, (pp, bank), used + 1)
-        return loc
+        word, address, shadow, _ = result
+        candidates = [(word, address, self._input_units[word])]
+        if shadow >= 0:
+            candidates.append((shadow, _shadow(address), -1))
+        booked = self._book_word(
+            exec_cycle, candidates,
+            self._units(self._first_pp.get(cluster_id, pp)))
+        if booked.__class__ is not tuple:
+            raise _LevelRetry(booked)
+        loc, unit, word = booked
+        self.stats.stores += 1
+        return loc, exec_cycle + 1, self._token(unit, word), unit
 
-    def _claim_slot(self, pp: int, bank: int, write_cycle: int,
-                    use_cycle: int, key: ValueKey) -> int | None:
-        """Find a register free for [write_cycle, use_cycle]."""
-        slots = self.banks[(pp, bank)]
-        best_index = None
-        best_busy = None
-        for index, slot in enumerate(slots):
-            if slot.busy_until <= write_cycle and \
-                    slot.write_cycle <= write_cycle:
-                if best_busy is None or slot.busy_until < best_busy:
-                    best_index = index
-                    best_busy = slot.busy_until
-        if best_index is None:
-            return None
-        self._j_slot_write(slots[best_index], key, write_cycle,
-                           use_cycle)
-        return best_index
-
-    def _source_of(self, key: ValueKey) -> tuple:
-        """(source, first readable cycle, source token) of a value."""
-        if key[0] == "const":
-            return ImmSource(key[1]), 0, key
-        entry = self.value_in_memory.get(key)
-        if entry is None:
-            raise AllocationError(f"value {key} is nowhere in memory")
-        return entry
-
-    # -- result stores -----------------------------------------------------------
-
-    @staticmethod
-    def _shadow(address: Address) -> Address:
-        """A distinct word key for an output whose logical address
-        also holds live input data (the data_layout word must stay
-        readable; output_layout redirects readers to the shadow)."""
-        return Address(f"$out${address.name}", address.offset)
-
-    def _plan_store(self, cluster: Cluster, pp: int,
-                    exec_cycle: int) -> list:
-        outputs = self.cluster_outputs.get(cluster.id, [])
-        has_consumers = self.first_consumer_pp[cluster.id] is not None
-        if not outputs and not has_consumers:
-            return []
-        address = outputs[0] if outputs else Address(f"$t{cluster.id}")
-        preferred_pp = self.first_consumer_pp[cluster.id]
-        if preferred_pp is None:
-            preferred_pp = pp
-        draft = self.cycles[exec_cycle]
-        forbidden = self.data_layout.get(address)
-        candidate_words: list[tuple[Address, bool]] = [(address, True)]
-        if forbidden is not None:
-            # fallback: a shadow word may share even the input's own
-            # memory (needed on tiles with a single memory)
-            candidate_words.append((self._shadow(address), False))
-        for word, respect_forbidden in candidate_words:
-            for candidate_pp in self._pp_preference(preferred_pp):
-                for mem in range(self.params.memories_per_pp):
-                    loc = MemLoc(candidate_pp, mem, word)
-                    if respect_forbidden and forbidden is not None and \
-                            (loc.pp, loc.mem) == (forbidden.pp,
-                                                  forbidden.mem):
-                        continue
-                    writes = draft.mem_writes.setdefault(
-                        (candidate_pp, mem), set())
-                    if len(writes) >= self.params.mem_write_ports:
-                        continue
-                    words = self.mem_words[(candidate_pp, mem)]
-                    if word not in words and \
-                            len(words) >= self.params.memory_words:
-                        continue
-                    self._j_set_add(writes, word)
-                    self._j_set_add(words, word)
-                    self._j_dict_set(self.value_in_memory,
-                                     ("cluster", cluster.id),
-                                     self._in_memory(loc, exec_cycle + 1))
-                    if outputs:
-                        self._j_dict_set(self.output_layout,
-                                         outputs[0], loc)
-                    self.stats.stores += 1
-                    return [loc]
-        raise _LevelRetry()
+    def _book_word(self, cycle: int, candidates, units, source=None,
+                   mem_unit: int = -1):
+        """Book the first (word, memory unit) whose write port at
+        *cycle* and whose memory take it, skipping each word's
+        forbidden unit and the move's own source: ``(MemLoc, unit,
+        word)``, else the last refusal."""
+        writes = self.write_ports
+        row = cycle * writes.width
+        refusal = None
+        for word, address, forbidden in candidates:
+            for unit in units:
+                if unit == forbidden or (unit == mem_unit and
+                                         address == source.addr):
+                    continue
+                refusal = (writes.can_add(row + unit, word)
+                           or self.memory_words.can_add(unit, word))
+                if refusal:
+                    continue
+                writes.add(row + unit, word)
+                self.memory_words.add(unit, word)
+                return (MemLoc(*divmod(unit, self._n_mems), address),
+                        unit, word)
+        return refusal
 
     def _emit_copy_stores(self) -> None:
         """Outputs whose value is not a fresh cluster result (constants,
         copied inputs, secondary addresses of a multiply-stored result)
         become plain crossbar moves after/between the compute cycles."""
-        owner = self.clustered.owner
-        for store in self.clustered.stores:
-            if store.source.kind is OperandKind.TASK:
-                cluster_id = owner[store.source.task_id]
-                primary = self.cluster_outputs[cluster_id][0]
-                if store.address == primary:
-                    continue  # written by the execute-cycle store
-                entry = self._source_of(("cluster", cluster_id))
-            else:
-                entry = self._source_of(_value_key(store.source, owner))
-            self._emit_copy_move(store.address, *entry)
-
-    def _emit_copy_move(self, address: Address, source,
-                        available: int, token) -> None:
-        forbidden = self.data_layout.get(address)
-        for attempt, cycle_index in enumerate(
-                itertools.count(available)):
-            if attempt > len(self.cycles) + 1000:
-                raise AllocationError(
-                    f"cannot place copy store of {address}")
-            if cycle_index >= len(self.cycles):
-                self.cycles.append(_CycleDraft(is_stall=False))
-            draft = self.cycles[cycle_index]
-            if token not in draft.bus and \
-                    len(draft.bus) >= self.params.n_buses:
-                continue
-            if isinstance(source, MemLoc):
-                reads = draft.mem_reads.setdefault(
-                    (source.pp, source.mem), set())
-                if token not in reads and \
-                        len(reads) >= self.params.mem_read_ports:
+        for address, vid in self._values.copies:
+            source, available, token, mem_unit = self.residency[vid]
+            shadow = _shadow(address)
+            word = self._values.words[address]
+            candidates = ((word, address, self._input_units[word]),
+                          (self._values.words[shadow], shadow, -1))
+            for attempt, cycle in enumerate(itertools.count(available)):
+                if attempt > len(self.cycles) + 1000:
+                    raise AllocationError(
+                        f"cannot place copy store of {address}")
+                if cycle >= len(self.cycles):
+                    self._new_cycle()
+                read = cycle * self.read_ports.width + mem_unit
+                if self.bus.can_add(cycle, token) or (
+                        mem_unit >= 0 and
+                        self.read_ports.can_add(read, token)):
                     continue
-            if self._try_copy_dest(draft, address, source, forbidden,
-                                   token):
-                return
-
-    def _try_copy_dest(self, draft: _CycleDraft, address: Address,
-                       source, forbidden, token) -> bool:
-        candidate_words: list[tuple[Address, bool]] = [(address, True)]
-        candidate_words.append((self._shadow(address), False))
-        for word, respect_forbidden in candidate_words:
-            for pp in self._pp_preference(0):
-                for mem in range(self.params.memories_per_pp):
-                    if respect_forbidden and forbidden is not None and \
-                            (pp, mem) == (forbidden.pp, forbidden.mem):
-                        continue
-                    if isinstance(source, MemLoc) and \
-                            (pp, mem, word) == (source.pp, source.mem,
-                                                source.addr):
-                        continue
-                    writes = draft.mem_writes.setdefault((pp, mem),
-                                                         set())
-                    if word in writes or \
-                            len(writes) >= self.params.mem_write_ports:
-                        continue
-                    words = self.mem_words[(pp, mem)]
-                    if word not in words and \
-                            len(words) >= self.params.memory_words:
-                        continue
-                    loc = MemLoc(pp, mem, word)
-                    draft.moves.append(Move(source=source, dest=loc))
-                    draft.bus.add(token)
-                    if isinstance(source, MemLoc):
-                        draft.mem_reads[(source.pp, source.mem)].add(
-                            token)
-                    writes.add(word)
-                    words.add(word)
-                    self.output_layout[address] = loc
+                booked = self._book_word(cycle, candidates, self._units(0),
+                                         source, mem_unit)
+                if booked.__class__ is tuple:
+                    self.cycles[cycle].moves.append(Move(source, booked[0]))
+                    self.bus.add(cycle, token)
+                    if mem_unit >= 0:
+                        self.read_ports.add(read, token)
+                    self.output_layout[address] = booked[0]
                     self.stats.copy_moves += 1
-                    return True
-        return False
-
-    # -- emission -------------------------------------------------------------------
+                    break
 
     def _to_program(self) -> TileProgram:
-        cycles = []
-        for draft in self.cycles:
-            configs = [draft.alu_configs[pp]
-                       for pp in sorted(draft.alu_configs)]
-            cycles.append(Cycle(alu_configs=configs, moves=draft.moves,
-                                is_stall=draft.is_stall))
+        cycles = self.cycles
+        for cycle in cycles:
+            cycle.alu_configs.sort(key=operator.attrgetter("pp"))
         # Drop trailing fully idle cycles (can appear when a stall was
         # inserted and the replan no longer needed its slots).
         while cycles and not cycles[-1].alu_configs \

@@ -102,6 +102,10 @@ class ClusterGraph:
         default=None, init=False, repr=False, compare=False)
     _successors: dict[int, set[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    #: The allocator's value and word numbering of this graph
+    #: (``repro.core.allocation._Values``), built on first use.
+    _values: object | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_clusters(self) -> int:

@@ -76,7 +76,8 @@ from repro.cdfg.interp import Interpreter
 from repro.cdfg.statespace import StateSpace
 from repro.core.allocation import AllocationStats, allocate
 from repro.core.clustering import ClusterGraph, cluster_tasks
-from repro.core.scheduling import Schedule, schedule_clusters
+from repro.core.scheduling import (Schedule, cluster_mobility,
+                                   schedule_clusters)
 from repro.core.taskgraph import TaskGraph
 from repro.multitile.mapping import MultiTileReport, map_multitile
 from repro.obs import trace
@@ -325,11 +326,17 @@ def map_frontend(frontend: Frontend,
     # capacity from n_clusters up yields the same schedule: keyed on
     # the clamped capacity, the memo holds at most n_clusters + 1
     # schedules per library whatever tiles a daemon is sent.
+    # Both schedulers rank clusters by the clustering's mobility, which
+    # is computed once and only read.
+    def mobility(graph: ClusterGraph) -> tuple:
+        return _memoised(memo, ("mobility", library),
+                         lambda: cluster_mobility(graph))
     with _stage(timings, "schedule"):
         schedule = _memoised(
             memo, ("schedule", library,
                    min(capacity, clustered.n_clusters)),
-            lambda: schedule_clusters(clustered, n_pps=capacity))
+            lambda: schedule_clusters(clustered, n_pps=capacity,
+                                      mobility=mobility))
     with _stage(timings, "allocate"):
         program, alloc_stats = allocate(clustered, schedule, params,
                                         **alloc_options)
@@ -338,7 +345,8 @@ def map_frontend(frontend: Frontend,
         with _stage(timings, "multitile"):
             multitile = map_multitile(clustered, array,
                                       capacity=capacity,
-                                      base_levels=schedule.n_levels)
+                                      base_levels=schedule.n_levels,
+                                      mobility=mobility)
     return MappingReport(
         source=frontend.source, original=frontend.original,
         minimised=frontend.minimised, pass_stats=frontend.pass_stats,

@@ -169,11 +169,17 @@ def cluster_mobility(graph: ClusterGraph) -> tuple[dict, dict, dict, int]:
     return asap, alap, slack, depth
 
 
-def schedule_clusters(graph: ClusterGraph, n_pps: int = 5) -> Schedule:
-    """Level-schedule *graph* with at most *n_pps* clusters per level."""
+def schedule_clusters(graph: ClusterGraph, n_pps: int = 5,
+                      mobility=cluster_mobility) -> Schedule:
+    """Level-schedule *graph* with at most *n_pps* clusters per level.
+
+    *mobility* computes the graph's :func:`cluster_mobility`; a caller
+    may pass a memoised one.  Its tables are only read (the schedule
+    keeps the slack).
+    """
     predecessors = graph.predecessors()
     successors = graph.successors()
-    asap, _, slack, depth = cluster_mobility(graph)
+    asap, _, slack, depth = mobility(graph)
 
     schedule = Schedule(critical_path=depth, slack=slack)
 

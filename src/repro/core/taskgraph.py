@@ -164,7 +164,7 @@ class TaskGraph:
         while ready:
             task_id = heapq.heappop(ready)
             order.append(self.tasks[task_id])
-            for consumer in set(consumers[task_id]):
+            for consumer in dict.fromkeys(consumers[task_id]):
                 indegree[consumer] -= 1
                 if indegree[consumer] == 0:
                     heapq.heappush(ready, consumer)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.arch.tilearray import TileArrayParams
 from repro.core.clustering import ClusterGraph
+from repro.core.scheduling import cluster_mobility
 from repro.multitile.partition import Partition, partition_clusters
 from repro.multitile.schedule import ArraySchedule, schedule_array
 
@@ -131,23 +132,25 @@ class MultiTileReport:
 def map_multitile(clustered: ClusterGraph, array: TileArrayParams, *,
                   capacity: int = 5, base_levels: int | None = None,
                   seed: int = 0, balance_slack: float = 0.25,
-                  refine_rounds: int = 8) -> MultiTileReport:
+                  refine_rounds: int = 8,
+                  mobility=cluster_mobility) -> MultiTileReport:
     """Partition and schedule *clustered* over *array*.
 
     *capacity* is the per-tile clusters-per-step limit (the single
     tile's ``min(n_pps, n_buses)``).  *base_levels* is the single-tile
     level count used as the speedup baseline; when omitted it is
-    recomputed by scheduling the graph on one tile.
+    recomputed by scheduling the graph on one tile.  *mobility*
+    computes the graph's ``cluster_mobility`` (a caller may memoise it).
     """
     partition = partition_clusters(
         clustered, array.n_tiles, seed=seed,
         balance_slack=balance_slack, refine_rounds=refine_rounds)
     schedule = schedule_array(clustered, partition, array,
-                              capacity=capacity)
+                              capacity=capacity, mobility=mobility)
     if base_levels is None:
         from repro.core.scheduling import schedule_clusters
-        base_levels = schedule_clusters(clustered,
-                                        n_pps=capacity).n_levels
+        base_levels = schedule_clusters(clustered, n_pps=capacity,
+                                        mobility=mobility).n_levels
     return MultiTileReport(array=array, partition=partition,
                            schedule=schedule, clustered=clustered,
                            base_levels=base_levels)

@@ -206,8 +206,8 @@ class _LinkOccupancy:
 
 
 def schedule_array(graph: ClusterGraph, partition: Partition,
-                   array: TileArrayParams,
-                   capacity: int = 5) -> ArraySchedule:
+                   array: TileArrayParams, capacity: int = 5,
+                   mobility=cluster_mobility) -> ArraySchedule:
     """Schedule *graph* on the array under *partition*.
 
     List scheduling over global steps: per step, each tile takes up to
@@ -218,7 +218,7 @@ def schedule_array(graph: ClusterGraph, partition: Partition,
     """
     predecessors = graph.predecessors()
     successors = graph.successors()
-    asap, _, slack, _ = cluster_mobility(graph)
+    asap, _, slack, _ = mobility(graph)
 
     schedule = ArraySchedule(n_tiles=array.n_tiles, capacity=capacity)
     if not graph.clusters:

@@ -65,7 +65,7 @@ def program_gantt(program: TileProgram) -> str:
         lines.append(f"PP{pp}  | " + "".join(row))
     bus_row = []
     for cycle in program.cycles:
-        buses = len(cycle.bus_sources())
+        buses = cycle.n_bus_values
         bus_row.append(str(min(buses, 9)) if buses else ".")
     lines.append("xbar | " + "".join(bus_row))
     lines.append(f"\n#=ALU busy  s=inserted load cycle  "

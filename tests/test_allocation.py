@@ -1,6 +1,7 @@
 """Unit tests for phase 3: the Fig. 5 heuristic resource allocator."""
 
 import copy
+import json
 
 import pytest
 
@@ -9,10 +10,14 @@ from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
 from repro.cdfg.ops import Address
 from repro.cdfg.statespace import StateSpace
-from repro.core.allocation import Allocator, _LevelRetry
-from repro.core.pipeline import map_source, verify_mapping
+from repro.core.allocation import AllocationStats, Allocator, _LevelRetry
+from repro.core.pipeline import (compile_frontend, map_frontend,
+                                 map_source, verify_mapping)
 from repro.baselines.naive_alloc import map_source_naive
-from repro.eval.kernels import KERNELS
+from repro.dse.runner import evaluate_point
+from repro.dse.space import DesignPoint
+from repro.eval.kernels import KERNELS, get_kernel
+from repro.eval.metrics import METRIC_FIELDS
 
 from tests.conftest import FIR_SOURCE
 
@@ -170,26 +175,34 @@ class TestJournalBacktracking:
 
     def test_rollback_restores_the_exact_prior_state(self, monkeypatch):
         """Every failed attempt's undo records put the planning state
-        back as the attempt found it: cycle drafts, register slots,
-        memory words and the residency tables.  A retry usually
-        re-adds what a skipped undo left behind, so the programs alone
-        cannot show a broken branch; this compares the state itself.
-        (Only the empty read/write-port sets a probe may leave in a
-        draft are ignored: they change nothing.)"""
+        back as the attempt found it: cycle drafts, every resource
+        table, register slots, memory words and the residency tables.
+        A retry usually re-adds what a skipped undo left behind, so the
+        programs alone cannot show a broken branch; this compares the
+        state itself.  (A table row an attempt filled and emptied again
+        reads as never used, and the rows past the last cycle must all
+        be empty: neither changes anything.)"""
         plan = Allocator._plan_level
         rollbacks = []
 
+        def rows(table, live):
+            return ([row or None for row in table.rows[:live]],
+                    any(table.rows[live:]))
+
         def state(allocator):
-            drafts = [(draft.alu_configs, draft.moves, draft.bus,
-                       {key: ports for key, ports in
-                        draft.mem_reads.items() if ports},
-                       {key: ports for key, ports in
-                        draft.mem_writes.items() if ports},
-                       draft.bank_writes, draft.is_stall)
-                      for draft in allocator.cycles]
+            drafts = [(cycle.alu_configs, cycle.moves, cycle.is_stall)
+                      for cycle in allocator.cycles]
+            n_cycles = len(allocator.cycles)
+            tables = [rows(table, n_cycles * table.width)
+                      for table in (allocator.bus, allocator.read_ports,
+                                    allocator.write_ports,
+                                    allocator.bank_ports)]
+            registers = allocator.registers
             return copy.deepcopy((
-                drafts, allocator.banks, allocator.mem_words,
-                allocator.value_in_memory, allocator.cluster_exec_cycle,
+                drafts, tables,
+                [words or None for words in allocator.memory_words.rows],
+                (registers.values, registers.written, registers.busy),
+                allocator.residency, allocator.placement,
                 allocator.output_layout))
 
         def checked(self, level, window=None):
@@ -210,6 +223,68 @@ class TestJournalBacktracking:
                                       bank_write_ports=2)):
                 map_source(kernel.source, params)
         assert len(rollbacks) > 50
+
+
+class TestRefusals:
+    """A failed level attempt is counted under the resource that turned
+    most of its failing operand's candidate cycles away."""
+
+    #: (refusal, kernel, a tile that binds it, that tile with the
+    #: resource widened)
+    CASES = [
+        ("bus", "fir16", dict(n_buses=1), dict(n_buses=10)),
+        ("read_port", "fir16",
+         dict(n_buses=20, memories_per_pp=1, mem_read_ports=1),
+         dict(n_buses=20, memories_per_pp=1, mem_read_ports=8)),
+        ("bank_port", "saxpy8",
+         dict(n_pps=2, n_buses=20, memories_per_pp=4, regs_per_bank=1,
+              bank_write_ports=1),
+         dict(n_pps=2, n_buses=20, memories_per_pp=4, regs_per_bank=1,
+              bank_write_ports=2)),
+        ("register", "saxpy8", dict(n_pps=1, n_buses=20, regs_per_bank=1),
+         dict(n_pps=1, n_buses=20, regs_per_bank=4)),
+    ]
+
+    @staticmethod
+    def named(kernel: str, tile: dict) -> list[str]:
+        """Per stalled level, the refusal it counted most."""
+        params = TileParams(**tile)
+        report = map_frontend(compile_frontend(get_kernel(kernel).source),
+                              params)
+        allocator = Allocator(report.clustered, report.schedule, params)
+        program = allocator.allocate()
+        assert program.listing() == report.program.listing()
+        assert len(allocator.refusals) == report.n_levels
+        assert sum(sum(counts.values())
+                   for counts in allocator.refusals) == \
+            report.alloc_stats.stall_cycles
+        return [max(counts, key=counts.get)
+                for counts in allocator.refusals if counts]
+
+    @pytest.mark.parametrize("resource, kernel, tight, loose", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_a_binding_resource_names_the_stalled_level(
+            self, resource, kernel, tight, loose):
+        named = self.named(kernel, tight)
+        assert resource in named
+        assert self.named(kernel, loose).count(resource) < \
+            named.count(resource)
+
+    def test_refusals_stay_out_of_stats_and_records(self):
+        assert [field.name for field in
+                AllocationStats.__dataclass_fields__.values()] == [
+            "reuse_hits", "bypasses", "staged_moves", "copy_moves",
+            "stall_cycles", "stores"]
+        assert METRIC_FIELDS == (
+            "tasks", "clusters", "critical_path", "levels",
+            "inserted_levels", "cycles", "stalls", "moves", "alu_util",
+            "speedup", "reuse", "bypass", "mem_moves", "locality",
+            "energy", "energy_per_op")
+        record = evaluate_point(get_kernel("fir16").source,
+                                DesignPoint.make({"n_buses": 1}), 1)
+        assert record["ok"] and record["metrics"]["stalls"] > 1
+        assert list(record["metrics"]) == list(METRIC_FIELDS)
+        assert "refus" not in json.dumps(record)
 
 
 class TestInPlaceUpdates:

@@ -117,7 +117,7 @@ class TestControlWords:
         cycle = Cycle(alu_configs=[config],
                       moves=[Move(source, RegLoc(2, 0, 0)),
                              Move(source, RegLoc(3, 0, 0))])
-        assert len(cycle.bus_sources()) == 2
+        assert cycle.n_bus_values == 2
 
     def test_cycle_op_count_counts_tree_nodes(self):
         config = AluConfig(pp=0, shape=ClusterShape.CHAIN,

@@ -96,8 +96,28 @@ def test_the_reference_memo_stays_bounded_under_many_seeds():
     references = [key for key in frontend._memo if key[0] == "reference"]
     assert references == [("reference", seed)
                           for seed in range(50 - REFERENCES_KEPT, 50)]
-    # the task graph, one clustering and one schedule besides
-    assert len(frontend._memo) == REFERENCES_KEPT + 3
+    # the task graph, one clustering, its mobility and one schedule
+    assert len(frontend._memo) == REFERENCES_KEPT + 4
+
+
+def test_a_clustering_computes_its_mobility_once(monkeypatch):
+    """Single-tile schedules at several capacities and the array
+    scheduler of multi-tile points all read one mobility per
+    clustering."""
+    calls = []
+    mobility = pipeline.cluster_mobility
+
+    def counting(graph):
+        calls.append(graph)
+        return mobility(graph)
+
+    monkeypatch.setattr(pipeline, "cluster_mobility", counting)
+    points = DesignSpace({"n_pps": [1, 2, 4], "tiles": [1, 2, 3],
+                          "library": ["two-level", "mac"]}).grid()
+    result = run_sweep(FIR16, points, workers=1, verify_seed=1)
+    assert all(record["ok"] for record in result.records)
+    assert len(calls) == 2
+    assert len({id(graph) for graph in calls}) == 2
 
 
 def test_seeded_verification_equals_verify_mapping():

@@ -13,10 +13,11 @@ local runs byte for byte).  Three rule families guard it:
 * **Randomness**: the module-level ``random.*`` functions draw from
   a process-global unseeded generator; all randomness must flow
   through a seeded ``random.Random(seed)``.
-* **Ordering** (``dse/``, ``cdfg/``, ``multitile/`` only): iterating
-  a ``set`` literal/call, or an ``os.listdir``/``glob``/``iterdir``
-  scan without ``sorted(...)``, feeds hash/filesystem order into
-  code whose output is hashed or compared across runs.
+* **Ordering** (``dse/``, ``cdfg/``, ``multitile/``, ``core/`` and
+  ``arch/`` only): iterating a ``set`` literal/call, or an
+  ``os.listdir``/``glob``/``iterdir`` scan without ``sorted(...)``,
+  feeds hash/filesystem order into code whose output is hashed or
+  compared across runs.
 """
 
 from __future__ import annotations
@@ -55,9 +56,11 @@ UNORDERED_SCANS = frozenset({"os.listdir", "os.scandir"})
 UNORDERED_SCAN_METHODS = frozenset({"glob", "iterdir", "rglob"})
 
 #: Subtrees where the ordering rules apply: the mapping core, whose
-#: outputs are hashed, cached and compared bit-for-bit across runs.
+#: outputs are hashed, cached and compared bit-for-bit across runs
+#: (the allocator tries candidate locations in a fixed order).
 ORDER_SCOPED = ("src/repro/dse/", "src/repro/cdfg/",
-                "src/repro/multitile/")
+                "src/repro/multitile/", "src/repro/core/",
+                "src/repro/arch/")
 
 
 @register
