@@ -26,7 +26,7 @@ Seven subcommands::
              [--max-entries N] [--max-bytes N] [--json PATH]
 
     fpfa-map submit program.c [map flags] [--host H] [--port P]
-             [--priority N] [--no-wait] [--timeout S] [--json PATH]
+             [--no-wait] [--timeout S] [--json PATH]
 
     fpfa-map jobs   [--host H] [--port P] [--job ID] [--follow]
              [--state STATE] [--json PATH]
@@ -38,7 +38,7 @@ Seven subcommands::
 
 (See ``docs/cli.md`` for the full flag reference,
 ``docs/service.md`` for the daemon protocol and
-``docs/observability.md`` for metrics and distributed tracing.)
+``docs/observability.md`` for distributed tracing.)
 
 ``map`` preserves the original single-point behaviour (and plain
 ``fpfa-map program.c`` still works — a missing subcommand defaults to
@@ -203,9 +203,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_submit_arguments(parser: argparse.ArgumentParser) -> None:
     _add_point_arguments(parser)
     _add_service_arguments(parser)
-    parser.add_argument("--priority", type=int, default=0,
-                        help="queue priority; higher runs first "
-                             "(default 0)")
     parser.add_argument("--no-wait", action="store_true",
                         help="submit and print the job id instead of "
                              "waiting for the result")
@@ -796,8 +793,7 @@ def _submit_request(args: argparse.Namespace, source: str) -> dict:
     request = {"kind": "map", "source": source, "file": args.file,
                "pps": args.pps, "buses": args.buses,
                "library": args.library, "balance": args.balance,
-               "verify_seed": args.verify_seed,
-               "priority": args.priority}
+               "verify_seed": args.verify_seed}
     if args.tiles is not None:
         request.update({"tiles": args.tiles,
                         "topology": args.topology,
@@ -843,7 +839,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _render_jobs_table(views: list[dict]) -> str:
     from repro.eval.report import render_table
-    columns = ("id", "kind", "state", "priority", "submits", "file")
+    columns = ("id", "kind", "state", "submits", "file")
     rows = [{name: ("" if view.get(name) is None else view[name])
              for name in columns} for view in views]
     return render_table(rows, columns=columns)
@@ -942,7 +938,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     command sets remotely."""
     from repro.obs.export import (
         TRACE_LOG_NAME,
-        harvest_daemons,
+        harvest_daemon,
         recording,
     )
 
@@ -956,8 +952,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         code = _cmd_explore(args)
         harvested = 0
         if args.remote:
-            harvested = harvest_daemons(
-                [_remote_address(args.remote)], recorder,
+            harvested = harvest_daemon(
+                _remote_address(args.remote), recorder,
                 trace_ids=recorder.seen_traces)
     echo(f"trace: {recorder.written} entries "
          f"({harvested} harvested from the remote daemon) "
@@ -972,14 +968,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import load_trace
 
     if args.trace_command == "export":
-        from repro.obs.export import harvest_daemons, to_chrome_trace
+        from repro.obs.export import harvest_daemon, to_chrome_trace
         entries = load_trace(args.log)
         if args.remote:
             known = {entry.get("trace") for entry in entries
                      if isinstance(entry.get("trace"), str)}
-            if harvest_daemons([_remote_address(args.remote)],
-                               args.log,
-                               trace_ids=known or None):
+            if harvest_daemon(_remote_address(args.remote), args.log,
+                              trace_ids=known or None):
                 entries = load_trace(args.log)
         if not entries:
             raise SystemExit(f"no trace entries in {args.log}")

@@ -12,8 +12,8 @@ The log is the interchange format; everything else derives from it:
 
 * :func:`load_trace` — tolerant NDJSON reader (a torn tail from a
   killed recorder loses at most the final line).
-* :func:`harvest_daemons` — pull remote daemons' ``GET /trace``
-  rings and append the spans belonging to the recorded traces, so
+* :func:`harvest_daemon` — pull a remote daemon's ``GET /trace``
+  ring and append the spans belonging to the recorded traces, so
   one log holds the whole stitched tree (coordinator lease spans
   parenting daemon queue/worker spans).
 * :func:`to_chrome_trace` — render entries as Chrome
@@ -54,7 +54,7 @@ __all__ = [
     "trace_log_path_for",
     "recording",
     "load_trace",
-    "harvest_daemons",
+    "harvest_daemon",
     "to_chrome_trace",
     "rollup",
 ]
@@ -94,7 +94,7 @@ class FlightRecorder:
     written).  Entries are copied before the ``pid``/``tid`` stamps
     are added — the tracer's own ring entries are never mutated.
     ``seen_traces`` accumulates every trace id the recorder wrote,
-    which is what :func:`harvest_daemons` filters remote rings by.
+    which is what :func:`harvest_daemon` filters remote rings by.
     """
 
     def __init__(self, path) -> None:
@@ -188,49 +188,46 @@ def load_trace(path) -> list[dict[str, Any]]:
     return entries
 
 
-def harvest_daemons(remotes, sink, *, trace_ids=None,
-                    timeout: float = 10.0) -> int:
-    """Pull remote daemons' ``GET /trace`` rings into the log.
+def harvest_daemon(remote, sink, *, trace_ids=None,
+                   timeout: float = 10.0) -> int:
+    """Pull one remote daemon's ``GET /trace`` ring into the log.
 
-    *remotes* are ``host:port`` strings (or anything
+    *remote* is a ``host:port`` string (or anything
     :func:`repro.dse.distributed.parse_remote` accepts); *sink* is a
     :class:`FlightRecorder`, a path, or a callable taking one entry.
     With *trace_ids*, only entries belonging to those traces are
     kept — the usual call passes ``recorder.seen_traces`` so a
     shared daemon's unrelated work stays out of the sweep's log.
-    Unreachable daemons are skipped (harvest is a best-effort,
+    An unreachable daemon is skipped (harvest is a best-effort,
     post-sweep step).  Returns the number of entries written.
     """
     from repro.dse.distributed import parse_remote
     from repro.service.client import ServiceClient, ServiceError
 
+    host, port = parse_remote(remote)
+    try:
+        payload = ServiceClient(host, port, timeout=timeout).trace()
+    except (ServiceError, OSError, ValueError):
+        return 0
     owned: FlightRecorder | None = None
     if isinstance(sink, (str, os.PathLike)):
         owned = sink = FlightRecorder(sink)
     wanted = set(trace_ids) if trace_ids is not None else None
+    label = f"{host}:{port}"
+    daemon_pid = payload.get("pid")
     harvested = 0
     try:
-        for remote in remotes:
-            host, port = parse_remote(remote)
-            label = f"{host}:{port}"
-            client = ServiceClient(host, port, timeout=timeout)
-            try:
-                payload = client.trace()
-            except (ServiceError, OSError, ValueError):
+        for entry in payload.get("events", []):
+            if not isinstance(entry, dict):
                 continue
-            daemon_pid = payload.get("pid")
-            for entry in payload.get("events", []):
-                if not isinstance(entry, dict):
-                    continue
-                if wanted is not None and \
-                        entry.get("trace") not in wanted:
-                    continue
-                copied = dict(entry)
-                copied.setdefault("daemon", label)
-                if daemon_pid is not None:
-                    copied.setdefault("pid", daemon_pid)
-                sink(copied)
-                harvested += 1
+            if wanted is not None and entry.get("trace") not in wanted:
+                continue
+            copied = dict(entry)
+            copied.setdefault("daemon", label)
+            if daemon_pid is not None:
+                copied.setdefault("pid", daemon_pid)
+            sink(copied)
+            harvested += 1
     finally:
         if owned is not None:
             owned.close()

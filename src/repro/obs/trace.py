@@ -1,7 +1,5 @@
 """In-process tracing: nested spans and ring-buffered events.
 
-The tracer is the observation half of the observability layer — the
-metrics registry (:mod:`repro.obs.metrics`) is the exposition half.
 Hot layers call the **module-level default tracer** through the free
 functions below::
 
@@ -56,7 +54,7 @@ Enable globally with the ``FPFA_TRACE=1`` environment variable, or
 programmatically with :func:`enable`.
 
 The tracer counts nothing: a count belongs to the ledger that owns
-it (the daemon's metrics registry, a sweep's stats).
+it (the daemon's ``/stats`` counts, a sweep's stats).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Modules
   the record ↔ payload conversions that keep daemon responses
   bit-identical to ``fpfa-map map --json``;
 * :mod:`repro.service.store`    — the unified artifact store;
-* :mod:`repro.service.queue`    — priority job queue with in-flight
+* :mod:`repro.service.queue`    — FIFO job queue with in-flight
   request coalescing;
 * :mod:`repro.service.workers`  — the persistent worker pool
   (threads or processes) that executes jobs;

@@ -92,27 +92,11 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/stats")
 
-    def metrics(self) -> str:
-        """The raw Prometheus text exposition from ``GET /metrics``
-        (parse with :func:`repro.obs.metrics.parse_prometheus`)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            data = response.read()
-        finally:
-            connection.close()
-        if response.status >= 400:
-            raise ServiceError(f"HTTP {response.status}",
-                               status=response.status)
-        return data.decode("utf-8")
-
     def trace(self) -> dict:
         """The daemon's tracer snapshot from ``GET /trace`` —
         span rollups and the recent-entry ring, each span
         carrying its trace/span/parent ids, plus the daemon's
-        ``pid``.  What :func:`repro.obs.export.harvest_daemons`
+        ``pid``.  What :func:`repro.obs.export.harvest_daemon`
         stitches distributed traces from."""
         return self._request("GET", "/trace")
 
@@ -163,7 +147,7 @@ class ServiceClient:
                    **options) -> dict:
         """Submit one map job built from ``fpfa-map map``-style
         keywords (``pps``, ``buses``, ``library``, ``balance``,
-        ``tiles``, ``verify_seed``, ``priority``, ...); with *wait*,
+        ``tiles``, ``verify_seed``, ...); with *wait*,
         returns the payload, else the submit response."""
         request = {"kind": "map", "source": source, "file": file,
                    **options}

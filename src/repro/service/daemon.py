@@ -18,7 +18,6 @@ Endpoints (see ``docs/service.md`` for the full reference)::
 
     GET  /healthz            liveness + uptime
     GET  /stats              queue / store / worker / service counters
-    GET  /metrics            Prometheus text exposition of the same
     POST /jobs               submit one job (map or explore)
     GET  /jobs               list jobs (?state= filter)
     GET  /jobs/<id>          one job (?wait=SECONDS long-polls)
@@ -55,7 +54,6 @@ from repro.core.pipeline import Frontend
 from repro.dse.runner import FrontendSpec, _compile_spec, frontend_spec
 from repro.obs import trace
 from repro.obs.export import FlightRecorder, trace_log_path_for
-from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -104,8 +102,7 @@ class MappingService:
             # is trimmed before the daemon serves its first request.
             self.store.set_bounds(store_max_entries, store_max_bytes)
         self.pool = WorkerPool(workers, worker_mode)
-        self.queue = JobQueue(max_depth=max_queue,
-                              observer=self._observe_job)
+        self.queue = JobQueue(max_depth=max_queue)
         #: Wall-clock start — presentation only (clients correlate it
         #: with their logs).  ``uptime`` everywhere derives from the
         #: monotonic twin: ``time.time()`` steps under NTP
@@ -114,8 +111,13 @@ class MappingService:
         self.started_at = time.time()  # fpfa-lint: wall-clock
         self.started_mono = time.monotonic()
         self.address: tuple[str, int] | None = None
-        self.metrics = MetricsRegistry()
-        self._build_metrics()
+        #: The daemon's own counts, the ``/stats`` service section:
+        #: bumped on the event loop, read by ``describe()`` in an
+        #: executor — every key exists from the start, so the reader
+        #: never sees the dict resize.  ``coalesced`` is the queue's.
+        self.counts = dict.fromkeys(
+            ("submits", "store_hits", "computed", "failed",
+             "frontends_compiled", "frontends_reused"), 0)
         #: coalesce key -> the store read submissions of it share.
         self._lookups: dict[str, asyncio.Future] = {}
         #: (source digest, frontend spec) -> asyncio.Task[Frontend]
@@ -209,14 +211,12 @@ class MappingService:
             record = await self._shared_lookup(key, ckey,
                                                want_verified)
         job, coalesced = self.queue.submit(request, key, ckey)
-        self._m_service["submits"].inc()
-        if request["kind"] == "sweep-chunk" and not coalesced:
-            self._m_chunk_leases.inc()
+        self.counts["submits"] += 1
         if coalesced:
             await self._notify()
             return job, True
         if record is not None:
-            self._m_service["store_hits"].inc()
+            self.counts["store_hits"] += 1
             payload = record_to_map_payload(
                 record, file=request["file"],
                 want_verified=want_verified)
@@ -255,8 +255,7 @@ class MappingService:
                 await self._events.wait_for(
                     lambda: self.queue.depth > 0)
             # Claim a worker slot first: the pop happens when a slot
-            # is actually free, so priorities apply to the backlog at
-            # dispatch time, not at submission time.
+            # is actually free.
             await self._slots.acquire()
             job = self.queue.pop()
             if job is None:
@@ -279,7 +278,7 @@ class MappingService:
             # as cancelled, not failed.
             raise
         except Exception as error:  # noqa: BLE001 — fault isolation
-            self._m_service["failed"].inc()
+            self.counts["failed"] += 1
             self.queue.fail(job,
                             f"{type(error).__name__}: {error}")
         finally:
@@ -294,7 +293,7 @@ class MappingService:
         record, info = await self._execute(run_map_job, request,
                                            frontend)
         self._adopt_spans(info)
-        self._m_service["computed"].inc()
+        self.counts["computed"] += 1
         meta = {"cache": "miss", "frontend_reused": reused,
                 "timings": info.get("timings"),
                 "worker": info.get("worker")}
@@ -307,7 +306,7 @@ class MappingService:
                 want_verified=request["verify_seed"] is not None)
             self.queue.finish(job, payload, **meta)
         else:
-            self._m_service["failed"].inc()
+            self.counts["failed"] += 1
             self.queue.fail(job, record["error"], **meta)
 
     async def _run_explore(self, job: Job) -> None:
@@ -316,7 +315,7 @@ class MappingService:
         payload, info = await self._execute(
             run_explore_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
-        self._m_service["computed"].inc()
+        self.counts["computed"] += 1
         # The sweep wrote records through its own cache handle on our
         # store directory; drop the stale incremental entry count.
         self.store.invalidate_count()
@@ -337,7 +336,7 @@ class MappingService:
         payload, info = await self._execute(
             run_chunk_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
-        self._m_service["computed"].inc()
+        self.counts["computed"] += 1
         self.store.invalidate_count()  # records written by the worker
         await self._trim_store()
         self.queue.finish(job, payload, cache="chunk",
@@ -410,11 +409,11 @@ class MappingService:
             task = asyncio.ensure_future(loop.run_in_executor(
                 None, _compile_spec, request["source"], spec))
             self._frontends[memo_key] = task
-            self._m_frontends.inc(result="compiled")
+            self.counts["frontends_compiled"] += 1
             while len(self._frontends) > FRONTEND_MEMO_LIMIT:
                 self._frontends.pop(next(iter(self._frontends)))
         else:
-            self._m_frontends.inc(result="reused")
+            self.counts["frontends_reused"] += 1
         try:
             return await task, reused
         except asyncio.CancelledError:
@@ -459,14 +458,9 @@ class MappingService:
         return time.monotonic() - self.started_mono
 
     def describe(self) -> dict:
-        """The ``/stats`` document; its ``service`` section reads the
-        registry's counters (``coalesced``: the queue's)."""
-        service = {name: counter.value()
-                   for name, counter in self._m_service.items()}
+        """The ``/stats`` document."""
+        service = dict(self.counts)
         service["coalesced"] = self.queue.coalesced
-        for result in ("compiled", "reused"):
-            service[f"frontends_{result}"] = \
-                self._m_frontends.value(result=result)
         return {
             "uptime": round(self.uptime, 3),
             "started_at": self.started_at,
@@ -476,134 +470,6 @@ class MappingService:
             "store": {"root": str(self.store.root),
                       **self.store.stats()},
         }
-
-    # -- metrics ------------------------------------------------------
-
-    def _build_metrics(self) -> None:
-        """Register the daemon's metric families.
-
-        The daemon's own counts live here and nowhere else: they are
-        bumped at event time, and ``describe()["service"]`` reads
-        them back.  Only the totals the queue and the store keep
-        (``coalesced``, evictions, ...) and the gauges are
-        adopted at scrape time in :meth:`_sync_metrics`.
-        """
-        registry = self.metrics
-        self._m_uptime = registry.gauge(
-            "fpfa_service_uptime_seconds",
-            "Seconds since the daemon started (monotonic).")
-        self._m_service = {
-            name: registry.counter(
-                f"fpfa_service_{name}",
-                f"Lifetime {name.replace('_', ' ')} "
-                f"(the /stats service section).")
-            for name in ("submits", "coalesced", "store_hits",
-                         "computed", "failed")}
-        self._m_frontends = registry.counter(
-            "fpfa_service_frontends",
-            "Frontend memo outcomes by result.",
-            labels=("result",))
-        # Every series exists from the first scrape, at 0.
-        for counter in self._m_service.values():
-            counter.inc(0)
-        for result in ("compiled", "reused"):
-            self._m_frontends.inc(0, result=result)
-        self._m_frontend_reuse = registry.gauge(
-            "fpfa_frontend_reuse_ratio",
-            "Fraction of frontend requests served from the memo.")
-        self._m_queue_gauges = {
-            name: registry.gauge(
-                f"fpfa_queue_{name}",
-                f"Queue {name.replace('_', ' ')} right now.")
-            for name in ("depth", "inflight", "jobs")}
-        self._m_queue_counters = {
-            name: registry.counter(
-                f"fpfa_queue_{name}",
-                f"Lifetime queue {name} count.")
-            for name in ("coalesced", "evicted", "compactions")}
-        self._m_queue_states = registry.gauge(
-            "fpfa_queue_jobs_by_state",
-            "Tracked jobs by lifecycle state.",
-            labels=("state",))
-        self._m_jobs = registry.counter(
-            "fpfa_jobs", "Terminal jobs by kind and outcome.",
-            labels=("kind", "state"))
-        self._m_job_wait = registry.histogram(
-            "fpfa_job_wait_seconds",
-            "Seconds a job spent queued before running, by kind.",
-            labels=("kind",))
-        self._m_job_runtime = registry.histogram(
-            "fpfa_job_runtime_seconds",
-            "Seconds a job spent running, by kind.",
-            labels=("kind",))
-        self._m_store_entries = registry.gauge(
-            "fpfa_store_entries", "Records in the artifact store.")
-        self._m_store_counters = {
-            name: registry.counter(
-                f"fpfa_store_{name}",
-                f"Lifetime artifact store "
-                f"{name.replace('_', ' ')}.")
-            for name in ("evictions", "put_errors")}
-        self._m_store_bytes = registry.gauge(
-            "fpfa_store_bytes",
-            "Bytes of records in the artifact store (from the "
-            "manifest; absent while the index tier is degraded).")
-        self._m_workers = registry.gauge(
-            "fpfa_workers", "Worker pool size by mode.",
-            labels=("mode",))
-        self._m_chunk_leases = registry.counter(
-            "fpfa_chunk_leases",
-            "Distributed sweep-chunk leases accepted.")
-
-    def _observe_job(self, event: str, job: Job) -> None:
-        """Queue observer: feed the latency histograms the moment a
-        job goes terminal (its monotonic durations are exact then;
-        at scrape time an evicted job would be gone)."""
-        if event not in ("done", "failed"):
-            return
-        self._m_jobs.inc(kind=job.kind, state=job.state)
-        self._m_job_wait.observe(job.waited, kind=job.kind)
-        runtime = job.runtime
-        if runtime is not None:
-            self._m_job_runtime.observe(runtime, kind=job.kind)
-
-    def _sync_metrics(self, described: dict) -> None:
-        """Adopt the gauges and the queue's and store's own totals
-        from one ``describe()``."""
-        self._m_uptime.set(round(described["uptime"], 3))
-        service = described["service"]
-        requests = (service["frontends_compiled"]
-                    + service["frontends_reused"])
-        self._m_frontend_reuse.set(
-            round(service["frontends_reused"] / requests, 6)
-            if requests else 0.0)
-        queue = described["queue"]
-        for name, gauge in self._m_queue_gauges.items():
-            gauge.set(queue[name])
-        for name, counter in self._m_queue_counters.items():
-            counter.set_total(queue[name])
-        self._m_service["coalesced"].set_total(queue["coalesced"])
-        for state, count in queue["states"].items():
-            self._m_queue_states.set(count, state=state)
-        store = described["store"]
-        self._m_store_entries.set(store["entries"])
-        if store.get("bytes") is not None:
-            self._m_store_bytes.set(store["bytes"])
-        for name, counter in self._m_store_counters.items():
-            counter.set_total(store[name])
-        workers = described["workers"]
-        self._m_workers.set(workers["workers"],
-                            mode=workers["mode"])
-
-    def _scrape(self) -> str:
-        """One scrape: sync gauges/totals from describe(), render.
-
-        Runs in an executor (describe() walks the store directory);
-        the event-time metrics (the service's counters, histograms,
-        lease counters) are already up to date.
-        """
-        self._sync_metrics(self.describe())
-        return self.metrics.render()
 
     # -- HTTP front ---------------------------------------------------
 
@@ -657,14 +523,6 @@ class MappingService:
             stats = await asyncio.get_running_loop() \
                 .run_in_executor(None, self.describe)
             await _send_json(writer, 200, stats)
-        elif method == "GET" and path == "/metrics":
-            # Same executor rule: the scrape syncs from describe().
-            text = await asyncio.get_running_loop() \
-                .run_in_executor(None, self._scrape)
-            await _send_text(
-                writer, 200, text,
-                content_type="text/plain; version=0.0.4; "
-                             "charset=utf-8")
         elif method == "POST" and path == "/jobs":
             await self._handle_submit(body, writer)
         elif method == "GET" and path == "/jobs":
@@ -803,37 +661,21 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             503: "Service Unavailable"}
 
 
-async def _send_body(writer: asyncio.StreamWriter, status: int,
-                     body: bytes, content_type: str,
-                     headers: Mapping[str, str] | None = None
-                     ) -> None:
-    reason = _REASONS.get(status, "OK")
-    extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in (headers or {}).items())
-    head = (f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: close\r\n\r\n").encode("latin-1")
-    writer.write(head + body)
-    await writer.drain()
-
-
 async def _send_json(writer: asyncio.StreamWriter, status: int,
                      payload: dict,
                      headers: Mapping[str, str] | None = None
                      ) -> None:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    await _send_body(writer, status, body, "application/json",
-                     headers=headers)
-
-
-async def _send_text(writer: asyncio.StreamWriter, status: int,
-                     text: str, *,
-                     content_type: str = "text/plain; charset=utf-8"
-                     ) -> None:
-    await _send_body(writer, status, text.encode("utf-8"),
-                     content_type)
+    reason = _REASONS.get(status, "OK")
+    extra = "".join(f"{name}: {value}\r\n"
+                    for name, value in (headers or {}).items())
+    head = (f"HTTP/1.1 {status} {reason}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{extra}"
+            f"Connection: close\r\n\r\n").encode("latin-1")
+    writer.write(head + body)
+    await writer.drain()
 
 
 # ---------------------------------------------------------------------------

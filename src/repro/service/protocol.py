@@ -186,7 +186,6 @@ def normalise_map_request(raw: Mapping) -> dict:
         "file": raw.get("file"),
         "point": point.to_dict(),
         "verify_seed": _optional_int(raw, "verify_seed"),
-        "priority": _optional_int(raw, "priority", 0),
         "trace": _optional_trace(raw),
     }
 
@@ -234,7 +233,6 @@ def normalise_explore_request(raw: Mapping) -> dict:
         "restarts": _optional_int(raw, "restarts", 2),
         "seed": _optional_int(raw, "seed", 0),
         "verify_seed": _optional_int(raw, "verify_seed"),
-        "priority": _optional_int(raw, "priority", 0),
         "trace": _optional_trace(raw),
     }
 
@@ -272,7 +270,6 @@ def normalise_sweep_chunk_request(raw: Mapping) -> dict:
         "file": raw.get("file"),
         "points": canonical,
         "verify_seed": _optional_int(raw, "verify_seed"),
-        "priority": _optional_int(raw, "priority", 0),
         "trace": _optional_trace(raw),
     }
 

@@ -1,14 +1,15 @@
-"""Priority job queue with in-flight request coalescing.
+"""FIFO job queue with in-flight request coalescing.
 
 The queue is a plain single-threaded data structure — the daemon
 calls it only from its event loop, unit tests call it directly — so
 it carries no locks and no asyncio; waiting and notification are the
 daemon's concern.
 
-Ordering is by ``(-priority, sequence)``: higher ``priority`` values
-run first, ties run in submission order (FIFO), and the ordering is
-total, so dispatch is deterministic for a deterministic submission
-sequence.
+Jobs dispatch in submission order, so dispatch is deterministic for
+a deterministic submission sequence.  The waiting jobs are one
+insertion-ordered dict: ``pop`` takes its first entry and a store
+hit that finishes a job straight from the queue deletes its entry,
+both in O(1), so nothing stale is ever left behind.
 
 Coalescing: a submission whose :func:`repro.service.protocol.coalesce_key`
 matches a job that is still *in flight* (queued or running) does not
@@ -24,15 +25,13 @@ Invariants
 * ``submits`` across all jobs equals the number of accepted
   submissions; ``len(jobs)`` equals the number of distinct computes
   admitted (the difference is the coalescing win).
-* A job is in ``_inflight`` exactly while its state is non-terminal.
-* Priorities never starve the queue ordering's determinism: equal
-  priorities are strictly FIFO.
+* A job is in ``_inflight`` exactly while its state is non-terminal,
+  and in ``_queued`` exactly while it waits to be dispatched.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -60,7 +59,6 @@ class Job:
     key: str            #: content identity (artifact-store key for map)
     coalesce_key: str   #: identity + verification requirement
     request: dict       #: normalised request (protocol.normalise_request)
-    priority: int = 0
     state: str = QUEUED
     submits: int = 1    #: submissions coalesced into this job
     #: Wall-clock timestamps — presentation only (the JSON views).
@@ -81,14 +79,6 @@ class Job:
     error: str | None = None        #: failure description when FAILED
     meta: dict = field(default_factory=dict)   #: service-side profile
     events: list = field(default_factory=list)
-    #: Set once pop() hands the job out; a priority escalation can
-    #: leave more than one heap entry per job, and a job must never
-    #: dispatch twice.
-    dispatched: bool = False
-    #: Sequence number of this job's *live* heap entry (its latest
-    #: push) — what heap compaction rebuilds from, preserving FIFO
-    #: order within a priority exactly.
-    sort_seq: int = 0
 
     def add_event(self, event: str, **detail) -> dict:
         entry = {"seq": len(self.events), "event": event,
@@ -148,7 +138,6 @@ class Job:
             "kind": self.kind,
             "key": self.key,
             "state": self.state,
-            "priority": self.priority,
             "submits": self.submits,
             "created": self.created,
             "started": self.started,
@@ -173,49 +162,32 @@ class JobQueue:
     """Admission, ordering and lifecycle for service jobs."""
 
     def __init__(self, max_depth: int = 1024,
-                 max_history: int = 1024, observer=None):
+                 max_history: int = 1024):
         self.max_depth = max_depth
-        #: Optional ``observer(event, job)`` callable invoked on every
-        #: lifecycle transition (``queued``, ``coalesced``,
-        #: ``running``, ``done``, ``failed``) — how the daemon feeds
-        #: its metrics registry (latency histograms need the job's
-        #: monotonic durations at the moment it goes terminal, not at
-        #: scrape time).  Observers observe: they run after the
-        #: queue's own state change and must not mutate the job.
-        self.observer = observer
         #: Terminal jobs kept inspectable before the oldest is
         #: evicted — the bound that keeps a long-running daemon's
         #: memory flat under sustained traffic (results themselves
         #: live on in the artifact store).
         self.max_history = max_history
         self.jobs: dict[str, Job] = {}
-        self._heap: list[tuple[int, int, str]] = []
+        #: Jobs waiting to run, in submission order (job id -> job).
+        self._queued: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}
         self._history: collections.deque[str] = collections.deque()
-        self._sequence = itertools.count()
         self._counter = itertools.count(1)
         #: Submissions folded into an in-flight job — the daemon's
-        #: only count of them (its /stats and /metrics read this).
+        #: only count of them (its /stats reads this).
         self.coalesced = 0
         self.evicted = 0
-        #: Jobs waiting to run, maintained O(1) on every transition —
-        #: ``depth`` is read on every submit, so it must never scan.
-        self._queued = 0
-        self.compactions = 0
 
-    def _notify(self, event: str, job: Job) -> None:
-        """Fan one lifecycle transition out to the observer and the
-        tracer.  The queue's own state is already consistent when
-        this runs, so an observer reading ``stats()`` sees the
-        post-transition picture."""
+    @staticmethod
+    def _trace(event: str, job: Job) -> None:
         if trace.enabled():
             # Guarded: the f-string name is built at the call site
             # (lint rule FPL003).  job_kind, not kind: "kind" is the
             # tracer's reserved span/event discriminator.
             trace.event(f"queue.{event}", job=job.id,
                         job_kind=job.kind)
-        if self.observer is not None:
-            self.observer(event, job)
 
     # -- admission ----------------------------------------------------
 
@@ -230,41 +202,21 @@ class JobQueue:
         existing = self._inflight.get(coalesce_key)
         if existing is not None:
             existing.submits += 1
-            priority = request.get("priority") or 0
-            if priority > existing.priority:
-                # The duplicate escalates the shared job: "higher
-                # runs first" must hold for every submitter, so a
-                # still-queued job is re-pushed at the new priority
-                # (pop() skips the stale lower-priority entry).
-                existing.priority = priority
-                if existing.state == QUEUED and \
-                        not existing.dispatched:
-                    existing.sort_seq = next(self._sequence)
-                    heapq.heappush(
-                        self._heap,
-                        (-priority, existing.sort_seq, existing.id))
-                    self._maybe_compact()
-            existing.add_event("coalesced",
-                               submits=existing.submits,
-                               priority=existing.priority)
+            existing.add_event("coalesced", submits=existing.submits)
             self.coalesced += 1
-            self._notify("coalesced", existing)
+            self._trace("coalesced", existing)
             return existing, True
         if self.depth >= self.max_depth:
             raise QueueFull(
                 f"queue depth {self.max_depth} reached; retry later")
         job = Job(id=f"job-{next(self._counter):06d}",
                   kind=request["kind"], key=key,
-                  coalesce_key=coalesce_key, request=request,
-                  priority=request.get("priority") or 0)
-        job.add_event("queued", priority=job.priority)
+                  coalesce_key=coalesce_key, request=request)
+        job.add_event("queued")
         self.jobs[job.id] = job
         self._inflight[coalesce_key] = job
-        job.sort_seq = next(self._sequence)
-        heapq.heappush(self._heap,
-                       (-job.priority, job.sort_seq, job.id))
-        self._queued += 1
-        self._notify("queued", job)
+        self._queued[job.id] = job
+        self._trace("queued", job)
         return job, False
 
     def inflight(self, coalesce_key: str) -> bool:
@@ -274,45 +226,15 @@ class JobQueue:
     # -- dispatch -----------------------------------------------------
 
     def pop(self) -> Job | None:
-        """The next runnable job (highest priority, FIFO within), or
-        None.  Skips stale heap entries: jobs that already left the
-        queued state (finished early from a store hit), were evicted,
-        or were dispatched through an earlier entry (priority
-        escalation re-pushes)."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            job = self.jobs.get(entry[2])
-            if job is not None and job.state == QUEUED \
-                    and not job.dispatched \
-                    and entry[1] == job.sort_seq:
-                job.dispatched = True
-                self._queued -= 1
-                return job
-        return None
+        """The longest-waiting queued job, or None."""
+        if not self._queued:
+            return None
+        return self._queued.pop(next(iter(self._queued)))
 
     @property
     def depth(self) -> int:
-        """Jobs currently waiting to run — an O(1) counter, not a
-        scan: ``submit`` reads it on every admission."""
-        return self._queued
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once stale entries outnumber live ones.
-
-        Priority escalations re-push (leaving the old entry behind)
-        and store hits finish jobs still on the heap; under sustained
-        traffic those stale entries would otherwise accumulate
-        without bound.  Rebuilding from the live queued jobs' current
-        ``(priority, sort_seq)`` reproduces the exact dispatch order.
-        """
-        live = self._queued
-        if len(self._heap) - live <= max(live, 8):
-            return
-        self._heap = [(-job.priority, job.sort_seq, job.id)
-                      for job in self._inflight.values()
-                      if job.state == QUEUED and not job.dispatched]
-        heapq.heapify(self._heap)
-        self.compactions += 1
+        """Jobs currently waiting to run."""
+        return len(self._queued)
 
     # -- lifecycle ----------------------------------------------------
 
@@ -330,10 +252,9 @@ class JobQueue:
             trace.record_span("queue.wait", job.waited, job=job.id,
                               job_kind=job.kind,
                               context=job.request.get("trace"))
-        self._notify("running", job)
+        self._trace("running", job)
 
     def finish(self, job: Job, result: dict, **meta) -> None:
-        self._leave_queued(job)
         job.state = DONE
         job.finished = time.time()  # fpfa-lint: wall-clock
         job.finished_mono = time.monotonic()
@@ -344,10 +265,9 @@ class JobQueue:
                                  for name, value in meta.items()
                                  if isinstance(value, (str, int,
                                                        float, bool))})
-        self._notify("done", job)
+        self._trace("done", job)
 
     def fail(self, job: Job, error: str, **meta) -> None:
-        self._leave_queued(job)
         job.state = FAILED
         job.finished = time.time()  # fpfa-lint: wall-clock
         job.finished_mono = time.monotonic()
@@ -355,23 +275,19 @@ class JobQueue:
         job.meta.update(meta)
         self._retire(job)
         job.add_event("failed", error=error)
-        self._notify("failed", job)
-
-    def _leave_queued(self, job: Job) -> None:
-        """Keep the queued counter exact when a job goes terminal
-        straight from the queue (a store hit finishes it before any
-        pop); its heap entry goes stale, so consider compacting."""
-        if job.state == QUEUED and not job.dispatched:
-            self._queued -= 1
-            self._maybe_compact()
+        self._trace("failed", job)
 
     def _retire(self, job: Job) -> None:
-        """Leave the in-flight set; bound the terminal history.
+        """Leave the queue and the in-flight set; bound the terminal
+        history.
 
+        A job can go terminal straight from the queue (a store hit
+        finishes it before any pop), so its queued entry goes too.
         Evicted jobs simply become unknown to the status endpoints —
         their map results remain reachable through the artifact
         store, and a follower already streaming events keeps its
         reference to the Job object."""
+        self._queued.pop(job.id, None)
         self._inflight.pop(job.coalesce_key, None)
         self._history.append(job.id)
         while len(self._history) > self.max_history:
@@ -400,6 +316,5 @@ class JobQueue:
             "inflight": len(self._inflight),
             "coalesced": self.coalesced,
             "evicted": self.evicted,
-            "compactions": self.compactions,
             "states": states,
         }

@@ -211,11 +211,16 @@ def test_explore_random_strategy(capsys):
 
 
 def test_explore_hill_strategy(capsys):
-    assert main(["explore", "--kernel", "fir5",
-                 "--pps", "1,2,3,5", "--buses", "4,10",
-                 "--strategy", "hill", "--restarts", "1",
-                 "--workers", "1"]) == 0
-    assert "Pareto frontier" in capsys.readouterr().out
+    hill = ["explore", "--kernel", "fir5",
+            "--pps", "1,2,3,5", "--buses", "4,10",
+            "--strategy", "hill", "--restarts", "1",
+            "--workers", "1", "--json", "-"]
+    assert main(hill) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert default["frontier"]
+    assert main([*hill, "--max-steps", "1"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    assert short["stats"]["unique"] < default["stats"]["unique"]
 
 
 def test_explore_rejects_unknown_objective_before_sweeping(capsys):
@@ -444,6 +449,12 @@ def test_cache_gc_enforces_bound(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["evicted"] == 4
     assert payload["entries"] == 2
+    # A byte bound below two records trims the store to one.
+    assert main(["cache", "gc", str(store), "--max-bytes",
+                 str(payload["bytes"] - 1), "--json", "-"]) == 0
+    trimmed = json.loads(capsys.readouterr().out)
+    assert trimmed["entries"] == 1
+    assert trimmed["bytes"] < payload["bytes"]
 
 
 def test_cache_gc_requires_a_bound(tmp_path, capsys):
@@ -466,8 +477,8 @@ def test_cache_rejects_missing_directory(tmp_path):
 
 
 def test_explore_cache_bounds(tmp_path, capsys):
-    """--cache-max-entries bounds the on-disk store, never the
-    result."""
+    """--cache-max-entries and --cache-max-bytes bound the on-disk
+    store, never the result."""
     store = tmp_path / "bounded"
     assert main(["explore", "--kernel", "fir5", "--pps", "1,2,3",
                  "--buses", "4,10", "--cache", str(store),
@@ -480,6 +491,16 @@ def test_explore_cache_bounds(tmp_path, capsys):
     # Counters are per-process: a fresh inspection handle starts
     # its own ledger.
     assert stats["evictions"] == 0
+
+    store = tmp_path / "byte-bounded"
+    assert main(["explore", "--kernel", "fir5", "--pps", "1,2,3",
+                 "--buses", "4,10", "--cache", str(store),
+                 "--cache-max-bytes", "1000", "--json", "-"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 6
+    assert main(["cache", "stats", str(store), "--json", "-"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert 0 < stats["entries"] < 6
+    assert stats["bytes"] <= 1000
 
 
 def test_explore_cache_bounds_require_cache():

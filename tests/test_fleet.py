@@ -15,7 +15,6 @@ did not deliberately kill must exit 0 after ``POST /shutdown``.
 """
 
 import concurrent.futures
-import http.client
 import json
 import os
 import pathlib
@@ -36,12 +35,11 @@ from repro.eval.kernels import KERNELS, get_kernel
 from repro.obs.critical import critical_path, render_critical
 from repro.obs.export import (
     TRACE_LOG_NAME,
-    harvest_daemons,
+    harvest_daemon,
     load_trace,
     recording,
     to_chrome_trace,
 )
-from repro.obs.metrics import parse_prometheus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.subproc import DaemonProcess
 
@@ -55,7 +53,7 @@ SOURCE = get_kernel(KERNEL).source
 AXES = {"n_pps": [1, 2, 3, 4, 6, 8], "n_buses": [2, 4, 6, 10]}
 SPACE = DesignSpace(AXES)
 
-#: Worker pool per fleet daemon; the service and metrics checks run
+#: Worker pool per fleet daemon; the service and stats checks run
 #: a wider pool of worker processes, the mode ``serve`` defaults to.
 WORKERS = 2
 SERVICE_WORKERS = 4
@@ -65,24 +63,6 @@ CLIENTS = 8
 CHUNK_SIZE = 3
 #: The LRU entry bound of the store checks.
 MAX_ENTRIES = 4
-
-#: Families ``/metrics`` must expose, with their declared types: one
-#: per layer the daemon aggregates.
-REQUIRED_FAMILIES = {
-    "fpfa_service_uptime_seconds": "gauge",
-    "fpfa_service_submits_total": "counter",
-    "fpfa_service_computed_total": "counter",
-    "fpfa_service_failed_total": "counter",
-    "fpfa_service_store_hits_total": "counter",
-    "fpfa_queue_depth": "gauge",
-    "fpfa_queue_coalesced_total": "counter",
-    "fpfa_jobs_total": "counter",
-    "fpfa_job_wait_seconds": "histogram",
-    "fpfa_job_runtime_seconds": "histogram",
-    "fpfa_store_entries": "gauge",
-    "fpfa_workers": "gauge",
-    "fpfa_chunk_leases_total": "counter",
-}
 
 #: Extend, never replace: the interpreter may need inherited vars
 #: (LD_LIBRARY_PATH for shared builds, VIRTUAL_ENV, ...).
@@ -181,18 +161,6 @@ def kill_on_first_chunk(fleet, victim):
 
     hook.fired = fired
     return hook
-
-
-def http_get(address, path: str) -> tuple[int, str, bytes]:
-    connection = http.client.HTTPConnection(*address, timeout=30)
-    try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        body = response.read()
-    finally:
-        connection.close()
-    return (response.status, response.getheader("Content-Type") or "",
-            body)
 
 
 # -- service ----------------------------------------------------------------
@@ -388,41 +356,32 @@ def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
     assert canon(result.records) == truth
     assert store["entries"] <= MAX_ENTRIES
     assert store["evictions"] >= SPACE.size - MAX_ENTRIES
-    assert parse_prometheus(client.metrics()).value(
-        "fpfa_store_evictions_total") == store["evictions"]
 
 
 # -- observability ----------------------------------------------------------
 
 def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
-    """``/metrics`` parses strictly and agrees with ``/stats``, and a
-    distributed sweep leases chunks to the daemon without changing
-    the sweep's records."""
+    """``/stats`` counts the daemon's work, and a distributed sweep
+    leases chunks to the daemon without changing the sweep's
+    records."""
     daemon = fleet(workers=SERVICE_WORKERS, worker_mode="process")
     client = ServiceClient(*daemon.address)
     for kernel in KERNELS[:3]:
         client.map_source(kernel.source, file=kernel.name, timeout=120)
     # One duplicate (a store hit) and one failure, so the hit and
-    # failure families carry non-zero samples too.
+    # failure counts are non-zero too.
     client.map_source(KERNELS[0].source, file=KERNELS[0].name,
                       timeout=120)
     with pytest.raises(ServiceError):
         client.map_source(KERNELS[0].source, file=KERNELS[0].name,
                           pps=0)
 
-    status, content_type, body = http_get(daemon.address, "/metrics")
-    assert status == 200
-    assert content_type == "text/plain; version=0.0.4; charset=utf-8"
-    parsed = parse_prometheus(body.decode("utf-8"))
-    for family, kind in REQUIRED_FAMILIES.items():
-        assert parsed.family(family)["type"] == kind, family
     stats = client.stats()
     assert stats["service"]["store_hits"] == 1
-    for name in ("submits", "computed", "failed", "store_hits"):
-        assert parsed.value(f"fpfa_service_{name}_total") \
-            == stats["service"][name], name
-    assert parsed.value("fpfa_store_entries") \
-        == stats["store"]["entries"]
+    assert {name: stats["service"][name] for name in
+            ("submits", "computed", "failed", "store_hits")} \
+        == {"submits": 5, "computed": 4, "failed": 1, "store_hits": 1}
+    assert stats["store"]["entries"] == 3
     assert stats["uptime"] >= 0
     assert "started_at" in stats
 
@@ -431,9 +390,9 @@ def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
                                    chunk_size=CHUNK_SIZE)
     assert canon(result.records) == truth
     assert result.stats.remote_records == SPACE.size
-    leases = parse_prometheus(client.metrics()).value(
-        "fpfa_chunk_leases_total")
-    assert leases == result.stats.leases > 0
+    leases = [job for job in client.jobs()
+              if job["kind"] == "sweep-chunk"]
+    assert len(leases) == result.stats.leases > 0
 
 
 # -- tracing ----------------------------------------------------------------
@@ -453,8 +412,8 @@ def test_trace_stitches_one_sweep_across_processes(fleet, truth,
         result = run_distributed_sweep(
             SOURCE, SPACE.grid(), remotes=daemon.url,
             cache=tmp_path / "cache", chunk_size=CHUNK_SIZE)
-        harvest_daemons([daemon.url], recorder,
-                        trace_ids=recorder.seen_traces)
+        harvest_daemon(daemon.url, recorder,
+                       trace_ids=recorder.seen_traces)
     assert canon(result.records) == truth, \
         "observation mutated the artifacts"
 

@@ -2,10 +2,8 @@
 
 Three rings, inside out:
 
-* the tracer and metrics primitives in isolation;
-* the daemon's ``GET /metrics`` exposition (validated with the same
-  strict parser the fleet tests use) and the uptime fields on
-  ``/stats``;
+* the tracer in isolation;
+* the daemon's ``/stats`` counts and uptime fields;
 * the NDJSON job event stream contract (ordering, terminal replay,
   mid-stream disconnect).
 
@@ -15,7 +13,6 @@ never mutates** — artifacts are bit-identical with tracing on.
 
 import http.client
 import json
-import math
 import threading
 import time
 
@@ -26,12 +23,6 @@ from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
 from repro.obs import trace
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsParseError,
-    MetricsRegistry,
-    parse_prometheus,
-)
 from repro.obs.trace import Tracer, scoped_tracing
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError
@@ -153,143 +144,13 @@ class TestTracer:
         assert depths == {("t-outer", 0), ("t-inner", 1)}
 
 
-# -- metrics registry and renderer ---------------------------------------
-
-class TestMetrics:
-    def test_counter_renders_total_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("fpfa_things", "Things seen.")
-        counter.inc()
-        counter.inc(2)
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-        text = registry.render()
-        assert "# TYPE fpfa_things_total counter" in text
-        assert "fpfa_things_total 3" in text
-        assert counter.value() == 3
-
-    def test_set_total_adopts_external_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("fpfa_submits", "Submits.")
-        counter.set_total(41)
-        counter.set_total(42)
-        assert parse_prometheus(registry.render()) \
-            .value("fpfa_submits_total") == 42
-
-    def test_labelled_series_and_escaping_round_trip(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("fpfa_jobs_by_state", "Jobs.",
-                               labels=("state",))
-        nasty = 'we"ird\\state\nname'
-        gauge.set(7, state=nasty)
-        gauge.set(1, state="done")
-        parsed = parse_prometheus(registry.render())
-        assert parsed.value("fpfa_jobs_by_state", state=nasty) == 7
-        assert parsed.value("fpfa_jobs_by_state", state="done") == 1
-        with pytest.raises(ValueError):
-            gauge.set(1)  # missing required label
-        with pytest.raises(ValueError):
-            gauge.set(1, state="x", extra="y")
-
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram(
-            "fpfa_wait_seconds", "Wait.", labels=("kind",),
-            buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            histogram.observe(value, kind="map")
-        parsed = parse_prometheus(registry.render())
-        buckets = {labels["le"]: value for labels, value
-                   in parsed.values("fpfa_wait_seconds_bucket")}
-        assert buckets == {"0.1": 1, "1": 3, "10": 4, "+Inf": 5}
-        assert parsed.value("fpfa_wait_seconds_count",
-                            kind="map") == 5
-        assert parsed.value("fpfa_wait_seconds_sum",
-                            kind="map") == pytest.approx(56.05)
-
-    def test_default_buckets_are_sorted_and_finite(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-        assert all(math.isfinite(b) for b in DEFAULT_BUCKETS)
-
-    def test_duplicate_registration_raises(self):
-        registry = MetricsRegistry()
-        registry.gauge("fpfa_x", "X.")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.counter("fpfa_x", "X again.")
-
-    def test_invalid_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.gauge("2bad", "nope")
-        with pytest.raises(ValueError):
-            registry.gauge("fpfa_ok", "nope", labels=("bad-label",))
-
-    def test_render_ends_with_newline_and_parses(self):
-        registry = MetricsRegistry()
-        registry.gauge("fpfa_empty", "Never set.")
-        registry.counter("fpfa_c", "C.").inc()
-        text = registry.render()
-        assert text.endswith("\n")
-        parsed = parse_prometheus(text)
-        # A never-observed family still declares itself.
-        assert parsed.family("fpfa_empty")["type"] == "gauge"
-        assert parsed.family("fpfa_c_total")["type"] == "counter"
-
-
-class TestPrometheusParserStrictness:
-    def test_sample_without_type_family_raises(self):
-        with pytest.raises(MetricsParseError, match="no # TYPE"):
-            parse_prometheus("orphan_metric 1\n")
-
-    def test_counter_sample_needs_total_suffix(self):
-        text = ("# TYPE fpfa_c counter\n"
-                "fpfa_c 1\n")
-        with pytest.raises(MetricsParseError, match="_total"):
-            parse_prometheus(text)
-
-    def test_non_cumulative_histogram_raises(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\n'
-                'h_bucket{le="2"} 3\n'
-                'h_bucket{le="+Inf"} 5\n'
-                "h_sum 1\n"
-                "h_count 5\n")
-        with pytest.raises(MetricsParseError,
-                           match="not cumulative"):
-            parse_prometheus(text)
-
-    def test_histogram_missing_inf_bucket_raises(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="1"} 5\n'
-                "h_sum 1\n"
-                "h_count 5\n")
-        with pytest.raises(MetricsParseError, match=r"\+Inf"):
-            parse_prometheus(text)
-
-    def test_inf_bucket_must_equal_count(self):
-        text = ("# TYPE h histogram\n"
-                'h_bucket{le="+Inf"} 4\n'
-                "h_sum 1\n"
-                "h_count 5\n")
-        with pytest.raises(MetricsParseError, match="!= count"):
-            parse_prometheus(text)
-
-    def test_malformed_lines_raise(self):
-        with pytest.raises(MetricsParseError):
-            parse_prometheus("# TYPE only_name\n")
-        with pytest.raises(MetricsParseError):
-            parse_prometheus("# TYPE x welp\nx 1\n")
-        with pytest.raises(MetricsParseError):
-            parse_prometheus("# TYPE x gauge\nx notanumber\n")
-        with pytest.raises(MetricsParseError):
-            parse_prometheus('# TYPE x gauge\nx{oops} 1\n')
-
-
-# -- the daemon's /metrics endpoint and /stats uptime ---------------------
+# -- the daemon's /stats counts and uptime -------------------------------
 
 class TestServiceMetricsEndpoint:
     def test_exposition_is_valid_and_consistent_with_stats(
             self, tmp_path):
+        """A scripted run (map, coalesced duplicate, store hit,
+        failure) lands in ``/stats`` as exact integer counts."""
         request = {"kind": "map", "source": FIR_SOURCE, "file": "a.c",
                    "pps": 5, "buses": 3}
         chunk = {"kind": "sweep-chunk", "source": FIR_SOURCE,
@@ -312,76 +173,16 @@ class TestServiceMetricsEndpoint:
                                     "source": FIR_SOURCE, "pps": 0})
             with pytest.raises(ServiceError):
                 client.result(failed["job"]["id"])
-            parsed = parse_prometheus(client.metrics())
             stats = client.stats()
 
-        # Families for every layer the issue names.
-        for family, kind in [
-                ("fpfa_service_uptime_seconds", "gauge"),
-                ("fpfa_service_submits_total", "counter"),
-                ("fpfa_service_computed_total", "counter"),
-                ("fpfa_service_coalesced_total", "counter"),
-                ("fpfa_service_frontends_total", "counter"),
-                ("fpfa_queue_depth", "gauge"),
-                ("fpfa_queue_coalesced_total", "counter"),
-                ("fpfa_jobs_total", "counter"),
-                ("fpfa_job_wait_seconds", "histogram"),
-                ("fpfa_job_runtime_seconds", "histogram"),
-                ("fpfa_store_entries", "gauge"),
-                ("fpfa_service_store_hits_total", "counter"),
-                ("fpfa_store_evictions_total", "counter"),
-                ("fpfa_workers", "gauge"),
-                ("fpfa_chunk_leases_total", "counter"),
-        ]:
-            assert parsed.family(family)["type"] == kind, family
-
-        # /stats and /metrics are two views of the same counts.
         service = stats["service"]
         assert service == {
             "submits": 5, "coalesced": 1, "store_hits": 1,
             "computed": 3, "failed": 1, "frontends_compiled": 1,
             "frontends_reused": 0}
-        for name, value in service.items():
-            if name.startswith("frontends_"):
-                sample = parsed.value(
-                    "fpfa_service_frontends_total",
-                    result=name.removeprefix("frontends_"))
-            else:
-                sample = parsed.value(f"fpfa_service_{name}_total")
-            assert sample == value, name
-        assert parsed.value("fpfa_queue_coalesced_total") \
-            == stats["queue"]["coalesced"] == service["coalesced"]
-        assert parsed.value("fpfa_store_entries") \
-            == stats["store"]["entries"]
-        assert parsed.value("fpfa_workers",
-                            mode=stats["workers"]["mode"]) \
-            == stats["workers"]["workers"]
-
-        # Event-time feeding: two map jobs ran (one failed), the
-        # store hit finished without running.
-        assert parsed.value("fpfa_jobs_total", kind="map",
-                            state="done") == 2
-        assert parsed.value("fpfa_jobs_total", kind="map",
-                            state="failed") == 1
-        assert parsed.value("fpfa_job_runtime_seconds_count",
-                            kind="map") == 2
-        assert parsed.value("fpfa_job_wait_seconds_count",
-                            kind="map") == 3
-
-    def test_content_type_is_prometheus_text(self, daemon):
-        host, port = daemon.address
-        connection = http.client.HTTPConnection(host, port,
-                                                timeout=10)
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            body = response.read()
-        finally:
-            connection.close()
-        assert response.status == 200
-        assert response.getheader("Content-Type") \
-            == "text/plain; version=0.0.4; charset=utf-8"
-        parse_prometheus(body.decode("utf-8"))  # must not raise
+        assert all(type(value) is int for value in service.values())
+        assert stats["queue"]["coalesced"] == service["coalesced"]
+        assert stats["queue"]["states"] == {"done": 3, "failed": 1}
 
     def test_stats_and_healthz_carry_monotonic_uptime(self, client):
         before = time.time()
@@ -401,10 +202,9 @@ class TestServiceMetricsEndpoint:
                                   "source": FIR_SOURCE, "pps": 0})
         with pytest.raises(Exception):
             client.result(response["job"]["id"])
-        parsed = parse_prometheus(client.metrics())
-        assert parsed.value("fpfa_service_failed_total") == 1
-        assert parsed.value("fpfa_jobs_total", kind="map",
-                            state="failed") == 1
+        stats = client.stats()
+        assert stats["service"]["failed"] == 1
+        assert stats["queue"]["states"] == {"failed": 1}
 
 
 # -- NDJSON job event stream contract -------------------------------------

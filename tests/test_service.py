@@ -63,6 +63,10 @@ def test_map_job_payload_matches_offline_cli(client, tmp_path):
     file, expected = _offline_payload(tmp_path, FIR_SOURCE)
     payload = client.map_source(FIR_SOURCE, file=file)
     assert _canon(payload) == _canon(expected)
+    # A field the protocol does not know, such as an old client's
+    # "priority", is accepted and ignored.
+    payload = client.map_source(FIR_SOURCE, file=file, priority=5)
+    assert _canon(payload) == _canon(expected)
 
 
 def test_map_job_with_tiles_and_verify_matches_offline(client,
@@ -378,9 +382,10 @@ def test_unknown_job_is_http_404(client):
 
 
 def test_unknown_route_is_http_404(client):
-    with pytest.raises(ServiceError) as excinfo:
-        client._request("GET", "/no/such/route")
-    assert excinfo.value.status == 404
+    for path in ("/no/such/route", "/metrics"):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", path)
+        assert excinfo.value.status == 404, path
 
 
 # -- worker process mode --------------------------------------------------
@@ -434,6 +439,19 @@ def test_cli_submit_no_wait_then_jobs(daemon, tmp_path, capsys):
     assert main(["jobs", *address, "--job", job_id]) == 0
     view = json.loads(capsys.readouterr().out)
     assert view["id"] == job_id
+    # --state lists only the jobs in that state.
+    client = ServiceClient(host, port)
+    client.result(job_id)
+    failed = client.submit({"kind": "map", "source": FIR_SOURCE,
+                            "pps": 0})["job"]["id"]
+    with pytest.raises(ServiceError):
+        client.result(failed)
+    assert main(["jobs", *address, "--state", "done"]) == 0
+    out = capsys.readouterr().out
+    assert job_id in out and failed not in out
+    assert main(["jobs", *address, "--state", "failed"]) == 0
+    out = capsys.readouterr().out
+    assert failed in out and job_id not in out
 
 
 def test_cli_jobs_follow_streams_events(daemon, tmp_path, capsys):

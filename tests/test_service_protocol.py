@@ -39,7 +39,9 @@ def test_map_defaults_mirror_the_cli():
     assert point.options_dict() == {}
     assert point.array_dict() == {}
     assert request["verify_seed"] is None
-    assert request["priority"] == 0
+    # An old client's "priority" is ignored like any unknown field.
+    assert _map_request(priority=5) == request
+    assert _explore_request(priority=5) == _explore_request()
 
 
 def test_map_balance_false_stays_out_of_the_point_identity():

@@ -1,13 +1,15 @@
 """Unit tests for the job queue (repro.service.queue)."""
 
+import random
+
 import pytest
 
 from repro.service.protocol import DONE, QUEUED, RUNNING
 from repro.service.queue import JobQueue, QueueFull
 
 
-def _submit(queue, name="k", priority=0, **request):
-    request = {"kind": "map", "priority": priority, **request}
+def _submit(queue, name="k", **request):
+    request = {"kind": "map", **request}
     return queue.submit(request, key=name, coalesce_key=name)
 
 
@@ -18,14 +20,6 @@ def test_fifo_within_equal_priority():
     assert queue.pop() is first
     assert queue.pop() is second
     assert queue.pop() is None
-
-
-def test_higher_priority_dispatches_first():
-    queue = JobQueue()
-    low, __ = _submit(queue, "low", priority=0)
-    high, __ = _submit(queue, "high", priority=5)
-    mid, __ = _submit(queue, "mid", priority=2)
-    assert [queue.pop() for __ in range(3)] == [high, mid, low]
 
 
 def test_coalescing_folds_identical_inflight_submissions():
@@ -77,7 +71,7 @@ def test_failed_jobs_leave_inflight_and_carry_the_error():
 
 
 def test_pop_skips_jobs_finished_before_dispatch():
-    """A store hit finishes a job while it is still on the heap; the
+    """A store hit finishes a job while it is still queued; the
     dispatcher must never run it."""
     queue = JobQueue()
     job, __ = _submit(queue, "hit")
@@ -85,6 +79,32 @@ def test_pop_skips_jobs_finished_before_dispatch():
     queue.finish(job, {"cached": True})
     assert queue.pop() is other
     assert queue.pop() is None
+
+    # Interleaved submits, coalesced duplicates, store-hit finishes
+    # and pops: dispatch follows submission order over the jobs still
+    # queued, and depth matches the scan after every transition.
+    rng = random.Random(7)
+    queue, order, popped = JobQueue(), [], set()
+    for step in range(300):
+        waiting = [job for job in order if job.state == QUEUED
+                   and job.id not in popped]
+        action = rng.choice(["submit", "submit", "coalesce", "hit",
+                             "pop"])
+        if action == "submit" or not waiting:
+            job, coalesced = _submit(queue, f"s{step}")
+            assert not coalesced
+            order.append(job)
+        elif action == "coalesce":
+            job = rng.choice(waiting)
+            again, coalesced = _submit(queue, job.coalesce_key)
+            assert coalesced and again is job
+        elif action == "hit":
+            queue.finish(rng.choice(waiting), {"cached": True})
+        else:
+            job = queue.pop()
+            assert job is waiting[0]
+            popped.add(job.id)
+        assert queue.depth == _scan_depth(queue, popped)
 
 
 def test_bounded_depth_raises_queue_full():
@@ -96,26 +116,6 @@ def test_bounded_depth_raises_queue_full():
     # Coalescing does not add depth and stays admissible.
     __, coalesced = _submit(queue, "a")
     assert coalesced
-
-
-def test_coalesced_higher_priority_escalates_the_shared_job():
-    queue = JobQueue()
-    low, __ = _submit(queue, "shared", priority=0)
-    other, __ = _submit(queue, "other", priority=2)
-    # A duplicate at priority 5 must pull the shared job ahead.
-    again, coalesced = _submit(queue, "shared", priority=5)
-    assert coalesced and again is low
-    assert low.priority == 5
-    assert queue.pop() is low
-    assert queue.pop() is other
-    assert queue.pop() is None  # the stale heap entry was skipped
-
-
-def test_coalesced_lower_priority_never_demotes():
-    queue = JobQueue()
-    job, __ = _submit(queue, "shared", priority=5)
-    _submit(queue, "shared", priority=1)
-    assert job.priority == 5
 
 
 def test_terminal_history_is_bounded():
@@ -192,60 +192,42 @@ def test_durations_before_terminal_states(monkeypatch):
     assert hit.runtime is None
 
 
-def _scan_depth(queue):
-    return sum(1 for job in queue._inflight.values()
-               if job.state == QUEUED and not job.dispatched)
+def _scan_depth(queue, popped=()):
+    """Queued jobs not yet handed out by pop(), by a linear scan."""
+    return sum(1 for job in queue.jobs.values()
+               if job.state == QUEUED and job.id not in popped)
 
 
 def test_depth_counter_matches_linear_scan():
-    """`depth` is an O(1) counter now; it must agree with the old
-    linear scan across every lifecycle transition."""
+    """`depth` is O(1); it must agree with a linear scan across
+    every lifecycle transition."""
     queue = JobQueue()
     jobs = []
     for index in range(6):
-        job, __ = _submit(queue, f"k{index}", priority=index % 3)
+        job, __ = _submit(queue, f"k{index}")
         jobs.append(job)
         assert queue.depth == _scan_depth(queue)
     queue.finish(jobs[4], {"hit": True})     # store hit from QUEUED
     assert queue.depth == _scan_depth(queue)
-    _submit(queue, "k1", priority=9)          # escalation re-push
-    assert queue.depth == _scan_depth(queue)
+    popped = set()
     while (job := queue.pop()) is not None:
-        assert queue.depth == _scan_depth(queue)
+        popped.add(job.id)
+        assert queue.depth == _scan_depth(queue, popped)
         queue.mark_running(job)
         queue.finish(job, {})
-        assert queue.depth == _scan_depth(queue)
+        assert queue.depth == _scan_depth(queue, popped)
     assert queue.depth == 0
-
-
-def test_heap_compaction_bounds_stale_entries():
-    """Escalation re-pushes and store-hit finishes leave stale heap
-    entries; once they outnumber live ones the heap is rebuilt, and
-    dispatch order is preserved exactly."""
-    queue = JobQueue()
-    first, __ = _submit(queue, "first", priority=1)
-    second, __ = _submit(queue, "second", priority=1)
-    # Escalate `second` repeatedly: each bump strands one entry.
-    for priority in range(2, 40):
-        _submit(queue, "second", priority=priority)
-    assert queue.compactions >= 1
-    assert len(queue._heap) <= 2 * queue.depth + 8 + 1
-    # Order after compaction: the escalated job first, then FIFO.
-    third, __ = _submit(queue, "third", priority=1)
-    assert queue.pop() is second
-    assert queue.pop() is first
-    assert queue.pop() is third
-    assert queue.pop() is None
-    assert queue.stats()["compactions"] == queue.compactions
 
 
 def test_store_hit_churn_does_not_grow_heap():
+    """Jobs finished straight from the queue leave nothing behind
+    in it, with no pop to clear them."""
     queue = JobQueue()
-    for index in range(200):
+    for index in range(1000):
         job, __ = _submit(queue, f"hit{index}")
         queue.finish(job, {"n": index})  # finished while queued
     assert queue.depth == 0
-    assert len(queue._heap) <= 16
+    assert queue._queued == {}
 
 
 def test_view_shape_and_stats():

@@ -30,6 +30,7 @@ from repro.obs.critical import critical_path, render_critical
 from repro.obs.export import (
     TRACE_LOG_NAME,
     FlightRecorder,
+    harvest_daemon,
     load_trace,
     recording,
     rollup,
@@ -247,7 +248,7 @@ class TestProtocolTraceField:
 
 class TestQueueTraceStamping:
     def _submit(self, queue, ctx):
-        request = {"kind": "map", "priority": 0, "trace": ctx}
+        request = {"kind": "map", "trace": ctx}
         return queue.submit(request, key="k", coalesce_key="k")
 
     def test_view_and_events_carry_the_trace_id(self):
@@ -341,6 +342,10 @@ class TestFlightRecorder:
                   "trace": "t" * 32, "duration": 0.1, "at": 1.0}])
         assert wrote == 1
         assert recorder.seen_traces == {"t" * 32}
+        # Harvest is best-effort: an unreachable daemon adds nothing.
+        log = tmp_path / "unreached.ndjson"
+        assert harvest_daemon("127.0.0.1:1", log) == 0
+        assert load_trace(log) == []
 
 
 class TestChromeExport:
