@@ -374,8 +374,8 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("action",
                         choices=("stats", "fsck", "gc", "clear"),
                         help="stats: counters and totals; fsck: "
-                             "reconcile manifest and directory, "
-                             "remove corpses; gc: enforce the given "
+                             "remove corpses, prune empty shards and "
+                             "recount; gc: enforce the given "
                              "bounds now; clear: delete every record")
     parser.add_argument("dir", metavar="DIR",
                         help="the store directory (an `explore "

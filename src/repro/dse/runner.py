@@ -469,14 +469,10 @@ def _cache_pass(source: str, points: list[DesignPoint], cache,
     by_key: dict[str, dict] = {}
     pending: list[str] = []
     for key in key_points:
-        record = cache.get(key) if cache is not None else None
-        if record is not None and verify_seed is not None \
-                and record.get("ok") and not record.get("verified"):
-            # The cached record was computed by a sweep that never
-            # verified; this sweep promises verification, so the hit
-            # does not satisfy it — re-evaluate (and re-cache with
-            # the verified flag).
-            record = None
+        # A verifying sweep never takes an unverified record: it
+        # re-evaluates (and re-caches with the verified flag).
+        record = cache.get(key, want_verified=verify_seed is not None) \
+            if cache is not None else None
         if record is not None:
             by_key[key] = record
             stats.cached += 1

@@ -4,9 +4,8 @@ The tracer (:mod:`repro.obs.trace`) keeps a bounded in-memory ring —
 good for a live ``/trace`` peek, useless for "why did yesterday's
 sweep take 48 s".  The :class:`FlightRecorder` closes that gap: it
 registers as a tracer sink and streams every finished span/event as
-one JSON line to a log that lives **beside the cache** (the same
-placement convention as the store's manifest), so the trace of a
-sweep travels with its artifacts.
+one JSON line to a log that lives **beside the cache**, so the
+trace of a sweep travels with its artifacts.
 
 The log is the interchange format; everything else derives from it:
 

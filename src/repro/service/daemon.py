@@ -199,7 +199,7 @@ class MappingService:
         request = normalise_request(raw)
         key = job_key(request)
         ckey = coalesce_key(request)
-        # The store is sqlite+disk: look up BEFORE queueing, in an
+        # The store is on disk: look up BEFORE queueing, in an
         # executor, so the event loop never blocks on it — and so no
         # await sits between queue.submit and queue.finish below
         # (the dispatcher could pop the job in that window and
@@ -238,7 +238,7 @@ class MappingService:
         lookup = self._lookups.get(ckey)
         if lookup is None:
             lookup = asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.store.lookup(
+                None, lambda: self.store.get(
                     key, want_verified=want_verified))
             self._lookups[ckey] = lookup
         # Shielded: a cancelled submitter must not cancel a shared read.
@@ -316,10 +316,7 @@ class MappingService:
             run_explore_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
         self.counts["computed"] += 1
-        # The sweep wrote records through its own cache handle on our
-        # store directory; drop the stale incremental entry count.
-        self.store.invalidate_count()
-        await self._trim_store()
+        await self._settle_store(info)
         self.queue.finish(job, payload, cache="sweep",
                           worker=info.get("worker"),
                           stats=info.get("stats"))
@@ -337,25 +334,33 @@ class MappingService:
             run_chunk_job, request, str(self.store.root), frontends)
         self._adopt_spans(info)
         self.counts["computed"] += 1
-        self.store.invalidate_count()  # records written by the worker
-        await self._trim_store()
+        await self._settle_store(info)
         self.queue.finish(job, payload, cache="chunk",
                           worker=info.get("worker"),
                           stats=info.get("stats"))
 
-    async def _trim_store(self) -> None:
-        """Re-enforce the store bounds after a worker-side write.
+    async def _settle_store(self, info: dict) -> None:
+        """Bring the store's index up to date after a worker job.
 
         Sweep and chunk jobs write records through the worker's own
-        cache handle, which shares the directory and manifest but
-        not this instance's ``max_*`` configuration — so eviction
-        has to happen here, off the event loop.
+        cache handle, which journals them in the ``info`` side
+        channel.  An unbounded store folds the journal in, so
+        ``/stats`` stays exact without walking the directory.  A
+        bounded store rescans instead — its victims must follow the
+        recency the workers' hits stamped on the files — and evicts,
+        off the event loop.
         """
+        changes = info.pop("store", None) or {}
         if self.store.max_entries is None \
                 and self.store.max_bytes is None:
+            self.store.absorb(changes)
             return
+
+        def rescan_and_trim() -> None:
+            self.store.invalidate_count()
+            self.store.gc()
         await asyncio.get_running_loop().run_in_executor(
-            None, self.store.gc)
+            None, rescan_and_trim)
 
     async def _execute(self, fn, *args):
         """Run one executor function on the pool without blocking the
@@ -517,9 +522,9 @@ class MappingService:
                 "uptime": round(self.uptime, 3),
                 "started_at": self.started_at})
         elif method == "GET" and path == "/stats":
-            # describe() reads the store manifest (sqlite I/O, or a
-            # full directory walk when the index tier is degraded) —
-            # disk work that must not stall the event loop.
+            # describe() may scan the store directory (the first
+            # time the store's index is needed) — disk work that must
+            # not stall the event loop.
             stats = await asyncio.get_running_loop() \
                 .run_in_executor(None, self.describe)
             await _send_json(writer, 200, stats)

@@ -8,17 +8,14 @@ the same keys.  Point an exploration sweep's ``--cache`` at a
 daemon's store directory (or the daemon at an old sweep cache) and
 the two populations interleave freely: a mapping job's record
 satisfies a sweep point and a swept record satisfies a mapping job.
+Reads go through :meth:`~repro.dse.cache.ResultCache.get`, whose
+``want_verified`` rule is the one a sweep applies, so daemon and
+sweep agree on what a usable record is.
 
-What the service adds on top is *policy*, not format:
-
-* :meth:`lookup` applies the runner's verification rule (an
-  unverified record never satisfies a verifying request — it is
-  recomputed) and tags provenance;
-* :meth:`admit` enforces the ok-only rule (failures are never
-  memoised — a transient worker failure must not poison the key).
-
-Both policies are lifted straight from ``repro.dse.runner`` so the
-store behaves identically no matter which front door filled it.
+What the service adds on top is the admission policy: :meth:`admit`
+enforces the ok-only rule (failures are never memoised — a transient
+worker failure must not poison the key), lifted straight from
+``repro.dse.runner``.
 """
 
 from __future__ import annotations
@@ -30,22 +27,6 @@ from repro.dse.cache import ResultCache
 
 class ArtifactStore(ResultCache):
     """A :class:`ResultCache` with the service's admission policy."""
-
-    def lookup(self, key: str, *,
-               want_verified: bool = False) -> dict | None:
-        """The stored record for *key*, honouring verification.
-
-        Returns ``None`` when the caller requires verification but
-        the stored record was produced by a run that never verified
-        — mirroring
-        ``run_sweep``'s cache rule, so daemon and sweep agree on what
-        a usable record is.
-        """
-        record = self.get(key)
-        if want_verified and record is not None and record.get("ok") \
-                and not record.get("verified"):
-            return None
-        return record
 
     def admit(self, key: str, record: Mapping) -> bool:
         """Persist *record* if it is admissible (``ok`` records only);

@@ -25,10 +25,10 @@ compiled frontends per (source, spec) and ships them with each job,
 so a warm resubmit skips frontend compilation no matter which worker
 picks it up.
 
-Explore and chunk jobs read and write the daemon's store through one
-:class:`~repro.dse.cache.ResultCache` handle per worker process (see
-:func:`store_cache`), so a job does not pay for opening the store's
-sqlite manifest again.
+Explore and chunk jobs read and write the daemon's store through a
+fresh :class:`~repro.dse.cache.ResultCache` handle of their own, and
+report what it wrote in their ``info`` dict, so the daemon's
+``/stats`` stays exact without rescanning the store.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import os
-import threading
 from typing import Mapping
 
 from repro.core.pipeline import Frontend
@@ -68,36 +67,22 @@ def _stash_spans(info: dict, spans) -> None:
                                for entry in spans.entries]
 
 
-#: Store handles by (pid, store root); see :func:`store_cache`.
-_STORE_CACHES: dict[tuple[int, str], ResultCache] = {}
-#: Handles one process keeps, most recently used last.
-STORE_CACHES_KEPT = 4
-_STORE_CACHES_LOCK = threading.Lock()
-
-
-def store_cache(store_root: str | None) -> ResultCache | None:
-    """This process's result-cache handle on *store_root*.
-
-    Keyed by pid as well as root: a worker forked from a process that
-    already holds a handle opens its own, and never uses its parent's
-    sqlite connection.  Nor does it drop the parent's handles, whose
-    collection would close that connection from the wrong process.
-    Thread-mode workers share one handle; the manifest serialises its
-    own access.
-    """
+def _job_store(store_root: str | None) -> ResultCache | None:
+    """A handle on the daemon's store for one explore or chunk job,
+    journalling what it writes (see :func:`_stash_store_changes`)."""
     if store_root is None:
         return None
-    pid = os.getpid()
-    key = (pid, store_root)
-    with _STORE_CACHES_LOCK:
-        cache = _STORE_CACHES.pop(key, None)
-        if cache is None:
-            cache = ResultCache(store_root)
-        _STORE_CACHES[key] = cache
-        own = [entry for entry in _STORE_CACHES if entry[0] == pid]
-        for stale in own[:-STORE_CACHES_KEPT]:
-            del _STORE_CACHES[stale]
+    cache = ResultCache(store_root)
+    cache.changes = {}
     return cache
+
+
+def _stash_store_changes(info: dict, cache: ResultCache | None) -> None:
+    """Ride the job's store writes back to the daemon in ``info``, so
+    it can fold them into its own index instead of rescanning the
+    store directory."""
+    if cache is not None:
+        info["store"] = cache.changes
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +130,8 @@ def run_explore_job(request: Mapping, store_root: str | None = None,
     space = DesignSpace(request["dimensions"])
     objectives = request["objectives"]
     strategy = request["strategy"]
-    run_kwargs = dict(workers=1, cache=store_cache(store_root),
+    cache = _job_store(store_root)
+    run_kwargs = dict(workers=1, cache=cache,
                       verify_seed=request.get("verify_seed"),
                       frontends=frontends)
     if strategy == "random":
@@ -174,6 +160,7 @@ def run_explore_job(request: Mapping, store_root: str | None = None,
         "records": result.records,
     }
     info = {"stats": stats, "worker": os.getpid()}
+    _stash_store_changes(info, cache)
     _stash_spans(info, spans)
     return payload, info
 
@@ -196,13 +183,14 @@ def run_chunk_job(request: Mapping, store_root: str | None = None,
 
     points = [DesignPoint.from_dict(entry)
               for entry in request["points"]]
+    cache = _job_store(store_root)
     with trace.attach(request.get("trace")), \
             trace.capture() as spans:
         with trace.span("worker.chunk", points=len(points)):
             records, stats = evaluate_chunk(
                 request["source"], points,
                 verify_seed=request.get("verify_seed"),
-                cache=store_cache(store_root), frontends=frontends)
+                cache=cache, frontends=frontends)
     payload = {
         "kind": "sweep-chunk",
         "points": len(points),
@@ -212,6 +200,7 @@ def run_chunk_job(request: Mapping, store_root: str | None = None,
                   "failed": stats.failed},
     }
     info = {"stats": payload["stats"], "worker": os.getpid()}
+    _stash_store_changes(info, cache)
     _stash_spans(info, spans)
     return payload, info
 

@@ -10,7 +10,7 @@ class Daemon:
 
     async def submit(self, key):
         time.sleep(0.1)
-        return self.store.lookup(key)
+        return self.store.get(key)
 
     async def drain(self):
         with self._lock:

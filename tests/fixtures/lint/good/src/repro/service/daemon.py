@@ -12,7 +12,7 @@ class Daemon:
         loop = asyncio.get_running_loop()
         await asyncio.sleep(0.1)
         return await loop.run_in_executor(
-            None, lambda: self.store.lookup(key))
+            None, lambda: self.store.get(key))
 
     async def drain(self):
         async with self._lock:

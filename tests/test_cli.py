@@ -418,7 +418,7 @@ def test_cache_stats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"store: {store}" in out
     assert "entries: 6" in out
-    assert "manifest_active: True" in out
+    assert "put_errors: 0" in out
 
 
 def test_cache_stats_json(tmp_path, capsys):

@@ -342,22 +342,9 @@ class TestSweepChunkJobs:
 
 
 class TestWorkerStoreHandle:
-    """Chunk and explore jobs reuse one store handle per worker
-    process instead of opening the store's manifest per job."""
-
-    @staticmethod
-    def _count_manifest_opens(monkeypatch) -> list:
-        from repro.dse import cache as cache_module
-        opens = []
-        original = cache_module._Manifest
-
-        class Counting(original):
-            def __init__(self, root):
-                opens.append(root)
-                super().__init__(root)
-
-        monkeypatch.setattr(cache_module, "_Manifest", Counting)
-        return opens
+    """Chunk and explore jobs journal what their store handle wrote,
+    and the daemon folds the journal into its own index instead of
+    walking the store directory."""
 
     @staticmethod
     def _chunk(points) -> dict:
@@ -366,66 +353,60 @@ class TestWorkerStoreHandle:
             "kind": "sweep-chunk", "source": FIR5,
             "points": [point.to_dict() for point in points]})
 
-    def test_two_chunk_jobs_open_the_manifest_once(self, tmp_path,
-                                                   monkeypatch):
+    def test_chunk_jobs_journal_their_store_writes(self, tmp_path):
         from repro.service.workers import run_chunk_job
-        opens = self._count_manifest_opens(monkeypatch)
-        store = str(tmp_path / "store")
-        first, __ = run_chunk_job(self._chunk(SPACE.grid()[:2]), store)
-        second, __ = run_chunk_job(self._chunk(SPACE.grid()[2:4]), store)
+        store = tmp_path / "store"
+        first, info = run_chunk_job(self._chunk(SPACE.grid()[:2]),
+                                    str(store))
         assert first["stats"]["evaluated"] == 2
+        assert info["store"] == {
+            key: store.joinpath(key[:2], f"{key}.json").stat().st_size
+            for key in first["records"]}
+        # Overlapping points are store reads: only fresh ones journal.
+        second, info = run_chunk_job(self._chunk(SPACE.grid()[1:4]),
+                                     str(store))
         assert second["stats"]["evaluated"] == 2
-        assert len(opens) == 1
-        assert len(ResultCache(store)) == 4
+        assert sorted(info["store"]) == sorted(
+            cache_key(FIR5, point) for point in SPACE.grid()[2:4])
+        # Without a store there is nothing to journal.
+        __, info = run_chunk_job(self._chunk(SPACE.grid()[:1]))
+        assert "store" not in info
 
-    def test_a_forked_worker_opens_its_own_handle(self, tmp_path,
-                                                  monkeypatch):
-        from repro.service import workers
-        store = str(tmp_path / "store")
-        parent = workers.store_cache(store)
-        assert workers.store_cache(store) is parent
-        monkeypatch.setattr(workers.os, "getpid", lambda: -1)
-        child = workers.store_cache(store)
-        assert child is not parent
-        assert workers.store_cache(store) is child
+    def test_unbounded_daemon_stats_never_walk_the_store(
+            self, tmp_path, monkeypatch):
+        """After its first ``/stats``, an unbounded daemon answers
+        ``/stats`` across explore and chunk jobs without one scan of
+        the store directory, and its entries and bytes still equal a
+        walk of it."""
+        from repro.dse import cache as cache_module
 
-    def test_thread_workers_share_one_handle_per_store(self, tmp_path):
-        """Threads racing for handles on a few stores get one handle
-        per store, and every record each thread writes through it is
-        indexed."""
-        from repro.service import workers
-        roots = [str(tmp_path / f"store{index}") for index in range(3)]
-        handles: list = []
-        errors: list = []
+        scans = []
+        real_scan = cache_module._scan
 
-        def hammer(thread: int) -> None:
-            try:
-                for round_ in range(30):
-                    root = roots[(thread + round_) % len(roots)]
-                    handle = workers.store_cache(root)
-                    handles.append((root, handle))
-                    handle.put(f"{thread:02d}{round_:02d}" + "0" * 60,
-                               {"ok": True, "thread": thread})
-            except Exception as error:  # noqa: BLE001 — reported below
-                errors.append(error)
+        def counting_scan(root):
+            scans.append(root)
+            return real_scan(root)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=hammer, args=(index,))
-                       for index in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        for root in roots:
-            assert len({id(handle) for where, handle in handles
-                        if where == root}) == 1
-            assert len(ResultCache(root)) == 8 * 30 // len(roots)
+        monkeypatch.setattr(cache_module, "_scan", counting_scan)
+        store = tmp_path / "store"
+        run_sweep(FIR5, SPACE.grid()[:2], workers=1, cache=store)
+        with ServiceThread(workers=2, worker_mode="thread",
+                           store=store) as daemon:
+            client = ServiceClient(*daemon.address)
+            assert client.stats()["store"]["entries"] == 2
+            assert len(scans) == 1
+            job = client.submit({
+                "kind": "explore", "source": FIR5,
+                "dimensions": {"n_pps": [1, 2, 3]}})
+            client.result(job["job"]["id"], timeout=120)
+            run_distributed_sweep(FIR5, SPACE.grid(),
+                                  remotes=url(daemon), chunk_size=4)
+            stats = client.stats()["store"]
+            assert len(scans) == 1
+        files = list(store.glob("??/*.json"))
+        assert stats["entries"] == len(files) > SPACE.size
+        assert stats["bytes"] == sum(path.stat().st_size
+                                     for path in files)
 
 
 # -- the daemon's store -------------------------------------------------

@@ -147,7 +147,7 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"ok": True, "metrics": {"cycles": 7}})
         assert cache.get(key) == {"ok": True, "metrics": {"cycles": 7}}
-        assert key in cache and len(cache) == 1
+        assert cache.path_for(key).exists() and len(cache) == 1
         assert cache.stats()["entries"] == 1
 
     def test_key_is_stable_across_instances(self, tmp_path):
@@ -189,8 +189,6 @@ class TestResultCache:
         assert stats["evictions"] == 0 and stats["put_errors"] == 0
         assert stats["max_entries"] is None
         assert stats["max_bytes"] is None
-        assert stats["manifest_active"] is True
-        assert stats["manifest_errors"] == 0
 
     def test_entry_count_is_incremental_not_a_walk(self, tmp_path,
                                                    monkeypatch):
@@ -199,6 +197,8 @@ class TestResultCache:
         again — puts, overwrites, discards and clears keep the count
         exact incrementally."""
         import pathlib
+
+        from repro.dse import cache as cache_module
 
         cache = ResultCache(tmp_path)
         keys = [cache.key(f"src{index}", DesignPoint.make())
@@ -209,6 +209,9 @@ class TestResultCache:
         monkeypatch.setattr(
             pathlib.Path, "glob",
             lambda *a, **k: pytest.fail("stats() walked the store"))
+        monkeypatch.setattr(
+            cache_module, "_scan",
+            lambda *a, **k: pytest.fail("stats() scanned the store"))
         cache.put(keys[1], {"ok": True})
         cache.put(keys[1], {"ok": True, "again": 1})  # overwrite
         cache.put(keys[2], {"ok": True})
@@ -219,6 +222,8 @@ class TestResultCache:
         assert cache.get(keys[2]) is None
         assert cache.stats()["entries"] == 2
         assert len(cache) == 2
+        assert cache.stats()["bytes"] == sum(
+            cache.path_for(key).stat().st_size for key in keys[:2])
 
     def test_invalidate_count_rescans_foreign_writes(self, tmp_path):
         mine = ResultCache(tmp_path)
@@ -230,25 +235,31 @@ class TestResultCache:
         mine.invalidate_count()
         assert len(mine) == 1  # ...exact again after invalidation
 
-    def test_concurrent_first_puts_open_one_manifest(self, tmp_path,
-                                                     monkeypatch):
-        """Threads putting into a fresh store open the manifest once.
-        A second open would find the first put's file in an empty
-        index, rebuild it, and drop the row of a put that landed in
-        between: the daemon's entry count then reads one short."""
+    def test_concurrent_first_puts_scan_the_store_once(self, tmp_path,
+                                                       monkeypatch):
+        """Threads putting into a fresh bounded store scan it once.
+        A second scan would replace an index that already holds a
+        put which landed after the first scan's listing: the entry
+        count would then read one short.  The threads keep putting,
+        overwriting and reading under a short switch interval, and
+        the byte total must still equal the files'."""
+        import sys
         import threading
         import time
 
-        opened = []
-        real_open = ResultCache._open_manifest
+        from repro.dse import cache as cache_module
 
-        def slow_open(self):
-            opened.append(self)
+        scans = []
+        real_scan = cache_module._scan
+
+        def slow_scan(root):
+            scans.append(root)
+            rows = real_scan(root)
             time.sleep(0.05)  # hold the race window open
-            return real_open(self)
+            return rows
 
-        monkeypatch.setattr(ResultCache, "_open_manifest", slow_open)
-        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(cache_module, "_scan", slow_scan)
+        cache = ResultCache(tmp_path, max_entries=1000)
         keys = [cache.key(str(index), DesignPoint.make())
                 for index in range(8)]
         start = threading.Barrier(len(keys), timeout=30)
@@ -256,16 +267,29 @@ class TestResultCache:
         def put(key):
             start.wait()
             cache.put(key, {"ok": True})
+            for round_ in range(20):
+                cache.put(key + f"{round_:02d}", {"ok": True,
+                                                  "pad": "x" * round_})
+                cache.put(key, {"ok": True, "round": round_})
+                assert cache.get(key) is not None
 
-        threads = [threading.Thread(target=put, args=(key,))
-                   for key in keys]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put, args=(key,))
+                       for key in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(opened) == 1
-        assert len(cache) == len(keys)
+        assert len(scans) == 1
+        files = list(tmp_path.glob("??/*.json"))
+        assert len(cache) == len(files) == len(keys) * 21
+        assert cache.stats()["bytes"] == sum(path.stat().st_size
+                                             for path in files)
 
     def test_entry_count_lazy_scan_sees_preexisting(self, tmp_path):
         first = ResultCache(tmp_path)

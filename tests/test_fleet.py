@@ -332,6 +332,13 @@ def test_killed_coordinator_rerun_recomputes_only_missing_points(
 
 # -- store ------------------------------------------------------------------
 
+def assert_stats_walk_the_store(stats: dict, root: pathlib.Path) -> None:
+    """``/stats`` entries and bytes equal a walk of the store."""
+    files = list(root.glob("??/*.json"))
+    assert stats["entries"] == len(files)
+    assert stats["bytes"] == sum(path.stat().st_size for path in files)
+
+
 def test_store_lru_bound_leaves_fsck_nothing_to_heal(truth, tmp_path):
     root = tmp_path / "bounded-store"
     result = run_sweep(SOURCE, SPACE.grid(), cache=root,
@@ -340,9 +347,9 @@ def test_store_lru_bound_leaves_fsck_nothing_to_heal(truth, tmp_path):
     store = ResultCache(root)
     assert store.stats()["entries"] == MAX_ENTRIES
     report = store.fsck()
-    assert report["corrupt_removed"] == report["rows_added"] \
-        == report["rows_dropped"] == report["tmp_removed"] == 0, report
-    assert report["files"] == MAX_ENTRIES
+    assert report["corrupt_removed"] == report["tmp_removed"] == 0, \
+        report
+    assert report["files"] == report["entries"] == MAX_ENTRIES
 
 
 def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
@@ -356,6 +363,26 @@ def test_store_bounded_daemon_enforces_and_reports_its_bound(fleet,
     assert canon(result.records) == truth
     assert store["entries"] <= MAX_ENTRIES
     assert store["evictions"] >= SPACE.size - MAX_ENTRIES
+    assert_stats_walk_the_store(store, daemon.store)
+
+
+def test_store_byte_bounded_daemon_enforces_and_reports_its_bound(
+        fleet, truth):
+    """``serve --store-max-bytes``: the daemon trims its store to the
+    byte bound after every chunk, and ``/stats`` reports exactly what
+    is left on disk."""
+    sizes = [len(json.dumps(record)) for record in json.loads(truth)]
+    max_bytes = MAX_ENTRIES * max(sizes)
+    daemon = fleet(store_max_bytes=max_bytes)
+    result = run_distributed_sweep(
+        SOURCE, SPACE.grid(), remotes=daemon.url,
+        chunk_size=CHUNK_SIZE)
+    store = ServiceClient(*daemon.address).stats()["store"]
+    assert canon(result.records) == truth
+    assert store["max_bytes"] == max_bytes
+    assert 0 < store["bytes"] <= max_bytes
+    assert store["evictions"] >= SPACE.size - max_bytes // min(sizes)
+    assert_stats_walk_the_store(store, daemon.store)
 
 
 # -- observability ----------------------------------------------------------

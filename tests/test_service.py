@@ -146,8 +146,8 @@ def test_duplicate_whose_lookup_outlives_the_first_job_never_reruns(
             self.release = threading.Event()
             self.reads = 0
 
-        def lookup(self, key, *, want_verified=False):
-            record = super().lookup(key, want_verified=want_verified)
+        def get(self, key, want_verified=False):
+            record = super().get(key, want_verified=want_verified)
             self.reads += 1
             if self.reads > 1:
                 self.release.wait(timeout=30)

@@ -45,7 +45,7 @@ def test_corrupt_entry_is_deleted_and_misses(tmp_path, garbage):
     path.write_bytes(garbage)
     assert cache.get(KEY) is None
     assert not path.exists(), "poisoned entry must be removed"
-    assert KEY not in cache
+    assert len(cache) == 0
     # The key is immediately writable again.
     cache.put(KEY, _record(7))
     assert cache.get(KEY)["n"] == 7
@@ -108,11 +108,11 @@ def test_admit_reports_failed_writes(tmp_path, monkeypatch):
 def test_lookup_honours_verification(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put(KEY, _record(1))
-    assert store.lookup(KEY) is not None
+    assert store.get(KEY) is not None
     # Unverified record cannot satisfy a verifying caller.
-    assert store.lookup(KEY, want_verified=True) is None
+    assert store.get(KEY, want_verified=True) is None
     store.put(KEY, _record(1, verified=True))
-    assert store.lookup(KEY, want_verified=True) is not None
+    assert store.get(KEY, want_verified=True) is not None
 
 
 def test_map_record_satisfies_sweep_and_vice_versa(tmp_path):
@@ -203,4 +203,4 @@ def test_stats_after_server_side_clear(warm_daemon):
     # The daemon keeps serving: a new record is admitted cleanly.
     assert thread.service.store.admit(KEY, _record(3)) is True
     assert client.stats()["store"]["entries"] == 1
-    assert KEY in thread.service.store
+    assert thread.service.store.get(KEY) == _record(3)

@@ -1,21 +1,23 @@
-"""Fault-injection battery + property tests for the tiered store.
+"""Fault-injection battery + property tests for the artifact store.
 
-The tiered :class:`~repro.dse.cache.ResultCache` (sqlite manifest
-index, LRU bounds, fsck) carries every sweep's and daemon's records,
-so its failure modes are the fleet's failure modes.  The battery
-pins the contract from ``docs/store.md``:
+The :class:`~repro.dse.cache.ResultCache` (record files, a per-handle
+in-memory index, LRU bounds, fsck) carries every sweep's and daemon's
+records, so its failure modes are the service's failure modes.  The
+battery pins the contract from ``docs/store.md``:
 
-* the record files are the truth and stay **bit-identical** to the
-  flat pre-manifest format — an old flat directory opens in place;
-* *no* store failure crashes a caller: torn/truncated manifests and
-  records, full disks and killed writers all degrade to a miss (or a
-  ``False`` put) plus a counted event;
-* the manifest always reconverges with the directory (lazily on
-  open, explicitly via ``fsck``);
+* the record files are the store's only state and stay
+  **bit-identical** to the flat format — an existing directory, with
+  or without an older release's ``manifest.db``, opens in place;
+* *no* store failure crashes a caller: truncated records, full disks
+  and killed writers all degrade to a miss (or a ``False`` put) plus
+  a counted event;
+* a handle's index always equals a walk of the directory it wrote
+  (entries, bytes and LRU order, the last read from file mtimes), and
+  ``fsck`` re-anchors it on one;
 * LRU eviction never removes the most recently accessed record.
 
-The hypothesis section drives random put/get/gc/clear sequences
-against a parallel in-memory model and checks manifest/directory
+The hypothesis section drives random put/get/corrupt/clear sequences
+against a parallel in-memory model and checks index/directory
 agreement, exact LRU eviction and bit-identical round-trips after
 every step.
 """
@@ -24,24 +26,26 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import signal
 import sqlite3
 import tempfile
+import threading
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dse.cache import (
-    MANIFEST_NAME,
-    ResultCache,
-    cache_key,
-)
+from repro.dse import cache as cache_module
+from repro.dse.cache import ResultCache
 from repro.dse.runner import run_sweep
 from repro.dse.space import DesignPoint, DesignSpace
 
 from tests.conftest import FIR_SOURCE
+
+#: The index file of releases that kept a sqlite tier over the files.
+OLD_MANIFEST = "manifest.db"
 
 
 def key_for(n) -> str:
@@ -59,32 +63,33 @@ def record_for(n, pad: int = 0) -> dict:
 def record_files(root) -> dict:
     """key -> raw bytes of every record file under *root*."""
     return {path.stem: path.read_bytes()
-            for path in root.glob("??/*.json")}
+            for path in pathlib.Path(root).glob("??/*.json")}
 
 
-def manifest_rows(root) -> dict:
-    """key -> (size, last_access) straight from sqlite — the tests'
-    independent view of the index, no ResultCache involved.  An
-    absent manifest (never opened, nothing stored) reads as empty."""
-    path = root / MANIFEST_NAME
-    if not path.exists():
-        return {}
-    connection = sqlite3.connect(path)
-    try:
-        return {key: (size, last_access) for key, size, last_access
-                in connection.execute(
-                    "SELECT key, size, last_access FROM entries")}
-    finally:
-        connection.close()
+def walk(root) -> list[tuple[str, int]]:
+    """(key, size) of every record file under *root*, least recently
+    used first — the tests' independent view of the store, read from
+    file mtimes with no ResultCache involved."""
+    rows = []
+    for path in pathlib.Path(root).glob("??/*.json"):
+        status = path.stat()
+        rows.append((status.st_mtime_ns, path.stem, status.st_size))
+    return [(key, size) for __, key, size in sorted(rows)]
 
 
-# -- index tier -----------------------------------------------------------
+def assert_index_matches_walk(cache: ResultCache) -> None:
+    rows = walk(cache.root)
+    assert len(cache) == len(rows)
+    assert cache.stats()["bytes"] == sum(size for __, size in rows)
+    assert list(cache._entries.items()) == rows
+
+
+# -- the record files -----------------------------------------------------
 
 
 def test_record_bytes_identical_to_flat_format(tmp_path):
-    """The manifest never touches record bytes: a tiered put writes
-    exactly ``json.dumps(dict(record))`` — the flat store's format,
-    key order preserved."""
+    """A put writes exactly ``json.dumps(dict(record))`` — the flat
+    store's format, key order preserved."""
     cache = ResultCache(tmp_path)
     record = {"z_last": 1, "ok": True, "a_first": 2,
               "metrics": {"cycles": 3, "energy": 4}}
@@ -96,9 +101,9 @@ def test_record_bytes_identical_to_flat_format(tmp_path):
 
 
 def test_legacy_flat_directory_opens_in_place(tmp_path):
-    """A pre-manifest store (bare shard dirs, no manifest.db) opens
-    unchanged: the manifest is rebuilt lazily from the files and
-    every record is served bit-identically."""
+    """A store of bare shard directories opens unchanged: the index
+    is one scan of the files, and every record is served
+    bit-identically."""
     payloads = {}
     for n in range(5):
         key = key_for(n)
@@ -107,37 +112,30 @@ def test_legacy_flat_directory_opens_in_place(tmp_path):
         payload = json.dumps(record_for(n)).encode("utf-8")
         path.write_bytes(payload)
         payloads[key] = payload
-    assert not (tmp_path / MANIFEST_NAME).exists()
 
     cache = ResultCache(tmp_path)
     assert len(cache) == 5
-    assert cache.manifest_rebuilds == 1
-    assert sorted(cache.keys()) == sorted(payloads)
+    assert cache.stats()["bytes"] == sum(map(len, payloads.values()))
     for key, payload in payloads.items():
-        assert key in cache
         assert cache.get(key) == json.loads(payload)
-        # The files were not rewritten by indexing.
+        # The files were not rewritten by reading them.
         assert cache.path_for(key).read_bytes() == payload
-    assert (tmp_path / MANIFEST_NAME).exists()
-    assert manifest_rows(tmp_path).keys() == payloads.keys()
+    # Nothing but the shard directories: no index file appears.
+    assert set(tmp_path.iterdir()) == {tmp_path / key[:2]
+                                       for key in payloads}
 
 
 def test_lazy_rebuild_keeps_a_row_recorded_after_its_scan(tmp_path,
                                                          monkeypatch):
-    """Two instances open one old flat directory.  The first one's
-    lazy rebuild scans the files and then stalls; meanwhile the
-    second indexes the directory and records a fresh put.  When the
-    stalled rebuild writes, the fresh put's row must survive — it
-    used to be wiped by the rebuild's ``DELETE FROM entries``."""
-    import threading
-
-    from repro.dse import cache as cache_module
-
+    """A put racing the first scan is never lost.  The scan lists
+    the files and then stalls; meanwhile a put on the same handle
+    lands its file.  When the scan finishes, the put must still be
+    indexed — and as the most recently used record."""
     for n in range(3):
         path = tmp_path / key_for(n)[:2] / f"{key_for(n)}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(record_for(n)))
-    real_scan = cache_module._scan_records
+    real_scan = cache_module._scan
     scanned, resume = threading.Event(), threading.Event()
 
     def stalled_first_scan(root):
@@ -147,28 +145,30 @@ def test_lazy_rebuild_keeps_a_row_recorded_after_its_scan(tmp_path,
             assert resume.wait(timeout=30)
         return rows
 
-    monkeypatch.setattr(cache_module, "_scan_records", stalled_first_scan)
-    first = ResultCache(tmp_path)
-    opener = threading.Thread(target=len, args=(first,))
+    monkeypatch.setattr(cache_module, "_scan", stalled_first_scan)
+    cache = ResultCache(tmp_path)
+    opener = threading.Thread(target=len, args=(cache,))
     opener.start()
     assert scanned.wait(timeout=30)
-    second = ResultCache(tmp_path)
-    assert second.put(key_for(3), record_for(3))
+    writer = threading.Thread(target=cache.put,
+                              args=(key_for(3), record_for(3)))
+    writer.start()
+    deadline = time.monotonic() + 30
+    while not cache.path_for(key_for(3)).exists():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
     resume.set()
     opener.join(timeout=30)
-    assert not opener.is_alive()
+    writer.join(timeout=30)
+    assert not opener.is_alive() and not writer.is_alive()
 
-    keys = {key_for(n) for n in range(4)}
-    assert manifest_rows(tmp_path).keys() == keys
-    assert len(ResultCache(tmp_path)) == 4
-    # The rebuilt rows are older than the put that raced them, so the
-    # fresh record is the last the LRU bound would evict.
-    stamps = {key: stamp for key, (__, stamp)
-              in manifest_rows(tmp_path).items()}
-    assert max(stamps, key=stamps.get) == key_for(3)
+    assert len(cache) == 4
+    assert_index_matches_walk(cache)
+    assert cache.set_bounds(max_entries=1) == 3
+    assert record_files(tmp_path).keys() == {key_for(3)}
 
 
-def test_keys_and_stats_come_from_the_manifest(tmp_path):
+def test_stats_count_the_record_files(tmp_path):
     cache = ResultCache(tmp_path)
     for n in range(4):
         cache.put(key_for(n), record_for(n))
@@ -176,12 +176,24 @@ def test_keys_and_stats_come_from_the_manifest(tmp_path):
     assert stats["entries"] == 4
     assert stats["bytes"] == sum(
         len(raw) for raw in record_files(tmp_path).values())
-    assert stats["manifest_active"] is True
-    assert sorted(cache.keys()) == sorted(key_for(n)
-                                          for n in range(4))
+    assert set(stats) == {"entries", "bytes", "evictions",
+                          "put_errors", "max_entries", "max_bytes"}
 
 
-# -- fault battery: manifest corruption -----------------------------------
+# -- an older release's manifest ------------------------------------------
+
+
+def _old_manifest(path) -> None:
+    """A sqlite index of the shape older releases kept at the root."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute("CREATE TABLE meta (name TEXT PRIMARY KEY, "
+                           "value TEXT NOT NULL)")
+        connection.execute("INSERT INTO meta VALUES ('version', '1')")
+        connection.execute("CREATE TABLE entries (key TEXT PRIMARY "
+                           "KEY, size INTEGER, last_access INTEGER)")
+        connection.execute("INSERT INTO entries VALUES ('gone', 1, 1)")
+    connection.close()
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -190,64 +202,24 @@ def test_keys_and_stats_come_from_the_manifest(tmp_path):
     lambda path: path.unlink(),
 ])
 def test_torn_manifest_recovers_from_the_files(tmp_path, corrupt):
-    """Garbage, truncation or deletion of manifest.db: the next
-    instance rebuilds the index from the record files and serves
-    everything — the manifest is rebuildable state, never truth."""
+    """A leftover ``manifest.db`` — intact, garbage, truncated or
+    deleted — is ignored: the store serves every record from the
+    files and never rewrites one."""
     first = ResultCache(tmp_path)
     for n in range(4):
         first.put(key_for(n), record_for(n))
     before = record_files(tmp_path)
-    del first
-    for suffix in ("-wal", "-shm"):
-        try:
-            os.unlink(tmp_path / f"{MANIFEST_NAME}{suffix}")
-        except OSError:
-            pass
-    corrupt(tmp_path / MANIFEST_NAME)
+    _old_manifest(tmp_path / OLD_MANIFEST)
+    intact = ResultCache(tmp_path)
+    assert len(intact) == 4
+    corrupt(tmp_path / OLD_MANIFEST)
 
     cache = ResultCache(tmp_path)
     assert len(cache) == 4
     for n in range(4):
         assert cache.get(key_for(n)) == record_for(n)
-    assert cache.manifest_active
-    assert cache.manifest_rebuilds >= 1
-    # Recovery never rewrote a record.
+    assert cache.fsck()["corrupt_removed"] == 0
     assert record_files(tmp_path) == before
-
-
-def test_manifest_version_mismatch_triggers_rebuild(tmp_path):
-    first = ResultCache(tmp_path)
-    first.put(key_for(0), record_for(0))
-    del first
-    connection = sqlite3.connect(tmp_path / MANIFEST_NAME)
-    with connection:
-        connection.execute(
-            "UPDATE meta SET value='9999' WHERE name='version'")
-    connection.close()
-    cache = ResultCache(tmp_path)
-    assert cache.get(key_for(0)) == record_for(0)
-    assert cache.manifest_rebuilds >= 1
-
-
-def test_dead_manifest_degrades_to_flat_behaviour(tmp_path):
-    """With the index tier gone for good (forced dead), the store
-    still serves: directory-walk len, file-probe contains, get/put —
-    only bounds enforcement is lost."""
-    cache = ResultCache(tmp_path, max_entries=2)
-    for n in range(2):
-        cache.put(key_for(n), record_for(n))
-    cache._manifest_dead = True  # what repeated sqlite failure sets
-    assert len(ResultCache(tmp_path)) == 2
-    cache.invalidate_count()
-    assert len(cache) == 2          # glob fallback
-    assert key_for(0) in cache      # file-probe fallback
-    assert cache.get(key_for(0)) == record_for(0)
-    assert cache.put(key_for(5), record_for(5)) is True
-    assert cache.get(key_for(5)) == record_for(5)
-    # No manifest, no eviction — unbounded growth, not a crash.
-    assert len(cache) == 3
-    assert cache.stats()["manifest_active"] is False
-    assert cache.stats()["bytes"] is None
 
 
 # -- fault battery: record corruption and write failures ------------------
@@ -256,11 +228,12 @@ def test_dead_manifest_degrades_to_flat_behaviour(tmp_path):
 def test_truncated_record_is_a_miss_and_removed(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(key_for(0), record_for(0, pad=512))
+    assert len(cache) == 1
     path = cache.path_for(key_for(0))
     path.write_bytes(path.read_bytes()[:64])
     assert cache.get(key_for(0)) is None
     assert not path.exists()
-    assert key_for(0) not in manifest_rows(tmp_path)
+    assert cache.stats()["entries"] == cache.stats()["bytes"] == 0
 
 
 def test_full_disk_put_degrades_to_false_not_crash(tmp_path,
@@ -307,8 +280,7 @@ def _put_until_killed(root, ready):
 def test_sigkill_mid_put_leaves_no_partial_record(tmp_path):
     """SIGKILL a writer at a random moment: every record file that
     exists afterwards parses completely (atomic rename), and fsck
-    finds no corrupt records — at worst a temp-file corpse and a
-    file/manifest divergence, both healed."""
+    finds no corrupt records — at worst a temp-file corpse."""
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
@@ -329,10 +301,8 @@ def test_sigkill_mid_put_leaves_no_partial_record(tmp_path):
     report = cache.fsck()
     assert report["corrupt_removed"] == 0
     assert report["files"] >= 1
-    # After fsck, manifest and directory agree exactly.
-    assert manifest_rows(tmp_path).keys() == \
-        record_files(tmp_path).keys()
-    assert len(cache) == report["files"]
+    assert report["entries"] == report["files"] == len(cache)
+    assert_index_matches_walk(cache)
 
 
 def _evict_loop(root, rounds):
@@ -377,19 +347,20 @@ def test_concurrent_evict_vs_get_across_processes(tmp_path):
     # The bound held: the survivors are the 5 newest keys.
     final = ResultCache(tmp_path)
     assert len(final) == 5
-    assert sorted(final.keys()) == sorted(key_for(n)
-                                          for n in range(195, 200))
+    assert sorted(record_files(tmp_path)) == sorted(
+        key_for(n) for n in range(195, 200))
 
 
 # -- fault battery: fsck --------------------------------------------------
 
 
-def test_fsck_heals_manifest_directory_divergence(tmp_path):
+def test_fsck_reanchors_the_index_on_the_directory(tmp_path):
     cache = ResultCache(tmp_path)
     for n in range(3):
         cache.put(key_for(n), record_for(n))
-    # Diverge both ways behind the manifest's back: one foreign flat
-    # write (file, no row) and one vanished file (row, no file).
+    assert len(cache) == 3
+    # Diverge both ways behind the handle's back: one foreign flat
+    # write (unindexed) and one vanished file (indexed, gone).
     foreign = key_for(10)
     path = tmp_path / foreign[:2] / f"{foreign}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -397,15 +368,13 @@ def test_fsck_heals_manifest_directory_divergence(tmp_path):
     cache.path_for(key_for(0)).unlink()
 
     report = cache.fsck()
-    assert report["rows_added"] == 1
-    assert report["rows_dropped"] == 1
     assert report["corrupt_removed"] == 0
-    expected = {key_for(1), key_for(2), foreign}
-    assert set(cache.keys()) == expected
-    assert manifest_rows(tmp_path).keys() == expected
-    assert len(cache) == 3
-    assert key_for(0) not in cache
-    assert foreign in cache
+    assert report["files"] == report["entries"] == 3
+    assert record_files(tmp_path).keys() == {key_for(1), key_for(2),
+                                             foreign}
+    assert_index_matches_walk(cache)
+    assert cache.get(key_for(0)) is None
+    assert cache.get(foreign) == record_for(10)
 
 
 def test_fsck_removes_corpses(tmp_path):
@@ -421,7 +390,8 @@ def test_fsck_removes_corpses(tmp_path):
     assert report["tmp_removed"] == 1
     assert report["corrupt_removed"] == 1
     assert report["files"] == 2  # scanned both .json files
-    assert set(cache.keys()) == {key_for(0)}
+    assert report["entries"] == 1
+    assert record_files(tmp_path).keys() == {key_for(0)}
     assert not bad_path.exists()
     # The emptied shard of the corrupt record is gone too.
     assert not bad_path.parent.exists()
@@ -437,17 +407,21 @@ def test_lru_eviction_respects_access_order(tmp_path):
     assert cache.get(key_for(0)) is not None  # 0 is now MRU
     cache.put(key_for(3), record_for(3))
     # Victim is 1 (the least recently accessed), never 0 or 3.
-    assert set(cache.keys()) == {key_for(0), key_for(2), key_for(3)}
+    assert record_files(tmp_path).keys() == {key_for(0), key_for(2),
+                                             key_for(3)}
     assert cache.evictions == 1
     assert len(cache) == 3
     assert cache.stats()["evictions"] == 1
+    # The recency persists: a fresh handle scans the same order.
+    assert [key for key, __ in walk(tmp_path)] == [
+        key_for(2), key_for(0), key_for(3)]
 
 
 def test_just_written_key_is_never_its_own_victim(tmp_path):
     cache = ResultCache(tmp_path, max_entries=1)
     cache.put(key_for(0), record_for(0))
     cache.put(key_for(1), record_for(1))
-    assert set(cache.keys()) == {key_for(1)}
+    assert record_files(tmp_path).keys() == {key_for(1)}
     assert cache.get(key_for(1)) == record_for(1)
 
 
@@ -460,7 +434,8 @@ def test_max_bytes_evicts_down_to_the_bound(tmp_path):
     assert evicted >= 1
     assert cache.stats()["bytes"] <= total // 2
     # The newest key always survives a byte-bound squeeze.
-    assert key_for(5) in cache
+    assert cache.path_for(key_for(5)).exists()
+    assert_index_matches_walk(cache)
 
 
 def test_evicted_shard_directories_are_pruned(tmp_path):
@@ -480,6 +455,9 @@ def test_gc_enforces_bounds_and_reports(tmp_path):
     assert report["evicted"] == 5
     assert report["entries"] == 3
     assert len(ResultCache(tmp_path)) == 3
+    # The survivors are the three most recently written.
+    assert record_files(tmp_path).keys() == {key_for(n)
+                                             for n in range(5, 8)}
 
 
 def test_bounded_sweep_survivors_equal_unbounded(tmp_path):
@@ -503,44 +481,23 @@ def test_bounded_sweep_survivors_equal_unbounded(tmp_path):
         assert raw == flat_files[key]
 
 
-# -- __contains__ / probe (the poisoned-entry satellite) ------------------
+# -- foreign writers ------------------------------------------------------
 
 
-def test_contains_rejects_poisoned_entry(tmp_path):
-    """Regression: ``in`` used to be a bare path.exists(), reporting
-    garbage bytes as a present record."""
+def test_get_serves_foreign_flat_writes(tmp_path):
+    """A record another handle dropped in behind this one's back is
+    served at once, and counted from the next scan on."""
     cache = ResultCache(tmp_path)
-    path = cache.path_for(key_for(0))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"\x00 garbage, not a record")
-    assert key_for(0) not in cache
-    # And the corpse is gone — not re-parsed on every probe.
-    assert not path.exists()
-
-
-def test_contains_sees_foreign_flat_writes(tmp_path):
-    """A record a flat writer dropped in behind the manifest's back
-    is present (and healed into the index)."""
-    cache = ResultCache(tmp_path)
-    cache.put(key_for(0), record_for(0))  # manifest exists now
+    cache.put(key_for(0), record_for(0))
+    assert len(cache) == 1
     foreign = key_for(1)
     path = tmp_path / foreign[:2] / f"{foreign}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record_for(1)), encoding="utf-8")
-    assert foreign in cache
-    assert foreign in manifest_rows(tmp_path)  # healed
-
-
-def test_probe_applies_the_verification_rule(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(key_for(0), record_for(0))
-    cache.put(key_for(1), {**record_for(1), "verified": True})
-    rows = manifest_rows(tmp_path)
-    assert cache.probe(key_for(0))
-    assert not cache.probe(key_for(0), want_verified=True)
-    assert cache.probe(key_for(1), want_verified=True)
-    # probe never touches the LRU order.
-    assert manifest_rows(tmp_path) == rows
+    assert cache.get(foreign) == record_for(1)
+    cache.invalidate_count()
+    assert len(cache) == 2
+    assert_index_matches_walk(cache)
 
 
 # -- clear ----------------------------------------------------------------
@@ -562,6 +519,29 @@ def test_clear_removes_shard_dirs_and_resets_counters(tmp_path):
     assert cache.get(key_for(0)) == record_for(0)
 
 
+def test_clear_tolerates_a_record_removed_under_it(tmp_path,
+                                                  monkeypatch):
+    """A record evicted or discarded by another handle between
+    clear's listing and its unlink is skipped, not a crash, and is
+    not counted as removed."""
+    cache = ResultCache(tmp_path)
+    for n in range(6):
+        cache.put(key_for(n), record_for(n))
+    real_glob = pathlib.Path.glob
+
+    def list_then_evict(self, pattern):
+        listed = sorted(real_glob(self, pattern))
+        if pattern == "??/*.json" and listed:
+            os.unlink(listed[0])  # a concurrent eviction
+        return iter(listed)
+
+    monkeypatch.setattr(pathlib.Path, "glob", list_then_evict)
+    assert cache.clear() == 5
+    monkeypatch.undo()
+    assert record_files(tmp_path) == {}
+    assert len(cache) == 0
+
+
 # -- hypothesis: random op sequences vs a model ---------------------------
 
 _KEY_POOL = [key_for(f"pool-{n}") for n in range(6)]
@@ -571,6 +551,7 @@ _OPS = st.lists(
         st.tuples(st.just("put"), st.integers(0, 5),
                   st.integers(0, 200)),
         st.tuples(st.just("get"), st.integers(0, 5)),
+        st.tuples(st.just("corrupt"), st.integers(0, 5)),
         st.tuples(st.just("clear")),
     ),
     max_size=30)
@@ -579,9 +560,10 @@ _OPS = st.lists(
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=_OPS)
-def test_manifest_always_agrees_with_directory(ops):
-    """After any put/get/clear sequence the manifest and the
-    directory agree on entry count, byte total and key set, and
+def test_index_always_agrees_with_directory(ops):
+    """After every step of any put/get/corrupt/clear sequence, the
+    handle's entry count, byte total and LRU order equal a walk of
+    the directory (recency read back from the file mtimes), and
     every surviving record round-trips bit-identically."""
     with tempfile.TemporaryDirectory() as root_name:
         cache = ResultCache(root_name)
@@ -602,16 +584,17 @@ def test_manifest_always_agrees_with_directory(ops):
                         == model[key]
                 else:
                     assert record is None
+            elif op[0] == "corrupt":
+                key = _KEY_POOL[op[1]]
+                if key in model:
+                    cache.path_for(key).write_bytes(b"{torn")
+                    assert cache.get(key) is None
+                    del model[key]
             else:
                 cache.clear()
                 model.clear()
-        files = record_files(root)
-        assert files == model
-        rows = manifest_rows(root)
-        assert rows.keys() == model.keys()
-        assert sum(size for size, __ in rows.values()) == \
-            sum(len(raw) for raw in model.values())
-        assert cache.stats()["entries"] == len(model)
+            assert record_files(root) == model
+            assert_index_matches_walk(cache)
 
 
 @settings(max_examples=40, deadline=None,
@@ -646,7 +629,8 @@ def test_lru_eviction_matches_the_model_exactly(ops, bound):
                     order.append(key)
                 else:
                     assert record is None
-            assert set(cache.keys()) == set(order)
+            assert set(record_files(root_name)) == set(order)
             if order:
-                assert order[-1] in cache  # MRU always survives
+                # MRU always survives.
+                assert cache.path_for(order[-1]).exists()
         assert len(cache) == len(order)

@@ -19,15 +19,15 @@ Times representative workloads of the mapping engine end to end:
   warm store through ``repro.dse.distributed`` (lease HTTP rounds +
   chunk merging; the distribution layer's own overhead);
 * ``store``        — artifact-store put/get/stats throughput over a
-  populated store (10^4 entries full, 10^3 quick), with a one-shot
-  contrast of the manifest-indexed entry count against the full
-  directory walk it replaced;
+  populated store (10^4 entries full, 10^3 quick), checking once
+  that the store's entry count equals a directory walk;
 * ``obs``          — the ``sweep`` workload with the tracer enabled
   (span records, rollups, ring writes).  Its setup also *asserts*
-  the observability contract: enabled tracing costs < 3% over the
-  disabled path on the same sweep (best-of-N alternating pairs, so
-  scheduler noise cancels), and the disabled path is a bare
-  attribute check — the overhead nobody pays unless they opt in.
+  the observability contract: enabled tracing costs at most 3% plus
+  10 ms over the disabled path on the same sweep (best-of-N
+  alternating pairs, so scheduler noise cancels), and the disabled
+  path is a bare attribute check — the overhead nobody pays unless
+  they opt in.
 
 Each workload is run ``--repeats`` times and the median wall time is
 recorded, together with a *normalized* value: seconds divided by the
@@ -264,11 +264,10 @@ def _workload_distributed(quick: bool):
 
 
 def _workload_store(quick: bool):
-    """Artifact-store throughput at scale: put, manifest-indexed
-    stats/len and hit lookups over a populated store.  The setup
-    also contrasts the manifest count against a full directory scan
-    at 10^4 entries (quick: 10^3) — the walk the index tier
-    replaces on every ``/stats`` scrape and coordinator probe."""
+    """Artifact-store throughput at scale: put, stats/len and hit
+    lookups over a populated store of 10^4 entries (quick: 10^3).
+    The setup checks once that the entry count equals a directory
+    walk."""
     import atexit
     import tempfile
 
@@ -282,19 +281,11 @@ def _workload_store(quick: bool):
         store.put(f"{index:064x}",
                   {"ok": True, "metrics": {"cycles": index}})
 
-    # One-shot contrast: the indexed count vs the directory walk it
-    # replaced (informational; the regression gate times `run`).
-    started = time.perf_counter()
-    indexed = store.stats()["entries"]
-    manifest_ms = (time.perf_counter() - started) * 1e3
-    started = time.perf_counter()
+    counted = store.stats()["entries"]
     walked = sum(1 for __ in store.root.glob("??/*.json"))
-    walk_ms = (time.perf_counter() - started) * 1e3
-    if not (indexed == walked == entries):
-        raise RuntimeError(f"manifest count {indexed} diverges from "
+    if not (counted == walked == entries):
+        raise RuntimeError(f"store count {counted} diverges from "
                            f"directory walk {walked}")
-    print(f"  [store] count at {entries} entries: manifest "
-          f"{manifest_ms:.2f} ms vs directory walk {walk_ms:.2f} ms")
 
     rounds = 200 if quick else 1_000
 
@@ -306,21 +297,19 @@ def _workload_store(quick: bool):
                 hits += 1
         store.put(f"{entries:064x}", {"ok": True, "metrics": {}})
         if store.stats()["entries"] != entries + 1:
-            raise RuntimeError("indexed stats lost the fresh put")
+            raise RuntimeError("stats lost the fresh put")
         if hits != rounds:
             raise RuntimeError(f"{rounds - hits} unexpected misses")
         return hits
 
-    return run, {"entries": entries, "rounds": rounds,
-                 "manifest_count_ms": round(manifest_ms, 3),
-                 "walk_count_ms": round(walk_ms, 3)}
+    return run, {"entries": entries, "rounds": rounds}
 
 
 def _workload_obs(quick: bool):
     """The ``sweep`` workload under an enabled tracer **with the
     flight recorder streaming every span to an NDJSON log**, plus a
-    one-shot overhead gate in setup: recording must cost < 3% over
-    the untraced sweep, and disabled tracing must stay a plain
+    one-shot overhead gate in setup: recording may cost at most 3%
+    plus 10 ms over the untraced sweep, and disabled tracing must stay a plain
     attribute check.  Uses best-of-N over alternating
     enabled/disabled runs so a background hiccup hits both sides
     equally instead of deciding the verdict."""

@@ -9,8 +9,8 @@ and lease renewal at once.  Three rule families:
   ``async def`` body.  Work handed to ``run_in_executor`` lives in
   a nested ``lambda``/``def`` — a separate scope — so it is never
   flagged (:func:`walk_scope` does not descend).
-* **Store/cache calls**: the artifact store is sqlite-backed, so
-  awaiting-coloured code must route ``store.lookup`` / ``admit`` /
+* **Store/cache calls**: the artifact store reads and writes files,
+  so awaiting-coloured code must route ``store.get`` / ``admit`` /
   ``gc`` / ... through an executor.
 * **Lock-held await**: ``await`` inside a *synchronous* ``with
   something_lock:`` block parks the coroutine while a thread lock
@@ -44,9 +44,9 @@ BLOCKING_CALLS = frozenset({
     "open", "io.open",
 })
 
-#: Store/cache methods backed by sqlite or the filesystem.
+#: Store/cache methods that touch the filesystem.
 STORE_METHODS = frozenset({
-    "lookup", "admit", "gc", "stats", "fsck", "clear", "probe",
+    "get", "put", "admit", "gc", "stats", "fsck", "clear",
     "set_bounds",
 })
 
@@ -97,7 +97,7 @@ class AsyncSafetyChecker(Checker):
                             file, node,
                             f"store call {receiver}."
                             f"{node.func.attr}() inside async def "
-                            f"{func.name}() hits sqlite/disk on "
+                            f"{func.name}() hits the disk on "
                             f"the event loop — route through "
                             f"run_in_executor")
             elif isinstance(node, ast.With):
