@@ -518,45 +518,81 @@ class Graph:
         """Nodes in dependence order (inputs before users).
 
         Raises :class:`GraphError` on a cycle.  Ties are broken by node
-        id so the order is deterministic.  Memoised against
-        :attr:`version` — repeated calls between mutations are O(1);
-        do not mutate the returned list.
+        id so the order is deterministic: it is the order of Kahn's
+        algorithm that always emits the smallest ready id.  Memoised
+        against :attr:`version` — repeated calls between mutations are
+        O(1); do not mutate the returned list.
+
+        Almost every edge points from a smaller id to a larger one, so
+        the ids are scanned in ascending order and each node is
+        emitted as soon as it is reached.  A node with a producer not
+        yet emitted (a larger id, a deferred node or itself) is
+        deferred until its last producer is emitted; the deferred
+        nodes it releases all have ids below the scan position, so
+        emitting them smallest-first before the scan moves on keeps
+        the min-id order without a heap over the whole graph.
         """
         cached = self._topo_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        version = self._version
         nodes = self.nodes
-        indegree: dict[int, int] = {}
-        consumers: dict[int, list[int]] = {}
-        ready: list[int] = []
-        for node_id, node in nodes.items():
-            if not node.inputs:
-                ready.append(node_id)
-                continue
-            unique_producers = {ref[0] for ref in node.inputs}
-            indegree[node_id] = len(unique_producers)
-            for producer_id in unique_producers:
-                waiting = consumers.get(producer_id)
-                if waiting is None:
-                    consumers[producer_id] = [node_id]
-                else:
-                    waiting.append(node_id)
-        heapq.heapify(ready)
+        ids = sorted(nodes)
+        emitted = bytearray(ids[-1] + 1 if ids else 0)
         order: list[Node] = []
-        while ready:
-            node_id = heapq.heappop(ready)
-            order.append(nodes[node_id])
-            for consumer_id in consumers.get(node_id, ()):
-                indegree[consumer_id] -= 1
-                if indegree[consumer_id] == 0:
-                    heapq.heappush(ready, consumer_id)
-        if len(order) != len(self.nodes):
-            scheduled = {node.id for node in order}
-            stuck = sorted(set(self.nodes) - scheduled)
+        append = order.append
+        #: deferred id -> how many of its producers are not emitted
+        missing_count: dict[int, int] = {}
+        #: producer id -> the deferred nodes waiting on it
+        waiting: dict[int, list[int]] = {}
+        for node_id in ids:
+            node = nodes[node_id]
+            missing = None
+            for producer_id, __ in node.inputs:
+                if producer_id >= node_id or not emitted[producer_id]:
+                    if missing is None:
+                        missing = {producer_id}
+                    else:
+                        missing.add(producer_id)
+            if missing is not None:
+                missing_count[node_id] = len(missing)
+                for producer_id in missing:
+                    deferred = waiting.get(producer_id)
+                    if deferred is None:
+                        waiting[producer_id] = [node_id]
+                    else:
+                        deferred.append(node_id)
+                continue
+            append(node)
+            emitted[node_id] = 1
+            if node_id in waiting:
+                self._release(node_id, waiting, missing_count, emitted,
+                              append)
+        if len(order) != len(nodes):
+            stuck = [node_id for node_id in ids if not emitted[node_id]]
             raise GraphError(f"cycle through nodes {stuck}")
-        self._topo_cache = (version, order)
+        self._topo_cache = (self._version, order)
         return order
+
+    def _release(self, node_id: int, waiting: dict[int, list[int]],
+                 missing_count: dict[int, int], emitted: bytearray,
+                 append: Callable[[Node], None]) -> None:
+        """Emit every deferred node that *node_id* (just emitted)
+        makes ready, and transitively what those release, always the
+        smallest ready id first."""
+        ready: list[int] = []
+        released = waiting.pop(node_id)
+        while True:
+            for consumer_id in released:
+                missing_count[consumer_id] -= 1
+                if missing_count[consumer_id] == 0:
+                    heapq.heappush(ready, consumer_id)
+            if not ready:
+                return
+            node_id = heapq.heappop(ready)
+            del missing_count[node_id]
+            append(self.nodes[node_id])
+            emitted[node_id] = 1
+            released = waiting.pop(node_id, ())
 
     def depth(self) -> int:
         """Length (in nodes) of the longest dependence chain."""

@@ -251,9 +251,19 @@ def prepare_graph(graph: Graph, *, simplify: bool = True,
     pristine clone (for verification against the original semantics)
     and the minimised working copy.
     """
-    original = graph.clone()
+    return _prepare_owned(
+        graph.clone(), simplify=simplify, balance=balance, width=width,
+        max_loop_iterations=max_loop_iterations, source=source)
+
+
+def _prepare_owned(original: Graph, *, simplify: bool, balance: bool,
+                   width: int | None, max_loop_iterations: int,
+                   source: str | None) -> Frontend:
+    """:func:`prepare_graph` on a graph no caller holds: *original*
+    becomes the frontend's pristine graph as it is, and only the
+    working copy is cloned."""
     pass_stats = None
-    working = graph.clone()
+    working = original.clone()
     timings: dict[str, float] = {}
     with _stage(timings, "transforms"):
         if simplify:
@@ -280,7 +290,7 @@ def compile_frontend(source: str, *, width: int | None = None,
     parse_timing: dict[str, float] = {}
     with _stage(parse_timing, "parse"):
         graph = build_main_cdfg(source)
-    frontend = prepare_graph(
+    frontend = _prepare_owned(
         graph, simplify=simplify, balance=balance, width=width,
         max_loop_iterations=max_loop_iterations, source=source)
     frontend.timings = {**parse_timing, **frontend.timings}

@@ -25,6 +25,7 @@ may alias anything in that base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.cdfg.graph import Graph, Node, ValueRef
 from repro.cdfg.ops import Address, OpKind
@@ -98,17 +99,58 @@ class DependencyAnalysis(Transform):
     # -- fetch hoisting / forwarding -----------------------------------
 
     def _hoist_and_forward(self, graph: Graph) -> int:
+        #: base -> {state version -> the nearest version at or above
+        #: it not written by a writer with a known base other than
+        #: *base*}.  Hoisting and forwarding rewire only fetch inputs
+        #: and the uses of fetch outputs.  A fetch yields data: it
+        #: never feeds a state port, and at most an address's offset,
+        #: which leaves its base unresolved either way.  So the writer
+        #: chain and every writer's base, and with them every entry,
+        #: hold for the whole walk.
+        self._skips: dict[str, dict[ValueRef, ValueRef]] = {}
         changes = 0
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes or node.kind is not OpKind.FE:
-                continue
-            changes += self._process_fetch(graph, node)
+        nodes = graph.nodes
+        for fetch in graph.find(OpKind.FE):
+            if fetch.id in nodes:
+                changes += self._process_fetch(graph, fetch)
         return changes
+
+    def _skip_other_bases(self, graph: Graph, state_ref: ValueRef,
+                          base: str) -> ValueRef:
+        """Step *state_ref* over every writer whose address has a known
+        base other than *base* (none of them can alias a fetch from
+        *base*), compressing the path it walks."""
+        skips = self._skips.get(base)
+        if skips is None:
+            skips = self._skips[base] = {}
+        nodes = graph.nodes
+        walked = []
+        ref = state_ref
+        while True:
+            target = skips.get(ref)
+            if target is not None:
+                ref = target
+                break
+            writer = nodes[ref[0]]
+            if writer.kind not in _WRITERS:
+                break
+            writer_base = self._resolve(graph, writer.inputs[1]).base
+            if writer_base is None or writer_base == base:
+                break
+            walked.append(ref)
+            ref = writer.inputs[0]
+        for step in walked:
+            skips[step] = ref
+        skips[ref] = ref
+        return ref
 
     def _process_fetch(self, graph: Graph, fetch: Node) -> int:
         address = self._resolve(graph, fetch.inputs[1])
         state_ref = fetch.inputs[0]
         while True:
+            if address.base is not None:
+                state_ref = self._skip_other_bases(graph, state_ref,
+                                                   address.base)
             producer = graph.producer(state_ref)
             if producer.kind not in _WRITERS:
                 break
@@ -135,9 +177,9 @@ class DependencyAnalysis(Transform):
     def _kill_overwritten(self, graph: Graph) -> int:
         changes = 0
         uses = graph.uses()  # live view: always current, no recompute
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes or node.kind not in _WRITERS:
-                continue
+        writers = sorted(graph.find(OpKind.ST) + graph.find(OpKind.DEL),
+                         key=attrgetter("id"))
+        for node in writers:
             consumers = uses.get(node.out(), [])
             if len(consumers) != 1:
                 continue

@@ -9,7 +9,9 @@ construction; the totalised division/shift semantics in
 
 from __future__ import annotations
 
-from repro.cdfg.graph import Graph, Node
+import heapq
+
+from repro.cdfg.graph import Graph, Node, ValueRef
 from repro.cdfg.ops import Address, OpKind, can_eval, eval_op, wrap_value
 from repro.transforms.base import Transform, replace_node
 
@@ -26,6 +28,13 @@ def _addr_value(graph: Graph, ref) -> Address | None:
     if node.kind is OpKind.ADDR:
         return node.value
     return None
+
+
+#: The kinds :meth:`ConstantFolding._fold` can fold: address
+#: arithmetic, selection and every kind with a scalar evaluator.
+_FOLD_KINDS = frozenset(
+    [OpKind.ADDR_ADD, OpKind.MUX]
+    + [kind for kind in OpKind if can_eval(kind)])
 
 
 class ConstantFolding(Transform):
@@ -45,14 +54,37 @@ class ConstantFolding(Transform):
         self.width = width
 
     def run_on(self, graph: Graph) -> int:
+        # Every fold needs a CONST operand (an ADDR_ADD's offset, a
+        # MUX's condition, each operand of a scalar operation), so only
+        # the users of CONST nodes are candidates, plus the users a
+        # fold hands a new operand.  Visiting them in ascending id
+        # order, and queueing a user only when its id is above the
+        # node just folded, rewrites exactly what a visit of every
+        # node in id order would.
+        nodes = graph.nodes
+        uses = graph.uses()
+        queue = sorted({user_id
+                        for const in graph.find(OpKind.CONST)
+                        for user_id, __ in uses.get(const.out(), ())
+                        if nodes[user_id].kind in _FOLD_KINDS})
         changes = 0
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes:
+        visited = -1
+        while queue:
+            node_id = heapq.heappop(queue)
+            if node_id == visited or node_id not in nodes:
                 continue
-            changes += self._fold(graph, node)
+            visited = node_id
+            replacement = self._fold(graph, nodes[node_id])
+            if replacement is None:
+                continue
+            changes += 1
+            for user_id, __ in uses.get(replacement, ()):
+                if user_id > node_id and nodes[user_id].kind in _FOLD_KINDS:
+                    heapq.heappush(queue, user_id)
         return changes
 
-    def _fold(self, graph: Graph, node: Node) -> int:
+    def _fold(self, graph: Graph, node: Node) -> ValueRef | None:
+        """Fold *node* if its operands allow; return what replaced it."""
         kind = node.kind
         # CONST payloads are wrapped on read: a literal like 70000 *is*
         # 4464 on a 16-bit tile, and folding must see what the ALU sees.
@@ -60,36 +92,36 @@ class ConstantFolding(Transform):
             base = _addr_value(graph, node.inputs[0])
             offset = _const_value(graph, node.inputs[1])
             if base is None or offset is None:
-                return 0
+                return None
             folded = graph.addr(base.shifted(wrap_value(offset,
                                                         self.width)))
             replace_node(graph, node, folded.out())
-            return 1
+            return folded.out()
         if kind is OpKind.MUX:
             cond = _const_value(graph, node.inputs[0])
             if cond is None:
-                return 0
+                return None
             cond = wrap_value(cond, self.width)
             chosen = node.inputs[1] if cond != 0 else node.inputs[2]
             graph.replace_uses(node.out(), chosen)
             graph.remove(node.id)
-            return 1
+            return chosen
         if not can_eval(kind) or not node.inputs:
-            return 0
+            return None
         operands = []
         for ref in node.inputs:
             value = _const_value(graph, ref)
             if value is None:
-                return 0
+                return None
             operands.append(wrap_value(value, self.width))
         folded = graph.const(eval_op(kind, *operands, width=self.width))
         replace_node(graph, node, folded.out())
-        return 1
+        return folded.out()
 
 
 #: Every kind :meth:`AlgebraicSimplification._rule` has a rule for;
 #: the rest (fetches, stores, constants: most of an unrolled graph)
-#: are skipped before any operand is looked at.
+#: are skipped before the rule is called.
 _RULE_KINDS = frozenset({
     OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.MOD,
     OpKind.AND, OpKind.OR, OpKind.XOR, OpKind.SHL, OpKind.SHR,
@@ -119,10 +151,10 @@ class AlgebraicSimplification(Transform):
 
     def run_on(self, graph: Graph) -> int:
         changes = 0
+        nodes = graph.nodes
         for node in graph.sorted_nodes():
-            if node.id not in graph.nodes:
-                continue
-            changes += self._simplify(graph, node)
+            if node.kind in _RULE_KINDS and node.id in nodes:
+                changes += self._simplify(graph, node)
         return changes
 
     # The table below returns either None (no rule), a ValueRef to
@@ -141,8 +173,6 @@ class AlgebraicSimplification(Transform):
 
     def _rule(self, graph: Graph, node: Node):
         kind = node.kind
-        if kind not in _RULE_KINDS:
-            return None
         inputs = node.inputs
         if len(inputs) == 2:
             lhs, rhs = inputs

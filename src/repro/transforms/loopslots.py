@@ -44,10 +44,9 @@ class PruneLoopSlots(Transform):
     def run_on(self, graph: Graph) -> int:
         changes = 0
         uses = graph.uses()  # live view: stays current across prunes
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes or node.kind is not OpKind.LOOP:
-                continue
-            changes += self._prune(graph, node, uses)
+        for loop in graph.find(OpKind.LOOP):
+            if loop.id in graph.nodes:
+                changes += self._prune(graph, loop, uses)
         return changes
 
     def _prune(self, graph: Graph, loop: Node, uses) -> int:

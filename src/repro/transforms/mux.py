@@ -42,10 +42,9 @@ class BranchToMux(Transform):
 
     def run_on(self, graph: Graph) -> int:
         changes = 0
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes or node.kind is not OpKind.BRANCH:
-                continue
-            changes += self._convert(graph, node)
+        for branch in graph.find(OpKind.BRANCH):
+            if branch.id in graph.nodes:
+                changes += self._convert(graph, branch)
         return changes
 
     # -- one branch -----------------------------------------------------

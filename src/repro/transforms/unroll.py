@@ -22,6 +22,14 @@ in this run, keyed on ``(kind, type(value), value)``.  CSE would merge
 the duplicates anyway, keeping the first, so the minimised graph is
 the same; the frontend just creates less than half as many nodes.
 
+Each loop's body is classified once, into a splice plan
+(:class:`_SplicePlan`), before its first iteration is copied: which
+nodes are carried inputs, which are constants (resolved on first use
+and reused by every later iteration), which may fold and with what
+scalar function, and which are copied as they are because none of
+their operands can ever be a constant.  An iteration then costs one
+cheap step per body node.
+
 If the condition stops being statically evaluable after *k* successful
 iterations, the *k* iterations stay spliced and the loop node remains
 with updated initial values — that is correct *loop peeling*
@@ -33,7 +41,8 @@ The same applies when ``max_iterations`` is hit.
 from __future__ import annotations
 
 from repro.cdfg.graph import COND_SLOT, Graph, Node, ValueRef
-from repro.cdfg.ops import Address, OpKind, can_eval, eval_op, wrap_value
+from repro.cdfg.ops import (Address, OpKind, can_eval, eval_op,
+                            scalar_function, wrap_value)
 from repro.transforms.base import Transform
 
 
@@ -59,10 +68,9 @@ class UnrollLoops(Transform):
         #: already emitted into *graph*; nothing here removes them.
         self._emitted: dict[tuple, ValueRef] = {}
         changes = 0
-        for node in graph.sorted_nodes():
-            if node.id not in graph.nodes or node.kind is not OpKind.LOOP:
-                continue
-            changes += self._unroll(graph, node)
+        for loop in graph.find(OpKind.LOOP):
+            if loop.id in graph.nodes:
+                changes += self._unroll(graph, loop)
         return changes
 
     # -- one loop ------------------------------------------------------
@@ -72,6 +80,7 @@ class UnrollLoops(Transform):
         body = loop.bodies[0]
         outputs = Graph.body_outputs(body)
         refs: dict[str, ValueRef] = dict(zip(names, loop.inputs))
+        plan = None
         spliced = 0
         while spliced < self.max_iterations:
             condition = self._eval_condition(graph, body, outputs, refs)
@@ -82,7 +91,9 @@ class UnrollLoops(Transform):
                     graph.replace_uses(loop.out(index), refs[name])
                 graph.remove(loop.id)
                 return spliced + 1
-            refs = self._splice_iteration(graph, body, outputs, refs)
+            if plan is None:
+                plan = _SplicePlan(body, outputs)
+            refs = self._splice_iteration(graph, plan, refs)
             spliced += 1
         if spliced:
             # Peeled a prefix; the residual loop restarts from the
@@ -156,40 +167,63 @@ class UnrollLoops(Transform):
 
     # -- splicing -----------------------------------------------------------
 
-    def _splice_iteration(self, graph: Graph, body: Graph, outputs: dict,
+    def _splice_iteration(self, graph: Graph, plan: _SplicePlan,
                           refs: dict[str, ValueRef]) -> dict[str, ValueRef]:
         """Copy one body iteration into *graph*; return next refs."""
-        mapping: dict[ValueRef, ValueRef] = {}
-        for node in body.topo_order():
-            kind = node.kind
-            if kind is OpKind.INPUT:
-                mapping[(node.id, 0)] = refs[node.value]
+        nodes = graph.nodes
+        add = graph.add
+        width = self.width
+        constants = plan.constants
+        #: one entry per body output, in the plan's slot numbering
+        values: list[ValueRef] = []
+        push = values.append
+        for step in plan.steps:
+            code = step[0]
+            if code == _CONSTANT:
+                index = step[1]
+                ref = constants[index]
+                if ref is None:
+                    ref = constants[index] = self._constant(
+                        graph, step[2], step[3], step[4])
+                push(ref)
                 continue
-            if kind is OpKind.OUTPUT:
+            if code == _INPUT:
+                push(refs[step[1]])
                 continue
-            if kind is OpKind.CONST or kind is OpKind.ADDR:
-                mapping[(node.id, 0)] = self._constant(
-                    graph, kind, node.value, node.name)
-                continue
-            inputs = [mapping[ref] for ref in node.inputs]
-            folded = self._emit_folded(graph, node, inputs)
-            if folded is not None:
-                mapping[(node.id, 0)] = folded
-                continue
-            copied = graph.add(
-                kind, inputs, node.value, node.name,
-                tuple(b.clone() for b in node.bodies),
-                node.n_outputs)
-            for index in range(node.n_outputs):
-                mapping[(node.id, index)] = (copied.id, index)
-        next_refs: dict[str, ValueRef] = {}
-        for name in refs:
-            output_node = outputs.get(name)
-            if output_node is None:
-                next_refs[name] = refs[name]
+            node = step[1]
+            inputs = [values[slot] for slot in step[2]]
+            if code == _FOLD:
+                operands = []
+                for ref in inputs:
+                    producer = nodes[ref[0]]
+                    if producer.kind is not OpKind.CONST:
+                        break
+                    operands.append(producer.value)
+                else:
+                    push(self._constant(
+                        graph, OpKind.CONST,
+                        wrap_value(step[3](*operands), width)))
+                    continue
+            elif code == _FOLD_ADDRESS:
+                base = nodes[inputs[0][0]]
+                offset = nodes[inputs[1][0]]
+                if base.kind is OpKind.ADDR and \
+                        offset.kind is OpKind.CONST:
+                    push(self._constant(graph, OpKind.ADDR,
+                                        base.value.shifted(offset.value)))
+                    continue
+            copied = add(node.kind, inputs, node.value, node.name,
+                         node.bodies and tuple(body.clone()
+                                               for body in node.bodies),
+                         node.n_outputs).id
+            if node.n_outputs == 1:
+                push((copied, 0))
             else:
-                next_refs[name] = mapping[output_node.inputs[0]]
-        return next_refs
+                values.extend((copied, index)
+                              for index in range(node.n_outputs))
+        next_slot = plan.next_slot
+        return {name: values[next_slot[name]] if name in next_slot
+                else refs[name] for name in refs}
 
     def _constant(self, graph: Graph, kind: OpKind, value,
                   name: str | None = None) -> ValueRef:
@@ -202,25 +236,75 @@ class UnrollLoops(Transform):
             self._emitted[key] = ref
         return ref
 
-    def _emit_folded(self, graph: Graph, node: Node,
-                     inputs: list[ValueRef]) -> ValueRef | None:
-        """Fold-on-copy: emit a CONST/ADDR instead of copying when all
-        operands are already constant in the parent graph."""
-        if node.kind is OpKind.ADDR_ADD:
-            base = graph.producer(inputs[0])
-            offset = graph.producer(inputs[1])
-            if base.kind is OpKind.ADDR and offset.kind is OpKind.CONST:
-                return self._constant(graph, OpKind.ADDR,
-                                      base.value.shifted(offset.value))
-            return None
-        if not can_eval(node.kind) or not inputs:
-            return None
-        operands = []
-        for ref in inputs:
-            producer = graph.producer(ref)
-            if producer.kind is not OpKind.CONST:
-                return None
-            operands.append(producer.value)
-        return self._constant(graph, OpKind.CONST,
-                              eval_op(node.kind, *operands,
-                                      width=self.width))
+
+#: Splice plan step codes.
+_INPUT, _CONSTANT, _COPY, _FOLD, _FOLD_ADDRESS = range(5)
+
+
+class _SplicePlan:
+    """One loop body, classified once for all of its iterations.
+
+    ``steps`` follows the body's ``topo_order`` (OUTPUT markers left
+    out), one tuple per node:
+
+    * ``(_INPUT, slot_name)`` — the current carried reference;
+    * ``(_CONSTANT, index, kind, value, name)`` — a body CONST/ADDR,
+      resolved through :meth:`UnrollLoops._constant` at its first use
+      (so emitted node ids follow the same order as a node-by-node
+      copy) and kept in ``constants[index]`` for later iterations;
+    * ``(_FOLD, node, operand_slots, function)`` — a scalar operation
+      that folds when every operand is a CONST;
+    * ``(_FOLD_ADDRESS, node, operand_slots)`` — an ``ADDR_ADD`` that
+      folds on a constant address and a constant offset;
+    * ``(_COPY, node, operand_slots)`` — copied as is: no operand can
+      ever be a constant of the kind the fold needs, or the kind has
+      no evaluator.
+
+    Each step defines the next ``n_outputs`` entries of an iteration's
+    value list; ``operand_slots`` index into it.
+    """
+
+    def __init__(self, body: Graph, outputs: dict):
+        slots: dict[ValueRef, int] = {}
+        #: per slot: can it hold a CONST, can it hold an ADDR?
+        may_const: list[bool] = []
+        may_address: list[bool] = []
+        self.steps: list[tuple] = []
+        self.constants: list[ValueRef | None] = []
+        for node in body.topo_order():
+            kind = node.kind
+            if kind is OpKind.OUTPUT:
+                continue
+            if kind is OpKind.INPUT:
+                step = (_INPUT, node.value)
+                const, address = True, True
+            elif kind is OpKind.CONST or kind is OpKind.ADDR:
+                step = (_CONSTANT, len(self.constants), kind, node.value,
+                        node.name)
+                self.constants.append(None)
+                const, address = kind is OpKind.CONST, kind is OpKind.ADDR
+            else:
+                operands = [slots[ref] for ref in node.inputs]
+                function = scalar_function(kind)
+                const = address = False
+                if kind is OpKind.ADDR_ADD:
+                    address = may_address[operands[0]] and \
+                        may_const[operands[1]]
+                    step = (_FOLD_ADDRESS if address else _COPY, node,
+                            operands)
+                elif function is not None and operands and all(
+                        may_const[slot] for slot in operands):
+                    const = True
+                    step = (_FOLD, node, operands, function)
+                else:
+                    step = (_COPY, node, operands)
+            self.steps.append(step)
+            for index in range(node.n_outputs):
+                slots[(node.id, index)] = len(may_const)
+                may_const.append(const)
+                may_address.append(address)
+        #: carried name -> the slot its next value comes from (a name
+        #: with no OUTPUT keeps its current reference)
+        self.next_slot: dict[str, int] = {
+            name: slots[output.inputs[0]]
+            for name, output in outputs.items() if name != COND_SLOT}

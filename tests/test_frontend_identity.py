@@ -6,7 +6,9 @@ kernel and per (width, balance) configuration, the sha256 of a
 canonical dump of ``frontend.minimised`` (node ids renumbered by rank,
 so only the graph's shape and payloads count) together with the
 simplification pass counts, and the ``mapping_metrics`` of the 15
-kernels and 100 random programs on three tiles.  A speed-up of the
+kernels and 100 random programs on three tiles.  Four large scaled
+kernels (``LARGE``: 200 or more tasks each, where simplification costs
+the most) are pinned the same way as the suite kernels.  A speed-up of the
 transforms must leave all of it unchanged.  The one count excluded is
 CSE's: it depends on how many duplicates the earlier passes create,
 not on the graph they leave.
@@ -27,7 +29,9 @@ import pytest
 from repro.arch.params import TileParams
 from repro.cdfg.graph import Graph
 from repro.core.pipeline import compile_frontend, map_frontend
-from repro.eval.kernels import KERNELS
+from repro.eval.kernels import (KERNELS, convolution_source,
+                                correlation_source, fir_source,
+                                matmul_source)
 from repro.eval.metrics import mapping_metrics
 from repro.transforms.cse import CommonSubexpressionElimination
 
@@ -43,6 +47,14 @@ TILES = {
     "2pp-3bus": TileParams(n_pps=2, n_buses=3),
 }
 RANDOM_SEEDS = range(100)
+
+#: Scaled kernels the size of ``kernel_suite``'s largest programs.
+LARGE = {
+    "fir104": fir_source(104),
+    "matmul5": matmul_source(5),
+    "corr32": correlation_source(32, 4),
+    "conv64": convolution_source(64, 3),
+}
 
 _CSE = CommonSubexpressionElimination.name
 
@@ -84,13 +96,19 @@ def config_label(width, balance: bool) -> str:
     return f"width={width},balance={int(balance)}"
 
 
+def frontend_records(source: str) -> dict:
+    return {config_label(width, balance):
+            frontend_record(source, width, balance)
+            for width in WIDTHS for balance in BALANCE}
+
+
 def generate() -> dict:
     return {
         "frontends": {
-            kernel.name: {config_label(width, balance):
-                          frontend_record(kernel.source, width, balance)
-                          for width in WIDTHS for balance in BALANCE}
-            for kernel in KERNELS},
+            **{kernel.name: frontend_records(kernel.source)
+               for kernel in KERNELS},
+            **{name: frontend_records(source)
+               for name, source in LARGE.items()}},
         "metrics": {
             **{kernel.name: metrics_record(kernel.source)
                for kernel in KERNELS},
@@ -112,6 +130,11 @@ def test_minimised_cdfg_and_pass_counts_match_golden(kernel, golden):
             label = config_label(width, balance)
             assert frontend_record(kernel.source, width, balance) == \
                 expected[label], f"{kernel.name} {label}"
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_large_kernel_cdfg_and_pass_counts_match_golden(name, golden):
+    assert frontend_records(LARGE[name]) == golden["frontends"][name], name
 
 
 def test_kernel_metrics_match_golden(golden):

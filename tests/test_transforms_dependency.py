@@ -164,3 +164,46 @@ class TestFigureThreeProperty:
         ss_in = graph.sole(OpKind.SS_IN)
         for fetch in graph.find(OpKind.FE):
             assert fetch.inputs[0] == ss_in.out()
+
+
+class _CountingNodes(dict):
+    """A node table that counts its lookups (``[]`` and ``get``)."""
+
+    lookups = 0
+
+    def __getitem__(self, node_id):
+        self.lookups += 1
+        return super().__getitem__(node_id)
+
+    def get(self, node_id, default=None):
+        self.lookups += 1
+        return super().get(node_id, default)
+
+
+def _hoisting_lookups(n: int) -> int:
+    """Node lookups of one dependency-analysis run over *n* stores to
+    ``a`` followed by *n* fetches from ``b``, each accumulated into
+    ``s``: every fetch is hoisted over all *n* stores and every earlier
+    store to ``s``."""
+    stores = " ".join(f"a[{index}] = {index};" for index in range(n))
+    fetches = " ".join(f"s = s + b[{index}];" for index in range(n))
+    graph = build(stores + " " + fetches)
+    graph.nodes = _CountingNodes(graph.nodes)
+    DependencyAnalysis().run(graph)
+    lookups = graph.nodes.lookups
+    ss_in = graph.sole(OpKind.SS_IN).out()
+    for fetch in graph.find(OpKind.FE):
+        if resolve_address(graph, fetch.inputs[1]).base == "b":
+            assert fetch.inputs[0] == ss_in
+    return lookups
+
+
+class TestHoistingWork:
+    """Hoisting a fetch over writers to other arrays costs O(1) per
+    writer once per run, not once per fetch: the work grows linearly
+    with the program, where a walk per fetch grows quadratically."""
+
+    def test_node_lookups_grow_linearly(self):
+        small, large = _hoisting_lookups(50), _hoisting_lookups(200)
+        # 4x the program: linear work reads ~4x, a walk per fetch ~16x.
+        assert large <= 5 * small, (small, large)
