@@ -14,6 +14,7 @@ import asyncio
 import concurrent.futures
 import json
 import threading
+import time
 
 import pytest
 
@@ -330,12 +331,10 @@ def test_validation_400_from_a_real_daemon_is_fatal():
     assert "bogus" in str(info.value)
 
 
-def test_queue_full_503_carries_retry_after(monkeypatch):
-    """Overload is plain HTTP: with the one worker held and the one
-    queue slot taken, the next submit is a 503 whose ``Retry-After``
-    header says when to come back."""
-    import http.client
-
+@pytest.fixture
+def held_worker(monkeypatch):
+    """Hold every map job on its worker until ``release`` is set;
+    ``running`` is set when the first one starts."""
     from repro.service import daemon as daemon_module
 
     running, release = threading.Event(), threading.Event()
@@ -347,22 +346,33 @@ def test_queue_full_503_carries_retry_after(monkeypatch):
         return run_map_job(*args)
 
     monkeypatch.setattr(daemon_module, "run_map_job", held_map_job)
+    yield running, release
+    release.set()
 
-    def request(pps):
-        return {"kind": "map", "source": FIR_SOURCE, "pps": pps}
 
+def _map_request(pps):
+    return {"kind": "map", "source": FIR_SOURCE, "pps": pps}
+
+
+def test_queue_full_503_carries_retry_after(held_worker):
+    """Overload is plain HTTP: with the one worker held and the one
+    queue slot taken, the next submit is a 503 whose ``Retry-After``
+    header says when to come back."""
+    import http.client
+
+    running, release = held_worker
     with ServiceThread(workers=1, max_queue=1) as daemon:
         try:
             client = ServiceClient(*daemon.address)
-            client.submit(request(1))  # runs, held on the worker
+            client.submit(_map_request(1))  # runs, held on the worker
             assert running.wait(timeout=30), "the worker never started"
-            client.submit(request(2))  # takes the one queue slot
+            client.submit(_map_request(2))  # takes the one queue slot
             connection = http.client.HTTPConnection(*daemon.address,
                                                     timeout=30)
             try:
                 connection.request(
                     "POST", "/jobs",
-                    body=json.dumps(request(3)).encode("utf-8"),
+                    body=json.dumps(_map_request(3)).encode("utf-8"),
                     headers={"Content-Type": "application/json"})
                 response = connection.getresponse()
                 body = json.loads(response.read().decode("utf-8"))
@@ -466,6 +476,61 @@ def test_cli_jobs_follow_streams_events(daemon, tmp_path, capsys):
     lines = [json.loads(line) for line
              in capsys.readouterr().out.splitlines() if line]
     assert lines[-1]["event"] == "done"
+
+
+def test_cli_serve_max_queue_refuses_submits_beyond_it(held_worker,
+                                                       tmp_path, capsys):
+    """``serve --max-queue 1``: with the one worker held and the one
+    queue slot taken, ``submit`` exits with the daemon's 503."""
+    running, release = held_worker
+    exit_codes = []
+    server = threading.Thread(target=lambda: exit_codes.append(main([
+        "serve", "--port", "0", "--workers", "1",
+        "--worker-mode", "thread", "--max-queue", "1",
+        "--store", str(tmp_path / "store")])), daemon=True)
+    server.start()
+    out, deadline = "", time.monotonic() + 30
+    while "listening on http://" not in out:
+        assert time.monotonic() < deadline, f"serve never listened: {out}"
+        time.sleep(0.05)
+        out += capsys.readouterr().out
+    host, port = out.split("http://")[1].split()[0].rsplit(":", 1)
+    client = ServiceClient(host, int(port))
+    source_path = tmp_path / "fir.c"
+    source_path.write_text(FIR_SOURCE)
+    try:
+        client.submit(_map_request(1))  # runs, held on the worker
+        assert running.wait(timeout=30), "the worker never started"
+        client.submit(_map_request(2))  # takes the one queue slot
+        with pytest.raises(SystemExit, match="queue depth 1 reached"):
+            main(["submit", str(source_path), "--host", host,
+                  "--port", port, "--pps", "3"])
+    finally:
+        release.set()
+        client.shutdown()
+        server.join(timeout=60)
+    assert exit_codes == [0]
+
+
+def test_cli_submit_timeout_gives_up_on_a_running_job(held_worker,
+                                                      tmp_path):
+    """``submit --timeout S`` stops waiting after S seconds and exits
+    with an error naming the job that is still running."""
+    running, release = held_worker
+    source_path = tmp_path / "fir.c"
+    source_path.write_text(FIR_SOURCE)
+    with ServiceThread(workers=1) as daemon:
+        host, port = daemon.address
+        try:
+            started = time.monotonic()
+            with pytest.raises(SystemExit,
+                               match="still running after 0.3s"):
+                main(["submit", str(source_path), "--host", host,
+                      "--port", str(port), "--timeout", "0.3"])
+            assert time.monotonic() - started < 10
+            assert running.is_set()
+        finally:
+            release.set()
 
 
 def test_cli_submit_unreachable_daemon_is_a_clean_error(tmp_path):
