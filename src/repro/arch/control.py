@@ -29,7 +29,7 @@ allocator and the simulator):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from repro.arch.params import TileParams
 from repro.arch.templates import ClusterShape
@@ -164,11 +164,6 @@ class TileProgram:
             return 0.0
         used = sum(len(cycle.alu_configs) for cycle in self.cycles)
         return used / (self.params.n_pps * len(self.cycles))
-
-    def iter_moves(self) -> Iterator[tuple[int, Move]]:
-        for index, cycle in enumerate(self.cycles):
-            for move in cycle.moves:
-                yield index, move
 
     def listing(self) -> str:
         """Human-readable per-cycle program listing."""

@@ -165,10 +165,6 @@ class TileArrayParams:
 
     # -- derived ------------------------------------------------------
 
-    def transfer_latency(self, src: int, dst: int) -> int:
-        """Scheduling steps a word is in flight from *src* to *dst*."""
-        return self.hop_distance(src, dst) * self.hop_latency
-
     def transfer_energy(self, src: int, dst: int) -> float:
         """Energy units one word costs from *src* to *dst*."""
         return self.hop_distance(src, dst) * self.hop_energy

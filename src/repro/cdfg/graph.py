@@ -604,16 +604,6 @@ class Graph:
 
     # -- compound-node helpers ------------------------------------------
 
-    def loop_body(self, node: Node) -> "Graph":
-        if node.kind is not OpKind.LOOP:
-            raise GraphError(f"node {node.id} is not a LOOP")
-        return node.bodies[0]
-
-    def branch_bodies(self, node: Node) -> tuple["Graph", "Graph"]:
-        if node.kind is not OpKind.BRANCH:
-            raise GraphError(f"node {node.id} is not a BRANCH")
-        return node.bodies[0], node.bodies[1]
-
     @staticmethod
     def body_inputs(body: "Graph") -> dict[Any, Node]:
         """Map INPUT slot -> node for a compound body graph."""

@@ -638,8 +638,7 @@ def _check_objectives(objectives: list[str], space) -> None:
     """Reject unresolvable objective names *before* the sweep runs —
     a typo must not surface as a crash after minutes of mapping.
     The resolvability rule lives in
-    :func:`repro.dse.space.allowed_objectives` (shared with the
-    service daemon's request validation)."""
+    :func:`repro.dse.space.allowed_objectives`."""
     from repro.dse.space import allowed_objectives
 
     if not objectives:

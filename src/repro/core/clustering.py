@@ -61,10 +61,6 @@ class Cluster:
     operands: list[Operand] = field(default_factory=list)
 
     @property
-    def root_task_id(self) -> int:
-        return self.task_ids[0]
-
-    @property
     def n_ops(self) -> int:
         return len(self.ops)
 
@@ -148,12 +144,6 @@ class ClusterGraph:
 
 def _task_operand_count(task: Task) -> int:
     return len(task.operands)
-
-
-def _remap_operand(operand: Operand, cluster_of_root: dict[int, int]
-                   ) -> Operand:
-    """Task operands keep the task id; owners map them to clusters."""
-    return operand
 
 
 def cluster_tasks(taskgraph: TaskGraph,

@@ -77,9 +77,6 @@ class Schedule:
     def level_of(self, cluster_id: int) -> int:
         return self.placement[cluster_id].level
 
-    def pp_of(self, cluster_id: int) -> int:
-        return self.placement[cluster_id].pp
-
     def utilisation(self, n_pps: int) -> float:
         if not self.levels:
             return 0.0

@@ -25,12 +25,10 @@ nanosecond time, so the order a later scan reads back never depends
 on the filesystem's timestamp granularity.
 
 Another handle's writes to the same directory are seen at the next
-scan (:meth:`invalidate_count`, :meth:`fsck`).  A handle given a
-``changes`` journal records its own writes and removals, which an
-owner folds into its index with :meth:`absorb` instead of rescanning
-— the service daemon does this with its workers' writes.  Files at
-the root beside the shard directories (a trace log, an older
-release's index database) are ignored.
+scan (:meth:`invalidate_count`, :meth:`fsck`); the service daemon's
+handle never needs one, because it is its store's only writer.
+Files at the root beside the shard directories (a trace log, an
+older release's index database) are ignored.
 
 Bounds
 ------
@@ -110,6 +108,33 @@ def _scan(root: pathlib.Path) -> list[tuple[int, str, int]]:
     return rows
 
 
+# Plain descriptor I/O, not file objects: a file object adds fstat,
+# isatty and seek calls, and each system call is a release and
+# reacquire of the GIL for the service daemon, which does every store
+# read and write next to its request handling.
+
+def _read_file(path: pathlib.Path) -> bytes:
+    """The whole content of the file at *path*."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(descriptor, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(descriptor)
+    return b"".join(chunks)
+
+
+def _write_file(descriptor: int, payload: bytes) -> None:
+    """Write all of *payload* to *descriptor*, then close it."""
+    try:
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(descriptor, view):]
+    finally:
+        os.close(descriptor)
+
+
 class ResultCache:
     """A directory of memoised sweep records, keyed by content hash,
     with a per-handle in-memory index and optional LRU bounds."""
@@ -122,9 +147,6 @@ class ResultCache:
         self.max_bytes = max_bytes
         self.evictions = 0          #: records removed by the bounds
         self.put_errors = 0         #: writes degraded to no-ops
-        #: When a dict: key -> size of every record this handle wrote,
-        #: or None for one it removed — see :meth:`absorb`.
-        self.changes: dict[str, int | None] | None = None
         #: key -> size, least recently used first; None until the
         #: first scan (:meth:`_index`).
         self._entries: dict[str, int] | None = None
@@ -152,8 +174,6 @@ class ResultCache:
             if size is not None:
                 self._entries[key] = size
                 self._bytes += size
-        if self.changes is not None:
-            self.changes[key] = size
 
     def _stamp(self, path: pathlib.Path) -> None:
         """Persist *path*'s recency as its mtime: a nanosecond stamp,
@@ -168,13 +188,6 @@ class ResultCache:
             os.utime(path, ns=(stamp, stamp))
         except OSError:
             pass
-
-    def absorb(self, changes: Mapping[str, int | None]) -> None:
-        """Fold another handle's ``changes`` journal on this directory
-        into this handle's index, without a rescan."""
-        with self._lock:
-            for key, size in changes.items():
-                self._note(key, size)
 
     def invalidate_count(self) -> None:
         """Forget the index; the next use rescans the directory.  For
@@ -201,13 +214,12 @@ class ResultCache:
         daemon share).  A corrupt or truncated entry (a crashed
         foreign process, a full disk, manual editing) is *deleted*,
         not just skipped: the store is shared by every sweep and
-        service worker, and a bad file must not be re-parsed — or
+        daemon, and a bad file must not be re-parsed — or
         re-reported — on every later lookup.
         """
         path = self.path_for(key)
         try:
-            with open(path, encoding="utf-8") as handle:
-                record = json.loads(handle.read())
+            record = json.loads(_read_file(path))
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
@@ -253,11 +265,14 @@ class ResultCache:
         for attempt in (1, 2):
             temp_name = None
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                descriptor, temp_name = tempfile.mkstemp(
-                    dir=path.parent, suffix=".tmp")
-                with os.fdopen(descriptor, "wb") as handle:
-                    handle.write(payload)
+                try:
+                    descriptor, temp_name = tempfile.mkstemp(
+                        dir=path.parent, suffix=".tmp")
+                except FileNotFoundError:  # a new shard
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    descriptor, temp_name = tempfile.mkstemp(
+                        dir=path.parent, suffix=".tmp")
+                _write_file(descriptor, payload)
                 os.replace(temp_name, path)
                 break
             except OSError:
@@ -266,8 +281,8 @@ class ResultCache:
                         os.unlink(temp_name)
                     except OSError:
                         pass
-                # One retry covers a shard directory removed between
-                # mkdir and mkstemp by a concurrent evict/clear.
+                # One retry covers a shard directory removed by a
+                # concurrent evict/clear before the rename.
                 if attempt == 2:
                     self.put_errors += 1
                     return False

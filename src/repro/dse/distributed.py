@@ -10,10 +10,10 @@ runs in this order:
 2. one ``GET /stats`` probe for the daemon's worker count;
 3. the pending points are split into *chunks* and leased as the
    service's ``sweep-chunk`` jobs, on ``min(workers,
-   MAX_LEASES_PER_DAEMON)`` lanes sharing one queue.  The daemon runs
-   each chunk through its worker pool against its artifact store, so
-   a point the store already holds is a store read there, not a
-   re-map;
+   MAX_LEASES_PER_DAEMON)`` lanes sharing one queue.  The daemon
+   does each chunk's cache pass against its artifact store and maps
+   only the missing points on its worker pool, so a point the store
+   already holds is a store read there, not a re-map;
 4. every record is written back to the coordinator's cache as its
    chunk merges;
 5. a chunk whose lease fails, and every chunk not yet leased by then,

@@ -290,7 +290,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
               workers: int | None = None, cache=None,
               cache_max_entries: int | None = None,
               cache_max_bytes: int | None = None,
-              chunksize: int | None = None,
               verify_seed: int | None = None,
               frontends: Mapping[FrontendSpec, Frontend] | None = None,
               remotes: str | Sequence[str] | None = None,
@@ -310,9 +309,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         (LRU eviction, see ``docs/store.md``); the sweep's *result*
         is unaffected by the bound — only which records survive on
         disk afterwards.
-    chunksize:
-        Points per pool task (default: balanced for ~4 chunks per
-        worker).
     verify_seed:
         When set, every mapping is verified against the interpreter.
         The seed is deliberately not part of the cache key — the flow
@@ -322,10 +318,9 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
     frontends:
         Optional pre-compiled frontends for *source*, keyed by
         :func:`frontend_spec`, seeding the sweep's own sharing (the
-        service daemon passes its warm frontend memo here so an
-        exploration job never recompiles a frontend a mapping job
-        already paid for).  Determinism makes this purely a speed
-        knob.
+        service daemon passes its warm frontend memo here so a sweep
+        chunk never recompiles a frontend a mapping job already paid
+        for).  Determinism makes this purely a speed knob.
     remotes:
         One ``fpfa-map serve`` daemon address to run the sweep on;
         delegates to
@@ -347,8 +342,7 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
     with trace.span("dse.sweep") as sweep_span:
         result = _run_local_sweep(
             source, points, workers=workers, cache=cache,
-            chunksize=chunksize, verify_seed=verify_seed,
-            frontends=frontends)
+            verify_seed=verify_seed, frontends=frontends)
         sweep_span.note(points=result.stats.total,
                         cached=result.stats.cached,
                         evaluated=result.stats.evaluated,
@@ -358,7 +352,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
 
 def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                      workers: int | None, cache,
-                     chunksize: int | None,
                      verify_seed: int | None,
                      frontends: Mapping[FrontendSpec, Frontend] | None
                      ) -> SweepResult:
@@ -409,8 +402,7 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
             jobs = [(key, key_points[key].to_dict(), verify_seed,
                      specs[key])
                     for key in pending]
-            if chunksize is None:
-                chunksize = max(1, len(jobs) // (workers * 4))
+            chunksize = max(1, len(jobs) // (workers * 4))
             context = multiprocessing.get_context(
                 "fork" if "fork" in
                 multiprocessing.get_all_start_methods() else None)
@@ -488,21 +480,19 @@ def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
     """Evaluate one chunk of points; records keyed by cache key.
 
     The unit a distributed sweep leases to a daemon (the service's
-    ``sweep-chunk`` job kind runs exactly this): a plain
+    ``sweep-chunk`` job kind runs this, with no cache, over the
+    points the daemon's store did not hold): a plain
     :func:`run_sweep` over the chunk — same cache rules, same record
     producer, so a chunk's records are bit-identical to the ones a
-    local sweep would mint, and they land in *cache* (the daemon's
-    artifact store) under the shared keys.  Runs in-process
-    (``workers=1``): on a daemon, the worker pool above is the
-    parallelism, and chunks from one sweep spread across it.
+    local sweep would mint.  Runs in-process (``workers=1``): on a
+    daemon, the worker pool above is the parallelism, and chunks
+    from one sweep spread across it.
 
-    Returns ``(records_by_key, stats)``; the stats tell the
-    coordinator how much of the chunk was already in the remote
-    store.
+    Returns ``(records_by_key, stats)``.
     """
     with trace.span("dse.chunk") as chunk_span:
         result = _run_local_sweep(source, list(points), workers=1,
-                                  cache=cache, chunksize=None,
+                                  cache=cache,
                                   verify_seed=verify_seed,
                                   frontends=frontends)
         chunk_span.note(points=result.stats.total,

@@ -283,9 +283,8 @@ def allowed_objectives(space: "DesignSpace") -> set[str]:
     fields only when the space sweeps them (records carry swept
     dimensions in their config); multi-tile metrics and numeric array
     fields only when the space has an array dimension (``topology``
-    is categorical — it cannot be minimised).  The CLI and the
-    service validate objectives against this one rule, so a typo is
-    rejected the same way at both front doors.
+    is categorical — it cannot be minimised).  ``fpfa-map explore``
+    validates objectives against this rule before a sweep runs.
     """
     # Local import: eval.metrics sits above the core pipeline and
     # must stay importable without repro.dse.

@@ -64,10 +64,6 @@ class Parser:
     def _current(self) -> Token:
         return self._tokens[self._index]
 
-    def _peek(self, offset: int = 1) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _advance(self) -> Token:
         token = self._current
         if token.kind is not TokenKind.EOF:

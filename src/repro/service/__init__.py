@@ -8,7 +8,7 @@ daemon: jobs arrive over a small JSON-over-HTTP protocol, run on a
 persistent worker pool that memoises compiled frontends, and land in
 a content-addressed artifact store that shares its on-disk format —
 and its keys — with :class:`repro.dse.cache.ResultCache`, so mapping
-jobs, exploration jobs and offline sweeps all feed one store.
+jobs, distributed sweep chunks and offline sweeps all feed one store.
 
 Modules
 -------

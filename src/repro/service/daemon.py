@@ -11,14 +11,14 @@ One process, three moving parts:
 * a **frontend memo**: compiled frontends keyed by
   (source digest, width, simplify, balance).  Compilation happens at
   most once per key — concurrent jobs needing the same frontend
-  await one shared compile task — and the memo seeds exploration
-  sweeps too, so a warm daemon never re-parses a source it has seen.
+  await one shared compile task — and the memo seeds sweep chunks
+  too, so a warm daemon never re-parses a source it has seen.
 
 Endpoints (see ``docs/service.md`` for the full reference)::
 
     GET  /healthz            liveness + uptime
     GET  /stats              queue / store / worker / service counters
-    POST /jobs               submit one job (map or explore)
+    POST /jobs               submit one job (map or sweep-chunk)
     GET  /jobs               list jobs (?state= filter)
     GET  /jobs/<id>          one job (?wait=SECONDS long-polls)
     GET  /jobs/<id>/events   NDJSON progress stream until terminal
@@ -34,6 +34,9 @@ Invariants
 * Exactly one backend run per coalesce key: duplicate in-flight
   submissions join the running job, and finished work is served from
   the artifact store without touching the pool.
+* The daemon's :class:`~repro.service.store.ArtifactStore` handle is
+  the only code that reads or writes its store, for every job kind:
+  workers get sources and points and return records.
 * The daemon binds loopback by default and speaks an unauthenticated
   protocol — it is an internal building block, not an internet-facing
   server; put a real proxy in front for anything shared.
@@ -42,6 +45,7 @@ Invariants
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import os
 import tempfile
@@ -51,7 +55,14 @@ from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.pipeline import Frontend
-from repro.dse.runner import FrontendSpec, _compile_spec, frontend_spec
+from repro.dse.runner import (
+    FrontendSpec,
+    SweepStats,
+    _cache_pass,
+    _compile_spec,
+    frontend_spec,
+)
+from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.obs.export import FlightRecorder, trace_log_path_for
 from repro.service.protocol import (
@@ -70,7 +81,6 @@ from repro.service.store import ArtifactStore
 from repro.service.workers import (
     WorkerPool,
     run_chunk_job,
-    run_explore_job,
     run_map_job,
     source_digest,
 )
@@ -178,15 +188,6 @@ class MappingService:
         if self._own_store is not None:
             self._own_store.cleanup()
 
-    async def run(self, host: str = DEFAULT_HOST,
-                  port: int = DEFAULT_PORT) -> None:
-        """start → serve until /shutdown → close (the CLI's shape)."""
-        await self.start(host, port)
-        try:
-            await self.wait_shutdown()
-        finally:
-            await self.close()
-
     # -- submission ---------------------------------------------------
 
     async def submit(self, raw) -> tuple[Job, bool]:
@@ -269,10 +270,8 @@ class MappingService:
         try:
             if job.kind == "map":
                 await self._run_map(job)
-            elif job.kind == "sweep-chunk":
-                await self._run_chunk(job)
             else:
-                await self._run_explore(job)
+                await self._run_chunk(job)
         except asyncio.CancelledError:
             # Daemon shutdown mid-job: propagate so the task reads
             # as cancelled, not failed.
@@ -290,17 +289,15 @@ class MappingService:
         frontend, reused = await self._frontend_for(request)
         job.add_event("frontend",
                       reused=reused, shipped=frontend is not None)
-        record, info = await self._execute(run_map_job, request,
-                                           frontend)
+        record, info = await self._execute(
+            run_map_job, request, frontend,
+            fresh=lambda result: {job.key: result[0]})
         self._adopt_spans(info)
         self.counts["computed"] += 1
         meta = {"cache": "miss", "frontend_reused": reused,
                 "timings": info.get("timings"),
                 "worker": info.get("worker")}
         if record["ok"]:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, self.store.admit, job.key, record)
             payload = record_to_map_payload(
                 record, file=request["file"],
                 want_verified=request["verify_seed"] is not None)
@@ -309,63 +306,70 @@ class MappingService:
             self.counts["failed"] += 1
             self.queue.fail(job, record["error"], **meta)
 
-    async def _run_explore(self, job: Job) -> None:
-        request = job.request
-        frontends = self._compiled_frontends(request["source"])
-        payload, info = await self._execute(
-            run_explore_job, request, str(self.store.root), frontends)
-        self._adopt_spans(info)
-        self.counts["computed"] += 1
-        await self._settle_store(info)
-        self.queue.finish(job, payload, cache="sweep",
-                          worker=info.get("worker"),
-                          stats=info.get("stats"))
-
     async def _run_chunk(self, job: Job) -> None:
-        """One distributed-sweep lease: evaluate the chunk's points
-        against the artifact store and return records by cache key.
-        The chunk runs as one worker-pool task (chunks of one sweep
-        spread across the pool), and its fresh records land in the
-        store, so a repeated chunk is pure store reads.
+        """One distributed-sweep lease: serve the chunk's points from
+        the store, map the rest as one worker-pool task (chunks of one
+        sweep spread across the pool), and admit the fresh records,
+        so a repeated chunk is pure store reads.  The cache pass uses
+        the ``want_verified`` rule map jobs use; a chunk whose points
+        are all stored finishes without a pool task.
+
+        The cache pass runs on the event loop: it is a few small page
+        cache reads, and a round trip through an executor thread costs
+        more than they do on a loaded host (with one for the pass and
+        one for the admits, perfbench ``service_mix`` read a store
+        hit's latency about 20% worse).
         """
         request = job.request
-        frontends = self._compiled_frontends(request["source"])
-        payload, info = await self._execute(
-            run_chunk_job, request, str(self.store.root), frontends)
-        self._adopt_spans(info)
+        points = [DesignPoint.from_dict(entry)
+                  for entry in request["points"]]
+        stats = SweepStats(total=len(points))
+        point_keys, key_points, by_key, pending = _cache_pass(
+            request["source"], points, self.store,
+            request["verify_seed"], stats)
+        worker = None
+        if pending:
+            missing = [key_points[key] for key in pending]
+            fresh, info = await self._execute(
+                run_chunk_job, request, missing,
+                self._compiled_frontends(request["source"], missing),
+                fresh=lambda result: result[0])
+            self._adopt_spans(info)
+            worker = info.get("worker")
+            by_key.update(fresh)
         self.counts["computed"] += 1
-        await self._settle_store(info)
-        self.queue.finish(job, payload, cache="chunk",
-                          worker=info.get("worker"),
-                          stats=info.get("stats"))
+        chunk_stats = {"cached": stats.cached,
+                       "evaluated": len(pending),
+                       "failed": sum(1 for key in key_points
+                                     if not by_key[key]["ok"])}
+        payload = {
+            "kind": "sweep-chunk",
+            "points": len(points),
+            "records": {key: by_key[key] for key in point_keys},
+            "stats": chunk_stats,
+        }
+        self.queue.finish(job, payload, cache="chunk", worker=worker,
+                          stats=chunk_stats)
 
-    async def _settle_store(self, info: dict) -> None:
-        """Bring the store's index up to date after a worker job.
-
-        Sweep and chunk jobs write records through the worker's own
-        cache handle, which journals them in the ``info`` side
-        channel.  An unbounded store folds the journal in, so
-        ``/stats`` stays exact without walking the directory.  A
-        bounded store rescans instead — its victims must follow the
-        recency the workers' hits stamped on the files — and evicts,
-        off the event loop.
-        """
-        changes = info.pop("store", None) or {}
-        if self.store.max_entries is None \
-                and self.store.max_bytes is None:
-            self.store.absorb(changes)
-            return
-
-        def rescan_and_trim() -> None:
-            self.store.invalidate_count()
-            self.store.gc()
-        await asyncio.get_running_loop().run_in_executor(
-            None, rescan_and_trim)
-
-    async def _execute(self, fn, *args):
+    async def _execute(self, fn, *args, fresh):
         """Run one executor function on the pool without blocking the
-        event loop."""
-        return await asyncio.wrap_future(self.pool.submit(fn, *args))
+        event loop, and admit the records it computed.
+
+        *fresh* picks ``{key: record}`` out of the function's result.
+        The records are admitted on the thread that delivers the
+        result, before the event loop hears of it: they are in the
+        store when the job finishes, and the job costs no second
+        thread hop, which on a loaded host costs more than the writes.
+        """
+        task = self.pool.submit(fn, *args)
+
+        def admit(done: concurrent.futures.Future) -> None:
+            if not done.cancelled() and done.exception() is None:
+                for key, record in fresh(done.result()).items():
+                    self.store.admit(key, record)
+
+        task.add_done_callback(admit)
+        return await asyncio.wrap_future(task)
 
     def _adopt_spans(self, info: dict) -> None:
         """Fold a worker's captured spans into this daemon's tracer.
@@ -427,14 +431,19 @@ class MappingService:
             self._frontends.pop(memo_key, None)
             return None, False
 
-    def _compiled_frontends(self, source: str
+    def _compiled_frontends(self, source: str, points
                             ) -> dict[FrontendSpec, Frontend]:
-        """Every successfully compiled frontend for *source* — the
-        seed an exploration sweep starts from."""
+        """The memo's compiled frontends that *points* of *source*
+        use — the seed a sweep chunk's worker starts from."""
         digest = source_digest(source)
         compiled = {}
-        for (memo_digest, spec), task in self._frontends.items():
-            if memo_digest == digest and task.done() \
+        for point in points:
+            try:
+                spec = frontend_spec(point)
+            except Exception:  # noqa: BLE001 — surfaces per record
+                continue
+            task = self._frontends.get((digest, spec))
+            if task is not None and task.done() \
                     and task.exception() is None:
                 compiled[spec] = task.result()
         return compiled

@@ -1,16 +1,15 @@
 """The service wire contract: requests, job keys, payload shapes.
 
-A *request* is one JSON object submitted to ``POST /jobs``.  Three
+A *request* is one JSON object submitted to ``POST /jobs``.  Two
 kinds exist:
 
 * ``kind: "map"`` — map one source at one configuration; the result
   payload is **bit-identical** to ``fpfa-map map --json`` for the
   same flags;
-* ``kind: "explore"`` — sweep a design space; the result payload
-  mirrors ``fpfa-map explore --json``;
 * ``kind: "sweep-chunk"`` — evaluate an explicit list of design
   points of one sweep and return the records keyed by cache key; the
-  lease unit of :mod:`repro.dse.distributed`.
+  lease unit of :mod:`repro.dse.distributed` (``fpfa-map explore
+  --remote``).
 
 Validation happens here, once, at submission time — a malformed
 request is rejected with HTTP 400 before it ever reaches the queue,
@@ -21,9 +20,9 @@ Identity
 A map job's identity is :func:`repro.dse.cache.cache_key` of its
 (source, design point) pair — *the same key an exploration sweep
 would mint for that point*.  That single decision is what unifies the
-artifact store: a mapping job's record is a sweep record, an explore
-sweep warm-starts from mapping jobs and vice versa.  An explore job's
-identity is the content hash of its canonical request envelope.
+artifact store: a mapping job's record is a sweep record, a sweep
+warm-starts from mapping jobs and vice versa.  A chunk's identity is
+the content hash of its ordered canonical point list.
 
 The *coalescing* key extends the job key with the verification
 requirement: a verifying and a non-verifying submission of the same
@@ -52,12 +51,7 @@ from typing import Mapping
 
 from repro.arch.tilearray import TOPOLOGIES
 from repro.dse.cache import cache_key
-from repro.dse.space import (
-    DesignPoint,
-    DesignSpace,
-    SpaceError,
-    allowed_objectives,
-)
+from repro.dse.space import DesignPoint, SpaceError
 from repro.eval.metrics import METRIC_FIELDS, MULTITILE_METRIC_FIELDS
 
 DEFAULT_HOST = "127.0.0.1"
@@ -69,9 +63,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 TERMINAL_STATES = (DONE, FAILED)
-
-#: Search strategies an explore job may name (mirrors the CLI).
-EXPLORE_STRATEGIES = ("exhaustive", "random", "hill")
 
 #: Bound on points per ``sweep-chunk`` job: a chunk is a lease unit,
 #: not a whole sweep — the distributed coordinator re-runs a chunk
@@ -190,53 +181,6 @@ def normalise_map_request(raw: Mapping) -> dict:
     }
 
 
-def normalise_explore_request(raw: Mapping) -> dict:
-    """Validate one explore request; returns the canonical form."""
-    source = _require_source(raw)
-    dimensions = raw.get("dimensions")
-    if not isinstance(dimensions, Mapping) or not dimensions:
-        raise ProtocolError("explore requests need 'dimensions': "
-                            "{name: [values, ...], ...}")
-    try:
-        space = DesignSpace(dimensions)
-    except SpaceError as error:
-        raise ProtocolError(str(error))
-    objectives = raw.get("objectives",
-                         ["cycles", "energy", "resource"])
-    if not isinstance(objectives, list) or not objectives or \
-            not all(isinstance(name, str) for name in objectives):
-        raise ProtocolError("'objectives' must be a non-empty list "
-                            "of metric names")
-    allowed = allowed_objectives(space)
-    for name in objectives:
-        base = name[1:] if name.startswith("-") else name
-        if base not in allowed:
-            raise ProtocolError(
-                f"unknown or unswept objective {base!r}; known "
-                f"here: {', '.join(sorted(allowed))}")
-    strategy = raw.get("strategy", "exhaustive")
-    if strategy not in EXPLORE_STRATEGIES:
-        raise ProtocolError(
-            f"unknown strategy {strategy!r}; known: "
-            f"{', '.join(EXPLORE_STRATEGIES)}")
-    return {
-        "kind": "explore",
-        "source": source,
-        "file": raw.get("file"),
-        # Canonical dimension form: the validated, deduplicated axes.
-        "dimensions": {name: list(values) for name, values
-                       in space.dimensions.items()},
-        "objectives": list(objectives),
-        "strategy": strategy,
-        "samples": _optional_int(raw, "samples", 64),
-        "max_steps": _optional_int(raw, "max_steps", 32),
-        "restarts": _optional_int(raw, "restarts", 2),
-        "seed": _optional_int(raw, "seed", 0),
-        "verify_seed": _optional_int(raw, "verify_seed"),
-        "trace": _optional_trace(raw),
-    }
-
-
 def normalise_sweep_chunk_request(raw: Mapping) -> dict:
     """Validate one sweep-chunk request; returns the canonical form.
 
@@ -281,12 +225,10 @@ def normalise_request(raw) -> dict:
     kind = raw.get("kind", "map")
     if kind == "map":
         return normalise_map_request(raw)
-    if kind == "explore":
-        return normalise_explore_request(raw)
     if kind == "sweep-chunk":
         return normalise_sweep_chunk_request(raw)
     raise ProtocolError(f"unknown job kind {kind!r}; "
-                        f"known: map, explore, sweep-chunk")
+                        f"known: map, sweep-chunk")
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +244,15 @@ def job_key(request: Mapping) -> str:
     """Content identity of one normalised request.
 
     Map jobs reuse :func:`repro.dse.cache.cache_key` — the artifact
-    store key — verbatim.  Explore jobs hash their canonical request
-    envelope (their per-point records are stored under map keys
-    anyway, so the job-level key only exists for coalescing).
+    store key — verbatim.  A chunk hashes its ordered canonical point
+    list, so two coordinators sweeping the same chunk of the same
+    sweep coalesce (its per-point records are stored under map keys
+    anyway, so the chunk key only exists for coalescing).
     """
     if request["kind"] == "map":
         return cache_key(request["source"], request_point(request))
-    if request["kind"] == "sweep-chunk":
-        # Chunk identity: the ordered canonical point list.  Two
-        # coordinators sweeping the same chunk of the same sweep
-        # coalesce; the per-point records are stored under map keys.
-        names = ("kind", "source", "points")
-    else:
-        names = ("kind", "source", "dimensions", "objectives",
-                 "strategy", "samples", "max_steps", "restarts",
-                 "seed")
     envelope = json.dumps(
-        {name: request[name] for name in names},
+        {name: request[name] for name in ("kind", "source", "points")},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(envelope.encode("utf-8")).hexdigest()
 

@@ -15,7 +15,9 @@ sweep agree on what a usable record is.
 What the service adds on top is the admission policy: :meth:`admit`
 enforces the ok-only rule (failures are never memoised — a transient
 worker failure must not poison the key), lifted straight from
-``repro.dse.runner``.
+``repro.dse.runner``.  The daemon's one handle is the only one the
+service opens on its store: it reads and admits the records of map
+and chunk jobs alike, so its index and bounds never need a rescan.
 """
 
 from __future__ import annotations

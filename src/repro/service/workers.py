@@ -8,10 +8,10 @@ offline tools produce:
   record producer every sweep uses — so the record it returns is
   byte-for-byte a sweep record and lands in the shared store under
   the shared key;
-* an explore job runs the same strategy functions ``fpfa-map
-  explore`` runs, in-process (``workers=1`` — the service pool is
-  the parallelism; nesting pools inside workers would oversubscribe),
-  against the shared store as its result cache.
+* a sweep-chunk job runs :func:`repro.dse.runner.evaluate_chunk`
+  over the chunk points the daemon's store did not hold, in-process
+  (``workers=1`` — the service pool is the parallelism; nesting
+  pools inside workers would oversubscribe).
 
 The pool itself is a thin wrapper over ``concurrent.futures``: mode
 ``"process"`` is the production shape (true parallelism, fork
@@ -25,10 +25,10 @@ compiled frontends per (source, spec) and ships them with each job,
 so a warm resubmit skips frontend compilation no matter which worker
 picks it up.
 
-Explore and chunk jobs read and write the daemon's store through a
-fresh :class:`~repro.dse.cache.ResultCache` handle of their own, and
-report what it wrote in their ``info`` dict, so the daemon's
-``/stats`` stays exact without rescanning the store.
+Workers never touch the store.  The daemon reads and admits every
+record through its own :class:`~repro.service.store.ArtifactStore`
+handle, for every job kind, so its index and bounds stay exact
+without rescanning the store directory.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import os
 from typing import Mapping
 
 from repro.core.pipeline import Frontend
-from repro.dse.cache import ResultCache
-from repro.dse.runner import FrontendSpec, evaluate_point
+from repro.dse.runner import FrontendSpec, evaluate_chunk, evaluate_point
+from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.service.protocol import request_point
 
@@ -65,24 +65,6 @@ def _stash_spans(info: dict, spans) -> None:
     if spans.entries:
         info["trace_spans"] = [dict(entry, pid=os.getpid())
                                for entry in spans.entries]
-
-
-def _job_store(store_root: str | None) -> ResultCache | None:
-    """A handle on the daemon's store for one explore or chunk job,
-    journalling what it writes (see :func:`_stash_store_changes`)."""
-    if store_root is None:
-        return None
-    cache = ResultCache(store_root)
-    cache.changes = {}
-    return cache
-
-
-def _stash_store_changes(info: dict, cache: ResultCache | None) -> None:
-    """Ride the job's store writes back to the daemon in ``info``, so
-    it can fold them into its own index instead of rescanning the
-    store directory."""
-    if cache is not None:
-        info["store"] = cache.changes
 
 
 # ---------------------------------------------------------------------------
@@ -111,98 +93,27 @@ def run_map_job(request: Mapping,
     return record, info
 
 
-def run_explore_job(request: Mapping, store_root: str | None = None,
-                    frontends: Mapping[FrontendSpec, Frontend]
-                    | None = None) -> tuple[dict, dict]:
-    """Execute one explore job; returns ``(payload, info)``.
-
-    The payload mirrors ``fpfa-map explore --json``: strategy,
-    objectives, stats, best, frontier and the full record trace.
-    ``store_root`` points the sweep's result cache at the daemon's
-    artifact store, and *frontends* seeds it with the daemon's warm
-    memo, so exploration jobs start from everything mapping jobs
-    already computed.
-    """
-    from repro.dse.pareto import pareto_front
-    from repro.dse.search import STRATEGIES
-    from repro.dse.space import DesignSpace
-
-    space = DesignSpace(request["dimensions"])
-    objectives = request["objectives"]
-    strategy = request["strategy"]
-    cache = _job_store(store_root)
-    run_kwargs = dict(workers=1, cache=cache,
-                      verify_seed=request.get("verify_seed"),
-                      frontends=frontends)
-    if strategy == "random":
-        extra = dict(n_samples=request["samples"],
-                     seed=request["seed"])
-    elif strategy == "hill":
-        extra = dict(max_steps=request["max_steps"],
-                     restarts=request["restarts"],
-                     seed=request["seed"])
-    else:
-        extra = {}
-    with trace.attach(request.get("trace")), \
-            trace.capture() as spans:
-        with trace.span("worker.explore", strategy=strategy):
-            result = STRATEGIES[strategy](request["source"], space,
-                                          objectives=objectives,
-                                          **extra, **run_kwargs)
-    stats = result.stats.as_dict()
-    payload = {
-        "workload": request.get("file") or "<submitted source>",
-        "strategy": strategy,
-        "objectives": objectives,
-        "stats": stats,
-        "best": result.best,
-        "frontier": pareto_front(result.records, objectives),
-        "records": result.records,
-    }
-    info = {"stats": stats, "worker": os.getpid()}
-    _stash_store_changes(info, cache)
-    _stash_spans(info, spans)
-    return payload, info
-
-
-def run_chunk_job(request: Mapping, store_root: str | None = None,
+def run_chunk_job(request: Mapping, points: list[DesignPoint],
                   frontends: Mapping[FrontendSpec, Frontend]
                   | None = None) -> tuple[dict, dict]:
-    """Execute one sweep-chunk job; returns ``(payload, info)``.
+    """Map *points* of one sweep-chunk job; returns ``(records, info)``.
 
-    The payload carries the chunk's records keyed by cache key —
-    exactly what :func:`repro.dse.runner.evaluate_chunk` produces,
-    which is exactly what a local ``run_sweep`` would produce for the
-    same points (the distributed sweep's bit-identity guarantee rests
-    on this).  ``store_root`` points the chunk at the daemon's
-    artifact store, so chunk records satisfy later map jobs and
-    sweeps; *frontends* seeds it with the daemon's warm memo.
+    The records are keyed by cache key — exactly what a local
+    ``run_sweep`` would produce for the same points (the distributed
+    sweep's bit-identity guarantee rests on this).  The daemon passes
+    only the points its store did not hold, and admits the fresh
+    records itself; *frontends* seeds the run with its warm memo.
     """
-    from repro.dse.runner import evaluate_chunk
-    from repro.dse.space import DesignPoint
-
-    points = [DesignPoint.from_dict(entry)
-              for entry in request["points"]]
-    cache = _job_store(store_root)
     with trace.attach(request.get("trace")), \
             trace.capture() as spans:
         with trace.span("worker.chunk", points=len(points)):
-            records, stats = evaluate_chunk(
+            records, __ = evaluate_chunk(
                 request["source"], points,
                 verify_seed=request.get("verify_seed"),
-                cache=cache, frontends=frontends)
-    payload = {
-        "kind": "sweep-chunk",
-        "points": len(points),
-        "records": records,
-        "stats": {"cached": stats.cached,
-                  "evaluated": stats.evaluated,
-                  "failed": stats.failed},
-    }
-    info = {"stats": payload["stats"], "worker": os.getpid()}
-    _stash_store_changes(info, cache)
+                frontends=frontends)
+    info = {"worker": os.getpid()}
     _stash_spans(info, spans)
-    return payload, info
+    return records, info
 
 
 # ---------------------------------------------------------------------------

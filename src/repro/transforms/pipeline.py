@@ -8,7 +8,7 @@ whole transformation tool-chest to a fix-point in a deliberate order:
 2. if-convert branches;
 3. fold constants (turns unrolled address arithmetic into named
    locations);
-4. algebraic identities (absorbs ``sum + 0``-style seeds);
+4. algebraic identities (drop ``sum + 0``-style seeds);
 5. CSE (merges re-fetched operands and repeated sub-expressions);
 6. dependency analysis (hangs independent fetches off ``ss_in`` and
    forwards stored values);

@@ -22,7 +22,7 @@ figure; experiments enable reassociation explicitly (EXT-F measures
 the gain).
 
 A chain is collected greedily: starting from a root op, same-kind
-operands produced by single-use nodes are absorbed recursively, and
+operands produced by single-use nodes are merged in recursively, and
 the collected leaves are rebuilt as a balanced tree (pairing adjacent
 leaves level by level, preserving leaf order for determinism).
 """
@@ -55,7 +55,7 @@ class Reassociate(Transform):
             if not consumers:
                 continue  # dead (possibly a just-replaced old root)
             # only rebuild from chain *roots* — a node whose own value
-            # is not absorbed into a same-kind single consumer
+            # is not merged into a same-kind single consumer
             if len(consumers) == 1:
                 consumer = graph.node(consumers[0][0])
                 if consumer.kind is node.kind:

@@ -515,3 +515,47 @@ def test_help_lists_exactly_the_subcommands(capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert "{map,explore,serve,submit,jobs,cache,trace}" in out
+
+
+def test_trace_commands_over_a_local_sweep(tmp_path, capsys):
+    """`trace record --trace-log` over a local sweep (no daemon),
+    then `export --log --out`, `report --log [--json]` and
+    `critical-path --log [--trace ID] [--json]` over its log."""
+    from repro.obs import trace
+
+    log = tmp_path / "sweep.ndjson"
+    try:
+        assert main(["trace", "record", "--kernel", "fir5",
+                     "--pps", "1,2", "--workers", "1",
+                     "--trace-log", str(log)]) == 0
+    finally:
+        trace.reset()
+    assert f"-> {log}" in capsys.readouterr().out
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    sweeps = [entry for entry in entries
+              if entry.get("kind") == "span"
+              and entry["name"] == "dse.sweep"]
+    assert len(sweeps) == 1
+    trace_id = sweeps[0]["trace"]
+
+    chrome = tmp_path / "chrome.json"
+    assert main(["trace", "export", "--log", str(log),
+                 "--out", str(chrome)]) == 0
+    events = json.loads(chrome.read_text())["traceEvents"]
+    assert "dse.sweep" in {event.get("name") for event in events}
+
+    assert main(["trace", "report", "--log", str(log)]) == 0
+    assert "dse.sweep" in capsys.readouterr().out
+    assert main(["trace", "report", "--log", str(log),
+                 "--json", "-"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["dse.sweep"]["count"] == 1
+
+    assert main(["trace", "critical-path", "--log", str(log)]) == 0
+    assert "point evaluation" in capsys.readouterr().out
+    assert main(["trace", "critical-path", "--log", str(log),
+                 "--trace", trace_id, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trace"] == trace_id and report["total"] > 0
+    assert main(["trace", "critical-path", "--log", str(log),
+                 "--trace", "f" * 32]) == 1

@@ -304,8 +304,7 @@ class TestSweepChunkJobs:
                 "points": [point.to_dict()]})
             client.result(response["job"]["id"], timeout=60)
             computed = client.stats()["service"]["computed"]
-            # The chunk's record is visible in /stats even though the
-            # worker wrote it through its own cache handle.
+            # The daemon admitted the chunk's record itself.
             assert client.stats()["store"]["entries"] == 1
             client.map_source(FIR5, pps=3)
             stats = client.stats()["service"]
@@ -341,43 +340,77 @@ class TestSweepChunkJobs:
         assert not coalesced and other is not job
 
 
-class TestWorkerStoreHandle:
-    """Chunk and explore jobs journal what their store handle wrote,
-    and the daemon folds the journal into its own index instead of
-    walking the store directory."""
+class TestDaemonStore:
+    """The daemon's own store handle is the only one the service opens
+    on its store: it does each chunk's cache pass and admits the
+    fresh records, so ``/stats`` is exact without walking the store
+    directory."""
 
     @staticmethod
     def _chunk(points) -> dict:
-        from repro.service.protocol import normalise_request
-        return normalise_request({
-            "kind": "sweep-chunk", "source": FIR5,
-            "points": [point.to_dict() for point in points]})
+        return {"kind": "sweep-chunk", "source": FIR5,
+                "points": [point.to_dict() for point in points]}
 
-    def test_chunk_jobs_journal_their_store_writes(self, tmp_path):
-        from repro.service.workers import run_chunk_job
-        store = tmp_path / "store"
-        first, info = run_chunk_job(self._chunk(SPACE.grid()[:2]),
-                                    str(store))
-        assert first["stats"]["evaluated"] == 2
-        assert info["store"] == {
-            key: store.joinpath(key[:2], f"{key}.json").stat().st_size
-            for key in first["records"]}
-        # Overlapping points are store reads: only fresh ones journal.
-        second, info = run_chunk_job(self._chunk(SPACE.grid()[1:4]),
-                                     str(store))
-        assert second["stats"]["evaluated"] == 2
-        assert sorted(info["store"]) == sorted(
-            cache_key(FIR5, point) for point in SPACE.grid()[2:4])
-        # Without a store there is nothing to journal.
-        __, info = run_chunk_job(self._chunk(SPACE.grid()[:1]))
-        assert "store" not in info
-
-    def test_unbounded_daemon_stats_never_walk_the_store(
+    def test_chunk_records_are_admitted_by_the_daemon(
             self, tmp_path, monkeypatch):
-        """After its first ``/stats``, an unbounded daemon answers
-        ``/stats`` across explore and chunk jobs without one scan of
-        the store directory, and its entries and bytes still equal a
-        walk of it."""
+        from repro.dse import cache as cache_module
+
+        opened = []
+        real_init = cache_module.ResultCache.__init__
+
+        def counting_init(cache, root, **bounds):
+            opened.append(root)
+            real_init(cache, root, **bounds)
+
+        monkeypatch.setattr(cache_module.ResultCache, "__init__",
+                            counting_init)
+        store = tmp_path / "store"
+        with ServiceThread(workers=2, worker_mode="thread",
+                           store=store) as daemon:
+            client = ServiceClient(*daemon.address)
+            first = client.result(client.submit(
+                self._chunk(SPACE.grid()[:2]))["job"]["id"], timeout=60)
+            assert first["stats"]["evaluated"] == 2
+            # Overlapping points are store reads in the daemon.
+            second = client.result(client.submit(
+                self._chunk(SPACE.grid()[1:4]))["job"]["id"], timeout=60)
+            assert second["points"] == 3
+            assert second["stats"] == {"cached": 1, "evaluated": 2,
+                                       "failed": 0}
+            stats = client.stats()["store"]
+        assert opened == [store]
+        keys = {cache_key(FIR5, point) for point in SPACE.grid()[:4]}
+        assert {path.stem for path in store.glob("??/*.json")} == keys
+        assert stats["entries"] == 4
+        assert stats["bytes"] == sum(
+            store.joinpath(key[:2], f"{key}.json").stat().st_size
+            for key in keys)
+
+    def test_all_stored_chunk_runs_no_pool_task(self, tmp_path):
+        points = SPACE.grid()[:3]
+        store = tmp_path / "store"
+        warm = run_sweep(FIR5, points, workers=1, cache=store)
+        with ServiceThread(workers=2, store=store) as daemon:
+            client = ServiceClient(*daemon.address)
+            job_id = client.submit(self._chunk(points))["job"]["id"]
+            payload = client.result(job_id, timeout=60)
+            meta = client.job(job_id)["meta"]
+        assert payload["stats"] == {"cached": 3, "evaluated": 0,
+                                    "failed": 0}
+        assert payload["records"] == {
+            cache_key(FIR5, point): record
+            for point, record in zip(points, warm.records)}
+        assert meta["cache"] == "chunk"
+        assert meta["worker"] is None
+
+    @pytest.mark.parametrize("max_entries", [None, 8],
+                             ids=["unbounded", "entry-bounded"])
+    def test_daemon_stats_never_walk_the_store(
+            self, tmp_path, monkeypatch, max_entries):
+        """After its first ``/stats``, a daemon answers ``/stats``
+        across chunk jobs without one scan of the store directory —
+        bounded or not, since its own puts enforce the bound — and
+        its entries and bytes still equal a walk of it."""
         from repro.dse import cache as cache_module
 
         scans = []
@@ -391,20 +424,19 @@ class TestWorkerStoreHandle:
         store = tmp_path / "store"
         run_sweep(FIR5, SPACE.grid()[:2], workers=1, cache=store)
         with ServiceThread(workers=2, worker_mode="thread",
-                           store=store) as daemon:
+                           store=store,
+                           store_max_entries=max_entries) as daemon:
             client = ServiceClient(*daemon.address)
             assert client.stats()["store"]["entries"] == 2
             assert len(scans) == 1
-            job = client.submit({
-                "kind": "explore", "source": FIR5,
-                "dimensions": {"n_pps": [1, 2, 3]}})
-            client.result(job["job"]["id"], timeout=120)
             run_distributed_sweep(FIR5, SPACE.grid(),
                                   remotes=url(daemon), chunk_size=4)
             stats = client.stats()["store"]
             assert len(scans) == 1
         files = list(store.glob("??/*.json"))
-        assert stats["entries"] == len(files) > SPACE.size
+        assert stats["entries"] == len(files) \
+            == min(SPACE.size, max_entries or SPACE.size)
+        assert stats["evictions"] == SPACE.size - len(files)
         assert stats["bytes"] == sum(path.stat().st_size
                                      for path in files)
 

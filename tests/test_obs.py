@@ -148,9 +148,20 @@ class TestTracer:
 
 class TestServiceMetricsEndpoint:
     def test_exposition_is_valid_and_consistent_with_stats(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """A scripted run (map, coalesced duplicate, store hit,
         failure) lands in ``/stats`` as exact integer counts."""
+        from repro.service import daemon as daemon_module
+
+        release = threading.Event()
+        run_chunk_job = daemon_module.run_chunk_job
+
+        def held_chunk_job(*args):
+            release.wait(timeout=60)
+            return run_chunk_job(*args)
+
+        monkeypatch.setattr(daemon_module, "run_chunk_job",
+                            held_chunk_job)
         request = {"kind": "map", "source": FIR_SOURCE, "file": "a.c",
                    "pps": 5, "buses": 3}
         chunk = {"kind": "sweep-chunk", "source": FIR_SOURCE,
@@ -160,11 +171,14 @@ class TestServiceMetricsEndpoint:
         with ServiceThread(store=tmp_path / "store",
                            workers=1) as daemon:
             client = ServiceClient(*daemon.address)
-            # The chunk holds the one worker, so the map is still
+            # The chunk is held on the one worker, so the map is still
             # queued when its duplicate arrives and coalesces.
             busy = client.submit(chunk)["job"]["id"]
-            first = client.submit(request)["job"]["id"]
-            assert client.submit(request)["coalesced"]
+            try:
+                first = client.submit(request)["job"]["id"]
+                assert client.submit(request)["coalesced"]
+            finally:
+                release.set()
             client.result(busy)
             client.result(first)
             hit = client.submit(request)["job"]

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.dse.space import DesignSpace
 from repro.eval.kernels import KERNELS
 from repro.service import ServiceClient, ServiceError, ServiceThread
 
@@ -238,40 +239,31 @@ def test_verifying_client_never_trusts_an_unverified_record(client):
     assert stats["store_hits"] == 2
 
 
-# -- explore jobs ---------------------------------------------------------
+# -- sweep-chunk jobs and the store ---------------------------------------
 
-def test_explore_job_round_trip(client):
-    response = client.submit({
-        "kind": "explore", "source": FIR_SOURCE,
-        "dimensions": {"n_pps": [1, 2], "n_buses": [10]},
-        "objectives": ["cycles", "energy"]})
-    result = client.result(response["job"]["id"])
-    assert result["strategy"] == "exhaustive"
-    assert len(result["records"]) == 2
-    assert result["best"]["ok"] is True
-    assert result["frontier"]
-    assert result["stats"]["total"] == 2
+def _chunk(dimensions):
+    return {"kind": "sweep-chunk", "source": FIR_SOURCE,
+            "points": [point.to_dict()
+                       for point in DesignSpace(dimensions).grid()]}
 
 
-def test_explore_sweep_reuses_map_job_artifacts(client):
+def test_chunk_reuses_map_job_artifacts(client):
     client.map_source(FIR_SOURCE, file="a.c")  # pps=5, buses=10
-    response = client.submit({
-        "kind": "explore", "source": FIR_SOURCE,
-        "dimensions": {"n_pps": [4, 5], "n_buses": [10]},
-        "objectives": ["cycles"]})
+    response = client.submit(_chunk({"n_pps": [4, 5], "n_buses": [10]}))
     result = client.result(response["job"]["id"])
-    # One of the two sweep points is the map job's record.
+    # One of the two chunk points is the map job's record.
     assert result["stats"]["cached"] == 1
     assert result["stats"]["evaluated"] == 1
+    # A chunk's hits are its own: the map-job hit count stays put.
+    assert client.stats()["service"]["store_hits"] == 0
 
 
-def test_repeated_explore_job_counts_its_hits_in_the_sweep(client):
-    """An explore job opens its own view of the store, so its hits
-    are counted where they happen — the sweep's ``stats.cached`` —
-    and ``/stats["store"]`` reports no hit figure it never sees."""
-    request = {"kind": "explore", "source": FIR_SOURCE,
-               "dimensions": {"n_pps": [1, 2, 3], "n_buses": [4, 10]},
-               "objectives": ["cycles"]}
+def test_repeated_chunk_job_counts_its_hits_in_the_chunk(client):
+    """The daemon serves a chunk's stored points itself, and counts
+    them where they happen — the chunk's ``stats.cached`` — while
+    ``/stats["service"]["store_hits"]`` stays a map-job count and
+    ``/stats["store"]`` reports no hit figure."""
+    request = _chunk({"n_pps": [1, 2, 3], "n_buses": [4, 10]})
     results = [client.result(client.submit(request)["job"]["id"])
                for __ in range(2)]
     assert [r["stats"]["cached"] for r in results] == [0, 6]

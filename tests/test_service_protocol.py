@@ -4,6 +4,7 @@ import pytest
 
 from repro.dse.cache import cache_key
 from repro.dse.runner import evaluate_point
+from repro.service import ServiceClient, ServiceError, ServiceThread
 from repro.service.protocol import (
     ProtocolError,
     coalesce_key,
@@ -22,13 +23,6 @@ def _map_request(**overrides):
     return normalise_request(raw)
 
 
-def _explore_request(**overrides):
-    raw = {"kind": "explore", "source": FIR_SOURCE,
-           "dimensions": {"n_pps": [1, 2]}}
-    raw.update(overrides)
-    return normalise_request(raw)
-
-
 # -- normalisation --------------------------------------------------------
 
 def test_map_defaults_mirror_the_cli():
@@ -41,7 +35,6 @@ def test_map_defaults_mirror_the_cli():
     assert request["verify_seed"] is None
     # An old client's "priority" is ignored like any unknown field.
     assert _map_request(priority=5) == request
-    assert _explore_request(priority=5) == _explore_request()
 
 
 def test_map_balance_false_stays_out_of_the_point_identity():
@@ -71,25 +64,32 @@ def test_map_array_fields_normalise_with_defaults():
      "topology": "torus"},
     {"kind": "map", "source": FIR_SOURCE, "library": "no-such"},
     {"kind": "bake", "source": FIR_SOURCE},
-    {"kind": "explore", "source": FIR_SOURCE},
-    {"kind": "explore", "source": FIR_SOURCE, "dimensions": {}},
-    {"kind": "explore", "source": FIR_SOURCE,
-     "dimensions": {"n_pps": [1]}, "objectives": []},
-    {"kind": "explore", "source": FIR_SOURCE,
-     "dimensions": {"n_pps": [1]}, "strategy": "annealing"},
+    {"kind": "map", "source": FIR_SOURCE, "pps": True},
+    {"kind": "map", "source": FIR_SOURCE, "verify_seed": "7"},
+    {"kind": "map", "source": FIR_SOURCE, "tiles": "2"},
+    {"kind": "map", "source": FIR_SOURCE, "tiles": 2,
+     "hop_energy": "far"},
 ])
 def test_junk_requests_are_rejected(raw):
     with pytest.raises(ProtocolError):
         normalise_request(raw)
 
 
-def test_explore_rejects_unswept_objectives_like_the_cli():
-    with pytest.raises(ProtocolError, match="makespan"):
-        _explore_request(objectives=["makespan"])
-    # ...but accepts them when an array dimension is swept.
-    request = _explore_request(dimensions={"tiles": [1, 2]},
-                               objectives=["makespan"])
-    assert request["objectives"] == ["makespan"]
+def test_explore_kind_is_refused():
+    """Sweeps reach a daemon only as ``sweep-chunk`` leases
+    (``fpfa-map explore --remote``); an ``explore`` job is an unknown
+    kind, refused with HTTP 400 before anything is queued."""
+    raw = {"kind": "explore", "source": FIR_SOURCE,
+           "dimensions": {"n_pps": [1, 2]}}
+    with pytest.raises(ProtocolError, match="unknown job kind"):
+        normalise_request(raw)
+    with ServiceThread(workers=1) as daemon:
+        client = ServiceClient(*daemon.address)
+        with pytest.raises(ServiceError) as info:
+            client.submit(raw)
+        assert client.jobs() == []
+    assert info.value.status == 400
+    assert "unknown job kind 'explore'" in str(info.value)
 
 
 def test_kind_defaults_to_map():
@@ -126,12 +126,6 @@ def test_coalesce_key_splits_on_verification():
     assert coalesce_key(plain) != coalesce_key(verifying)
     assert coalesce_key(_map_request(verify_seed=3)) \
         == coalesce_key(verifying)  # the seed itself never splits
-
-
-def test_explore_key_is_deterministic_and_param_sensitive():
-    assert job_key(_explore_request()) == job_key(_explore_request())
-    assert job_key(_explore_request()) \
-        != job_key(_explore_request(dimensions={"n_pps": [1, 3]}))
 
 
 # -- record -> payload ----------------------------------------------------
