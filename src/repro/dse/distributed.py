@@ -10,7 +10,8 @@ runs in this order:
 2. one ``GET /stats`` probe for the daemon's worker count;
 3. the pending points are split into *chunks* and leased as the
    service's ``sweep-chunk`` jobs, on ``min(workers,
-   MAX_LEASES_PER_DAEMON)`` lanes sharing one queue.  The daemon
+   MAX_LEASES_PER_DAEMON)`` lanes sharing one queue; a lease is one
+   ``POST /jobs?wait=`` that returns the finished chunk.  The daemon
    does each chunk's cache pass against its artifact store and maps
    only the missing points on its worker pool, so a point the store
    already holds is a store read there, not a re-map;
@@ -215,16 +216,15 @@ class _Leases:
             "points": [self.key_points[key].to_dict() for key in chunk],
             "verify_seed": self.verify_seed,
         }
-        # The lease span covers the full round trip (submit plus
-        # long-poll); its context rides the request so the daemon's
+        # The lease span covers the whole lease (one submit that
+        # waits for the job, plus a long-poll only if the job outlives
+        # that wait); its context rides the request so the daemon's
         # queue/worker spans stitch in as its children.  Untraced
         # runs add nothing to the wire.
         with trace.span("distributed.lease", points=len(chunk)):
             if trace.enabled():
                 request["trace"] = trace.context()
-            job = client.submit(request)["job"]
-            payload = job["result"] if job["state"] == "done" else \
-                client.result(job["id"], timeout=LEASE_TIMEOUT)
+            payload = client.run(request, timeout=LEASE_TIMEOUT)
         missing = [key for key in chunk if key not in payload["records"]]
         if missing:
             raise ServiceError(

@@ -10,7 +10,9 @@ so that is always safe.
 :mod:`repro.service.protocol`); :meth:`map_source` builds the map
 request from keyword flags mirroring ``fpfa-map map``; ``result``
 long-polls until the job is terminal and returns the payload —
-which, for map jobs, is bit-identical to ``fpfa-map map --json``.
+which, for map jobs, is bit-identical to ``fpfa-map map --json``;
+``run`` is submit plus result, in one round trip when the job
+finishes within the submit's own wait.
 
 Every call is single-shot.  A daemon error raises
 :class:`ServiceError` with the HTTP ``status``; a transport failure
@@ -61,10 +63,16 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: Mapping | None = None,
-                 timeout: float | None = None) -> dict:
+                 wait: float | None = None) -> dict:
+        """One call; *wait* asks the daemon to hold the answer up to
+        that many seconds (``?wait=``), and the socket timeout grows
+        by it."""
+        timeout = self.timeout
+        if wait is not None:
+            path += f"?wait={wait:g}"
+            timeout += wait
         connection = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=self.timeout if timeout is None else timeout)
+            self.host, self.port, timeout=timeout)
         try:
             payload = None
             headers = {}
@@ -100,20 +108,19 @@ class ServiceClient:
         stitches distributed traces from."""
         return self._request("GET", "/trace")
 
-    def submit(self, request: Mapping) -> dict:
+    def submit(self, request: Mapping,
+               wait: float | None = None) -> dict:
         """POST one raw job request; returns ``{"job": ...,
-        "coalesced": ...}``.  Submission is idempotent on the daemon
-        (identical requests coalesce onto one job), so retrying a
-        submit whose response was lost is safe."""
-        return self._request("POST", "/jobs", body=request)
+        "coalesced": ...}``.  With *wait*, the daemon holds the
+        answer until the job is terminal or *wait* seconds passed,
+        so a job that finishes in time costs one round trip.
+        Submission is idempotent on the daemon (identical requests
+        coalesce onto one job), so retrying a submit whose response
+        was lost is safe."""
+        return self._request("POST", "/jobs", body=request, wait=wait)
 
     def job(self, job_id: str, wait: float | None = None) -> dict:
-        path = f"/jobs/{job_id}"
-        if wait is not None:
-            path += f"?wait={wait:g}"
-            return self._request("GET", path,
-                                 timeout=wait + self.timeout)
-        return self._request("GET", path)
+        return self._request("GET", f"/jobs/{job_id}", wait=wait)
 
     def jobs(self, state: str | None = None) -> list[dict]:
         path = "/jobs" + (f"?state={state}" if state else "")
@@ -134,13 +141,21 @@ class ServiceClient:
             if remaining <= 0:
                 raise ServiceError(
                     f"job {job_id} still running after {timeout}s")
-            view = self.job(job_id,
-                            wait=min(POLL_SLICE, remaining))
-            if view["state"] == "done":
-                return view["result"]
-            if view["state"] == "failed":
-                raise ServiceError(
-                    f"job {job_id} failed: {view.get('error')}")
+            payload = _outcome(self.job(
+                job_id, wait=min(POLL_SLICE, remaining)))
+            if payload is not None:
+                return payload
+
+    def run(self, request: Mapping, timeout: float = 300.0) -> dict:
+        """Submit *request* and return its result payload, waiting on
+        the submit itself for one :data:`POLL_SLICE` and long-polling
+        with :meth:`result` only if the job is still not terminal;
+        :class:`ServiceError` on failure or timeout."""
+        job = self.submit(request, wait=min(POLL_SLICE, timeout))["job"]
+        payload = _outcome(job)
+        if payload is not None:
+            return payload
+        return self.result(job["id"], timeout=timeout)
 
     def map_source(self, source: str, *, file: str | None = None,
                    wait: bool = True, timeout: float = 300.0,
@@ -151,13 +166,9 @@ class ServiceClient:
         returns the payload, else the submit response."""
         request = {"kind": "map", "source": source, "file": file,
                    **options}
-        response = self.submit(request)
         if not wait:
-            return response
-        job = response["job"]
-        if job["state"] == "done":
-            return job["result"]
-        return self.result(job["id"], timeout=timeout)
+            return self.submit(request)
+        return self.run(request, timeout=timeout)
 
     def events(self, job_id: str,
                timeout: float = 300.0) -> Iterator[dict]:
@@ -188,3 +199,14 @@ class ServiceClient:
                     yield json.loads(line.decode("utf-8"))
         finally:
             connection.close()
+
+
+def _outcome(view: Mapping) -> dict | None:
+    """A job view's result payload once it is done, None while it is
+    not terminal; :class:`ServiceError` once it failed."""
+    if view["state"] == "done":
+        return view["result"]
+    if view["state"] == "failed":
+        raise ServiceError(
+            f"job {view['id']} failed: {view.get('error')}")
+    return None

@@ -219,6 +219,27 @@ class TestDistributedSweep:
         assert stats.remote_records == stats.unique
         assert stats.local_records == 0
 
+    def test_one_chunk_sweep_is_one_probe_and_one_submit(
+            self, monkeypatch, local_result):
+        """A lease is one round trip: the submit waits for its chunk,
+        so no long-poll follows it."""
+        calls = []
+        request = ServiceClient._request
+
+        def counting(client, method, path, *args, **kwargs):
+            calls.append((method, path))
+            return request(client, method, path, *args, **kwargs)
+
+        points = SPACE.grid()[:3]
+        with ServiceThread(workers=1) as daemon:
+            monkeypatch.setattr(ServiceClient, "_request", counting)
+            result = run_distributed_sweep(FIR5, points,
+                                           remotes=url(daemon))
+        assert calls == [("GET", "/stats"), ("POST", "/jobs")]
+        assert result.stats.chunks == result.stats.leases == 1
+        assert canon(result.records) \
+            == canon(local_result.records[:3])
+
     def test_failure_records_travel_the_wire(self):
         # n_pps=0 fails at evaluation; the failure record must come
         # back from the daemon byte-identical (and stay uncached).
@@ -407,10 +428,11 @@ class TestDaemonStore:
                              ids=["unbounded", "entry-bounded"])
     def test_daemon_stats_never_walk_the_store(
             self, tmp_path, monkeypatch, max_entries):
-        """After its first ``/stats``, a daemon answers ``/stats``
-        across chunk jobs without one scan of the store directory —
-        bounded or not, since its own puts enforce the bound — and
-        its entries and bytes still equal a walk of it."""
+        """A daemon scans its store once, at start, and then answers
+        ``/stats`` across chunk jobs without another scan of the
+        store directory — bounded or not, since its own puts enforce
+        the bound — and its entries and bytes still equal a walk of
+        it."""
         from repro.dse import cache as cache_module
 
         scans = []

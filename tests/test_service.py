@@ -377,6 +377,82 @@ def test_queue_full_503_carries_retry_after(held_worker):
     assert "queue depth 1 reached" in body["error"]
 
 
+# -- the request path: no executor hop, one round trip --------------------
+
+def test_store_hit_and_stats_make_no_executor_hop(daemon, client,
+                                                  monkeypatch):
+    """A warm map hit and ``GET /stats`` are answered on the event
+    loop: with its ``run_in_executor`` patched to raise, both succeed
+    and it is never called."""
+    client.map_source(FIR_SOURCE, file="a.c")
+    hops = []
+
+    def no_hop(*args):
+        hops.append(args)
+        raise AssertionError("executor hop on the event loop")
+
+    monkeypatch.setattr(daemon._loop, "run_in_executor", no_hop)
+    job = client.submit({"kind": "map", "source": FIR_SOURCE,
+                         "file": "a.c"})["job"]
+    stats = client.stats()
+    assert hops == []
+    assert job["state"] == "done" and job["meta"]["cache"] == "hit"
+    assert stats["service"]["store_hits"] == 1
+
+
+def test_submit_wait_returns_a_computed_job_terminal(client):
+    response = client.submit(_map_request(4), wait=60)
+    job = response["job"]
+    assert job["state"] == "done"
+    assert job["meta"]["cache"] == "miss"
+    assert job["result"] == client.job(job["id"])["result"]
+
+
+def test_submit_wait_returns_a_coalesced_duplicate_terminal(
+        held_worker):
+    running, release = held_worker
+    with ServiceThread(workers=1) as daemon:
+        client = ServiceClient(*daemon.address)
+        first = client.submit(_map_request(4))["job"]
+        assert running.wait(timeout=30), "the worker never started"
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            duplicate = pool.submit(client.submit, _map_request(4), 60)
+            # Free the worker only once the duplicate joined the job.
+            deadline = time.monotonic() + 30
+            while client.job(first["id"])["submits"] < 2:
+                assert time.monotonic() < deadline, "no duplicate came"
+                time.sleep(0.01)
+            release.set()
+            response = duplicate.result(timeout=60)
+    assert response["coalesced"] is True
+    assert response["job"]["id"] == first["id"]
+    assert response["job"]["state"] == "done"
+    assert response["job"]["result"]["config"]["n_pps"] == 4
+
+
+def test_submit_wait_zero_answers_at_once_and_junk_is_400(
+        held_worker):
+    from repro.service.client import POLL_SLICE
+
+    __, release = held_worker
+    with ServiceThread(workers=1) as daemon:
+        client = ServiceClient(*daemon.address)
+        started = time.monotonic()
+        job = client.submit(_map_request(4), wait=0)["job"]
+        elapsed = time.monotonic() - started
+        # The job is held on its worker: the answer did not wait.
+        assert job["state"] in ("queued", "running")
+        assert elapsed < POLL_SLICE
+        with pytest.raises(ServiceError) as posted:
+            client._request("POST", "/jobs?wait=abc",
+                            body=_map_request(5))
+        with pytest.raises(ServiceError) as polled:
+            client._request("GET", f"/jobs/{job['id']}?wait=abc")
+        assert posted.value.status == polled.value.status == 400
+        assert len(client.jobs()) == 1  # the 400 queued nothing
+        release.set()
+
+
 def test_unknown_job_is_http_404(client):
     with pytest.raises(ServiceError) as excinfo:
         client.job("job-999999")

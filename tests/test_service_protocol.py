@@ -205,3 +205,13 @@ def test_chunk_coalesce_key_splits_on_verification():
     verifying = _chunk_request(verify_seed=7)
     assert job_key(plain) == job_key(verifying)
     assert coalesce_key(plain) != coalesce_key(verifying)
+
+
+def test_coalesce_key_from_the_held_job_key_is_the_same_key():
+    """The daemon passes the job key it already computed; both job
+    kinds get the key they would without it."""
+    for request in (_map_request(), _map_request(file="a.c",
+                                                 verify_seed=3),
+                    _chunk_request(), _chunk_request(verify_seed=7)):
+        assert coalesce_key(request, job_key(request)) \
+            == coalesce_key(request)

@@ -1,8 +1,8 @@
 """FPL002 — async-safety.
 
 The daemon runs every connection on one event loop; a single
-blocking call in an ``async def`` stalls every client, heartbeat
-and lease renewal at once.  Three rule families:
+blocking call in an ``async def`` stalls every submit, long-poll
+and event stream at once.  Three rule families:
 
 * **Blocking calls**: ``time.sleep``, synchronous subprocess /
   sqlite / socket / urllib calls and bare ``open`` inside an
