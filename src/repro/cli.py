@@ -69,19 +69,16 @@ import json
 import os.path
 import sys
 
-from repro.arch.params import TileParams
 from repro.arch.templates import TemplateLibrary
-from repro.arch.tilearray import TOPOLOGIES, TileArrayParams
+from repro.arch.tilearray import TOPOLOGIES
 from repro.cdfg.dot import to_dot
 from repro.core.pipeline import (
     compile_frontend,
     map_frontend,
-    mapping_config,
     random_input_state,
-    report_payload,
     verify_mapping,
 )
-from repro.eval.metrics import mapping_metrics
+from repro.eval.metrics import mapping_metrics, multitile_metrics
 
 SUBCOMMANDS = ("map", "explore", "serve", "submit", "jobs",
                "cache", "trace")
@@ -467,6 +464,12 @@ def _render_profile(timings: dict[str, float]) -> str:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    from repro.service.protocol import (
+        normalise_map_request,
+        record_to_map_payload,
+        request_point,
+    )
+
     source = _read_source(args.file)
     # With `--json -` stdout carries *only* the JSON payload (for
     # pipelines and the fleet tests); the human-readable
@@ -474,17 +477,15 @@ def _cmd_map(args: argparse.Namespace) -> int:
     echo = functools.partial(print, file=sys.stderr) \
         if args.json_path == "-" else print
     try:
-        params = TileParams(n_pps=args.pps, n_buses=args.buses)
-        array = None
-        if args.tiles is not None:
-            array = TileArrayParams(
-                n_tiles=args.tiles, topology=args.topology,
-                hop_latency=args.hop_latency,
-                hop_energy=args.hop_energy,
-                link_bandwidth=args.link_bandwidth)
+        # The daemon's own request validation: `map` and `submit`
+        # configure one point the same way.
+        point = request_point(
+            normalise_map_request(_submit_request(args, source)))
+        params = point.tile_params()
+        array = point.tile_array_params()
     except ValueError as error:
         raise SystemExit(f"invalid configuration: {error}")
-    library = TemplateLibrary.stock()[args.library]
+    library = point.template_library()
     frontend = compile_frontend(source, width=params.width,
                                 balance=args.balance)
     original_stats = frontend.original.stats()
@@ -528,11 +529,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(report.minimised))
         echo(f"\nwrote {args.dot}")
-    verified = None
     if args.verify_seed is not None:
         state = random_input_state(report, args.verify_seed)
         verify_mapping(report, state)
-        verified = True
         echo(f"\nverified against the interpreter "
              f"(seed {args.verify_seed})")
     if args.profile:
@@ -540,10 +539,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
         echo()
         echo(_render_profile(report.timings))
     if args.json_path:
-        config = mapping_config(params, args.library,
-                                balance=args.balance, array=array)
-        payload = report_payload(report, config, file=args.file,
-                                 verified=verified, metrics=metrics)
+        if report.multitile is not None:
+            metrics = {**metrics, **multitile_metrics(report)}
+        payload = record_to_map_payload(
+            {"config": point.assignment(), "metrics": metrics},
+            file=args.file,
+            want_verified=args.verify_seed is not None)
         _dump_json(payload, args.json_path)
     return 0
 

@@ -409,56 +409,6 @@ def map_source(source: str, params: TileParams | None = None,
                         **alloc_options)
 
 
-def mapping_config(params: TileParams, library: str, *,
-                   balance: bool = False,
-                   array: TileArrayParams | None = None) -> dict:
-    """The canonical ``config`` dict of one mapping invocation.
-
-    This is the exact dict ``fpfa-map map --json`` embeds in its
-    payload; :mod:`repro.service` builds the same dict from job
-    requests so daemon responses stay bit-identical to the offline
-    CLI.  Array keys appear only when the multi-tile stage runs,
-    mirroring the CLI flags.
-    """
-    config = {"n_pps": params.n_pps, "n_buses": params.n_buses,
-              "library": library, "balance": balance}
-    if array is not None:
-        config.update({"tiles": array.n_tiles,
-                       "topology": array.topology,
-                       "hop_latency": array.hop_latency,
-                       "hop_energy": array.hop_energy,
-                       "link_bandwidth": array.link_bandwidth})
-    return config
-
-
-def report_payload(report: MappingReport, config: dict, *,
-                   file: str | None = None,
-                   verified: bool | None = None,
-                   metrics: dict | None = None) -> dict:
-    """The canonical JSON payload for one mapping report.
-
-    One shared serialisation for every surface that exports a mapped
-    program — ``fpfa-map map --json``, the service daemon, the fleet
-    tests — so "bit-identical" is a property of the code path, not
-    a test assertion about two hand-maintained dict literals.
-    *metrics* lets a caller that already extracted the metric dict
-    avoid re-measuring; omitted, it is computed here.
-    """
-    # Local import: eval.metrics imports this module for the report
-    # types, so the dependency must stay one-way at import time.
-    from repro.eval.metrics import mapping_metrics, multitile_metrics
-    payload = {
-        "file": file,
-        "config": config,
-        "metrics": (mapping_metrics(report) if metrics is None
-                    else metrics),
-        "verified": verified,
-    }
-    if report.multitile is not None:
-        payload["multitile"] = multitile_metrics(report)
-    return payload
-
-
 def random_input_state(report: MappingReport,
                        seed: int) -> StateSpace:
     """Deterministic random values for every input address *report*'s

@@ -47,13 +47,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
-from repro.core.pipeline import Frontend
 from repro.dse.cache import ResultCache
 from repro.dse.runner import (
-    FrontendSpec,
     SweepResult,
     SweepStats,
     _cache_pass,
@@ -262,7 +260,6 @@ def run_distributed_sweep(
         cache=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         verify_seed: int | None = None,
-        frontends: Mapping[FrontendSpec, Frontend] | None = None,
         progress: Callable[[dict], None] | None = None,
         ) -> SweepResult:
     """Evaluate *points* against *source* on one remote daemon.
@@ -314,8 +311,7 @@ def run_distributed_sweep(
             if leftover:
                 local = run_sweep(
                     source, [key_points[key] for key in leftover],
-                    cache=cache, verify_seed=verify_seed,
-                    frontends=frontends)
+                    cache=cache, verify_seed=verify_seed)
                 by_key.update(zip(leftover, local.records))
                 stats.local_records = len(leftover)
                 stats.workers = max(stats.workers, local.stats.workers)

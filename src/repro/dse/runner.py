@@ -291,7 +291,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
               cache_max_entries: int | None = None,
               cache_max_bytes: int | None = None,
               verify_seed: int | None = None,
-              frontends: Mapping[FrontendSpec, Frontend] | None = None,
               remotes: str | Sequence[str] | None = None,
               remote_chunk_size: int | None = None,
               ) -> SweepResult:
@@ -315,12 +314,6 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         is deterministic, so a record once *verified* holds for any
         seed — but cache hits that were never verified at all are
         re-evaluated rather than trusted.
-    frontends:
-        Optional pre-compiled frontends for *source*, keyed by
-        :func:`frontend_spec`, seeding the sweep's own sharing (the
-        service daemon passes its warm frontend memo here so a sweep
-        chunk never recompiles a frontend a mapping job already paid
-        for).  Determinism makes this purely a speed knob.
     remotes:
         One ``fpfa-map serve`` daemon address to run the sweep on;
         delegates to
@@ -338,11 +331,11 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
             extra["chunk_size"] = remote_chunk_size
         return run_distributed_sweep(
             source, points, remotes=remotes, cache=cache,
-            verify_seed=verify_seed, frontends=frontends, **extra)
+            verify_seed=verify_seed, **extra)
     with trace.span("dse.sweep") as sweep_span:
         result = _run_local_sweep(
             source, points, workers=workers, cache=cache,
-            verify_seed=verify_seed, frontends=frontends)
+            verify_seed=verify_seed)
         sweep_span.note(points=result.stats.total,
                         cached=result.stats.cached,
                         evaluated=result.stats.evaluated,
@@ -353,8 +346,8 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
 def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                      workers: int | None, cache,
                      verify_seed: int | None,
-                     frontends: Mapping[FrontendSpec, Frontend] | None
-                     ) -> SweepResult:
+                     frontends: Mapping[FrontendSpec, Frontend]
+                     | None = None) -> SweepResult:
     started = time.perf_counter()
     points = list(points)
     cache = _resolve_cache(cache)
@@ -474,25 +467,28 @@ def _cache_pass(source: str, points: list[DesignPoint], cache,
 
 
 def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
-                   verify_seed: int | None = None, cache=None,
+                   verify_seed: int | None = None,
                    frontends: Mapping[FrontendSpec, Frontend]
                    | None = None) -> tuple[dict, SweepStats]:
     """Evaluate one chunk of points; records keyed by cache key.
 
     The unit a distributed sweep leases to a daemon (the service's
-    ``sweep-chunk`` job kind runs this, with no cache, over the
-    points the daemon's store did not hold): a plain
-    :func:`run_sweep` over the chunk — same cache rules, same record
-    producer, so a chunk's records are bit-identical to the ones a
-    local sweep would mint.  Runs in-process (``workers=1``): on a
-    daemon, the worker pool above is the parallelism, and chunks
-    from one sweep spread across it.
+    ``sweep-chunk`` job kind runs this over the points the daemon's
+    store did not hold): a cacheless :func:`run_sweep` over the
+    chunk — same record producer, so a chunk's records are
+    bit-identical to the ones a local sweep would mint.  Runs
+    in-process (``workers=1``): on a daemon, the worker pool above
+    is the parallelism, and chunks from one sweep spread across it.
+    *frontends*, keyed by :func:`frontend_spec`, seeds the chunk's
+    frontend sharing (the daemon passes its warm frontend memo so a
+    chunk never recompiles a frontend a mapping job already paid
+    for); determinism makes it purely a speed knob.
 
     Returns ``(records_by_key, stats)``.
     """
     with trace.span("dse.chunk") as chunk_span:
         result = _run_local_sweep(source, list(points), workers=1,
-                                  cache=cache,
+                                  cache=None,
                                   verify_seed=verify_seed,
                                   frontends=frontends)
         chunk_span.note(points=result.stats.total,

@@ -43,14 +43,13 @@ import os
 import pathlib
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs import trace
 
 __all__ = [
     "TRACE_LOG_NAME",
     "FlightRecorder",
-    "trace_log_path_for",
     "recording",
     "load_trace",
     "harvest_daemon",
@@ -60,29 +59,6 @@ __all__ = [
 
 #: File name of the flight-recorder log, beside the cache/store root.
 TRACE_LOG_NAME = "trace-log.ndjson"
-
-
-def trace_log_path_for(cache) -> pathlib.Path | None:
-    """Where the flight-recorder log for *cache* lives.
-
-    Accepts a cache/store object exposing ``.root``, a path, or
-    None.  A cacheless run has nowhere durable to put the log —
-    callers then pick an explicit path or skip recording.
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, (str, os.PathLike)):
-        # Plain paths first: pathlib.Path exposes a `.root`
-        # attribute ("/") that would shadow the directory itself.
-        root = cache
-    else:
-        root = getattr(cache, "root", None)
-    if root is None:
-        return None
-    try:
-        return pathlib.Path(root) / TRACE_LOG_NAME
-    except TypeError:
-        return None
 
 
 class FlightRecorder:
@@ -120,14 +96,6 @@ class FlightRecorder:
             if isinstance(trace_id, str):
                 self.seen_traces.add(trace_id)
 
-    def append(self, entries: Iterable[dict[str, Any]]) -> int:
-        """Write pre-built entries (e.g. harvested remote spans)."""
-        wrote = 0
-        for entry in entries:
-            self(entry)
-            wrote += 1
-        return wrote
-
     def close(self) -> None:
         with self._lock:
             if not self._file.closed:
@@ -141,14 +109,14 @@ class FlightRecorder:
 
 
 @contextmanager
-def recording(path, tracer: trace.Tracer | None = None):
+def recording(path):
     """Enable tracing and stream to a flight-recorder log at *path*.
 
     Scoped like :class:`~repro.obs.trace.scoped_tracing`: the
     tracer's prior enabled state is restored and the recorder is
     detached and closed on exit, even when the body raises.
     """
-    active = tracer if tracer is not None else trace.TRACER
+    active = trace.TRACER
     recorder = FlightRecorder(path)
     was = active.enabled
     active.enable()

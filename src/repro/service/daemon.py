@@ -29,7 +29,6 @@ Invariants
 ----------
 * A map job's response payload is **bit-identical** to ``fpfa-map
   map --json`` for the same flags — both are built by
-  ``core.pipeline.report_payload`` /
   ``protocol.record_to_map_payload`` from the same metric dicts.
 * Exactly one backend run per coalesce key: duplicate in-flight
   submissions join the running job, and finished work is served from
@@ -64,7 +63,7 @@ from repro.dse.runner import (
 )
 from repro.dse.space import DesignPoint
 from repro.obs import trace
-from repro.obs.export import FlightRecorder, trace_log_path_for
+from repro.obs.export import TRACE_LOG_NAME, FlightRecorder
 from repro.service.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -145,10 +144,9 @@ class MappingService:
         #: sink, no cost.
         self._recorder: FlightRecorder | None = None
         if trace.enabled():
-            log_path = trace_log_path_for(self.store)
-            if log_path is not None:
-                self._recorder = FlightRecorder(log_path)
-                trace.TRACER.add_sink(self._recorder)
+            self._recorder = FlightRecorder(
+                self.store.root / TRACE_LOG_NAME)
+            trace.TRACER.add_sink(self._recorder)
 
     # -- lifecycle ----------------------------------------------------
 
@@ -740,6 +738,11 @@ class ServiceThread:
     def _run(self) -> None:
         try:
             asyncio.run(self._main())
+        # Capture ANY failure, interrupts landing in the service
+        # thread included, into self.error so start()/stop() re-raise
+        # it on the owner's thread; re-raising here would kill the
+        # thread with an unobserved traceback instead.
+        # fpfa-lint: disable=FPL004
         except BaseException as error:  # noqa: BLE001 — report once
             self.error = error
         finally:

@@ -34,9 +34,10 @@ Invariants
 ----------
 * Requests are normalised exactly once; every downstream consumer
   (queue, workers, store) sees the canonical form.
-* ``record_to_map_payload`` of a stored record equals
-  ``report_payload`` of a fresh report — both derive from the same
-  metric dicts, so a store hit is indistinguishable from a compute.
+* ``record_to_map_payload`` is the one map payload builder: the
+  daemon runs it over a stored record and ``fpfa-map map --json``
+  over a fresh report's metric dicts, so a store hit is
+  indistinguishable from a compute.
 * The ``file`` label is presentation-only: it appears in payloads
   but never in the *storage* key, so the same source submitted under
   different paths shares artifact-store entries (it does split the

@@ -120,6 +120,16 @@ def run_chunk_job(request: Mapping, points: list[DesignPoint],
 # The pool
 # ---------------------------------------------------------------------------
 
+def _drop_inherited_sinks() -> None:
+    """Process-pool initializer: detach the tracer sinks a forked
+    worker inherits (the daemon's flight recorder).  The worker's
+    spans come home through capture and adopt, and the daemon's
+    recorder logs them then; an inherited sink would log each twice.
+    """
+    for sink in trace.TRACER._sinks:
+        trace.TRACER.remove_sink(sink)
+
+
 class WorkerPool:
     """A bounded, persistent executor for service jobs."""
 
@@ -138,7 +148,8 @@ class WorkerPool:
                 "fork" if "fork" in
                 multiprocessing.get_all_start_methods() else None)
             self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context)
+                max_workers=self.workers, mp_context=context,
+                initializer=_drop_inherited_sinks)
         else:
             self._executor = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.workers,

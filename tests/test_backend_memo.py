@@ -29,7 +29,12 @@ from repro.core.pipeline import (
     verify_seeded,
 )
 from repro.dse import runner
-from repro.dse.runner import evaluate_point, frontend_spec, run_sweep
+from repro.dse.runner import (
+    evaluate_chunk,
+    evaluate_point,
+    frontend_spec,
+    run_sweep,
+)
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
 
@@ -47,9 +52,10 @@ def shared_frontend():
 def test_a_sweep_leaves_the_frontend_pickle_unchanged():
     frontend = shared_frontend()
     before = pickle.dumps(frontend)
-    result = run_sweep(FIR16, POINTS, workers=1, verify_seed=1,
-                       frontends={frontend_spec(POINTS[0]): frontend})
-    assert all(record["verified"] for record in result.records)
+    records, __ = evaluate_chunk(
+        FIR16, POINTS, verify_seed=1,
+        frontends={frontend_spec(POINTS[0]): frontend})
+    assert all(record["verified"] for record in records.values())
     assert frontend._memo, "the sweep did not use the shared frontend"
     assert pickle.dumps(frontend) == before
     assert pickle.loads(before)._memo == {}

@@ -83,13 +83,6 @@ class TestEvaluateChunk:
         for point, record in zip(expected.points, expected.records):
             assert records[cache_key(FIR5, point)] == record
 
-    def test_chunk_uses_the_store(self, tmp_path):
-        points = SPACE.grid()[:2]
-        first, stats = evaluate_chunk(FIR5, points, cache=tmp_path)
-        again, warm = evaluate_chunk(FIR5, points, cache=tmp_path)
-        assert canon(first) == canon(again)
-        assert warm.cached == 2 and warm.evaluated == 0
-
 
 # -- the coordinator ------------------------------------------------------
 

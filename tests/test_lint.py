@@ -9,6 +9,7 @@ them.  ``bad`` carries at least one true positive per rule family;
 false-positive regression net.
 """
 
+import ast
 import json
 import sys
 import textwrap
@@ -21,12 +22,16 @@ if str(ROOT) not in sys.path:  # `python -m pytest` from elsewhere
     sys.path.insert(0, str(ROOT))
 
 from tools.fpfa_lint import (  # noqa: E402
-    Baseline,
     Finding,
+    LintFile,
     REGISTRY,
+    Waiver,
     lint_paths,
 )
-from tools.fpfa_lint.core import all_checkers  # noqa: E402
+from tools.fpfa_lint.core import (  # noqa: E402
+    all_checkers,
+    exception_names,
+)
 import tools.fpfa_lint.checkers  # noqa: E402,F401 — fill REGISTRY
 from tools.fpfa_lint.reporters import (  # noqa: E402
     render_json,
@@ -173,33 +178,7 @@ def test_disable_of_other_code_does_not_suppress(tmp_path):
     run = _lint_snippet(tmp_path, SNIPPET.format(
         trailer="  # fpfa-lint: disable=FPL006"))
     assert [f.code for f in run.findings] == ["FPL001"]
-
-
-def test_file_level_disable(tmp_path):
-    source = """
-        # fpfa-lint: disable-file=FPL001
-        import time
-
-
-        def stamp():
-            return time.time()
-
-
-        def other():
-            return time.time()
-    """
-    run = _lint_snippet(tmp_path, source)
-    assert not run.findings
-    assert run.suppressed == 2
-
-
-def test_file_level_disable_only_near_top(tmp_path):
-    filler = "\n".join(f"x{i} = {i}" for i in range(12))
-    source = ("import time\n" + filler +
-              "\n# fpfa-lint: disable-file=FPL001\n"
-              "def stamp():\n    return time.time()\n")
-    run = _lint_snippet(tmp_path, source)
-    assert [f.code for f in run.findings] == ["FPL001"]
+    assert [w.code for w in run.unused_waivers] == ["FPL006"]
 
 
 def test_wall_clock_marker_allowlists_fpl001(tmp_path):
@@ -225,102 +204,105 @@ def test_comma_separated_disable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline round trip
+# unused waivers
 # ---------------------------------------------------------------------------
 
-def test_baseline_round_trip(tmp_path, bad_run):
-    baseline = Baseline.from_findings(bad_run.findings)
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    run = lint_paths([BAD], root=BAD, baseline=loaded)
-    assert run.ok
-    assert not run.findings
-    assert len(run.grandfathered) == len(bad_run.findings)
-    assert not run.stale_baseline
-
-
-def test_baseline_goes_stale_when_findings_are_fixed(bad_run):
-    baseline = Baseline.from_findings(bad_run.findings)
-    run = lint_paths([GOOD], root=GOOD, baseline=baseline)
-    assert not run.findings
-    assert len(run.stale_baseline) == len(bad_run.findings)
-    assert not run.ok  # the ledger only ever shrinks
-
-
-def test_baseline_matches_by_message_not_line(tmp_path):
-    finding_run = _lint_snippet(tmp_path,
-                                SNIPPET.format(trailer=""))
-    baseline = Baseline.from_findings(finding_run.findings)
-    # Shift the finding down a few lines: still grandfathered.
-    shifted = "\n\n\n" + textwrap.dedent(
-        SNIPPET.format(trailer=""))
-    (tmp_path / "src/repro/dse/mod.py").write_text(
-        shifted, encoding="utf-8")
-    run = lint_paths([tmp_path], root=tmp_path, baseline=baseline)
-    assert run.ok and len(run.grandfathered) == 1
-
-
-def test_baseline_budget_is_a_multiset(tmp_path):
-    # Two identical findings, one baseline entry: one fresh.
+def test_unused_waiver_fails_the_run(tmp_path):
     source = """
-        import time
-
-
-        def a():
-            return time.time()
-
-
-        def b():
-            return time.time()
+        def stamp():
+            return 0  # fpfa-lint: disable=FPL001
     """
     run = _lint_snippet(tmp_path, source)
-    assert len(run.findings) == 2
-    baseline = Baseline.from_findings(run.findings[:1])
-    rerun = lint_paths([tmp_path], root=tmp_path,
-                       baseline=baseline)
-    assert len(rerun.grandfathered) == 1
-    assert len(rerun.findings) == 1
+    assert not run.findings
+    assert run.unused_waivers == [
+        Waiver("src/repro/dse/mod.py", 3, "FPL001")]
+    assert not run.ok  # waivers only ever shrink
+    assert "src/repro/dse/mod.py:3: unused waiver disable=FPL001" \
+        in render_text(run)
+    assert json.loads(render_json(run))["unused_waivers"] == [
+        {"path": "src/repro/dse/mod.py", "line": 3, "code": "FPL001"}]
+    assert "`src/repro/dse/mod.py:3` disable=FPL001" \
+        in render_markdown(run)
 
 
-def test_baseline_rejects_foreign_payload(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"version": 99}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        Baseline.load(path)
+def test_one_used_code_does_not_excuse_its_neighbour(tmp_path):
+    run = _lint_snippet(tmp_path, SNIPPET.format(
+        trailer="  # fpfa-lint: disable=FPL001,FPL007"))
+    assert not run.findings and run.suppressed == 1
+    assert [w.code for w in run.unused_waivers] == ["FPL007"]
 
 
-def test_missing_baseline_is_empty(tmp_path):
-    baseline = Baseline.load(tmp_path / "nope.json")
-    assert baseline.entries == []
+def test_waiver_for_an_unselected_checker_is_not_unused(tmp_path):
+    run = _lint_snippet(tmp_path, SNIPPET.format(
+        trailer="  # fpfa-lint: disable=FPL001"), select=["FPL006"])
+    assert run.ok
+    assert not run.unused_waivers and run.suppressed == 0
+
+
+def test_waiver_for_an_unknown_code_is_unused(tmp_path):
+    run = _lint_snippet(tmp_path, SNIPPET.format(
+        trailer="  # fpfa-lint: disable=FPL001,FPL999"))
+    assert [w.code for w in run.unused_waivers] == ["FPL999"]
 
 
 # ---------------------------------------------------------------------------
 # the repo itself
 # ---------------------------------------------------------------------------
 
-def test_repo_lints_clean_against_committed_baseline():
-    """The tree must stay clean: every committed finding is either
-    fixed, suppressed with a reason, or baselined with a reason."""
-    baseline = Baseline.load(
-        ROOT / "tools" / "fpfa_lint" / "baseline.json")
-    run = lint_paths([ROOT / "src", ROOT / "tools"], root=ROOT,
-                     baseline=baseline)
+def test_repo_lints_clean():
+    """The tree must stay clean: every finding is either fixed or
+    waived inline, and every waiver still silences a finding."""
+    run = lint_paths([ROOT / "src", ROOT / "tools"], root=ROOT)
     problems = [f.render() for f in run.findings]
-    problems += [f"stale baseline: {e['path']} {e['code']}"
-                 for e in run.stale_baseline]
+    problems += [w.render() for w in run.unused_waivers]
     problems += run.errors
     assert run.ok, "\n".join(problems)
 
 
-def test_committed_baseline_entries_carry_reasons():
-    baseline = Baseline.load(
-        ROOT / "tools" / "fpfa_lint" / "baseline.json")
-    for entry in baseline.entries:
-        assert entry.get("reason"), entry
-        assert "justify or fix" not in entry["reason"], (
-            "placeholder reason left by --update-baseline: "
-            + entry["path"])
+def _has_reason(file: LintFile, line: int) -> bool:
+    """A waiver's reason is the plain comment line right above its
+    directive (or above the flagged line it trails)."""
+    reason = file.comment_lines().get(line - 1)
+    source = file.text.splitlines()[line - 2] if line > 1 else ""
+    return reason is not None and source.lstrip().startswith("#") \
+        and "fpfa-lint:" not in reason
+
+
+def test_repo_waivers_carry_reasons():
+    waivers = []
+    for top in ("src", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            file = LintFile(path, path.relative_to(ROOT).as_posix(),
+                            path.read_text(encoding="utf-8"))
+            for line, code in file.waivers():
+                waivers.append(f"{file.rel}:{line} {code}")
+                assert _has_reason(file, line), (
+                    f"{file.rel}:{line}: disable={code} needs a "
+                    f"reason comment on the line above")
+    assert waivers, "the repo waives at least FPL002 and FPL004"
+
+
+def test_service_thread_run_waiver_carries_its_reason():
+    path = ROOT / "src" / "repro" / "service" / "daemon.py"
+    file = LintFile(path, "src/repro/service/daemon.py",
+                    path.read_text(encoding="utf-8"))
+    service_thread = next(node for node in file.tree.body
+                          if isinstance(node, ast.ClassDef)
+                          and node.name == "ServiceThread")
+    run_method = next(node for node in service_thread.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_run")
+    handler = next(node for node in ast.walk(run_method)
+                   if isinstance(node, ast.ExceptHandler)
+                   and exception_names(node) == ["BaseException"])
+    directive = handler.lineno - 1
+    assert (directive, "FPL004") in file.waivers()
+    assert _has_reason(file, directive)
+    reason = " ".join(file.comment_lines()[line]
+                      for line in range(directive - 4, directive))
+    assert "self.error" in reason and "re-rais" in reason
+    run = lint_paths([path], select=["FPL004"])
+    assert run.ok and run.suppressed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +311,9 @@ def test_committed_baseline_entries_carry_reasons():
 
 def test_json_report_is_machine_readable(bad_run):
     payload = json.loads(render_json(bad_run))
+    assert payload["version"] == 2
     assert payload["ok"] is False
+    assert payload["unused_waivers"] == []
     assert payload["files"] == 9
     assert sum(payload["counts"].values()) == \
         len(payload["findings"])
@@ -381,8 +365,8 @@ def test_cli_select_runs_subset(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text("import time\nnow = time.time()\n",
                       encoding="utf-8")
-    assert lint_main(["--no-baseline", "--select", "FPL006",
+    assert lint_main(["--select", "FPL006",
                       str(target)]) == 0  # FPL001 not selected
     capsys.readouterr()
-    assert lint_main(["--no-baseline", str(target)]) == 1
+    assert lint_main([str(target)]) == 1
     assert "FPL001" in capsys.readouterr().out

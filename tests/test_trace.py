@@ -35,7 +35,6 @@ from repro.obs.export import (
     recording,
     rollup,
     to_chrome_trace,
-    trace_log_path_for,
 )
 
 
@@ -324,24 +323,32 @@ class TestFlightRecorder:
         assert [e["name"] for e in entries] == ["ok"]
         assert load_trace(tmp_path / "absent.ndjson") == []
 
-    def test_trace_log_path_for_mirrors_journal_placement(
+    @pytest.mark.parametrize("mode", ["process", "thread"])
+    def test_daemon_logs_each_worker_span_once(self, tmp_path, mode):
+        """Forked workers inherit the daemon's recorder sink, and the
+        daemon adopts their captured spans too: only one of the two
+        may write a span to the log."""
+        from repro.eval.kernels import get_kernel
+        from repro.service.client import ServiceClient
+        from repro.service.daemon import ServiceThread
+
+        source = get_kernel("fir16").source
+        with trace.scoped_tracing():
+            with ServiceThread(store=tmp_path, worker_mode=mode,
+                               workers=2) as daemon:
+                client = ServiceClient(*daemon.address)
+                for pps in (2, 3):
+                    client.map_source(source, pps=pps)
+        trace.reset()
+        spans = [entry for entry in load_trace(tmp_path / TRACE_LOG_NAME)
+                 if entry.get("kind") == "span"]
+        ids = [entry["span"] for entry in spans]
+        assert "worker.map" in {entry["name"] for entry in spans}
+        assert len(ids) == len(set(ids)), sorted(
+            entry["name"] for entry in spans)
+
+    def test_harvest_from_an_unreachable_daemon_adds_nothing(
             self, tmp_path):
-        class Cache:
-            root = tmp_path
-
-        assert trace_log_path_for(Cache()) \
-            == tmp_path / TRACE_LOG_NAME
-        assert trace_log_path_for(tmp_path) \
-            == tmp_path / TRACE_LOG_NAME
-        assert trace_log_path_for(None) is None
-
-    def test_append_stamps_harvested_entries(self, tmp_path):
-        with FlightRecorder(tmp_path / "log.ndjson") as recorder:
-            wrote = recorder.append(
-                [{"name": "worker.chunk", "kind": "span",
-                  "trace": "t" * 32, "duration": 0.1, "at": 1.0}])
-        assert wrote == 1
-        assert recorder.seen_traces == {"t" * 32}
         # Harvest is best-effort: an unreachable daemon adds nothing.
         log = tmp_path / "unreached.ndjson"
         assert harvest_daemon("127.0.0.1:1", log) == 0

@@ -7,9 +7,8 @@ check: bit-identical artifacts under distribution and tracing,
 daemon/fleet paths.  Each invariant has a checker here with a stable
 ``FPLxxx`` code; the framework parses every file once, runs every
 applicable checker over the shared AST, honours inline
-``# fpfa-lint: disable=CODE`` suppressions and a committed baseline
-of deliberate grandfathers, and reports as text, JSON or a Markdown
-table.
+``# fpfa-lint: disable=CODE`` waivers (and fails on any that waive
+nothing), and reports as text, JSON or a Markdown table.
 
 Usage::
 
@@ -17,31 +16,31 @@ Usage::
     python -m tools.fpfa_lint --format json    # machine-readable
     python -m tools.fpfa_lint --list-checkers  # the catalog
 
-See ``docs/lint.md`` for the checker catalog and the
-suppression/baseline workflow.
+See ``docs/lint.md`` for the checker catalog and how to waive a
+finding.
 """
 
 from tools.fpfa_lint.core import (
-    Baseline,
     Checker,
     Finding,
     LintFile,
     LintRun,
     Project,
     REGISTRY,
+    Waiver,
     lint_paths,
     register,
     repo_root,
 )
 
 __all__ = [
-    "Baseline",
     "Checker",
     "Finding",
     "LintFile",
     "LintRun",
     "Project",
     "REGISTRY",
+    "Waiver",
     "lint_paths",
     "register",
     "repo_root",

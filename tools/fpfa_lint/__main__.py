@@ -1,7 +1,7 @@
 """``python -m tools.fpfa_lint`` — lint the repo.
 
-Exit status: 0 clean (baselined findings included), 1 findings /
-stale baseline entries / unparseable files, 2 usage errors.
+Exit status: 0 clean (waived findings included), 1 findings /
+unused waivers / unparseable files, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -10,17 +10,11 @@ import argparse
 import pathlib
 import sys
 
-from tools.fpfa_lint.core import (
-    Baseline,
-    lint_paths,
-    repo_root,
-)
+from tools.fpfa_lint.core import lint_paths, repo_root
 from tools.fpfa_lint.reporters import (
     RENDERERS,
     render_checker_list,
 )
-
-DEFAULT_BASELINE = "tools/fpfa_lint/baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,16 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=sorted(RENDERERS),
         default="text", help="report format (default: text)")
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE})")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather all current "
-             "findings (then justify each entry's reason)")
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated checker codes to run "
@@ -69,32 +53,15 @@ def main(argv: list[str] | None = None) -> int:
     paths = [pathlib.Path(p) for p in args.paths] \
         if args.paths else [root / "src", root / "tools"]
 
-    baseline_path = root / (args.baseline or DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as error:
-            sys.stderr.write(f"fpfa-lint: {error}\n")
-            return 2
-
     select = None
     if args.select:
         select = [code.strip() for code in args.select.split(",")
                   if code.strip()]
     try:
-        run = lint_paths(paths, root=root, baseline=baseline,
-                         select=select)
+        run = lint_paths(paths, root=root, select=select)
     except ValueError as error:
         sys.stderr.write(f"fpfa-lint: {error}\n")
         return 2
-
-    if args.update_baseline:
-        Baseline.from_findings(run.findings).save(baseline_path)
-        sys.stdout.write(
-            f"fpfa-lint: baselined {len(run.findings)} findings "
-            f"to {baseline_path} — justify each entry's reason\n")
-        return 0
 
     report = RENDERERS[args.format](run)
     sys.stdout.write(report)

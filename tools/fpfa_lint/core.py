@@ -1,4 +1,4 @@
-"""The fpfa-lint framework: files, findings, registry, baseline.
+"""The fpfa-lint framework: files, findings, registry, waivers.
 
 Design:
 
@@ -10,15 +10,12 @@ Design:
   register under a stable ``FPLxxx`` code via :func:`register`;
   ``docs/lint.md`` and ``tools/check_docs.py`` keep the catalog and
   the registry in lockstep.
-* **Suppressions** — ``# fpfa-lint: disable=FPL001[,FPL004]`` on the
-  finding's line (or alone on the line above) silences one site;
-  ``# fpfa-lint: disable-file=CODE`` near the top of a file silences
-  a whole file; ``# fpfa-lint: wall-clock`` is FPL001's allowlist
-  marker for deliberate wall-timestamp reads.
-* **Baseline** — a committed JSON file of grandfathered findings,
-  matched by (path, code, message) so line drift never resurrects
-  them.  Stale entries (baselined findings that no longer occur)
-  fail the run: the baseline only ever shrinks.
+* **Waivers** — ``# fpfa-lint: disable=FPL001[,FPL004]`` on the
+  finding's line (or alone on the line above) silences one site, and
+  is the only way to waive a finding.  A waiver that silences no
+  finding of an active checker fails the run, so waivers only ever
+  shrink.  ``# fpfa-lint: wall-clock`` is FPL001's allowlist marker
+  for deliberate wall-timestamp reads.
 
 Nothing here imports the repo's ``src`` tree — the linter must run
 on a checkout whose code does not import.
@@ -28,24 +25,17 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import pathlib
 import re
 import tokenize
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 #: Directive comments: ``# fpfa-lint: <directive>``.
 DIRECTIVE_PATTERN = re.compile(r"#\s*fpfa-lint:\s*(?P<body>.+?)\s*$")
 
 #: The FPL001 allowlist marker for deliberate wall-clock reads.
 WALL_CLOCK_MARKER = "wall-clock"
-
-#: Lines from the top of a file in which ``disable-file`` applies.
-FILE_DIRECTIVE_WINDOW = 10
-
-BASELINE_VERSION = 1
 
 
 def repo_root() -> pathlib.Path:
@@ -68,14 +58,23 @@ class Finding:
     message: str
     severity: str   #: "error" or "warning"
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: line numbers drift, messages do not."""
-        return (self.path, self.code, self.message)
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.column}: "
                 f"{self.code} [{self.severity}] {self.message}")
+
+
+@dataclass(frozen=True, order=True)
+class Waiver:
+    """One ``disable=CODE`` directive that silenced nothing."""
+
+    path: str
+    line: int       #: the directive comment's line
+    code: str
+
+    def render(self) -> str:
+        return (f"{self.path}:{self.line}: unused waiver "
+                f"disable={self.code} silences no finding — "
+                f"remove it")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,6 @@ class LintFile:
         self._comment_lines: dict[int, str] | None = None
         self._line_directives: dict[int, set[str]] | None = None
         self._standalone: set[int] | None = None
-        self._file_disabled: set[str] | None = None
         self._markers: dict[int, set[str]] | None = None
 
     # -- structure ----------------------------------------------------
@@ -146,7 +144,6 @@ class LintFile:
     def _scan_directives(self) -> None:
         line_directives: dict[int, set[str]] = {}
         standalone: set[int] = set()
-        file_disabled: set[str] = set()
         markers: dict[int, set[str]] = {}
         for number, comment in self.comment_lines().items():
             match = DIRECTIVE_PATTERN.search(comment)
@@ -164,35 +161,39 @@ class LintFile:
                         .update(code.strip()
                                 for code in value.split(",")
                                 if code.strip())
-                elif name == "disable-file" and value \
-                        and number <= FILE_DIRECTIVE_WINDOW:
-                    file_disabled.update(
-                        code.strip() for code in value.split(",")
-                        if code.strip())
                 elif not value:
                     markers.setdefault(number, set()).add(name)
         self._line_directives = line_directives
         self._standalone = standalone
-        self._file_disabled = file_disabled
         self._markers = markers
 
-    def suppressed(self, line: int, code: str) -> bool:
-        """Whether *code* is disabled at *line* (same line, or a
-        standalone directive comment on the line above, or a
-        file-level directive)."""
+    def waivers(self) -> list[tuple[int, str]]:
+        """Every ``(directive line, code)`` waiver, in line order."""
+        if "fpfa-lint:" not in self.text:
+            return []  # most files: skip tokenizing
         if self._line_directives is None:
             self._scan_directives()
-        if code in self._file_disabled:
-            return True
+        return sorted((line, code)
+                      for line, codes in self._line_directives.items()
+                      for code in codes)
+
+    def waiver_for(self, line: int, code: str) -> int | None:
+        """The line of the directive that disables *code* at *line*
+        (same line, or a standalone directive comment on the line
+        above), or None."""
+        if self._line_directives is None:
+            self._scan_directives()
         directives = self._line_directives
         if code in directives.get(line, ()):
-            return True
-        return line - 1 in self._standalone \
-            and code in directives.get(line - 1, ())
+            return line
+        if line - 1 in self._standalone \
+                and code in directives.get(line - 1, ()):
+            return line - 1
+        return None
 
     def marked(self, line: int, marker: str) -> bool:
         """Whether *marker* (e.g. ``wall-clock``) annotates *line*
-        (same rules as :meth:`suppressed`)."""
+        (same rules as :meth:`waiver_for`)."""
         if self._markers is None:
             self._scan_directives()
         markers = self._markers
@@ -366,8 +367,8 @@ class Checker:
     """One invariant with a stable code.
 
     Subclasses set the class attributes, implement :meth:`check`
-    (yield :class:`Finding`; the framework applies suppressions and
-    the baseline afterwards) and optionally narrow
+    (yield :class:`Finding`; the framework applies waivers
+    afterwards) and optionally narrow
     :meth:`applies_to`.
     """
 
@@ -399,90 +400,6 @@ def all_checkers() -> list[Checker]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-class Baseline:
-    """The committed ledger of grandfathered findings.
-
-    Entries match findings by (path, code, message) — never by line
-    — and every entry carries a ``reason``.  ``stale`` entries (no
-    longer matching any finding) fail the run so the ledger only
-    shrinks.
-    """
-
-    def __init__(self, entries: Iterable[Mapping] = ()):
-        self.entries = [dict(entry) for entry in entries]
-
-    @classmethod
-    def load(cls, path: pathlib.Path) -> "Baseline":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return cls()
-        if not isinstance(payload, dict) or \
-                payload.get("version") != BASELINE_VERSION or \
-                not isinstance(payload.get("entries"), list):
-            raise ValueError(
-                f"{path}: not a fpfa-lint baseline "
-                f"(expected {{'version': {BASELINE_VERSION}, "
-                f"'entries': [...]}})")
-        return cls(payload["entries"])
-
-    def save(self, path: pathlib.Path) -> None:
-        payload = {"version": BASELINE_VERSION,
-                   "entries": sorted(
-                       self.entries,
-                       key=lambda e: (e["path"], e["code"],
-                                      e["message"]))}
-        path.write_text(json.dumps(payload, indent=2,
-                                   sort_keys=True) + "\n",
-                        encoding="utf-8")
-
-    def split(self, findings: list[Finding]
-              ) -> tuple[list[Finding], list[Finding], list[dict]]:
-        """(fresh, grandfathered, stale-entries)."""
-        budget = Counter(
-            (entry["path"], entry["code"], entry["message"])
-            for entry in self.entries)
-        fresh: list[Finding] = []
-        matched: list[Finding] = []
-        used: Counter = Counter()
-        for finding in findings:
-            if budget[finding.key] > used[finding.key]:
-                used[finding.key] += 1
-                matched.append(finding)
-            else:
-                fresh.append(finding)
-        stale = []
-        seen: Counter = Counter()
-        for entry in self.entries:
-            key = (entry["path"], entry["code"], entry["message"])
-            seen[key] += 1
-            if seen[key] > used[key]:
-                stale.append(entry)
-        return fresh, matched, stale
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding],
-                      reasons: Mapping[tuple, str] | None = None
-                      ) -> "Baseline":
-        reasons = dict(reasons or {})
-        entries = []
-        for finding in findings:
-            entries.append({
-                "path": finding.path,
-                "code": finding.code,
-                "message": finding.message,
-                "reason": reasons.get(
-                    finding.key,
-                    "grandfathered by --update-baseline; justify "
-                    "or fix"),
-            })
-        return cls(entries)
-
-
-# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -491,15 +408,14 @@ class LintRun:
     """The outcome of one lint pass."""
 
     findings: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
+    unused_waivers: list[Waiver] = field(default_factory=list)
     suppressed: int = 0
     files: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline \
+        return not self.findings and not self.unused_waivers \
             and not self.errors
 
     def counts(self) -> dict[str, int]:
@@ -522,29 +438,30 @@ def iter_python_files(paths: Iterable[pathlib.Path]
 
 def lint_paths(paths: Iterable[pathlib.Path | str], *,
                root: pathlib.Path | None = None,
-               baseline: Baseline | None = None,
                checkers: Iterable[Checker] | None = None,
                select: Iterable[str] | None = None) -> LintRun:
     """Lint *paths* (files or directories).
 
     *root* anchors the logical repo-relative paths checkers scope
-    by (default: the real repo root).  *baseline* grandfathers known
-    findings; *select* restricts to the given checker codes.
+    by (default: the real repo root).  *select* restricts to the
+    given checker codes; a waiver for a checker it leaves out is not
+    reported as unused.
     """
     root = (root or repo_root()).resolve()
     active = list(checkers) if checkers is not None \
         else all_checkers()
+    left_out: set[str] = set()
     if select is not None:
         wanted = set(select)
         unknown = wanted - {checker.code for checker in active}
         if unknown:
             raise ValueError(
                 f"unknown checker code(s): {', '.join(sorted(unknown))}")
+        left_out = {checker.code for checker in active} - wanted
         active = [checker for checker in active
                   if checker.code in wanted]
     project = Project(root)
     run = LintRun()
-    collected: list[Finding] = []
     for path in iter_python_files(
             pathlib.Path(p) for p in paths):
         path = path.resolve()
@@ -559,18 +476,20 @@ def lint_paths(paths: Iterable[pathlib.Path | str], *,
             run.errors.append(f"{rel}: {error}")
             continue
         run.files += 1
+        used: set[tuple[int, str]] = set()
         for checker in active:
             if not checker.applies_to(file):
                 continue
             for finding in checker.check(file, project):
-                if file.suppressed(finding.line, finding.code):
-                    run.suppressed += 1
+                waiver = file.waiver_for(finding.line, finding.code)
+                if waiver is None:
+                    run.findings.append(finding)
                 else:
-                    collected.append(finding)
-    collected.sort()
-    if baseline is None:
-        run.findings = collected
-    else:
-        run.findings, run.grandfathered, run.stale_baseline = \
-            baseline.split(collected)
+                    run.suppressed += 1
+                    used.add((waiver, finding.code))
+        run.unused_waivers.extend(
+            Waiver(rel, line, code) for line, code in file.waivers()
+            if (line, code) not in used and code not in left_out)
+    run.findings.sort()
+    run.unused_waivers.sort()
     return run

@@ -14,26 +14,22 @@ def render_text(run: LintRun) -> str:
         lines.append(f"error: {error}")
     for finding in run.findings:
         lines.append(finding.render())
-    for entry in run.stale_baseline:
-        lines.append(
-            f"stale baseline entry: {entry['path']}: "
-            f"{entry['code']} {entry['message']!r} no longer "
-            f"occurs — remove it from the baseline")
+    for waiver in run.unused_waivers:
+        lines.append(waiver.render())
     summary = (f"{run.files} files, {len(run.findings)} findings, "
-               f"{len(run.grandfathered)} baselined, "
                f"{run.suppressed} suppressed")
     if run.ok:
         lines.append(f"fpfa-lint: clean ({summary})")
     else:
         lines.append(f"fpfa-lint: FAILED ({summary}, "
-                     f"{len(run.stale_baseline)} stale baseline "
-                     f"entries, {len(run.errors)} file errors)")
+                     f"{len(run.unused_waivers)} unused waivers, "
+                     f"{len(run.errors)} file errors)")
     return "\n".join(lines) + "\n"
 
 
 def render_json(run: LintRun) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "ok": run.ok,
         "files": run.files,
         "suppressed": run.suppressed,
@@ -44,11 +40,10 @@ def render_json(run: LintRun) -> str:
              "severity": finding.severity,
              "message": finding.message}
             for finding in run.findings],
-        "grandfathered": [
-            {"path": finding.path, "line": finding.line,
-             "code": finding.code, "message": finding.message}
-            for finding in run.grandfathered],
-        "stale_baseline": run.stale_baseline,
+        "unused_waivers": [
+            {"path": waiver.path, "line": waiver.line,
+             "code": waiver.code}
+            for waiver in run.unused_waivers],
         "errors": run.errors,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -59,7 +54,6 @@ def render_markdown(run: LintRun) -> str:
     status = "clean ✓" if run.ok else "**FAILED**"
     lines.append(f"{status} — {run.files} files, "
                  f"{len(run.findings)} findings, "
-                 f"{len(run.grandfathered)} baselined, "
                  f"{run.suppressed} suppressed")
     lines.append("")
     if run.findings:
@@ -71,12 +65,12 @@ def render_markdown(run: LintRun) -> str:
                          f"`{finding.path}:{finding.line}` | "
                          f"{message} |")
         lines.append("")
-    if run.stale_baseline:
-        lines.append("Stale baseline entries (remove them):")
+    if run.unused_waivers:
+        lines.append("Unused waivers (remove them):")
         lines.append("")
-        for entry in run.stale_baseline:
-            lines.append(f"- `{entry['path']}`: {entry['code']} "
-                         f"{entry['message']}")
+        for waiver in run.unused_waivers:
+            lines.append(f"- `{waiver.path}:{waiver.line}` "
+                         f"disable={waiver.code}")
         lines.append("")
     if run.errors:
         lines.append("File errors:")
