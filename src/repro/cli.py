@@ -79,6 +79,7 @@ from repro.core.pipeline import (
     verify_mapping,
 )
 from repro.eval.metrics import mapping_metrics, multitile_metrics
+from repro.lang.errors import SourceError
 
 SUBCOMMANDS = ("map", "explore", "serve", "submit", "jobs",
                "cache", "trace")
@@ -320,8 +321,8 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     record = sub.add_parser(
         "record",
         help="run `explore` with the flight recorder on: every span "
-             "streams to an NDJSON log, and the remote daemon's "
-             "ring is harvested into it when the sweep ends")
+             "streams to an NDJSON log, the remote daemon's spans "
+             "with each lease's results")
     _add_explore_arguments(record)
     record.add_argument("--trace-log", metavar="PATH", default=None,
                         help="where to write the NDJSON trace log "
@@ -336,11 +337,6 @@ def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     export.add_argument("--out", default="-", metavar="PATH",
                         help="output path for the trace_event JSON "
                              "(default '-': stdout)")
-    export.add_argument("--remote", action="append", default=[],
-                        metavar="URL",
-                        help="harvest this daemon's /trace ring "
-                             "into the log first (entries of traces "
-                             "already in the log)")
     report = sub.add_parser(
         "report",
         help="per-span-name rollup (count/total/mean/min/max) of a "
@@ -471,6 +467,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     )
 
     source = _read_source(args.file)
+    name = "<stdin>" if args.file == "-" else args.file
+    if not source.strip():
+        raise SystemExit(f"{name}: no C source (the file is empty)")
     # With `--json -` stdout carries *only* the JSON payload (for
     # pipelines and the fleet tests); the human-readable
     # report moves to stderr.
@@ -486,8 +485,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"invalid configuration: {error}")
     library = point.template_library()
-    frontend = compile_frontend(source, width=params.width,
-                                balance=args.balance)
+    try:
+        frontend = compile_frontend(source, width=params.width,
+                                    balance=args.balance)
+    except SourceError as error:
+        raise SystemExit(error.render(name))
     original_stats = frontend.original.stats()
     report = map_frontend(frontend, params, library, array=array)
 
@@ -930,17 +932,11 @@ def _remote_address(specs: list[str]) -> str:
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     """`explore` under the flight recorder: spans stream to an
-    NDJSON log while the sweep runs, and when it finishes the
-    remote daemon's ``/trace`` ring is harvested into the same
-    log — one file holding the whole stitched tree.  Daemons record
-    their side because the coordinator's trace context rides every
-    lease (`request["trace"]`), not because of anything this
-    command sets remotely."""
-    from repro.obs.export import (
-        TRACE_LOG_NAME,
-        harvest_daemon,
-        recording,
-    )
+    NDJSON log while the sweep runs.  A remote daemon records its
+    side because the coordinator's trace context rides every lease
+    (`request["trace"]`), and returns those entries with the lease's
+    results, so one file holds the whole stitched tree."""
+    from repro.obs.export import TRACE_LOG_NAME, recording
 
     log_path = args.trace_log
     if log_path is None:
@@ -950,14 +946,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         if args.json_path == "-" else print
     with recording(log_path) as recorder:
         code = _cmd_explore(args)
-        harvested = 0
-        if args.remote:
-            harvested = harvest_daemon(
-                _remote_address(args.remote), recorder,
-                trace_ids=recorder.seen_traces)
-    echo(f"trace: {recorder.written} entries "
-         f"({harvested} harvested from the remote daemon) "
-         f"-> {log_path}")
+    echo(f"trace: {recorder.written} entries -> {log_path}")
     return code
 
 
@@ -968,14 +957,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import load_trace
 
     if args.trace_command == "export":
-        from repro.obs.export import harvest_daemon, to_chrome_trace
+        from repro.obs.export import to_chrome_trace
         entries = load_trace(args.log)
-        if args.remote:
-            known = {entry.get("trace") for entry in entries
-                     if isinstance(entry.get("trace"), str)}
-            if harvest_daemon(_remote_address(args.remote), args.log,
-                              trace_ids=known or None):
-                entries = load_trace(args.log)
         if not entries:
             raise SystemExit(f"no trace entries in {args.log}")
         _dump_json(to_chrome_trace(entries), args.out)

@@ -43,6 +43,7 @@ Invariants
 from __future__ import annotations
 
 import http.client
+import os
 import threading
 import time
 from collections import deque
@@ -223,6 +224,15 @@ class _Leases:
             if trace.enabled():
                 request["trace"] = trace.context()
             payload = client.run(request, timeout=LEASE_TIMEOUT)
+        # A traced chunk comes back with the daemon's entries for it.
+        # Keep this sweep's (a coalesced job may have answered another
+        # sweep's lease), and none from a daemon in this process: it
+        # emitted them here already, also those it adopted from its
+        # process workers, which carry the workers' pids.
+        ctx, relayed = request.get("trace"), payload.get("trace")
+        if ctx and relayed and relayed["pid"] != os.getpid():
+            trace.adopt([entry for entry in relayed["spans"]
+                         if entry.get("trace") == ctx["trace"]])
         missing = [key for key in chunk if key not in payload["records"]]
         if missing:
             raise ServiceError(

@@ -151,6 +151,9 @@ _WORKER_CONTEXT: dict = {}
 def _init_worker(source: str,
                  frontends: dict[FrontendSpec, Frontend],
                  trace_ctx: dict | None = None) -> None:
+    # The parent's log is the parent's to write: a forked child's
+    # spans go home with its results (see _worker).
+    trace.drop_inherited_sinks()
     _WORKER_CONTEXT["source"] = source
     _WORKER_CONTEXT["frontends"] = dict(frontends)
     # The parent sweep's trace context: pool workers attach it so
@@ -169,6 +172,10 @@ def _worker(payload: tuple) -> tuple:
     compile them in parallel across the pool.  A failed compile
     memoises ``None`` and the evaluation recompiles per point,
     producing the identical failure record.
+
+    Returns ``(key, record, spans)``: *spans* are the trace entries
+    the evaluation finished here (empty when untraced), which the
+    parent adopts.
     """
     key, point_dict, verify_seed, spec = payload
     point = DesignPoint.from_dict(point_dict)
@@ -184,9 +191,11 @@ def _worker(payload: tuple) -> tuple:
             except Exception:  # noqa: BLE001 — surfaces per record
                 frontend = None
             memo[spec] = frontend
-    with trace.attach(_WORKER_CONTEXT.get("trace")):
-        return key, evaluate_point(_WORKER_CONTEXT["source"], point,
-                                   verify_seed, frontend=frontend)
+    with trace.attach(_WORKER_CONTEXT.get("trace")), \
+            trace.capture() as spans:
+        record = evaluate_point(_WORKER_CONTEXT["source"], point,
+                                verify_seed, frontend=frontend)
+    return key, record, spans.entries
 
 
 @dataclass
@@ -413,7 +422,8 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                 # exhaustion in a worker), and caching it would
                 # poison the (source, point) key for every later
                 # sweep sharing this cache directory.
-                for key, record in outcomes:
+                for key, record, spans in outcomes:
+                    trace.adopt(spans)
                     by_key[key] = record
                     if cache is not None and record["ok"]:
                         cache.put(key, record)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from repro.lang.errors import SourceLocation
+from repro.lang.errors import MissingFunctionError, SourceLocation
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -268,11 +268,13 @@ class Program:
     filename: str = "<input>"
 
     def function(self, name: str) -> FunctionDef:
-        """Return the function called *name* (KeyError if absent)."""
+        """Return the function called *name*
+        (:class:`MissingFunctionError` if absent)."""
         for function in self.functions:
             if function.name == name:
                 return function
-        raise KeyError(f"no function named {name!r}")
+        raise MissingFunctionError(f"no function named {name!r}",
+                                   source=self.source)
 
     @property
     def main(self) -> FunctionDef:

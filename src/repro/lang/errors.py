@@ -7,7 +7,7 @@ source text, so diagnostics look like a conventional compiler's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,18 @@ class SourceError(Exception):
         self.message = message
         self.location = location
         self.source = source
-        super().__init__(self._render())
+        super().__init__(self.render())
 
-    def _render(self) -> str:
-        if self.location is None:
-            return self.message
-        header = f"{self.location}: {self.message}"
+    def render(self, filename: str | None = None) -> str:
+        """The compiler-style message; *filename* names the file
+        where the parser only knew ``<input>``."""
+        location = self.location
+        if location is None:
+            return self.message if filename is None \
+                else f"{filename}: {self.message}"
+        if filename is not None:
+            location = replace(location, filename=filename)
+        header = f"{location}: {self.message}"
         caret = self._caret_line()
         if caret is None:
             return header
@@ -63,3 +69,8 @@ class ParseError(SourceError):
 
 class SemanticError(SourceError):
     """Raised by semantic analysis (undeclared names, bad indexing, ...)."""
+
+
+class MissingFunctionError(SemanticError):
+    """Raised when the program lacks a function it must define, such
+    as the ``main`` the flow maps."""

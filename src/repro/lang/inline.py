@@ -29,7 +29,11 @@ Restrictions (each reported with a caret diagnostic):
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.lang.errors import SemanticError, SourceLocation
+from repro.lang.errors import (
+    MissingFunctionError,
+    SemanticError,
+    SourceLocation,
+)
 from repro.lang.sema import analyze
 
 _INTRINSICS = frozenset({"min", "max", "abs"})
@@ -190,7 +194,7 @@ class Inliner:
                      want_value: bool) -> list[ast.Stmt]:
         try:
             callee = self.program.function(call.name)
-        except KeyError:
+        except MissingFunctionError:
             raise InlineError(
                 f"call to undefined function {call.name!r}",
                 call.location, self.program.source) from None

@@ -1,20 +1,18 @@
 """Sweep flight recorder: NDJSON span log + Chrome/Perfetto export.
 
-The tracer (:mod:`repro.obs.trace`) keeps a bounded in-memory ring —
-good for a live ``/trace`` peek, useless for "why did yesterday's
-sweep take 48 s".  The :class:`FlightRecorder` closes that gap: it
-registers as a tracer sink and streams every finished span/event as
-one JSON line to a log that lives **beside the cache**, so the
-trace of a sweep travels with its artifacts.
+The tracer (:mod:`repro.obs.trace`) keeps nothing it records; the
+:class:`FlightRecorder` is the sink that keeps it.  It registers with
+the tracer and streams every finished span/event as one JSON line to
+a log that lives **beside the cache**, so the trace of a sweep
+travels with its artifacts.  Entries other processes recorded for the
+same work (pool children, a daemon's queue and workers) come home
+inside their results and reach the log through
+:func:`repro.obs.trace.adopt`.
 
 The log is the interchange format; everything else derives from it:
 
 * :func:`load_trace` — tolerant NDJSON reader (a torn tail from a
   killed recorder loses at most the final line).
-* :func:`harvest_daemon` — pull a remote daemon's ``GET /trace``
-  ring and append the spans belonging to the recorded traces, so
-  one log holds the whole stitched tree (coordinator lease spans
-  parenting daemon queue/worker spans).
 * :func:`to_chrome_trace` — render entries as Chrome
   ``trace_event`` JSON (``{"traceEvents": [...]}``), loadable in
   ``chrome://tracing`` and Perfetto.
@@ -30,10 +28,9 @@ processes share a host clock; the attribution math in
 :mod:`repro.obs.critical` never subtracts wall stamps taken in
 different processes from each other without that caveat documented.
 
-Multiple processes may append to one log (a forked pool inherits the
-recorder): the file is opened append-mode and line-buffered, so each
-entry is one atomic-enough ``write(2)``; the tolerant loader drops
-the rare interleaved casualty instead of failing the export.
+One writer per log: only the process that opened a recorder writes
+to its file (forked pool children drop the sinks they inherit, see
+:func:`repro.obs.trace.drop_inherited_sinks`).
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "FlightRecorder",
     "recording",
     "load_trace",
-    "harvest_daemon",
     "to_chrome_trace",
     "rollup",
 ]
@@ -67,9 +63,7 @@ class FlightRecorder:
     Each entry is written as one line, flushed immediately (the
     recorder of a killed process loses at most the line being
     written).  Entries are copied before the ``pid``/``tid`` stamps
-    are added — the tracer's own ring entries are never mutated.
-    ``seen_traces`` accumulates every trace id the recorder wrote,
-    which is what :func:`harvest_daemon` filters remote rings by.
+    are added — the entry other sinks see is never mutated.
     """
 
     def __init__(self, path) -> None:
@@ -79,7 +73,6 @@ class FlightRecorder:
                           buffering=1)
         self._lock = threading.Lock()
         self.written = 0
-        self.seen_traces: set[str] = set()
 
     def __call__(self, entry: dict[str, Any]) -> None:
         record = dict(entry)
@@ -92,9 +85,6 @@ class FlightRecorder:
                 return
             self._file.write(line + "\n")
             self.written += 1
-            trace_id = record.get("trace")
-            if isinstance(trace_id, str):
-                self.seen_traces.add(trace_id)
 
     def close(self) -> None:
         with self._lock:
@@ -133,9 +123,9 @@ def recording(path):
 def load_trace(path) -> list[dict[str, Any]]:
     """Entries from an NDJSON trace log, tolerant of a torn tail.
 
-    A recorder killed mid-write (or two forked writers colliding on
-    one line) leaves undecodable lines; those are dropped, never
-    raised — the rest of the trace stays usable.
+    A recorder killed mid-write leaves an undecodable last line;
+    it is dropped, never raised — the rest of the trace stays
+    usable.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -155,69 +145,11 @@ def load_trace(path) -> list[dict[str, Any]]:
     return entries
 
 
-def harvest_daemon(remote, sink, *, trace_ids=None,
-                   timeout: float = 10.0) -> int:
-    """Pull one remote daemon's ``GET /trace`` ring into the log.
-
-    *remote* is a ``host:port`` string (or anything
-    :func:`repro.dse.distributed.parse_remote` accepts); *sink* is a
-    :class:`FlightRecorder`, a path, or a callable taking one entry.
-    With *trace_ids*, only entries belonging to those traces are
-    kept — the usual call passes ``recorder.seen_traces`` so a
-    shared daemon's unrelated work stays out of the sweep's log.
-    An unreachable daemon is skipped (harvest is a best-effort,
-    post-sweep step).  Returns the number of entries written.
-    """
-    from repro.dse.distributed import parse_remote
-    from repro.service.client import ServiceClient, ServiceError
-
-    host, port = parse_remote(remote)
-    try:
-        payload = ServiceClient(host, port, timeout=timeout).trace()
-    except (ServiceError, OSError, ValueError):
-        return 0
-    owned: FlightRecorder | None = None
-    if isinstance(sink, (str, os.PathLike)):
-        owned = sink = FlightRecorder(sink)
-    wanted = set(trace_ids) if trace_ids is not None else None
-    label = f"{host}:{port}"
-    daemon_pid = payload.get("pid")
-    harvested = 0
-    try:
-        for entry in payload.get("events", []):
-            if not isinstance(entry, dict):
-                continue
-            if wanted is not None and entry.get("trace") not in wanted:
-                continue
-            copied = dict(entry)
-            copied.setdefault("daemon", label)
-            if daemon_pid is not None:
-                copied.setdefault("pid", daemon_pid)
-            sink(copied)
-            harvested += 1
-    finally:
-        if owned is not None:
-            owned.close()
-    return harvested
-
-
-def _lane_ids(entries) -> dict[Any, int]:
-    """Stable small integers for Chrome's numeric pid field, keyed
-    by ``(daemon label, recorded pid)`` so every process in the
-    stitched trace gets its own swimlane."""
-    lanes: dict[Any, int] = {}
-    for entry in entries:
-        key = (entry.get("daemon"), entry.get("pid"))
-        if key not in lanes:
-            lanes[key] = len(lanes) + 1
-    return lanes
-
-
 #: Keys the tracer/recorder own; everything else on an entry is a
 #: user attribute and lands in the Chrome event's ``args``.
-_RESERVED = frozenset({"seq", "kind", "name", "at", "depth",
+_RESERVED = frozenset({"kind", "name", "at", "depth",
                        "duration", "trace", "span", "parent",
-                       "pid", "tid", "daemon"})
+                       "pid", "tid"})
 
 
 def to_chrome_trace(entries) -> dict[str, Any]:
@@ -226,24 +158,24 @@ def to_chrome_trace(entries) -> dict[str, Any]:
     Spans become ``ph: "X"`` complete events with microsecond
     ``ts``/``dur`` (``ts`` reconstructed as wall-finish minus the
     monotonic duration); point events become ``ph: "i"`` instants.
-    One swimlane (Chrome "process") per recorded process, named by
-    its daemon label or pid.
+    One swimlane (Chrome "process") per recorded pid, numbered in
+    order of first appearance.
     """
     entries = [e for e in entries if isinstance(e, dict)]
-    lanes = _lane_ids(entries)
+    lanes: dict[Any, int] = {}
+    for entry in entries:
+        lanes.setdefault(entry.get("pid"), len(lanes) + 1)
     trace_events: list[dict[str, Any]] = []
-    for key, lane in sorted(lanes.items(), key=lambda kv: kv[1]):
-        daemon, pid = key
-        label = daemon or (f"pid {pid}" if pid is not None
-                           else "unknown")
+    for pid, lane in lanes.items():
+        label = f"pid {pid}" if pid is not None else "unknown"
         trace_events.append({"ph": "M", "name": "process_name",
                              "pid": lane, "tid": 0,
-                             "args": {"name": str(label)}})
+                             "args": {"name": label}})
     for entry in entries:
         at = entry.get("at")
         if not isinstance(at, (int, float)):
             continue
-        lane = lanes[(entry.get("daemon"), entry.get("pid"))]
+        lane = lanes[entry.get("pid")]
         tid = entry.get("tid")
         tid = tid if isinstance(tid, int) else 0
         args = {k: v for k, v in entry.items()
@@ -267,9 +199,7 @@ def to_chrome_trace(entries) -> dict[str, Any]:
 
 
 def rollup(entries) -> dict[str, dict[str, float]]:
-    """Per-name ``{count, total, min, max}`` over span entries —
-    the same shape as a tracer snapshot's ``spans`` table, computed
-    from a log instead of live memory."""
+    """Per-name ``{count, total, min, max}`` over span entries."""
     table: dict[str, dict[str, float]] = {}
     for entry in entries:
         if not isinstance(entry, dict) or entry.get("kind") != "span":

@@ -1,4 +1,4 @@
-"""In-process tracing: nested spans and ring-buffered events.
+"""In-process tracing: nested spans and point events.
 
 Hot layers call the **module-level default tracer** through the free
 functions below::
@@ -24,17 +24,17 @@ Design constraints, in priority order:
    everything it records.  Mapped artifacts stay bit-identical with
    tracing on (see ``tests/test_obs.py``).
 3. **Monotonic durations.**  Span timing uses
-   :func:`time.perf_counter` pairs; wall-clock timestamps on ring
-   events are presentation-only, matching the PR 5 convention in
+   :func:`time.perf_counter` pairs; wall-clock timestamps on entries
+   are presentation-only, matching the convention in
    ``service/queue.py``.
 
-Aggregation model: per-span-name ``{count, total, min, max}``
-rollups in O(distinct names) memory; recent finished spans and point
-events land in one bounded ring
-(``collections.deque(maxlen=...)``) so a long sweep cannot grow the
-tracer without bound.  Nesting depth is tracked per thread so the
-ring shows call structure even when the worker pool interleaves
-spans from many threads.
+The tracer keeps no memory of what it recorded: a finished span or
+event becomes one entry dict handed to each registered sink
+(:meth:`Tracer.add_sink`) and is then forgotten.  The flight recorder
+in :mod:`repro.obs.export` is the sink that streams entries to an
+NDJSON log; rollups are computed from that log.  Nesting depth is
+tracked per thread so entries show call structure even when the
+worker pool interleaves spans from many threads.
 
 Distributed tracing (PR 9): every finished span carries W3C-style
 identifiers — a 32-hex ``trace`` id shared by a whole request tree, a
@@ -42,13 +42,13 @@ identifiers — a 32-hex ``trace`` id shared by a whole request tree, a
 Parentage follows the per-thread span stack; a remote parent is
 grafted in with :func:`attach`, whose context dict
 (``{"trace": ..., "span": ...}``) travels the wire inside job
-requests (see :mod:`repro.service.protocol`).  Cross-process
-collection uses :func:`capture` (gather the spans one job finished on
-this thread) and :meth:`Tracer.adopt` (fold entries recorded in a
-worker back into a host tracer).  Sinks registered with
-:meth:`Tracer.add_sink` observe every finished entry — the flight
-recorder in :mod:`repro.obs.export` streams them to an NDJSON log.
-IDs are only generated on the enabled path, so constraint 1 holds.
+requests (see :mod:`repro.service.protocol`).  Entries cross a
+process boundary one way only: the process that did the work
+gathers them with :func:`capture` (which stamps each with its pid)
+and returns them inside the result it already sends, and the
+receiver passes them to :func:`adopt`, which hands them to its own
+sinks.  IDs are only generated on the enabled path, so constraint 1
+holds.
 
 Enable globally with the ``FPFA_TRACE=1`` environment variable, or
 programmatically with :func:`enable`.
@@ -63,7 +63,6 @@ import itertools
 import os
 import threading
 import time
-from collections import deque
 from typing import Any
 
 __all__ = [
@@ -74,17 +73,13 @@ __all__ = [
     "enabled",
     "enable",
     "disable",
-    "snapshot",
-    "reset",
     "context",
     "attach",
     "capture",
     "adopt",
     "record_span",
+    "drop_inherited_sinks",
 ]
-
-#: Default capacity of the recent-event ring.
-DEFAULT_RING = 1024
 
 #: Hard cap on entries one :func:`capture` collects — a runaway job
 #: must not grow the worker's return payload without bound.
@@ -234,28 +229,31 @@ class _Attach:
 class _Capture:
     """Sink collecting entries finished on the registering thread.
 
-    Used around one job's execution in a worker: the captured span
-    entries ride back to the daemon in the job's ``info`` side
-    channel and are :meth:`Tracer.adopt`-ed there.  Bounded by
+    Used around work whose entries must leave this process: a service
+    job in a worker, a sweep point in a pool child.  The captured
+    entries, each stamped with this process's pid, ride home inside
+    the result and are :meth:`Tracer.adopt`-ed there.  Bounded by
     ``CAPTURE_LIMIT``; inert when the tracer is disabled.
     """
 
-    __slots__ = ("tracer", "entries", "_ident", "_active")
+    __slots__ = ("tracer", "entries", "_ident", "_pid", "_active")
 
     def __init__(self, tracer: "Tracer") -> None:
         self.tracer = tracer
         self.entries: list[dict[str, Any]] = []
         self._ident = 0
+        self._pid = 0
         self._active = False
 
     def __call__(self, entry: dict[str, Any]) -> None:
         if (threading.get_ident() == self._ident
                 and len(self.entries) < CAPTURE_LIMIT):
-            self.entries.append(entry)
+            self.entries.append({"pid": self._pid, **entry})
 
     def __enter__(self) -> "_Capture":
         if self.tracer._enabled:
             self._ident = threading.get_ident()
+            self._pid = os.getpid()
             self._active = True
             self.tracer.add_sink(self)
         return self
@@ -267,22 +265,18 @@ class _Capture:
 
 
 class Tracer:
-    """Span/event recorder with bounded memory.
+    """Span/event recorder that forwards every entry to its sinks.
 
-    Thread-safe: span rollups and the ring share one lock,
-    taken only on the *enabled* paths.  Nesting depth and the span
-    stack are tracked in ``threading.local`` so concurrent worker
-    threads do not corrupt each other's parentage.
+    Thread-safe: the sink tuple is replaced, never mutated, under a
+    lock taken only to add or remove a sink.  Nesting depth and the
+    span stack are tracked in ``threading.local`` so concurrent
+    worker threads do not corrupt each other's parentage.
     """
 
-    def __init__(self, enabled: bool = False,
-                 ring: int = DEFAULT_RING) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self._enabled = enabled
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._ring: deque[dict[str, Any]] = deque(maxlen=ring)
-        self._spans: dict[str, dict[str, float]] = {}
-        self._seq = 0
         self._sinks: tuple = ()
 
     # -- switches ---------------------------------------------------
@@ -301,16 +295,18 @@ class Tracer:
 
     def add_sink(self, sink) -> None:
         """Register *sink* (a callable taking one finished entry
-        dict).  Sinks run on the finishing thread, outside the
-        tracer lock; they must not mutate the entry."""
+        dict).  Sinks run on the finishing thread; they must not
+        mutate the entry."""
         with self._lock:
             if sink not in self._sinks:
                 self._sinks = self._sinks + (sink,)
 
     def remove_sink(self, sink) -> None:
+        """Unregister *sink*, matched by equality as :meth:`add_sink`
+        matches it (``entries.append`` is a new bound method at every
+        access, equal to but never the same as the registered one)."""
         with self._lock:
-            self._sinks = tuple(s for s in self._sinks
-                                if s is not sink)
+            self._sinks = tuple(s for s in self._sinks if s != sink)
 
     def _emit(self, entries) -> None:
         sinks = self._sinks
@@ -326,70 +322,47 @@ class Tracer:
         """Context manager timing a named region.
 
         Returns the shared no-op when disabled; the real span
-        otherwise.  Attributes are copied into the ring entry when
-        the span closes.
+        otherwise.  Attributes are copied into the entry when the
+        span closes.
         """
         if not self._enabled:
             return _NOOP_SPAN
         return _Span(self, name, attrs)
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Record a point-in-time event into the ring."""
+        """Record a point-in-time event."""
         if not self._enabled:
             return
         current = self._current()
-        with self._lock:
-            self._seq += 1
-            entry = {"seq": self._seq, "kind": "event",
-                     "name": name, "at": time.time()}  # fpfa-lint: wall-clock
-            if current is not None:
-                entry["trace"], entry["span"] = current
-            for key, value in attrs.items():
-                # Reserved entry fields (kind, trace, at, ...) win
-                # over caller attributes of the same name.
-                entry.setdefault(key, value)
-            self._ring.append(entry)
+        entry = {"kind": "event", "name": name,
+                 "at": time.time()}  # fpfa-lint: wall-clock
+        if current is not None:
+            entry["trace"], entry["span"] = current
+        for key, value in attrs.items():
+            # Reserved entry fields (kind, trace, at, ...) win
+            # over caller attributes of the same name.
+            entry.setdefault(key, value)
         self._emit((entry,))
-
-    def _record(self, name: str, duration: float, depth: int,
-                attrs: dict[str, Any], trace_id: str, span_id: str,
-                parent_id: str | None) -> dict[str, Any]:
-        """Rollup + ring entry for one finished span (lock held by
-        caller's discretion — this takes it)."""
-        with self._lock:
-            rollup = self._spans.get(name)
-            if rollup is None:
-                self._spans[name] = {"count": 1, "total": duration,
-                                     "min": duration, "max": duration}
-            else:
-                rollup["count"] += 1
-                rollup["total"] += duration
-                if duration < rollup["min"]:
-                    rollup["min"] = duration
-                if duration > rollup["max"]:
-                    rollup["max"] = duration
-            self._seq += 1
-            entry = {"seq": self._seq, "kind": "span", "name": name,
-                     "at": time.time(), "depth": depth,  # fpfa-lint: wall-clock
-                     "duration": duration, "trace": trace_id,
-                     "span": span_id, "parent": parent_id}
-            for key, value in attrs.items():
-                # Reserved entry fields win over same-named attrs.
-                entry.setdefault(key, value)
-            self._ring.append(entry)
-        return entry
 
     def _finish(self, name: str, duration: float, depth: int,
                 attrs: dict[str, Any], trace_id: str, span_id: str,
-                parent_id: str | None) -> None:
-        entry = self._record(name, duration, depth, attrs,
-                             trace_id, span_id, parent_id)
+                parent_id: str | None) -> dict[str, Any]:
+        """Build the entry for one finished span and emit it."""
+        entry = {"kind": "span", "name": name,
+                 "at": time.time(), "depth": depth,  # fpfa-lint: wall-clock
+                 "duration": duration, "trace": trace_id,
+                 "span": span_id, "parent": parent_id}
+        for key, value in attrs.items():
+            # Reserved entry fields win over same-named attrs.
+            entry.setdefault(key, value)
         self._emit((entry,))
+        return entry
 
     def record_span(self, name: str, duration: float, *,
                     context: dict | None = None,
-                    **attrs: Any) -> None:
-        """Record a span whose duration was measured elsewhere.
+                    **attrs: Any) -> dict[str, Any] | None:
+        """Record a span whose duration was measured elsewhere, and
+        return its entry (None while disabled).
 
         For timings that exist as monotonic pairs rather than a code
         region — e.g. a job's queue wait, known only when it starts
@@ -398,7 +371,7 @@ class Tracer:
         parents to the thread's current span, or starts a new trace.
         """
         if not self._enabled:
-            return
+            return None
         duration = max(0.0, float(duration))
         trace_id: str | None = None
         parent_id: str | None = None
@@ -413,48 +386,26 @@ class Tracer:
                 trace_id, parent_id = current
             else:
                 trace_id = _new_trace_id()
-        entry = self._record(name, duration, 0, dict(attrs),
-                             trace_id, _new_span_id(), parent_id)
-        self._emit((entry,))
+        return self._finish(name, duration, 0, dict(attrs),
+                            trace_id, _new_span_id(), parent_id)
 
     def adopt(self, entries) -> int:
-        """Fold entries recorded in another process into this tracer.
+        """Hand entries recorded in another process to this tracer's
+        sinks.
 
-        Worker captures and harvested daemon rings re-enter here:
-        each entry keeps its ids, name, attrs and duration (so
-        parent linkage survives the hop) but is re-sequenced into
-        this tracer's ring and counted into its rollups.  Adopted
-        entries flow to sinks, so an installed flight recorder logs
-        them too.  Returns the number adopted; no-op when disabled.
+        Each entry keeps its ids, name, attrs and duration, so parent
+        linkage survives the hop, and an installed flight recorder
+        logs it.  An entry stamped with this process's own pid was
+        already emitted here (a thread-mode worker, an in-process
+        daemon) and is skipped, so nothing is logged twice.  Returns
+        the number adopted; no-op when disabled.
         """
         if not self._enabled or not entries:
             return 0
-        adopted: list[dict[str, Any]] = []
-        with self._lock:
-            for entry in entries:
-                if not isinstance(entry, dict) or "name" not in entry:
-                    continue
-                copied = dict(entry)
-                self._seq += 1
-                copied["seq"] = self._seq
-                duration = copied.get("duration")
-                if (copied.get("kind") == "span"
-                        and isinstance(duration, (int, float))):
-                    name = copied["name"]
-                    rollup = self._spans.get(name)
-                    if rollup is None:
-                        self._spans[name] = {
-                            "count": 1, "total": duration,
-                            "min": duration, "max": duration}
-                    else:
-                        rollup["count"] += 1
-                        rollup["total"] += duration
-                        if duration < rollup["min"]:
-                            rollup["min"] = duration
-                        if duration > rollup["max"]:
-                            rollup["max"] = duration
-                self._ring.append(copied)
-                adopted.append(copied)
+        pid = os.getpid()
+        adopted = [entry for entry in entries
+                   if isinstance(entry, dict) and "name" in entry
+                   and entry.get("pid") != pid]
         self._emit(adopted)
         return len(adopted)
 
@@ -502,33 +453,6 @@ class Tracer:
         stays empty)."""
         return _Capture(self)
 
-    # -- reading ----------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Consistent copy of rollups and recent events."""
-        with self._lock:
-            return {
-                "enabled": self._enabled,
-                "spans": {name: dict(rollup)
-                          for name, rollup in self._spans.items()},
-                "events": [dict(entry) for entry in self._ring],
-            }
-
-    def recent(self, limit: int | None = None) -> list[dict[str, Any]]:
-        with self._lock:
-            entries = list(self._ring)
-        if limit is not None:
-            entries = entries[-limit:]
-        return entries
-
-    def reset(self) -> None:
-        """Drop all recorded data; the enabled flag and registered
-        sinks are untouched."""
-        with self._lock:
-            self._ring.clear()
-            self._spans.clear()
-            self._seq = 0
-
 
 #: The module-level default tracer every instrumented layer uses.
 TRACER = Tracer(enabled=bool(os.environ.get("FPFA_TRACE")))
@@ -554,14 +478,6 @@ def disable() -> None:
     TRACER.disable()
 
 
-def snapshot() -> dict[str, Any]:
-    return TRACER.snapshot()
-
-
-def reset() -> None:
-    TRACER.reset()
-
-
 def context() -> dict[str, str] | None:
     return TRACER.context()
 
@@ -579,8 +495,20 @@ def adopt(entries) -> int:
 
 
 def record_span(name: str, duration: float, *,
-                context: dict | None = None, **attrs: Any) -> None:
-    TRACER.record_span(name, duration, context=context, **attrs)
+                context: dict | None = None,
+                **attrs: Any) -> dict[str, Any] | None:
+    return TRACER.record_span(name, duration, context=context, **attrs)
+
+
+def drop_inherited_sinks() -> None:
+    """Process-pool initializer: detach the sinks a forked child
+    inherited from its parent (the parent's flight recorder).  Only
+    the process that opened a log writes to it; the child's entries
+    go home through :func:`capture` and :func:`adopt`.  The child
+    also gets a fresh sink lock: one that some parent thread held at
+    fork time would never be released here."""
+    TRACER._lock = threading.Lock()
+    TRACER._sinks = ()
 
 
 class scoped_tracing:

@@ -100,14 +100,6 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/stats")
 
-    def trace(self) -> dict:
-        """The daemon's tracer snapshot from ``GET /trace`` —
-        span rollups and the recent-entry ring, each span
-        carrying its trace/span/parent ids, plus the daemon's
-        ``pid``.  What :func:`repro.obs.export.harvest_daemon`
-        stitches distributed traces from."""
-        return self._request("GET", "/trace")
-
     def submit(self, request: Mapping,
                wait: float | None = None) -> dict:
         """POST one raw job request; returns ``{"job": ...,

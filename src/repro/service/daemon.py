@@ -22,7 +22,6 @@ Endpoints (see ``docs/service.md`` for the full reference)::
     GET  /jobs               list jobs (?state= filter)
     GET  /jobs/<id>          one job (?wait=SECONDS long-polls)
     GET  /jobs/<id>/events   NDJSON progress stream until terminal
-    GET  /trace              tracer snapshot (spans carry trace ids)
     POST /shutdown           graceful stop
 
 Invariants
@@ -268,7 +267,7 @@ class MappingService:
         record, info = await self._execute(
             run_map_job, request, frontend,
             fresh=lambda result: {job.key: result[0]})
-        self._adopt_spans(info)
+        trace.adopt(info["spans"])
         self.counts["computed"] += 1
         meta = {"cache": "miss", "frontend_reused": reused,
                 "timings": info.get("timings"),
@@ -290,6 +289,12 @@ class MappingService:
         the ``want_verified`` rule map jobs use; a chunk whose points
         are all stored finishes without a pool task.
 
+        A traced job (its request carries a trace context) returns its
+        trace entries in the payload's ``trace`` field: the job's
+        ``queue.wait`` span and its worker's capture, with this
+        daemon's pid, so the coordinator can adopt them.  An untraced
+        job's payload has no such field.
+
         The cache pass runs on the event loop: it is a few small page
         cache reads, and a round trip through an executor thread costs
         more than they do on a loaded host (with one for the pass and
@@ -304,14 +309,17 @@ class MappingService:
             request["source"], points, self.store,
             request["verify_seed"], stats)
         worker = None
+        spans = [] if job.wait_span is None else [
+            dict(job.wait_span, pid=os.getpid())]
         if pending:
             missing = [key_points[key] for key in pending]
             fresh, info = await self._execute(
                 run_chunk_job, request, missing,
                 self._compiled_frontends(request["source"], missing),
                 fresh=lambda result: result[0])
-            self._adopt_spans(info)
-            worker = info.get("worker")
+            trace.adopt(info["spans"])
+            spans += info["spans"]
+            worker = info["worker"]
             by_key.update(fresh)
         self.counts["computed"] += 1
         chunk_stats = {"cached": stats.cached,
@@ -324,6 +332,8 @@ class MappingService:
             "records": {key: by_key[key] for key in point_keys},
             "stats": chunk_stats,
         }
+        if job.trace_id is not None and spans:
+            payload["trace"] = {"pid": os.getpid(), "spans": spans}
         self.queue.finish(job, payload, cache="chunk", worker=worker,
                           stats=chunk_stats)
 
@@ -346,27 +356,6 @@ class MappingService:
 
         task.add_done_callback(admit)
         return await asyncio.wrap_future(task)
-
-    def _adopt_spans(self, info: dict) -> None:
-        """Fold a worker's captured spans into this daemon's tracer.
-
-        A process-mode worker's tracer ring is invisible from here;
-        the executor rides its finished spans home in the ``info``
-        side channel (see ``workers._stash_spans``).  Adoption puts
-        them in the ring ``GET /trace`` serves and forwards them to
-        the flight recorder.  The key is *popped* so job meta and
-        result payloads never grow a tracing field.  A thread-mode
-        worker already recorded straight into this process's tracer —
-        only spans stamped with a foreign pid are adopted, so nothing
-        is double-counted.
-        """
-        spans = info.pop("trace_spans", None)
-        if spans:
-            pid = os.getpid()
-            foreign = [entry for entry in spans
-                       if entry.get("pid") != pid]
-            if foreign:
-                trace.adopt(foreign)
 
     # -- frontend memo ------------------------------------------------
 
@@ -522,15 +511,6 @@ class MappingService:
                          for job in self.queue.list_jobs(state)]})
         elif method == "GET" and path.startswith("/jobs/"):
             await self._handle_job_get(path, query, writer)
-        elif method == "GET" and path == "/trace":
-            # Debug view of the tracer: rollups plus the recent-entry
-            # ring, every span carrying its trace/span/parent ids —
-            # what `fpfa-map trace export` harvests to stitch a
-            # distributed sweep's tree.  Cheap enough to serve inline
-            # (one lock, bounded copies).
-            snap = trace.snapshot()
-            snap["pid"] = os.getpid()
-            await _send_json(writer, 200, snap)
         elif method == "POST" and path == "/shutdown":
             await _send_json(writer, 200, {"ok": True})
             self.request_shutdown()

@@ -79,6 +79,9 @@ class Job:
     error: str | None = None        #: failure description when FAILED
     meta: dict = field(default_factory=dict)   #: service-side profile
     events: list = field(default_factory=list)
+    #: The ``queue.wait`` trace entry, when the tracer recorded one;
+    #: a traced sweep-chunk job returns it with its result.
+    wait_span: dict | None = None
 
     def add_event(self, event: str, **detail) -> dict:
         entry = {"seq": len(self.events), "event": event,
@@ -249,9 +252,9 @@ class JobQueue:
             # duration from the monotonic pair, parented under the
             # submitter's span so the critical-path analysis sees
             # queue time inside the lease that paid it.
-            trace.record_span("queue.wait", job.waited, job=job.id,
-                              job_kind=job.kind,
-                              context=job.request.get("trace"))
+            job.wait_span = trace.record_span(
+                "queue.wait", job.waited, job=job.id,
+                job_kind=job.kind, context=job.request.get("trace"))
         self._trace("running", job)
 
     def finish(self, job: Job, result: dict, **meta) -> None:

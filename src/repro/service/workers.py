@@ -51,22 +51,6 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def _stash_spans(info: dict, spans) -> None:
-    """Ride this job's captured span entries back to the daemon.
-
-    The worker may run in a forked process whose tracer ring dies
-    with it; the ``info`` side channel (never the result payload —
-    payloads stay bit-identical under tracing) carries the entries
-    home, where the daemon :func:`repro.obs.trace.adopt`-s them.
-    Each entry is stamped with the worker's pid so the exported
-    timeline keeps one swimlane per process.  Untraced jobs add
-    nothing — the info dict stays byte-identical to PR 6.
-    """
-    if spans.entries:
-        info["trace_spans"] = [dict(entry, pid=os.getpid())
-                               for entry in spans.entries]
-
-
 # ---------------------------------------------------------------------------
 # Job executors (module-level: they must pickle into worker processes)
 # ---------------------------------------------------------------------------
@@ -76,9 +60,10 @@ def run_map_job(request: Mapping,
     """Execute one map job; returns ``(record, info)``.
 
     *record* is a canonical sweep record (stored verbatim); *info*
-    carries service-side profile data — the report's per-stage
-    timings and the worker identity — that must never leak into the
-    record.
+    carries service-side data that must never leak into the record:
+    the report's per-stage timings, the worker identity and the
+    job's captured trace entries (``spans``, empty when untraced),
+    which the daemon :func:`repro.obs.trace.adopt`-s.
     """
     sink: dict = {}
     with trace.attach(request.get("trace")), \
@@ -88,9 +73,8 @@ def run_map_job(request: Mapping,
                                     request_point(request),
                                     request.get("verify_seed"),
                                     frontend=frontend, sink=sink)
-    info = {"timings": sink.get("timings"), "worker": os.getpid()}
-    _stash_spans(info, spans)
-    return record, info
+    return record, {"timings": sink.get("timings"),
+                    "worker": os.getpid(), "spans": spans.entries}
 
 
 def run_chunk_job(request: Mapping, points: list[DesignPoint],
@@ -103,6 +87,8 @@ def run_chunk_job(request: Mapping, points: list[DesignPoint],
     sweep's bit-identity guarantee rests on this).  The daemon passes
     only the points its store did not hold, and admits the fresh
     records itself; *frontends* seeds the run with its warm memo.
+    *info* carries the worker identity and the captured trace
+    entries, as :func:`run_map_job`'s does.
     """
     with trace.attach(request.get("trace")), \
             trace.capture() as spans:
@@ -111,24 +97,12 @@ def run_chunk_job(request: Mapping, points: list[DesignPoint],
                 request["source"], points,
                 verify_seed=request.get("verify_seed"),
                 frontends=frontends)
-    info = {"worker": os.getpid()}
-    _stash_spans(info, spans)
-    return records, info
+    return records, {"worker": os.getpid(), "spans": spans.entries}
 
 
 # ---------------------------------------------------------------------------
 # The pool
 # ---------------------------------------------------------------------------
-
-def _drop_inherited_sinks() -> None:
-    """Process-pool initializer: detach the tracer sinks a forked
-    worker inherits (the daemon's flight recorder).  The worker's
-    spans come home through capture and adopt, and the daemon's
-    recorder logs them then; an inherited sink would log each twice.
-    """
-    for sink in trace.TRACER._sinks:
-        trace.TRACER.remove_sink(sink)
-
 
 class WorkerPool:
     """A bounded, persistent executor for service jobs."""
@@ -149,7 +123,7 @@ class WorkerPool:
                 multiprocessing.get_all_start_methods() else None)
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context,
-                initializer=_drop_inherited_sinks)
+                initializer=trace.drop_inherited_sinks)
         else:
             self._executor = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.workers,

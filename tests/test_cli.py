@@ -274,6 +274,49 @@ def test_explore_rejects_file_and_kernel_together(fir_file, capsys):
     assert "not both" in str(excinfo.value)
 
 
+# -- front-end errors: one compiler-style message, exit 1 ------------------
+
+def _source_file(tmp_path, text):
+    path = tmp_path / "prog.c"
+    path.write_text(text)
+    return str(path)
+
+
+def test_map_without_main_is_one_message(tmp_path, capsys):
+    path = _source_file(tmp_path, "int f(int a) { return a; }\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["map", path])
+    assert excinfo.value.code == f"{path}: no function named 'main'"
+
+
+def test_map_syntax_error_names_the_file_and_column(tmp_path, capsys):
+    path = _source_file(tmp_path, "void main() { x = ; }\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["map", path])
+    assert excinfo.value.code == (
+        f"{path}:1:19: expected expression, found ';'\n"
+        "    void main() { x = ; }\n"
+        "                      ^")
+
+
+def test_map_empty_file_is_worded_for_the_cli(tmp_path, capsys):
+    path = _source_file(tmp_path, "  \n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["map", path])
+    assert excinfo.value.code == f"{path}: no C source (the file is empty)"
+
+
+def test_explore_without_main_fails_each_point_with_the_message(
+        tmp_path, capsys):
+    path = _source_file(tmp_path, "int f(int a) { return a; }\n")
+    assert main(["explore", path, "--pps", "1,2", "--workers", "1",
+                 "--json", "-"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stats"]["failed"] == 2
+    assert {record["error"] for record in payload["records"]} == {
+        "MissingFunctionError: no function named 'main'"}
+
+
 def test_explore_exit_code_nonzero_without_feasible_point(capsys):
     assert main(["explore", "--kernel", "fir5",
                  "--sweep", "n_pps=0", "--workers", "1"]) == 1
@@ -521,16 +564,13 @@ def test_trace_commands_over_a_local_sweep(tmp_path, capsys):
     """`trace record --trace-log` over a local sweep (no daemon),
     then `export --log --out`, `report --log [--json]` and
     `critical-path --log [--trace ID] [--json]` over its log."""
-    from repro.obs import trace
-
     log = tmp_path / "sweep.ndjson"
-    try:
-        assert main(["trace", "record", "--kernel", "fir5",
-                     "--pps", "1,2", "--workers", "1",
-                     "--trace-log", str(log)]) == 0
-    finally:
-        trace.reset()
-    assert f"-> {log}" in capsys.readouterr().out
+    assert main(["trace", "record", "--kernel", "fir5",
+                 "--pps", "1,2", "--workers", "1",
+                 "--trace-log", str(log)]) == 0
+    out = capsys.readouterr().out
+    assert f"trace: {len(log.read_text().splitlines())} entries " \
+        f"-> {log}" in out
     entries = [json.loads(line) for line in log.read_text().splitlines()]
     sweeps = [entry for entry in entries
               if entry.get("kind") == "span"

@@ -35,13 +35,11 @@ from repro.eval.kernels import KERNELS, get_kernel
 from repro.obs.critical import critical_path, render_critical
 from repro.obs.export import (
     TRACE_LOG_NAME,
-    harvest_daemon,
     load_trace,
     recording,
     to_chrome_trace,
 )
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.subproc import DaemonProcess
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -73,8 +71,85 @@ SUBPROCESS_ENV = {
 }
 
 
+#: Seconds to wait for a spawned daemon to become healthy.
+STARTUP_TIMEOUT = 30.0
+
+
 def canon(payload) -> str:
     return json.dumps(payload, sort_keys=True)
+
+
+class DaemonProcess:
+    """One ``fpfa-map serve`` subprocess: spawn, address, kill.
+
+    Spawned exactly as an operator would (``python -m repro.cli
+    serve``); it reports its bound address and is health-checked.
+    Unlike the in-process ``ServiceThread``, each instance owns a
+    whole interpreter, so killing it is a real daemon death.
+    """
+
+    def __init__(self, store, *, workers: int = 2,
+                 worker_mode: str = "thread", port: int = 0,
+                 store_max_entries: int | None = None,
+                 store_max_bytes: int | None = None):
+        self.store = pathlib.Path(store)
+        self.workers = workers
+        self.worker_mode = worker_mode
+        self.port = port
+        self.store_max_entries = store_max_entries
+        self.store_max_bytes = store_max_bytes
+        self.process: subprocess.Popen | None = None
+        self.address: tuple[str, int] | None = None
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"{host}:{port}"
+
+    def start(self) -> "DaemonProcess":
+        argv = [sys.executable, "-m", "repro.cli", "serve",
+                "--port", str(self.port),
+                "--workers", str(self.workers),
+                "--worker-mode", self.worker_mode,
+                "--store", str(self.store)]
+        if self.store_max_entries is not None:
+            argv += ["--store-max-entries",
+                     str(self.store_max_entries)]
+        if self.store_max_bytes is not None:
+            argv += ["--store-max-bytes", str(self.store_max_bytes)]
+        # The environment is read now, not at import: a test may set
+        # FPFA_TRACE just before it spawns a daemon.
+        env = {**os.environ, "PYTHONPATH": SUBPROCESS_ENV["PYTHONPATH"]}
+        self.process = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, text=True, env=env)
+        line = self.process.stdout.readline()
+        if "listening on http://" not in line:
+            self.kill()
+            raise RuntimeError(f"daemon failed to start: {line!r}")
+        host, port = line.rsplit("http://", 1)[1].strip().split(":")
+        self.address = (host, int(port))
+        self._wait_healthy()
+        return self
+
+    def _wait_healthy(self) -> None:
+        client = ServiceClient(*self.address, timeout=5.0)
+        deadline = time.monotonic() + STARTUP_TIMEOUT
+        while True:
+            try:
+                client.health()
+                return
+            except OSError:
+                if time.monotonic() > deadline:
+                    self.kill()
+                    raise RuntimeError(
+                        f"daemon at {self.url} never became healthy")
+                time.sleep(0.05)
+
+    def kill(self) -> None:
+        """SIGKILL — the death the local fallback must survive."""
+        if self.process is not None and self.process.poll() is None:
+            self.process.kill()
+            self.process.wait(timeout=10)
 
 
 class Fleet:
@@ -427,20 +502,19 @@ def test_obs_metrics_and_stats_follow_the_fleet(fleet, truth):
 def test_trace_stitches_one_sweep_across_processes(fleet, truth,
                                                    tmp_path,
                                                    monkeypatch):
-    """A distributed sweep recorded in the coordinator and harvested
-    from the daemon is one trace: parent-linked across the process
-    boundary, exportable to Perfetto, attributed on the critical
-    path — and its records are those of an untraced run."""
+    """A distributed sweep recorded in the coordinator, with the
+    daemon's spans returned inside each lease's result, is one trace:
+    parent-linked across the process boundary, exportable to
+    Perfetto, attributed on the critical path — and its records are
+    those of an untraced run."""
     # Daemons inherit the environment: tracing on before they spawn.
     monkeypatch.setenv("FPFA_TRACE", "1")
     daemon = fleet()
     log = tmp_path / TRACE_LOG_NAME
-    with recording(log) as recorder:
+    with recording(log):
         result = run_distributed_sweep(
             SOURCE, SPACE.grid(), remotes=daemon.url,
             cache=tmp_path / "cache", chunk_size=CHUNK_SIZE)
-        harvest_daemon(daemon.url, recorder,
-                       trace_ids=recorder.seen_traces)
     assert canon(result.records) == truth, \
         "observation mutated the artifacts"
 
@@ -456,7 +530,7 @@ def test_trace_stitches_one_sweep_across_processes(fleet, truth,
     lease_ids = {e["span"] for e in leases}
     for name in ("worker.chunk", "queue.wait"):
         daemon_side = [e for e in spans if e["name"] == name]
-        assert daemon_side, f"no {name} spans harvested"
+        assert daemon_side, f"no {name} spans came home"
         assert any(e.get("pid") not in (None, os.getpid())
                    for e in daemon_side), \
             f"no {name} span crossed the process boundary"
@@ -475,4 +549,39 @@ def test_trace_stitches_one_sweep_across_processes(fleet, truth,
 
     report = critical_path(entries)
     assert report["total"] > 0
+    assert report["attributed"] >= 0.95, render_critical(report)
+
+
+def test_trace_of_a_long_sweep_keeps_every_point(fleet, tmp_path,
+                                                 monkeypatch):
+    """A sweep whose daemon side emits more entries than a 1,024-entry
+    ring holds, against a traced daemon with worker processes: the
+    coordinator's log still holds one ``dse.point`` per evaluated
+    point, every daemon span sits under the lease that carried it,
+    and the critical path attributes the sweep's time."""
+    monkeypatch.setenv("FPFA_TRACE", "1")
+    daemon = fleet(worker_mode="process")
+    points = DesignSpace({"n_pps": [1, 2, 3, 4, 5, 6, 7, 8],
+                          "n_buses": [2, 3, 4, 5, 6, 7, 8, 9, 10],
+                          "library": ["mac", "single-op",
+                                      "two-level"]}).grid()
+    log = tmp_path / TRACE_LOG_NAME
+    with recording(log):
+        result = run_distributed_sweep(
+            SOURCE, points, remotes=daemon.url,
+            cache=tmp_path / "cache", chunk_size=CHUNK_SIZE)
+    assert result.stats.evaluated == len(points) >= 200
+    assert len(load_trace(daemon.store / TRACE_LOG_NAME)) > 1024
+
+    entries = load_trace(log)
+    spans = [e for e in entries if e.get("kind") == "span"]
+    assert len([e for e in spans if e["name"] == "dse.point"]) \
+        == result.stats.evaluated
+    lease_ids = {e["span"] for e in spans
+                 if e["name"] == "distributed.lease"}
+    daemon_side = [e for e in spans
+                   if e["name"] in ("worker.chunk", "queue.wait")]
+    assert daemon_side
+    assert all(e.get("parent") in lease_ids for e in daemon_side)
+    report = critical_path(entries)
     assert report["attributed"] >= 0.95, render_critical(report)

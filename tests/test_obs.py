@@ -15,6 +15,7 @@ import http.client
 import json
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
 from repro.eval.kernels import get_kernel
 from repro.obs import trace
+from repro.obs.export import rollup
 from repro.obs.trace import Tracer, scoped_tracing
 from repro.service import ServiceClient, ServiceThread
 from repro.service.client import ServiceError
@@ -52,69 +54,71 @@ def client(daemon):
 
 # -- tracer ---------------------------------------------------------------
 
+def entries_of(tracer: Tracer) -> list:
+    """The list *tracer*'s finished entries will collect in."""
+    entries: list = []
+    tracer.add_sink(entries.append)
+    return entries
+
+
+@contextmanager
+def listening(tracer: Tracer):
+    """Collect *tracer*'s finished entries in a list for the body
+    only: the module tracer must not keep a test's sink."""
+    entries = entries_of(tracer)
+    try:
+        yield entries
+    finally:
+        tracer.remove_sink(entries.append)
+
+
 class TestTracer:
     def test_disabled_records_nothing_and_allocates_nothing(self):
         tracer = Tracer(enabled=False)
+        entries = entries_of(tracer)
         first = tracer.span("a", big=list(range(100)))
         second = tracer.span("b")
         assert first is second  # the shared no-op singleton
         with first as span:
             span.note(late=1)
         tracer.event("e", x=1)
-        snap = tracer.snapshot()
-        assert snap == {"enabled": False, "spans": {}, "events": []}
+        assert entries == []
+        assert not tracer.enabled
 
     def test_rollups_and_nesting_depth(self):
         tracer = Tracer(enabled=True)
+        entries = entries_of(tracer)
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
             with tracer.span("inner"):
                 pass
-        snap = tracer.snapshot()
-        assert snap["spans"]["outer"]["count"] == 1
-        inner = snap["spans"]["inner"]
+        spans = rollup(entries)
+        assert spans["outer"]["count"] == 1
+        inner = spans["inner"]
         assert inner["count"] == 2
         assert 0 <= inner["min"] <= inner["max"] <= inner["total"]
         depths = {entry["name"]: entry["depth"]
-                  for entry in snap["events"]}
+                  for entry in entries}
         assert depths == {"outer": 0, "inner": 1}
-        # Inner spans finish (and land in the ring) before outer.
-        assert [e["name"] for e in snap["events"]] \
+        # Inner spans finish (and reach the sinks) before outer.
+        assert [e["name"] for e in entries] \
             == ["inner", "inner", "outer"]
 
     def test_note_and_error_attrs_reach_the_ring(self):
         tracer = Tracer(enabled=True)
+        entries = entries_of(tracer)
         with tracer.span("work", points=4) as span:
             span.note(cached=1)
         with pytest.raises(RuntimeError):
             with tracer.span("boom"):
                 raise RuntimeError("no")
-        events = {entry["name"]: entry for entry in tracer.recent()}
+        events = {entry["name"]: entry for entry in entries}
         assert events["work"]["points"] == 4
         assert events["work"]["cached"] == 1
         assert events["boom"]["error"] == "RuntimeError"
         # The failed span still rolled up.
-        assert tracer.snapshot()["spans"]["boom"]["count"] == 1
-
-    def test_reset_keeps_the_switch(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("work"):
-            tracer.event("tick")
-        tracer.reset()
-        assert tracer.snapshot() == {"enabled": True, "spans": {},
-                                     "events": []}
-        assert tracer.enabled  # reset never flips the switch
-
-    def test_ring_is_bounded(self):
-        tracer = Tracer(enabled=True, ring=8)
-        for index in range(20):
-            tracer.event("tick", index=index)
-        events = tracer.recent()
-        assert len(events) == 8
-        assert [entry["index"] for entry in events] \
-            == list(range(12, 20))
-        assert events[-1]["seq"] == 20  # seq keeps counting
+        assert rollup(entries)["boom"]["count"] == 1
 
     def test_scoped_tracing_restores_disabled_state(self):
         assert not trace.enabled()
@@ -122,10 +126,10 @@ class TestTracer:
             assert trace.enabled()
             assert tracer is trace.TRACER
         assert not trace.enabled()
-        trace.reset()
 
     def test_threads_keep_independent_depth(self):
         tracer = Tracer(enabled=True)
+        entries = entries_of(tracer)
         barrier = threading.Barrier(2)
 
         def worker():
@@ -140,7 +144,7 @@ class TestTracer:
         for thread in threads:
             thread.join()
         depths = {(e["name"], e["depth"])
-                  for e in tracer.recent()}
+                  for e in entries}
         assert depths == {("t-outer", 0), ("t-inner", 1)}
 
 
@@ -289,12 +293,10 @@ class TestTracingBitIdentity:
 
         assert main(["map", str(source_path), "--json",
                      str(plain_path)]) == 0
-        with scoped_tracing() as tracer:
-            tracer.reset()
+        with scoped_tracing() as tracer, listening(tracer) as entries:
             assert main(["map", str(source_path), "--json",
                          str(traced_path)]) == 0
-            snap = tracer.snapshot()
-        trace.reset()
+        spans = rollup(entries)
         capsys.readouterr()
 
         assert canon(json.loads(plain_path.read_text())) \
@@ -302,20 +304,18 @@ class TestTracingBitIdentity:
         # ... and the pipeline stages actually traced.
         for name in ("pipeline.parse", "pipeline.taskgraph",
                      "pipeline.schedule", "pipeline.allocate"):
-            assert name in snap["spans"], name
+            assert name in spans, name
 
     def test_sweep_records_identical_with_tracing_enabled(self):
         points = list(DesignSpace({"n_pps": [1, 2],
                                    "n_buses": [10]}).grid())
         plain = run_sweep(FIR5, points, workers=1)
-        with scoped_tracing() as tracer:
-            tracer.reset()
+        with scoped_tracing() as tracer, listening(tracer) as entries:
             traced = run_sweep(FIR5, points, workers=1)
-            snap = tracer.snapshot()
-        trace.reset()
+        spans = rollup(entries)
         assert canon(plain.records) == canon(traced.records)
-        assert snap["spans"]["dse.sweep"]["count"] == 1
-        assert snap["spans"]["dse.point"]["count"] == 2
+        assert spans["dse.sweep"]["count"] == 1
+        assert spans["dse.point"]["count"] == 2
 
 
 # -- explore --json surfaces the distribution ledger ----------------------

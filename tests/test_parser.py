@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import ast
-from repro.lang.errors import ParseError
+from repro.lang.errors import MissingFunctionError, ParseError
 from repro.lang.parser import parse_expression, parse_program
 
 
@@ -279,7 +279,8 @@ class TestFunctions:
 
     def test_missing_main_lookup_raises(self):
         program = parse_program("void f() { }")
-        with pytest.raises(KeyError):
+        with pytest.raises(MissingFunctionError,
+                           match="no function named 'main'"):
             program.main
 
     def test_garbage_at_top_level_rejected(self):

@@ -11,7 +11,7 @@ cross-*process* stitch runs in ``tests/test_fleet.py``):
 * the flight recorder (NDJSON log), the Chrome ``trace_event``
   export and the critical-path attribution;
 * the PR 6 invariants under the new machinery: zero-cost disabled
-  path, bounded ring, ``scoped_tracing`` restore on raise.
+  path, bounded capture, ``scoped_tracing`` restore on raise.
 
 The call-site audit (``trace.event`` calls that build attribute
 dicts must sit under a ``trace.enabled()`` guard)
@@ -21,6 +21,7 @@ moved to fpfa-lint as FPL003 and now covers every linted file.
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
@@ -30,7 +31,6 @@ from repro.obs.critical import critical_path, render_critical
 from repro.obs.export import (
     TRACE_LOG_NAME,
     FlightRecorder,
-    harvest_daemon,
     load_trace,
     recording,
     rollup,
@@ -38,10 +38,19 @@ from repro.obs.export import (
 )
 
 
+class ListeningTracer(trace.Tracer):
+    """A tracer whose finished entries collect in ``entries``."""
+
+    def __init__(self, enabled: bool = True):
+        super().__init__(enabled=enabled)
+        self.entries: list[dict] = []
+        self.add_sink(self.entries.append)
+
+
 @pytest.fixture
 def tracer():
     """A private enabled tracer — never the module default."""
-    return trace.Tracer(enabled=True)
+    return ListeningTracer()
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +62,11 @@ class TestSpanIdentity:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        inner, outer = tracer.recent()[0], tracer.recent()[1]
+        inner, outer = tracer.entries[0], tracer.entries[1]
         assert {inner["name"], outer["name"]} == {"inner", "outer"}
-        inner = next(e for e in tracer.recent()
+        inner = next(e for e in tracer.entries
                      if e["name"] == "inner")
-        outer = next(e for e in tracer.recent()
+        outer = next(e for e in tracer.entries
                      if e["name"] == "outer")
         assert inner["trace"] == outer["trace"]
         assert inner["parent"] == outer["span"]
@@ -66,7 +75,7 @@ class TestSpanIdentity:
     def test_id_shapes_are_w3c_sized_hex(self, tracer):
         with tracer.span("x"):
             pass
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert len(entry["trace"]) == 32
         assert len(entry["span"]) == 16
         int(entry["trace"], 16)
@@ -77,14 +86,16 @@ class TestSpanIdentity:
             pass
         with tracer.span("b"):
             pass
-        first, second = tracer.recent()
+        first, second = tracer.entries
         assert first["trace"] != second["trace"]
         assert first["span"] != second["span"]
 
     def test_disabled_span_is_shared_noop(self):
-        idle = trace.Tracer(enabled=False)
+        idle = ListeningTracer(enabled=False)
         assert idle.span("a") is idle.span("b")
-        assert idle.snapshot()["events"] == []
+        with idle.span("a"):
+            pass
+        assert idle.entries == []
 
 
 class TestAttach:
@@ -93,7 +104,7 @@ class TestAttach:
         with tracer.attach(ctx):
             with tracer.span("child"):
                 pass
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert entry["trace"] == ctx["trace"]
         assert entry["parent"] == ctx["span"]
 
@@ -113,13 +124,13 @@ class TestAttach:
             with tracer.attach(bad):
                 with tracer.span("orphan"):
                     pass
-            assert tracer.recent()[-1]["parent"] is None
+            assert tracer.entries[-1]["parent"] is None
 
     def test_context_inside_span_names_that_span(self, tracer):
         assert tracer.context() is None
         with tracer.span("s"):
             ctx = tracer.context()
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert ctx == {"trace": entry["trace"],
                        "span": entry["span"]}
 
@@ -136,6 +147,17 @@ class TestCaptureAdopt:
             other.join()
         assert [e["name"] for e in spans.entries] == ["mine"]
 
+    def test_a_bound_method_sink_can_be_removed(self):
+        """``entries.append`` is a new object at every access; the
+        sink it registered must still come off."""
+        tracer = trace.Tracer(enabled=True)
+        entries: list[dict] = []
+        tracer.add_sink(entries.append)
+        tracer.remove_sink(entries.append)
+        with tracer.span("after"):
+            pass
+        assert entries == []
+
     def test_capture_inert_while_disabled(self):
         idle = trace.Tracer(enabled=False)
         with idle.capture() as spans:
@@ -151,11 +173,27 @@ class TestCaptureAdopt:
         adopted = tracer.adopt(
             [dict(entry, pid=12345) for entry in spans.entries])
         assert adopted == 1
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert entry["name"] == "worker.chunk"
         assert entry["pid"] == 12345
         assert entry["parent"] == spans.entries[0]["parent"]
-        assert tracer.snapshot()["spans"]["worker.chunk"]["count"] == 1
+
+    def test_capture_stamps_this_process_pid(self, tracer):
+        with tracer.capture() as spans:
+            with tracer.span("x"):
+                pass
+        assert [entry["pid"] for entry in spans.entries] \
+            == [os.getpid()]
+        assert "pid" not in tracer.entries[0]
+
+    def test_adopt_skips_entries_of_this_process(self, tracer):
+        """An entry stamped with the receiver's own pid reached its
+        sinks when it finished; adopting it again would log it
+        twice."""
+        own = {"kind": "span", "name": "mine", "pid": os.getpid()}
+        foreign = {"kind": "span", "name": "theirs", "pid": 1}
+        assert tracer.adopt([own, foreign]) == 1
+        assert [entry["name"] for entry in tracer.entries] == ["theirs"]
 
     def test_adopt_noop_when_disabled_or_junk(self, tracer):
         idle = trace.Tracer(enabled=False)
@@ -167,31 +205,37 @@ class TestRecordSpan:
     def test_record_span_parents_to_given_context(self, tracer):
         ctx = {"trace": "ee" * 16, "span": "ff" * 8}
         tracer.record_span("queue.wait", 0.25, context=ctx, job="j1")
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert entry["trace"] == ctx["trace"]
         assert entry["parent"] == ctx["span"]
         assert entry["duration"] == 0.25
         assert entry["job"] == "j1"
 
+    def test_record_span_returns_its_entry(self, tracer):
+        entry = tracer.record_span("queue.wait", 0.5)
+        assert entry is tracer.entries[0]
+        assert ListeningTracer(enabled=False).record_span(
+            "queue.wait", 0.5) is None
+
     def test_record_span_falls_back_to_current_span(self, tracer):
         with tracer.span("holder"):
             tracer.record_span("queue.wait", 0.1)
-        wait = next(e for e in tracer.recent()
+        wait = next(e for e in tracer.entries
                     if e["name"] == "queue.wait")
-        holder = next(e for e in tracer.recent()
+        holder = next(e for e in tracer.entries
                       if e["name"] == "holder")
         assert wait["parent"] == holder["span"]
         assert wait["trace"] == holder["trace"]
 
     def test_negative_duration_clamps_to_zero(self, tracer):
         tracer.record_span("queue.wait", -1.0)
-        assert tracer.recent()[0]["duration"] == 0.0
+        assert tracer.entries[0]["duration"] == 0.0
 
     def test_attrs_cannot_shadow_reserved_fields(self, tracer):
         tracer.record_span("queue.wait", 0.5, kind="sweep-chunk",
                            trace="bogus")
         tracer.event("queue.queued", kind="map", at=0.0)
-        span_entry, event_entry = tracer.recent()
+        span_entry, event_entry = tracer.entries
         assert span_entry["kind"] == "span"
         assert span_entry["duration"] == 0.5
         assert span_entry["trace"] != "bogus"
@@ -271,17 +315,21 @@ class TestQueueTraceStamping:
     def test_queue_wait_recorded_against_the_wire_context(self):
         from repro.service.queue import JobQueue
         ctx = {"trace": "ab" * 16, "span": "cd" * 8}
+        entries: list[dict] = []
         with trace.scoped_tracing():
-            trace.reset()
-            queue = JobQueue()
-            job, __ = self._submit(queue, ctx)
-            queue.mark_running(queue.pop())
-        waits = [e for e in trace.TRACER.recent()
+            trace.TRACER.add_sink(entries.append)
+            try:
+                queue = JobQueue()
+                job, __ = self._submit(queue, ctx)
+                queue.mark_running(queue.pop())
+            finally:
+                trace.TRACER.remove_sink(entries.append)
+        waits = [e for e in entries
                  if e.get("name") == "queue.wait"]
         assert len(waits) == 1
         assert waits[0]["trace"] == ctx["trace"]
         assert waits[0]["parent"] == ctx["span"]
-        trace.reset()
+        assert job.wait_span is waits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +350,7 @@ class TestFlightRecorder:
         assert [e["name"] for e in entries] == ["dse.point",
                                                "dse.sweep"]
         assert all("pid" in e and "tid" in e for e in entries)
-        assert recorder.seen_traces == {entries[0]["trace"]}
-        trace.reset()
+        assert {e["trace"] for e in entries} == {entries[0]["trace"]}
 
     def test_recording_restores_state_when_body_raises(
             self, tmp_path):
@@ -313,7 +360,6 @@ class TestFlightRecorder:
                 raise RuntimeError("boom")
         assert not trace.enabled()
         assert trace.TRACER._sinks == ()
-        trace.reset()
 
     def test_load_trace_tolerates_torn_tail(self, tmp_path):
         log = tmp_path / "torn.ndjson"
@@ -339,7 +385,6 @@ class TestFlightRecorder:
                 client = ServiceClient(*daemon.address)
                 for pps in (2, 3):
                     client.map_source(source, pps=pps)
-        trace.reset()
         spans = [entry for entry in load_trace(tmp_path / TRACE_LOG_NAME)
                  if entry.get("kind") == "span"]
         ids = [entry["span"] for entry in spans]
@@ -347,12 +392,25 @@ class TestFlightRecorder:
         assert len(ids) == len(set(ids)), sorted(
             entry["name"] for entry in spans)
 
-    def test_harvest_from_an_unreachable_daemon_adds_nothing(
-            self, tmp_path):
-        # Harvest is best-effort: an unreachable daemon adds nothing.
-        log = tmp_path / "unreached.ndjson"
-        assert harvest_daemon("127.0.0.1:1", log) == 0
-        assert load_trace(log) == []
+
+    def test_pool_children_send_their_spans_home(self, tmp_path):
+        """A local pool's children drop the recorder they inherit and
+        return their spans with their records: the parent alone
+        writes the log, so its count is the log's length."""
+        from repro.dse.runner import run_sweep
+        from repro.dse.space import DesignSpace
+        from repro.eval.kernels import get_kernel
+
+        points = DesignSpace({"n_pps": [1, 2, 3, 4],
+                              "n_buses": [2, 4, 6, 8, 10, 12]}).grid()
+        log = tmp_path / TRACE_LOG_NAME
+        with recording(log) as recorder:
+            run_sweep(get_kernel("fir5").source, points, workers=2)
+        entries = load_trace(log)
+        assert recorder.written == len(entries)
+        point_spans = [e for e in entries if e["name"] == "dse.point"]
+        assert len(point_spans) == len(points)
+        assert all(e["pid"] != os.getpid() for e in point_spans)
 
 
 class TestChromeExport:
@@ -377,7 +435,7 @@ class TestChromeExport:
         instants = [e for e in events if e["ph"] == "i"]
         metas = [e for e in events if e["ph"] == "M"]
         assert len(spans) == 2 and len(instants) == 1
-        assert len(metas) == 2  # one lane per (daemon, pid)
+        assert len(metas) == 2  # one lane per pid
         sweep = next(e for e in spans if e["name"] == "dse.sweep")
         assert sweep["ts"] == pytest.approx(98.0 * 1e6)
         assert sweep["dur"] == pytest.approx(2.0 * 1e6)
@@ -391,10 +449,15 @@ class TestChromeExport:
         assert len({e["pid"] for e in spans}) == 2
 
     def test_rollup_matches_snapshot_shape(self):
-        table = rollup(self._entries())
-        assert table["dse.sweep"] == {"count": 1, "total": 2.0,
-                                      "min": 2.0, "max": 2.0}
-        assert "distributed.fallback" not in table  # events excluded
+        entries = self._entries() + [
+            {"kind": "span", "name": "worker.chunk", "at": 99.8,
+             "duration": 0.25, "pid": 2}]
+        assert rollup(entries) == {
+            "dse.sweep": {"count": 1, "total": 2.0,
+                          "min": 2.0, "max": 2.0},
+            "worker.chunk": {"count": 2, "total": 0.75,
+                             "min": 0.25, "max": 0.5},
+        }  # events excluded
 
 
 class TestCriticalPath:
@@ -452,16 +515,6 @@ class TestCriticalPath:
 # ---------------------------------------------------------------------------
 
 class TestTracerBounds:
-    def test_ring_stays_at_maxlen_over_a_long_run(self):
-        tracer = trace.Tracer(enabled=True, ring=64)
-        for index in range(1000):
-            with tracer.span("loop", i=index):
-                pass
-        snap = tracer.snapshot()
-        assert len(snap["events"]) == 64
-        assert snap["spans"]["loop"]["count"] == 1000
-        assert snap["events"][-1]["seq"] == 1000
-
     def test_capture_respects_its_limit(self, tracer):
         with tracer.capture() as spans:
             for __ in range(trace.CAPTURE_LIMIT + 50):
@@ -490,7 +543,7 @@ class TestTracerBounds:
         for thread in threads:
             thread.join()
         assert not errors
-        for entry in tracer.recent():
+        for entry in tracer.entries:
             expected = 0 if entry["name"].startswith("outer") else 1
             assert entry["depth"] == expected
             if entry["name"].startswith("inner"):
@@ -503,7 +556,6 @@ class TestTracerBounds:
                 assert trace.enabled()
                 raise ValueError("boom")
         assert not trace.enabled()
-        trace.reset()
 
 
 # The call-site audit that lived here (two hard-coded modules)
@@ -562,7 +614,69 @@ class TestEndToEndStitch:
         report = critical_path(entries)
         assert report["trace"] == trace_id
         assert report["attributed"] >= 0.95
-        trace.reset()
+
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_in_process_daemon_logs_each_span_once(self, tmp_path,
+                                                   mode):
+        """A daemon in the coordinator's process already emitted its
+        spans into the shared tracer; the ones each lease returns
+        must not reach the log a second time."""
+        from repro.dse.distributed import run_distributed_sweep
+        from repro.dse.space import DesignSpace
+        from repro.eval.kernels import get_kernel
+        from repro.service import ServiceThread
+
+        points = DesignSpace({"n_pps": [1, 2, 3],
+                              "n_buses": [2, 4, 6]}).grid()
+        log = tmp_path / TRACE_LOG_NAME
+        with ServiceThread(store=tmp_path / "store", workers=2,
+                           worker_mode=mode) as daemon:
+            host, port = daemon.address
+            with recording(log):
+                run_distributed_sweep(
+                    get_kernel("fir5").source, points,
+                    remotes=f"{host}:{port}", chunk_size=2)
+        spans = [e for e in load_trace(log) if e["kind"] == "span"]
+        ids = [e["span"] for e in spans]
+        assert len(ids) == len(set(ids))
+        assert len([e for e in spans if e["name"] == "dse.point"]) \
+            == len(points)
+
+    def test_chunk_payload_carries_spans_only_when_traced(
+            self, tmp_path):
+        """An untraced sweep-chunk job's view keeps its old shape even
+        on a traced daemon; a traced one returns its queue.wait and
+        worker spans under ``result["trace"]``."""
+        from repro.dse.space import DesignSpace
+        from repro.eval.kernels import get_kernel
+        from repro.service import ServiceClient, ServiceThread
+
+        request = {"kind": "sweep-chunk",
+                   "source": get_kernel("fir5").source,
+                   "points": [point.to_dict() for point in DesignSpace(
+                       {"n_pps": [1, 2]}).grid()]}
+        ctx = {"trace": "ab" * 16, "span": "cd" * 8}
+        with trace.scoped_tracing(), \
+                ServiceThread(store=tmp_path / "store") as daemon:
+            client = ServiceClient(*daemon.address)
+            plain = client.submit(request, wait=60)["job"]
+            traced = client.submit(
+                dict(request, points=[DesignSpace({"n_pps": [3]})
+                                      .grid()[0].to_dict()],
+                     trace=ctx), wait=60)["job"]
+        assert set(plain) == {"id", "kind", "key", "state", "submits",
+                              "created", "started", "finished",
+                              "waited", "runtime", "file", "meta",
+                              "result"}
+        assert set(plain["result"]) == {"kind", "points", "records",
+                                        "stats"}
+        relayed = traced["result"]["trace"]
+        assert relayed["pid"] == os.getpid()
+        names = {entry["name"] for entry in relayed["spans"]}
+        assert {"queue.wait", "worker.chunk", "dse.point"} <= names
+        assert all(entry["trace"] == ctx["trace"]
+                   for entry in relayed["spans"])
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +694,7 @@ class TestSteppedWallClock:
                             lambda: next(steps, 10.0))
         with tracer.span("stepped"):
             pass
-        entry = tracer.recent()[0]
+        entry = tracer.entries[0]
         assert entry["duration"] >= 0.0
 
     def test_event_at_field_records_the_wall(self, tracer,
@@ -588,4 +702,4 @@ class TestSteppedWallClock:
         """`at` is presentation-only and faithfully wall-clock."""
         monkeypatch.setattr(trace.time, "time", lambda: 123.5)
         tracer.event("queue.queued")
-        assert tracer.recent()[0]["at"] == 123.5
+        assert tracer.entries[0]["at"] == 123.5

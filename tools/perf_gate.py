@@ -167,8 +167,9 @@ def obs_budget() -> str | None:
     """The observability budget on this checkout: a sweep with the
     flight recorder streaming every span to an NDJSON log may cost at
     most 3% plus 10 ms over the untraced sweep, best of ``OBS_PAIRS``
-    alternating pairs, and disabled tracing must stay a shared no-op
-    span.  Returns the failure, or None."""
+    alternating pairs; afterwards tracing must be off with no sink
+    left registered, and a disabled span must be the shared no-op.
+    Returns the failure, or None."""
     sys.path.insert(0, str(ROOT / "src"))
     from repro.dse.runner import run_sweep
     from repro.dse.space import DesignSpace
@@ -206,15 +207,15 @@ def obs_budget() -> str | None:
             else:
                 plain = min(plain, timed())
                 traced = min(traced, timed_recording(index))
-    trace.reset()
     print(f"Recording overhead on the sweep: {traced / plain - 1:+.2%} "
           f"(recording {traced * 1e3:.1f} ms, untraced "
           f"{plain * 1e3:.1f} ms; budget 3% plus 10 ms)\n")
     if traced > plain * 1.03 + 0.010:
         return (f"recording overhead {traced / plain - 1:+.2%} exceeds "
                 f"3% plus 10 ms")
-    if (trace.enabled() or trace.span("a") is not trace.span("b")
-            or trace.snapshot()["spans"]):
+    if trace.enabled() or trace.TRACER._sinks:
+        return "recording left tracing enabled or a sink registered"
+    if trace.span("a") is not trace.span("b"):
         return "disabled tracing is not a shared no-op span"
     return None
 
