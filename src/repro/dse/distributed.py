@@ -269,6 +269,7 @@ def run_distributed_sweep(
         remotes: str | Sequence[str],
         cache=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
+        workers: int | None = None,
         verify_seed: int | None = None,
         progress: Callable[[dict], None] | None = None,
         ) -> SweepResult:
@@ -276,9 +277,10 @@ def run_distributed_sweep(
 
     Drop-in for :func:`run_sweep` (same result shape, bit-identical
     records); *remotes* names the daemon — one address, as a string
-    or a one-element sequence — and *chunk_size* the lease
-    granularity.  *progress*, when given, receives one dict per
-    merged chunk (``event: "chunk"``) and one for the local fallback
+    or a one-element sequence — *chunk_size* the lease granularity
+    and *workers* the local fallback's pool, as :func:`run_sweep`'s.
+    *progress*, when given, receives one dict per merged chunk
+    (``event: "chunk"``) and one for the local fallback
     (``"fallback"``) — the fleet tests use it to kill the daemon at a
     deterministic moment.
     """
@@ -302,13 +304,14 @@ def run_distributed_sweep(
                                 for index in range(0, len(pending),
                                                    chunk_size)))
             stats.chunks = len(leases.queue)
-            workers = _probe(remote)
-            if workers is not None:
-                stats.workers = workers
+            remote_workers = _probe(remote)
+            if remote_workers is not None:
+                stats.workers = remote_workers
                 lanes = [threading.Thread(
                     target=leases.lane, args=(trace.context(),),
                     daemon=True)
-                    for __ in range(min(workers, MAX_LEASES_PER_DAEMON,
+                    for __ in range(min(remote_workers,
+                                        MAX_LEASES_PER_DAEMON,
                                         stats.chunks))]
                 for lane in lanes:
                     lane.start()
@@ -321,7 +324,8 @@ def run_distributed_sweep(
             if leftover:
                 local = run_sweep(
                     source, [key_points[key] for key in leftover],
-                    cache=cache, verify_seed=verify_seed)
+                    workers=workers, cache=cache,
+                    verify_seed=verify_seed)
                 by_key.update(zip(leftover, local.records))
                 stats.local_records = len(leftover)
                 stats.workers = max(stats.workers, local.stats.workers)

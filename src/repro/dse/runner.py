@@ -9,16 +9,18 @@ one JSON-able *record* per requested point.
 The mapping flow is split into a frontend (source → transformed CDFG,
 depending only on the program, the data-path width and the transform
 options) and a backend (cluster/schedule/allocate, depending on every
-tile/array axis) — see :mod:`repro.core.pipeline`.  ``run_sweep``
-compiles each *unique* frontend exactly once in the parent process
-and ships the compact compiled artifact to the workers through the
-pool initializer, so a 100-point sweep over tile parameters parses
-and simplifies the kernel once instead of 100 times.  The points that
-share a frontend object also share what the backend computes from it
-alone: the task graph, one clustering per template library, one
-schedule per (library, level capacity) and, with ``verify_seed``, the
-verification inputs and the interpreter's reference run.  Each point
-still allocates, simulates and compares its own program.
+tile/array axis) — see :mod:`repro.core.pipeline`.  A
+:class:`FrontendMemo` is the one place a point gets its frontend: each
+sweep owns one (the serial path's, and one in each pool child), and
+each service worker keeps one for its life, so a 100-point sweep over
+tile parameters parses and simplifies the kernel once per process
+instead of 100 times, and a frontend never crosses a process
+boundary.  The points that share a frontend object also share what
+the backend computes from it alone: the task graph, one clustering
+per template library, one schedule per (library, level capacity)
+and, with ``verify_seed``, the verification inputs and the
+interpreter's reference run.  Each point still allocates, simulates
+and compares its own program.
 
 Per-point failures (an infeasible :class:`TileParams` combination, a
 scheduling overflow, a verification mismatch) are captured inside the
@@ -48,9 +50,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.pipeline import (
     Frontend,
@@ -61,6 +64,7 @@ from repro.core.pipeline import (
 from repro.dse.cache import ResultCache, cache_key
 from repro.dse.space import DesignPoint
 from repro.eval.metrics import mapping_metrics, multitile_metrics
+from repro.lang.errors import SourceError
 from repro.obs import trace
 
 #: A frontend's identity within one sweep: everything the frontend
@@ -81,15 +85,61 @@ def frontend_spec(point: DesignPoint) -> FrontendSpec:
             options.get("balance", False))
 
 
-def _compile_spec(source: str, spec: FrontendSpec) -> Frontend:
-    width, simplify, balance = spec
-    return compile_frontend(source, width=width, simplify=simplify,
-                            balance=balance)
+#: Compiled frontends one :class:`FrontendMemo` keeps before it evicts
+#: the oldest.
+FRONTENDS_KEPT = 128
+
+
+class FrontendMemo:
+    """Compiled frontends keyed by (source, :func:`frontend_spec`).
+
+    A compile the front end rejects is kept as its
+    :class:`~repro.lang.errors.SourceError` and raised again on each
+    lookup, so a bad program compiles once however many points it
+    has; any other failure is not kept, and the next lookup retries
+    it.  Threads may share a memo: compiles run under its lock, so
+    threads asking for one key at once compile it once.
+
+    ``compiled`` and ``reused`` count this object's misses and hits.
+    ``FrontendMemo(share=memo)`` looks up *memo*'s entries but counts
+    on its own: one job's tally on its worker's memo.
+    """
+
+    def __init__(self, share: "FrontendMemo | None" = None):
+        self._entries: dict = {} if share is None else share._entries
+        self._lock = threading.Lock() if share is None \
+            else share._lock
+        self.compiled = 0
+        self.reused = 0
+
+    def frontend(self, source: str, spec: FrontendSpec) -> Frontend:
+        key = (source, spec)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.compiled += 1
+                width, simplify, balance = spec
+                try:
+                    entry = compile_frontend(
+                        source, width=width, simplify=simplify,
+                        balance=balance)
+                except SourceError as error:
+                    entry = error
+                self._entries[key] = entry
+                if len(self._entries) > FRONTENDS_KEPT:
+                    del self._entries[next(iter(self._entries))]
+            else:
+                self.reused += 1
+        if isinstance(entry, SourceError):
+            # A fresh traceback per raise: a kept error must not grow
+            # one frame chain for every point that meets it.
+            raise entry.with_traceback(None)
+        return entry
 
 
 def evaluate_point(source: str, point: DesignPoint,
                    verify_seed: int | None = None, *,
-                   frontend: Frontend | None = None,
+                   memo: FrontendMemo | None = None,
                    sink: dict | None = None) -> dict:
     """Map *source* at *point*; never raises — failures are records.
 
@@ -97,11 +147,10 @@ def evaluate_point(source: str, point: DesignPoint,
     against the reference interpreter on deterministic random inputs,
     and a mismatch fails the record.
 
-    *frontend* is an optional pre-compiled frontend matching this
-    point's :func:`frontend_spec`; without one the frontend is
-    compiled here.  Either way the record is identical — the flow is
-    deterministic — a shared frontend only changes how fast the
-    record is produced.
+    *memo* supplies the point's frontend; without one the frontend is
+    compiled for this point alone.  Either way the record is
+    identical — the flow is deterministic — a shared frontend only
+    changes how fast the record is produced.
 
     *sink*, when given, receives side artifacts that must never leak
     into the record (the record format is the cache's on-disk
@@ -115,8 +164,8 @@ def evaluate_point(source: str, point: DesignPoint,
         try:
             params = point.tile_params()
             library = point.template_library()
-            if frontend is None:
-                frontend = _compile_spec(source, frontend_spec(point))
+            frontend = (memo or FrontendMemo()).frontend(
+                source, frontend_spec(point))
             report = map_frontend(frontend, params, library,
                                   array=point.tile_array_params())
             if sink is not None:
@@ -143,19 +192,17 @@ def evaluate_point(source: str, point: DesignPoint,
 
 
 #: Per-worker sweep context installed by :func:`_init_worker`: the
-#: program source and a frontend memo seeded with any parent-compiled
-#: frontends, sent once per worker process instead of once per job.
+#: program source, sent once per worker process instead of once per
+#: job, and the worker's own frontend memo.
 _WORKER_CONTEXT: dict = {}
 
 
-def _init_worker(source: str,
-                 frontends: dict[FrontendSpec, Frontend],
-                 trace_ctx: dict | None = None) -> None:
+def _init_worker(source: str, trace_ctx: dict | None = None) -> None:
     # The parent's log is the parent's to write: a forked child's
     # spans go home with its results (see _worker).
     trace.drop_inherited_sinks()
     _WORKER_CONTEXT["source"] = source
-    _WORKER_CONTEXT["frontends"] = dict(frontends)
+    _WORKER_CONTEXT["memo"] = FrontendMemo()
     # The parent sweep's trace context: pool workers attach it so
     # their dse.point spans parent to the coordinating dse.sweep
     # span.  None when tracing is off (fork children inherit the
@@ -166,35 +213,17 @@ def _init_worker(source: str,
 def _worker(payload: tuple) -> tuple:
     """Pool entry point: evaluate one point from its serialised form.
 
-    Frontends are memoised per worker process: a spec the parent did
-    not pre-ship is compiled on first use and reused for every later
-    job with the same spec, so sweeps spanning several frontend axes
-    compile them in parallel across the pool.  A failed compile
-    memoises ``None`` and the evaluation recompiles per point,
-    producing the identical failure record.
-
     Returns ``(key, record, spans)``: *spans* are the trace entries
     the evaluation finished here (empty when untraced), which the
     parent adopts.
     """
-    key, point_dict, verify_seed, spec = payload
-    point = DesignPoint.from_dict(point_dict)
-    frontend = None
-    if spec is not None:
-        memo = _WORKER_CONTEXT["frontends"]
-        if spec in memo:
-            frontend = memo[spec]
-        else:
-            try:
-                frontend = _compile_spec(_WORKER_CONTEXT["source"],
-                                         spec)
-            except Exception:  # noqa: BLE001 — surfaces per record
-                frontend = None
-            memo[spec] = frontend
+    key, point_dict, verify_seed = payload
     with trace.attach(_WORKER_CONTEXT.get("trace")), \
             trace.capture() as spans:
-        record = evaluate_point(_WORKER_CONTEXT["source"], point,
-                                verify_seed, frontend=frontend)
+        record = evaluate_point(_WORKER_CONTEXT["source"],
+                                DesignPoint.from_dict(point_dict),
+                                verify_seed,
+                                memo=_WORKER_CONTEXT["memo"])
     return key, record, spans.entries
 
 
@@ -309,7 +338,8 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
     ----------
     workers:
         Pool processes; ``None`` uses ``os.cpu_count()``.  ``1`` (or a
-        single uncached point) evaluates in-process.
+        single uncached point) evaluates in-process.  With *remotes*
+        it sizes the local fallback.
     cache:
         ``None``, a directory path, or a :class:`ResultCache`.  Hits
         skip evaluation; fresh records are written back.
@@ -340,7 +370,7 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
             extra["chunk_size"] = remote_chunk_size
         return run_distributed_sweep(
             source, points, remotes=remotes, cache=cache,
-            verify_seed=verify_seed, **extra)
+            workers=workers, verify_seed=verify_seed, **extra)
     with trace.span("dse.sweep") as sweep_span:
         result = _run_local_sweep(
             source, points, workers=workers, cache=cache,
@@ -355,8 +385,7 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
 def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                      workers: int | None, cache,
                      verify_seed: int | None,
-                     frontends: Mapping[FrontendSpec, Frontend]
-                     | None = None) -> SweepResult:
+                     memo: FrontendMemo | None = None) -> SweepResult:
     started = time.perf_counter()
     points = list(points)
     cache = _resolve_cache(cache)
@@ -367,42 +396,20 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
     workers = _resolve_workers(workers, len(pending))
     stats.workers = workers
     if pending:
-        # Frontend sharing: a spec needed by more than one pending
-        # point is compiled once and reused.  Where it compiles
-        # depends on the sweep's shape — in the parent (and shipped
-        # through the pool initializer) when the whole sweep shares
-        # one frontend or runs serially, inside the workers' memo
-        # when several distinct shared specs could compile in
-        # parallel across the pool.  A spec used by a single point
-        # always compiles inside its own evaluation.  A point whose
-        # tile parameters are unrealisable (or whose frontend compile
-        # fails) recompiles per evaluation and yields the identical
-        # failure record either way.
-        specs: dict[str, FrontendSpec | None] = {}
+        # The specs more than one pending point shares; the serial
+        # path's memo (the caller's, or this sweep's) or each pool
+        # child's own compiles each of them once.
         spec_counts: dict[FrontendSpec, int] = {}
         for key in pending:
             try:
                 spec = frontend_spec(key_points[key])
             except Exception:  # noqa: BLE001 — surfaces per record
-                specs[key] = None
                 continue
-            specs[key] = spec
             spec_counts[spec] = spec_counts.get(spec, 0) + 1
-        shared = [spec for spec, count in spec_counts.items()
-                  if count > 1]
-        stats.frontends = len(shared)
-        compiled: dict[FrontendSpec, Frontend] = dict(frontends or {})
-        if workers == 1 or len(shared) == 1:
-            for spec in shared:
-                if spec in compiled:
-                    continue
-                try:
-                    compiled[spec] = _compile_spec(source, spec)
-                except Exception:  # noqa: BLE001 — per-record failure
-                    pass
+        stats.frontends = sum(1 for count in spec_counts.values()
+                              if count > 1)
         if workers > 1:
-            jobs = [(key, key_points[key].to_dict(), verify_seed,
-                     specs[key])
+            jobs = [(key, key_points[key].to_dict(), verify_seed)
                     for key in pending]
             chunksize = max(1, len(jobs) // (workers * 4))
             context = multiprocessing.get_context(
@@ -410,7 +417,7 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                 multiprocessing.get_all_start_methods() else None)
             with context.Pool(processes=workers,
                               initializer=_init_worker,
-                              initargs=(source, compiled,
+                              initargs=(source,
                                         trace.context())) as pool:
                 outcomes = pool.imap_unordered(_worker, jobs,
                                                chunksize=chunksize)
@@ -428,13 +435,10 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
                     if cache is not None and record["ok"]:
                         cache.put(key, record)
         else:
+            memo = memo or FrontendMemo()
             for key in pending:
-                spec = specs[key]
-                frontend = compiled.get(spec) \
-                    if spec is not None else None
-                record = evaluate_point(
-                    source, key_points[key], verify_seed,
-                    frontend=frontend)
+                record = evaluate_point(source, key_points[key],
+                                        verify_seed, memo=memo)
                 by_key[key] = record
                 if cache is not None and record["ok"]:
                     cache.put(key, record)
@@ -478,8 +482,8 @@ def _cache_pass(source: str, points: list[DesignPoint], cache,
 
 def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
                    verify_seed: int | None = None,
-                   frontends: Mapping[FrontendSpec, Frontend]
-                   | None = None) -> tuple[dict, SweepStats]:
+                   memo: FrontendMemo | None = None
+                   ) -> tuple[dict, SweepStats]:
     """Evaluate one chunk of points; records keyed by cache key.
 
     The unit a distributed sweep leases to a daemon (the service's
@@ -489,18 +493,15 @@ def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
     bit-identical to the ones a local sweep would mint.  Runs
     in-process (``workers=1``): on a daemon, the worker pool above
     is the parallelism, and chunks from one sweep spread across it.
-    *frontends*, keyed by :func:`frontend_spec`, seeds the chunk's
-    frontend sharing (the daemon passes its warm frontend memo so a
-    chunk never recompiles a frontend a mapping job already paid
-    for); determinism makes it purely a speed knob.
+    *memo* is the worker's frontend memo (a fresh one without it),
+    so a chunk never recompiles a frontend its worker already holds.
 
     Returns ``(records_by_key, stats)``.
     """
     with trace.span("dse.chunk") as chunk_span:
         result = _run_local_sweep(source, list(points), workers=1,
                                   cache=None,
-                                  verify_seed=verify_seed,
-                                  frontends=frontends)
+                                  verify_seed=verify_seed, memo=memo)
         chunk_span.note(points=result.stats.total,
                         cached=result.stats.cached,
                         evaluated=result.stats.evaluated)

@@ -5,8 +5,8 @@ benchmarks, the sweeps) is a one-shot process that pays interpreter
 start-up, frontend compilation and cache-directory walking per
 invocation.  :mod:`repro.service` turns the flow into a long-running
 daemon: jobs arrive over a small JSON-over-HTTP protocol, run on a
-persistent worker pool that memoises compiled frontends, and land in
-a content-addressed artifact store that shares its on-disk format —
+persistent worker pool whose workers each keep a memo of compiled
+frontends, and land in a content-addressed artifact store that shares its on-disk format —
 and its keys — with :class:`repro.dse.cache.ResultCache`, so mapping
 jobs, distributed sweep chunks and offline sweeps all feed one store.
 
@@ -19,7 +19,8 @@ Modules
 * :mod:`repro.service.queue`    — FIFO job queue with in-flight
   request coalescing;
 * :mod:`repro.service.workers`  — the persistent worker pool
-  (threads or processes) that executes jobs;
+  (threads or processes) that executes jobs, one frontend memo per
+  worker address space;
 * :mod:`repro.service.daemon`   — the asyncio HTTP daemon
   (``fpfa-map serve``);
 * :mod:`repro.service.client`   — the blocking client

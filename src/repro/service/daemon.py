@@ -1,18 +1,17 @@
 """The asyncio mapping daemon behind ``fpfa-map serve``.
 
-One process, three moving parts:
+One process, two moving parts:
 
 * an **HTTP front** (plain asyncio streams — no framework): a tiny
   JSON-over-HTTP/1.1 server, one request per connection, plus an
   NDJSON event stream per job for progress watching;
 * a **dispatcher** that drains the :class:`~repro.service.queue.JobQueue`
   into the :class:`~repro.service.workers.WorkerPool` under a
-  bounded-concurrency semaphore (at most ``workers`` jobs in flight);
-* a **frontend memo**: compiled frontends keyed by
-  (source digest, width, simplify, balance).  Compilation happens at
-  most once per key — concurrent jobs needing the same frontend
-  await one shared compile task — and the memo seeds sweep chunks
-  too, so a warm daemon never re-parses a source it has seen.
+  bounded-concurrency semaphore (at most ``workers`` jobs in flight).
+
+The daemon holds no frontend: each worker keeps its own memo of
+compiled frontends (see :mod:`repro.service.workers`), and the daemon
+adds each job's memo misses and hits to ``/stats``.
 
 Endpoints (see ``docs/service.md`` for the full reference)::
 
@@ -52,14 +51,7 @@ import time
 from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.pipeline import Frontend
-from repro.dse.runner import (
-    FrontendSpec,
-    SweepStats,
-    _cache_pass,
-    _compile_spec,
-    frontend_spec,
-)
+from repro.dse.runner import SweepStats, _cache_pass
 from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.obs.export import TRACE_LOG_NAME, FlightRecorder
@@ -72,19 +64,10 @@ from repro.service.protocol import (
     job_key,
     normalise_request,
     record_to_map_payload,
-    request_point,
 )
 from repro.service.queue import Job, JobQueue, QueueFull
 from repro.service.store import ArtifactStore
-from repro.service.workers import (
-    WorkerPool,
-    run_chunk_job,
-    run_map_job,
-    source_digest,
-)
-
-#: Compiled frontends kept warm before the oldest is evicted.
-FRONTEND_MEMO_LIMIT = 128
+from repro.service.workers import WorkerPool, run_chunk_job, run_map_job
 
 
 class MappingService:
@@ -125,13 +108,11 @@ class MappingService:
         self.address: tuple[str, int] | None = None
         #: The daemon's own counts, the ``/stats`` service section:
         #: bumped on the event loop and read there by ``describe()``.
-        #: ``coalesced`` is the queue's.
+        #: ``coalesced`` is the queue's; the ``frontends_`` pair sums
+        #: the jobs' worker memo misses and hits.
         self.counts = dict.fromkeys(
             ("submits", "store_hits", "computed", "failed",
              "frontends_compiled", "frontends_reused"), 0)
-        #: (source digest, frontend spec) -> asyncio.Task[Frontend]
-        self._frontends: dict[tuple[str, FrontendSpec],
-                              asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
         self._events: asyncio.Condition | None = None
         self._slots: asyncio.Semaphore | None = None
@@ -261,13 +242,12 @@ class MappingService:
 
     async def _run_map(self, job: Job) -> None:
         request = job.request
-        frontend, reused = await self._frontend_for(request)
-        job.add_event("frontend",
-                      reused=reused, shipped=frontend is not None)
         record, info = await self._execute(
-            run_map_job, request, frontend,
+            run_map_job, request,
             fresh=lambda result: {job.key: result[0]})
         trace.adopt(info["spans"])
+        reused = self._count_frontends(info)
+        job.add_event("frontend", reused=reused)
         self.counts["computed"] += 1
         meta = {"cache": "miss", "frontend_reused": reused,
                 "timings": info.get("timings"),
@@ -315,9 +295,9 @@ class MappingService:
             missing = [key_points[key] for key in pending]
             fresh, info = await self._execute(
                 run_chunk_job, request, missing,
-                self._compiled_frontends(request["source"], missing),
                 fresh=lambda result: result[0])
             trace.adopt(info["spans"])
+            self._count_frontends(info)
             spans += info["spans"]
             worker = info["worker"]
             by_key.update(fresh)
@@ -357,61 +337,12 @@ class MappingService:
         task.add_done_callback(admit)
         return await asyncio.wrap_future(task)
 
-    # -- frontend memo ------------------------------------------------
-
-    async def _frontend_for(self, request
-                            ) -> tuple[Frontend | None, bool]:
-        """The memoised frontend for one map request, compiling at
-        most once per (source, spec) across concurrent jobs.
-
-        Returns ``(frontend, reused)``; ``(None, False)`` when the
-        point is unrealisable or the compile fails — the worker then
-        recompiles inside ``evaluate_point`` and yields the canonical
-        failure record.
-        """
-        try:
-            spec = frontend_spec(request_point(request))
-        except asyncio.CancelledError:
-            raise
-        except Exception:  # noqa: BLE001 — surfaces per record
-            return None, False
-        memo_key = (source_digest(request["source"]), spec)
-        task = self._frontends.get(memo_key)
-        reused = task is not None
-        if task is None:
-            loop = asyncio.get_running_loop()
-            task = asyncio.ensure_future(loop.run_in_executor(
-                None, _compile_spec, request["source"], spec))
-            self._frontends[memo_key] = task
-            self.counts["frontends_compiled"] += 1
-            while len(self._frontends) > FRONTEND_MEMO_LIMIT:
-                self._frontends.pop(next(iter(self._frontends)))
-        else:
-            self.counts["frontends_reused"] += 1
-        try:
-            return await task, reused
-        except asyncio.CancelledError:
-            raise
-        except Exception:  # noqa: BLE001 — surfaces per record
-            self._frontends.pop(memo_key, None)
-            return None, False
-
-    def _compiled_frontends(self, source: str, points
-                            ) -> dict[FrontendSpec, Frontend]:
-        """The memo's compiled frontends that *points* of *source*
-        use — the seed a sweep chunk's worker starts from."""
-        digest = source_digest(source)
-        compiled = {}
-        for point in points:
-            try:
-                spec = frontend_spec(point)
-            except Exception:  # noqa: BLE001 — surfaces per record
-                continue
-            task = self._frontends.get((digest, spec))
-            if task is not None and task.done() \
-                    and task.exception() is None:
-                compiled[spec] = task.result()
-        return compiled
+    def _count_frontends(self, info: dict) -> bool:
+        """Add one job's worker memo misses and hits to the counts;
+        True when the job reused a frontend."""
+        self.counts["frontends_compiled"] += info["frontends_compiled"]
+        self.counts["frontends_reused"] += info["frontends_reused"]
+        return info["frontends_reused"] > 0
 
     # -- notification -------------------------------------------------
 

@@ -20,10 +20,15 @@ context where available, mirroring :mod:`repro.dse.runner`), mode
 for platforms without fork.  The flow is deterministic, so the mode
 never changes a result, only its latency.
 
-Frontend reuse happens *above* the pool: the daemon memoises
-compiled frontends per (source, spec) and ships them with each job,
-so a warm resubmit skips frontend compilation no matter which worker
-picks it up.
+Each worker address space keeps one
+:class:`~repro.dse.runner.FrontendMemo` for the pool's life: the
+threads of a thread pool share the pool's, each process of a process
+pool makes its own, and two pools never share one.  A job takes its
+frontend from it, so a warm worker never re-parses a source it has
+seen, and a frontend keeps its backend memo across jobs.  Each job
+returns its memo misses and hits (``frontends_compiled`` and
+``frontends_reused`` in its info), which the daemon adds to
+``/stats``.
 
 Workers never touch the store.  The daemon reads and admits every
 record through its own :class:`~repro.service.store.ArtifactStore`
@@ -34,21 +39,14 @@ without rescanning the store directory.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import multiprocessing
 import os
 from typing import Mapping
 
-from repro.core.pipeline import Frontend
-from repro.dse.runner import FrontendSpec, evaluate_chunk, evaluate_point
+from repro.dse.runner import FrontendMemo, evaluate_chunk, evaluate_point
 from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.service.protocol import request_point
-
-
-def source_digest(source: str) -> str:
-    """Stable identity of one program text (frontend-memo key part)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -56,48 +54,68 @@ def source_digest(source: str) -> str:
 # ---------------------------------------------------------------------------
 
 def run_map_job(request: Mapping,
-                frontend: Frontend | None = None) -> tuple[dict, dict]:
+                memo: FrontendMemo) -> tuple[dict, dict]:
     """Execute one map job; returns ``(record, info)``.
 
     *record* is a canonical sweep record (stored verbatim); *info*
     carries service-side data that must never leak into the record:
-    the report's per-stage timings, the worker identity and the
-    job's captured trace entries (``spans``, empty when untraced),
-    which the daemon :func:`repro.obs.trace.adopt`-s.
+    the report's per-stage timings, the worker identity, the job's
+    frontend memo misses and hits, and its captured trace entries
+    (``spans``, empty when untraced), which the daemon
+    :func:`repro.obs.trace.adopt`-s.
     """
+    tally = FrontendMemo(share=memo)
     sink: dict = {}
     with trace.attach(request.get("trace")), \
             trace.capture() as spans:
-        with trace.span("worker.map", warm=frontend is not None):
+        with trace.span("worker.map"):
             record = evaluate_point(request["source"],
                                     request_point(request),
                                     request.get("verify_seed"),
-                                    frontend=frontend, sink=sink)
-    return record, {"timings": sink.get("timings"),
-                    "worker": os.getpid(), "spans": spans.entries}
+                                    memo=tally, sink=sink)
+    return record, dict(_info(tally, spans), timings=sink.get("timings"))
 
 
 def run_chunk_job(request: Mapping, points: list[DesignPoint],
-                  frontends: Mapping[FrontendSpec, Frontend]
-                  | None = None) -> tuple[dict, dict]:
+                  memo: FrontendMemo) -> tuple[dict, dict]:
     """Map *points* of one sweep-chunk job; returns ``(records, info)``.
 
     The records are keyed by cache key — exactly what a local
     ``run_sweep`` would produce for the same points (the distributed
     sweep's bit-identity guarantee rests on this).  The daemon passes
     only the points its store did not hold, and admits the fresh
-    records itself; *frontends* seeds the run with its warm memo.
-    *info* carries the worker identity and the captured trace
-    entries, as :func:`run_map_job`'s does.
+    records itself.  *info* is :func:`run_map_job`'s without the
+    timings.
     """
+    tally = FrontendMemo(share=memo)
     with trace.attach(request.get("trace")), \
             trace.capture() as spans:
         with trace.span("worker.chunk", points=len(points)):
             records, __ = evaluate_chunk(
                 request["source"], points,
-                verify_seed=request.get("verify_seed"),
-                frontends=frontends)
-    return records, {"worker": os.getpid(), "spans": spans.entries}
+                verify_seed=request.get("verify_seed"), memo=tally)
+    return records, _info(tally, spans)
+
+
+def _info(tally: FrontendMemo, spans) -> dict:
+    return {"worker": os.getpid(), "spans": spans.entries,
+            "frontends_compiled": tally.compiled,
+            "frontends_reused": tally.reused}
+
+
+#: A process-mode pool worker's frontend memo, made by the pool's
+#: initializer in each worker process.
+_PROCESS_MEMO: FrontendMemo | None = None
+
+
+def _start_process_worker() -> None:
+    global _PROCESS_MEMO
+    trace.drop_inherited_sinks()
+    _PROCESS_MEMO = FrontendMemo()
+
+
+def _with_process_memo(fn, *args):
+    return fn(*args, _PROCESS_MEMO)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +141,20 @@ class WorkerPool:
                 multiprocessing.get_all_start_methods() else None)
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=context,
-                initializer=trace.drop_inherited_sinks)
+                initializer=_start_process_worker)
+            self._memo = None
         else:
             self._executor = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.workers,
                 thread_name_prefix="fpfa-worker")
+            self._memo = FrontendMemo()
 
     def submit(self, fn, *args) -> concurrent.futures.Future:
-        return self._executor.submit(fn, *args)
+        """Run ``fn(*args, memo)`` on a worker, *memo* being that
+        worker's frontend memo."""
+        if self._memo is None:
+            return self._executor.submit(_with_process_memo, fn, *args)
+        return self._executor.submit(fn, *args, self._memo)
 
     def shutdown(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)

@@ -30,6 +30,7 @@ from repro.core.pipeline import (
 )
 from repro.dse import runner
 from repro.dse.runner import (
+    FrontendMemo,
     evaluate_chunk,
     evaluate_point,
     frontend_spec,
@@ -50,11 +51,11 @@ def shared_frontend():
 
 
 def test_a_sweep_leaves_the_frontend_pickle_unchanged():
-    frontend = shared_frontend()
+    memo = FrontendMemo()
+    frontend = memo.frontend(FIR16, frontend_spec(POINTS[0]))
     before = pickle.dumps(frontend)
-    records, __ = evaluate_chunk(
-        FIR16, POINTS, verify_seed=1,
-        frontends={frontend_spec(POINTS[0]): frontend})
+    records, __ = evaluate_chunk(FIR16, POINTS, verify_seed=1,
+                                 memo=memo)
     assert all(record["verified"] for record in records.values())
     assert frontend._memo, "the sweep did not use the shared frontend"
     assert pickle.dumps(frontend) == before
@@ -94,10 +95,11 @@ def test_capacities_past_the_cluster_count_share_one_schedule():
 
 
 def test_the_reference_memo_stays_bounded_under_many_seeds():
-    frontend = shared_frontend()
     point = POINTS[1]
+    memo = FrontendMemo()
+    frontend = memo.frontend(FIR16, frontend_spec(point))
     for seed in range(50):
-        record = evaluate_point(FIR16, point, seed, frontend=frontend)
+        record = evaluate_point(FIR16, point, seed, memo=memo)
         assert record["ok"] and record["verified"], record
     references = [key for key in frontend._memo if key[0] == "reference"]
     assert references == [("reference", seed)

@@ -162,6 +162,17 @@ class TestDistributedSweep:
         assert stats.leases == 0 and stats.stolen == 0
         assert stats.local_records == stats.unique
 
+    def test_fallback_pool_takes_the_workers_argument(
+            self, local_result, monkeypatch):
+        """``explore --remote ADDR --workers 1`` falls back on one
+        in-process worker, not on a CPU-count pool."""
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        result = run_sweep(FIR5, SPACE.grid(), workers=1,
+                           remotes="127.0.0.1:1", remote_chunk_size=4)
+        assert result.stats.local_records == result.stats.unique
+        assert result.stats.workers == 1
+        assert canon(result.records) == canon(local_result.records)
+
     def test_daemon_killed_mid_sweep_completes_identically(
             self, local_result):
         daemon = ServiceThread(workers=2)
@@ -304,6 +315,23 @@ class TestSweepChunkJobs:
         for point, record in zip(expected.points, expected.records):
             assert payload["records"][cache_key(FIR5, point)] \
                 == record
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_chunk_jobs_share_their_worker_frontend_memo(self, mode):
+        """Two one-point chunks of one source and frontend spec on a
+        one-worker daemon compile the frontend once: the second job
+        finds it in the worker's memo."""
+        with ServiceThread(workers=1, worker_mode=mode) as daemon:
+            client = ServiceClient(*daemon.address)
+            for point in SPACE.grid()[:2]:
+                response = client.submit({
+                    "kind": "sweep-chunk", "source": FIR5,
+                    "points": [point.to_dict()]})
+                client.result(response["job"]["id"], timeout=60)
+            stats = client.stats()["service"]
+        assert stats["computed"] == 2
+        assert stats["frontends_compiled"] == 1
+        assert stats["frontends_reused"] == 1
 
     def test_chunk_records_satisfy_map_jobs(self, tmp_path):
         """Chunk records land in the daemon's store under map keys:

@@ -2,6 +2,10 @@
 tolerance, and the persistent cache's speed and reproducibility
 guarantees (the ISSUE's acceptance criteria)."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.cli import main
@@ -91,9 +95,7 @@ class TestFrontendReuse:
         assert result.stats.frontends == 2  # balance off / on
 
     def test_width_is_a_frontend_axis(self):
-        # One point per width: no spec is shared, so nothing is
-        # precompiled (each evaluation compiles its own frontend and
-        # a pooled sweep keeps its parallelism) ...
+        # One point per width: no spec is shared ...
         points = DesignSpace({"width": [None, 16]}).grid()
         result = run_sweep(FIR5, points, workers=1)
         assert result.stats.failed == 0
@@ -104,6 +106,105 @@ class TestFrontendReuse:
         shared = run_sweep(FIR5, grid, workers=1)
         assert shared.stats.failed == 0
         assert shared.stats.frontends == 2
+
+    def test_a_rejected_source_compiles_once(self, monkeypatch):
+        """The memo keeps a front-end error: eight points of a source
+        the parser rejects compile it once, and every record carries
+        the message a lone evaluation reports."""
+        calls = []
+        real = runner.compile_frontend
+
+        def counting(source, **kwargs):
+            calls.append(kwargs)
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_frontend", counting)
+        bad = "void main() { x = ; }"
+        points = DesignSpace({"n_pps": [1, 2, 4, 8],
+                              "n_buses": [4, 10]}).grid()
+        result = run_sweep(bad, points, workers=1)
+        assert len(calls) == 1
+        alone = evaluate_point(bad, points[0])["error"]
+        assert alone.startswith("ParseError: ")
+        assert [record["error"] for record in result.records] \
+            == [alone] * len(points)
+
+    def test_other_compile_failures_are_retried(self, monkeypatch):
+        """Only a front-end error is kept: a long-lived memo retries a
+        compile that failed any other way."""
+        real = runner.compile_frontend
+        failures = [OSError("transient")]
+
+        def flaky(source, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_frontend", flaky)
+        memo = runner.FrontendMemo()
+        point = DesignPoint.make({"n_pps": 2})
+        failed = evaluate_point(FIR5, point, memo=memo)
+        assert failed["error"] == "OSError: transient"
+        assert evaluate_point(FIR5, point, memo=memo) \
+            == evaluate_point(FIR5, point)
+        assert (memo.compiled, memo.reused) == (2, 0)
+
+    def test_the_memo_evicts_its_oldest_frontend(self, monkeypatch):
+        monkeypatch.setattr(runner, "FRONTENDS_KEPT", 2)
+        monkeypatch.setattr(runner, "compile_frontend",
+                            lambda source, **kwargs: object())
+        memo = runner.FrontendMemo()
+        spec = (16, True, False)
+        oldest = memo.frontend("a", spec)
+        newest = [memo.frontend(source, spec) for source in "bc"][-1]
+        # A view shares the entries and counts its own lookups.
+        view = runner.FrontendMemo(share=memo)
+        assert view.frontend("c", spec) is newest
+        assert (view.compiled, view.reused) == (0, 1)
+        assert memo.frontend("a", spec) is not oldest
+        assert (memo.compiled, memo.reused) == (4, 0)
+
+    def test_threads_sharing_a_memo_compile_a_key_once(self,
+                                                       monkeypatch):
+        """A thread-mode service pool's shape: more threads than CPUs
+        look one key up through their own views at once; it compiles
+        once and every other lookup is a hit on the same object."""
+        compiles = []
+
+        def slow(source, **kwargs):
+            compiles.append(source)
+            time.sleep(0.01)
+            return object()
+
+        monkeypatch.setattr(runner, "compile_frontend", slow)
+        memo = runner.FrontendMemo()
+        views = [runner.FrontendMemo(share=memo) for __ in range(6)]
+        barrier = threading.Barrier(len(views))
+        seen = [[] for __ in views]
+
+        def job(index):
+            barrier.wait()
+            for __ in range(20):
+                seen[index].append(
+                    views[index].frontend("a", (16, True, False)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=job, args=(index,))
+                       for index in range(len(views))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert compiles == ["a"]
+        assert len({id(entry) for entries in seen
+                    for entry in entries}) == 1
+        assert sum(view.compiled for view in views) == 1
+        assert sum(view.reused for view in views) == 6 * 20 - 1
 
     def test_shared_frontend_matches_per_point_evaluation(self):
         points = DesignSpace({"n_pps": [1, 3, 5],

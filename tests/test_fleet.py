@@ -280,10 +280,15 @@ def test_service_serves_the_kernel_suite_bit_identically(fleet,
     assert {canon(payload) for payload in warm} \
         == {canon(offline[first.name][1])}
 
-    client.map_source(first.source, file=offline[first.name][0],
-                      pps=3)
-    assert client.stats()["service"]["frontends_reused"] >= 1, \
-        "warm resubmit recompiled the frontend"
+    # One more computed job of one frontend than there are worker
+    # processes (pps 5, the default, is a store hit by now): some
+    # process maps two of them, and its memo serves the second.
+    before = client.stats()["service"]["frontends_reused"]
+    for pps in range(6, SERVICE_WORKERS + 7):
+        client.map_source(first.source, file=offline[first.name][0],
+                          pps=pps)
+    assert client.stats()["service"]["frontends_reused"] > before, \
+        "no worker reused a frontend it had compiled"
 
 
 # -- distributed ------------------------------------------------------------

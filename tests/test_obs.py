@@ -154,7 +154,10 @@ class TestServiceMetricsEndpoint:
     def test_exposition_is_valid_and_consistent_with_stats(
             self, tmp_path, monkeypatch):
         """A scripted run (map, coalesced duplicate, store hit,
-        failure) lands in ``/stats`` as exact integer counts."""
+        failure) lands in ``/stats`` as exact integer counts.  The
+        chunk's twelve points and the map share one frontend: one
+        miss and twelve hits in the worker's memo (the failed map's
+        tile is unrealisable, so it looks up no frontend)."""
         from repro.service import daemon as daemon_module
 
         release = threading.Event()
@@ -197,7 +200,7 @@ class TestServiceMetricsEndpoint:
         assert service == {
             "submits": 5, "coalesced": 1, "store_hits": 1,
             "computed": 3, "failed": 1, "frontends_compiled": 1,
-            "frontends_reused": 0}
+            "frontends_reused": 12}
         assert all(type(value) is int for value in service.values())
         assert stats["queue"]["coalesced"] == service["coalesced"]
         assert stats["queue"]["states"] == {"done": 3, "failed": 1}

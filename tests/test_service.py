@@ -6,8 +6,8 @@ The acceptance criteria of the service subsystem live here:
   kernel suite, served to 8+ concurrent clients;
 * duplicate in-flight submissions coalesce to exactly one backend
   computation (worker-run counters);
-* a warm-daemon resubmit skips frontend compilation (frontend memo
-  counters + per-job profile meta).
+* a resubmit to a warm worker skips frontend compilation (worker
+  frontend memo counters + per-job profile meta).
 """
 
 import asyncio
@@ -210,6 +210,24 @@ def test_warm_resubmit_reuses_the_frontend(client):
     for stage in ("parse", "transforms", "cluster", "schedule",
                   "allocate"):
         assert stage in timings
+
+
+def test_two_daemons_in_one_process_share_no_frontend_memo():
+    """Each thread-mode daemon's pool keeps its own memo: the same
+    chunk on a second daemon compiles its frontend again."""
+    chunk = {"kind": "sweep-chunk", "source": FIR_SOURCE,
+             "points": [DesignSpace({"n_pps": [2]}).grid()[0]
+                        .to_dict()]}
+    with ServiceThread(workers=1) as first, \
+            ServiceThread(workers=1) as second:
+        counts = []
+        for daemon in (first, second):
+            client = ServiceClient(*daemon.address)
+            client.result(client.submit(chunk)["job"]["id"])
+            counts.append(client.stats()["service"])
+    for service in counts:
+        assert service["frontends_compiled"] == 1
+        assert service["frontends_reused"] == 0
 
 
 def test_store_hit_skips_the_pool_entirely(client):
@@ -469,15 +487,22 @@ def test_unknown_route_is_http_404(client):
 # -- worker process mode --------------------------------------------------
 
 def test_process_worker_mode_results_identical(tmp_path):
+    """Each worker process keeps its own frontend memo: three jobs of
+    one frontend on two processes compile it at most twice and reuse
+    it at least once."""
     file, expected = _offline_payload(tmp_path, FIR_SOURCE)
     with ServiceThread(worker_mode="process", workers=2) as thread:
         own = ServiceClient(*thread.address)
         payload = own.map_source(FIR_SOURCE, file=file)
-        warm = own.map_source(FIR_SOURCE, file=file, pps=3)
+        warm = [own.map_source(FIR_SOURCE, file=file, pps=pps)
+                for pps in (3, 4)]
         stats = own.stats()["service"]
     assert _canon(payload) == _canon(expected)
-    assert warm["config"]["n_pps"] == 3
-    assert stats["frontends_reused"] == 1
+    assert [entry["config"]["n_pps"] for entry in warm] == [3, 4]
+    assert stats["computed"] == 3
+    assert stats["frontends_compiled"] <= 2
+    assert stats["frontends_reused"] >= 1
+    assert stats["frontends_compiled"] + stats["frontends_reused"] == 3
 
 
 # -- CLI surface ----------------------------------------------------------
