@@ -52,7 +52,7 @@ without temp files.
 
 ``explore`` sweeps the design space with :mod:`repro.dse`: it builds
 a space from ``--sweep``/shortcut flags (default: the stock PP x bus
-x library grid), evaluates it on a multiprocessing pool with an
+x library grid), evaluates it on a worker process pool with an
 optional persistent result cache, and reports the Pareto frontier
 plus the scalarised best point.
 
@@ -415,10 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _read_source(path: str) -> str:
+    """The C source at *path* (``-`` reads stdin); a blank one is
+    refused here, so `map`, `submit` and `explore` say the same."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        source = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+    if not source.strip():
+        name = "<stdin>" if path == "-" else path
+        raise SystemExit(f"{name}: no C source (the file is empty)")
+    return source
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -468,8 +475,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
     source = _read_source(args.file)
     name = "<stdin>" if args.file == "-" else args.file
-    if not source.strip():
-        raise SystemExit(f"{name}: no C source (the file is empty)")
     # With `--json -` stdout carries *only* the JSON payload (for
     # pipelines and the fleet tests); the human-readable
     # report moves to stderr.
@@ -877,12 +882,12 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Operate on a store directory offline (`fpfa-map cache`).
 
-    Uses :class:`~repro.service.store.ArtifactStore` — the same
-    class the daemon and the sweeps use — so what this subcommand
+    Uses :class:`~repro.dse.cache.ResultCache` — the same class
+    the daemon and the sweeps use — so what this subcommand
     reports is exactly what they would see.  ``stats`` and ``fsck``
     never need bounds; ``gc`` requires at least one.
     """
-    from repro.service.store import ArtifactStore
+    from repro.dse.cache import ResultCache
 
     if not os.path.isdir(args.dir):
         # Opening would silently create an empty store — for an
@@ -892,8 +897,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             and args.max_bytes is None:
         raise SystemExit("cache gc needs --max-entries and/or "
                          "--max-bytes (the bound to enforce)")
-    store = ArtifactStore(args.dir, max_entries=args.max_entries,
-                          max_bytes=args.max_bytes)
+    store = ResultCache(args.dir, max_entries=args.max_entries,
+                        max_bytes=args.max_bytes)
     if args.action == "stats":
         payload = store.stats()
     elif args.action == "fsck":

@@ -11,9 +11,11 @@ point* and explores sets of them as a batch workload:
   template libraries, ``map_graph`` options and tile-array fields
   (``tiles``, ``topology``, ... — the multi-tile axis of
   :mod:`repro.multitile`);
-* :mod:`repro.dse.runner` — a chunked ``multiprocessing`` sweep
-  runner that tolerates per-point failures and records the
-  :func:`repro.eval.metrics.mapping_metrics` of every mapping;
+* :mod:`repro.dse.runner` — a sweep runner that tolerates per-point
+  failures and records the
+  :func:`repro.eval.metrics.mapping_metrics` of every mapping, and
+  the one worker pool (a pooled sweep's chunks and the service
+  daemon's jobs run on it);
 * :mod:`repro.dse.cache` — a content-addressed on-disk result cache
   keyed by a stable hash of (source, design point), so repeated and
   overlapping sweeps skip re-mapping entirely;

@@ -44,8 +44,9 @@ Invariants
   and cold sweeps render identical tables, and the key hashes the
   full program source plus the point's canonical identity, so no two
   distinct evaluations can alias.
-* Only ``ok`` records are memoised (the runner's policy); a failure
-  is never served from the cache.
+* Only ``ok`` records are memoised (:meth:`ResultCache.admit`, the
+  write-back every sweep and the daemon use); a failure is never
+  served from the cache.
 * A store failure is a *miss*, never a crash: corrupt entries and
   full-disk writes (``put`` returns ``False``, counted in
   ``put_errors``) degrade.
@@ -291,6 +292,20 @@ class ResultCache:
             self._note(key, len(payload))
         self._enforce_bounds(protect=key)
         return True
+
+    def admit(self, key: str, record: Mapping) -> bool:
+        """:meth:`put` *record* if it is ``ok``; returns whether it
+        was written.
+
+        The one write-back rule of every sweep and the daemon: a
+        failure may be transient (resource exhaustion in a worker),
+        and caching it would poison the key for every later sweep
+        sharing this store.  A degraded write reports False, as
+        :meth:`put` does.
+        """
+        if not record.get("ok"):
+            return False
+        return self.put(key, record)
 
     # -- bounds + eviction --------------------------------------------
 

@@ -15,7 +15,7 @@ runs in this order:
    does each chunk's cache pass against its artifact store and maps
    only the missing points on its worker pool, so a point the store
    already holds is a store read there, not a re-map;
-4. every record is written back to the coordinator's cache as its
+4. every ``ok`` record is admitted to the coordinator's cache as its
    chunk merges;
 5. a chunk whose lease fails, and every chunk not yet leased by then,
    runs locally through plain :func:`run_sweep`.  A daemon that does
@@ -243,15 +243,13 @@ class _Leases:
 
     def _merge(self, chunk: list[str], records: dict[str, dict],
                stored: int) -> None:
-        """Write one chunk's ok records to the coordinator's cache —
+        """Admit one chunk's records to the coordinator's cache —
         before they count as merged, so a killed coordinator keeps
-        them — then merge them.  Written unconditionally: like a
-        local run_sweep, a verified record must replace a stale
-        unverified entry for the same key."""
+        them — then merge them.  Like a local run_sweep, a verified
+        record replaces a stale unverified entry for the same key."""
         if self.cache is not None:
             for key, record in records.items():
-                if record.get("ok"):
-                    self.cache.put(key, record)
+                self.cache.admit(key, record)
         with self.lock:
             self.merged.update(records)
             self.stats.remote_records += len(records)

@@ -2,17 +2,20 @@
 
 ``run_sweep`` is the one engine every exploration strategy shares.
 It deduplicates the requested points, satisfies what it can from the
-:class:`repro.dse.cache.ResultCache`, evaluates the rest — serially
-or on a ``multiprocessing`` pool in configurable chunks — and returns
-one JSON-able *record* per requested point.
+:class:`repro.dse.cache.ResultCache`, evaluates the rest — serially,
+or as chunks of points on a :class:`WorkerPool` — and returns one
+JSON-able *record* per requested point.  :class:`WorkerPool` is the
+one process pool: a pooled sweep submits :func:`run_chunk_job` tasks
+to one of its own, and the service daemon runs :func:`run_map_job`
+and :func:`run_chunk_job` on one for its life.
 
 The mapping flow is split into a frontend (source → transformed CDFG,
 depending only on the program, the data-path width and the transform
 options) and a backend (cluster/schedule/allocate, depending on every
 tile/array axis) — see :mod:`repro.core.pipeline`.  A
 :class:`FrontendMemo` is the one place a point gets its frontend: each
-sweep owns one (the serial path's, and one in each pool child), and
-each service worker keeps one for its life, so a 100-point sweep over
+sweep owns one (the serial path's, and one in each pool worker), and
+each daemon worker keeps one for its life, so a 100-point sweep over
 tile parameters parses and simplifies the kernel once per process
 instead of 100 times, and a frontend never crosses a process
 boundary.  The points that share a frontend object also share what
@@ -27,8 +30,9 @@ scheduling overflow, a verification mismatch) are captured inside the
 worker and returned as ``{"ok": False, "error": ...}`` records, so a
 120-point sweep survives its pathological corners and still reports
 them.  Because the flow is deterministic, records are cached by
-content hash; a repeated sweep is pure cache reads and never touches
-the pool.
+content hash (:meth:`~repro.dse.cache.ResultCache.admit` writes the
+``ok`` ones only); a repeated sweep is pure cache reads and never
+touches the pool.
 
 Invariants
 ----------
@@ -48,6 +52,7 @@ Invariants
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import threading
@@ -189,42 +194,6 @@ def evaluate_point(source: str, point: DesignPoint,
             record["ok"] = False
             record["error"] = f"{type(error).__name__}: {error}"
     return record
-
-
-#: Per-worker sweep context installed by :func:`_init_worker`: the
-#: program source, sent once per worker process instead of once per
-#: job, and the worker's own frontend memo.
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_worker(source: str, trace_ctx: dict | None = None) -> None:
-    # The parent's log is the parent's to write: a forked child's
-    # spans go home with its results (see _worker).
-    trace.drop_inherited_sinks()
-    _WORKER_CONTEXT["source"] = source
-    _WORKER_CONTEXT["memo"] = FrontendMemo()
-    # The parent sweep's trace context: pool workers attach it so
-    # their dse.point spans parent to the coordinating dse.sweep
-    # span.  None when tracing is off (fork children inherit the
-    # parent's enabled flag; spawn children read FPFA_TRACE).
-    _WORKER_CONTEXT["trace"] = trace_ctx
-
-
-def _worker(payload: tuple) -> tuple:
-    """Pool entry point: evaluate one point from its serialised form.
-
-    Returns ``(key, record, spans)``: *spans* are the trace entries
-    the evaluation finished here (empty when untraced), which the
-    parent adopts.
-    """
-    key, point_dict, verify_seed = payload
-    with trace.attach(_WORKER_CONTEXT.get("trace")), \
-            trace.capture() as spans:
-        record = evaluate_point(_WORKER_CONTEXT["source"],
-                                DesignPoint.from_dict(point_dict),
-                                verify_seed,
-                                memo=_WORKER_CONTEXT["memo"])
-    return key, record, spans.entries
 
 
 @dataclass
@@ -409,39 +378,36 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
         stats.frontends = sum(1 for count in spec_counts.values()
                               if count > 1)
         if workers > 1:
-            jobs = [(key, key_points[key].to_dict(), verify_seed)
-                    for key in pending]
-            chunksize = max(1, len(jobs) // (workers * 4))
-            context = multiprocessing.get_context(
-                "fork" if "fork" in
-                multiprocessing.get_all_start_methods() else None)
-            with context.Pool(processes=workers,
-                              initializer=_init_worker,
-                              initargs=(source,
-                                        trace.context())) as pool:
-                outcomes = pool.imap_unordered(_worker, jobs,
-                                               chunksize=chunksize)
-                # Write-back happens per result, not at sweep end:
-                # a coordinator killed mid-sweep keeps everything it
-                # finished, so re-running it recomputes only the
-                # missing records.  Only successful records
-                # are memoised: a failure may be transient (resource
-                # exhaustion in a worker), and caching it would
-                # poison the (source, point) key for every later
-                # sweep sharing this cache directory.
-                for key, record, spans in outcomes:
-                    trace.adopt(spans)
-                    by_key[key] = record
-                    if cache is not None and record["ok"]:
-                        cache.put(key, record)
+            # Write-back happens per chunk, not at sweep end: a
+            # coordinator killed mid-sweep keeps everything it
+            # finished, so re-running it recomputes only the missing
+            # records.
+            size = max(1, len(pending) // (workers * 4))
+            trace_ctx = trace.context()
+            pool = WorkerPool(workers)
+            try:
+                tasks = [pool.submit(
+                    run_chunk_job, source,
+                    [key_points[key] for key in pending[index:index + size]],
+                    verify_seed, trace_ctx)
+                    for index in range(0, len(pending), size)]
+                for task in concurrent.futures.as_completed(tasks):
+                    records, info = task.result()
+                    trace.adopt(info["spans"])
+                    by_key.update(records)
+                    if cache is not None:
+                        for key, record in records.items():
+                            cache.admit(key, record)
+            finally:
+                pool.shutdown(wait=True)
         else:
             memo = memo or FrontendMemo()
             for key in pending:
                 record = evaluate_point(source, key_points[key],
                                         verify_seed, memo=memo)
                 by_key[key] = record
-                if cache is not None and record["ok"]:
-                    cache.put(key, record)
+                if cache is not None:
+                    cache.admit(key, record)
         stats.evaluated = len(pending)
 
     records = [by_key[key] for key in point_keys]
@@ -486,13 +452,12 @@ def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
                    ) -> tuple[dict, SweepStats]:
     """Evaluate one chunk of points; records keyed by cache key.
 
-    The unit a distributed sweep leases to a daemon (the service's
-    ``sweep-chunk`` job kind runs this over the points the daemon's
-    store did not hold): a cacheless :func:`run_sweep` over the
-    chunk — same record producer, so a chunk's records are
-    bit-identical to the ones a local sweep would mint.  Runs
-    in-process (``workers=1``): on a daemon, the worker pool above
-    is the parallelism, and chunks from one sweep spread across it.
+    The unit a :class:`WorkerPool` runs (:func:`run_chunk_job`), for
+    a pooled sweep and for a daemon's ``sweep-chunk`` lease alike: a
+    cacheless :func:`run_sweep` over the chunk — same record
+    producer, so a chunk's records are bit-identical to the ones a
+    serial sweep would mint.  Runs in-process (``workers=1``): the
+    pool is the parallelism, and one sweep's chunks spread across it.
     *memo* is the worker's frontend memo (a fresh one without it),
     so a chunk never recompiles a frontend its worker already holds.
 
@@ -508,3 +473,123 @@ def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
     records = {cache_key(source, point): record
                for point, record in zip(result.points, result.records)}
     return records, result.stats
+
+
+# ---------------------------------------------------------------------------
+# The worker pool and the tasks it runs (module-level: they must pickle
+# into worker processes)
+# ---------------------------------------------------------------------------
+
+def run_map_job(source: str, point: DesignPoint,
+                verify_seed: int | None, trace_ctx: dict | None,
+                memo: FrontendMemo) -> tuple[dict, dict]:
+    """Map *source* at *point* on a worker; returns ``(record, info)``.
+
+    *record* is a canonical sweep record; *info* carries what must
+    never leak into it: the report's per-stage timings and
+    :func:`run_chunk_job`'s info.
+    """
+    tally = FrontendMemo(share=memo)
+    sink: dict = {}
+    with trace.attach(trace_ctx), trace.capture() as spans:
+        with trace.span("worker.map"):
+            record = evaluate_point(source, point, verify_seed,
+                                    memo=tally, sink=sink)
+    return record, dict(_info(tally, spans), timings=sink.get("timings"))
+
+
+def run_chunk_job(source: str, points: list[DesignPoint],
+                  verify_seed: int | None, trace_ctx: dict | None,
+                  memo: FrontendMemo) -> tuple[dict, dict]:
+    """Map one chunk of *points* on a worker; returns ``(records,
+    info)``.
+
+    The records are :func:`evaluate_chunk`'s, keyed by cache key.
+    *info* holds the worker's pid, the job's frontend memo misses and
+    hits, and the trace entries it captured under *trace_ctx*
+    (``spans``, empty when untraced), which the caller
+    :func:`repro.obs.trace.adopt`-s.  The caller admits the records:
+    a worker never touches a store.
+    """
+    tally = FrontendMemo(share=memo)
+    with trace.attach(trace_ctx), trace.capture() as spans:
+        with trace.span("worker.chunk", points=len(points)):
+            records, __ = evaluate_chunk(
+                source, points, verify_seed=verify_seed, memo=tally)
+    return records, _info(tally, spans)
+
+
+def _info(tally: FrontendMemo, spans) -> dict:
+    return {"worker": os.getpid(), "spans": spans.entries,
+            "frontends_compiled": tally.compiled,
+            "frontends_reused": tally.reused}
+
+
+#: A process-mode pool worker's frontend memo, made by the pool's
+#: initializer in each worker process.
+_PROCESS_MEMO: FrontendMemo | None = None
+
+
+def _start_process_worker() -> None:
+    global _PROCESS_MEMO
+    # The parent's log is the parent's to write: a forked child's
+    # spans go home with its results.
+    trace.drop_inherited_sinks()
+    _PROCESS_MEMO = FrontendMemo()
+
+
+def _with_process_memo(fn, *args):
+    return fn(*args, _PROCESS_MEMO)
+
+
+class WorkerPool:
+    """A bounded, persistent executor for :func:`run_map_job` and
+    :func:`run_chunk_job`: a pooled sweep's and a daemon's.
+
+    Mode ``"process"`` (fork context where available) is true
+    parallelism; mode ``"thread"`` keeps everything in one process.
+    Each worker address space keeps one :class:`FrontendMemo` for the
+    pool's life: a thread pool's threads share the pool's, each
+    process of a process pool makes its own.  The flow is
+    deterministic, so neither the mode nor the worker count changes a
+    record.
+    """
+
+    MODES = ("process", "thread")
+
+    def __init__(self, workers: int | None = None,
+                 mode: str = "process"):
+        if mode not in self.MODES:
+            raise ValueError(f"unknown worker mode {mode!r}; "
+                             f"known: {', '.join(self.MODES)}")
+        self.workers = max(1, workers if workers is not None
+                           else (os.cpu_count() or 1))
+        self.mode = mode
+        if mode == "process":
+            context = multiprocessing.get_context(
+                "fork" if "fork" in
+                multiprocessing.get_all_start_methods() else None)
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=context,
+                initializer=_start_process_worker)
+            self._memo = None
+        else:
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.workers,
+                thread_name_prefix="fpfa-worker")
+            self._memo = FrontendMemo()
+
+    def submit(self, fn, *args) -> concurrent.futures.Future:
+        """Run ``fn(*args, memo)`` on a worker, *memo* being that
+        worker's frontend memo."""
+        if self._memo is None:
+            return self._executor.submit(_with_process_memo, fn, *args)
+        return self._executor.submit(fn, *args, self._memo)
+
+    def shutdown(self, wait: bool = False) -> None:
+        """Cancel what has not started; with *wait*, also wait for
+        the running tasks and reap the worker processes."""
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+
+    def describe(self) -> dict:
+        return {"workers": self.workers, "mode": self.mode}

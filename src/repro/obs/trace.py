@@ -32,9 +32,10 @@ The tracer keeps no memory of what it recorded: a finished span or
 event becomes one entry dict handed to each registered sink
 (:meth:`Tracer.add_sink`) and is then forgotten.  The flight recorder
 in :mod:`repro.obs.export` is the sink that streams entries to an
-NDJSON log; rollups are computed from that log.  Nesting depth is
-tracked per thread so entries show call structure even when the
-worker pool interleaves spans from many threads.
+NDJSON log; rollups are computed from that log.  A span's nesting
+depth is the size of its thread's span stack when it opens, so
+entries show call structure even when the worker pool interleaves
+spans from many threads.
 
 Distributed tracing (PR 9): every finished span carries W3C-style
 identifiers — a 32-hex ``trace`` id shared by a whole request tree, a
@@ -113,7 +114,7 @@ class _NoopSpan:
     """Shared do-nothing context manager returned while disabled.
 
     A single module-level instance serves every disabled ``span()``
-    call, so the disabled path allocates nothing.
+    and ``attach()`` call, so the disabled path allocates nothing.
     """
 
     __slots__ = ()
@@ -150,11 +151,10 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         local = self.tracer._local
-        self.depth = getattr(local, "depth", 0)
-        local.depth = self.depth + 1
         stack = getattr(local, "stack", None)
         if stack is None:
             stack = local.stack = []
+        self.depth = len(stack)
         if stack:
             self.trace_id, self.parent_id = stack[-1]
         else:
@@ -173,9 +173,7 @@ class _Span:
 
     def __exit__(self, exc_type: object, *exc_info: object) -> None:
         duration = time.perf_counter() - self.started
-        local = self.tracer._local
-        local.depth = self.depth
-        stack = getattr(local, "stack", None)
+        stack = getattr(self.tracer._local, "stack", None)
         if stack:
             stack.pop()
         if exc_type is not None:
@@ -189,21 +187,6 @@ class _Span:
         """Attach attributes discovered mid-span (e.g. a result
         count known only after the work ran)."""
         self.attrs.update(attrs)
-
-
-class _NoopAttach:
-    """Shared no-op for :func:`attach` while disabled/contextless."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopAttach":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NOOP_ATTACH = _NoopAttach()
 
 
 class _Attach:
@@ -268,9 +251,9 @@ class Tracer:
     """Span/event recorder that forwards every entry to its sinks.
 
     Thread-safe: the sink tuple is replaced, never mutated, under a
-    lock taken only to add or remove a sink.  Nesting depth and the
-    span stack are tracked in ``threading.local`` so concurrent
-    worker threads do not corrupt each other's parentage.
+    lock taken only to add or remove a sink.  The span stack (and so
+    each span's depth) is tracked in ``threading.local`` so
+    concurrent worker threads do not corrupt each other's parentage.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -440,11 +423,11 @@ class Tracer:
         instance) when disabled or *ctx* is absent/malformed.
         """
         if not self._enabled or not isinstance(ctx, dict):
-            return _NOOP_ATTACH
+            return _NOOP_SPAN
         trace_id = ctx.get("trace")
         span_id = ctx.get("span")
         if not isinstance(trace_id, str) or not isinstance(span_id, str):
-            return _NOOP_ATTACH
+            return _NOOP_SPAN
         return _Attach(self, (trace_id, span_id))
 
     def capture(self):

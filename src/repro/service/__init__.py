@@ -5,22 +5,19 @@ benchmarks, the sweeps) is a one-shot process that pays interpreter
 start-up, frontend compilation and cache-directory walking per
 invocation.  :mod:`repro.service` turns the flow into a long-running
 daemon: jobs arrive over a small JSON-over-HTTP protocol, run on a
-persistent worker pool whose workers each keep a memo of compiled
-frontends, and land in a content-addressed artifact store that shares its on-disk format —
-and its keys — with :class:`repro.dse.cache.ResultCache`, so mapping
-jobs, distributed sweep chunks and offline sweeps all feed one store.
+persistent :class:`~repro.dse.runner.WorkerPool` whose workers each
+keep a memo of compiled frontends, and land in a content-addressed
+:class:`~repro.dse.cache.ResultCache` — the class, format and keys
+offline sweeps use — so mapping jobs, distributed sweep chunks and
+offline sweeps all feed one store.
 
 Modules
 -------
 * :mod:`repro.service.protocol` — request validation, job keys, and
   the record ↔ payload conversions that keep daemon responses
   bit-identical to ``fpfa-map map --json``;
-* :mod:`repro.service.store`    — the unified artifact store;
 * :mod:`repro.service.queue`    — FIFO job queue with in-flight
   request coalescing;
-* :mod:`repro.service.workers`  — the persistent worker pool
-  (threads or processes) that executes jobs, one frontend memo per
-  worker address space;
 * :mod:`repro.service.daemon`   — the asyncio HTTP daemon
   (``fpfa-map serve``);
 * :mod:`repro.service.client`   — the blocking client
@@ -31,10 +28,8 @@ See ``docs/service.md`` for the protocol reference.
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import MappingService, ServiceThread
-from repro.service.store import ArtifactStore
 
 __all__ = [
-    "ArtifactStore",
     "MappingService",
     "ServiceClient",
     "ServiceError",

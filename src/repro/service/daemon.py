@@ -6,12 +6,15 @@ One process, two moving parts:
   JSON-over-HTTP/1.1 server, one request per connection, plus an
   NDJSON event stream per job for progress watching;
 * a **dispatcher** that drains the :class:`~repro.service.queue.JobQueue`
-  into the :class:`~repro.service.workers.WorkerPool` under a
+  into a :class:`~repro.dse.runner.WorkerPool` under a
   bounded-concurrency semaphore (at most ``workers`` jobs in flight).
+  A map job is one :func:`~repro.dse.runner.run_map_job` task, a
+  chunk's uncached points one :func:`~repro.dse.runner.run_chunk_job`
+  task — the pool and chunk task a local pooled sweep uses.
 
 The daemon holds no frontend: each worker keeps its own memo of
-compiled frontends (see :mod:`repro.service.workers`), and the daemon
-adds each job's memo misses and hits to ``/stats``.
+compiled frontends (see :class:`~repro.dse.runner.WorkerPool`), and
+the daemon adds each job's memo misses and hits to ``/stats``.
 
 Endpoints (see ``docs/service.md`` for the full reference)::
 
@@ -31,9 +34,10 @@ Invariants
 * Exactly one backend run per coalesce key: duplicate in-flight
   submissions join the running job, and finished work is served from
   the artifact store without touching the pool.
-* The daemon's :class:`~repro.service.store.ArtifactStore` handle is
-  the only code that reads or writes its store, for every job kind:
-  workers get sources and points and return records.
+* The daemon's :class:`~repro.dse.cache.ResultCache` handle is the
+  only code that reads or writes its store, for every job kind:
+  workers get sources and points and return records, and the daemon
+  :meth:`~repro.dse.cache.ResultCache.admit`-s the ``ok`` ones.
 * The daemon binds loopback by default and speaks an unauthenticated
   protocol — it is an internal building block, not an internet-facing
   server; put a real proxy in front for anything shared.
@@ -51,7 +55,14 @@ import time
 from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
-from repro.dse.runner import SweepStats, _cache_pass
+from repro.dse.cache import ResultCache
+from repro.dse.runner import (
+    SweepStats,
+    WorkerPool,
+    _cache_pass,
+    run_chunk_job,
+    run_map_job,
+)
 from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.obs.export import TRACE_LOG_NAME, FlightRecorder
@@ -64,10 +75,9 @@ from repro.service.protocol import (
     job_key,
     normalise_request,
     record_to_map_payload,
+    request_point,
 )
 from repro.service.queue import Job, JobQueue, QueueFull
-from repro.service.store import ArtifactStore
-from repro.service.workers import WorkerPool, run_chunk_job, run_map_job
 
 
 class MappingService:
@@ -85,8 +95,8 @@ class MappingService:
             self._own_store = tempfile.TemporaryDirectory(
                 prefix="fpfa-service-")
             store = self._own_store.name
-        self.store = store if isinstance(store, ArtifactStore) \
-            else ArtifactStore(store)
+        self.store = store if isinstance(store, ResultCache) \
+            else ResultCache(store)
         if store_max_entries is not None or \
                 store_max_bytes is not None:
             # Bound the store now: an over-full inherited directory
@@ -243,7 +253,8 @@ class MappingService:
     async def _run_map(self, job: Job) -> None:
         request = job.request
         record, info = await self._execute(
-            run_map_job, request,
+            run_map_job, request["source"], request_point(request),
+            request["verify_seed"], request["trace"],
             fresh=lambda result: {job.key: result[0]})
         trace.adopt(info["spans"])
         reused = self._count_frontends(info)
@@ -294,7 +305,8 @@ class MappingService:
         if pending:
             missing = [key_points[key] for key in pending]
             fresh, info = await self._execute(
-                run_chunk_job, request, missing,
+                run_chunk_job, request["source"], missing,
+                request["verify_seed"], request["trace"],
                 fresh=lambda result: result[0])
             trace.adopt(info["spans"])
             self._count_frontends(info)

@@ -306,6 +306,24 @@ def test_map_empty_file_is_worded_for_the_cli(tmp_path, capsys):
     assert excinfo.value.code == f"{path}: no C source (the file is empty)"
 
 
+def test_submit_empty_file_is_refused_before_contacting_a_daemon(
+        tmp_path, capsys):
+    # Port 1 has no daemon: an attempt to reach one would fail with
+    # "cannot reach the daemon" instead.
+    path = _source_file(tmp_path, "  \n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["submit", path, "--port", "1"])
+    assert excinfo.value.code == f"{path}: no C source (the file is empty)"
+
+
+def test_explore_empty_file_is_refused_before_mapping(tmp_path, capsys):
+    path = _source_file(tmp_path, "")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["explore", path, "--pps", "1,2", "--workers", "1"])
+    assert excinfo.value.code == f"{path}: no C source (the file is empty)"
+    assert capsys.readouterr().out == ""
+
+
 def test_explore_without_main_fails_each_point_with_the_message(
         tmp_path, capsys):
     path = _source_file(tmp_path, "int f(int a) { return a; }\n")

@@ -2,6 +2,7 @@
 tolerance, and the persistent cache's speed and reproducibility
 guarantees (the ISSUE's acceptance criteria)."""
 
+import multiprocessing
 import sys
 import threading
 import time
@@ -63,6 +64,13 @@ class TestRunSweep:
         pooled = run_sweep(FIR5, points, workers=2)
         assert pooled.stats.workers == 2
         assert pooled.records == serial.records
+
+    def test_pooled_sweep_reaps_its_worker_processes(self):
+        points = DesignSpace({"n_pps": [1, 2, 3, 4]}).grid()
+        before = set(multiprocessing.active_children())
+        result = run_sweep(FIR5, points, workers=2)
+        assert result.stats.workers == 2
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestFrontendReuse:
@@ -287,17 +295,25 @@ class TestCacheAcceptance:
             assert cached == fresh, point.label()
             assert cached["metrics"] == fresh["metrics"]
 
-    def test_failures_are_not_cached(self, tmp_path):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_failures_are_not_cached(self, tmp_path, workers):
         """A failure may be transient, so it must be retried by the
-        next sweep rather than poisoning the cache key."""
+        next sweep rather than poisoning the cache key — on the
+        serial path and the pooled one alike."""
         cache = ResultCache(tmp_path)
-        bad = DesignPoint(tile=(("n_pps", 0),))
-        first = run_sweep(FIR5, [bad], workers=1, cache=cache)
-        assert first.stats.failed == 1
-        assert len(cache) == 0
-        second = run_sweep(FIR5, [bad], workers=1, cache=cache)
-        assert second.stats.cached == 0
-        assert second.stats.evaluated == 1
+        good = DesignSpace({"n_pps": [1, 2, 3]}).grid()
+        bad = [DesignPoint(tile=(("n_pps", 0),)),
+               DesignPoint(tile=(("n_buses", 0),))]
+        points = [good[0], bad[0], good[1], bad[1], good[2]]
+        first = run_sweep(FIR5, points, workers=workers, cache=cache)
+        assert first.stats.workers == workers
+        assert first.stats.failed == len(bad)
+        assert len(cache) == len(good)
+        second = run_sweep(FIR5, points, workers=workers, cache=cache)
+        assert second.stats.cached == len(good)
+        assert second.stats.evaluated == len(bad)
+        assert [record["ok"] for record in second.records] == \
+            [True, False, True, False, True]
 
     def test_unverified_cache_hits_reverified_on_demand(self,
                                                         tmp_path):

@@ -259,6 +259,24 @@ def test_repo_lints_clean():
     assert run.ok, "\n".join(problems)
 
 
+def test_every_path_a_checker_names_exists():
+    """A scope entry naming a moved or deleted file would switch its
+    check off without any error."""
+    from tools.fpfa_lint.checkers import (
+        determinism,
+        exceptions,
+        no_print,
+        protocol_drift,
+    )
+    from tools.fpfa_lint.core import Project
+
+    paths = {*protocol_drift.SCOPED, *exceptions.SWALLOW_SCOPED,
+             *no_print.ALLOWED, *determinism.ORDER_SCOPED,
+             Project.PROTOCOL, Project.QUEUE}
+    assert sorted(path for path in paths
+                  if not (ROOT / path).exists()) == []
+
+
 def _has_reason(file: LintFile, line: int) -> bool:
     """A waiver's reason is the plain comment line right above its
     directive (or above the flagged line it trails)."""

@@ -140,9 +140,9 @@ def test_duplicate_whose_lookup_outlives_the_first_job_never_reruns(
     only once released, and the release comes after the first job
     finished."""
     from repro.service.daemon import MappingService
-    from repro.service.store import ArtifactStore
+    from repro.dse.cache import ResultCache
 
-    class HeldStore(ArtifactStore):
+    class HeldStore(ResultCache):
         def __init__(self, root):
             super().__init__(root)
             self.release = threading.Event()

@@ -16,7 +16,6 @@ from repro.dse.cache import ResultCache, cache_key
 from repro.dse.runner import evaluate_point, run_sweep
 from repro.dse.space import DesignPoint
 from repro.service import ServiceClient, ServiceThread
-from repro.service.store import ArtifactStore
 
 from tests.conftest import FIR_SOURCE
 
@@ -74,10 +73,10 @@ def test_corrupt_entry_does_not_abort_a_sweep(tmp_path):
     assert json.loads(path.read_text())["ok"] is True
 
 
-# -- ArtifactStore policy -------------------------------------------------
+# -- ResultCache.admit policy ---------------------------------------------
 
 def test_store_is_a_result_cache(tmp_path):
-    store = ArtifactStore(tmp_path)
+    store = ResultCache(tmp_path)
     assert isinstance(store, ResultCache)
     # Same layout: a ResultCache over the same root sees the entry.
     store.put(KEY, _record(1))
@@ -85,7 +84,7 @@ def test_store_is_a_result_cache(tmp_path):
 
 
 def test_admit_rejects_failure_records(tmp_path):
-    store = ArtifactStore(tmp_path)
+    store = ResultCache(tmp_path)
     assert store.admit(KEY, _record(ok=False)) is False
     assert len(store) == 0
     assert store.admit(KEY, _record(ok=True)) is True
@@ -95,7 +94,7 @@ def test_admit_rejects_failure_records(tmp_path):
 def test_admit_reports_failed_writes(tmp_path, monkeypatch):
     """A full disk turns admit into ``False`` (the daemon keeps
     serving from memory), never an exception."""
-    store = ArtifactStore(tmp_path)
+    store = ResultCache(tmp_path)
 
     def no_space(*args, **kwargs):
         raise OSError(28, "No space left on device")
@@ -106,7 +105,7 @@ def test_admit_reports_failed_writes(tmp_path, monkeypatch):
 
 
 def test_lookup_honours_verification(tmp_path):
-    store = ArtifactStore(tmp_path)
+    store = ResultCache(tmp_path)
     store.put(KEY, _record(1))
     assert store.get(KEY) is not None
     # Unverified record cannot satisfy a verifying caller.
@@ -118,7 +117,7 @@ def test_lookup_honours_verification(tmp_path):
 def test_map_record_satisfies_sweep_and_vice_versa(tmp_path):
     """The unification acceptance: one store, shared keys, both
     populations interchangeable."""
-    store = ArtifactStore(tmp_path)
+    store = ResultCache(tmp_path)
     point = DesignPoint.from_assignment({"n_pps": 4, "n_buses": 10})
     key = cache_key(FIR_SOURCE, point)
     # A "map job" records its result...
@@ -132,14 +131,14 @@ def test_map_record_satisfies_sweep_and_vice_versa(tmp_path):
 # -- concurrent access (atomic rename semantics) --------------------------
 
 def _hammer_writes(root, key, rounds):
-    store = ArtifactStore(root)
+    store = ResultCache(root)
     for index in range(rounds):
         store.put(key, {"ok": True, "n": index,
                         "pad": "x" * 4096})  # big enough to tear
 
 
 def _hammer_reads(root, key, rounds, failures):
-    store = ArtifactStore(root)
+    store = ResultCache(root)
     seen = 0
     for __ in range(rounds):
         record = store.get(key)
@@ -159,7 +158,7 @@ def test_concurrent_put_get_never_tears(tmp_path):
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
     failures = context.Queue()
-    store = ArtifactStore(tmp_path)   # pre-create the directory
+    store = ResultCache(tmp_path)   # pre-create the directory
     store.put(KEY, {"ok": True, "n": -1, "pad": "x" * 4096})
     writer = context.Process(target=_hammer_writes,
                              args=(str(tmp_path), KEY, 300))
@@ -183,7 +182,7 @@ OTHER = "ef" + "01" * 31
 
 @pytest.fixture()
 def warm_daemon(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
+    store = ResultCache(tmp_path / "store")
     store.put(KEY, _record(1))
     store.put(OTHER, _record(2, verified=True))
     with ServiceThread(store=tmp_path / "store",

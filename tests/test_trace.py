@@ -396,7 +396,8 @@ class TestFlightRecorder:
     def test_pool_children_send_their_spans_home(self, tmp_path):
         """A local pool's children drop the recorder they inherit and
         return their spans with their records: the parent alone
-        writes the log, so its count is the log's length."""
+        writes the log, so its count is the log's length.  Every
+        point span joins the sweep's trace."""
         from repro.dse.runner import run_sweep
         from repro.dse.space import DesignSpace
         from repro.eval.kernels import get_kernel
@@ -411,6 +412,9 @@ class TestFlightRecorder:
         point_spans = [e for e in entries if e["name"] == "dse.point"]
         assert len(point_spans) == len(points)
         assert all(e["pid"] != os.getpid() for e in point_spans)
+        sweep, = [e for e in entries if e["name"] == "dse.sweep"]
+        assert sweep["parent"] is None
+        assert {e["trace"] for e in point_spans} == {sweep["trace"]}
 
 
 class TestChromeExport:

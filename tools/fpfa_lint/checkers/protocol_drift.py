@@ -1,8 +1,8 @@
 """FPL005 — protocol drift.
 
 The daemon wire protocol is duck-typed JSON: the client builds a
-request dict, ``protocol.normalise_*`` validates it, the daemon and
-workers read fields back out, and clients read job views.  A
+request dict, ``protocol.normalise_*`` validates it, the daemon
+reads fields back out, and clients read job views.  A
 typo'd field name (``request["verify-seed"]``) fails silently as a
 missing key at runtime — on the *other* end of the wire.
 
@@ -39,7 +39,6 @@ SCOPED = frozenset({
     "src/repro/cli.py",
     "src/repro/service/client.py",
     "src/repro/service/daemon.py",
-    "src/repro/service/workers.py",
     "src/repro/service/queue.py",
     "src/repro/dse/distributed.py",
 })
