@@ -840,6 +840,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"cannot reach the daemon at {client.url}: {error} "
             f"(is `fpfa-map serve` running?)")
+    finally:
+        client.close()
     _dump_json(payload, args.json_path)
     return 0
 
@@ -872,6 +874,8 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"cannot reach the daemon at {client.url}: {error} "
             f"(is `fpfa-map serve` running?)")
+    finally:
+        client.close()
     if args.json_path:
         _dump_json({"jobs": views}, args.json_path)
     else:

@@ -145,7 +145,8 @@ def _probe(remote: tuple[str, int]) -> int | None:
     """The daemon's worker count, or None when it does not answer."""
     from repro.service.client import ServiceClient, ServiceError
     try:
-        stats = ServiceClient(*remote, timeout=10.0).stats()
+        with ServiceClient(*remote, timeout=10.0) as client:
+            stats = client.stats()
     except (ServiceError, OSError, ValueError,
             http.client.HTTPException):
         return None
@@ -186,9 +187,9 @@ class _Leases:
         local fallback runs it."""
         from repro.service.client import ServiceClient
 
-        client = ServiceClient(*self.remote,
-                               timeout=min(LEASE_TIMEOUT, 30.0))
-        with trace.attach(trace_ctx):
+        with ServiceClient(*self.remote,
+                           timeout=min(LEASE_TIMEOUT, 30.0)) as client, \
+                trace.attach(trace_ctx):
             while (chunk := self.take()) is not None:
                 try:
                     records, stored = self._lease(client, chunk)

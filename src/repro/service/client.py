@@ -1,10 +1,12 @@
 """Blocking client for the mapping daemon (stdlib ``http.client``).
 
 One class, one method per endpoint, JSON dicts in and out.  The
-client is deliberately synchronous — callers that want concurrency
-(the fleet tests, the benchmarks, a shell loop) get it by using
-one client per thread; a client carries no shared connection state,
-so that is always safe.
+client is deliberately synchronous.  It keeps the daemon's
+connections open between calls (HTTP/1.1 persistence): a call takes
+an idle connection or opens one, and puts it back once its answer is
+read in full, so threads sharing a client each get their own.
+:meth:`ServiceClient.close` (or a ``with`` block) closes the idle
+ones; a client dropped without it closes them when it is collected.
 
 ``submit`` posts a raw request dict (see
 :mod:`repro.service.protocol`); :meth:`map_source` builds the map
@@ -14,16 +16,22 @@ which, for map jobs, is bit-identical to ``fpfa-map map --json``;
 ``run`` is submit plus result, in one round trip when the job
 finishes within the submit's own wait.
 
-Every call is single-shot.  A daemon error raises
-:class:`ServiceError` with the HTTP ``status``; a transport failure
-raises the socket's own ``OSError``.  A caller that cannot reach its
-daemon decides what to do — the distributed sweep evaluates locally.
+A call that fails on a reused connection before the daemon's status
+line arrives (the daemon closed it, say by restarting) is resent once
+on a new connection: every call is safe to resend, since the GETs
+and ``/shutdown`` are idempotent and duplicate submits coalesce.  A
+daemon error raises :class:`ServiceError` with the HTTP ``status``;
+a transport failure on a new connection raises the socket's own
+``OSError``.  A caller that cannot reach its daemon decides what to
+do — the distributed sweep evaluates locally.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
+import weakref
 from typing import Iterator, Mapping
 
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
@@ -31,6 +39,9 @@ from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 #: Long-poll slice per status request; bounded so a dead daemon
 #: surfaces as a socket error quickly, not after the whole timeout.
 POLL_SLICE = 10.0
+#: Idle connections one client keeps open; more are closed once
+#: their answer is read.
+MAX_IDLE = 8
 
 
 class ServiceError(RuntimeError):
@@ -54,6 +65,19 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        _close_idle(self._idle, self._lock)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def url(self) -> str:
@@ -71,19 +95,42 @@ class ServiceClient:
         if wait is not None:
             path += f"?wait={wait:g}"
             timeout += wait
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout)
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload,
-                               headers=headers)
-            response = connection.getresponse()
+            if connection is not None:
+                connection.sock.settimeout(timeout)
+                try:
+                    connection.request(method, path, body=payload,
+                                       headers=headers)
+                    response = connection.getresponse()
+                except ConnectionError:
+                    # No status line on a reused connection: the
+                    # daemon closed it.  Resend once on a new one.
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=timeout)
+                connection.request(method, path, body=payload,
+                                   headers=headers)
+                response = connection.getresponse()
             data = response.read()
-        finally:
+        except BaseException:
+            if connection is not None:
+                connection.close()
+            raise
+        with self._lock:
+            keep = not response.will_close and \
+                len(self._idle) < MAX_IDLE
+            if keep:
+                self._idle.append(connection)
+        if not keep:
             connection.close()
         decoded = json.loads(data.decode("utf-8")) if data else {}
         if response.status >= 400:
@@ -191,6 +238,16 @@ class ServiceClient:
                     yield json.loads(line.decode("utf-8"))
         finally:
             connection.close()
+
+
+def _close_idle(idle: list, lock: threading.Lock) -> None:
+    """Close a client's idle connections (its ``close()`` and its
+    finalizer: it holds no reference to the client)."""
+    with lock:
+        connections = idle[:]
+        idle.clear()
+    for connection in connections:
+        connection.close()
 
 
 def _outcome(view: Mapping) -> dict | None:

@@ -3,8 +3,8 @@
 One process, two moving parts:
 
 * an **HTTP front** (plain asyncio streams — no framework): a tiny
-  JSON-over-HTTP/1.1 server, one request per connection, plus an
-  NDJSON event stream per job for progress watching;
+  JSON-over-HTTP/1.1 server whose connections carry many requests,
+  plus an NDJSON event stream per job for progress watching;
 * a **dispatcher** that drains the :class:`~repro.service.queue.JobQueue`
   into a :class:`~repro.dse.runner.WorkerPool` under a
   bounded-concurrency semaphore (at most ``workers`` jobs in flight).
@@ -128,6 +128,11 @@ class MappingService:
         self._slots: asyncio.Semaphore | None = None
         self._shutdown: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
+        #: The handler task of every open connection, and whether
+        #: close() is ending them (their cancellation is then no
+        #: error).
+        self._connections: set[asyncio.Task] = set()
+        self._closing = False
         #: Flight recorder streaming finished spans to an NDJSON log
         #: beside the store — only when the daemon starts with
         #: tracing enabled (FPFA_TRACE=1); otherwise no file, no
@@ -169,6 +174,14 @@ class MappingService:
                 pass
         if self._server is not None:
             self._server.close()
+            # End every open connection, idle ones too: the daemon
+            # never closes a connection on its own while it runs, and
+            # Server.wait_closed() (3.12+) waits for all of them.
+            self._closing = True
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
         self.pool.shutdown()
         if self._recorder is not None:
@@ -399,69 +412,107 @@ class MappingService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        """Answer requests on one connection until the client ends it
+        or a response says ``Connection: close``."""
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            method, target, body = await _read_request(reader)
-            await self._route(method, target, body, writer)
-        except _HttpError as error:
-            await _send_json(writer, error.status,
-                             {"error": str(error)},
-                             headers=error.headers)
+            while await self._serve_one(reader, writer):
+                pass
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except asyncio.CancelledError:
-            # Daemon shutdown while this connection long-polls or
-            # streams: re-raise so the task finishes *cancelled*
-            # (task.cancelled() is true, nothing is logged as
-            # "exception never retrieved") instead of swallowing
-            # the cancellation.  The writer is closed in `finally`
-            # either way; the client sees the connection drop.
-            raise
-        except Exception as error:  # noqa: BLE001 — keep serving
-            try:
-                await _send_json(writer, 500,
-                                 {"error": f"{type(error).__name__}: "
-                                           f"{error}"})
-            except ConnectionError:
-                pass
+            # Cancelled by close(): end quietly, so the stream
+            # protocol's done callback (which calls task.exception())
+            # has nothing to log.  Any other cancellation re-raises
+            # so the task finishes *cancelled* instead of swallowing
+            # it.  The writer is closed in `finally` either way; the
+            # client sees the connection drop.
+            if not self._closing:
+                raise
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
+    async def _serve_one(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> bool:
+        """Read and answer one request; False once the connection is
+        done: the client sent EOF, or the answer carried
+        ``Connection: close``.
+
+        The answer closes when the client asked for it, after an
+        error (but a 503, whose request was read in full), after the
+        event stream and once the daemon is shutting down.
+        """
+        try:
+            request = await _read_request(reader)
+        except _HttpError as error:
+            await _send_json(writer, error.status,
+                             {"error": str(error)},
+                             headers=error.headers, close=True)
+            return False
+        if request is None:
+            return False
+        method, target, body, close = request
+        headers = None
+        try:
+            response = await self._route(method, target, body, writer)
+        except _HttpError as error:
+            status, payload = error.status, {"error": str(error)}
+            headers = error.headers
+            close = close or status != 503
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:  # noqa: BLE001 — answer, then close
+            status = 500
+            payload = {"error": f"{type(error).__name__}: {error}"}
+            close = True
+        else:
+            if response is None:  # the event stream, close-delimited
+                return False
+            status, payload = response
+        close = close or self._shutdown.is_set()
+        await _send_json(writer, status, payload, headers=headers,
+                         close=close)
+        return not close
+
     async def _route(self, method: str, target: str, body: bytes,
-                     writer: asyncio.StreamWriter) -> None:
+                     writer: asyncio.StreamWriter
+                     ) -> tuple[int, dict] | None:
+        """One request's ``(status, payload)``; None once the event
+        stream has answered it on *writer* itself."""
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
         query = parse_qs(parts.query)
         if method == "GET" and path == "/healthz":
-            await _send_json(writer, 200, {
-                "ok": True,
-                "uptime": round(self.uptime, 3),
-                "started_at": self.started_at})
-        elif method == "GET" and path == "/stats":
+            return 200, {"ok": True,
+                         "uptime": round(self.uptime, 3),
+                         "started_at": self.started_at}
+        if method == "GET" and path == "/stats":
             # Served inline: the store's index was built in __init__,
             # so describe() only copies counters.
-            await _send_json(writer, 200, self.describe())
-        elif method == "POST" and path == "/jobs":
-            await self._handle_submit(body, _wait_seconds(query),
-                                      writer)
-        elif method == "GET" and path == "/jobs":
+            return 200, self.describe()
+        if method == "POST" and path == "/jobs":
+            return await self._handle_submit(body, _wait_seconds(query))
+        if method == "GET" and path == "/jobs":
             state = (query.get("state") or [None])[0]
-            await _send_json(writer, 200, {
-                "jobs": [job.view(with_result=False)
-                         for job in self.queue.list_jobs(state)]})
-        elif method == "GET" and path.startswith("/jobs/"):
-            await self._handle_job_get(path, query, writer)
-        elif method == "POST" and path == "/shutdown":
-            await _send_json(writer, 200, {"ok": True})
+            return 200, {"jobs": [job.view(with_result=False)
+                                  for job in self.queue.list_jobs(state)]}
+        if method == "GET" and path.startswith("/jobs/"):
+            return await self._handle_job_get(path, query, writer)
+        if method == "POST" and path == "/shutdown":
+            # The answer goes out before close() ends the connection:
+            # it is written as soon as this returns.
             self.request_shutdown()
-        else:
-            raise _HttpError(404, f"no route for {method} {path}")
+            return 200, {"ok": True}
+        raise _HttpError(404, f"no route for {method} {path}")
 
-    async def _handle_submit(self, body: bytes, wait: float | None,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _handle_submit(self, body: bytes, wait: float | None
+                             ) -> tuple[int, dict]:
         try:
             raw = json.loads(body.decode("utf-8") or "null")
         except ValueError:
@@ -480,24 +531,24 @@ class MappingService:
                          f"{RETRY_AFTER_QUEUE_FULL:g}"})
         if wait is not None:
             await self._wait_terminal(job, wait)
-        await _send_json(writer, 200,
-                         {"job": job.view(), "coalesced": coalesced})
+        return 200, {"job": job.view(), "coalesced": coalesced}
 
     async def _handle_job_get(self, path: str, query: dict,
-                              writer: asyncio.StreamWriter) -> None:
+                              writer: asyncio.StreamWriter
+                              ) -> tuple[int, dict] | None:
         segments = path.split("/")  # "", "jobs", <id>[, "events"]
         job = self.queue.get(segments[2])
         if job is None:
             raise _HttpError(404, f"unknown job {segments[2]!r}")
         if len(segments) == 4 and segments[3] == "events":
             await self._stream_events(job, writer)
-            return
+            return None
         if len(segments) != 3:
             raise _HttpError(404, f"no route for {path}")
         wait = _wait_seconds(query)
         if wait is not None:
             await self._wait_terminal(job, wait)
-        await _send_json(writer, 200, job.view())
+        return 200, job.view()
 
     async def _stream_events(self, job: Job,
                              writer: asyncio.StreamWriter) -> None:
@@ -505,7 +556,7 @@ class MappingService:
 
         Close-delimited (no Content-Length): the client reads lines
         until the daemon closes the connection after the terminal
-        event.
+        event, so the stream is the connection's last answer.
         """
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: application/x-ndjson\r\n"
@@ -526,7 +577,7 @@ class MappingService:
 
 
 # ---------------------------------------------------------------------------
-# Minimal HTTP plumbing (stdlib-only, one request per connection)
+# Minimal HTTP plumbing (stdlib-only, persistent connections)
 # ---------------------------------------------------------------------------
 
 #: Cap on one long-poll, ``?wait=SECONDS`` on ``POST /jobs`` and
@@ -546,10 +597,15 @@ class _HttpError(Exception):
 
 
 async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, bytes]:
+                        ) -> tuple[str, str, bytes, bool] | None:
+    """The next request on a connection as ``(method, target, body,
+    close)``, *close* true when the client wants the connection ended
+    after the answer; None at a clean EOF between requests."""
     request_line = await reader.readline()
+    if not request_line:
+        return None
     try:
-        method, target, __ = \
+        method, target, version = \
             request_line.decode("latin-1").split(maxsplit=2)
     except ValueError:
         raise _HttpError(400, "malformed request line")
@@ -560,6 +616,10 @@ async def _read_request(reader: asyncio.StreamReader
             break
         name, __, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # The next request starts where this body ends: only a
+        # Content-Length says where that is.
+        raise _HttpError(400, "send the body with a Content-Length")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
@@ -567,7 +627,9 @@ async def _read_request(reader: asyncio.StreamReader
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, body
+    close = (headers.get("connection", "").lower() == "close"
+             or version.strip() == "HTTP/1.0")
+    return method.upper(), target, body, close
 
 
 def _wait_seconds(query: dict) -> float | None:
@@ -589,17 +651,21 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 async def _send_json(writer: asyncio.StreamWriter, status: int,
                      payload: dict,
-                     headers: Mapping[str, str] | None = None
-                     ) -> None:
+                     headers: Mapping[str, str] | None = None,
+                     close: bool = False) -> None:
+    """Write one JSON response; with *close* it says ``Connection:
+    close`` and is the connection's last."""
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     reason = _REASONS.get(status, "OK")
+    headers = dict(headers or {})
+    if close:
+        headers["Connection"] = "close"
     extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in (headers or {}).items())
+                    for name, value in headers.items())
     head = (f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            f"Connection: close\r\n\r\n").encode("latin-1")
+            f"{extra}\r\n").encode("latin-1")
     writer.write(head + body)
     await writer.drain()
 

@@ -22,6 +22,16 @@ void main() {
 """
 
 
+def pytest_configure(config):
+    """A leaked file, socket or pipe fails the run: ResourceWarning is
+    an error, and so is the warning pytest reports when that error is
+    raised inside a finalizer."""
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line(
+        "filterwarnings",
+        "error::pytest.PytestUnraisableExceptionWarning")
+
+
 @pytest.fixture
 def fir_source() -> str:
     return FIR_SOURCE

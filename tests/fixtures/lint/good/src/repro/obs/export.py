@@ -1,5 +1,6 @@
 """Fixture: FPL007 true negatives (owned handles)."""
 
+import http.client
 import sqlite3
 
 
@@ -23,3 +24,12 @@ def count(path):
 
 def reader(path):
     return open(path)
+
+
+def healthz(host, port):
+    connection = http.client.HTTPConnection(host, port)
+    try:
+        connection.request("GET", "/healthz")
+        return connection.getresponse().read()
+    finally:
+        connection.close()

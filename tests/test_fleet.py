@@ -150,6 +150,13 @@ class DaemonProcess:
         if self.process is not None and self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
+        self.close_stdout()
+
+    def close_stdout(self) -> None:
+        """Close the daemon's stdout pipe once it has exited."""
+        if self.process is not None and \
+                self.process.returncode is not None:
+            self.process.stdout.close()
 
 
 class Fleet:
@@ -184,6 +191,7 @@ class Fleet:
             if process is None:
                 continue
             if process.poll() is not None:
+                daemon.close_stdout()
                 if id(daemon) not in self.killed:
                     problems.append(f"{daemon.url} died before "
                                     f"teardown ({process.returncode})")
@@ -202,6 +210,7 @@ class Fleet:
                 daemon.kill()
                 problems.append(f"{daemon.url} outlived /shutdown")
                 continue
+            daemon.close_stdout()
             if code != 0:
                 problems.append(f"{daemon.url} exited {code} after "
                                 f"/shutdown")

@@ -108,7 +108,7 @@ def test_bad_tree_expected_finding_set(bad_run):
     assert len(by_code["FPL004"]) == 4
     assert len(by_code["FPL005"]) == 4
     assert len(by_code["FPL006"]) == 2
-    assert len(by_code["FPL007"]) == 2
+    assert len(by_code["FPL007"]) == 3
 
 
 def test_drifted_field_names_are_in_the_messages(bad_run):

@@ -13,6 +13,8 @@ The acceptance criteria of the service subsystem live here:
 import asyncio
 import concurrent.futures
 import json
+import logging
+import socket
 import threading
 import time
 
@@ -484,6 +486,127 @@ def test_unknown_route_is_http_404(client):
         assert excinfo.value.status == 404, path
 
 
+# -- persistent connections -----------------------------------------------
+
+def _sockets(client):
+    """The local address of each idle connection *client* keeps."""
+    return [connection.sock.getsockname()
+            for connection in client._idle]
+
+
+def _exchange(address, raw: bytes) -> bytes:
+    """Send *raw* on a new socket and read until the daemon closes
+    it (a socket timeout if it never does)."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_sequential_calls_reuse_one_connection(client):
+    client.health()
+    first = _sockets(client)
+    payload = client.map_source(FIR_SOURCE)  # a submit that waits
+    job = client.submit(_map_request(3))["job"]
+    assert client.job(job["id"], wait=30)["state"] == "done"
+    assert client.stats()["queue"]["jobs"] == 2
+    assert client.map_source(FIR_SOURCE) == payload  # a store hit
+    assert len(first) == 1 and _sockets(client) == first
+
+
+def test_threads_sharing_a_client_get_their_own_connections(
+        held_worker):
+    running, release = held_worker
+    with ServiceThread(workers=1) as daemon, \
+            ServiceClient(*daemon.address) as client:
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            held = pool.submit(client.submit, _map_request(4), 60)
+            assert running.wait(timeout=30), "the worker never started"
+            # The held submit still waits on its connection.
+            assert client.health()["ok"] is True
+            release.set()
+            assert held.result(timeout=60)["job"]["state"] == "done"
+        assert len(set(_sockets(client))) == 2
+
+
+def test_stop_closes_an_idle_connection_quietly(tmp_path, caplog):
+    """With a client's connection open and idle, the daemon stops at
+    once, logs nothing, and the client reads EOF on it."""
+    daemon = ServiceThread(store=tmp_path / "store")
+    daemon.start()
+    client = ServiceClient(*daemon.address)
+    try:
+        client.health()
+        [connection] = client._idle
+        with caplog.at_level(logging.DEBUG):
+            started = time.monotonic()
+            daemon.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 2
+        assert daemon.error is None
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.WARNING] == []
+        connection.sock.settimeout(5)
+        assert connection.sock.recv(1) == b""
+    finally:
+        client.close()
+        daemon.stop()
+
+
+def test_event_stream_ends_its_connection(client):
+    job = client.submit({"kind": "map", "source": FIR_SOURCE})["job"]
+    client.health()
+    pooled = _sockets(client)
+    # The stream ends only when the daemon closes its connection.
+    events = [event["event"] for event in client.events(job["id"],
+                                                        timeout=30)]
+    assert events[-1] == "done"
+    assert client.job(job["id"])["state"] == "done"
+    assert _sockets(client) == pooled
+
+
+def test_connection_close_and_a_bad_request_end_the_connection(
+        daemon):
+    """Requests on one connection are answered in turn until one asks
+    for ``Connection: close`` (as an HTTP/1.0 request does) or is
+    malformed; the daemon then closes it."""
+    health = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    both = _exchange(daemon.address,
+                     health + b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                              b"Connection: close\r\n\r\n" + health)
+    assert both.count(b"HTTP/1.1 200 OK\r\n") == 2
+    assert both.count(b"Connection: close\r\n") == 1
+    old = _exchange(daemon.address,
+                    b"GET /healthz HTTP/1.0\r\n\r\n" + health)
+    assert old.count(b"HTTP/1.1 200 OK\r\n") == 1
+    for malformed in (b"NONSENSE\r\n\r\n",
+                      b"POST /jobs HTTP/1.1\r\n"
+                      b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n"):
+        bad = _exchange(daemon.address, malformed + health)
+        assert bad.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close\r\n" in bad
+        assert b"200 OK" not in bad
+
+
+def test_a_stale_connection_is_resent_on_a_new_one(tmp_path):
+    """A daemon restarted on the same port: the client's pooled
+    connection to the old one fails, and the call goes through on a
+    new connection."""
+    with ServiceThread(store=tmp_path / "store") as first:
+        client = ServiceClient(*first.address)
+        old = client.health()
+        stale = _sockets(client)
+    with ServiceThread(store=tmp_path / "store",
+                       port=first.address[1]) as second, client:
+        assert second.address == first.address
+        new = client.health()
+        fresh = _sockets(client)
+    assert len(stale) == 1 and len(fresh) == 1
+    assert new["started_at"] > old["started_at"]
+
+
 # -- worker process mode --------------------------------------------------
 
 def test_process_worker_mode_results_identical(tmp_path):
@@ -638,11 +761,11 @@ def test_cli_submit_unreachable_daemon_is_a_clean_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cancelled_connection_reads_as_cancelled(tmp_path):
-    """Cancelling a connection mid-poll (daemon shutdown while a
-    client long-polls) must leave the task *cancelled* — the
-    handler re-raises CancelledError instead of swallowing it, so
-    nothing is logged as a retrieved-too-late exception and the
-    cancellation propagates to whoever gathered the task."""
+    """Cancelling a connection mid-poll from outside the daemon's own
+    ``close()`` (which ends its connections quietly) must leave the
+    task *cancelled* — the handler re-raises CancelledError instead
+    of swallowing it, so the cancellation propagates to whoever
+    gathered the task."""
     import asyncio
 
     from repro.service.daemon import MappingService

@@ -1,9 +1,10 @@
 """FPL007 — resource hygiene.
 
-``open()`` / ``sqlite3.connect()`` / ``socket.socket()`` handles
-left to the garbage collector leak file descriptors under PyPy-like
-GCs and emit ``ResourceWarning`` spam under ``-W error`` — and the
-daemon soak tests run long enough for fd exhaustion to be real.
+``open()`` / ``sqlite3.connect()`` / ``socket.socket()`` /
+``http.client.HTTPConnection()`` handles left to the garbage
+collector leak file descriptors under PyPy-like GCs and emit
+``ResourceWarning`` spam under ``-W error`` — and the daemon soak
+tests run long enough for fd exhaustion to be real.
 
 A handle acquisition passes when ownership is explicit:
 
@@ -39,6 +40,7 @@ ACQUIRERS = frozenset({
     "open", "io.open",
     "sqlite3.connect",
     "socket.socket", "socket.create_connection",
+    "http.client.HTTPConnection",
 })
 
 
