@@ -42,7 +42,6 @@ Invariants
 
 from __future__ import annotations
 
-import http.client
 import os
 import threading
 import time
@@ -147,8 +146,7 @@ def _probe(remote: tuple[str, int]) -> int | None:
     try:
         with ServiceClient(*remote, timeout=10.0) as client:
             stats = client.stats()
-    except (ServiceError, OSError, ValueError,
-            http.client.HTTPException):
+    except (ServiceError, OSError, ValueError):
         return None
     return max(1, int(stats.get("workers", {}).get("workers", 1)))
 

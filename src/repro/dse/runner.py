@@ -300,6 +300,7 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
               verify_seed: int | None = None,
               remotes: str | Sequence[str] | None = None,
               remote_chunk_size: int | None = None,
+              memo: FrontendMemo | None = None,
               ) -> SweepResult:
     """Evaluate every design point of *points* against *source*.
 
@@ -330,6 +331,11 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         bit-identical to a local sweep (the flow is deterministic and
         the daemon runs the same :func:`evaluate_point`); whatever
         the daemon does not deliver is evaluated locally.
+    memo:
+        The :class:`FrontendMemo` an in-process sweep compiles its
+        frontends into (a fresh one without it), so successive sweeps
+        over one program — a hill-climb's steps — compile each
+        frontend once.  Pool workers keep their own.
     """
     cache = _resolve_cache(cache, cache_max_entries, cache_max_bytes)
     if remotes:
@@ -343,7 +349,7 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
     with trace.span("dse.sweep") as sweep_span:
         result = _run_local_sweep(
             source, points, workers=workers, cache=cache,
-            verify_seed=verify_seed)
+            verify_seed=verify_seed, memo=memo)
         sweep_span.note(points=result.stats.total,
                         cached=result.stats.cached,
                         evaluated=result.stats.evaluated,
@@ -538,7 +544,14 @@ def _start_process_worker() -> None:
     _PROCESS_MEMO = FrontendMemo()
 
 
-def _with_process_memo(fn, *args):
+def _with_process_memo(traced: bool, fn, *args):
+    # The workers fork when the pool is built: each task brings the
+    # parent's tracing switch as of its submit, which thread workers
+    # share anyway.
+    if traced:
+        trace.enable()
+    else:
+        trace.disable()
     return fn(*args, _PROCESS_MEMO)
 
 
@@ -573,6 +586,12 @@ class WorkerPool:
                 max_workers=self.workers, mp_context=context,
                 initializer=_start_process_worker)
             self._memo = None
+            # Fork every worker now (a fork-context pool forks them
+            # all at its first submit): a worker keeps a copy of each
+            # socket open at that moment, and a client connection
+            # one holds never sees its peer's close.  The daemon
+            # builds its pool before it listens.
+            self._executor.submit(int).result()
         else:
             self._executor = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.workers,
@@ -583,7 +602,8 @@ class WorkerPool:
         """Run ``fn(*args, memo)`` on a worker, *memo* being that
         worker's frontend memo."""
         if self._memo is None:
-            return self._executor.submit(_with_process_memo, fn, *args)
+            return self._executor.submit(_with_process_memo,
+                                         trace.enabled(), fn, *args)
         return self._executor.submit(fn, *args, self._memo)
 
     def shutdown(self, wait: bool = False) -> None:

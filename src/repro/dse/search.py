@@ -36,7 +36,12 @@ from repro.dse.pareto import (
     best_record,
     objective_value,
 )
-from repro.dse.runner import SweepStats, _resolve_cache, run_sweep
+from repro.dse.runner import (
+    FrontendMemo,
+    SweepStats,
+    _resolve_cache,
+    run_sweep,
+)
 from repro.dse.space import DesignPoint, DesignSpace
 
 #: Extra seeded start samples a hill-climb restart may draw when its
@@ -134,6 +139,9 @@ def hill_climb(source: str, space: DesignSpace, *,
     # default" here, not cpu_count as in run_sweep).
     if run_kwargs.get("workers") is None:
         run_kwargs["workers"] = 1
+    # One frontend memo for the whole climb: every step's sweep is
+    # over the same program, so each frontend compiles once.
+    run_kwargs.setdefault("memo", FrontendMemo())
     seen: dict[str, dict] = {}
     stats = SweepStats()
     history: list[dict] = []

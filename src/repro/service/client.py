@@ -1,4 +1,4 @@
-"""Blocking client for the mapping daemon (stdlib ``http.client``).
+"""Blocking client for the mapping daemon (HTTP/1.1 on a socket).
 
 One class, one method per endpoint, JSON dicts in and out.  The
 client is deliberately synchronous.  It keeps the daemon's
@@ -7,6 +7,14 @@ an idle connection or opens one, and puts it back once its answer is
 read in full, so threads sharing a client each get their own.
 :meth:`ServiceClient.close` (or a ``with`` block) closes the idle
 ones; a client dropped without it closes them when it is collected.
+
+The wire format is the daemon's own framing, spoken on a plain
+socket with one buffered reader per connection rather than through
+``http.client``, whose per-answer objects and header parser cost more
+than a store hit itself: a request is one ``sendall`` of its head and
+JSON body, an answer a status line, headers and exactly
+``Content-Length`` body bytes.  An answer cut short is a transport
+error, never truncated JSON.
 
 ``submit`` posts a raw request dict (see
 :mod:`repro.service.protocol`); :meth:`map_source` builds the map
@@ -21,15 +29,16 @@ line arrives (the daemon closed it, say by restarting) is resent once
 on a new connection: every call is safe to resend, since the GETs
 and ``/shutdown`` are idempotent and duplicate submits coalesce.  A
 daemon error raises :class:`ServiceError` with the HTTP ``status``;
-a transport failure on a new connection raises the socket's own
-``OSError``.  A caller that cannot reach its daemon decides what to
-do — the distributed sweep evaluates locally.
+a transport failure on a new connection raises an ``OSError`` (the
+socket's own, or a ``ConnectionError`` for a malformed or cut-short
+answer).  A caller that cannot reach its daemon decides what to do —
+the distributed sweep evaluates locally.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import weakref
 from typing import Iterator, Mapping
@@ -42,6 +51,8 @@ POLL_SLICE = 10.0
 #: Idle connections one client keeps open; more are closed once
 #: their answer is read.
 MAX_IDLE = 8
+#: Longest status or header line an answer may carry.
+MAX_LINE = 65536
 
 
 class ServiceError(RuntimeError):
@@ -65,7 +76,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = threading.Lock()
         weakref.finalize(self, _close_idle, self._idle, self._lock)
 
@@ -95,49 +106,36 @@ class ServiceClient:
         if wait is not None:
             path += f"?wait={wait:g}"
             timeout += wait
-        payload = None
-        headers = {}
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+        request = _encode(method, path, f"{self.host}:{self.port}",
+                          body)
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         try:
             if connection is not None:
-                connection.sock.settimeout(timeout)
                 try:
-                    connection.request(method, path, body=payload,
-                                       headers=headers)
-                    response = connection.getresponse()
+                    status = connection.send(request, timeout)
                 except ConnectionError:
                     # No status line on a reused connection: the
                     # daemon closed it.  Resend once on a new one.
                     connection.close()
                     connection = None
             if connection is None:
-                connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=timeout)
-                connection.request(method, path, body=payload,
-                                   headers=headers)
-                response = connection.getresponse()
-            data = response.read()
+                connection = _Connection(self.host, self.port, timeout)
+                status = connection.send(request, timeout)
+            headers = connection.headers()
+            data = connection.body(headers)
         except BaseException:
             if connection is not None:
                 connection.close()
             raise
         with self._lock:
-            keep = not response.will_close and \
-                len(self._idle) < MAX_IDLE
+            keep = headers.get("connection", "").lower() != "close" \
+                and len(self._idle) < MAX_IDLE
             if keep:
                 self._idle.append(connection)
         if not keep:
             connection.close()
-        decoded = json.loads(data.decode("utf-8")) if data else {}
-        if response.status >= 400:
-            raise ServiceError(
-                decoded.get("error", f"HTTP {response.status}"),
-                status=response.status)
-        return decoded
+        return _decode(status, data)
 
     # -- endpoints ----------------------------------------------------
 
@@ -213,31 +211,108 @@ class ServiceClient:
                timeout: float = 300.0) -> Iterator[dict]:
         """Stream a job's NDJSON progress events until terminal.
 
-        A stream that breaks mid-flight raises to the caller, who
-        owns the decision to re-tail (events already seen would
-        replay)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout)
+        The stream is the one answer without a ``Content-Length``: it
+        ends when the daemon closes its connection, so it never joins
+        the idle list.  A stream that breaks mid-flight raises to the
+        caller, who owns the decision to re-tail (events already seen
+        would replay)."""
+        connection = _Connection(self.host, self.port, timeout)
         try:
-            connection.request("GET", f"/jobs/{job_id}/events")
-            response = connection.getresponse()
-            if response.status >= 400:
-                data = response.read()
-                decoded = json.loads(data.decode("utf-8")) \
-                    if data else {}
-                raise ServiceError(
-                    decoded.get("error", f"HTTP {response.status}"),
-                    status=response.status)
-        except BaseException:
-            connection.close()
-            raise
-        try:
-            for line in response:
+            status = connection.send(_encode(
+                "GET", f"/jobs/{job_id}/events",
+                f"{self.host}:{self.port}", None), timeout)
+            headers = connection.headers()
+            if status >= 400:
+                _decode(status, connection.body(headers))  # raises
+            for line in connection.reader:
                 line = line.strip()
                 if line:
-                    yield json.loads(line.decode("utf-8"))
+                    yield json.loads(line)
         finally:
             connection.close()
+
+
+class _Connection:
+    """One socket to the daemon and the one buffered reader on it.
+
+    The framing mirrors the daemon's own: a request is its head and
+    body in one ``sendall``; an answer is a status line, headers up to
+    a blank line, and exactly ``Content-Length`` body bytes.  Every
+    failure is an ``OSError``, so the caller closes the connection.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.sock = socket.create_connection((host, port), timeout)
+        self.timeout = timeout
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, request: bytes, timeout: float) -> int:
+        """Write *request* and read the answer's status line; returns
+        its status code.  ``ConnectionError`` when none arrives."""
+        if timeout != self.timeout:
+            self.sock.settimeout(timeout)
+            self.timeout = timeout
+        self.sock.sendall(request)
+        parts = self._line().split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") \
+                or not parts[1].isdigit():
+            raise ConnectionError(f"malformed status line {parts!r}")
+        return int(parts[1])
+
+    def headers(self) -> dict[str, str]:
+        """The answer's headers, names lower-cased."""
+        headers = {}
+        while (line := self._line()) not in (b"\r\n", b"\n"):
+            name, __, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return headers
+
+    def body(self, headers: Mapping[str, str]) -> bytes:
+        """Exactly the ``Content-Length`` bytes *headers* announce."""
+        length = headers.get("content-length", "")
+        if not length.isdigit():
+            raise ConnectionError(
+                f"answer without a Content-Length ({length!r})")
+        data = self.reader.read(int(length))
+        if len(data) != int(length):
+            raise ConnectionError(
+                f"answer cut short: {len(data)} of {length} bytes")
+        return data
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def _line(self) -> bytes:
+        line = self.reader.readline(MAX_LINE)
+        if not line.endswith(b"\n"):
+            raise ConnectionError(
+                "the daemon closed the connection" if not line
+                else f"answer line cut short or over {MAX_LINE} bytes")
+        return line
+
+
+def _encode(method: str, path: str, host: str,
+            body: Mapping | None) -> bytes:
+    """One request's bytes: the head, then the JSON body if any."""
+    payload = b""
+    extra = ""
+    if body is not None:
+        payload = json.dumps(body).encode("utf-8")
+        extra = "Content-Type: application/json\r\n"
+    return (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(payload)}\r\n{extra}\r\n"
+            ).encode("latin-1") + payload
+
+
+def _decode(status: int, data: bytes) -> dict:
+    """An answer's JSON payload; :class:`ServiceError` for a 4xx or
+    5xx status."""
+    decoded = json.loads(data) if data else {}
+    if status >= 400:
+        raise ServiceError(decoded.get("error", f"HTTP {status}"),
+                           status=status)
+    return decoded
 
 
 def _close_idle(idle: list, lock: threading.Lock) -> None:

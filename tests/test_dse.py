@@ -417,6 +417,32 @@ class TestSearchStrategies:
         assert result.stats.evaluated == 0  # every point pre-cached
         assert result.stats.cached == result.stats.unique
 
+    def test_hill_climb_compiles_each_frontend_once(self, monkeypatch):
+        """Every step of a climb sweeps the same program: the climb
+        keeps one frontend memo, so each frontend spec compiles once
+        across all steps and restarts, and the records are those of
+        points evaluated one by one."""
+        import repro.dse.runner as runner
+        compiled = []
+        original = runner.compile_frontend
+
+        def counting(source, **spec):
+            compiled.append(tuple(sorted(spec.items())))
+            return original(source, **spec)
+
+        space = DesignSpace({"n_pps": [1, 2, 3, 5], "n_buses": [2, 4],
+                             "balance": [False, True]})
+        monkeypatch.setattr(runner, "compile_frontend", counting)
+        result = hill_climb(FIR5, space, seed=1, restarts=2,
+                            verify_seed=1)
+        assert result.stats.evaluated > 2
+        assert len(compiled) == len(set(compiled)) == 2
+        monkeypatch.setattr(runner, "compile_frontend", original)
+        for record in result.records:
+            point = DesignPoint.from_dict(record["point"])
+            alone = run_sweep(FIR5, [point], workers=1, verify_seed=1)
+            assert alone.records == [record]
+
     def test_hill_climb_resamples_infeasible_starts(self):
         """A space with sparse feasibility (n_pps/n_buses 0 points
         fail at evaluation) used to burn the whole restart on one

@@ -12,6 +12,7 @@ The acceptance criteria of the service subsystem live here:
 
 import asyncio
 import concurrent.futures
+import contextlib
 import json
 import logging
 import socket
@@ -607,6 +608,130 @@ def test_a_stale_connection_is_resent_on_a_new_one(tmp_path):
     assert new["started_at"] > old["started_at"]
 
 
+# -- the client's wire ----------------------------------------------------
+
+class _CountingSocket:
+    """A socket that records each ``sendall`` it is asked for."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent: list[bytes] = []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@contextlib.contextmanager
+def _canned_daemon(*answers: bytes):
+    """A server for one connection: it reads one request per canned
+    answer, writes that answer back, then closes the connection.
+    Yields its address."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(10)
+
+        def serve():
+            connection, __ = server.accept()
+            with connection, connection.makefile("rb") as reader:
+                for answer in answers:
+                    length = 0
+                    while (line := reader.readline()) not in (
+                            b"\r\n", b""):
+                        name, __, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    reader.read(length)
+                    connection.sendall(answer)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield server.getsockname()[:2]
+        thread.join(timeout=10)
+
+
+def test_a_request_goes_out_in_one_sendall(client):
+    client.health()
+    [connection] = client._idle
+    connection.sock = counting = _CountingSocket(connection.sock)
+    job = client.submit({"kind": "map", "source": FIR_SOURCE})["job"]
+    assert job["state"] in ("queued", "running", "done")
+    [request] = counting.sent
+    head, __, body = request.partition(b"\r\n\r\n")
+    assert head.startswith(b"POST /jobs HTTP/1.1\r\n")
+    assert f"Content-Length: {len(body)}".encode() in head
+    assert json.loads(body)["source"] == FIR_SOURCE
+    assert client._idle == [connection]
+
+
+def test_a_short_body_raises_and_is_not_pooled():
+    answer = (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n"
+              b'{"ok": 1')
+    with _canned_daemon(answer) as address, \
+            ServiceClient(*address, timeout=10) as client:
+        with pytest.raises(ConnectionError, match="cut short"):
+            client.health()
+        assert client._idle == []
+
+
+def test_an_answer_saying_connection_close_is_not_pooled():
+    answer = (b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n"
+              b"connection: Close\r\n\r\n{\"ok\": true}")
+    with _canned_daemon(answer) as address, \
+            ServiceClient(*address, timeout=10) as client:
+        assert client.health() == {"ok": True}
+        assert client._idle == []
+
+
+def test_daemon_errors_raise_their_status_and_end_the_connection(
+        client):
+    for call, status in ((lambda: client.job("job-999999"), 404),
+                         (lambda: client.submit({"kind": "bogus"}),
+                          400)):
+        with pytest.raises(ServiceError) as excinfo:
+            call()
+        assert excinfo.value.status == status
+        assert client._idle == []  # the daemon said Connection: close
+
+
+def test_events_read_the_stream_to_eof():
+    events = [{"event": "queued"}, {"event": "running"},
+              {"event": "done"}]
+    lines = [json.dumps(event).encode() for event in events]
+    answer = (b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson"
+              b"\r\nConnection: close\r\n\r\n"
+              + b"\n".join(lines[:2]) + b"\n\n" + lines[2])
+    with _canned_daemon(answer) as address:
+        client = ServiceClient(*address)
+        assert list(client.events("job-000001", timeout=10)) == events
+        assert client._idle == []
+
+
+def test_no_module_imports_http_client():
+    """The client speaks HTTP/1.1 on its own socket; nothing under
+    ``src/repro`` goes back to ``http.client``."""
+    import ast
+    import pathlib
+
+    import repro
+    offenders = []
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            else:
+                continue
+            if any(name == "http.client" or
+                   name.startswith("http.client.") for name in names):
+                offenders.append(str(path))
+    assert offenders == []
+
+
 # -- worker process mode --------------------------------------------------
 
 def test_process_worker_mode_results_identical(tmp_path):
@@ -626,6 +751,26 @@ def test_process_worker_mode_results_identical(tmp_path):
     assert stats["frontends_compiled"] <= 2
     assert stats["frontends_reused"] >= 1
     assert stats["frontends_compiled"] + stats["frontends_reused"] == 3
+
+
+def test_a_client_close_reaches_a_process_mode_daemon():
+    """The pool forks its workers before the daemon listens, so no
+    worker holds a copy of a client's socket: with two clients
+    connected when the first job runs, one client's close() ends its
+    handler on the daemon."""
+    with ServiceThread(worker_mode="process", workers=2) as thread, \
+            ServiceClient(*thread.address) as first, \
+            ServiceClient(*thread.address) as second:
+        first.health()
+        second.health()
+        first.map_source(FIR_SOURCE)
+        connections = thread.service._connections
+        assert len(connections) == 2
+        second.close()
+        deadline = time.monotonic() + 5
+        while len(connections) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(connections) == 1
 
 
 # -- CLI surface ----------------------------------------------------------
