@@ -49,7 +49,6 @@ tests drive it across randomized transform sequences.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -197,7 +196,8 @@ class Graph:
     def __init__(self, name: str = "cdfg"):
         self.name = name
         self.nodes: dict[int, Node] = {}
-        self._ids = itertools.count(0)
+        #: The id :meth:`add` gives the next node.
+        self._next_id = 0
         #: ref -> {(consumer_id, slot)} — incremental reverse adjacency.
         self._users: dict[ValueRef, set[tuple[int, int]]] = {}
         #: kind -> {node ids} — incremental kind partition.
@@ -209,6 +209,9 @@ class Graph:
         self._sorted_cache: tuple[int, list[Node]] | None = None
         #: The interpreter's evaluation plan (:mod:`repro.cdfg.interp`).
         self._plan_cache: tuple[int, Any] | None = None
+        #: Verification references run on this graph, kept by
+        #: :func:`repro.core.pipeline.verify_seeded` (never pickled).
+        self._references: dict = {}
 
     # -- index maintenance -------------------------------------------
 
@@ -290,8 +293,9 @@ class Graph:
     def __setstate__(self, state: dict) -> None:
         self.name = state["name"]
         self.nodes = state["nodes"]
-        self._ids = itertools.count(state["next_id"])
+        self._next_id = state["next_id"]
         self._version = 0
+        self._references = {}
         self._rebuild_index()
 
     # -- construction -------------------------------------------------
@@ -313,7 +317,8 @@ class Graph:
         if n_outputs is None:
             sig = signature(kind)
             n_outputs = len(sig[1]) if sig else 1
-        node_id = next(self._ids)
+        node_id = self._next_id
+        self._next_id = node_id + 1
         node = Node(node_id, kind, inputs, value, name, bodies, n_outputs)
         nodes[node_id] = node
         kind_ids = self._kind_ids.get(kind)
@@ -616,15 +621,28 @@ class Graph:
 
     # -- copying ----------------------------------------------------------
 
-    def clone(self) -> "Graph":
-        """Deep copy (sub-graphs included); node ids are preserved."""
+    @property
+    def next_id(self) -> int:
+        """The id :meth:`add` gives the next node."""
+        return self._next_id
+
+    def clone(self, *, continue_ids: bool = False) -> "Graph":
+        """Deep copy (sub-graphs included); node ids are preserved.
+
+        The copy numbers new nodes from one past its highest id; with
+        *continue_ids* it numbers them, at every nesting level, from
+        this graph's :attr:`next_id`, so the copy grows exactly as
+        this graph would have.
+        """
         fresh = Graph(self.name)
-        fresh._ids = itertools.count(max(self.nodes, default=-1) + 1)
+        fresh._next_id = self._next_id if continue_ids \
+            else max(self.nodes, default=-1) + 1
         for node_id, node in self.nodes.items():
             fresh.nodes[node_id] = Node(
                 id=node.id, kind=node.kind, inputs=list(node.inputs),
                 value=node.value, name=node.name,
-                bodies=tuple(body.clone() for body in node.bodies),
+                bodies=tuple(body.clone(continue_ids=continue_ids)
+                             for body in node.bodies),
                 n_outputs=node.n_outputs)
         fresh._rebuild_index()
         return fresh

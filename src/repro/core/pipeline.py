@@ -13,7 +13,11 @@ The flow is factored into two stages so sweeps can reuse work:
   program, the data-path *width* and the transform options
   (``simplify``/``balance``) — not on any other tile or array
   parameter — and its result, a :class:`Frontend`, is an immutable,
-  picklable artifact;
+  picklable artifact.  A balanced frontend is one step on top of the
+  plain one (:func:`balance_frontend`): it shares the plain
+  frontend's pristine graph and pass counts, so a caller that keeps
+  the plain frontend parses and simplifies the program once for
+  both;
 * the **backend** (:func:`map_frontend`) clusters, schedules and
   allocates one frontend onto one concrete tile (and optionally a
   tile array).  A 100-point sweep over tile parameters compiles each
@@ -23,11 +27,12 @@ Of the backend, only allocation (and the multi-tile stage) needs the
 whole tile.  The task graph depends on the frontend alone, the
 clustering on the template library, the schedule on the clustering
 and the level capacity ``min(n_pps, n_buses)``, and the reference run
-:func:`verify_seeded` checks against on the program and its inputs.
-Each :class:`Frontend` memoises these, so the points of a sweep that
-share a frontend compute each of them once.  The memo lives and dies
-with its frontend object: it is never pickled, so it never rides to a
-pool worker or a daemon job.
+:func:`verify_seeded` checks against on the pristine graph and its
+inputs.  Each :class:`Frontend` memoises the first three, so the
+points of a sweep that share a frontend compute each of them once;
+the reference runs are kept per pristine graph, so a plain frontend
+and the balanced one derived from it share them too.  Neither memo is
+ever pickled, so neither rides to a pool worker or a daemon job.
 
 ``map_graph``/``map_source`` compose the two and are byte-for-byte
 the original single-call flow.  Every report also carries a per-stage
@@ -81,6 +86,7 @@ from repro.core.scheduling import (Schedule, cluster_mobility,
 from repro.core.taskgraph import TaskGraph
 from repro.multitile.mapping import MultiTileReport, map_multitile
 from repro.obs import trace
+from repro.transforms import reassociate
 from repro.transforms.base import PassStats
 from repro.transforms.pipeline import simplify as run_simplify
 
@@ -189,10 +195,10 @@ class Frontend:
 
     Immutable by convention — the backend only reads it — so one
     frontend can fan out to any number of :func:`map_frontend` calls
-    (the DSE runner compiles one per unique (width, simplify,
-    balance) combination and ships it to every worker).  Graphs
-    pickle compactly: only the node tables travel; indexes are
-    rebuilt on arrival.
+    (the DSE runner keeps one per unique (width, simplify, balance)
+    combination, each balanced one derived from the plain one of its
+    width and simplify).  Graphs pickle compactly: only the node
+    tables travel; indexes are rebuilt on arrival.
     """
 
     original: Graph
@@ -207,7 +213,8 @@ class Frontend:
     timings: dict[str, float] = field(default_factory=dict)
     #: Backend artifacts that depend on this frontend and a few
     #: backend inputs only (see :func:`_memoised`): never compared,
-    #: printed or pickled.
+    #: printed or pickled.  Verification references are kept on the
+    #: pristine graph instead (:func:`verify_seeded`).
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -221,8 +228,8 @@ class Frontend:
         self._memo = {}
 
 
-#: Verification references one frontend keeps.  A daemon keeps its
-#: frontends across jobs, and each job may verify under a new seed.
+#: Verification references one pristine graph keeps.  A daemon keeps
+#: its frontends across jobs, and each job may verify under a new seed.
 REFERENCES_KEPT = 4
 #: Makes storing a reference and evicting the oldest one atomic.
 _REFERENCES_LOCK = threading.Lock()
@@ -258,29 +265,27 @@ def prepare_graph(graph: Graph, *, simplify: bool = True,
 
 def _prepare_owned(original: Graph, *, simplify: bool, balance: bool,
                    width: int | None, max_loop_iterations: int,
-                   source: str | None) -> Frontend:
+                   source: str | None,
+                   timings: dict[str, float] | None = None) -> Frontend:
     """:func:`prepare_graph` on a graph no caller holds: *original*
     becomes the frontend's pristine graph as it is, and only the
-    working copy is cloned."""
+    working copy is cloned.  *timings* holds the stages already run
+    (the parse)."""
     pass_stats = None
     working = original.clone()
-    timings: dict[str, float] = {}
+    timings = dict(timings or {})
     with _stage(timings, "transforms"):
         if simplify:
             pass_stats = run_simplify(
                 working, max_loop_iterations=max_loop_iterations,
                 width=width)
-        if balance:
-            from repro.transforms.reassociate import \
-                balance as run_balance
-            run_balance(working)
-            if simplify:  # clean up after the rebuild
-                run_simplify(working,
-                             max_loop_iterations=max_loop_iterations,
-                             width=width)
-    return Frontend(original=original, minimised=working,
-                    pass_stats=pass_stats, width=width, source=source,
-                    timings=timings)
+    frontend = Frontend(original=original, minimised=working,
+                        pass_stats=pass_stats, width=width,
+                        source=source, timings=timings)
+    if balance:
+        return balance_frontend(frontend, simplify=simplify,
+                                max_loop_iterations=max_loop_iterations)
+    return frontend
 
 
 def compile_frontend(source: str, *, width: int | None = None,
@@ -290,11 +295,41 @@ def compile_frontend(source: str, *, width: int | None = None,
     parse_timing: dict[str, float] = {}
     with _stage(parse_timing, "parse"):
         graph = build_main_cdfg(source)
-    frontend = _prepare_owned(
+    return _prepare_owned(
         graph, simplify=simplify, balance=balance, width=width,
-        max_loop_iterations=max_loop_iterations, source=source)
-    frontend.timings = {**parse_timing, **frontend.timings}
-    return frontend
+        max_loop_iterations=max_loop_iterations, source=source,
+        timings=parse_timing)
+
+
+def balance_frontend(plain: Frontend, *, simplify: bool = True,
+                     max_loop_iterations: int = 4096) -> Frontend:
+    """The balanced frontend of the program *plain* compiled.
+
+    *plain* must be a frontend built with ``balance=False`` and the
+    same *simplify* and *max_loop_iterations*; it is only read.  Its
+    minimised graph is cloned with its id counter, so reassociating
+    the clone (:func:`repro.transforms.reassociate.balance`) and
+    cleaning it up (a second simplification) numbers every node
+    exactly as doing both in place after the plain transforms would.
+    The result shares *plain*'s pristine graph, source and pass
+    counts (those of the first simplification), and with them its
+    verification references; its ``transforms`` time adds this step
+    to *plain*'s.
+    """
+    timings: dict[str, float] = {}
+    with _stage(timings, "transforms"):
+        working = plain.minimised.clone(continue_ids=True)
+        reassociate.balance(working)
+        if simplify:  # clean up after the rebuild
+            run_simplify(working, max_loop_iterations=max_loop_iterations,
+                         width=plain.width)
+    return Frontend(
+        original=plain.original, minimised=working,
+        pass_stats=plain.pass_stats, width=plain.width,
+        source=plain.source,
+        timings={**plain.timings,
+                 "transforms": plain.timings.get("transforms", 0.0)
+                 + timings["transforms"]})
 
 
 def map_frontend(frontend: Frontend,
@@ -449,27 +484,27 @@ def verify_seeded(frontend: Frontend, report: MappingReport,
     """``verify_mapping(report, random_input_state(report, seed))``
     for a *report* that :func:`map_frontend` built from *frontend*.
 
-    The inputs and the interpreter run depend only on the frontend
-    and *seed*, so they are computed once per (frontend, seed) and
-    kept on the frontend; the mapped program is simulated and
-    compared on every call.
+    The interpreter run depends only on the pristine graph and its
+    initial state, which the seed and the addresses the task graph
+    reads determine, so it is computed once per (seed, input
+    addresses) and kept with the pristine graph: a plain frontend and
+    the balanced one derived from it share it.  The mapped program is
+    simulated and compared on every call.
     """
     if report.original is not frontend.original:
         raise ValueError("report was not mapped from this frontend")
     with _stage(report.timings, "verify"):
-        memo = frontend._memo
-        key = ("reference", seed)
-        reference = memo.get(key)
+        references = frontend.original._references
+        key = (seed, tuple(report.taskgraph.input_addresses()))
+        reference = references.get(key)
         if reference is None:
             reference = _Reference.run(
                 frontend.original, report.params.width,
                 random_input_state(report, seed), None)
             with _REFERENCES_LOCK:
-                reference = memo.setdefault(key, reference)
-                references = [entry for entry in list(memo)
-                              if entry[0] == "reference"]
-                for stale in references[:-REFERENCES_KEPT]:
-                    del memo[stale]
+                reference = references.setdefault(key, reference)
+                for stale in list(references)[:-REFERENCES_KEPT]:
+                    del references[stale]
         return reference.check(report.program)
 
 

@@ -18,12 +18,15 @@ sweep owns one (the serial path's, and one in each pool worker), and
 each daemon worker keeps one for its life, so a 100-point sweep over
 tile parameters parses and simplifies the kernel once per process
 instead of 100 times, and a frontend never crosses a process
-boundary.  The points that share a frontend object also share what
-the backend computes from it alone: the task graph, one clustering
-per template library, one schedule per (library, level capacity)
-and, with ``verify_seed``, the verification inputs and the
-interpreter's reference run.  Each point still allocates, simulates
-and compares its own program.
+boundary.  A balanced frontend is derived from the plain one, so a
+sweep over ``balance`` parses and simplifies the kernel once for
+both.  The points that share a frontend object also share what the
+backend computes from it alone: the task graph, one clustering per
+template library and one schedule per (library, level capacity).
+With ``verify_seed``, the interpreter's reference run is kept per
+pristine graph and input set, so the plain and the balanced frontend
+share it too.  Each point still allocates, simulates and compares its
+own program.
 
 Per-point failures (an infeasible :class:`TileParams` combination, a
 scheduling overflow, a verification mismatch) are captured inside the
@@ -62,6 +65,7 @@ from typing import Iterable, Sequence
 
 from repro.core.pipeline import (
     Frontend,
+    balance_frontend,
     compile_frontend,
     map_frontend,
     verify_seeded,
@@ -98,6 +102,13 @@ FRONTENDS_KEPT = 128
 class FrontendMemo:
     """Compiled frontends keyed by (source, :func:`frontend_spec`).
 
+    A balanced frontend is derived from the plain one of its width
+    and simplify (:func:`~repro.core.pipeline.balance_frontend`),
+    which the lookup compiles and keeps first if it is missing: a
+    sweep over ``balance`` parses and simplifies each program once,
+    and both frontends share its pristine graph and so its
+    verification references.
+
     A compile the front end rejects is kept as its
     :class:`~repro.lang.errors.SourceError` and raised again on each
     lookup, so a bad program compiles once however many points it
@@ -105,9 +116,10 @@ class FrontendMemo:
     it.  Threads may share a memo: compiles run under its lock, so
     threads asking for one key at once compile it once.
 
-    ``compiled`` and ``reused`` count this object's misses and hits.
-    ``FrontendMemo(share=memo)`` looks up *memo*'s entries but counts
-    on its own: one job's tally on its worker's memo.
+    ``compiled`` and ``reused`` count this object's misses and hits,
+    one per lookup.  ``FrontendMemo(share=memo)`` looks up *memo*'s
+    entries but counts on its own: one job's tally on its worker's
+    memo.
     """
 
     def __init__(self, share: "FrontendMemo | None" = None):
@@ -118,27 +130,38 @@ class FrontendMemo:
         self.reused = 0
 
     def frontend(self, source: str, spec: FrontendSpec) -> Frontend:
-        key = (source, spec)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get((source, spec))
             if entry is None:
                 self.compiled += 1
-                width, simplify, balance = spec
-                try:
-                    entry = compile_frontend(
-                        source, width=width, simplify=simplify,
-                        balance=balance)
-                except SourceError as error:
-                    entry = error
-                self._entries[key] = entry
-                if len(self._entries) > FRONTENDS_KEPT:
-                    del self._entries[next(iter(self._entries))]
+                entry = self._compile(source, spec)
             else:
                 self.reused += 1
         if isinstance(entry, SourceError):
             # A fresh traceback per raise: a kept error must not grow
             # one frame chain for every point that meets it.
             raise entry.with_traceback(None)
+        return entry
+
+    def _compile(self, source: str, spec: FrontendSpec):
+        """Compile and keep the entry of *spec*; the caller holds the
+        lock."""
+        width, simplify, balance = spec
+        if balance:
+            plain = self._entries.get((source, (width, simplify, False)))
+            if plain is None:
+                plain = self._compile(source, (width, simplify, False))
+            entry = plain if isinstance(plain, SourceError) else \
+                balance_frontend(plain, simplify=simplify)
+        else:
+            try:
+                entry = compile_frontend(source, width=width,
+                                         simplify=simplify)
+            except SourceError as error:
+                entry = error
+        self._entries[(source, spec)] = entry
+        if len(self._entries) > FRONTENDS_KEPT:
+            del self._entries[next(iter(self._entries))]
         return entry
 
 

@@ -131,6 +131,21 @@ _RULE_KINDS = frozenset({
 })
 
 
+def _may_fire(nodes: dict[int, Node], node: Node) -> bool:
+    """Whether :meth:`AlgebraicSimplification._rule` may match
+    *node*, one of :data:`_RULE_KINDS`, as its operands stand: every
+    rule needs a CONST operand or two equal operands, equal MUX arms,
+    or a NEG, NOT or ABS over a node of its own kind."""
+    inputs = node.inputs
+    if node.kind is OpKind.MUX:
+        return inputs[1] == inputs[2]
+    if len(inputs) == 1:
+        return nodes[inputs[0][0]].kind is node.kind
+    lhs, rhs = inputs
+    return (lhs == rhs or nodes[lhs[0]].kind is OpKind.CONST
+            or nodes[rhs[0]].kind is OpKind.CONST)
+
+
 class AlgebraicSimplification(Transform):
     """Identity, absorption and same-operand rules.
 
@@ -150,26 +165,49 @@ class AlgebraicSimplification(Transform):
     """
 
     def run_on(self, graph: Graph) -> int:
-        changes = 0
+        # Only a node :func:`_may_fire` accepts can match a rule, and
+        # only a rewrite changes a node's operands: it hands its users
+        # the replacement.  Visiting the candidates in ascending id
+        # order, and queueing a user only when its id is above the
+        # node just rewritten, rewrites exactly what a visit of every
+        # node in id order would.
         nodes = graph.nodes
-        for node in graph.sorted_nodes():
-            if node.kind in _RULE_KINDS and node.id in nodes:
-                changes += self._simplify(graph, node)
+        uses = graph.uses()
+        queue = [node.id
+                 for kind in _RULE_KINDS & graph.counts().keys()
+                 for node in graph.find(kind)
+                 if _may_fire(nodes, node)]
+        heapq.heapify(queue)
+        changes = 0
+        visited = -1
+        while queue:
+            node_id = heapq.heappop(queue)
+            if node_id == visited or node_id not in nodes:
+                continue
+            visited = node_id
+            replacement = self._simplify(graph, nodes[node_id])
+            if replacement is None:
+                continue
+            changes += 1
+            for user_id, __ in uses.get(replacement, ()):
+                if user_id > node_id and nodes[user_id].kind in _RULE_KINDS:
+                    heapq.heappush(queue, user_id)
         return changes
 
     # The table below returns either None (no rule), a ValueRef to
     # forward, or an int constant to materialise.
-    def _simplify(self, graph: Graph, node: Node) -> int:
+    def _simplify(self, graph: Graph, node: Node) -> ValueRef | None:
+        """Rewrite *node* if a rule matches; return what replaced it."""
         result = self._rule(graph, node)
         if result is None:
-            return 0
+            return None
         if isinstance(result, int):
             replacement = graph.const(result).out()
         else:
             replacement = result
         graph.replace_uses(node.out(), replacement)
         graph.remove(node.id)
-        return 1
+        return replacement
 
     def _rule(self, graph: Graph, node: Node):
         kind = node.kind

@@ -22,13 +22,15 @@ in this run, keyed on ``(kind, type(value), value)``.  CSE would merge
 the duplicates anyway, keeping the first, so the minimised graph is
 the same; the frontend just creates less than half as many nodes.
 
-Each loop's body is classified once, into a splice plan
-(:class:`_SplicePlan`), before its first iteration is copied: which
-nodes are carried inputs, which are constants (resolved on first use
-and reused by every later iteration), which may fold and with what
-scalar function, and which are copied as they are because none of
-their operands can ever be a constant.  An iteration then costs one
-cheap step per body node.
+Each loop's condition slice is flattened once, into a condition plan
+(:class:`_ConditionPlan`) that each iteration evaluates in one pass
+over its slots.  Each loop's body is classified once, into a splice
+plan (:class:`_SplicePlan`), before its first iteration is copied:
+which nodes are carried inputs, which are constants (resolved on
+first use and reused by every later iteration), which may fold and
+with what scalar function, and which are copied as they are because
+none of their operands can ever be a constant.  An iteration then
+costs one cheap step per body node.
 
 If the condition stops being statically evaluable after *k* successful
 iterations, the *k* iterations stay spliced and the loop node remains
@@ -41,8 +43,8 @@ The same applies when ``max_iterations`` is hit.
 from __future__ import annotations
 
 from repro.cdfg.graph import COND_SLOT, Graph, Node, ValueRef
-from repro.cdfg.ops import (Address, OpKind, can_eval, eval_op,
-                            scalar_function, wrap_value)
+from repro.cdfg.ops import (Address, OpKind, can_eval, scalar_function,
+                            wrap_value)
 from repro.transforms.base import Transform
 
 
@@ -80,10 +82,14 @@ class UnrollLoops(Transform):
         body = loop.bodies[0]
         outputs = Graph.body_outputs(body)
         refs: dict[str, ValueRef] = dict(zip(names, loop.inputs))
+        cond_node = outputs.get(COND_SLOT)
+        if cond_node is None:
+            return 0
+        cone = _ConditionPlan(body, cond_node.inputs[0], self.width)
         plan = None
         spliced = 0
         while spliced < self.max_iterations:
-            condition = self._eval_condition(graph, body, outputs, refs)
+            condition = cone.evaluate(graph.nodes, refs)
             if condition is None:
                 break
             if condition == 0:
@@ -100,70 +106,6 @@ class UnrollLoops(Transform):
             # current carried values.
             graph.set_inputs(loop, [refs[name] for name in names])
         return spliced
-
-    # -- static condition evaluation -------------------------------------
-
-    def _eval_condition(self, graph: Graph, body: Graph,
-                        outputs: dict, refs: dict[str, ValueRef]
-                        ) -> int | None:
-        """Evaluate the body's condition output; None if not static."""
-        cond_node = outputs.get(COND_SLOT)
-        if cond_node is None:
-            return None
-        cache: dict[int, int | Address | None] = {}
-        value = self._eval_body_ref(graph, body, cond_node.inputs[0],
-                                    refs, cache)
-        if isinstance(value, int):
-            return value
-        return None
-
-    def _eval_body_ref(self, graph: Graph, body: Graph, ref: ValueRef,
-                       refs: dict[str, ValueRef],
-                       cache: dict) -> int | Address | None:
-        node = body.producer(ref)
-        if node.id in cache:
-            return cache[node.id]
-        cache[node.id] = None  # cycle guard (bodies are acyclic anyway)
-        result: int | Address | None = None
-        if node.kind is OpKind.CONST:
-            result = wrap_value(node.value, self.width)
-        elif node.kind is OpKind.ADDR:
-            result = node.value
-        elif node.kind is OpKind.INPUT:
-            outer = refs.get(node.value)
-            if outer is not None:
-                producer = graph.producer(outer)
-                if producer.kind is OpKind.CONST:
-                    result = wrap_value(producer.value, self.width)
-                elif producer.kind is OpKind.ADDR:
-                    result = producer.value
-        elif node.kind is OpKind.MUX:
-            cond = self._eval_body_ref(graph, body, node.inputs[0], refs,
-                                       cache)
-            if isinstance(cond, int):
-                chosen = node.inputs[1] if cond != 0 else node.inputs[2]
-                result = self._eval_body_ref(graph, body, chosen, refs,
-                                             cache)
-        elif node.kind is OpKind.ADDR_ADD:
-            base = self._eval_body_ref(graph, body, node.inputs[0], refs,
-                                       cache)
-            offset = self._eval_body_ref(graph, body, node.inputs[1],
-                                         refs, cache)
-            if isinstance(base, Address) and isinstance(offset, int):
-                result = base.shifted(offset)
-        elif can_eval(node.kind):
-            operands = []
-            for input_ref in node.inputs:
-                value = self._eval_body_ref(graph, body, input_ref, refs,
-                                            cache)
-                if not isinstance(value, int):
-                    operands = None
-                    break
-                operands.append(value)
-            if operands is not None:
-                result = eval_op(node.kind, *operands, width=self.width)
-        cache[node.id] = result
-        return result
 
     # -- splicing -----------------------------------------------------------
 
@@ -237,8 +179,103 @@ class UnrollLoops(Transform):
         return ref
 
 
-#: Splice plan step codes.
-_INPUT, _CONSTANT, _COPY, _FOLD, _FOLD_ADDRESS = range(5)
+#: Plan step codes: a splice plan uses the first five, a condition
+#: plan ``_INPUT``, ``_FOLD``, ``_FOLD_ADDRESS`` and ``_SELECT``.
+_INPUT, _CONSTANT, _COPY, _FOLD, _FOLD_ADDRESS, _SELECT = range(6)
+
+
+class _ConditionPlan:
+    """A loop body's continue-condition cone, flattened once for all
+    of its iterations.
+
+    ``values`` holds one slot per cone node, operands before their
+    users and the condition last, as each iteration starts: a CONST's
+    wrapped value, an ADDR's address, and None for a node that has no
+    static value (a fetch, a nested loop, ...) or is computed per
+    iteration.  ``steps`` computes the latter in slot order:
+
+    * ``(slot, _INPUT, name)`` — the constant or address the carried
+      reference *name* currently names, else None;
+    * ``(slot, _SELECT, cond, then, else)`` — a MUX: the chosen arm's
+      value, None if the condition is not a static int;
+    * ``(slot, _FOLD_ADDRESS, base, offset)`` — a static address
+      shifted by a static int;
+    * ``(slot, _FOLD, function, operands)`` — a scalar operation on
+      static ints, wrapped to the data-path width.
+
+    A step computes every operand, not just the chosen MUX arm or
+    up to the first non-static operand, but every scalar evaluator is
+    total, so the value is the one a lazy walk of the cone gives.
+    """
+
+    def __init__(self, body: Graph, condition: ValueRef,
+                 width: int | None):
+        self.width = width
+        self.values: list = []
+        self.steps: list[tuple] = []
+        slots: dict[int, int] = {}
+
+        def slot(ref: ValueRef) -> int:
+            node = body.producer(ref)
+            index = slots.get(node.id)
+            if index is not None:
+                return index
+            kind = node.kind
+            value = step = None
+            if kind is OpKind.CONST:
+                value = wrap_value(node.value, width)
+            elif kind is OpKind.ADDR:
+                value = node.value
+            elif kind is OpKind.INPUT:
+                step = (_INPUT, node.value)
+            elif kind is OpKind.MUX:
+                step = (_SELECT, *map(slot, node.inputs))
+            elif kind is OpKind.ADDR_ADD:
+                step = (_FOLD_ADDRESS, *map(slot, node.inputs))
+            elif can_eval(kind):
+                step = (_FOLD, scalar_function(kind),
+                        [slot(operand) for operand in node.inputs])
+            index = slots[node.id] = len(self.values)
+            self.values.append(value)
+            if step is not None:
+                self.steps.append((index, *step))
+            return index
+
+        slot(condition)
+
+    def evaluate(self, nodes: dict[int, Node],
+                 refs: dict[str, ValueRef]) -> int | None:
+        """The condition's value for the carried references *refs*
+        (into the graph whose node table is *nodes*); None if it is
+        not static."""
+        width = self.width
+        values = self.values.copy()
+        for step in self.steps:
+            code = step[1]
+            result = None
+            if code == _INPUT:
+                outer = refs.get(step[2])
+                if outer is not None:
+                    producer = nodes[outer[0]]
+                    if producer.kind is OpKind.CONST:
+                        result = wrap_value(producer.value, width)
+                    elif producer.kind is OpKind.ADDR:
+                        result = producer.value
+            elif code == _SELECT:
+                cond = values[step[2]]
+                if isinstance(cond, int):
+                    result = values[step[3] if cond != 0 else step[4]]
+            elif code == _FOLD_ADDRESS:
+                base, offset = values[step[2]], values[step[3]]
+                if isinstance(base, Address) and isinstance(offset, int):
+                    result = base.shifted(offset)
+            else:
+                operands = [values[index] for index in step[3]]
+                if all(isinstance(value, int) for value in operands):
+                    result = wrap_value(step[2](*operands), width)
+            values[step[0]] = result
+        value = values[-1]
+        return value if isinstance(value, int) else None
 
 
 class _SplicePlan:

@@ -1,11 +1,16 @@
 """The per-frontend backend memo: what the points of a sweep share.
 
 A :class:`Frontend` keeps its task graph, one clustering per template
-library, one schedule per (library, level capacity) and the
-verification reference per seed.  These tests pin the memo's
-hygiene: it never travels with a pickled frontend, it stays bounded
-under many verify seeds, it never hides a wrong program at one point,
-and racing fills from threads store only whole results.
+library and one schedule per (library, level capacity); its pristine
+graph keeps the verification reference per (seed, input addresses),
+shared by the plain frontend and the balanced one derived from it.
+These tests pin the memos' hygiene: they never travel with a pickled
+frontend, they stay bounded under many verify seeds, they never hide
+a wrong program at one point, and racing fills from threads store
+only whole results.  They also pin the derivation itself: a balanced
+frontend numbers its nodes exactly as balancing the plain graph in
+place would, and a sweep over ``balance`` parses each program and
+runs each reference once.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import pytest
 
 from repro.arch.params import TileParams
 from repro.arch.templates import TemplateLibrary
+from repro.cdfg.builder import build_main_cdfg
+from repro.cdfg.graph import Graph
+from repro.cdfg.interp import Interpreter
 from repro.core import pipeline
 from repro.core.pipeline import (
     REFERENCES_KEPT,
@@ -37,7 +45,11 @@ from repro.dse.runner import (
     run_sweep,
 )
 from repro.dse.space import DesignSpace
-from repro.eval.kernels import get_kernel
+from repro.eval.kernels import KERNELS, get_kernel
+from repro.transforms.pipeline import simplify as run_simplify
+from repro.transforms.reassociate import balance
+
+from tests.test_frontend_identity import LARGE
 
 FIR16 = get_kernel("fir16").source
 
@@ -48,6 +60,12 @@ POINTS = DesignSpace({"n_pps": [1, 2, 4, 8],
 
 def shared_frontend():
     return compile_frontend(FIR16, width=POINTS[0].tile_params().width)
+
+
+def reference_seeds(frontend) -> list:
+    """The seeds of the references *frontend*'s pristine graph keeps,
+    oldest first."""
+    return [seed for seed, __ in frontend.original._references]
 
 
 def test_a_sweep_leaves_the_frontend_pickle_unchanged():
@@ -73,8 +91,7 @@ def test_the_memo_shares_one_artifact_per_key():
     assert len({id(report.schedule) for report in reports}) == 8
     for report in reports:
         verify_seeded(frontend, report, 3)
-    assert [key for key in frontend._memo
-            if key[0] == "reference"] == [("reference", 3)]
+    assert reference_seeds(frontend) == [3]
 
 
 def test_capacities_past_the_cluster_count_share_one_schedule():
@@ -101,11 +118,10 @@ def test_the_reference_memo_stays_bounded_under_many_seeds():
     for seed in range(50):
         record = evaluate_point(FIR16, point, seed, memo=memo)
         assert record["ok"] and record["verified"], record
-    references = [key for key in frontend._memo if key[0] == "reference"]
-    assert references == [("reference", seed)
-                          for seed in range(50 - REFERENCES_KEPT, 50)]
+    assert reference_seeds(frontend) == list(
+        range(50 - REFERENCES_KEPT, 50))
     # the task graph, one clustering, its mobility and one schedule
-    assert len(frontend._memo) == REFERENCES_KEPT + 4
+    assert len(frontend._memo) == 4
 
 
 def test_a_clustering_computes_its_mobility_once(monkeypatch):
@@ -212,8 +228,126 @@ def test_racing_fills_store_only_whole_results(monkeypatch):
     assert all(report.clustered is frontend._memo[key]
                for report in reports)
     assert len({id(report.schedule) for report in reports}) == 1
-    assert len([entry for entry in frontend._memo
-                if entry[0] == "reference"]) == REFERENCES_KEPT
+    assert len(reference_seeds(frontend)) == REFERENCES_KEPT
     serial = map_frontend(shared_frontend(), TileParams(n_pps=2), library)
     assert all(report.program.listing() == serial.program.listing()
                for report in reports)
+
+
+# -- balanced frontends derive from the plain one -------------------------
+
+def graph_dump(graph: Graph):
+    """Every node as stored, in table order, with the graph's next id:
+    equal dumps mean equal ids, payloads, wiring and numbering."""
+    return (graph.next_id,
+            [(node.id, node.kind, node.inputs, node.value, node.name,
+              node.n_outputs, [graph_dump(body) for body in node.bodies])
+             for node in graph.nodes.values()])
+
+
+SOURCES = {**{kernel.name: kernel.source for kernel in KERNELS}, **LARGE}
+
+
+@pytest.mark.parametrize("simplify", [True, False],
+                         ids=["simplify", "raw"])
+@pytest.mark.parametrize("width", [16, None])
+@pytest.mark.parametrize("name", SOURCES)
+def test_a_balanced_frontend_equals_balancing_in_place(name, width,
+                                                       simplify):
+    """The derived balanced frontend is node for node, ids and next id
+    included, what simplifying, balancing and simplifying again one
+    working copy of the parsed program gives."""
+    source = SOURCES[name]
+    working = build_main_cdfg(source).clone()
+    stats = run_simplify(working, width=width) if simplify else None
+    balance(working)
+    if simplify:
+        run_simplify(working, width=width)
+    frontend = compile_frontend(source, width=width, simplify=simplify,
+                                balance=True)
+    assert graph_dump(frontend.minimised) == graph_dump(working)
+    assert frontend.pass_stats == stats
+    assert graph_dump(frontend.original) \
+        == graph_dump(build_main_cdfg(source))
+
+
+def test_a_derived_frontend_shares_the_plain_one_and_leaves_it_alone():
+    """A balanced lookup compiles and keeps the plain frontend first;
+    the plain lookup after it is a hit, and its graph is the one a
+    plain compile gives."""
+    memo = FrontendMemo()
+    balanced = memo.frontend(FIR16, (16, True, True))
+    plain = memo.frontend(FIR16, (16, True, False))
+    assert (memo.compiled, memo.reused) == (1, 1)
+    assert graph_dump(plain.minimised) \
+        == graph_dump(compile_frontend(FIR16, width=16).minimised)
+    assert balanced.original is plain.original
+    assert balanced.pass_stats is plain.pass_stats
+    assert balanced.source is plain.source
+    assert balanced.minimised is not plain.minimised
+    assert set(balanced.timings) == {"parse", "transforms"}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts parses (``pipeline.build_main_cdfg``), reference runs
+    (``Interpreter.run``) and compiles (``runner.compile_frontend``)."""
+    calls = {"parse": 0, "interpret": 0, "compile": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "build_main_cdfg",
+                        counting("parse", pipeline.build_main_cdfg))
+    monkeypatch.setattr(Interpreter, "run",
+                        counting("interpret", Interpreter.run))
+    monkeypatch.setattr(runner, "compile_frontend",
+                        counting("compile", runner.compile_frontend))
+    return calls
+
+
+BALANCED_POINTS = DesignSpace({"n_pps": [1, 2, 4],
+                               "balance": [False, True]}).grid()
+
+
+def test_a_sweep_over_balance_parses_and_interprets_once_per_seed(
+        counted):
+    memo = FrontendMemo()
+    swept = {seed: run_sweep(FIR16, BALANCED_POINTS, workers=1,
+                             verify_seed=seed, memo=memo).records
+             for seed in (1, 2)}
+    assert counted["parse"] == 1
+    assert counted["interpret"] == 2
+    # one count per lookup: a miss per frontend, a hit per other point
+    assert (memo.compiled, memo.reused) == (2, 10)
+    for seed, records in swept.items():
+        assert all(record["verified"] for record in records)
+        assert records == [evaluate_point(FIR16, point, seed)
+                           for point in BALANCED_POINTS]
+
+
+def test_references_stay_bounded_over_a_plain_and_a_derived_frontend():
+    memo = FrontendMemo()
+    plain_point, balanced_point = BALANCED_POINTS[:2]
+    assert frontend_spec(balanced_point)[2]
+    for seed in range(20):
+        for point in (plain_point, balanced_point):
+            record = evaluate_point(FIR16, point, seed, memo=memo)
+            assert record["ok"] and record["verified"], record
+    plain = memo.frontend(FIR16, frontend_spec(plain_point))
+    assert memo.frontend(FIR16, frontend_spec(balanced_point)).original \
+        is plain.original
+    assert reference_seeds(plain) == list(range(20 - REFERENCES_KEPT, 20))
+
+
+def test_a_bad_source_swept_over_balance_compiles_once(counted):
+    bad = "void main() { x = ; }"
+    result = run_sweep(bad, BALANCED_POINTS, workers=1)
+    assert counted["compile"] == counted["parse"] == 1
+    alone = evaluate_point(bad, BALANCED_POINTS[1])["error"]
+    assert alone.startswith("ParseError: ")
+    assert [record["error"] for record in result.records] \
+        == [alone] * len(BALANCED_POINTS)

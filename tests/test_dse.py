@@ -419,25 +419,32 @@ class TestSearchStrategies:
 
     def test_hill_climb_compiles_each_frontend_once(self, monkeypatch):
         """Every step of a climb sweeps the same program: the climb
-        keeps one frontend memo, so each frontend spec compiles once
-        across all steps and restarts, and the records are those of
-        points evaluated one by one."""
+        keeps one frontend memo, so across all steps and restarts the
+        program compiles once and its balanced frontend is derived
+        once, and the records are those of points evaluated one by
+        one."""
         import repro.dse.runner as runner
-        compiled = []
-        original = runner.compile_frontend
+        compiled, derived = [], []
+        compile_frontend = runner.compile_frontend
+        balance_frontend = runner.balance_frontend
 
-        def counting(source, **spec):
-            compiled.append(tuple(sorted(spec.items())))
-            return original(source, **spec)
+        def compiling(source, **spec):
+            compiled.append(spec)
+            return compile_frontend(source, **spec)
+
+        def deriving(plain, **options):
+            derived.append(plain)
+            return balance_frontend(plain, **options)
 
         space = DesignSpace({"n_pps": [1, 2, 3, 5], "n_buses": [2, 4],
                              "balance": [False, True]})
-        monkeypatch.setattr(runner, "compile_frontend", counting)
+        monkeypatch.setattr(runner, "compile_frontend", compiling)
+        monkeypatch.setattr(runner, "balance_frontend", deriving)
         result = hill_climb(FIR5, space, seed=1, restarts=2,
                             verify_seed=1)
         assert result.stats.evaluated > 2
-        assert len(compiled) == len(set(compiled)) == 2
-        monkeypatch.setattr(runner, "compile_frontend", original)
+        assert len(compiled) == len(derived) == 1
+        monkeypatch.undo()
         for record in result.records:
             point = DesignPoint.from_dict(record["point"])
             alone = run_sweep(FIR5, [point], workers=1, verify_seed=1)

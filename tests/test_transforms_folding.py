@@ -10,11 +10,15 @@ from repro.cdfg.statespace import StateSpace
 from repro.transforms.base import PassManager
 from repro.transforms.dce import DeadCodeElimination
 from repro.transforms.folding import (
+    _RULE_KINDS,
     AlgebraicSimplification,
     ConstantFolding,
 )
+from repro.transforms.mux import BranchToMux
+from repro.transforms.unroll import UnrollLoops
 
 from tests.conftest import assert_behaviour_preserved
+from tests.test_property import random_source
 
 
 def folded(source_body: str) -> Graph:
@@ -169,3 +173,62 @@ class TestAlgebraic:
         graph = folded("x = 0 - p;")
         result = run_graph(graph, StateSpace({"p": 5}))
         assert result.fetch("x") == -5
+
+
+class TestAlgebraicVisitOrder:
+    """The pass visits only nodes a rule may match, yet rewrites what
+    visiting every node in id order rewrites, in the same order."""
+
+    @staticmethod
+    def every_node(graph: Graph) -> list:
+        """The reference: every rule-kind node, in id order."""
+        rewrites = []
+        transform = AlgebraicSimplification()
+        for node in graph.sorted_nodes():
+            if node.kind in _RULE_KINDS and node.id in graph.nodes:
+                replacement = transform._simplify(graph, node)
+                if replacement is not None:
+                    rewrites.append((node.id, replacement))
+        return rewrites
+
+    @staticmethod
+    def candidates(graph: Graph, monkeypatch) -> tuple[list, int]:
+        rewrites, visits = [], []
+        simplify = AlgebraicSimplification._simplify
+
+        def recording(self, graph, node):
+            visits.append(node.id)
+            replacement = simplify(self, graph, node)
+            if replacement is not None:
+                rewrites.append((node.id, replacement))
+            return replacement
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgebraicSimplification, "_simplify", recording)
+            assert AlgebraicSimplification().run_on(graph) \
+                == len(rewrites)
+        return rewrites, len(visits)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_rewrites_in_the_same_order(self, seed, monkeypatch):
+        graph = build_main_cdfg(random_source(seed))
+        PassManager([UnrollLoops(), BranchToMux(),
+                     ConstantFolding()]).run(graph)
+        expected = graph.clone()
+        reference = self.every_node(expected)
+        rewrites, visits = self.candidates(graph, monkeypatch)
+        assert rewrites == reference
+        assert sorted(graph.nodes) == sorted(expected.nodes)
+        assert [node.inputs for node in graph.sorted_nodes()] \
+            == [node.inputs for node in expected.sorted_nodes()]
+        assert visits <= sum(node.kind in _RULE_KINDS
+                             for node in expected.nodes.values()) \
+            + len(rewrites)
+
+    def test_a_rewrite_queues_the_users_it_enables(self, monkeypatch):
+        """``(p + 0) - p``: only the addition has a constant operand;
+        rewriting it makes the subtraction ``p - p``."""
+        graph = build_main_cdfg("void main() { x = (p + 0) - p; }")
+        rewrites, visits = self.candidates(graph, monkeypatch)
+        assert len(rewrites) == visits == 2
+        assert stored_const(graph, "x") == 0

@@ -6,6 +6,7 @@ from repro.cdfg.interp import run_graph
 from repro.cdfg.ops import OpKind
 from repro.cdfg.statespace import StateSpace
 from repro.eval.kernels import fir_source
+from repro.transforms import unroll
 from repro.transforms.cse import CommonSubexpressionElimination
 from repro.transforms.unroll import UnrollLoops
 
@@ -67,6 +68,40 @@ class TestCompleteUnrolling:
         graph = build("i = 0; while ((i < 3 ? 1 : 0)) { i = i + 1; }")
         UnrollLoops().run(graph)
         assert not graph.find(OpKind.LOOP)
+
+    def test_only_the_chosen_arm_decides_the_condition(self):
+        """The arm a static MUX does not choose may read memory: the
+        condition is static while the chosen arm is, and the loop is
+        peeled where it stops being so."""
+        graph = build("i = 0; while ((i < 3 ? 1 : a[0])) { i = i + 1; }")
+        assert UnrollLoops().run(graph) == 3
+        assert graph.find(OpKind.LOOP)
+        assert run_graph(graph, StateSpace({"a": 0})).fetch("i") == 3
+
+    def test_the_condition_is_flattened_once_per_loop(self, monkeypatch):
+        plans, evaluations = [], []
+
+        class Counting(unroll._ConditionPlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+            def evaluate(self, nodes, refs):
+                evaluations.append(self)
+                return super().evaluate(nodes, refs)
+
+        monkeypatch.setattr(unroll, "_ConditionPlan", Counting)
+        graph = build(
+            "for (int i = 0; i < 3; i++) {"
+            "  for (int j = 0; j < 2; j++) { s = s + 1; }"
+            "}")
+        UnrollLoops().run(graph)
+        assert not graph.find(OpKind.LOOP)
+        # the inner loop, in the body the outer loop copies from, then
+        # the outer loop: one plan each, one evaluation per iteration
+        # plus the final one
+        assert len(plans) == 2
+        assert [evaluations.count(plan) for plan in plans] == [3, 4]
 
 
 class TestNonStaticLoops:
