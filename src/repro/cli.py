@@ -415,13 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _read_source(path: str) -> str:
-    """The C source at *path* (``-`` reads stdin); a blank one is
-    refused here, so `map`, `submit` and `explore` say the same."""
+    """The C source at *path* (``-`` reads stdin); an unreadable or
+    blank one is refused here, so `map`, `submit` and `explore` say
+    the same."""
     if path == "-":
         source = sys.stdin.read()
     else:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+        except OSError as error:
+            raise SystemExit(f"{path}: {error.strerror}")
     if not source.strip():
         name = "<stdin>" if path == "-" else path
         raise SystemExit(f"{name}: no C source (the file is empty)")

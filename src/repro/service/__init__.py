@@ -18,6 +18,8 @@ Modules
   bit-identical to ``fpfa-map map --json``;
 * :mod:`repro.service.queue`    — FIFO job queue with in-flight
   request coalescing;
+* :mod:`repro.service.wire`     — HTTP/1.1 framing as pure functions,
+  shared by the daemon and the client;
 * :mod:`repro.service.daemon`   — the asyncio HTTP daemon
   (``fpfa-map serve``);
 * :mod:`repro.service.client`   — the blocking client

@@ -1,38 +1,28 @@
 """Blocking client for the mapping daemon (HTTP/1.1 on a socket).
 
-One class, one method per endpoint, JSON dicts in and out.  The
-client is deliberately synchronous.  It keeps the daemon's
-connections open between calls (HTTP/1.1 persistence): a call takes
-an idle connection or opens one, and puts it back once its answer is
-read in full, so threads sharing a client each get their own.
-:meth:`ServiceClient.close` (or a ``with`` block) closes the idle
-ones; a client dropped without it closes them when it is collected.
-
-The wire format is the daemon's own framing, spoken on a plain
-socket with one buffered reader per connection rather than through
-``http.client``, whose per-answer objects and header parser cost more
-than a store hit itself: a request is one ``sendall`` of its head and
-JSON body, an answer a status line, headers and exactly
-``Content-Length`` body bytes.  An answer cut short is a transport
-error, never truncated JSON.
+One class, one method per endpoint, JSON dicts in and out.  A call
+takes an idle connection (a plain socket with one buffered reader,
+framed by :mod:`repro.service.wire`) or opens one, and puts it back
+once its answer is read in full, so threads sharing a client each
+get their own.  :meth:`ServiceClient.close` (or a ``with`` block)
+closes the idle ones; a client dropped without it closes them when
+it is collected.
 
 ``submit`` posts a raw request dict (see
 :mod:`repro.service.protocol`); :meth:`map_source` builds the map
-request from keyword flags mirroring ``fpfa-map map``; ``result``
-long-polls until the job is terminal and returns the payload —
-which, for map jobs, is bit-identical to ``fpfa-map map --json``;
-``run`` is submit plus result, in one round trip when the job
-finishes within the submit's own wait.
+request from ``fpfa-map map``-style keywords; ``result`` long-polls
+a job to its payload (for map jobs bit-identical to ``fpfa-map map
+--json``); ``run`` is both, in one round trip when the job finishes
+within the submit's own wait.
 
-A call that fails on a reused connection before the daemon's status
-line arrives (the daemon closed it, say by restarting) is resent once
-on a new connection: every call is safe to resend, since the GETs
-and ``/shutdown`` are idempotent and duplicate submits coalesce.  A
+A call that fails on a reused connection before the answer's head
+arrives (the daemon closed it, say by restarting) is resent once on
+a new connection: every call is safe to resend, since the GETs and
+``/shutdown`` are idempotent and duplicate submits coalesce.  A
 daemon error raises :class:`ServiceError` with the HTTP ``status``;
-a transport failure on a new connection raises an ``OSError`` (the
-socket's own, or a ``ConnectionError`` for a malformed or cut-short
-answer).  A caller that cannot reach its daemon decides what to do —
-the distributed sweep evaluates locally.
+a transport failure on a new connection raises an ``OSError``, and
+the caller decides what to do (a distributed sweep evaluates
+locally).
 """
 
 from __future__ import annotations
@@ -43,6 +33,7 @@ import threading
 import weakref
 from typing import Iterator, Mapping
 
+from repro.service import wire
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 
 #: Long-poll slice per status request; bounded so a dead daemon
@@ -51,17 +42,12 @@ POLL_SLICE = 10.0
 #: Idle connections one client keeps open; more are closed once
 #: their answer is read.
 MAX_IDLE = 8
-#: Longest status or header line an answer may carry.
-MAX_LINE = 65536
 
 
 class ServiceError(RuntimeError):
-    """The daemon answered with an error (or the job failed).
-
-    ``status`` is the HTTP status when one was received (None for
-    client-side failures such as a long-poll timeout or a failed
-    job).
-    """
+    """The daemon answered with an error (or the job failed);
+    ``status`` is the HTTP status, None when none was received (a
+    long-poll timeout, a failed job)."""
 
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
@@ -106,31 +92,31 @@ class ServiceClient:
         if wait is not None:
             path += f"?wait={wait:g}"
             timeout += wait
-        request = _encode(method, path, f"{self.host}:{self.port}",
-                          body)
+        request = wire.encode_request(
+            method, path, f"{self.host}:{self.port}", body)
         with self._lock:
             connection = self._idle.pop() if self._idle else None
         try:
             if connection is not None:
                 try:
-                    status = connection.send(request, timeout)
+                    status, __, close, length = connection.send(
+                        request, timeout)
                 except ConnectionError:
-                    # No status line on a reused connection: the
-                    # daemon closed it.  Resend once on a new one.
+                    # No head on a reused connection: the daemon
+                    # closed it.  Resend once on a new one.
                     connection.close()
                     connection = None
             if connection is None:
                 connection = _Connection(self.host, self.port, timeout)
-                status = connection.send(request, timeout)
-            headers = connection.headers()
-            data = connection.body(headers)
+                status, __, close, length = connection.send(request,
+                                                            timeout)
+            data = connection.body(length)
         except BaseException:
             if connection is not None:
                 connection.close()
             raise
         with self._lock:
-            keep = headers.get("connection", "").lower() != "close" \
-                and len(self._idle) < MAX_IDLE
+            keep = not close and len(self._idle) < MAX_IDLE
             if keep:
                 self._idle.append(connection)
         if not keep:
@@ -211,19 +197,17 @@ class ServiceClient:
                timeout: float = 300.0) -> Iterator[dict]:
         """Stream a job's NDJSON progress events until terminal.
 
-        The stream is the one answer without a ``Content-Length``: it
-        ends when the daemon closes its connection, so it never joins
-        the idle list.  A stream that breaks mid-flight raises to the
-        caller, who owns the decision to re-tail (events already seen
-        would replay)."""
+        It ends when the daemon closes its connection, which never
+        joins the idle list.  A stream that breaks mid-flight raises
+        to the caller, who owns the decision to re-tail (events
+        already seen would replay)."""
         connection = _Connection(self.host, self.port, timeout)
         try:
-            status = connection.send(_encode(
+            status, __, __, length = connection.send(wire.encode_request(
                 "GET", f"/jobs/{job_id}/events",
                 f"{self.host}:{self.port}", None), timeout)
-            headers = connection.headers()
             if status >= 400:
-                _decode(status, connection.body(headers))  # raises
+                _decode(status, connection.body(length))  # raises
             for line in connection.reader:
                 line = line.strip()
                 if line:
@@ -234,47 +218,36 @@ class ServiceClient:
 
 class _Connection:
     """One socket to the daemon and the one buffered reader on it.
-
-    The framing mirrors the daemon's own: a request is its head and
-    body in one ``sendall``; an answer is a status line, headers up to
-    a blank line, and exactly ``Content-Length`` body bytes.  Every
-    failure is an ``OSError``, so the caller closes the connection.
-    """
+    Every failure is an ``OSError``, so the caller closes it."""
 
     def __init__(self, host: str, port: int, timeout: float):
         self.sock = socket.create_connection((host, port), timeout)
         self.timeout = timeout
         self.reader = self.sock.makefile("rb")
 
-    def send(self, request: bytes, timeout: float) -> int:
-        """Write *request* and read the answer's status line; returns
-        its status code.  ``ConnectionError`` when none arrives."""
+    def send(self, request: bytes, timeout: float) -> tuple:
+        """Write *request* in one ``sendall`` and read and parse the
+        answer's head; ``ConnectionError`` when none arrives in full."""
         if timeout != self.timeout:
             self.sock.settimeout(timeout)
             self.timeout = timeout
         self.sock.sendall(request)
-        parts = self._line().split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") \
-                or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line {parts!r}")
-        return int(parts[1])
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = self.reader.readline(wire.MAX_HEAD - len(head))
+            if not line.endswith(b"\n"):
+                raise ConnectionError("answer head cut short or too long"
+                                      if head + line else
+                                      "the daemon closed the connection")
+            head += line
+        return wire.parse_response_head(head)
 
-    def headers(self) -> dict[str, str]:
-        """The answer's headers, names lower-cased."""
-        headers = {}
-        while (line := self._line()) not in (b"\r\n", b"\n"):
-            name, __, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return headers
-
-    def body(self, headers: Mapping[str, str]) -> bytes:
-        """Exactly the ``Content-Length`` bytes *headers* announce."""
-        length = headers.get("content-length", "")
-        if not length.isdigit():
-            raise ConnectionError(
-                f"answer without a Content-Length ({length!r})")
-        data = self.reader.read(int(length))
-        if len(data) != int(length):
+    def body(self, length: int | None) -> bytes:
+        """Exactly the *length* bytes the head announced."""
+        if length is None:
+            raise ConnectionError("answer without a body length")
+        data = self.reader.read(length)
+        if len(data) != length:
             raise ConnectionError(
                 f"answer cut short: {len(data)} of {length} bytes")
         return data
@@ -282,27 +255,6 @@ class _Connection:
     def close(self) -> None:
         self.reader.close()
         self.sock.close()
-
-    def _line(self) -> bytes:
-        line = self.reader.readline(MAX_LINE)
-        if not line.endswith(b"\n"):
-            raise ConnectionError(
-                "the daemon closed the connection" if not line
-                else f"answer line cut short or over {MAX_LINE} bytes")
-        return line
-
-
-def _encode(method: str, path: str, host: str,
-            body: Mapping | None) -> bytes:
-    """One request's bytes: the head, then the JSON body if any."""
-    payload = b""
-    extra = ""
-    if body is not None:
-        payload = json.dumps(body).encode("utf-8")
-        extra = "Content-Type: application/json\r\n"
-    return (f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(payload)}\r\n{extra}\r\n"
-            ).encode("latin-1") + payload
 
 
 def _decode(status: int, data: bytes) -> dict:

@@ -2,9 +2,10 @@
 
 One process, two moving parts:
 
-* an **HTTP front** (plain asyncio streams — no framework): a tiny
-  JSON-over-HTTP/1.1 server whose connections carry many requests,
-  plus an NDJSON event stream per job for progress watching;
+* an **HTTP front** (plain asyncio streams, framed by
+  :mod:`repro.service.wire`; endpoints in ``docs/service.md``): JSON
+  over HTTP/1.1 connections that carry many requests, plus an NDJSON
+  event stream per job;
 * a **dispatcher** that drains the :class:`~repro.service.queue.JobQueue`
   into a :class:`~repro.dse.runner.WorkerPool` under a
   bounded-concurrency semaphore (at most ``workers`` jobs in flight).
@@ -15,16 +16,6 @@ One process, two moving parts:
 The daemon holds no frontend: each worker keeps its own memo of
 compiled frontends (see :class:`~repro.dse.runner.WorkerPool`), and
 the daemon adds each job's memo misses and hits to ``/stats``.
-
-Endpoints (see ``docs/service.md`` for the full reference)::
-
-    GET  /healthz            liveness + uptime
-    GET  /stats              queue / store / worker / service counters
-    POST /jobs               submit one job (?wait=SECONDS long-polls)
-    GET  /jobs               list jobs (?state= filter)
-    GET  /jobs/<id>          one job (?wait=SECONDS long-polls)
-    GET  /jobs/<id>/events   NDJSON progress stream until terminal
-    POST /shutdown           graceful stop
 
 Invariants
 ----------
@@ -52,7 +43,6 @@ import os
 import tempfile
 import threading
 import time
-from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.dse.cache import ResultCache
@@ -66,6 +56,7 @@ from repro.dse.runner import (
 from repro.dse.space import DesignPoint
 from repro.obs import trace
 from repro.obs.export import TRACE_LOG_NAME, FlightRecorder
+from repro.service import wire
 from repro.service.protocol import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -78,6 +69,7 @@ from repro.service.protocol import (
     request_point,
 )
 from repro.service.queue import Job, JobQueue, QueueFull
+from repro.service.wire import HttpError
 
 
 class MappingService:
@@ -152,8 +144,10 @@ class MappingService:
         self._events = asyncio.Condition()
         self._slots = asyncio.Semaphore(self.pool.workers)
         self._shutdown = asyncio.Event()
+        # readuntil() takes up to *limit* bytes before its separator.
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port,
+            limit=wire.MAX_HEAD - 4)
         self.address = self._server.sockets[0].getsockname()[:2]
         self._dispatcher = asyncio.create_task(self._dispatch())
         return self.address
@@ -441,32 +435,27 @@ class MappingService:
     async def _serve_one(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
         """Read and answer one request; False once the connection is
-        done: the client sent EOF, or the answer carried
-        ``Connection: close``.
-
-        The answer closes when the client asked for it, after an
+        done.  The answer closes it when the client asked, after an
         error (but a 503, whose request was read in full), after the
-        event stream and once the daemon is shutting down.
-        """
-        try:
-            request = await _read_request(reader)
-        except _HttpError as error:
-            await _send_json(writer, error.status,
-                             {"error": str(error)},
-                             headers=error.headers, close=True)
-            return False
-        if request is None:
-            return False
-        method, target, body, close = request
+        event stream and once the daemon is shutting down."""
+        close = True  # until a request is read in full
         headers = None
         try:
+            try:
+                head = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.LimitOverrunError:
+                raise HttpError(431, f"head over {wire.MAX_HEAD} bytes")
+            method, target, __, close, length = \
+                wire.parse_request_head(head)
+            body = await reader.readexactly(length)
             response = await self._route(method, target, body, writer)
-        except _HttpError as error:
+        except HttpError as error:
             status, payload = error.status, {"error": str(error)}
             headers = error.headers
             close = close or status != 503
-        except asyncio.CancelledError:
-            raise
+        except (asyncio.CancelledError, asyncio.IncompleteReadError,
+                ConnectionError):
+            raise  # cancelled, or EOF, a cut head, a reset: no answer
         except Exception as error:  # noqa: BLE001 — answer, then close
             status = 500
             payload = {"error": f"{type(error).__name__}: {error}"}
@@ -476,8 +465,9 @@ class MappingService:
                 return False
             status, payload = response
         close = close or self._shutdown.is_set()
-        await _send_json(writer, status, payload, headers=headers,
-                         close=close)
+        writer.write(wire.encode_response(status, payload, headers,
+                                          close))
+        await writer.drain()
         return not close
 
     async def _route(self, method: str, target: str, body: bytes,
@@ -485,7 +475,10 @@ class MappingService:
                      ) -> tuple[int, dict] | None:
         """One request's ``(status, payload)``; None once the event
         stream has answered it on *writer* itself."""
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError:  # "//[": an unclosed IPv6 host
+            raise HttpError(400, f"malformed target {target[:80]!r}")
         path = parts.path.rstrip("/") or "/"
         query = parse_qs(parts.query)
         if method == "GET" and path == "/healthz":
@@ -509,23 +502,23 @@ class MappingService:
             # it is written as soon as this returns.
             self.request_shutdown()
             return 200, {"ok": True}
-        raise _HttpError(404, f"no route for {method} {path}")
+        raise HttpError(404, f"no route for {method} {path}")
 
     async def _handle_submit(self, body: bytes, wait: float | None
                              ) -> tuple[int, dict]:
         try:
             raw = json.loads(body.decode("utf-8") or "null")
         except ValueError:
-            raise _HttpError(400, "request body is not valid JSON")
+            raise HttpError(400, "request body is not valid JSON")
         try:
             job, coalesced = await self.submit(raw)
         except ProtocolError as error:
-            raise _HttpError(400, str(error))
+            raise HttpError(400, str(error))
         except QueueFull as error:
             # Overload is transient by construction (jobs drain);
             # tell clients when it is worth coming back so they pace
             # themselves instead of hammering the queue.
-            raise _HttpError(
+            raise HttpError(
                 503, str(error),
                 headers={"Retry-After":
                          f"{RETRY_AFTER_QUEUE_FULL:g}"})
@@ -539,12 +532,12 @@ class MappingService:
         segments = path.split("/")  # "", "jobs", <id>[, "events"]
         job = self.queue.get(segments[2])
         if job is None:
-            raise _HttpError(404, f"unknown job {segments[2]!r}")
+            raise HttpError(404, f"unknown job {segments[2]!r}")
         if len(segments) == 4 and segments[3] == "events":
             await self._stream_events(job, writer)
             return None
         if len(segments) != 3:
-            raise _HttpError(404, f"no route for {path}")
+            raise HttpError(404, f"no route for {path}")
         wait = _wait_seconds(query)
         if wait is not None:
             await self._wait_terminal(job, wait)
@@ -553,14 +546,8 @@ class MappingService:
     async def _stream_events(self, job: Job,
                              writer: asyncio.StreamWriter) -> None:
         """NDJSON progress stream: replay, then follow to terminal.
-
-        Close-delimited (no Content-Length): the client reads lines
-        until the daemon closes the connection after the terminal
-        event, so the stream is the connection's last answer.
-        """
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Connection: close\r\n\r\n")
+        Close-delimited, so it is the connection's last answer."""
+        writer.write(wire.EVENTS_HEAD)
         index = 0
         while True:
             while index < len(job.events):
@@ -576,60 +563,9 @@ class MappingService:
                     lambda: len(job.events) > index or job.terminal)
 
 
-# ---------------------------------------------------------------------------
-# Minimal HTTP plumbing (stdlib-only, persistent connections)
-# ---------------------------------------------------------------------------
-
 #: Cap on one long-poll, ``?wait=SECONDS`` on ``POST /jobs`` and
 #: ``GET /jobs/<id>``.
 MAX_WAIT = 300.0
-#: Bound on request bodies (a kernel source is a few KB; 8 MB leaves
-#: room for generated programs without letting a client exhaust RAM).
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str,
-                 headers: Mapping[str, str] | None = None):
-        super().__init__(message)
-        self.status = status
-        self.headers = dict(headers or {})
-
-
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, bytes, bool] | None:
-    """The next request on a connection as ``(method, target, body,
-    close)``, *close* true when the client wants the connection ended
-    after the answer; None at a clean EOF between requests."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    try:
-        method, target, version = \
-            request_line.decode("latin-1").split(maxsplit=2)
-    except ValueError:
-        raise _HttpError(400, "malformed request line")
-    headers = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, __, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "transfer-encoding" in headers:
-        # The next request starts where this body ends: only a
-        # Content-Length says where that is.
-        raise _HttpError(400, "send the body with a Content-Length")
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise _HttpError(400, "bad Content-Length")
-    if length > MAX_BODY_BYTES:
-        raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    close = (headers.get("connection", "").lower() == "close"
-             or version.strip() == "HTTP/1.0")
-    return method.upper(), target, body, close
 
 
 def _wait_seconds(query: dict) -> float | None:
@@ -641,33 +577,7 @@ def _wait_seconds(query: dict) -> float | None:
     try:
         return min(max(float(wait), 0.0), MAX_WAIT)
     except ValueError:
-        raise _HttpError(400, f"bad wait value {wait!r}")
-
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            413: "Payload Too Large", 500: "Internal Server Error",
-            503: "Service Unavailable"}
-
-
-async def _send_json(writer: asyncio.StreamWriter, status: int,
-                     payload: dict,
-                     headers: Mapping[str, str] | None = None,
-                     close: bool = False) -> None:
-    """Write one JSON response; with *close* it says ``Connection:
-    close`` and is the connection's last."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    reason = _REASONS.get(status, "OK")
-    headers = dict(headers or {})
-    if close:
-        headers["Connection"] = "close"
-    extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in headers.items())
-    head = (f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}\r\n").encode("latin-1")
-    writer.write(head + body)
-    await writer.drain()
+        raise HttpError(400, f"bad wait value {wait!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,18 @@ def test_explore_empty_file_is_refused_before_mapping(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["map"], ["explore", "--pps", "1,2", "--workers", "1"],
+    ["submit", "--port", "1"]])
+def test_an_unreadable_file_is_a_one_line_error(tmp_path, capsys,
+                                                 command):
+    missing = str(tmp_path / "missing.c")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command[0], missing, *command[1:]])
+    assert excinfo.value.code == f"{missing}: No such file or directory"
+    assert capsys.readouterr().out == ""
+
+
 def test_explore_without_main_fails_each_point_with_the_message(
         tmp_path, capsys):
     path = _source_file(tmp_path, "int f(int a) { return a; }\n")

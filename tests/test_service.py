@@ -495,14 +495,21 @@ def _sockets(client):
             for connection in client._idle]
 
 
-def _exchange(address, raw: bytes) -> bytes:
-    """Send *raw* on a new socket and read until the daemon closes
-    it (a socket timeout if it never does)."""
+def _exchange(address, raw: bytes, eof: bool = False) -> bytes:
+    """Send *raw* on a new socket (then EOF, with *eof*) and read until
+    the daemon closes it (a socket timeout if it never does).  A
+    daemon that closes with input unread resets the connection: that
+    ends the read too, after what it answered."""
     with socket.create_connection(address, timeout=10) as sock:
-        sock.sendall(raw)
         chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
+        try:
+            sock.sendall(raw)
+            if eof:
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
     return b"".join(chunks)
 
 
@@ -591,6 +598,98 @@ def test_connection_close_and_a_bad_request_end_the_connection(
         assert b"200 OK" not in bad
 
 
+def _unhandled(caplog):
+    return [record.getMessage() for record in caplog.records
+            if "Unhandled exception" in record.getMessage()]
+
+
+def test_a_content_length_other_than_digits_is_a_400(daemon, caplog):
+    """Only ASCII digits frame a body: a sign, a vertical tab, an
+    exponent or an underscore (each of which ``int()`` reads or
+    chokes on) is refused before any body byte is read."""
+    health = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    for length in (b"-5", b"+2", b"\x0b2", b"1e3", b"1_0"):
+        answer = _exchange(daemon.address,
+                           b"POST /nope HTTP/1.1\r\nContent-Length: "
+                           + length + b"\r\n\r\n{}" + health)
+        assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n"), \
+            length
+        assert b"Connection: close\r\n" in answer
+        assert b"200 OK" not in answer
+    assert _unhandled(caplog) == []
+
+
+def test_an_oversized_head_is_a_431(daemon, caplog):
+    """A request line or header over the head bound, or too many
+    header lines, is answered 431 and the connection closed."""
+    for head in (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                 b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70000
+                 + b"\r\n\r\n",
+                 b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 500
+                 + b"\r\n"):
+        answer = _exchange(daemon.address, head)
+        assert answer.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert b"Connection: close\r\n" in answer
+    assert _unhandled(caplog) == []
+
+
+def test_a_head_cut_short_by_eof_gets_no_answer(daemon, caplog):
+    """A head, or a body, that EOF cuts short gets no answer: the
+    daemon closes the connection and logs nothing."""
+    for raw in (b"GET /healthz HTTP/1.1\r\nHost: x",
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 9\r\n\r\n{}"):
+        assert _exchange(daemon.address, raw, eof=True) == b"", raw
+    assert _unhandled(caplog) == []
+
+
+def test_a_target_with_an_unclosed_ipv6_host_is_a_400(daemon):
+    """``urlsplit`` refuses ``//[``: a 400, not a 500."""
+    answer = _exchange(daemon.address, b"GET //[ HTTP/1.1\r\n\r\n")
+    assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"Connection: close\r\n" in answer
+
+
+def test_the_bytes_on_the_wire_are_pinned(daemon):
+    """What the client sends and the daemon answers, byte for byte."""
+    received = []
+    answer = (b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n"
+              b'{"jobs": []}')
+    with _canned_daemon(answer, answer, answer,
+                        received=received) as address, \
+            ServiceClient(*address, timeout=10) as client:
+        client.health()
+        client.submit({"kind": "map", "source": "x"}, wait=1.5)
+        client.jobs("done")
+    host = f"Host: {address[0]}:{address[1]}\r\n".encode()
+    assert received == [
+        b"GET /healthz HTTP/1.1\r\n" + host
+        + b"Content-Length: 0\r\n\r\n",
+        b"POST /jobs?wait=1.5 HTTP/1.1\r\n" + host
+        + b"Content-Length: 30\r\nContent-Type: application/json\r\n"
+          b'\r\n{"kind": "map", "source": "x"}',
+        b"GET /jobs?state=done HTTP/1.1\r\n" + host
+        + b"Content-Length: 0\r\n\r\n"]
+    assert _exchange(daemon.address,
+                     b"GET /jobs?state=done HTTP/1.1\r\n\r\n"
+                     b"POST /jobs HTTP/1.1\r\nContent-Length: 1\r\n"
+                     b"\r\n{") == (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b'Content-Length: 12\r\n\r\n{"jobs": []}'
+        b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json"
+        b"\r\nContent-Length: 43\r\nConnection: close\r\n\r\n"
+        b'{"error": "request body is not valid JSON"}')
+    with ServiceClient(*daemon.address) as client:
+        job = client.submit({"kind": "map", "source": FIR_SOURCE})["job"]
+    stream = _exchange(daemon.address,
+                       f"GET /jobs/{job['id']}/events HTTP/1.1\r\n"
+                       f"\r\n".encode())
+    assert stream.startswith(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+        b"Connection: close\r\n\r\n{")
+
+
 def test_a_stale_connection_is_resent_on_a_new_one(tmp_path):
     """A daemon restarted on the same port: the client's pooled
     connection to the old one fails, and the call goes through on a
@@ -626,10 +725,10 @@ class _CountingSocket:
 
 
 @contextlib.contextmanager
-def _canned_daemon(*answers: bytes):
+def _canned_daemon(*answers: bytes, received: list | None = None):
     """A server for one connection: it reads one request per canned
-    answer, writes that answer back, then closes the connection.
-    Yields its address."""
+    answer (adding its bytes to *received*), writes that answer back,
+    then closes the connection.  Yields its address."""
     with socket.create_server(("127.0.0.1", 0)) as server:
         server.settimeout(10)
 
@@ -638,12 +737,16 @@ def _canned_daemon(*answers: bytes):
             with connection, connection.makefile("rb") as reader:
                 for answer in answers:
                     length = 0
+                    request = b""
                     while (line := reader.readline()) not in (
                             b"\r\n", b""):
+                        request += line
                         name, __, value = line.partition(b":")
                         if name.lower() == b"content-length":
                             length = int(value)
-                    reader.read(length)
+                    request += line + reader.read(length)
+                    if received is not None:
+                        received.append(request)
                     connection.sendall(answer)
 
         thread = threading.Thread(target=serve, daemon=True)
@@ -711,14 +814,22 @@ def test_events_read_the_stream_to_eof():
 
 def test_no_module_imports_http_client():
     """The client speaks HTTP/1.1 on its own socket; nothing under
-    ``src/repro`` goes back to ``http.client``."""
+    ``src/repro`` goes back to ``http.client``.  The framing lives in
+    ``service/wire.py`` alone: it does no I/O of its own, and no other
+    module spells the ``Content-Length`` header."""
     import ast
     import pathlib
 
     import repro
     offenders = []
+    wire_imports = []
+    spellers = []
     for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        text = path.read_text()
+        is_wire = path.parts[-2:] == ("service", "wire.py")
+        if not is_wire and "content-length" in text.lower():
+            spellers.append(str(path))
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -729,7 +840,13 @@ def test_no_module_imports_http_client():
             if any(name == "http.client" or
                    name.startswith("http.client.") for name in names):
                 offenders.append(str(path))
+            if is_wire:
+                wire_imports += [name for name in names
+                                 if name.split(".")[0] in
+                                 ("socket", "asyncio")]
     assert offenders == []
+    assert wire_imports == []
+    assert spellers == []
 
 
 # -- worker process mode --------------------------------------------------
