@@ -21,23 +21,26 @@ live input.  Leaf *i* of a cluster is read from register bank *i* of
 its PP: the allocator tries *reuse*, then *direct write-back* (the
 producing ALU latches its result into the register, Fig. 1), then a
 *staging move* from memory (or an immediate) 4, 3, 2, 1 cycles ahead.
-If an operand cannot be staged, the level is rolled back, a stall
-(load) cycle is inserted before it and the level is replanned.  The
-program respects every limit of :class:`~repro.arch.params.TileParams`
-(the simulator checks them all), and candidates are tried in a fixed
-order, so a schedule and params always yield the same program.
+If an operand cannot be staged, a stall (load) cycle is inserted
+before the execute cycle.  The program respects every limit of
+:class:`~repro.arch.params.TileParams` (the simulator checks them
+all), and candidates are tried in a fixed order, so a schedule and
+params always yield the same program.
 
 Each resource is one integer-indexed table (:mod:`repro.core.tables`).
-The refusal of an operand's last candidate cycle, or of a store's last
-memory, rides :class:`_LevelRetry`; ``Allocator.refusals`` counts each
-level's failed attempts by it.  Every booking of an attempt (a table
-entry, a register slot, a drafted move or write-back) pushes one
-"remove this from that table" record onto the journal, which a failed
-attempt undoes newest-first; its execute cycle is popped whole and its
-statistics counters put back.  Configs, placements and residency are
-written only once an attempt succeeds, so a retry costs O(changes the
-attempt made).  ``enable_bypass``, ``enable_reuse`` and
-``stage_window`` serve the locality ablation (EXT-C).
+A level is planned once, operand by operand and store by store.  Its
+execute cycle is appended only after its last store is placed; until
+then the bookings that name it (the registers the level holds until
+it, and the results' write-port row) are pending, and they are stamped
+when the level completes.  When every candidate cycle of an operand
+refuses, or every memory refuses a store, a stall cycle is inserted
+before the pending execute cycle, which widens the staging window by
+one, and the operand's scan goes on into the new cycle.  A stall
+changes no cycle before the execute cycle, so every decision already
+taken is the one a plan made with the stall up front would take.
+``Allocator.refusals`` counts each level's stalls by the resource that
+caused them.  ``enable_bypass``, ``enable_reuse`` and ``stage_window``
+serve the locality ablation (EXT-C).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 
 from repro.arch.control import (AluConfig, Cycle, ImmSource, MemLoc,
@@ -55,8 +59,7 @@ from repro.core.clustering import ClusterGraph
 from repro.core.scheduling import Schedule, ScheduledCluster
 from repro.core.tables import (BANK_PORT, BUS, LATENCY, MEMORY_WORDS,
                                READ_PORT, REGISTER, WRITE_PORT,
-                               CountTable, Journal, RegisterTable,
-                               SetTable)
+                               CountTable, RegisterTable, SetTable)
 from repro.core.taskgraph import OperandKind
 
 
@@ -64,9 +67,12 @@ class AllocationError(Exception):
     """Raised when a schedule cannot be allocated at all."""
 
 
-class _LevelRetry(Exception):
-    """Internal: the pending level needs a stall cycle inserted;
-    ``args[0]`` names the refusal that ended the attempt."""
+#: Stall cycles one level may insert before the schedule is given up.
+MAX_STALLS_PER_LEVEL = 64
+
+#: ``RegisterTable.busy`` of a slot held until the pending execute
+#: cycle: no candidate cycle of the level may overwrite it.
+_PENDING = sys.maxsize
 
 
 @dataclass
@@ -193,41 +199,42 @@ class Allocator:
     def __init__(self, clustered: ClusterGraph, schedule: Schedule,
                  params: TileParams | None = None, *,
                  enable_bypass: bool = True, enable_reuse: bool = True,
-                 stage_window: int | None = None,
-                 max_stalls_per_level: int = 64):
+                 stage_window: int | None = None):
         self.clustered = clustered
         self.schedule = schedule
         self.params = params = params or TileParams()
         self.enable_bypass = enable_bypass
         self.enable_reuse = enable_reuse
         self.stage_window = stage_window or params.max_stage_ahead
-        self.max_stalls_per_level = max_stalls_per_level
         self.stats = AllocationStats()
-        #: Per scheduled level: failed attempts by refusing resource.
+        #: Per scheduled level: stall cycles by refusing resource.
         self.refusals: list[dict[str, int]] = []
         if clustered._values is None:
             clustered._values = _Values(clustered)
         self._values = values = clustered._values
 
-        self._journal = journal = Journal()
         self._n_mems = n_mems = params.memories_per_pp
         self._n_banks = n_banks = params.banks_per_pp
         mem_units = params.n_pps * n_mems
         self.cycles: list[Cycle] = []  # resources in the tables
-        self.bus = SetTable(BUS, params.n_buses, 1, journal)
+        self.bus = SetTable(BUS, params.n_buses, 1)
         self.read_ports = SetTable(READ_PORT, params.mem_read_ports,
-                                   mem_units, journal)
+                                   mem_units)
         self.write_ports = SetTable(WRITE_PORT, params.mem_write_ports,
-                                    mem_units, journal, shared=False)
+                                    mem_units, shared=False)
+        #: The pending execute cycle's write-port row.
+        self._result_writes = SetTable(WRITE_PORT, params.mem_write_ports,
+                                       mem_units, shared=False)
+        self._result_writes.grow(1)
         self.bank_ports = CountTable(BANK_PORT, params.bank_write_ports,
-                                     params.n_pps * n_banks, journal)
+                                     params.n_pps * n_banks)
         self._grown = 0  # cycles the per-cycle tables have rows for
         self.registers = RegisterTable(params.n_pps * n_banks,
-                                       params.regs_per_bank, journal)
+                                       params.regs_per_bank)
         self._reglocs = _register_locs(params.n_pps, n_banks,
                                        params.regs_per_bank)
         self.memory_words = SetTable(MEMORY_WORDS, params.memory_words,
-                                     mem_units, journal)
+                                     mem_units)
         self.memory_words.grow(1)
         #: value id -> (source, first readable cycle, bus token, memory
         #: unit or -1), or None while the value is nowhere.
@@ -237,7 +244,6 @@ class Allocator:
         self.data_layout: dict[Address, MemLoc] = {}
         self.output_layout: dict[Address, MemLoc] = {}
         self._layout_inputs()
-        journal.commit()
 
     def _layout_inputs(self) -> None:
         """Find each value's first consumer (levels list their clusters
@@ -284,13 +290,9 @@ class Allocator:
     def _units(self, preferred: int) -> tuple[int, ...]:
         return _memory_units(self.params.n_pps, self._n_mems, preferred)
 
-    def _new_cycle(self, is_stall: bool = False,
-                   journaled: bool = False) -> Cycle:
+    def _new_cycle(self, is_stall: bool = False) -> Cycle:
         draft = Cycle(is_stall=is_stall)
-        if journaled:
-            self._journal.append(self.cycles, draft)
-        else:
-            self.cycles.append(draft)
+        self.cycles.append(draft)
         if len(self.cycles) > self._grown:
             self._grown = 2 * len(self.cycles) + 8
             for table in (self.bus, self.read_ports, self.write_ports,
@@ -305,76 +307,72 @@ class Allocator:
         for level in self.schedule.levels:
             self._allocate_level(level)
         self._emit_copy_stores()
-        self._journal.commit()
         return self._to_program()
 
     def _allocate_level(self, level: list[ScheduledCluster]) -> None:
-        refusals: dict[str, int] = {}
-        self.refusals.append(refusals)
-        stats = self.stats
-        stalls = 0
-        while True:
-            mark = self._journal.mark()
-            counters = (stats.reuse_hits, stats.bypasses,
-                        stats.staged_moves, stats.stores)
-            try:  # the window widens with the inserted load cycles
-                self._plan_level(level, self.stage_window + stalls)
-                self._journal.commit()
-                return
-            except _LevelRetry as retry:
-                self._journal.rollback(mark)
-                (stats.reuse_hits, stats.bypasses, stats.staged_moves,
-                 stats.stores) = counters
-                resource = retry.args[0]
-                refusals[resource] = refusals.get(resource, 0) + 1
-                self._new_cycle(is_stall=True)  # outlives the rollback
-                stats.stall_cycles += 1
-                stalls += 1
-                if stalls > self.max_stalls_per_level:
-                    raise AllocationError(
-                        f"level with clusters "
-                        f"{[item.cluster.id for item in level]} cannot "
-                        f"be staged within {stalls} inserted cycles")
-
-    def _plan_level(self, level: list[ScheduledCluster],
-                    window: int | None = None) -> None:
-        window = window or self.stage_window
-        exec_cycle = len(self.cycles)
-        draft = self._new_cycle(journaled=True)
+        """Plan each operand and result store of *level* once, then
+        append its execute cycle and stamp the bookings that name it."""
+        self.refusals.append({})
+        # A stall moves the execute cycle but not this bound, so the
+        # staging window widens with every inserted cycle.
+        floor = len(self.cycles) - self.stage_window
         operands = self._values.operands
         stage = self._stage_operand
         planned = []
         for item in level:
-            operand_locs = []
-            for leaf, vid in enumerate(operands[item.cluster.id]):
-                operand_locs.append(
-                    stage(vid, item.pp, leaf, exec_cycle, window))
-            planned.append((operand_locs, self._plan_store(
-                item.cluster.id, item.pp, exec_cycle)))
-        # The attempt has succeeded.  No check reads the execute cycle's
-        # bus or this level's placements, residency and outputs, so
-        # they are booked only now.
-        for item, (operand_locs, stored) in zip(level, planned):
+            cluster_id = item.cluster.id
+            held = [stage(vid, item.pp, leaf, floor)
+                    for leaf, vid in enumerate(operands[cluster_id])]
+            planned.append((held, self._plan_store(cluster_id, item.pp)))
+        exec_cycle = len(self.cycles)
+        draft = self._new_cycle()
+        writes = self.write_ports
+        row = exec_cycle * writes.width
+        writes.rows[row:row + writes.width] = self._result_writes.rows
+        self._result_writes.rows = [None] * writes.width
+        busy = self.registers.busy
+        for item, (held, stored) in zip(level, planned):
+            for index in held:
+                busy[index] = exec_cycle
             cluster = item.cluster
             config = AluConfig(
                 pp=item.pp, shape=cluster.shape, ops=cluster.ops,
-                operands=operand_locs, dests=[stored[0]] if stored else [],
+                operands=[self._reglocs[index] for index in held],
+                dests=[stored[0]] if stored else [],
                 label=f"Clu{cluster.id}")
             draft.alu_configs.append(config)
             self.placement[cluster.id] = (exec_cycle, config)
             if stored:
+                loc, unit, word = stored
                 self.bus.add(exec_cycle, -1 - item.pp)
-                self.residency[cluster.id] = stored
+                self.residency[cluster.id] = (
+                    loc, exec_cycle + 1, self._token(unit, word), unit)
                 output = self._values.results[cluster.id][3]
                 if output is not None:
-                    self.output_layout[output] = stored[0]
+                    self.output_layout[output] = loc
+
+    def _stall(self, resource: str | None) -> None:
+        """Insert a load cycle before the pending execute cycle, counted
+        under *resource* for the level being planned."""
+        refusals = self.refusals[-1]
+        refusals[resource] = refusals.get(resource, 0) + 1
+        self._new_cycle(is_stall=True)
+        self.stats.stall_cycles += 1
+        stalls = sum(refusals.values())
+        if stalls > MAX_STALLS_PER_LEVEL:
+            level = self.schedule.levels[len(self.refusals) - 1]
+            raise AllocationError(
+                f"level with clusters "
+                f"{[item.cluster.id for item in level]} cannot "
+                f"be staged within {stalls} inserted cycles")
 
     # -- operand staging -------------------------------------------------------
 
     def _stage_operand(self, vid: int, pp: int, bank: int,
-                       exec_cycle: int, window: int) -> RegLoc:
+                       floor: int) -> int:
         """Reuse, write back, or move the value (Fig. 5: 4, 3, 2, then
-        1 cycles ahead of the consumer)."""
+        1 cycles ahead of the consumer) into a register held until the
+        pending execute cycle; returns its register-table index."""
         if bank >= self._n_banks:
             raise AllocationError(
                 f"cluster needs leaf {bank}, tile has only "
@@ -382,21 +380,20 @@ class Allocator:
         unit = pp * self._n_banks + bank
         registers = self.registers
         if self.enable_reuse:
-            slot = registers.holding(unit, vid, exec_cycle)
+            slot = registers.holding(unit, vid, len(self.cycles))
             if slot >= 0:
                 index = unit * registers.size + slot
                 registers.add(index, vid, registers.written[index],
-                              max(registers.busy[index], exec_cycle))
+                              _PENDING)
                 self.stats.reuse_hits += 1
-                return self._reglocs[index]
+                return index
         bus = self.bus
         reads = self.read_ports
         ports = self.bank_ports
         refusal = None
         placed = self.placement[vid] if self.enable_bypass and \
             vid < self._values.n_clusters else None
-        if placed is not None and \
-                exec_cycle - window <= placed[0] < exec_cycle:
+        if placed is not None and floor <= placed[0]:
             # Direct write-back, window-bounded like staging: a result
             # needed later comes back from memory.
             producer_cycle, config = placed
@@ -405,17 +402,20 @@ class Allocator:
             refusal = ports.can_add(port) or (REGISTER if slot < 0 else None)
             if refusal is None:
                 index = unit * registers.size + slot
-                registers.add(index, vid, producer_cycle, exec_cycle)
-                loc = self._reglocs[index]
-                self._journal.append(config.dests, loc)
+                registers.add(index, vid, producer_cycle, _PENDING)
+                config.dests.append(self._reglocs[index])
                 bus.add(producer_cycle, -1 - config.pp)
                 ports.add(port)
                 self.stats.bypasses += 1
-                return loc
+                return index
         refused = [refusal] if refusal else []
         source, available, token, mem_unit = self.residency[vid]
-        for cycle in range(max(available, exec_cycle - window),
-                           exec_cycle):
+        for cycle in itertools.count(max(available, floor)):
+            while cycle >= len(self.cycles):
+                # Every candidate refused: stall on the resource that
+                # turned most of them away (the later one on a tie).
+                self._stall(max(reversed(refused), key=refused.count)
+                            if refused else LATENCY)
             refusal = bus.can_add(cycle, token) or (
                 mem_unit >= 0 and reads.can_add(
                     read := cycle * reads.width + mem_unit, token)) \
@@ -425,26 +425,20 @@ class Allocator:
                 refused.append(refusal)
                 continue
             index = unit * registers.size + slot
-            registers.add(index, vid, cycle, exec_cycle)
-            loc = self._reglocs[index]
-            self._journal.append(self.cycles[cycle].moves,
-                                 Move(source, loc))
+            registers.add(index, vid, cycle, _PENDING)
+            self.cycles[cycle].moves.append(
+                Move(source, self._reglocs[index]))
             bus.add(cycle, token)
             if mem_unit >= 0:
                 reads.add(read, token)
             ports.add(port)
             self.stats.staged_moves += 1
-            return loc
-        # The resource that turned most candidates away (the later one
-        # on a tie) ended the attempt.
-        raise _LevelRetry(max(reversed(refused), key=refused.count)
-                          if refused else LATENCY)
+            return index
 
-    def _plan_store(self, cluster_id: int, pp: int,
-                    exec_cycle: int) -> tuple | None:
-        """Book a word for the result in its execute cycle; returns its
-        residency entry.  A shadow word may share the input's memory
-        (needed on tiles with a single memory)."""
+    def _plan_store(self, cluster_id: int, pp: int) -> tuple | None:
+        """Book a word for the result in the pending execute cycle;
+        returns ``(MemLoc, unit, word)``.  A shadow word may share the
+        input's memory (needed on tiles with a single memory)."""
         result = self._values.results.get(cluster_id)
         if result is None:
             return None
@@ -452,23 +446,20 @@ class Allocator:
         candidates = [(word, address, self._input_units[word])]
         if shadow >= 0:
             candidates.append((shadow, _shadow(address), -1))
-        booked = self._book_word(
-            exec_cycle, candidates,
-            self._units(self._first_pp.get(cluster_id, pp)))
-        if booked.__class__ is not tuple:
-            raise _LevelRetry(booked)
-        loc, unit, word = booked
+        units = self._units(self._first_pp.get(cluster_id, pp))
+        while (booked := self._book_word(
+                self._result_writes, 0, candidates,
+                units)).__class__ is not tuple:
+            self._stall(booked)
         self.stats.stores += 1
-        return loc, exec_cycle + 1, self._token(unit, word), unit
+        return booked
 
-    def _book_word(self, cycle: int, candidates, units, source=None,
-                   mem_unit: int = -1):
-        """Book the first (word, memory unit) whose write port at
-        *cycle* and whose memory take it, skipping each word's
-        forbidden unit and the move's own source: ``(MemLoc, unit,
-        word)``, else the last refusal."""
-        writes = self.write_ports
-        row = cycle * writes.width
+    def _book_word(self, writes: SetTable, row: int, candidates, units,
+                   source=None, mem_unit: int = -1):
+        """Book the first (word, memory unit) whose write port in the
+        *writes* row starting at *row* and whose memory take it,
+        skipping each word's forbidden unit and the move's own source:
+        ``(MemLoc, unit, word)``, else the last refusal."""
         refusal = None
         for word, address, forbidden in candidates:
             for unit in units:
@@ -506,8 +497,9 @@ class Allocator:
                         mem_unit >= 0 and
                         self.read_ports.can_add(read, token)):
                     continue
-                booked = self._book_word(cycle, candidates, self._units(0),
-                                         source, mem_unit)
+                booked = self._book_word(
+                    self.write_ports, cycle * self.write_ports.width,
+                    candidates, self._units(0), source, mem_unit)
                 if booked.__class__ is tuple:
                     self.cycles[cycle].moves.append(Move(source, booked[0]))
                     self.bus.add(cycle, token)
@@ -521,11 +513,6 @@ class Allocator:
         cycles = self.cycles
         for cycle in cycles:
             cycle.alu_configs.sort(key=operator.attrgetter("pp"))
-        # Drop trailing fully idle cycles (can appear when a stall was
-        # inserted and the replan no longer needed its slots).
-        while cycles and not cycles[-1].alu_configs \
-                and not cycles[-1].moves:
-            cycles.pop()
         return TileProgram(params=self.params, cycles=cycles,
                            data_layout=dict(self.data_layout),
                            output_layout=dict(self.output_layout))

@@ -4,8 +4,8 @@ One table per resource the paper names in §VI-C, indexed by a cycle,
 by ``cycle * width + unit`` (a unit's per-cycle ports) or by a unit,
 where unit ``pp * n + k`` is memory or register bank *k* of PP *pp*.
 ``can_add(index, item)`` returns None or the refusing resource's name;
-``add`` books and journals ``(table, index, item)``, which
-``remove(index, item)`` undoes.  Per-cycle tables only grow.
+``add`` books.  The allocator plans each level once, so no booking is
+ever taken back.  Per-cycle tables only grow.
 """
 
 from __future__ import annotations
@@ -21,54 +21,22 @@ MEMORY_WORDS = "memory_words"
 LATENCY = "latency"
 
 
-class Journal:
-    """Undo log of ``(table, index, item)`` records, undone newest
-    first.  It is also the table of journaled list appends."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[tuple] = []
-
-    def mark(self) -> int:
-        return len(self.entries)
-
-    def rollback(self, mark: int) -> None:
-        entries = self.entries
-        while len(entries) > mark:
-            table, index, item = entries.pop()
-            table.remove(index, item)
-
-    def commit(self) -> None:
-        self.entries.clear()
-
-    def append(self, items: list, value) -> None:
-        items.append(value)
-        self.entries.append((self, items, None))
-
-    @staticmethod
-    def remove(items: list, _) -> None:
-        items.pop()
-
-
 class SetTable:
     """Rows of at most ``capacity`` distinct items; None is an empty
     row.  A *shared* row carries an item it holds for free (a bus or
     read port serving one value twice); otherwise a repeat is refused
     (a word written twice in one cycle)."""
 
-    __slots__ = ("name", "capacity", "width", "shared", "rows",
-                 "_entries")
+    __slots__ = ("name", "capacity", "width", "shared", "rows")
     EMPTY = None
 
-    def __init__(self, name: str, capacity: int, width: int,
-                 journal: Journal, *, shared: bool = True):
+    def __init__(self, name: str, capacity: int, width: int, *,
+                 shared: bool = True):
         self.name = name
         self.capacity = capacity
         self.width = width
         self.shared = shared
         self.rows: list = []
-        self._entries = journal.entries
 
     def grow(self, n: int) -> None:  # rows for cycles [0, n)
         missing = n * self.width - len(self.rows)
@@ -87,14 +55,8 @@ class SetTable:
         row = self.rows[index]
         if row is None:
             self.rows[index] = {item}
-        elif item in row:
-            return
         else:
             row.add(item)
-        self._entries.append((self, index, item))
-
-    def remove(self, index: int, item) -> None:
-        self.rows[index].discard(item)
 
 
 class CountTable(SetTable):
@@ -109,26 +71,20 @@ class CountTable(SetTable):
 
     def add(self, index: int, item=None) -> None:
         self.rows[index] += 1
-        self._entries.append((self, index, None))
-
-    def remove(self, index: int, item) -> None:
-        self.rows[index] -= 1
 
 
 class RegisterTable:
     """Register slots, ``size`` per bank unit: slot ``unit * size + s``
     holds value id ``values[i]``, written in cycle ``written[i]`` and
-    kept until cycle ``busy[i]`` (-1: never).  ``remove`` puts back the
-    slot an ``add`` overwrote."""
+    kept until cycle ``busy[i]`` (-1: never)."""
 
-    __slots__ = ("size", "values", "written", "busy", "_entries")
+    __slots__ = ("size", "values", "written", "busy")
 
-    def __init__(self, n_units: int, size: int, journal: Journal):
+    def __init__(self, n_units: int, size: int):
         self.size = size
         self.values = [-1] * (n_units * size)
         self.written = list(self.values)
         self.busy = list(self.values)
-        self._entries = journal.entries
 
     def free(self, unit: int, write_cycle: int) -> int:
         """The slot of *unit* writable at *write_cycle* that frees up
@@ -152,11 +108,6 @@ class RegisterTable:
 
     def add(self, index: int, value: int, written: int,
             busy: int) -> None:
-        self._entries.append((self, index, (
-            self.values[index], self.written[index], self.busy[index])))
         self.values[index] = value
         self.written[index] = written
         self.busy[index] = busy
-
-    def remove(self, index: int, old: tuple) -> None:
-        self.values[index], self.written[index], self.busy[index] = old

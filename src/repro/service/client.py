@@ -16,13 +16,13 @@ a job to its payload (for map jobs bit-identical to ``fpfa-map map
 within the submit's own wait.
 
 A call that fails on a reused connection before the answer's head
-arrives (the daemon closed it, say by restarting) is resent once on
-a new connection: every call is safe to resend, since the GETs and
-``/shutdown`` are idempotent and duplicate submits coalesce.  A
-daemon error raises :class:`ServiceError` with the HTTP ``status``;
-a transport failure on a new connection raises an ``OSError``, and
-the caller decides what to do (a distributed sweep evaluates
-locally).
+arrives (the daemon closed it, say by restarting or after its
+``HEAD_TIMEOUT`` idle) is resent once on a new connection: every
+call is safe to resend, since the GETs and ``/shutdown`` are
+idempotent and duplicate submits coalesce.  A daemon error raises
+:class:`ServiceError` with the HTTP ``status``; a transport failure
+on a new connection raises an ``OSError``, and the caller decides
+what to do (a distributed sweep evaluates locally).
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ from repro.service.protocol import (
 from repro.service.queue import Job, JobQueue, QueueFull
 from repro.service.wire import HttpError
 
+#: Seconds a connection has to send a request's whole head, counted
+#: from when the daemon starts reading it, so also how long a kept-alive
+#: connection may sit idle.  A connection that runs out is closed
+#: unanswered.
+HEAD_TIMEOUT = 60.0
+
 
 class MappingService:
     """The daemon: queue + pool + store behind an HTTP front."""
@@ -437,14 +443,18 @@ class MappingService:
         """Read and answer one request; False once the connection is
         done.  The answer closes it when the client asked, after an
         error (but a 503, whose request was read in full), after the
-        event stream and once the daemon is shutting down."""
+        event stream and once the daemon is shutting down; a head not
+        in by ``HEAD_TIMEOUT`` closes it unanswered."""
         close = True  # until a request is read in full
         headers = None
         try:
             try:
-                head = await reader.readuntil(b"\r\n\r\n")
+                async with asyncio.timeout(HEAD_TIMEOUT):
+                    head = await reader.readuntil(b"\r\n\r\n")
             except asyncio.LimitOverrunError:
                 raise HttpError(431, f"head over {wire.MAX_HEAD} bytes")
+            except TimeoutError:
+                return False  # half a head, or none: no answer
             method, target, __, close, length = \
                 wire.parse_request_head(head)
             body = await reader.readexactly(length)

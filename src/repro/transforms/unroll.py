@@ -242,6 +242,9 @@ class _ConditionPlan:
             return index
 
         slot(condition)
+        # ``slot`` refers to itself, the body and this plan: clearing
+        # its cell lets reference counting free the unrolled body.
+        del slot
 
     def evaluate(self, nodes: dict[int, Node],
                  refs: dict[str, ValueRef]) -> int | None:

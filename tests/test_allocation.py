@@ -10,7 +10,8 @@ from repro.arch.simulator import simulate
 from repro.arch.templates import TemplateLibrary
 from repro.cdfg.ops import Address
 from repro.cdfg.statespace import StateSpace
-from repro.core.allocation import AllocationStats, Allocator, _LevelRetry
+from repro.core.allocation import (AllocationError, AllocationStats,
+                                   Allocator)
 from repro.core.pipeline import (compile_frontend, map_frontend,
                                  map_source, verify_mapping)
 from repro.baselines.naive_alloc import map_source_naive
@@ -142,16 +143,15 @@ class TestResourcePressure:
 
 
 class TestJournalBacktracking:
-    """The undo journal must make a retried level attempt start from
-    exactly the state the attempt found — heavy-backtracking tiles
-    (many stalls per level) still allocate deterministic, verified
-    programs."""
+    """Levels that stall over and over (many stalls per level) still
+    allocate deterministic, verified programs, and each is placed as if
+    its stalls had been inserted up front."""
 
     PRESSURE = dict(n_buses=2, regs_per_bank=1, memories_per_pp=1)
 
     def test_heavy_backtracking_verifies(self):
         report = map_source(FIR_SOURCE, TileParams(**self.PRESSURE))
-        assert report.alloc_stats.stall_cycles >= 1  # journal rolled back
+        assert report.alloc_stats.stall_cycles >= 1  # a level stalled
         verify_mapping(report, fir_state())
         simulate(report.program, fir_state())
 
@@ -165,7 +165,7 @@ class TestJournalBacktracking:
     def test_rollback_leaves_no_claimed_registers(self):
         """After allocation, every register value the program relies
         on was actually written by an emitted move or write-back —
-        nothing leaks from rolled-back attempts (the simulator's
+        nothing leaks from a stalled level's bookings (the simulator's
         checks would reject a read of a never-written register)."""
         report = map_source(FIR_SOURCE,
                             TileParams(n_buses=2, regs_per_bank=2),
@@ -173,21 +173,23 @@ class TestJournalBacktracking:
         assert report.alloc_stats.stall_cycles >= 1
         verify_mapping(report, fir_state())
 
-    def test_rollback_restores_the_exact_prior_state(self, monkeypatch):
-        """Every failed attempt's undo records put the planning state
-        back as the attempt found it: cycle drafts, every resource
-        table, register slots, memory words and the residency tables.
-        A retry usually re-adds what a skipped undo left behind, so the
-        programs alone cannot show a broken branch; this compares the
-        state itself.  (A table row an attempt filled and emptied again
-        reads as never used, and the rows past the last cycle must all
-        be empty: neither changes anything.)"""
-        plan = Allocator._plan_level
-        rollbacks = []
+    def test_stalls_up_front_place_a_stalled_level_the_same(
+            self, monkeypatch):
+        """A level is planned once: a refusal inserts its stall cycle
+        and planning carries on.  A stall changes no cycle before the
+        pending execute cycle, so a level that stalled *s* times must
+        be placed with no refusal, and to the same state, by a copy of
+        the allocator from before the level given its *s* stall cycles
+        up front and a staging window wider by *s*: cycle drafts,
+        every resource table, register slots, memory words, residency,
+        placements, the output layout and the statistics.  (The rows
+        past the last cycle must all be empty: the two grow their
+        tables at different cycles.)"""
+        allocate_level = Allocator._allocate_level
+        stalled = []
 
         def rows(table, live):
-            return ([row or None for row in table.rows[:live]],
-                    any(table.rows[live:]))
+            return table.rows[:live], any(table.rows[live:])
 
         def state(allocator):
             drafts = [(cycle.alu_configs, cycle.moves, cycle.is_stall)
@@ -198,36 +200,39 @@ class TestJournalBacktracking:
                                     allocator.write_ports,
                                     allocator.bank_ports)]
             registers = allocator.registers
-            return copy.deepcopy((
-                drafts, tables,
-                [words or None for words in allocator.memory_words.rows],
-                (registers.values, registers.written, registers.busy),
-                allocator.residency, allocator.placement,
-                allocator.output_layout))
+            return (drafts, tables, allocator.memory_words.rows,
+                    (registers.values, registers.written, registers.busy),
+                    allocator.residency, allocator.placement,
+                    allocator.output_layout, vars(allocator.stats))
 
-        def checked(self, level, window=None):
-            mark = self._journal.mark()
-            before = state(self)
-            try:
-                return plan(self, level, window)
-            except _LevelRetry:
-                self._journal.rollback(mark)
-                assert state(self) == before
-                rollbacks.append(level)
-                raise
+        def checked(self, level):
+            shared = {id(self.clustered): self.clustered,
+                      id(self.schedule): self.schedule}
+            before = copy.deepcopy(self, shared)
+            allocate_level(self, level)
+            stalls = sum(self.refusals[-1].values())
+            if stalls:
+                for _ in range(stalls):
+                    before._new_cycle(is_stall=True)
+                before.stats.stall_cycles += stalls
+                before.stage_window += stalls
+                allocate_level(before, level)
+                assert before.refusals[-1] == {}
+                assert state(before) == state(self)
+                stalled.append(level)
 
-        monkeypatch.setattr(Allocator, "_plan_level", checked)
+        monkeypatch.setattr(Allocator, "_allocate_level", checked)
         for kernel in KERNELS[::3]:
             for params in (TileParams(**self.PRESSURE),
                            TileParams(n_buses=2, regs_per_bank=2,
                                       bank_write_ports=2)):
                 map_source(kernel.source, params)
-        assert len(rollbacks) > 50
+        assert len(stalled) > 50
 
 
 class TestRefusals:
-    """A failed level attempt is counted under the resource that turned
-    most of its failing operand's candidate cycles away."""
+    """A stall is counted under the resource that turned most of its
+    refused operand's candidate cycles away."""
 
     #: (refusal, kernel, a tile that binds it, that tile with the
     #: resource widened)
@@ -285,6 +290,27 @@ class TestRefusals:
         assert record["ok"] and record["metrics"]["stalls"] > 1
         assert list(record["metrics"]) == list(METRIC_FIELDS)
         assert "refus" not in json.dumps(record)
+
+    def test_results_no_memory_can_take_end_the_mapping(self):
+        """A store refused for memory words is refused again in every
+        stall cycle inserted for it, so the first level gives up after
+        its 65th stall, most of them counted under ``memory_words``."""
+        tight = dict(n_pps=2, memories_per_pp=1, memory_words=20)
+        message = ("level with clusters [22, 19] cannot be staged "
+                   "within 65 inserted cycles")
+        frontend = compile_frontend(get_kernel("fir16").source)
+        with pytest.raises(AllocationError) as raised:
+            map_frontend(frontend, TileParams(**tight))
+        assert str(raised.value) == message
+        roomy = map_frontend(frontend, TileParams(**{**tight,
+                                                     "memory_words": 512}))
+        allocator = Allocator(roomy.clustered, roomy.schedule,
+                              TileParams(**tight))
+        with pytest.raises(AllocationError) as raised:
+            allocator.allocate()
+        assert str(raised.value) == message
+        assert [list(counts.items()) for counts in allocator.refusals] \
+            == [[("latency", 1), ("read_port", 1), ("memory_words", 63)]]
 
 
 class TestInPlaceUpdates:

@@ -14,8 +14,10 @@ sha256:
 * ``allocations`` — per suite kernel and per tile, the allocated
   program listing, its data and output layouts and the
   ``AllocationStats``, on tiles with one register per bank, one or
-  two buses, where the allocator rolls level attempts back over and
-  over.
+  two buses, where the allocator inserts stall cycles over and over.
+* ``refusals`` — on the same kernels and tiles, ``Allocator.refusals``
+  (per level, the stall cycles inserted by refusing resource, in the
+  order the resources first refused).  Records never carry it.
 
 A speed-up of the backend must leave all of it unchanged.
 Regenerate (only when an output change is intended) with::
@@ -33,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.params import TileParams
+from repro.core.allocation import Allocator
 from repro.core.pipeline import compile_frontend, map_frontend
 from repro.dse.runner import run_sweep
 from repro.dse.space import DesignSpace
@@ -53,9 +56,9 @@ SEED = 1
 POINTS_PER_PASS = 12
 PASSES = 3
 
-#: Tiles on which level attempts roll back over and over.  With two
-#: write ports per bank, a rolled-back port count that is not
-#: restored changes the program.
+#: Tiles on which levels stall over and over.  With two write ports
+#: per bank, a port booked for a cycle an operand did not keep changes
+#: the program.
 ROLLBACK_TILES = {
     "regs1": TileParams(regs_per_bank=1),
     "bus1": TileParams(n_buses=1),
@@ -102,11 +105,24 @@ def allocation_digests(kernel) -> dict[str, str]:
     return digests
 
 
+def refusal_digests(kernel) -> dict[str, str]:
+    frontend = compile_frontend(kernel.source)
+    digests = {}
+    for label, params in ROLLBACK_TILES.items():
+        report = map_frontend(frontend, params)
+        allocator = Allocator(report.clustered, report.schedule, params)
+        allocator.allocate()
+        digests[label] = sha256(allocator.refusals)
+    return digests
+
+
 def generate() -> dict:
     return {"records": {kernel.name: record_digests(kernel)
                         for kernel in KERNELS},
             "allocations": {kernel.name: allocation_digests(kernel)
-                            for kernel in KERNELS}}
+                            for kernel in KERNELS},
+            "refusals": {kernel.name: refusal_digests(kernel)
+                         for kernel in KERNELS}}
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +139,12 @@ def test_rollback_heavy_allocations_match_golden(golden):
     for kernel in KERNELS:
         assert allocation_digests(kernel) == \
             golden["allocations"][kernel.name], kernel.name
+
+
+def test_stall_heavy_refusals_match_golden(golden):
+    for kernel in KERNELS:
+        assert refusal_digests(kernel) == \
+            golden["refusals"][kernel.name], kernel.name
 
 
 if __name__ == "__main__":

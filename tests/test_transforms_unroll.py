@@ -1,5 +1,7 @@
 """Unit tests for complete loop unrolling."""
 
+import gc
+
 from repro.cdfg.builder import build_main_cdfg
 from repro.cdfg.graph import Graph
 from repro.cdfg.interp import run_graph
@@ -8,6 +10,7 @@ from repro.cdfg.statespace import StateSpace
 from repro.eval.kernels import fir_source
 from repro.transforms import unroll
 from repro.transforms.cse import CommonSubexpressionElimination
+from repro.transforms.pipeline import simplify
 from repro.transforms.unroll import UnrollLoops
 
 from tests.conftest import assert_behaviour_preserved
@@ -198,3 +201,25 @@ class TestUnrollingQuality:
         assert len(graph.find(OpKind.BRANCH)) == 4
         state = StateSpace({"s": 0}).store_array("x", [1, -2, 3, -4])
         assert run_graph(graph, state).fetch("s") == 4
+
+
+def test_unrolled_bodies_need_no_cycle_collector():
+    """Simplifying a loop kernel leaves no reference cycle holding a
+    graph: with the collector off, the unrolled bodies are freed by
+    reference counting alone."""
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        graph = build_main_cdfg(fir_source(16))
+        simplify(graph)
+        del graph
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        gc.collect()
+        graphs = [item for item in gc.garbage if isinstance(item, Graph)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert graphs == []

@@ -10,11 +10,14 @@ gets answers cut at any length.  The properties:
 * malformed input gets a 4xx or a clean close, never a 5xx or a
   handler task left running;
 * the connection is closed after any error;
-* pipelined keep-alive requests are answered in order.
+* pipelined keep-alive requests are answered in order;
+* a connection that sends half a head, or none, is closed unanswered
+  after ``HEAD_TIMEOUT``.
 """
 
 import json
 import logging
+import socket
 import time
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import ServiceClient, ServiceThread, wire
+from repro.service import daemon as daemon_module
 
 from tests.conftest import FIR_SOURCE
 from tests.test_service import _canned_daemon, _exchange
@@ -206,6 +210,36 @@ def test_pipelined_requests_are_answered_in_order(live, order):
     assert [payload["id"] for __, __, payload in answers] == \
         [jobs[index] for index in order]
     assert not any(close for __, close, __ in answers)
+
+
+def test_a_half_sent_head_is_closed_unanswered(tmp_path, monkeypatch):
+    """Sockets that send part of a head, or nothing, and then wait are
+    closed with no answer once ``HEAD_TIMEOUT`` has passed, and their
+    handlers end.  A client's pooled connection that the daemon closed
+    this way is resent once on a new connection."""
+    timeout = 0.3
+    monkeypatch.setattr(daemon_module, "HEAD_TIMEOUT", timeout)
+    with ServiceThread(store=tmp_path / "store", workers=1) as daemon:
+        started = time.monotonic()
+        sockets = [socket.create_connection(daemon.address, timeout=10)
+                   for __ in range(6)]
+        try:
+            for sock in sockets[1:]:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            assert [sock.recv(65536) for sock in sockets] == [b""] * 6
+        finally:
+            for sock in sockets:
+                sock.close()
+        assert time.monotonic() - started >= timeout
+        assert _settled(daemon), "a handler outlived its timeout"
+        with ServiceClient(*daemon.address) as client:
+            old = client.health()
+            stale = list(client._idle)
+            time.sleep(3 * timeout)
+            assert _settled(daemon)
+            assert client.health()["started_at"] == old["started_at"]
+            fresh = list(client._idle)
+        assert len(stale) == len(fresh) == 1 and fresh[0] is not stale[0]
 
 
 # -- a real client ----------------------------------------------------------
