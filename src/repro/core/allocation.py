@@ -22,7 +22,8 @@ its PP: the allocator tries *reuse*, then *direct write-back* (the
 producing ALU latches its result into the register, Fig. 1), then a
 *staging move* from memory (or an immediate) 4, 3, 2, 1 cycles ahead.
 If an operand cannot be staged, a stall (load) cycle is inserted
-before the execute cycle.  The program respects every limit of
+before the execute cycle; a result no memory can store ends the
+mapping.  The program respects every limit of
 :class:`~repro.arch.params.TileParams` (the simulator checks them
 all), and candidates are tried in a fixed order, so a schedule and
 params always yield the same program.
@@ -33,11 +34,13 @@ execute cycle is appended only after its last store is placed; until
 then the bookings that name it (the registers the level holds until
 it, and the results' write-port row) are pending, and they are stamped
 when the level completes.  When every candidate cycle of an operand
-refuses, or every memory refuses a store, a stall cycle is inserted
-before the pending execute cycle, which widens the staging window by
-one, and the operand's scan goes on into the new cycle.  A stall
-changes no cycle before the execute cycle, so every decision already
-taken is the one a plan made with the stall up front would take.
+refuses, a stall cycle is inserted before the pending execute cycle,
+which widens the staging window by one, and the operand's scan goes
+on into the new cycle.  A stall changes no cycle before the execute
+cycle, so every decision already taken is the one a plan made with
+the stall up front would take.  A store every memory refuses raises
+:class:`AllocationError` at once: a stall frees neither a memory's
+words nor the pending cycle's write ports.
 ``Allocator.refusals`` counts each level's stalls by the resource that
 caused them.  ``enable_bypass``, ``enable_reuse`` and ``stage_window``
 serve the locality ablation (EXT-C).
@@ -69,6 +72,13 @@ class AllocationError(Exception):
 
 #: Stall cycles one level may insert before the schedule is given up.
 MAX_STALLS_PER_LEVEL = 64
+
+#: Why a result store failed, by the refusal ``_book_word`` names.
+_STORE_REFUSALS = {
+    MEMORY_WORDS: "every memory it may use is full (memory capacity)",
+    WRITE_PORT: "no memory with room for it has a free write port in "
+                "its execute cycle",
+}
 
 #: ``RegisterTable.busy`` of a slot held until the pending execute
 #: cycle: no candidate cycle of the level may overwrite it.
@@ -438,7 +448,8 @@ class Allocator:
     def _plan_store(self, cluster_id: int, pp: int) -> tuple | None:
         """Book a word for the result in the pending execute cycle;
         returns ``(MemLoc, unit, word)``.  A shadow word may share the
-        input's memory (needed on tiles with a single memory)."""
+        input's memory (needed on tiles with a single memory).  A
+        result no memory takes ends the mapping, naming the refusal."""
         result = self._values.results.get(cluster_id)
         if result is None:
             return None
@@ -447,28 +458,36 @@ class Allocator:
         if shadow >= 0:
             candidates.append((shadow, _shadow(address), -1))
         units = self._units(self._first_pp.get(cluster_id, pp))
-        while (booked := self._book_word(
-                self._result_writes, 0, candidates,
-                units)).__class__ is not tuple:
-            self._stall(booked)
+        booked = self._book_word(self._result_writes, 0, candidates, units)
+        if booked.__class__ is not tuple:
+            # No stall helps: a memory's words only fill up, and the
+            # write ports refused are the pending execute cycle's.
+            raise AllocationError(
+                f"the result of cluster {cluster_id} cannot be stored: "
+                f"{_STORE_REFUSALS.get(booked, 'no memory may hold it')}")
         self.stats.stores += 1
         return booked
 
     def _book_word(self, writes: SetTable, row: int, candidates, units,
                    source=None, mem_unit: int = -1):
-        """Book the first (word, memory unit) whose write port in the
-        *writes* row starting at *row* and whose memory take it,
+        """Book the first (word, memory unit) whose memory and whose
+        write port in the *writes* row starting at *row* take it,
         skipping each word's forbidden unit and the move's own source:
-        ``(MemLoc, unit, word)``, else the last refusal."""
+        ``(MemLoc, unit, word)``, else the refusal: the write port if
+        a memory had room for the word, else memory capacity."""
         refusal = None
         for word, address, forbidden in candidates:
             for unit in units:
                 if unit == forbidden or (unit == mem_unit and
                                          address == source.addr):
                     continue
-                refusal = (writes.can_add(row + unit, word)
-                           or self.memory_words.can_add(unit, word))
-                if refusal:
+                full = self.memory_words.can_add(unit, word)
+                if full:
+                    refusal = refusal or full
+                    continue
+                busy = writes.can_add(row + unit, word)
+                if busy:
+                    refusal = busy
                     continue
                 writes.add(row + unit, word)
                 self.memory_words.add(unit, word)

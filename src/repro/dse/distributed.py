@@ -1,25 +1,29 @@
 """Distributed sweeps: a sweep's pending points mapped on one daemon.
 
 :func:`run_distributed_sweep` is :func:`repro.dse.runner.run_sweep`
-with the mapping done by a running ``fpfa-map serve`` daemon.  It
-runs in this order:
+whose first pool is a running ``fpfa-map serve`` daemon.  It runs in
+this order:
 
 1. the cache pass: the coordinator deduplicates the requested points
    exactly as a local sweep would and takes what its own
    :class:`~repro.dse.cache.ResultCache` already holds;
 2. one ``GET /stats`` probe for the daemon's worker count;
-3. the pending points are split into *chunks* and leased as the
-   service's ``sweep-chunk`` jobs, on ``min(workers,
-   MAX_LEASES_PER_DAEMON)`` lanes sharing one queue; a lease is one
-   ``POST /jobs?wait=`` that returns the finished chunk.  The daemon
-   does each chunk's cache pass against its artifact store and maps
-   only the missing points on its worker pool, so a point the store
-   already holds is a store read there, not a re-map;
+3. the pending points are split into *chunks*, and the runner's one
+   chunk loop (:func:`~repro.dse.runner.run_chunks`) submits them to
+   a :class:`_DaemonPool`, the daemon as a pool: each chunk is one
+   lease, a ``sweep-chunk`` job run as one ``POST /jobs?wait=`` that
+   returns the finished chunk, on up to ``min(workers,
+   MAX_LEASES_PER_DAEMON)`` threads at once.  The daemon does each
+   chunk's cache pass against its artifact store and maps only the
+   missing points on its worker pool, so a point the store already
+   holds is a store read there, not a re-map;
 4. every ``ok`` record is admitted to the coordinator's cache as its
-   chunk merges;
-5. a chunk whose lease fails, and every chunk not yet leased by then,
-   runs locally through plain :func:`run_sweep`.  A daemon that does
-   not answer the probe sends everything local.
+   chunk lands;
+5. the first lease that fails cancels the chunks not yet leased.
+   Its chunk and theirs run one level down, by the rule every pooled
+   sweep follows: on a local :class:`~repro.dse.runner.WorkerPool`
+   sized by *workers*, and what that pool leaves, in-process.  A
+   daemon that does not answer the probe sends everything local.
 
 Re-running a sweep against the same cache resumes it: the records
 step 4 wrote are cache hits in step 1, so a killed coordinator
@@ -42,21 +46,20 @@ Invariants
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
-from repro.dse.cache import ResultCache
+from repro.dse.cache import cache_key
 from repro.dse.runner import (
     SweepResult,
     SweepStats,
-    _cache_pass,
     _resolve_cache,
-    run_sweep,
+    _run_sweep,
+    run_chunks,
 )
 from repro.dse.space import DesignPoint
 from repro.obs import trace
@@ -140,125 +143,107 @@ class DistributedSweepStats(SweepStats):
                 f"{self.local_records} local")
 
 
-def _probe(remote: tuple[str, int]) -> int | None:
-    """The daemon's worker count, or None when it does not answer."""
+def _probe(remote: tuple[str, int]):
+    """A client of the daemon and the daemon's worker count, or None
+    when it does not answer.  The client keeps the probe's connection
+    for the first lease."""
     from repro.service.client import ServiceClient, ServiceError
+    client = ServiceClient(*remote, timeout=10.0)
     try:
-        with ServiceClient(*remote, timeout=10.0) as client:
-            stats = client.stats()
+        stats = client.stats()
     except (ServiceError, OSError, ValueError):
+        client.close()
         return None
-    return max(1, int(stats.get("workers", {}).get("workers", 1)))
+    client.timeout = min(LEASE_TIMEOUT, 30.0)
+    return client, max(1, int(stats.get("workers", {}).get("workers", 1)))
 
 
-@dataclass(eq=False)
-class _Leases:
-    """The chunk queue one sweep's lease lanes share, and what they
-    merged.  ``lock`` guards the mutable fields."""
+class _DaemonPool:
+    """One daemon as the pool :func:`~repro.dse.runner.run_chunks`
+    runs a sweep's chunks on.  ``submit(run_chunk_job, source, points,
+    verify_seed, trace_ctx)`` leases the chunk as one ``sweep-chunk``
+    job, which the daemon runs as
+    :func:`~repro.dse.runner.run_chunk_job` on its own pool, and
+    returns a future of the same ``(records, info)``.
 
-    remote: tuple[str, int]
-    source: str
-    key_points: dict[str, DesignPoint]
-    verify_seed: int | None
-    cache: ResultCache | None
-    stats: DistributedSweepStats
-    progress: Callable[[dict], None] | None
-    queue: deque[list[str]]
-    merged: dict[str, dict] = field(default_factory=dict)
-    done: int = 0
-    #: Set by the first failed lease: no lane takes another chunk.
-    failed: bool = False
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    Up to ``min(workers, MAX_LEASES_PER_DAEMON)`` executor threads
+    lease at once; they share the probe's *client*, so each keeps its
+    own keep-alive connection, and :meth:`shutdown` closes it.  The
+    pool counts into the sweep's *stats* the leases it issued, those
+    that failed (``stolen``: their chunks run one level down) and the
+    records the daemon's store served (``peer_records``).
+    """
 
-    def take(self) -> list[str] | None:
-        """The next chunk to lease; None once the queue is empty or a
-        lease has failed."""
-        with self.lock:
-            if self.failed or not self.queue:
-                return None
-            self.stats.leases += 1
-            return self.queue.popleft()
+    def __init__(self, client, workers: int,
+                 stats: DistributedSweepStats):
+        self.workers = stats.workers = workers
+        self.stats = stats
+        self._lock = threading.Lock()
+        self._client = client
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            min(workers, MAX_LEASES_PER_DAEMON),
+            thread_name_prefix="fpfa-lease")
 
-    def lane(self, trace_ctx: dict | None) -> None:
-        """Lease chunks until :meth:`take` answers None.  A failed
-        lease stops every lane; its chunk stays unmerged, so the
-        local fallback runs it."""
-        from repro.service.client import ServiceClient
+    def submit(self, fn, *args) -> concurrent.futures.Future:
+        """Lease one chunk; the daemon runs *fn*, its
+        :func:`~repro.dse.runner.run_chunk_job`, on its own pool."""
+        return self._executor.submit(self._lease, *args)
 
-        with ServiceClient(*self.remote,
-                           timeout=min(LEASE_TIMEOUT, 30.0)) as client, \
-                trace.attach(trace_ctx):
-            while (chunk := self.take()) is not None:
-                try:
-                    records, stored = self._lease(client, chunk)
-                except Exception as error:  # noqa: BLE001 — any
-                    # failure shape (refused socket, torn frame,
-                    # failed job, short answer) sends the rest local
-                    with self.lock:
-                        self.failed = True
-                        self.stats.stolen += 1
-                    if trace.enabled():
-                        trace.event("distributed.lease_failed",
-                                    points=len(chunk), error=str(error))
-                    return
-                self._merge(chunk, records, stored)
+    def shutdown(self, wait: bool = True) -> None:
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self._client.close()
 
-    def _lease(self, client, chunk: list[str]) -> tuple[dict, int]:
-        """Lease one chunk: its records by key, and how many of them
-        the daemon's store served."""
-        from repro.service.client import ServiceError
+    def _count(self, name: str, count: int = 1) -> None:
+        with self._lock:
+            setattr(self.stats, name, getattr(self.stats, name) + count)
 
+    def _lease(self, source: str, points: list[DesignPoint],
+               verify_seed: int | None, trace_ctx: dict | None
+               ) -> tuple[dict, dict]:
+        self._count("leases")
         request = {
             "kind": "sweep-chunk",
-            "source": self.source,
-            "points": [self.key_points[key].to_dict() for key in chunk],
-            "verify_seed": self.verify_seed,
+            "source": source,
+            "points": [point.to_dict() for point in points],
+            "verify_seed": verify_seed,
         }
-        # The lease span covers the whole lease (one submit that
-        # waits for the job, plus a long-poll only if the job outlives
-        # that wait); its context rides the request so the daemon's
-        # queue/worker spans stitch in as its children.  Untraced
-        # runs add nothing to the wire.
-        with trace.span("distributed.lease", points=len(chunk)):
-            if trace.enabled():
-                request["trace"] = trace.context()
-            payload = client.run(request, timeout=LEASE_TIMEOUT)
+        with trace.attach(trace_ctx):
+            try:
+                # The lease span covers the whole lease (one submit
+                # that waits for the job, plus a long-poll only if the
+                # job outlives that wait); its context rides the
+                # request so the daemon's queue/worker spans stitch in
+                # as its children.  Untraced runs add nothing to the
+                # wire.
+                with trace.span("distributed.lease", points=len(points)):
+                    if trace.enabled():
+                        request["trace"] = trace.context()
+                    payload = self._client.run(request,
+                                               timeout=LEASE_TIMEOUT)
+                # A leased key the answer lacks raises KeyError.
+                records = {key: payload["records"][key] for key in
+                           (cache_key(source, point) for point in points)}
+            except Exception as error:
+                # Any failure shape (refused socket, torn frame,
+                # failed job, short answer) sends the chunk one level
+                # down.
+                self._count("stolen")
+                if trace.enabled():
+                    trace.event("distributed.lease_failed",
+                                points=len(points),
+                                error=f"{type(error).__name__}: {error}")
+                raise
+        self._count("peer_records", payload.get("stats", {}).get("cached", 0))
         # A traced chunk comes back with the daemon's entries for it.
         # Keep this sweep's (a coalesced job may have answered another
         # sweep's lease), and none from a daemon in this process: it
         # emitted them here already, also those it adopted from its
         # process workers, which carry the workers' pids.
         ctx, relayed = request.get("trace"), payload.get("trace")
-        if ctx and relayed and relayed["pid"] != os.getpid():
-            trace.adopt([entry for entry in relayed["spans"]
-                         if entry.get("trace") == ctx["trace"]])
-        missing = [key for key in chunk if key not in payload["records"]]
-        if missing:
-            raise ServiceError(
-                f"daemon answered {len(payload['records'])} record(s), "
-                f"{len(missing)} leased key(s) missing")
-        records = {key: payload["records"][key] for key in chunk}
-        return records, payload.get("stats", {}).get("cached", 0)
-
-    def _merge(self, chunk: list[str], records: dict[str, dict],
-               stored: int) -> None:
-        """Admit one chunk's records to the coordinator's cache —
-        before they count as merged, so a killed coordinator keeps
-        them — then merge them.  Like a local run_sweep, a verified
-        record replaces a stale unverified entry for the same key."""
-        if self.cache is not None:
-            for key, record in records.items():
-                self.cache.admit(key, record)
-        with self.lock:
-            self.merged.update(records)
-            self.stats.remote_records += len(records)
-            self.stats.peer_records += stored
-            self.done += 1
-            done = self.done
-        if self.progress is not None:
-            self.progress({"event": "chunk", "done": done,
-                           "total": self.stats.chunks,
-                           "points": len(chunk)})
+        spans = [entry for entry in relayed["spans"]
+                 if entry.get("trace") == ctx["trace"]] \
+            if ctx and relayed and relayed["pid"] != os.getpid() else []
+        return records, {"spans": spans}
 
 
 def run_distributed_sweep(
@@ -284,60 +269,29 @@ def run_distributed_sweep(
     remote = _one_remote(remotes)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    with trace.span("dse.sweep", mode="distributed") as sweep_span:
-        started = time.perf_counter()
-        points = list(points)
-        cache = _resolve_cache(cache)
-        stats = DistributedSweepStats(total=len(points))
+    cache = _resolve_cache(cache)
+    stats = DistributedSweepStats()
 
-        point_keys, key_points, by_key, pending = _cache_pass(
-            source, points, cache, verify_seed, stats)
-        stats.evaluated = len(pending)
+    def on_the_daemon(key_points: dict[str, DesignPoint],
+                      pending: list[str], by_key: dict[str, dict]
+                      ) -> list[str]:
+        stats.chunks = -(-len(pending) // chunk_size)
+        probed = _probe(remote)
+        leftover = pending if probed is None else run_chunks(
+            _DaemonPool(*probed, stats), source, key_points, pending,
+            chunk_size, verify_seed, by_key, cache, progress)
+        stats.remote_records = len(pending) - len(leftover)
+        stats.local_records = len(leftover)
+        if leftover:
+            # What the daemon did not deliver runs one level down, on
+            # the local path: the sweep completes whatever happened
+            # to the daemon.
+            if trace.enabled():
+                trace.event("distributed.fallback", points=len(leftover))
+            if progress is not None:
+                progress({"event": "fallback", "points": len(leftover)})
+        return leftover
 
-        if pending:
-            leases = _Leases(
-                remote, source, key_points, verify_seed, cache, stats,
-                progress, deque(pending[index:index + chunk_size]
-                                for index in range(0, len(pending),
-                                                   chunk_size)))
-            stats.chunks = len(leases.queue)
-            remote_workers = _probe(remote)
-            if remote_workers is not None:
-                stats.workers = remote_workers
-                lanes = [threading.Thread(
-                    target=leases.lane, args=(trace.context(),),
-                    daemon=True)
-                    for __ in range(min(remote_workers,
-                                        MAX_LEASES_PER_DAEMON,
-                                        stats.chunks))]
-                for lane in lanes:
-                    lane.start()
-                for lane in lanes:
-                    lane.join()
-            by_key.update(leases.merged)
-            # Whatever the daemon did not deliver runs locally: the
-            # sweep completes whatever happened to the daemon.
-            leftover = [key for key in pending if key not in by_key]
-            if leftover:
-                local = run_sweep(
-                    source, [key_points[key] for key in leftover],
-                    workers=workers, cache=cache,
-                    verify_seed=verify_seed)
-                by_key.update(zip(leftover, local.records))
-                stats.local_records = len(leftover)
-                stats.workers = max(stats.workers, local.stats.workers)
-                if trace.enabled():
-                    trace.event("distributed.fallback",
-                                points=len(leftover))
-                if progress is not None:
-                    progress({"event": "fallback",
-                              "points": len(leftover)})
-
-        records = [by_key[key] for key in point_keys]
-        stats.failed = sum(1 for key in key_points
-                           if not by_key[key]["ok"])
-        stats.elapsed = time.perf_counter() - started
-        sweep_span.note(points=stats.total, cached=stats.cached,
-                        evaluated=stats.evaluated, failed=stats.failed)
-    return SweepResult(points=points, records=records, stats=stats)
-
+    return _run_sweep(source, points, workers=workers, cache=cache,
+                      verify_seed=verify_seed, stats=stats,
+                      first_level=on_the_daemon, mode="distributed")

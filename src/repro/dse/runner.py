@@ -3,11 +3,18 @@
 ``run_sweep`` is the one engine every exploration strategy shares.
 It deduplicates the requested points, satisfies what it can from the
 :class:`repro.dse.cache.ResultCache`, evaluates the rest — serially,
-or as chunks of points on a :class:`WorkerPool` — and returns one
-JSON-able *record* per requested point.  :class:`WorkerPool` is the
-one process pool: a pooled sweep submits :func:`run_chunk_job` tasks
-to one of its own, and the service daemon runs :func:`run_map_job`
-and :func:`run_chunk_job` on one for its life.
+or as chunks of points on a pool — and returns one JSON-able
+*record* per requested point.  :class:`WorkerPool` is the one process
+pool: a pooled sweep submits :func:`run_chunk_job` tasks to one of
+its own, and the service daemon runs :func:`run_map_job` and
+:func:`run_chunk_job` on one for its life.
+
+:func:`run_chunks` is the one chunk loop.  It runs a pooled sweep's
+chunks on its :class:`WorkerPool`, and a distributed sweep's on the
+daemon (:mod:`repro.dse.distributed`), which leases each chunk as
+the daemon's own :func:`run_chunk_job`.  The keys of a chunk that
+fails, and of the chunks it cancels, run one level down: from the
+daemon to a local pool, and from a local pool in-process.
 
 The mapping flow is split into a frontend (source → transformed CDFG,
 depending only on the program, the data-path width and the transform
@@ -32,10 +39,12 @@ Per-point failures (an infeasible :class:`TileParams` combination, a
 scheduling overflow, a verification mismatch) are captured inside the
 worker and returned as ``{"ok": False, "error": ...}`` records, so a
 120-point sweep survives its pathological corners and still reports
-them.  Because the flow is deterministic, records are cached by
-content hash (:meth:`~repro.dse.cache.ResultCache.admit` writes the
-``ok`` ones only); a repeated sweep is pure cache reads and never
-touches the pool.
+them.  A chunk task that raises (a lost worker, say) does not end
+the sweep either: its keys run one level down.  Because the flow is
+deterministic, records are cached by content hash
+(:meth:`~repro.dse.cache.ResultCache.admit` writes the ``ok`` ones
+only); a repeated sweep is pure cache reads and never touches the
+pool.
 
 Invariants
 ----------
@@ -61,7 +70,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.pipeline import (
     Frontend,
@@ -310,12 +319,6 @@ def _resolve_cache(cache, max_entries: int | None = None,
                        max_bytes=max_bytes)
 
 
-def _resolve_workers(workers: int | None, n_jobs: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs)) if n_jobs else 1
-
-
 def run_sweep(source: str, points: Iterable[DesignPoint], *,
               workers: int | None = None, cache=None,
               cache_max_entries: int | None = None,
@@ -369,34 +372,37 @@ def run_sweep(source: str, points: Iterable[DesignPoint], *,
         return run_distributed_sweep(
             source, points, remotes=remotes, cache=cache,
             workers=workers, verify_seed=verify_seed, **extra)
-    with trace.span("dse.sweep") as sweep_span:
-        result = _run_local_sweep(
-            source, points, workers=workers, cache=cache,
-            verify_seed=verify_seed, memo=memo)
-        sweep_span.note(points=result.stats.total,
-                        cached=result.stats.cached,
-                        evaluated=result.stats.evaluated,
-                        failed=result.stats.failed)
-    return result
+    return _run_sweep(source, points, workers=workers, cache=cache,
+                      verify_seed=verify_seed, memo=memo)
 
 
-def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
-                     workers: int | None, cache,
-                     verify_seed: int | None,
-                     memo: FrontendMemo | None = None) -> SweepResult:
-    started = time.perf_counter()
-    points = list(points)
-    cache = _resolve_cache(cache)
-    stats = SweepStats(total=len(points))
-    point_keys, key_points, by_key, pending = _cache_pass(
-        source, points, cache, verify_seed, stats)
-
-    workers = _resolve_workers(workers, len(pending))
-    stats.workers = workers
-    if pending:
-        # The specs more than one pending point shares; the serial
-        # path's memo (the caller's, or this sweep's) or each pool
-        # child's own compiles each of them once.
+def _run_sweep(source: str, points: Iterable[DesignPoint], *,
+               workers: int | None, cache, verify_seed: int | None,
+               memo: FrontendMemo | None = None,
+               stats: SweepStats | None = None,
+               first_level: Callable | None = None,
+               span: str = "dse.sweep", **attrs) -> SweepResult:
+    """The sweep every entry point runs, in one *span*, into *stats*
+    (a fresh :class:`SweepStats` without it): the cache pass, then
+    the pending keys level by level.  ``first_level(key_points,
+    pending, by_key)`` (a distributed sweep's daemon) evaluates what
+    it can and returns the keys it left; those run as
+    :func:`run_chunks` on a :class:`WorkerPool` when *workers*
+    resolves to more than one, and whatever that pool leaves runs
+    in-process, on *memo*."""
+    with trace.span(span, **attrs) as sweep_span:
+        started = time.perf_counter()
+        points = list(points)
+        stats = stats or SweepStats()
+        stats.total = len(points)
+        point_keys, key_points, by_key, pending = _cache_pass(
+            source, points, cache, verify_seed, stats)
+        stats.evaluated = len(pending)
+        if first_level is not None and pending:
+            pending = first_level(key_points, pending, by_key)
+        # The specs more than one point left to evaluate here shares;
+        # the serial path's memo (the caller's, or this sweep's) or
+        # each pool child's own compiles each of them once.
         spec_counts: dict[FrontendSpec, int] = {}
         for key in pending:
             try:
@@ -406,44 +412,77 @@ def _run_local_sweep(source: str, points: Iterable[DesignPoint], *,
             spec_counts[spec] = spec_counts.get(spec, 0) + 1
         stats.frontends = sum(1 for count in spec_counts.values()
                               if count > 1)
+        if workers is None and pending:
+            workers = os.cpu_count() or 1
+        workers = max(1, min(workers, len(pending))) if pending else 1
+        stats.workers = max(stats.workers, workers)
         if workers > 1:
-            # Write-back happens per chunk, not at sweep end: a
-            # coordinator killed mid-sweep keeps everything it
-            # finished, so re-running it recomputes only the missing
-            # records.
-            size = max(1, len(pending) // (workers * 4))
-            trace_ctx = trace.context()
-            pool = WorkerPool(workers)
-            try:
-                tasks = [pool.submit(
-                    run_chunk_job, source,
-                    [key_points[key] for key in pending[index:index + size]],
-                    verify_seed, trace_ctx)
-                    for index in range(0, len(pending), size)]
-                for task in concurrent.futures.as_completed(tasks):
-                    records, info = task.result()
-                    trace.adopt(info["spans"])
-                    by_key.update(records)
-                    if cache is not None:
-                        for key, record in records.items():
-                            cache.admit(key, record)
-            finally:
-                pool.shutdown(wait=True)
-        else:
-            memo = memo or FrontendMemo()
-            for key in pending:
-                record = evaluate_point(source, key_points[key],
-                                        verify_seed, memo=memo)
-                by_key[key] = record
-                if cache is not None:
-                    cache.admit(key, record)
-        stats.evaluated = len(pending)
+            pending = run_chunks(
+                WorkerPool(workers), source, key_points, pending,
+                max(1, len(pending) // (workers * 4)), verify_seed,
+                by_key, cache)
+        memo = memo or FrontendMemo()
+        for key in pending:
+            record = evaluate_point(source, key_points[key],
+                                    verify_seed, memo=memo)
+            by_key[key] = record
+            if cache is not None:
+                cache.admit(key, record)
+        stats.failed = sum(1 for record in by_key.values()
+                           if not record["ok"])
+        stats.elapsed = time.perf_counter() - started
+        sweep_span.note(points=stats.total, cached=stats.cached,
+                        evaluated=stats.evaluated, failed=stats.failed)
+    return SweepResult(points=points,
+                       records=[by_key[key] for key in point_keys],
+                       stats=stats)
 
-    records = [by_key[key] for key in point_keys]
-    stats.failed = sum(1 for key in key_points
-                       if not by_key[key]["ok"])
-    stats.elapsed = time.perf_counter() - started
-    return SweepResult(points=points, records=records, stats=stats)
+
+def run_chunks(pool, source: str, key_points: dict[str, DesignPoint],
+               pending: list[str], size: int, verify_seed: int | None,
+               by_key: dict[str, dict], cache,
+               progress: Callable[[dict], None] | None = None
+               ) -> list[str]:
+    """Run the *pending* keys as :func:`run_chunk_job` chunks of
+    *size* on *pool*, shut *pool* down, and return the keys no chunk
+    delivered.
+
+    *pool* is a :class:`WorkerPool` or anything with its ``submit``
+    and ``shutdown`` (a distributed sweep's daemon).  Each chunk's
+    records are merged into *by_key* and admitted to *cache* as the
+    chunk lands, not at sweep end, so a sweep killed midway keeps
+    everything it finished and re-running it recomputes only the
+    missing records; the chunk's trace entries are adopted, and
+    *progress*, when given, hears ``{"event": "chunk", ...}``.  The
+    first chunk that raises cancels the chunks not yet started: the
+    caller runs the keys left one level down.
+    """
+    try:
+        trace_ctx = trace.context()
+        tasks = {pool.submit(run_chunk_job, source,
+                             [key_points[key] for key in chunk],
+                             verify_seed, trace_ctx): len(chunk)
+                 for chunk in (pending[index:index + size]
+                               for index in range(0, len(pending), size))}
+        done = 0
+        for task in concurrent.futures.as_completed(tasks):
+            if task.cancelled() or task.exception() is not None:
+                for queued in tasks:
+                    queued.cancel()
+                continue
+            records, info = task.result()
+            trace.adopt(info["spans"])
+            by_key.update(records)
+            if cache is not None:
+                for key, record in records.items():
+                    cache.admit(key, record)
+            done += 1
+            if progress is not None:
+                progress({"event": "chunk", "done": done,
+                          "total": len(tasks), "points": tasks[task]})
+    finally:
+        pool.shutdown(wait=True)
+    return [key for key in pending if key not in by_key]
 
 
 def _cache_pass(source: str, points: list[DesignPoint], cache,
@@ -492,13 +531,9 @@ def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
 
     Returns ``(records_by_key, stats)``.
     """
-    with trace.span("dse.chunk") as chunk_span:
-        result = _run_local_sweep(source, list(points), workers=1,
-                                  cache=None,
-                                  verify_seed=verify_seed, memo=memo)
-        chunk_span.note(points=result.stats.total,
-                        cached=result.stats.cached,
-                        evaluated=result.stats.evaluated)
+    result = _run_sweep(source, points, workers=1, cache=None,
+                        verify_seed=verify_seed, memo=memo,
+                        span="dse.chunk")
     records = {cache_key(source, point): record
                for point, record in zip(result.points, result.records)}
     return records, result.stats

@@ -71,10 +71,10 @@ from repro.service.protocol import (
 from repro.service.queue import Job, JobQueue, QueueFull
 from repro.service.wire import HttpError
 
-#: Seconds a connection has to send a request's whole head, counted
-#: from when the daemon starts reading it, so also how long a kept-alive
-#: connection may sit idle.  A connection that runs out is closed
-#: unanswered.
+#: Seconds a connection has to send a whole request, head and body,
+#: counted from when the daemon starts reading it, so also how long a
+#: kept-alive connection may sit idle.  A connection that runs out is
+#: closed unanswered.
 HEAD_TIMEOUT = 60.0
 
 
@@ -351,16 +351,29 @@ class MappingService:
         result, before the event loop hears of it: they are in the
         store when the job finishes, and the job costs no second
         thread hop, which on a loaded host costs more than the writes.
+        The loop waits on a second future that the admitting callback
+        completes: a callback the loop added to the task itself could
+        run between the task's end and the admits.
         """
         task = self.pool.submit(fn, *args)
+        admitted: concurrent.futures.Future = concurrent.futures.Future()
 
         def admit(done: concurrent.futures.Future) -> None:
-            if not done.cancelled() and done.exception() is None:
-                for key, record in fresh(done.result()).items():
+            if done.cancelled():
+                admitted.cancel()
+                return
+            try:
+                result = done.result()
+                for key, record in fresh(result).items():
                     self.store.admit(key, record)
+            except Exception as error:  # noqa: BLE001 — the task's
+                # failure (or an admit's) is the job's
+                admitted.set_exception(error)
+            else:
+                admitted.set_result(result)
 
         task.add_done_callback(admit)
-        return await asyncio.wrap_future(task)
+        return await asyncio.wrap_future(admitted)
 
     def _count_frontends(self, info: dict) -> bool:
         """Add one job's worker memo misses and hits to the counts;
@@ -443,21 +456,22 @@ class MappingService:
         """Read and answer one request; False once the connection is
         done.  The answer closes it when the client asked, after an
         error (but a 503, whose request was read in full), after the
-        event stream and once the daemon is shutting down; a head not
-        in by ``HEAD_TIMEOUT`` closes it unanswered."""
+        event stream and once the daemon is shutting down; a request,
+        head and body, not in by ``HEAD_TIMEOUT`` closes it
+        unanswered."""
         close = True  # until a request is read in full
         headers = None
         try:
             try:
                 async with asyncio.timeout(HEAD_TIMEOUT):
                     head = await reader.readuntil(b"\r\n\r\n")
+                    method, target, __, close, length = \
+                        wire.parse_request_head(head)
+                    body = await reader.readexactly(length)
             except asyncio.LimitOverrunError:
                 raise HttpError(431, f"head over {wire.MAX_HEAD} bytes")
             except TimeoutError:
-                return False  # half a head, or none: no answer
-            method, target, __, close, length = \
-                wire.parse_request_head(head)
-            body = await reader.readexactly(length)
+                return False  # half a request, or none: no answer
             response = await self._route(method, target, body, writer)
         except HttpError as error:
             status, payload = error.status, {"error": str(error)}

@@ -173,6 +173,38 @@ class TestJournalBacktracking:
         assert report.alloc_stats.stall_cycles >= 1
         verify_mapping(report, fir_state())
 
+    def test_a_stall_widens_the_window_for_later_operands(
+            self, monkeypatch):
+        """A stall widens the staging window: its lower bound stays at
+        the level's start.  So an operand planned after its level
+        stalled may still be staged (or written back) in a cycle below
+        the bound a window sliding with the execute cycle would have,
+        ``len(cycles) - stage_window`` when it is planned.  ``fir5``
+        on three buses, one register per bank and one memory per PP,
+        with a window of one, has such operands and maps in 7 cycles
+        with 4 stalls; with the sliding bound it takes 10 and 7."""
+        stage = Allocator._stage_operand
+        below = []
+
+        def recording(allocator, vid, pp, bank, floor):
+            stalled = sum(allocator.refusals[-1].values())
+            sliding = len(allocator.cycles) - allocator.stage_window
+            reused = allocator.stats.reuse_hits
+            index = stage(allocator, vid, pp, bank, floor)
+            if stalled and allocator.stats.reuse_hits == reused and \
+                    allocator.registers.written[index] < sliding:
+                below.append(vid)
+            return index
+
+        monkeypatch.setattr(Allocator, "_stage_operand", recording)
+        params = TileParams(n_buses=3, regs_per_bank=1, memories_per_pp=1)
+        report = map_source(get_kernel("fir5").source, params,
+                            stage_window=1)
+        assert below
+        assert report.alloc_stats.stall_cycles == 4
+        assert report.n_cycles == 7
+        verify_mapping(report, fir_state())
+
     def test_stalls_up_front_place_a_stalled_level_the_same(
             self, monkeypatch):
         """A level is planned once: a refusal inserts its stall cycle
@@ -292,12 +324,16 @@ class TestRefusals:
         assert "refus" not in json.dumps(record)
 
     def test_results_no_memory_can_take_end_the_mapping(self):
-        """A store refused for memory words is refused again in every
-        stall cycle inserted for it, so the first level gives up after
-        its 65th stall, most of them counted under ``memory_words``."""
+        """A stall moves neither the pending execute cycle's write
+        ports nor a memory's words, so a store every memory refuses
+        ends the mapping at once, naming the cluster and the resource:
+        here memory 0 has room but its one write port is taken by the
+        level's other result, and memory 1 is full.  The level's two
+        operand stalls stay counted; the store inserts none."""
         tight = dict(n_pps=2, memories_per_pp=1, memory_words=20)
-        message = ("level with clusters [22, 19] cannot be staged "
-                   "within 65 inserted cycles")
+        message = ("the result of cluster 19 cannot be stored: no memory "
+                   "with room for it has a free write port in its "
+                   "execute cycle")
         frontend = compile_frontend(get_kernel("fir16").source)
         with pytest.raises(AllocationError) as raised:
             map_frontend(frontend, TileParams(**tight))
@@ -310,7 +346,20 @@ class TestRefusals:
             allocator.allocate()
         assert str(raised.value) == message
         assert [list(counts.items()) for counts in allocator.refusals] \
-            == [[("latency", 1), ("read_port", 1), ("memory_words", 63)]]
+            == [[("latency", 1), ("read_port", 1)]]
+        assert allocator.stats.stall_cycles == 2
+
+    def test_a_full_memory_is_named_as_memory_capacity(self):
+        """With a second write port the same tile gets past that store
+        and ends at one no memory has room for."""
+        tile = TileParams(n_pps=2, memories_per_pp=1, memory_words=20,
+                          mem_write_ports=2)
+        with pytest.raises(AllocationError) as raised:
+            map_frontend(compile_frontend(get_kernel("fir16").source),
+                         tile)
+        assert str(raised.value) == (
+            "the result of cluster 15 cannot be stored: every memory it "
+            "may use is full (memory capacity)")
 
 
 class TestInPlaceUpdates:

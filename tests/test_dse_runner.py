@@ -2,6 +2,8 @@
 tolerance, and the persistent cache's speed and reproducibility
 guarantees (the ISSUE's acceptance criteria)."""
 
+import concurrent.futures
+import json
 import multiprocessing
 import sys
 import threading
@@ -64,6 +66,38 @@ class TestRunSweep:
         pooled = run_sweep(FIR5, points, workers=2)
         assert pooled.stats.workers == 2
         assert pooled.records == serial.records
+
+    def test_a_failed_chunk_runs_one_level_down(self, monkeypatch,
+                                                 tmp_path):
+        """A chunk task that raises (a worker lost, say) does not end
+        a pooled sweep: the chunks not yet started are cancelled, and
+        every key no chunk delivered is evaluated in-process.  The
+        records are byte-identical to a serial sweep's, and all of
+        them reach the cache."""
+        points = DesignSpace({"n_pps": [1, 2, 3, 5],
+                              "n_buses": [4, 10]}).grid()
+        serial = run_sweep(FIR5, points, workers=1)
+        submit = runner.WorkerPool.submit
+        submitted = []
+
+        def failing(pool, fn, *args):
+            submitted.append(args)
+            if len(submitted) == 2:
+                lost = concurrent.futures.Future()
+                lost.set_exception(RuntimeError("worker lost"))
+                return lost
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(runner.WorkerPool, "submit", failing)
+        before = set(multiprocessing.active_children())
+        pooled = run_sweep(FIR5, points, workers=2, cache=tmp_path)
+        assert len(submitted) > 2
+        assert pooled.stats.workers == 2
+        assert pooled.stats.evaluated == len(points)
+        assert json.dumps(pooled.records) == json.dumps(serial.records)
+        assert set(multiprocessing.active_children()) <= before
+        warm = run_sweep(FIR5, points, workers=1, cache=tmp_path)
+        assert warm.stats.cached == len(points)
 
     def test_pooled_sweep_reaps_its_worker_processes(self):
         points = DesignSpace({"n_pps": [1, 2, 3, 4]}).grid()

@@ -11,8 +11,8 @@ gets answers cut at any length.  The properties:
   handler task left running;
 * the connection is closed after any error;
 * pipelined keep-alive requests are answered in order;
-* a connection that sends half a head, or none, is closed unanswered
-  after ``HEAD_TIMEOUT``.
+* a connection that sends half a head, or none, or a head and half
+  its body, is closed unanswered after ``HEAD_TIMEOUT``.
 """
 
 import json
@@ -240,6 +240,23 @@ def test_a_half_sent_head_is_closed_unanswered(tmp_path, monkeypatch):
             assert client.health()["started_at"] == old["started_at"]
             fresh = list(client._idle)
         assert len(stale) == len(fresh) == 1 and fresh[0] is not stale[0]
+
+
+def test_a_half_sent_body_is_closed_unanswered(tmp_path, monkeypatch):
+    """The body is read under the head's deadline: a socket that sends
+    a whole head announcing 100 bytes and then 10 of them is closed
+    with no answer once ``HEAD_TIMEOUT`` has passed, while it is still
+    open, and its handler ends."""
+    timeout = 0.3
+    monkeypatch.setattr(daemon_module, "HEAD_TIMEOUT", timeout)
+    with ServiceThread(store=tmp_path / "store", workers=1) as daemon:
+        started = time.monotonic()
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n" + b"{" * 10)
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - started >= timeout
+            assert _settled(daemon), "a handler outlived its timeout"
 
 
 # -- a real client ----------------------------------------------------------
