@@ -13,10 +13,12 @@ this order:
    a :class:`_DaemonPool`, the daemon as a pool: each chunk is one
    lease, a ``sweep-chunk`` job run as one ``POST /jobs?wait=`` that
    returns the finished chunk, on up to ``min(workers,
-   MAX_LEASES_PER_DAEMON)`` threads at once.  The daemon does each
-   chunk's cache pass against its artifact store and maps only the
-   missing points on its worker pool, so a point the store already
-   holds is a store read there, not a re-map;
+   MAX_LEASES_PER_DAEMON)`` threads at once.  The chunk's keys, from
+   step 1, travel with the lease and check the daemon's answer; the
+   wire carries only the points.  The daemon keys them itself, does
+   the chunk's cache pass against its artifact store and maps only
+   the missing points, as one task on its worker pool, so a point
+   the store already holds is a store read there, not a re-map;
 4. every ``ok`` record is admitted to the coordinator's cache as its
    chunk lands;
 5. the first lease that fails cancels the chunks not yet leased.
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
-from repro.dse.cache import cache_key
 from repro.dse.runner import (
     SweepResult,
     SweepStats,
@@ -160,11 +161,12 @@ def _probe(remote: tuple[str, int]):
 
 class _DaemonPool:
     """One daemon as the pool :func:`~repro.dse.runner.run_chunks`
-    runs a sweep's chunks on.  ``submit(run_chunk_job, source, points,
-    verify_seed, trace_ctx)`` leases the chunk as one ``sweep-chunk``
-    job, which the daemon runs as
-    :func:`~repro.dse.runner.run_chunk_job` on its own pool, and
-    returns a future of the same ``(records, info)``.
+    runs a sweep's chunks on.  ``submit(run_chunk_job, source,
+    keyed_points, verify_seed, trace_ctx)`` leases the chunk's points
+    as one ``sweep-chunk`` job, which the daemon keys itself and runs
+    as :func:`~repro.dse.runner.run_chunk_job` on its own pool, and
+    returns a future of the same ``(records, info)``.  The answer must
+    hold a record under each of the coordinator's keys.
 
     Up to ``min(workers, MAX_LEASES_PER_DAEMON)`` executor threads
     lease at once; they share the probe's *client*, so each keeps its
@@ -197,14 +199,15 @@ class _DaemonPool:
         with self._lock:
             setattr(self.stats, name, getattr(self.stats, name) + count)
 
-    def _lease(self, source: str, points: list[DesignPoint],
+    def _lease(self, source: str,
+               keyed_points: list[tuple[str, DesignPoint]],
                verify_seed: int | None, trace_ctx: dict | None
                ) -> tuple[dict, dict]:
         self._count("leases")
         request = {
             "kind": "sweep-chunk",
             "source": source,
-            "points": [point.to_dict() for point in points],
+            "points": [point.to_dict() for __, point in keyed_points],
             "verify_seed": verify_seed,
         }
         with trace.attach(trace_ctx):
@@ -215,23 +218,20 @@ class _DaemonPool:
                 # request so the daemon's queue/worker spans stitch in
                 # as its children.  Untraced runs add nothing to the
                 # wire.
-                with trace.span("distributed.lease", points=len(points)):
+                with trace.span("distributed.lease",
+                                points=len(keyed_points)):
                     if trace.enabled():
                         request["trace"] = trace.context()
                     payload = self._client.run(request,
                                                timeout=LEASE_TIMEOUT)
                 # A leased key the answer lacks raises KeyError.
-                records = {key: payload["records"][key] for key in
-                           (cache_key(source, point) for point in points)}
-            except Exception as error:
+                records = {key: payload["records"][key]
+                           for key, __ in keyed_points}
+            except Exception:
                 # Any failure shape (refused socket, torn frame,
                 # failed job, short answer) sends the chunk one level
-                # down.
+                # down; run_chunks traces it.
                 self._count("stolen")
-                if trace.enabled():
-                    trace.event("distributed.lease_failed",
-                                points=len(points),
-                                error=f"{type(error).__name__}: {error}")
                 raise
         self._count("peer_records", payload.get("stats", {}).get("cached", 0))
         # A traced chunk comes back with the daemon's entries for it.

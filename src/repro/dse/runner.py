@@ -5,9 +5,12 @@ It deduplicates the requested points, satisfies what it can from the
 :class:`repro.dse.cache.ResultCache`, evaluates the rest — serially,
 or as chunks of points on a pool — and returns one JSON-able
 *record* per requested point.  :class:`WorkerPool` is the one process
-pool: a pooled sweep submits :func:`run_chunk_job` tasks to one of
-its own, and the service daemon runs :func:`run_map_job` and
-:func:`run_chunk_job` on one for its life.
+pool and :func:`run_chunk_job` the one task it runs: it maps the
+``(key, point)`` pairs its caller gives it, after the caller's cache
+pass and deduplication.  A pooled sweep submits its chunks to a pool
+of its own, and the service daemon runs every job, a one-point map
+job and a sweep chunk alike, as one task on a pool it keeps for its
+life.
 
 :func:`run_chunks` is the one chunk loop.  It runs a pooled sweep's
 chunks on its :class:`WorkerPool`, and a distributed sweep's on the
@@ -381,16 +384,17 @@ def _run_sweep(source: str, points: Iterable[DesignPoint], *,
                memo: FrontendMemo | None = None,
                stats: SweepStats | None = None,
                first_level: Callable | None = None,
-               span: str = "dse.sweep", **attrs) -> SweepResult:
-    """The sweep every entry point runs, in one *span*, into *stats*
-    (a fresh :class:`SweepStats` without it): the cache pass, then
+               **attrs) -> SweepResult:
+    """The sweep :func:`run_sweep` and a distributed sweep run, in one
+    ``dse.sweep`` span noted with *attrs*, into *stats* (a fresh
+    :class:`SweepStats` without it): the cache pass, then
     the pending keys level by level.  ``first_level(key_points,
     pending, by_key)`` (a distributed sweep's daemon) evaluates what
     it can and returns the keys it left; those run as
     :func:`run_chunks` on a :class:`WorkerPool` when *workers*
     resolves to more than one, and whatever that pool leaves runs
     in-process, on *memo*."""
-    with trace.span(span, **attrs) as sweep_span:
+    with trace.span("dse.sweep", **attrs) as sweep_span:
         started = time.perf_counter()
         points = list(points)
         stats = stats or SweepStats()
@@ -455,18 +459,25 @@ def run_chunks(pool, source: str, key_points: dict[str, DesignPoint],
     missing records; the chunk's trace entries are adopted, and
     *progress*, when given, hears ``{"event": "chunk", ...}``.  The
     first chunk that raises cancels the chunks not yet started: the
-    caller runs the keys left one level down.
+    caller runs the keys left one level down.  Each chunk that raises
+    leaves a ``dse.chunk_failed`` trace event.
     """
     try:
         trace_ctx = trace.context()
         tasks = {pool.submit(run_chunk_job, source,
-                             [key_points[key] for key in chunk],
+                             [(key, key_points[key]) for key in chunk],
                              verify_seed, trace_ctx): len(chunk)
                  for chunk in (pending[index:index + size]
                                for index in range(0, len(pending), size))}
         done = 0
         for task in concurrent.futures.as_completed(tasks):
-            if task.cancelled() or task.exception() is not None:
+            if task.cancelled():
+                continue
+            error = task.exception()
+            if error is not None:
+                if trace.enabled():
+                    trace.event("dse.chunk_failed", points=tasks[task],
+                                error=f"{type(error).__name__}: {error}")
                 for queued in tasks:
                     queued.cancel()
                 continue
@@ -514,79 +525,43 @@ def _cache_pass(source: str, points: list[DesignPoint], cache,
     return point_keys, key_points, by_key, pending
 
 
-def evaluate_chunk(source: str, points: Iterable[DesignPoint], *,
-                   verify_seed: int | None = None,
-                   memo: FrontendMemo | None = None
-                   ) -> tuple[dict, SweepStats]:
-    """Evaluate one chunk of points; records keyed by cache key.
-
-    The unit a :class:`WorkerPool` runs (:func:`run_chunk_job`), for
-    a pooled sweep and for a daemon's ``sweep-chunk`` lease alike: a
-    cacheless :func:`run_sweep` over the chunk — same record
-    producer, so a chunk's records are bit-identical to the ones a
-    serial sweep would mint.  Runs in-process (``workers=1``): the
-    pool is the parallelism, and one sweep's chunks spread across it.
-    *memo* is the worker's frontend memo (a fresh one without it),
-    so a chunk never recompiles a frontend its worker already holds.
-
-    Returns ``(records_by_key, stats)``.
-    """
-    result = _run_sweep(source, points, workers=1, cache=None,
-                        verify_seed=verify_seed, memo=memo,
-                        span="dse.chunk")
-    records = {cache_key(source, point): record
-               for point, record in zip(result.points, result.records)}
-    return records, result.stats
-
-
 # ---------------------------------------------------------------------------
 # The worker pool and the tasks it runs (module-level: they must pickle
 # into worker processes)
 # ---------------------------------------------------------------------------
 
-def run_map_job(source: str, point: DesignPoint,
-                verify_seed: int | None, trace_ctx: dict | None,
-                memo: FrontendMemo) -> tuple[dict, dict]:
-    """Map *source* at *point* on a worker; returns ``(record, info)``.
-
-    *record* is a canonical sweep record; *info* carries what must
-    never leak into it: the report's per-stage timings and
-    :func:`run_chunk_job`'s info.
-    """
-    tally = FrontendMemo(share=memo)
-    sink: dict = {}
-    with trace.attach(trace_ctx), trace.capture() as spans:
-        with trace.span("worker.map"):
-            record = evaluate_point(source, point, verify_seed,
-                                    memo=tally, sink=sink)
-    return record, dict(_info(tally, spans), timings=sink.get("timings"))
-
-
-def run_chunk_job(source: str, points: list[DesignPoint],
+def run_chunk_job(source: str,
+                  keyed_points: list[tuple[str, DesignPoint]],
                   verify_seed: int | None, trace_ctx: dict | None,
                   memo: FrontendMemo) -> tuple[dict, dict]:
-    """Map one chunk of *points* on a worker; returns ``(records,
-    info)``.
+    """Map each ``(key, point)`` of *keyed_points* on a worker;
+    returns ``(records, info)``, the records keyed by the caller's
+    keys.
 
-    The records are :func:`evaluate_chunk`'s, keyed by cache key.
-    *info* holds the worker's pid, the job's frontend memo misses and
-    hits, and the trace entries it captured under *trace_ctx*
-    (``spans``, empty when untraced), which the caller
-    :func:`repro.obs.trace.adopt`-s.  The caller admits the records:
-    a worker never touches a store.
+    The one task a :class:`WorkerPool` runs: a pooled sweep's chunk,
+    a daemon's map job (one point) and its ``sweep-chunk`` lease.
+    The caller has done the cache pass and deduplication, so every
+    point is mapped.  *info* holds what must never leak into a
+    record: the worker's pid, the job's frontend memo misses and
+    hits, each point's per-stage ``timings`` by key (None for a point
+    that failed before its report), and the trace entries captured
+    under *trace_ctx* (``spans``, empty when untraced), which the
+    caller :func:`repro.obs.trace.adopt`-s.  The caller admits the
+    records: a worker never touches a store.
     """
     tally = FrontendMemo(share=memo)
+    records, timings = {}, {}
     with trace.attach(trace_ctx), trace.capture() as spans:
-        with trace.span("worker.chunk", points=len(points)):
-            records, __ = evaluate_chunk(
-                source, points, verify_seed=verify_seed, memo=tally)
-    return records, _info(tally, spans)
-
-
-def _info(tally: FrontendMemo, spans) -> dict:
-    return {"worker": os.getpid(), "spans": spans.entries,
-            "frontends_compiled": tally.compiled,
-            "frontends_reused": tally.reused}
+        with trace.span("worker.chunk", points=len(keyed_points)):
+            for key, point in keyed_points:
+                sink: dict = {}
+                records[key] = evaluate_point(source, point, verify_seed,
+                                              memo=tally, sink=sink)
+                timings[key] = sink.get("timings")
+    return records, {"worker": os.getpid(), "spans": spans.entries,
+                     "frontends_compiled": tally.compiled,
+                     "frontends_reused": tally.reused,
+                     "timings": timings}
 
 
 #: A process-mode pool worker's frontend memo, made by the pool's
@@ -614,8 +589,8 @@ def _with_process_memo(traced: bool, fn, *args):
 
 
 class WorkerPool:
-    """A bounded, persistent executor for :func:`run_map_job` and
-    :func:`run_chunk_job`: a pooled sweep's and a daemon's.
+    """A bounded, persistent executor for :func:`run_chunk_job`: a
+    pooled sweep's and a daemon's.
 
     Mode ``"process"`` (fork context where available) is true
     parallelism; mode ``"thread"`` keeps everything in one process.

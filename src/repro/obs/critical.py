@@ -52,8 +52,7 @@ PHASES: list[tuple[str, Callable[[str], bool]]] = [
     ("point evaluation", lambda n: n == "dse.point"),
     ("queue wait", lambda n: n == "queue.wait"),
     ("worker overhead",
-     lambda n: n.startswith("worker.") or n == "dse.chunk"
-     or n.startswith("pipeline.")),
+     lambda n: n.startswith("worker.") or n.startswith("pipeline.")),
     ("lease round-trip", lambda n: n == "distributed.lease"),
     ("coordinator overhead", lambda n: n == "dse.sweep"),
 ]

@@ -9,9 +9,11 @@ One process, two moving parts:
 * a **dispatcher** that drains the :class:`~repro.service.queue.JobQueue`
   into a :class:`~repro.dse.runner.WorkerPool` under a
   bounded-concurrency semaphore (at most ``workers`` jobs in flight).
-  A map job is one :func:`~repro.dse.runner.run_map_job` task, a
-  chunk's uncached points one :func:`~repro.dse.runner.run_chunk_job`
-  task — the pool and chunk task a local pooled sweep uses.
+  Both job kinds run one body: a store pass over the job's points on
+  the event loop, then one :func:`~repro.dse.runner.run_chunk_job`
+  task for the points the store lacks — the pool and task a local
+  pooled sweep uses.  A map job is a one-point chunk that also gets a
+  store lookup at submit.
 
 The daemon holds no frontend: each worker keeps its own memo of
 compiled frontends (see :class:`~repro.dse.runner.WorkerPool`), and
@@ -51,7 +53,6 @@ from repro.dse.runner import (
     WorkerPool,
     _cache_pass,
     run_chunk_job,
-    run_map_job,
 )
 from repro.dse.space import DesignPoint
 from repro.obs import trace
@@ -66,7 +67,6 @@ from repro.service.protocol import (
     job_key,
     normalise_request,
     record_to_map_payload,
-    request_point,
 )
 from repro.service.queue import Job, JobQueue, QueueFull
 from repro.service.wire import HttpError
@@ -246,11 +246,81 @@ class MappingService:
             asyncio.create_task(self._run_job(job))
 
     async def _run_job(self, job: Job) -> None:
+        """Run one job, of either kind: a map job is a one-point
+        chunk.
+
+        The store pass serves the points the store holds, by the
+        ``want_verified`` rule of the submit-time lookup; the rest are
+        mapped as one :func:`~repro.dse.runner.run_chunk_job` task
+        (one sweep's chunks spread across the pool) under the keys
+        the pass computed, and the fresh records are admitted, so a
+        repeated job is pure store reads.  A job whose points are all
+        stored runs no pool task: so a map job whose record another
+        job admitted while it was queued finishes as a ``hit``.  Only
+        the payload depends on the kind.
+
+        A traced chunk job (its request carries a trace context, and
+        the daemon traces) returns its trace entries in the payload's
+        ``trace`` field: the job's ``queue.wait`` span and its
+        worker's capture, with this daemon's pid, so the coordinator
+        can adopt them.  Any other chunk's payload has no such field.
+
+        The store pass runs on the event loop: it is a few small page
+        cache reads, and a round trip through an executor thread costs
+        more than they do on a loaded host (with one for the pass and
+        one for the admits, perfbench ``service_mix`` read a store
+        hit's latency about 20% worse).
+        """
+        request = job.request
         try:
+            point_keys, key_points, by_key, pending = _cache_pass(
+                request["source"],
+                [DesignPoint.from_dict(entry)
+                 for entry in request["points"]],
+                self.store, request["verify_seed"], SweepStats())
+            info = {"worker": None, "spans": [], "timings": {},
+                    "frontends_compiled": 0, "frontends_reused": 0}
+            if pending:
+                fresh, info = await self._execute(
+                    request["source"],
+                    [(key, key_points[key]) for key in pending],
+                    request["verify_seed"], request["trace"])
+                trace.adopt(info["spans"])
+                job.add_event("frontend", reused=info["frontends_reused"] > 0)
+                by_key.update(fresh)
+            self.counts["computed"] += 1
+            for name in ("frontends_compiled", "frontends_reused"):
+                self.counts[name] += info[name]
             if job.kind == "map":
-                await self._run_map(job)
+                record = by_key[job.key]
+                meta = {"cache": "miss" if pending else "hit",
+                        "frontend_reused": info["frontends_reused"] > 0,
+                        "timings": info["timings"].get(job.key),
+                        "worker": info["worker"]}
+                if not record["ok"]:
+                    self.counts["failed"] += 1
+                    self.queue.fail(job, record["error"], **meta)
+                    return
+                payload = record_to_map_payload(
+                    record, file=request["file"],
+                    want_verified=request["verify_seed"] is not None)
             else:
-                await self._run_chunk(job)
+                failed = sum(1 for key in key_points
+                             if not by_key[key]["ok"])
+                meta = {"cache": "chunk", "worker": info["worker"],
+                        "stats": {"cached": len(key_points) - len(pending),
+                                  "evaluated": len(pending),
+                                  "failed": failed}}
+                payload = {"kind": "sweep-chunk",
+                           "points": len(point_keys),
+                           "records": {key: by_key[key]
+                                       for key in point_keys},
+                           "stats": meta["stats"]}
+                if job.trace_id is not None and job.wait_span is not None:
+                    payload["trace"] = {"pid": os.getpid(), "spans": [
+                        dict(job.wait_span, pid=os.getpid()),
+                        *info["spans"]]}
+            self.queue.finish(job, payload, **meta)
         except asyncio.CancelledError:
             # Daemon shutdown mid-job: propagate so the task reads
             # as cancelled, not failed.
@@ -263,90 +333,10 @@ class MappingService:
             self._slots.release()
             await self._notify()
 
-    async def _run_map(self, job: Job) -> None:
-        request = job.request
-        record, info = await self._execute(
-            run_map_job, request["source"], request_point(request),
-            request["verify_seed"], request["trace"],
-            fresh=lambda result: {job.key: result[0]})
-        trace.adopt(info["spans"])
-        reused = self._count_frontends(info)
-        job.add_event("frontend", reused=reused)
-        self.counts["computed"] += 1
-        meta = {"cache": "miss", "frontend_reused": reused,
-                "timings": info.get("timings"),
-                "worker": info.get("worker")}
-        if record["ok"]:
-            payload = record_to_map_payload(
-                record, file=request["file"],
-                want_verified=request["verify_seed"] is not None)
-            self.queue.finish(job, payload, **meta)
-        else:
-            self.counts["failed"] += 1
-            self.queue.fail(job, record["error"], **meta)
+    async def _execute(self, *args) -> tuple[dict, dict]:
+        """Run ``run_chunk_job(*args)`` on the pool without blocking
+        the event loop, and admit the records it computed.
 
-    async def _run_chunk(self, job: Job) -> None:
-        """One distributed-sweep lease: serve the chunk's points from
-        the store, map the rest as one worker-pool task (chunks of one
-        sweep spread across the pool), and admit the fresh records,
-        so a repeated chunk is pure store reads.  The cache pass uses
-        the ``want_verified`` rule map jobs use; a chunk whose points
-        are all stored finishes without a pool task.
-
-        A traced job (its request carries a trace context) returns its
-        trace entries in the payload's ``trace`` field: the job's
-        ``queue.wait`` span and its worker's capture, with this
-        daemon's pid, so the coordinator can adopt them.  An untraced
-        job's payload has no such field.
-
-        The cache pass runs on the event loop: it is a few small page
-        cache reads, and a round trip through an executor thread costs
-        more than they do on a loaded host (with one for the pass and
-        one for the admits, perfbench ``service_mix`` read a store
-        hit's latency about 20% worse).
-        """
-        request = job.request
-        points = [DesignPoint.from_dict(entry)
-                  for entry in request["points"]]
-        stats = SweepStats(total=len(points))
-        point_keys, key_points, by_key, pending = _cache_pass(
-            request["source"], points, self.store,
-            request["verify_seed"], stats)
-        worker = None
-        spans = [] if job.wait_span is None else [
-            dict(job.wait_span, pid=os.getpid())]
-        if pending:
-            missing = [key_points[key] for key in pending]
-            fresh, info = await self._execute(
-                run_chunk_job, request["source"], missing,
-                request["verify_seed"], request["trace"],
-                fresh=lambda result: result[0])
-            trace.adopt(info["spans"])
-            self._count_frontends(info)
-            spans += info["spans"]
-            worker = info["worker"]
-            by_key.update(fresh)
-        self.counts["computed"] += 1
-        chunk_stats = {"cached": stats.cached,
-                       "evaluated": len(pending),
-                       "failed": sum(1 for key in key_points
-                                     if not by_key[key]["ok"])}
-        payload = {
-            "kind": "sweep-chunk",
-            "points": len(points),
-            "records": {key: by_key[key] for key in point_keys},
-            "stats": chunk_stats,
-        }
-        if job.trace_id is not None and spans:
-            payload["trace"] = {"pid": os.getpid(), "spans": spans}
-        self.queue.finish(job, payload, cache="chunk", worker=worker,
-                          stats=chunk_stats)
-
-    async def _execute(self, fn, *args, fresh):
-        """Run one executor function on the pool without blocking the
-        event loop, and admit the records it computed.
-
-        *fresh* picks ``{key: record}`` out of the function's result.
         The records are admitted on the thread that delivers the
         result, before the event loop hears of it: they are in the
         store when the job finishes, and the job costs no second
@@ -355,7 +345,7 @@ class MappingService:
         completes: a callback the loop added to the task itself could
         run between the task's end and the admits.
         """
-        task = self.pool.submit(fn, *args)
+        task = self.pool.submit(run_chunk_job, *args)
         admitted: concurrent.futures.Future = concurrent.futures.Future()
 
         def admit(done: concurrent.futures.Future) -> None:
@@ -364,7 +354,7 @@ class MappingService:
                 return
             try:
                 result = done.result()
-                for key, record in fresh(result).items():
+                for key, record in result[0].items():
                     self.store.admit(key, record)
             except Exception as error:  # noqa: BLE001 — the task's
                 # failure (or an admit's) is the job's
@@ -374,13 +364,6 @@ class MappingService:
 
         task.add_done_callback(admit)
         return await asyncio.wrap_future(admitted)
-
-    def _count_frontends(self, info: dict) -> bool:
-        """Add one job's worker memo misses and hits to the counts;
-        True when the job reused a frontend."""
-        self.counts["frontends_compiled"] += info["frontends_compiled"]
-        self.counts["frontends_reused"] += info["frontends_reused"]
-        return info["frontends_reused"] > 0
 
     # -- notification -------------------------------------------------
 

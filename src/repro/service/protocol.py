@@ -131,7 +131,9 @@ def normalise_map_request(raw: Mapping) -> dict:
 
     The canonical form carries the :class:`DesignPoint` as its
     ``to_dict`` payload — the exact unit the result cache hashes — so
-    job identity and artifact identity cannot drift apart.
+    job identity and artifact identity cannot drift apart.  It is a
+    one-element ``points`` list, as a chunk's are: the daemon runs
+    both kinds as one job body.
     """
     source = _require_source(raw)
     tile = {"n_pps": _optional_int(raw, "pps", 5),
@@ -176,7 +178,7 @@ def normalise_map_request(raw: Mapping) -> dict:
         "kind": "map",
         "source": source,
         "file": raw.get("file"),
-        "point": point.to_dict(),
+        "points": [point.to_dict()],
         "verify_seed": _optional_int(raw, "verify_seed"),
         "trace": _optional_trace(raw),
     }
@@ -238,7 +240,7 @@ def normalise_request(raw) -> dict:
 
 def request_point(request: Mapping) -> DesignPoint:
     """The design point of a normalised map request."""
-    return DesignPoint.from_dict(request["point"])
+    return DesignPoint.from_dict(request["points"][0])
 
 
 def job_key(request: Mapping) -> str:

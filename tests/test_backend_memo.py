@@ -39,9 +39,9 @@ from repro.core.pipeline import (
 from repro.dse import runner
 from repro.dse.runner import (
     FrontendMemo,
-    evaluate_chunk,
     evaluate_point,
     frontend_spec,
+    run_chunk_job,
     run_sweep,
 )
 from repro.dse.space import DesignSpace
@@ -72,8 +72,9 @@ def test_a_sweep_leaves_the_frontend_pickle_unchanged():
     memo = FrontendMemo()
     frontend = memo.frontend(FIR16, frontend_spec(POINTS[0]))
     before = pickle.dumps(frontend)
-    records, __ = evaluate_chunk(FIR16, POINTS, verify_seed=1,
-                                 memo=memo)
+    records, __ = run_chunk_job(
+        FIR16, [(str(index), point) for index, point in enumerate(POINTS)],
+        1, None, memo)
     assert all(record["verified"] for record in records.values())
     assert frontend._memo, "the sweep did not use the shared frontend"
     assert pickle.dumps(frontend) == before

@@ -21,7 +21,7 @@ from repro.dse.distributed import (
     parse_remote,
     run_distributed_sweep,
 )
-from repro.dse.runner import evaluate_chunk, run_sweep
+from repro.dse.runner import FrontendMemo, run_chunk_job, run_sweep
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.eval.kernels import get_kernel
 from repro.service import ServiceClient, ServiceThread
@@ -70,15 +70,22 @@ class TestParseRemotes:
                                       remotes=remotes)
 
 
-# -- evaluate_chunk (the daemon-side entry) -------------------------------
+# -- run_chunk_job (the task a daemon runs a chunk as) --------------------
 
-class TestEvaluateChunk:
+class TestRunChunkJob:
     def test_records_keyed_by_cache_key(self):
+        """The task maps every point it is given, under the key its
+        caller gave it, and times each one."""
         points = SPACE.grid()[:3]
-        records, stats = evaluate_chunk(FIR5, points)
-        assert set(records) == {cache_key(FIR5, point)
-                                for point in points}
-        assert stats.evaluated == 3
+        keyed = [(cache_key(FIR5, point), point) for point in points]
+        records, info = run_chunk_job(FIR5, keyed, None, None,
+                                      FrontendMemo())
+        assert list(records) == list(info["timings"]) \
+            == [key for key, __ in keyed]
+        assert all("allocate" in timings
+                   for timings in info["timings"].values())
+        assert (info["frontends_compiled"],
+                info["frontends_reused"]) == (1, 2)
         expected = run_sweep(FIR5, points, workers=1)
         for point, record in zip(expected.points, expected.records):
             assert records[cache_key(FIR5, point)] == record
@@ -243,6 +250,34 @@ class TestDistributedSweep:
         assert result.stats.chunks == result.stats.leases == 1
         assert canon(result.records) \
             == canon(local_result.records[:3])
+
+    def test_a_remote_point_is_keyed_twice(self, monkeypatch,
+                                           local_result):
+        """An uncached point's cache key is computed twice per remote
+        sweep: in the coordinator's cache pass and in the daemon's.
+        The keys travel with the lease, and the task maps the keyed
+        points it is given."""
+        from repro.dse import cache as cache_module
+
+        key = cache_module.cache_key
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return key(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("repro.") and \
+                    getattr(module, "cache_key", None) is key:
+                monkeypatch.setattr(module, "cache_key", counting)
+        points = SPACE.grid()[:8]
+        with ServiceThread(workers=2) as daemon:
+            result = run_distributed_sweep(FIR5, points,
+                                           remotes=url(daemon))
+        assert result.stats.remote_records == len(points)
+        assert canon(result.records) \
+            == canon(local_result.records[:8])
+        assert len(calls) <= 2 * len(points)
 
     def test_failure_records_travel_the_wire(self):
         # n_pps=0 fails at evaluation; the failure record must come

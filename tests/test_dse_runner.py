@@ -17,6 +17,7 @@ from repro.dse.cache import ResultCache, cache_key
 from repro.dse.runner import evaluate_point, run_sweep
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.eval.kernels import get_kernel
+from repro.obs import trace
 
 FIR5 = get_kernel("fir5").source
 
@@ -73,7 +74,8 @@ class TestRunSweep:
         a pooled sweep: the chunks not yet started are cancelled, and
         every key no chunk delivered is evaluated in-process.  The
         records are byte-identical to a serial sweep's, and all of
-        them reach the cache."""
+        them reach the cache.  The failure leaves one
+        ``dse.chunk_failed`` trace event."""
         points = DesignSpace({"n_pps": [1, 2, 3, 5],
                               "n_buses": [4, 10]}).grid()
         serial = run_sweep(FIR5, points, workers=1)
@@ -90,7 +92,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(runner.WorkerPool, "submit", failing)
         before = set(multiprocessing.active_children())
-        pooled = run_sweep(FIR5, points, workers=2, cache=tmp_path)
+        with trace.scoped_tracing(), trace.capture() as captured:
+            pooled = run_sweep(FIR5, points, workers=2, cache=tmp_path)
+        failures = [entry for entry in captured.entries
+                    if entry["name"] == "dse.chunk_failed"]
+        assert [(entry["kind"], entry["points"], entry["error"])
+                for entry in failures] == [
+            ("event", len(submitted[1][1]), "RuntimeError: worker lost")]
         assert len(submitted) > 2
         assert pooled.stats.workers == 2
         assert pooled.stats.evaluated == len(points)

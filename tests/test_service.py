@@ -346,19 +346,19 @@ def test_validation_400_from_a_real_daemon_is_fatal():
 
 @pytest.fixture
 def held_worker(monkeypatch):
-    """Hold every map job on its worker until ``release`` is set;
-    ``running`` is set when the first one starts."""
+    """Hold every job's pool task on its worker until ``release`` is
+    set; ``running`` is set when the first one starts."""
     from repro.service import daemon as daemon_module
 
     running, release = threading.Event(), threading.Event()
-    run_map_job = daemon_module.run_map_job
+    run_chunk_job = daemon_module.run_chunk_job
 
-    def held_map_job(*args):
+    def held_chunk_job(*args):
         running.set()
         release.wait(timeout=60)
-        return run_map_job(*args)
+        return run_chunk_job(*args)
 
-    monkeypatch.setattr(daemon_module, "run_map_job", held_map_job)
+    monkeypatch.setattr(daemon_module, "run_chunk_job", held_chunk_job)
     yield running, release
     release.set()
 
@@ -449,6 +449,31 @@ def test_submit_wait_returns_a_coalesced_duplicate_terminal(
     assert response["job"]["id"] == first["id"]
     assert response["job"]["state"] == "done"
     assert response["job"]["result"]["config"]["n_pps"] == 4
+
+
+def test_a_map_job_stored_while_queued_finishes_as_a_hit(held_worker):
+    """Job B, queued behind job A of the same point under another
+    ``file`` label, is served by its dispatch-time store pass: it
+    reads ``cache: hit`` and runs no pool task, so the daemon looked
+    one frontend up, for A."""
+    running, release = held_worker
+    with ServiceThread(workers=1) as daemon, \
+            ServiceClient(*daemon.address) as client:
+        first = client.submit(dict(_map_request(4), file="a.c"))
+        assert running.wait(timeout=30), "the worker never started"
+        second = client.submit(dict(_map_request(4), file="b.c"))
+        assert not second["coalesced"]
+        assert second["job"]["state"] == "queued"
+        release.set()
+        payload_a = client.result(first["job"]["id"], timeout=60)
+        payload_b = client.result(second["job"]["id"], timeout=60)
+        meta = client.job(second["job"]["id"])["meta"]
+        stats = client.stats()["service"]
+    assert meta["cache"] == "hit" and meta["worker"] is None
+    assert payload_b["file"] == "b.c"
+    assert _canon(dict(payload_b, file="a.c")) == _canon(payload_a)
+    assert stats["frontends_compiled"] + stats["frontends_reused"] == 1
+    assert (stats["computed"], stats["store_hits"]) == (2, 0)
 
 
 def test_submit_wait_zero_answers_at_once_and_junk_is_400(

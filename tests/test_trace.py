@@ -388,7 +388,7 @@ class TestFlightRecorder:
         spans = [entry for entry in load_trace(tmp_path / TRACE_LOG_NAME)
                  if entry.get("kind") == "span"]
         ids = [entry["span"] for entry in spans]
-        assert "worker.map" in {entry["name"] for entry in spans}
+        assert "worker.chunk" in {entry["name"] for entry in spans}
         assert len(ids) == len(set(ids)), sorted(
             entry["name"] for entry in spans)
 

@@ -15,6 +15,12 @@ and event stream at once.  Three rule families:
 * **Lock-held await**: ``await`` inside a *synchronous* ``with
   something_lock:`` block parks the coroutine while a thread lock
   is held — other loop callbacks needing the lock then deadlock.
+
+The daemon's store passes run on its loop by design: a map job's
+submit-time lookup (suppressed at the site) and the store pass over
+every dispatched job's points (``runner._cache_pass``, a synchronous
+helper this checker does not follow).  Each is a few small
+page-cache reads, cheaper than the executor round trip.
 """
 
 from __future__ import annotations
